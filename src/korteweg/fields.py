@@ -34,10 +34,6 @@ class ScalarField:
         object.__setattr__(self, "values", _frozen_array(self.values, self.grid))
 
     @classmethod
-    def from_function(cls, grid: Grid, fn) -> "ScalarField":
-        return cls(grid, fn(*grid.coords()))
-
-    @classmethod
     def constant(cls, grid: Grid, value: float) -> "ScalarField":
         return cls(grid, np.full(grid.shape, float(value)))
 
@@ -54,20 +50,8 @@ class VectorField:
         object.__setattr__(self, "components", comps)
 
     @classmethod
-    def from_functions(cls, grid: Grid, fns) -> "VectorField":
-        xs = grid.coords()
-        return cls(grid, tuple(fn(*xs) for fn in fns))
-
-    @classmethod
     def zero(cls, grid: Grid) -> "VectorField":
         return cls(grid, tuple(np.zeros(grid.shape) for _ in range(grid.dim)))
-
-    def component(self, i: int) -> ScalarField:
-        return ScalarField(self.grid, self.components[i])
-
-
-def tensor_component_names(dim: int) -> tuple[str, ...]:
-    return ("xx",) if dim == 1 else ("xx", "xy", "yy")
 
 
 @dataclass(frozen=True)
@@ -114,15 +98,6 @@ class SymTensorField:
             raise DomainError("tensor grids differ")
         return SymTensorField(self.grid, tuple(a + b for a, b in
                                                zip(self.components, other.components)))
-
-    def sub(self, other: "SymTensorField") -> "SymTensorField":
-        return SymTensorField(self.grid, tuple(a - b for a, b in
-                                               zip(self.components, other.components)))
-
-    def trace(self) -> np.ndarray:
-        if self.grid.dim == 1:
-            return self.components[0].copy()
-        return self.components[0] + self.components[2]
 
 
 def sup_norm(field) -> float:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .constitutive import Convention, DoubleWell, FluidParams
 from .elliptic import Mobility
-from .errors import ConfigError
+from .errors import ConfigError, StateError
 from .fields import write_scalar_csv, ScalarField
 from .grids import BoundaryKind, Discretization, Grid, Scheme
 from .initial import ICFamily, InitialCondition
@@ -240,7 +240,9 @@ def run_simulation(cfg: RunConfig, quiet: bool = False):
     """Integrate a config end to end, writing snapshots and metrics.
 
     Returns the IntegrationResult; raises ConfigError / StateError /
-    SolverError for the CLI layer to map onto exit codes.
+    SolverError for the CLI layer to map onto exit codes.  A run that
+    exhausts its step budget before t_end raises StateError and writes
+    no summary.
     """
     chash = cfg.config_hash()
     state = cfg.build_initial_state()
@@ -264,6 +266,11 @@ def run_simulation(cfg: RunConfig, quiet: bool = False):
     finally:
         if metrics is not None:
             metrics.close()
+    if not cfg.control.reached(result.state.t):
+        raise StateError(
+            f"step budget exhausted: {result.steps} steps reached t = "
+            f"{result.state.t:.6g} of t_end = {cfg.control.t_end:.6g}",
+            state=result.state)
     if cfg.out_dir is not None:
         write_state_snapshot(result.state, cfg.out_dir, result.steps, chash)
         summary = {"config": chash, "steps": result.steps,

@@ -10,6 +10,11 @@ concentration to the density.  This module provides
 * residual evaluation of the *full* three-equation systems on reduced
   states -- the reduction theorems run backwards.
 
+``_reduced_stress`` is the one place the reduced stress is assembled, for
+the right-hand sides, the momentum-flux gap and the residuals alike: the
+NSK1 augmented viscosity or the NSK2 non-local term, plus the Korteweg
+tensor.  The non-local term is solved for once per evaluation.
+
 The full systems are never time-stepped: the closure makes them
 differential-algebraic, so they are only ever checked residually.
 """
@@ -79,14 +84,31 @@ class ReconstructedFields:
     mu_chem: ScalarField | None = None    # chemical potential (NSK2)
 
 
-def _local_pressure_part(state: MixtureState, params: FluidParams,
-                         d: Discretization) -> np.ndarray:
-    """rho^2 R'(rho) - (1/rho) div((delta_star/rho) grad rho); shared by both models."""
+def _nonlocal_term(u: VectorField, kind: ModelKind, gamma: Mobility | None,
+                   d: Discretization) -> ScalarField | None:
+    """Lambda_gamma^{-1}(div u) for NSK2, the model's one elliptic solve; None for NSK1."""
+    if kind is ModelKind.NSK1:
+        return None
+    return invert_for_model(gamma, div(u, d), d)
+
+
+def _pressure(state: MixtureState, u: VectorField, params: FluidParams,
+              d: Discretization, nonlocal_term: ScalarField | None = None) -> ScalarField:
+    """Eliminated pressure: a bulk part plus the local part shared by both models.
+
+    p = bulk + rho^2 R'(rho) - (1/rho) div((delta_star/rho) grad rho), where
+    bulk = -(delta_star / (sqrt(delta) rho)) div u without a non-local term
+    (NSK1) and -(theta / delta_tau^2) * nonlocal_term with one (NSK2).
+    """
     r = state.rho.values
+    if nonlocal_term is None:
+        bulk = -(params.delta_star / (np.sqrt(params.delta) * r)) * div(u, d).values
+    else:
+        bulk = -(params.temperature / params.delta_tau**2) * nonlocal_term.values
     ds = params.delta_star
-    gr = grad(state.rho, d)
-    flux = VectorField(state.grid, tuple((ds / r) * g for g in gr.components))
-    return r * r * law.bulk_energy_drho(r, params) - div(flux, d).values / r
+    flux = VectorField(state.grid, tuple((ds / r) * g for g in grad(state.rho, d).components))
+    local = r * r * law.bulk_energy_drho(r, params) - div(flux, d).values / r
+    return ScalarField(state.grid, bulk + local)
 
 
 def reconstruct_pressure_nsac(state: MixtureState, params: FluidParams,
@@ -96,12 +118,7 @@ def reconstruct_pressure_nsac(state: MixtureState, params: FluidParams,
     p = -(delta_star / (sqrt(delta) rho)) div u
         + rho^2 R'(rho) - (1/rho) div((delta_star/rho) grad rho)
     """
-    u = state.velocity()
-    divu = div(u, d).values
-    r = state.rho.values
-    local = _local_pressure_part(state, params, d)
-    return ScalarField(state.grid,
-                       -(params.delta_star / (np.sqrt(params.delta) * r)) * divu + local)
+    return _pressure(state, state.velocity(), params, d)
 
 
 def reconstruct_pressure_nsch(state: MixtureState, params: FluidParams,
@@ -111,39 +128,57 @@ def reconstruct_pressure_nsch(state: MixtureState, params: FluidParams,
     p = -(theta / delta_tau^2) * Lambda_gamma^{-1}(div u) + local part.
     """
     u = state.velocity()
-    divu = div(u, d)
-    nonlocal_term = invert_for_model(gamma, divu, d)
-    scale = params.temperature / params.delta_tau**2
-    local = _local_pressure_part(state, params, d)
-    return ScalarField(state.grid, -scale * nonlocal_term.values + local)
+    return _pressure(state, u, params, d, _nonlocal_term(u, ModelKind.NSK2, gamma, d))
+
+
+def _diffusive_div(state: MixtureState, c: ScalarField, params: FluidParams,
+                   d: Discretization) -> np.ndarray:
+    """div(delta rho grad c)."""
+    r = state.rho.values
+    flux = VectorField(state.grid, tuple(params.delta * r * g for g in grad(c, d).components))
+    return div(flux, d).values
+
+
+def _reconstruct(state: MixtureState, u: VectorField, params: FluidParams, kind: ModelKind,
+                 gamma: Mobility | None, d: Discretization
+                 ) -> tuple[ReconstructedFields, ScalarField | None]:
+    """The eliminated fields and the NSK2 non-local term solved for on the way."""
+    r = state.rho.values
+    law.warn_outside_window(r, params, context="reconstruction")
+    if kind is ModelKind.NSK2 and gamma is None:
+        raise ConfigError("the conserved-phase model needs a mobility")
+    c = ScalarField(state.grid, law.concentration(r, params))
+    wprime = params.well.derivative(c.values)
+    nonlocal_term = _nonlocal_term(u, kind, gamma, d)
+    p = _pressure(state, u, params, d, nonlocal_term)
+    if kind is ModelKind.NSK1:
+        q = -(params.delta_tau / params.temperature) * p.values - wprime
+        return ReconstructedFields(c=c, p=p, q=ScalarField(state.grid, q)), None
+    mu = (params.delta_tau / params.temperature) * p.values + wprime \
+        - _diffusive_div(state, c, params, d) / r
+    return ReconstructedFields(c=c, p=p, mu_chem=ScalarField(state.grid, mu)), nonlocal_term
 
 
 def reconstruct_fields(state: MixtureState, params: FluidParams, kind: ModelKind,
                        gamma: Mobility | None = None,
                        d: Discretization = Discretization(Scheme.SPECTRAL)) -> ReconstructedFields:
     """Rebuild (c, p, q | mu) from a reduced state under the given model."""
-    r = state.rho.values
-    law.warn_outside_window(r, params, context="reconstruction")
-    c = ScalarField(state.grid, law.concentration(r, params))
-    wprime = params.well.derivative(c.values)
-    if kind is ModelKind.NSK1:
-        p = reconstruct_pressure_nsac(state, params, d)
-        q = -(params.delta_tau / params.temperature) * p.values - wprime
-        return ReconstructedFields(c=c, p=p, q=ScalarField(state.grid, q))
-    if gamma is None:
-        raise ConfigError("the conserved-phase model needs a mobility")
-    p = reconstruct_pressure_nsch(state, params, gamma, d)
-    gc = grad(c, d)
-    flux = VectorField(state.grid, tuple(params.delta * r * g for g in gc.components))
-    mu = (params.delta_tau / params.temperature) * p.values + wprime \
-        - div(flux, d).values / r
-    return ReconstructedFields(c=c, p=p, mu_chem=ScalarField(state.grid, mu))
+    return _reconstruct(state, state.velocity(), params, kind, gamma, d)[0]
 
 
-def _advective_fluxes(state: MixtureState, d: Discretization):
+def _reduced_stress(u: VectorField, rho: ScalarField, params: FluidParams, d: Discretization,
+                    nonlocal_term: ScalarField | None) -> SymTensorField:
+    """The reduced stress of either model: viscous or non-local part plus Korteweg."""
+    if nonlocal_term is None:
+        bulk = augmented_cauchy_stress(u, rho, params, d)
+    else:
+        bulk = nonlocal_cauchy_stress(u, nonlocal_term, params, d)
+    return bulk.add(korteweg_tensor(rho, params, d))
+
+
+def _advective_fluxes(state: MixtureState, u: VectorField, d: Discretization):
     """Mass flux rho u and momentum flux rho u (x) u, optionally dealiased."""
     grid = state.grid
-    u = state.velocity()
     mass_flux = [c.copy() for c in state.m.components]
     mom_flux = [state.m.components[i] * u.components[j]
                 for i in range(grid.dim) for j in range(i, grid.dim)]
@@ -153,18 +188,23 @@ def _advective_fluxes(state: MixtureState, d: Discretization):
     return VectorField(grid, tuple(mass_flux)), SymTensorField(grid, tuple(mom_flux))
 
 
-def rhs_nsk1(state: MixtureState, params: FluidParams,
-             d: Discretization) -> tuple[ScalarField, VectorField]:
-    """Semi-discrete right-hand side of the local reduced system."""
+def _rhs(state: MixtureState, params: FluidParams, kind: ModelKind,
+         gamma: Mobility | None, d: Discretization) -> tuple[ScalarField, VectorField]:
     grid = state.grid
-    mass_flux, mom_flux = _advective_fluxes(state, d)
+    u = state.velocity()
+    mass_flux, mom_flux = _advective_fluxes(state, u, d)
     drho = ScalarField(grid, -div(mass_flux, d).values)
-    stress = augmented_cauchy_stress(state.velocity(), state.rho, params, d) \
-        .add(korteweg_tensor(state.rho, params, d))
+    stress = _reduced_stress(u, state.rho, params, d, _nonlocal_term(u, kind, gamma, d))
     adv = div_tensor(mom_flux, d)
     visc = div_tensor(stress, d)
     dm = VectorField(grid, tuple(v - a for a, v in zip(adv.components, visc.components)))
     return drho, dm
+
+
+def rhs_nsk1(state: MixtureState, params: FluidParams,
+             d: Discretization) -> tuple[ScalarField, VectorField]:
+    """Semi-discrete right-hand side of the local reduced system."""
+    return _rhs(state, params, ModelKind.NSK1, None, d)
 
 
 def rhs_nsk2(state: MixtureState, params: FluidParams, gamma: Mobility,
@@ -173,17 +213,7 @@ def rhs_nsk2(state: MixtureState, params: FluidParams, gamma: Mobility,
 
     Exactly one elliptic solve per evaluation (for the non-local stress).
     """
-    grid = state.grid
-    u = state.velocity()
-    mass_flux, mom_flux = _advective_fluxes(state, d)
-    drho = ScalarField(grid, -div(mass_flux, d).values)
-    nonlocal_term = invert_for_model(gamma, div(u, d), d)
-    stress = nonlocal_cauchy_stress(u, nonlocal_term, params, d) \
-        .add(korteweg_tensor(state.rho, params, d))
-    adv = div_tensor(mom_flux, d)
-    visc = div_tensor(stress, d)
-    dm = VectorField(grid, tuple(v - a for a, v in zip(adv.components, visc.components)))
-    return drho, dm
+    return _rhs(state, params, ModelKind.NSK2, gamma, d)
 
 
 @dataclass(frozen=True)
@@ -195,21 +225,14 @@ class ResidualReport:
     phase: float
 
 
-def _full_model_gap(state: MixtureState, params: FluidParams, kind: ModelKind,
-                    gamma: Mobility | None, d: Discretization,
-                    rec: ReconstructedFields) -> VectorField:
+def _full_model_gap(state: MixtureState, u: VectorField, params: FluidParams,
+                    d: Discretization, rec: ReconstructedFields,
+                    nonlocal_term: ScalarField | None) -> VectorField:
     """div(S + P) - div(S_reduced + K), the momentum-flux defect."""
-    u = state.velocity()
     full = cauchy_stress(u, params, d).add(
         phase_stress(rec.c, rec.p, state.rho, params, d))
-    if kind is ModelKind.NSK1:
-        reduced = augmented_cauchy_stress(u, state.rho, params, d)
-    else:
-        nonlocal_term = invert_for_model(gamma, div(u, d), d)
-        reduced = nonlocal_cauchy_stress(u, nonlocal_term, params, d)
-    reduced = reduced.add(korteweg_tensor(state.rho, params, d))
     lhs = div_tensor(full, d)
-    rhs = div_tensor(reduced, d)
+    rhs = div_tensor(_reduced_stress(u, state.rho, params, d, nonlocal_term), d)
     return VectorField(state.grid,
                        tuple(a - b for a, b in zip(lhs.components, rhs.components)))
 
@@ -222,19 +245,33 @@ def momentum_equivalence_gap(state: MixtureState, params: FluidParams, kind: Mod
     This is the single number that certifies the reduction: it converges
     to zero at scheme order for smooth states.
     """
-    rec = reconstruct_fields(state, params, kind, gamma, d)
-    return sup_norm(_full_model_gap(state, params, kind, gamma, d, rec))
+    u = state.velocity()
+    rec, nonlocal_term = _reconstruct(state, u, params, kind, gamma, d)
+    return sup_norm(_full_model_gap(state, u, params, d, rec, nonlocal_term))
 
 
-def _phase_lhs(state: MixtureState, params: FluidParams, d: Discretization,
-               drho: ScalarField) -> np.ndarray:
-    """d/dt(rho c) + div(rho c u) with the semi-discrete density rate."""
+def _residual(state: MixtureState, params: FluidParams, kind: ModelKind,
+              gamma: Mobility | None, d: Discretization) -> ResidualReport:
+    """Full-model residuals; the models differ only in the phase right-hand side."""
+    grid = state.grid
     r = state.rho.values
     u = state.velocity()
+    rec, nonlocal_term = _reconstruct(state, u, params, kind, gamma, d)
+    mass_div = div(state.m, d).values
+    drho = -mass_div
+    mass = sup_norm(ScalarField(grid, drho + mass_div))
+    momentum = sup_norm(_full_model_gap(state, u, params, d, rec, nonlocal_term))
+    # d/dt(rho c) + div(rho c u) with the semi-discrete density rate
     ctilde = law.phase_mass_density(r, params)
-    ctilde_prime = law.phase_mass_density_drho(r, params)
-    fluxv = VectorField(state.grid, tuple(ctilde * c for c in u.components))
-    return ctilde_prime * drho.values + div(fluxv, d).values
+    fluxv = VectorField(grid, tuple(ctilde * c for c in u.components))
+    lhs = law.phase_mass_density_drho(r, params) * drho + div(fluxv, d).values
+    if kind is ModelKind.NSK1:
+        rhs = (r * rec.q.values + _diffusive_div(state, rec.c, params, d)) \
+            / np.sqrt(params.delta)
+    else:
+        rhs = -apply_operator(gamma, rec.mu_chem, d).values
+    return ResidualReport(mass=mass, momentum=momentum,
+                          phase=sup_norm(ScalarField(grid, lhs - rhs)))
 
 
 def residual_nsac(state: MixtureState, params: FluidParams,
@@ -248,19 +285,7 @@ def residual_nsac(state: MixtureState, params: FluidParams,
     rule.  The phase-equation residual is the substantive check and
     converges at scheme order.
     """
-    rec = reconstruct_fields(state, params, ModelKind.NSK1, None, d)
-    u = state.velocity()
-    mass_flux = VectorField(state.grid, state.m.components)
-    drho = ScalarField(state.grid, -div(mass_flux, d).values)
-    mass = sup_norm(ScalarField(state.grid, drho.values + div(mass_flux, d).values))
-    momentum = sup_norm(_full_model_gap(state, params, ModelKind.NSK1, None, d, rec))
-    r = state.rho.values
-    gc = grad(rec.c, d)
-    diff_flux = VectorField(state.grid,
-                            tuple(params.delta * r * g for g in gc.components))
-    rhs = (r * rec.q.values + div(diff_flux, d).values) / np.sqrt(params.delta)
-    phase = sup_norm(ScalarField(state.grid, _phase_lhs(state, params, d, drho) - rhs))
-    return ResidualReport(mass=mass, momentum=momentum, phase=phase)
+    return _residual(state, params, ModelKind.NSK1, None, d)
 
 
 def residual_nsch(state: MixtureState, params: FluidParams, gamma: Mobility,
@@ -271,12 +296,4 @@ def residual_nsch(state: MixtureState, params: FluidParams, gamma: Mobility,
     d/dt(rho c) + div(rho c u) = div(gamma grad mu) with the
     reconstructed chemical potential.
     """
-    rec = reconstruct_fields(state, params, ModelKind.NSK2, gamma, d)
-    mass_flux = VectorField(state.grid, state.m.components)
-    drho = ScalarField(state.grid, -div(mass_flux, d).values)
-    mass = sup_norm(ScalarField(state.grid, drho.values + div(mass_flux, d).values))
-    momentum = sup_norm(_full_model_gap(state, params, ModelKind.NSK2, gamma, d, rec))
-    ch_flux_div = -apply_operator(gamma, rec.mu_chem, d).values
-    phase = sup_norm(ScalarField(state.grid,
-                                 _phase_lhs(state, params, d, drho) - ch_flux_div))
-    return ResidualReport(mass=mass, momentum=momentum, phase=phase)
+    return _residual(state, params, ModelKind.NSK2, gamma, d)

@@ -40,13 +40,8 @@ def _axis_shaped(k: np.ndarray, dim: int, axis: int) -> np.ndarray:
     return k.reshape(shape)
 
 
-def _spectral_grad_arrays(values: np.ndarray, grid: Grid) -> tuple[np.ndarray, ...]:
-    fhat = np.fft.fftn(values)
-    out = []
-    for axis in range(grid.dim):
-        k = _axis_shaped(_deriv_wavenumbers(grid.n[axis], grid.h[axis]), grid.dim, axis)
-        out.append(np.fft.ifftn(1j * k * fhat).real)
-    return tuple(out)
+def _axis_wavenumbers(grid: Grid, axis: int) -> np.ndarray:
+    return _axis_shaped(_deriv_wavenumbers(grid.n[axis], grid.h[axis]), grid.dim, axis)
 
 
 def _fd2_deriv(values: np.ndarray, grid: Grid, axis: int) -> np.ndarray:
@@ -61,21 +56,26 @@ def _fd2_deriv(values: np.ndarray, grid: Grid, axis: int) -> np.ndarray:
     return out
 
 
-def _deriv(values: np.ndarray, grid: Grid, axis: int, d: Discretization) -> np.ndarray:
+def _derivs(values: np.ndarray, grid: Grid, axes, d: Discretization) -> tuple[np.ndarray, ...]:
+    """First derivatives of one array along ``axes``.
+
+    Spectral: one forward transform shared by all axes, one inverse each.
+    """
     if d.scheme is Scheme.SPECTRAL:
         fhat = np.fft.fftn(values)
-        k = _axis_shaped(_deriv_wavenumbers(grid.n[axis], grid.h[axis]), grid.dim, axis)
-        return np.fft.ifftn(1j * k * fhat).real
-    return _fd2_deriv(values, grid, axis)
+        return tuple(np.fft.ifftn(1j * _axis_wavenumbers(grid, axis) * fhat).real
+                     for axis in axes)
+    return tuple(_fd2_deriv(values, grid, axis) for axis in axes)
+
+
+def _deriv(values: np.ndarray, grid: Grid, axis: int, d: Discretization) -> np.ndarray:
+    return _derivs(values, grid, (axis,), d)[0]
 
 
 def grad(f: ScalarField, d: Discretization) -> VectorField:
     """Discrete gradient of a scalar field."""
     d.require_compatible(f.grid)
-    if d.scheme is Scheme.SPECTRAL:
-        return VectorField(f.grid, _spectral_grad_arrays(f.values, f.grid))
-    comps = tuple(_fd2_deriv(f.values, f.grid, a) for a in range(f.grid.dim))
-    return VectorField(f.grid, comps)
+    return VectorField(f.grid, _derivs(f.values, f.grid, range(f.grid.dim), d))
 
 
 def div(v: VectorField, d: Discretization) -> ScalarField:
@@ -115,7 +115,7 @@ def laplacian(f: ScalarField, d: Discretization) -> ScalarField:
         fhat = np.fft.fftn(f.values)
         k2 = np.zeros(grid.shape)
         for axis in range(grid.dim):
-            k = _axis_shaped(_deriv_wavenumbers(grid.n[axis], grid.h[axis]), grid.dim, axis)
+            k = _axis_wavenumbers(grid, axis)
             k2 = k2 + k * k
         return ScalarField(grid, np.fft.ifftn(-k2 * fhat).real)
     total = np.zeros(grid.shape)

@@ -33,22 +33,25 @@ def strain(u: VectorField, d: Discretization) -> SymTensorField:
     return SymTensorField(grid, (xx, xy, yy))
 
 
+def _viscous_stress(u: VectorField, bulk, params: FluidParams, d: Discretization,
+                    extra=None) -> SymTensorField:
+    """(2 mu D(u) + bulk div u I) + extra I, the assembly behind the three Cauchy stresses.
+
+    ``bulk`` is a constant or a grid function; ``extra`` is optional.
+    """
+    dd = strain(u, d)
+    diag = bulk * div(u, d).values
+    out = [2.0 * params.shear_viscosity * c for c in dd.components]
+    for i in ((0,) if u.grid.dim == 1 else (0, 2)):   # xx, yy
+        out[i] = out[i] + diag
+        if extra is not None:
+            out[i] = out[i] + extra
+    return SymTensorField(u.grid, tuple(out))
+
+
 def cauchy_stress(u: VectorField, params: FluidParams, d: Discretization) -> SymTensorField:
     """2 mu D(u) + lambda (div u) I."""
-    dd = strain(u, d)
-    divu = div(u, d).values
-    return _viscous_assembly(dd, params.bulk_viscosity * divu, params.shear_viscosity)
-
-
-def _viscous_assembly(dd: SymTensorField, bulk_diag, mu: float) -> SymTensorField:
-    """2 mu D + (bulk_diag) I for a precomputed isotropic addend."""
-    grid = dd.grid
-    if grid.dim == 1:
-        return SymTensorField(grid, (2.0 * mu * dd.components[0] + bulk_diag,))
-    xx = 2.0 * mu * dd.components[0] + bulk_diag
-    xy = 2.0 * mu * dd.components[1]
-    yy = 2.0 * mu * dd.components[2] + bulk_diag
-    return SymTensorField(grid, (xx, xy, yy))
+    return _viscous_stress(u, params.bulk_viscosity, params, d)
 
 
 def phase_stress(c: ScalarField, p: ScalarField, rho: ScalarField,
@@ -94,10 +97,7 @@ def korteweg_tensor(rho: ScalarField, params: FluidParams, d: Discretization) ->
 def augmented_cauchy_stress(u: VectorField, rho: ScalarField,
                             params: FluidParams, d: Discretization) -> SymTensorField:
     """Cauchy stress with the density-dependent augmented bulk viscosity."""
-    dd = strain(u, d)
-    divu = div(u, d).values
-    lam_star = augmented_bulk_viscosity(rho.values, params)
-    return _viscous_assembly(dd, lam_star * divu, params.shear_viscosity)
+    return _viscous_stress(u, augmented_bulk_viscosity(rho.values, params), params, d)
 
 
 def nonlocal_cauchy_stress(u: VectorField, nonlocal_term: ScalarField,
@@ -107,10 +107,9 @@ def nonlocal_cauchy_stress(u: VectorField, nonlocal_term: ScalarField,
     ``nonlocal_term`` must be a precomputed inverse-elliptic image of
     div u; no solve happens here.
     """
-    base = cauchy_stress(u, params, d)
     scale = params.temperature / params.delta_tau**2
-    extra = SymTensorField.isotropic(u.grid, scale * nonlocal_term.values)
-    return base.add(extra)
+    return _viscous_stress(u, params.bulk_viscosity, params, d,
+                           extra=scale * nonlocal_term.values)
 
 
 def korteweg_identity_residual(rho: ScalarField, params: FluidParams,

@@ -45,6 +45,10 @@ class StepControl:
         if self.t_end < 0.0:
             raise ConfigError("t_end must be >= 0")
 
+    def reached(self, t: float) -> bool:
+        """Whether time ``t`` counts as the end of the run."""
+        return t >= self.t_end - 1e-14
+
 
 def dt_candidates(state: MixtureState, params: FluidParams,
                   control: StepControl = StepControl()) -> dict[str, float]:
@@ -172,7 +176,7 @@ def integrate(state: MixtureState, control: StepControl, params: FluidParams,
 
     notify(0, state, 0.0)
     step = 0
-    while state.t < control.t_end - 1e-14 and step < control.max_steps:
+    while not control.reached(state.t) and step < control.max_steps:
         if control.dt_fixed is not None:
             dt = control.dt_fixed
         else:

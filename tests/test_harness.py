@@ -1,11 +1,14 @@
 """Run configs, snapshots, metrics, CLI subcommands, and exit codes."""
 
+import dataclasses
+import functools
 import json
 
 import numpy as np
 import pytest
 
-from korteweg import ConfigError
+import korteweg.harness
+from korteweg import ConfigError, StateError, StepControl
 from korteweg.cli import main
 from korteweg.fields import read_scalar_csv
 from korteweg.harness import config_from_dict, load_config, run_simulation
@@ -206,6 +209,23 @@ def test_run_simulation_without_output_dir(tmp_path):
                                                    "dt_fixed": 1e-3}))
     result = run_simulation(cfg, quiet=True)
     assert result.steps == 5
+
+
+def test_run_short_of_t_end_is_a_numeric_failure(tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    path = write_config(tmp_path, step={"t_end": 0.05, "dt_fixed": 1e-3},
+                        output={"dir": str(out)})
+    cfg = load_config(path)
+    budget = dataclasses.replace(cfg, control=dataclasses.replace(cfg.control, max_steps=5))
+    with pytest.raises(StateError, match="5 steps reached t = 0.005 of t_end = 0.05"):
+        run_simulation(budget, quiet=True)
+    assert not (out / "summary.json").exists()
+    # config files carry no step budget: shrink the default one for the CLI
+    monkeypatch.setattr(korteweg.harness, "StepControl",
+                        functools.partial(StepControl, max_steps=5))
+    assert main(["run", str(path), "--quiet"]) == 3
+    assert json.loads((out / "failure.json").read_text())["error"] == "StateError"
+    assert not (out / "summary.json").exists()
 
 
 def test_two_d_run_completes(tmp_path):

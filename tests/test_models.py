@@ -170,7 +170,8 @@ def test_rhs_nsk1_symbolic_oracle(params):
     assert 3.5 < err(128, FD2) / err(256, FD2) < 4.5
 
 
-def test_rhs_nsk2_single_elliptic_solve(params, grid64, monkeypatch):
+@pytest.fixture
+def solve_counter(monkeypatch):
     calls = {"n": 0}
     original = korteweg.models.invert_for_model
 
@@ -179,12 +180,30 @@ def test_rhs_nsk2_single_elliptic_solve(params, grid64, monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(korteweg.models, "invert_for_model", counting)
+    return calls
+
+
+def test_rhs_nsk2_single_elliptic_solve(params, grid64, solve_counter):
     x = grid64.coords()[0]
     state = MixtureState.from_primitive(
         ScalarField(grid64, 1.4 + 0.1 * np.sin(x)),
         VectorField(grid64, (0.1 * np.sin(x),)))
     rhs_nsk2(state, params, Mobility.constant(1.0), SPECTRAL)
-    assert calls["n"] == 1
+    assert solve_counter["n"] == 1
+
+
+@pytest.mark.parametrize("evaluate", [
+    lambda s, p, g: momentum_equivalence_gap(s, p, ModelKind.NSK2, g, SPECTRAL),
+    lambda s, p, g: residual_nsch(s, p, g, SPECTRAL)], ids=["gap", "residual"])
+def test_nsk2_gap_and_residual_single_elliptic_solve(evaluate, params, grid64,
+                                                     solve_counter):
+    # the reconstruction's non-local term is reused by the momentum-flux gap
+    x = grid64.coords()[0]
+    state = MixtureState.from_primitive(
+        ScalarField(grid64, 1.4 + 0.1 * np.sin(x)),
+        VectorField(grid64, (0.1 * np.sin(x),)))
+    evaluate(state, params, Mobility.constant(1.0))
+    assert solve_counter["n"] == 1
 
 
 def test_rhs_divergence_free_velocity_agrees_between_models(params, grid64):
