@@ -58,8 +58,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _emit_failure(out_dir: Path | None, kind: str, message: str) -> None:
-    record = {"error": kind, "message": message}
+def _emit_failure(out_dir: Path | None, exc: Exception) -> None:
+    record = {"error": type(exc).__name__, "message": str(exc)}
+    record.update((k, getattr(exc, k)) for k in ("step", "t")   # numeric aborts
+                  if getattr(exc, k, None) is not None)
     print(json.dumps(record), file=sys.stderr)
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -121,10 +123,10 @@ def main(argv=None) -> int:
             return EXIT_OK
 
     except (ConfigError, CompatibilityError, DomainError) as exc:
-        _emit_failure(out_dir, type(exc).__name__, str(exc))
+        _emit_failure(out_dir, exc)
         return EXIT_CONFIG
     except (StateError, SolverError, FloatingPointError, OverflowError) as exc:
-        _emit_failure(out_dir, type(exc).__name__, str(exc))
+        _emit_failure(out_dir, exc)
         return EXIT_NUMERIC
     return EXIT_OK
 

@@ -22,9 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CompatibilityError, ConfigError, DomainError, SolverError
-from .fields import ScalarField, VectorField
-from .grids import Discretization, Grid, Scheme
-from .operators import _deriv_wavenumbers, _axis_shaped, div, grad
+from .fields import ScalarField
+from .grids import FD2, Discretization, Grid, Scheme
+from .operators import _axis_shaped, _deriv_wavenumbers, _derivs, _div
 
 log = logging.getLogger(__name__)
 
@@ -96,20 +96,21 @@ def apply_operator(gamma: Mobility, phi: ScalarField, d: Discretization) -> Scal
     """
     grid = phi.grid
     d.require_compatible(grid)
-    gv = gamma.values_on(grid)
+    return ScalarField(grid, _matvec(gamma.values_on(grid), grid, d)(phi.values))
+
+
+def _matvec(gamma_vals: np.ndarray, grid: Grid, d: Discretization):
+    """-div(gamma grad .) as an array->array map on either boundary kind."""
     if grid.is_periodic:
-        g = grad(phi, d)
-        flux = VectorField(grid, tuple(gv * comp for comp in g.components))
-        return ScalarField(grid, -div(flux, d).values)
-    return ScalarField(grid, _neumann_matvec_arrays(gv, grid)(phi.values))
+        def periodic(phi: np.ndarray) -> np.ndarray:
+            g = _derivs(phi, grid, range(grid.dim), d)
+            return -_div(tuple(gamma_vals * comp for comp in g), grid, d)
 
-
-def _neumann_matvec_arrays(gamma_vals: np.ndarray, grid: Grid):
-    """Flux-form FD2 operator on a bounded 1-D grid, as an array->array map."""
+        return periodic
     h = grid.h[0]
     gface = 0.5 * (gamma_vals[1:] + gamma_vals[:-1])
 
-    def matvec(phi: np.ndarray) -> np.ndarray:
+    def neumann(phi: np.ndarray) -> np.ndarray:
         flux = gface * (phi[1:] - phi[:-1]) / h
         out = np.empty_like(phi)
         out[0] = flux[0] / h
@@ -117,7 +118,7 @@ def _neumann_matvec_arrays(gamma_vals: np.ndarray, grid: Grid):
         out[-1] = -flux[-1] / h
         return -out
 
-    return matvec
+    return neumann
 
 
 def _pcg_zero_mean(matvec, b: np.ndarray, diag: np.ndarray,
@@ -193,10 +194,10 @@ def invert_periodic(gamma: Mobility, f: ScalarField,
         return ScalarField(grid, phi - phi.mean())
     gv = gamma.values_on(grid)
     size = int(np.prod(grid.shape))
+    op = _matvec(gv, grid, d)
 
     def matvec(x_flat):
-        field = ScalarField(grid, x_flat.reshape(grid.shape))
-        return apply_operator(gamma, field, d).values.ravel()
+        return op(x_flat.reshape(grid.shape)).ravel()
 
     diag = np.full(size, float(np.mean(gv)) * _periodic_symbol(grid, d.scheme).mean())
     diag = np.maximum(diag, 1e-30)
@@ -216,7 +217,7 @@ def invert_neumann_1d(gamma: Mobility, f: ScalarField,
     gv = gamma.values_on(grid)
     h = grid.h[0]
     n = grid.n[0]
-    matvec = _neumann_matvec_arrays(gv, grid)
+    matvec = _matvec(gv, grid, FD2)
     gface = 0.5 * (gv[1:] + gv[:-1])
     diag = np.empty(n)
     diag[0] = gface[0] / h**2

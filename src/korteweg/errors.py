@@ -22,8 +22,12 @@ class SolverError(KortewegError, RuntimeError):
 
 
 class StateError(KortewegError, RuntimeError):
-    """Simulation state became inadmissible (density floor, stiffness abort)."""
+    """Simulation state became inadmissible (density floor, stiffness abort,
+    non-finite values); the time loop adds the failing step, its start t and dt."""
 
-    def __init__(self, message, state=None):
+    def __init__(self, message, state=None, step=None, t=None, dt=None):
         super().__init__(message)
         self.state = state
+        self.step = step
+        self.t = t
+        self.dt = dt

@@ -1,8 +1,10 @@
 """Grid-indexed scalar, vector, and symmetric-tensor fields.
 
-Fields are immutable value types: constructors copy their input and mark
-the arrays read-only, and every operation in the package returns new
-fields.  Values are stored axis-major (C order), axis 0 = x.
+Fields are immutable value types: constructors copy their input, scan it
+for non-finite values and mark the arrays read-only.  Public functions
+return validated fields; internal kernels work on arrays (a scalar, or a
+tuple of components in the storage order below).  Values are stored
+axis-major (C order), axis 0 = x.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ import numpy as np
 
 from .errors import DomainError
 from .grids import Grid
+
+Components = tuple[np.ndarray, ...]   # a vector, or a tensor in storage order, as plain arrays
 
 
 def _frozen_array(values, grid: Grid) -> np.ndarray:
@@ -71,40 +75,31 @@ class SymTensorField:
             raise DomainError(f"expected {expected} tensor components, got {len(comps)}")
         object.__setattr__(self, "components", comps)
 
-    @classmethod
-    def isotropic(cls, grid: Grid, diag) -> "SymTensorField":
-        """diag(s, ..., s) for a scalar grid function s."""
-        diag = np.asarray(diag, dtype=float)
-        zero = np.zeros(grid.shape)
-        if grid.dim == 1:
-            return cls(grid, (diag,))
-        return cls(grid, (diag, zero, diag.copy()))
-
-    @classmethod
-    def outer(cls, grid: Grid, v: tuple[np.ndarray, ...]) -> "SymTensorField":
-        """v (x) v for a vector of component arrays."""
-        if grid.dim == 1:
-            return cls(grid, (v[0] * v[0],))
-        return cls(grid, (v[0] * v[0], v[0] * v[1], v[1] * v[1]))
-
     def comp(self, i: int, j: int) -> np.ndarray:
         if self.grid.dim == 1:
             return self.components[0]
         idx = {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 2}[(i, j)]
         return self.components[idx]
 
-    def add(self, other: "SymTensorField") -> "SymTensorField":
-        if other.grid is not self.grid and other.grid != self.grid:
-            raise DomainError("tensor grids differ")
-        return SymTensorField(self.grid, tuple(a + b for a, b in
-                                               zip(self.components, other.components)))
+
+def _plus_diag(t: Components, s) -> Components:
+    """t + s I for stored components; the diagonal is the first and last entry."""
+    return tuple(c + s if i in (0, len(t) - 1) else c for i, c in enumerate(t))
+
+
+def _outer(a: Components, b: Components) -> Components:
+    """Upper-triangle components a_i b_j (i <= j); a symmetric tensor when a = b."""
+    return tuple(a[i] * b[j] for i in range(len(a)) for j in range(i, len(a)))
+
+
+def _sup(arrays) -> float:
+    """Max absolute value over a sequence of arrays."""
+    return float(max(np.max(np.abs(c)) for c in arrays))
 
 
 def sup_norm(field) -> float:
     """Max absolute nodal value of a scalar/vector/tensor field."""
-    if isinstance(field, ScalarField):
-        return float(np.max(np.abs(field.values)))
-    return float(max(np.max(np.abs(c)) for c in field.components))
+    return _sup((field.values,) if isinstance(field, ScalarField) else field.components)
 
 
 def write_scalar_csv(field: ScalarField, path, config_hash: str | None = None) -> None:

@@ -270,7 +270,7 @@ def run_simulation(cfg: RunConfig, quiet: bool = False):
         raise StateError(
             f"step budget exhausted: {result.steps} steps reached t = "
             f"{result.state.t:.6g} of t_end = {cfg.control.t_end:.6g}",
-            state=result.state)
+            state=result.state, step=result.steps, t=result.state.t)
     if cfg.out_dir is not None:
         write_state_snapshot(result.state, cfg.out_dir, result.steps, chash)
         summary = {"config": chash, "steps": result.steps,

@@ -13,7 +13,8 @@ concentration to the density.  This module provides
 ``_reduced_stress`` is the one place the reduced stress is assembled, for
 the right-hand sides, the momentum-flux gap and the residuals alike: the
 NSK1 augmented viscosity or the NSK2 non-local term, plus the Korteweg
-tensor.  The non-local term is solved for once per evaluation.
+tensor.  The non-local term is solved for once per evaluation.  Between
+the validated inputs and returned fields everything runs on arrays.
 
 The full systems are never time-stepped: the closure makes them
 differential-algebraic, so they are only ever checked residually.
@@ -27,14 +28,13 @@ from enum import Enum
 import numpy as np
 
 from . import constitutive as law
-from .constitutive import FluidParams
-from .elliptic import Mobility, apply_operator, invert_for_model
+from .constitutive import FluidParams, augmented_bulk_viscosity
+from .elliptic import Mobility, _matvec, invert_for_model
 from .errors import ConfigError, StateError
-from .fields import ScalarField, SymTensorField, VectorField, sup_norm
-from .grids import Discretization, Scheme
-from .operators import dealias_array, div, div_tensor, grad
-from .tensors import (augmented_cauchy_stress, cauchy_stress, korteweg_tensor,
-                      nonlocal_cauchy_stress, phase_stress)
+from .fields import Components, ScalarField, VectorField, _outer, _sup
+from .grids import Discretization, Grid, Scheme
+from .operators import _derivs, _div, _div_tensor, dealias_array
+from .tensors import _korteweg, _phase_stress, _viscous_stress
 
 RHO_FLOOR = 1e-8
 
@@ -65,8 +65,7 @@ class MixtureState:
         return self.rho.grid
 
     def velocity(self) -> VectorField:
-        r = self.rho.values
-        return VectorField(self.grid, tuple(c / r for c in self.m.components))
+        return VectorField(self.grid, _velocity(self))
 
     @classmethod
     def from_primitive(cls, rho: ScalarField, u: VectorField, t: float = 0.0) -> "MixtureState":
@@ -84,31 +83,37 @@ class ReconstructedFields:
     mu_chem: ScalarField | None = None    # chemical potential (NSK2)
 
 
-def _nonlocal_term(u: VectorField, kind: ModelKind, gamma: Mobility | None,
-                   d: Discretization) -> ScalarField | None:
+def _velocity(state: MixtureState) -> Components:
+    r = state.rho.values
+    return tuple(c / r for c in state.m.components)
+
+
+def _nonlocal_term(u: Components, grid: Grid, kind: ModelKind, gamma: Mobility | None,
+                   d: Discretization) -> np.ndarray | None:
     """Lambda_gamma^{-1}(div u) for NSK2, the model's one elliptic solve; None for NSK1."""
     if kind is ModelKind.NSK1:
         return None
-    return invert_for_model(gamma, div(u, d), d)
+    return invert_for_model(gamma, ScalarField(grid, _div(u, grid, d)), d).values
 
 
-def _pressure(state: MixtureState, u: VectorField, params: FluidParams,
-              d: Discretization, nonlocal_term: ScalarField | None = None) -> ScalarField:
+def _pressure(state: MixtureState, u: Components, params: FluidParams,
+              d: Discretization, nonlocal_term: np.ndarray | None = None) -> np.ndarray:
     """Eliminated pressure: a bulk part plus the local part shared by both models.
 
     p = bulk + rho^2 R'(rho) - (1/rho) div((delta_star/rho) grad rho), where
     bulk = -(delta_star / (sqrt(delta) rho)) div u without a non-local term
     (NSK1) and -(theta / delta_tau^2) * nonlocal_term with one (NSK2).
     """
+    grid = state.grid
     r = state.rho.values
     if nonlocal_term is None:
-        bulk = -(params.delta_star / (np.sqrt(params.delta) * r)) * div(u, d).values
+        bulk = -(params.delta_star / (np.sqrt(params.delta) * r)) * _div(u, grid, d)
     else:
-        bulk = -(params.temperature / params.delta_tau**2) * nonlocal_term.values
+        bulk = -(params.temperature / params.delta_tau**2) * nonlocal_term
     ds = params.delta_star
-    flux = VectorField(state.grid, tuple((ds / r) * g for g in grad(state.rho, d).components))
-    local = r * r * law.bulk_energy_drho(r, params) - div(flux, d).values / r
-    return ScalarField(state.grid, bulk + local)
+    flux = tuple((ds / r) * g for g in _derivs(r, grid, range(grid.dim), d))
+    local = r * r * law.bulk_energy_drho(r, params) - _div(flux, grid, d) / r
+    return bulk + local
 
 
 def reconstruct_pressure_nsac(state: MixtureState, params: FluidParams,
@@ -118,7 +123,7 @@ def reconstruct_pressure_nsac(state: MixtureState, params: FluidParams,
     p = -(delta_star / (sqrt(delta) rho)) div u
         + rho^2 R'(rho) - (1/rho) div((delta_star/rho) grad rho)
     """
-    return _pressure(state, state.velocity(), params, d)
+    return ScalarField(state.grid, _pressure(state, _velocity(state), params, d))
 
 
 def reconstruct_pressure_nsch(state: MixtureState, params: FluidParams,
@@ -127,78 +132,71 @@ def reconstruct_pressure_nsch(state: MixtureState, params: FluidParams,
 
     p = -(theta / delta_tau^2) * Lambda_gamma^{-1}(div u) + local part.
     """
-    u = state.velocity()
-    return _pressure(state, u, params, d, _nonlocal_term(u, ModelKind.NSK2, gamma, d))
+    u = _velocity(state)
+    nonlocal_term = _nonlocal_term(u, state.grid, ModelKind.NSK2, gamma, d)
+    return ScalarField(state.grid, _pressure(state, u, params, d, nonlocal_term))
 
 
-def _diffusive_div(state: MixtureState, c: ScalarField, params: FluidParams,
+def _diffusive_div(state: MixtureState, c: np.ndarray, params: FluidParams,
                    d: Discretization) -> np.ndarray:
     """div(delta rho grad c)."""
+    grid = state.grid
     r = state.rho.values
-    flux = VectorField(state.grid, tuple(params.delta * r * g for g in grad(c, d).components))
-    return div(flux, d).values
+    flux = tuple(params.delta * r * g for g in _derivs(c, grid, range(grid.dim), d))
+    return _div(flux, grid, d)
 
 
-def _reconstruct(state: MixtureState, u: VectorField, params: FluidParams, kind: ModelKind,
-                 gamma: Mobility | None, d: Discretization
-                 ) -> tuple[ReconstructedFields, ScalarField | None]:
-    """The eliminated fields and the NSK2 non-local term solved for on the way."""
+def _reconstruct(state: MixtureState, u: Components, params: FluidParams, kind: ModelKind,
+                 gamma: Mobility | None, d: Discretization):
+    """The eliminated fields as arrays: (c, p, q | mu, NSK2 non-local term or None)."""
     r = state.rho.values
     law.warn_outside_window(r, params, context="reconstruction")
     if kind is ModelKind.NSK2 and gamma is None:
         raise ConfigError("the conserved-phase model needs a mobility")
-    c = ScalarField(state.grid, law.concentration(r, params))
-    wprime = params.well.derivative(c.values)
-    nonlocal_term = _nonlocal_term(u, kind, gamma, d)
+    c = law.concentration(r, params)
+    wprime = params.well.derivative(c)
+    nonlocal_term = _nonlocal_term(u, state.grid, kind, gamma, d)
     p = _pressure(state, u, params, d, nonlocal_term)
     if kind is ModelKind.NSK1:
-        q = -(params.delta_tau / params.temperature) * p.values - wprime
-        return ReconstructedFields(c=c, p=p, q=ScalarField(state.grid, q)), None
-    mu = (params.delta_tau / params.temperature) * p.values + wprime \
+        return c, p, -(params.delta_tau / params.temperature) * p - wprime, None
+    mu = (params.delta_tau / params.temperature) * p + wprime \
         - _diffusive_div(state, c, params, d) / r
-    return ReconstructedFields(c=c, p=p, mu_chem=ScalarField(state.grid, mu)), nonlocal_term
+    return c, p, mu, nonlocal_term
 
 
 def reconstruct_fields(state: MixtureState, params: FluidParams, kind: ModelKind,
                        gamma: Mobility | None = None,
                        d: Discretization = Discretization(Scheme.SPECTRAL)) -> ReconstructedFields:
     """Rebuild (c, p, q | mu) from a reduced state under the given model."""
-    return _reconstruct(state, state.velocity(), params, kind, gamma, d)[0]
+    c, p, rate, _ = _reconstruct(state, _velocity(state), params, kind, gamma, d)
+    c, p, rate = (ScalarField(state.grid, v) for v in (c, p, rate))
+    return ReconstructedFields(c, p, **{"q" if kind is ModelKind.NSK1 else "mu_chem": rate})
 
 
-def _reduced_stress(u: VectorField, rho: ScalarField, params: FluidParams, d: Discretization,
-                    nonlocal_term: ScalarField | None) -> SymTensorField:
+def _reduced_stress(u: Components, r: np.ndarray, grid: Grid, params: FluidParams,
+                    d: Discretization, nonlocal_term: np.ndarray | None) -> Components:
     """The reduced stress of either model: viscous or non-local part plus Korteweg."""
     if nonlocal_term is None:
-        bulk = augmented_cauchy_stress(u, rho, params, d)
+        bulk = _viscous_stress(u, grid, augmented_bulk_viscosity(r, params), params, d)
     else:
-        bulk = nonlocal_cauchy_stress(u, nonlocal_term, params, d)
-    return bulk.add(korteweg_tensor(rho, params, d))
-
-
-def _advective_fluxes(state: MixtureState, u: VectorField, d: Discretization):
-    """Mass flux rho u and momentum flux rho u (x) u, optionally dealiased."""
-    grid = state.grid
-    mass_flux = [c.copy() for c in state.m.components]
-    mom_flux = [state.m.components[i] * u.components[j]
-                for i in range(grid.dim) for j in range(i, grid.dim)]
-    if d.dealias and d.scheme is Scheme.SPECTRAL:
-        mass_flux = [dealias_array(c, grid) for c in mass_flux]
-        mom_flux = [dealias_array(c, grid) for c in mom_flux]
-    return VectorField(grid, tuple(mass_flux)), SymTensorField(grid, tuple(mom_flux))
+        bulk = _viscous_stress(u, grid, params.bulk_viscosity, params, d,
+                               extra=params.temperature / params.delta_tau**2 * nonlocal_term)
+    return tuple(a + b for a, b in zip(bulk, _korteweg(r, grid, params, d)))
 
 
 def _rhs(state: MixtureState, params: FluidParams, kind: ModelKind,
          gamma: Mobility | None, d: Discretization) -> tuple[ScalarField, VectorField]:
     grid = state.grid
-    u = state.velocity()
-    mass_flux, mom_flux = _advective_fluxes(state, u, d)
-    drho = ScalarField(grid, -div(mass_flux, d).values)
-    stress = _reduced_stress(u, state.rho, params, d, _nonlocal_term(u, kind, gamma, d))
-    adv = div_tensor(mom_flux, d)
-    visc = div_tensor(stress, d)
-    dm = VectorField(grid, tuple(v - a for a, v in zip(adv.components, visc.components)))
-    return drho, dm
+    u = _velocity(state)
+    mass_flux, mom_flux = state.m.components, _outer(state.m.components, u)   # rho u, rho u (x) u
+    if d.dealias and d.scheme is Scheme.SPECTRAL:
+        mass_flux, mom_flux = ([dealias_array(c, grid) for c in f] for f in (mass_flux, mom_flux))
+    drho = -_div(mass_flux, grid, d)
+    stress = _reduced_stress(u, state.rho.values, grid, params, d,
+                             _nonlocal_term(u, grid, kind, gamma, d))
+    adv = _div_tensor(mom_flux, grid, d)
+    visc = _div_tensor(stress, grid, d)
+    return ScalarField(grid, drho), VectorField(grid, tuple(v - a for a, v in zip(adv, visc)))
 
 
 def rhs_nsk1(state: MixtureState, params: FluidParams,
@@ -218,23 +216,26 @@ def rhs_nsk2(state: MixtureState, params: FluidParams, gamma: Mobility,
 
 @dataclass(frozen=True)
 class ResidualReport:
-    """Sup-norms of the full-model equations evaluated on a reduced state."""
+    """Sup-norms of the full-model equations evaluated on a reduced state.
+
+    ``mass`` is zero by construction: the density rate is defined as -div m.
+    """
 
     mass: float
     momentum: float
     phase: float
 
 
-def _full_model_gap(state: MixtureState, u: VectorField, params: FluidParams,
-                    d: Discretization, rec: ReconstructedFields,
-                    nonlocal_term: ScalarField | None) -> VectorField:
+def _full_model_gap(state: MixtureState, u: Components, params: FluidParams, d: Discretization,
+                    c: np.ndarray, p: np.ndarray, nonlocal_term: np.ndarray | None) -> Components:
     """div(S + P) - div(S_reduced + K), the momentum-flux defect."""
-    full = cauchy_stress(u, params, d).add(
-        phase_stress(rec.c, rec.p, state.rho, params, d))
-    lhs = div_tensor(full, d)
-    rhs = div_tensor(_reduced_stress(u, state.rho, params, d, nonlocal_term), d)
-    return VectorField(state.grid,
-                       tuple(a - b for a, b in zip(lhs.components, rhs.components)))
+    grid = state.grid
+    r = state.rho.values
+    full = tuple(a + b for a, b in zip(_viscous_stress(u, grid, params.bulk_viscosity, params, d),
+                                       _phase_stress(c, p, r, grid, params, d)))
+    lhs = _div_tensor(full, grid, d)
+    rhs = _div_tensor(_reduced_stress(u, r, grid, params, d, nonlocal_term), grid, d)
+    return tuple(a - b for a, b in zip(lhs, rhs))
 
 
 def momentum_equivalence_gap(state: MixtureState, params: FluidParams, kind: ModelKind,
@@ -245,9 +246,9 @@ def momentum_equivalence_gap(state: MixtureState, params: FluidParams, kind: Mod
     This is the single number that certifies the reduction: it converges
     to zero at scheme order for smooth states.
     """
-    u = state.velocity()
-    rec, nonlocal_term = _reconstruct(state, u, params, kind, gamma, d)
-    return sup_norm(_full_model_gap(state, u, params, d, rec, nonlocal_term))
+    u = _velocity(state)
+    c, p, _, nonlocal_term = _reconstruct(state, u, params, kind, gamma, d)
+    return _sup(_full_model_gap(state, u, params, d, c, p, nonlocal_term))
 
 
 def _residual(state: MixtureState, params: FluidParams, kind: ModelKind,
@@ -255,23 +256,21 @@ def _residual(state: MixtureState, params: FluidParams, kind: ModelKind,
     """Full-model residuals; the models differ only in the phase right-hand side."""
     grid = state.grid
     r = state.rho.values
-    u = state.velocity()
-    rec, nonlocal_term = _reconstruct(state, u, params, kind, gamma, d)
-    mass_div = div(state.m, d).values
+    u = _velocity(state)
+    c, p, rate, nonlocal_term = _reconstruct(state, u, params, kind, gamma, d)
+    mass_div = _div(state.m.components, grid, d)
     drho = -mass_div
-    mass = sup_norm(ScalarField(grid, drho + mass_div))
-    momentum = sup_norm(_full_model_gap(state, u, params, d, rec, nonlocal_term))
+    mass = _sup((drho + mass_div,))
+    momentum = _sup(_full_model_gap(state, u, params, d, c, p, nonlocal_term))
     # d/dt(rho c) + div(rho c u) with the semi-discrete density rate
     ctilde = law.phase_mass_density(r, params)
-    fluxv = VectorField(grid, tuple(ctilde * c for c in u.components))
-    lhs = law.phase_mass_density_drho(r, params) * drho + div(fluxv, d).values
+    lhs = law.phase_mass_density_drho(r, params) * drho \
+        + _div(tuple(ctilde * cu for cu in u), grid, d)
     if kind is ModelKind.NSK1:
-        rhs = (r * rec.q.values + _diffusive_div(state, rec.c, params, d)) \
-            / np.sqrt(params.delta)
+        rhs = (r * rate + _diffusive_div(state, c, params, d)) / np.sqrt(params.delta)
     else:
-        rhs = -apply_operator(gamma, rec.mu_chem, d).values
-    return ResidualReport(mass=mass, momentum=momentum,
-                          phase=sup_norm(ScalarField(grid, lhs - rhs)))
+        rhs = -_matvec(gamma.values_on(grid), grid, d)(rate)
+    return ResidualReport(mass=mass, momentum=momentum, phase=_sup((lhs - rhs,)))
 
 
 def residual_nsac(state: MixtureState, params: FluidParams,

@@ -9,8 +9,9 @@ Two interchangeable discretizations:
   wraparound, bounded 1-D grids use even-reflection ghost values
   (consistent with homogeneous Neumann data).
 
-All operators are linear and act node-wise on the stored arrays; they are
-pure functions returning new fields.
+All operators are linear and act node-wise on the stored arrays.  Public
+functions return validated fields; internal kernels (``_derivs``,
+``_div``, ``_div_tensor``) work on arrays and are what the hot loops call.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigError
-from .fields import ScalarField, SymTensorField, VectorField
+from .fields import Components, ScalarField, SymTensorField, VectorField
 from .grids import Discretization, Grid, Scheme
 
 
@@ -56,12 +57,14 @@ def _fd2_deriv(values: np.ndarray, grid: Grid, axis: int) -> np.ndarray:
     return out
 
 
-def _derivs(values: np.ndarray, grid: Grid, axes, d: Discretization) -> tuple[np.ndarray, ...]:
+def _derivs(values: np.ndarray, grid: Grid, axes, d: Discretization) -> Components:
     """First derivatives of one array along ``axes``.
 
-    Spectral: one forward transform shared by all axes, one inverse each.
+    Spectral: one forward transform shared by all axes, one inverse each;
+    every derivative passes here, so this is where a non-periodic grid is refused.
     """
     if d.scheme is Scheme.SPECTRAL:
+        d.require_compatible(grid)
         fhat = np.fft.fftn(values)
         return tuple(np.fft.ifftn(1j * _axis_wavenumbers(grid, axis) * fhat).real
                      for axis in axes)
@@ -72,34 +75,32 @@ def _deriv(values: np.ndarray, grid: Grid, axis: int, d: Discretization) -> np.n
     return _derivs(values, grid, (axis,), d)[0]
 
 
+def _div(v: Components, grid: Grid, d: Discretization) -> np.ndarray:
+    """Divergence of a vector given by its component arrays."""
+    total = np.zeros(grid.shape)
+    for axis in range(grid.dim):
+        total += _deriv(v[axis], grid, axis, d)
+    return total
+
+
+def _div_tensor(t: Components, grid: Grid, d: Discretization) -> Components:
+    """Row-wise divergence of a stored symmetric tensor: row i is t[i:i + dim]."""
+    return tuple(_div(t[i:i + grid.dim], grid, d) for i in range(grid.dim))
+
+
 def grad(f: ScalarField, d: Discretization) -> VectorField:
     """Discrete gradient of a scalar field."""
-    d.require_compatible(f.grid)
     return VectorField(f.grid, _derivs(f.values, f.grid, range(f.grid.dim), d))
 
 
 def div(v: VectorField, d: Discretization) -> ScalarField:
     """Discrete divergence of a vector field."""
-    d.require_compatible(v.grid)
-    total = np.zeros(v.grid.shape)
-    for axis in range(v.grid.dim):
-        total += _deriv(v.components[axis], v.grid, axis, d)
-    return ScalarField(v.grid, total)
+    return ScalarField(v.grid, _div(v.components, v.grid, d))
 
 
 def div_tensor(t: SymTensorField, d: Discretization) -> VectorField:
     """Row-wise divergence of a symmetric tensor: (div T)_i = sum_j d_j T_ij."""
-    d.require_compatible(t.grid)
-    grid = t.grid
-    if grid.dim == 1:
-        return VectorField(grid, (_deriv(t.comp(0, 0), grid, 0, d),))
-    out = []
-    for i in range(2):
-        acc = np.zeros(grid.shape)
-        for j in range(2):
-            acc += _deriv(t.comp(i, j), grid, j, d)
-        out.append(acc)
-    return VectorField(grid, tuple(out))
+    return VectorField(t.grid, _div_tensor(t.components, t.grid, d))
 
 
 def laplacian(f: ScalarField, d: Discretization) -> ScalarField:

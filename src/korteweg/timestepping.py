@@ -10,7 +10,7 @@ import numpy as np
 from . import constitutive as law
 from .constitutive import FluidParams
 from .elliptic import Mobility
-from .errors import ConfigError, StateError
+from .errors import ConfigError, DomainError, StateError
 from .fields import ScalarField, VectorField
 from .grids import Discretization
 from .models import MixtureState, ModelKind, rhs_nsk1, rhs_nsk2
@@ -160,7 +160,8 @@ def integrate(state: MixtureState, control: StepControl, params: FluidParams,
     Observers are called once at step 0 and after every accepted step.
     Aborts with a stiffness diagnostic if the step estimate undershoots
     dt_min; density-floor violations propagate as StateError with the
-    offending fields attached.
+    offending fields attached; non-finite values in a step (DomainError)
+    are re-raised as StateError with the step, t, dt and last good state.
     """
     rhs = make_rhs(params, kind, gamma, d)
     d.require_compatible(state.grid)
@@ -185,10 +186,14 @@ def integrate(state: MixtureState, control: StepControl, params: FluidParams,
                 raise StateError(
                     f"stiffness abort: stable step {cand:.3e} fell below "
                     f"dt_min {control.dt_min:.3e} at t = {state.t:.6g}",
-                    state=state)
+                    state=state, step=step + 1, t=state.t)
             dt = min(cand, control.dt_max)
         dt = min(dt, control.t_end - state.t)
-        state = ssprk3_step(state, dt, rhs)
+        try:
+            state = ssprk3_step(state, dt, rhs)
+        except DomainError as exc:
+            raise StateError(f"step {step + 1} from t = {state.t:.6g} with dt = {dt:.3e}: "
+                             f"{exc}", state=state, step=step + 1, t=state.t, dt=dt) from exc
         step += 1
         notify(step, state, dt)
         result.state = state

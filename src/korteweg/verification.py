@@ -22,7 +22,7 @@ from .constitutive import Convention, FluidParams
 from .elliptic import (Mobility, apply_operator, invert_freespace_1d,
                        invert_neumann_1d, invert_periodic)
 from .errors import ConfigError
-from .fields import ScalarField, VectorField, sup_norm
+from .fields import ScalarField, VectorField, _sup, sup_norm
 from .grids import FD2, SPECTRAL, Discretization, Grid
 from .initial import CorpusState, default_corpus, random_band_limited
 from .models import (MixtureState, ModelKind, momentum_equivalence_gap,
@@ -420,9 +420,8 @@ def check_shared_capillary_structure(params: FluidParams) -> list[CheckResult]:
     identical = all(np.array_equal(a, b) for a, b in
                     zip(k1.components, k2.components))
     results.append(CheckResult("compare/shared_capillary_tensor", identical,
-                               {"max_abs_diff": 0.0 if identical else float(max(
-                                   np.max(np.abs(a - b)) for a, b in
-                                   zip(k1.components, k2.components)))},
+                               {"max_abs_diff": 0.0 if identical else _sup(
+                                   a - b for a, b in zip(k1.components, k2.components))},
                                "bit-identical"))
     # divergence-free velocity over constant density (FD2): the discrete
     # div u vanishes exactly, so both extra stress terms are exact zeros
@@ -435,9 +434,8 @@ def check_shared_capillary_structure(params: FluidParams) -> list[CheckResult]:
     d2rho, d2m = rhs_nsk2(state, params, Mobility.constant(1.0), FD2)
     same = np.array_equal(d1rho.values, d2rho.values) and all(
         np.array_equal(a, b) for a, b in zip(d1m.components, d2m.components))
-    diff = max(float(np.max(np.abs(d1rho.values - d2rho.values))),
-               max(float(np.max(np.abs(a - b)))
-                   for a, b in zip(d1m.components, d2m.components)))
+    diff = _sup((d1rho.values - d2rho.values,
+                 *(a - b for a, b in zip(d1m.components, d2m.components))))
     results.append(CheckResult("compare/divergence_free_rhs_identical", same,
                                {"max_abs_diff": diff}, "bit-identical"))
     return results
@@ -574,14 +572,12 @@ def compare_models(cfg_a, cfg_b, n_checkpoints: int = 8) -> CompareReport:
     mobility = cfg_b.build_mobility()
     k_a = korteweg_tensor(state.rho, cfg_a.params, cfg_a.disc)
     k_b = korteweg_tensor(state.rho, cfg_b.params, cfg_b.disc)
-    k_diff = max(float(np.max(np.abs(a - b)))
-                 for a, b in zip(k_a.components, k_b.components))
+    k_diff = _sup(a - b for a, b in zip(k_a.components, k_b.components))
 
     d1rho, d1m = rhs_nsk1(state, cfg_a.params, cfg_a.disc)
     d2rho, d2m = rhs_nsk2(state, cfg_b.params, mobility, cfg_b.disc)
-    rhs_diff = max(float(np.max(np.abs(d1rho.values - d2rho.values))),
-                   max(float(np.max(np.abs(a - b)))
-                       for a, b in zip(d1m.components, d2m.components)))
+    rhs_diff = _sup((d1rho.values - d2rho.values,
+                     *(a - b for a, b in zip(d1m.components, d2m.components))))
 
     from .timestepping import dt_candidates
     dt = 0.5 * min(min(dt_candidates(state, cfg_a.params).values()),
@@ -613,8 +609,8 @@ def compare_models(cfg_a, cfg_b, n_checkpoints: int = 8) -> CompareReport:
         divergence.append({
             "step": step, "t": sa.t,
             "rho_distance": float(np.max(np.abs(sa.rho.values - sb.rho.values))),
-            "momentum_distance": max(float(np.max(np.abs(a - b))) for a, b in
-                                     zip(sa.m.components, sb.m.components))})
+            "momentum_distance": _sup(a - b for a, b in
+                                      zip(sa.m.components, sb.m.components))})
     return CompareReport(capillary_tensor_max_diff=k_diff,
                          first_rhs_max_diff=rhs_diff,
                          divergence=divergence)

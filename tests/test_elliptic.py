@@ -1,5 +1,7 @@
 """Mobility-weighted elliptic operator: forward apply and three inverses."""
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -86,6 +88,21 @@ def test_invert_periodic_variable_mobility_cg():
         phi = invert_periodic(gamma, f, d)
         back = apply_operator(gamma, phi, d)
         assert np.max(np.abs(back.values - (f.values - f.values.mean()))) < 1e-9
+
+
+def test_periodic_cg_logs_its_iteration_count(caplog):
+    # the benchmark reads CG iteration counts from this DEBUG record
+    grid = Grid.periodic(64)
+    x = grid.coords()[0]
+    f = ScalarField(grid, np.cos(2.0 * x))
+    with caplog.at_level(logging.DEBUG, logger="korteweg.elliptic"):
+        invert_periodic(Mobility.spatial(2.0 + np.sin(x)), f, SPECTRAL)
+    records = [r for r in caplog.records if "cg converged" in str(r.msg)]
+    assert len(records) == 1
+    assert records[0].msg.startswith("%s: cg converged in %d iterations")
+    context, iterations = records[0].args[:2]
+    assert "periodic" in context
+    assert isinstance(iterations, int) and iterations > 0
 
 
 def test_invert_neumann_eigenfunction():

@@ -126,6 +126,28 @@ def test_failed_run_emits_machine_readable_record(tmp_path, capsys):
     record = json.loads((out / "failure.json").read_text())
     assert record["error"] == "StateError"
     assert "stiffness" in record["message"]
+    assert record["step"] == 1 and record["t"] == 0.0
+
+
+def test_overflow_in_a_step_is_a_numeric_failure(tmp_path):
+    # the initial state is finite; its momentum flux overflows in the first step
+    out = tmp_path / "out"
+    path = write_config(tmp_path,
+                        initial={"family": "sine_density", "velocity_amplitude": 1e160},
+                        step={"t_end": 0.05, "dt_fixed": 1e-3},
+                        output={"dir": str(out)})
+    with pytest.raises(StateError) as info, np.errstate(over="ignore", invalid="ignore"):
+        run_simulation(load_config(path), quiet=True)
+    exc = info.value
+    assert (exc.step, exc.t, exc.dt) == (1, 0.0, 1e-3)
+    assert exc.state.t == 0.0 and np.all(np.isfinite(exc.state.m.components[0]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["run", str(path), "--quiet"]) == 3
+    record = json.loads((out / "failure.json").read_text())
+    assert record["error"] == "StateError"
+    assert "non-finite" in record["message"]
+    assert record["step"] == 1 and record["t"] == 0.0
+    assert not (out / "summary.json").exists()
 
 
 def test_snapshot_files_are_self_describing(tmp_path):

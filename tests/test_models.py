@@ -5,6 +5,8 @@ import pytest
 import sympy as sp
 
 import korteweg.constitutive as law
+import korteweg.elliptic
+import korteweg.fields
 import korteweg.models
 from korteweg import (FD2, SPECTRAL, ConfigError, FluidParams, Grid, MixtureState,
                       Mobility, ModelKind, ScalarField, StateError, VectorField)
@@ -170,16 +172,25 @@ def test_rhs_nsk1_symbolic_oracle(params):
     assert 3.5 < err(128, FD2) / err(256, FD2) < 4.5
 
 
-@pytest.fixture
-def solve_counter(monkeypatch):
-    calls = {"n": 0}
-    original = korteweg.models.invert_for_model
+def counting(monkeypatch, module, name, calls):
+    """Count calls of ``module.name`` under ``calls[name]``."""
+    original = getattr(module, name)
+    calls[name] = 0
 
-    def counting(*args, **kwargs):
-        calls["n"] += 1
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(korteweg.models, "invert_for_model", counting)
+    monkeypatch.setattr(module, name, wrapper)
+
+
+@pytest.fixture
+def solve_counter(monkeypatch):
+    # the model's solve, and the public periodic inverse it reaches (the
+    # benchmark counts solves per right-hand side through the latter)
+    calls = {}
+    counting(monkeypatch, korteweg.models, "invert_for_model", calls)
+    counting(monkeypatch, korteweg.elliptic, "invert_periodic", calls)
     return calls
 
 
@@ -189,7 +200,7 @@ def test_rhs_nsk2_single_elliptic_solve(params, grid64, solve_counter):
         ScalarField(grid64, 1.4 + 0.1 * np.sin(x)),
         VectorField(grid64, (0.1 * np.sin(x),)))
     rhs_nsk2(state, params, Mobility.constant(1.0), SPECTRAL)
-    assert solve_counter["n"] == 1
+    assert solve_counter == {"invert_for_model": 1, "invert_periodic": 1}
 
 
 @pytest.mark.parametrize("evaluate", [
@@ -203,7 +214,33 @@ def test_nsk2_gap_and_residual_single_elliptic_solve(evaluate, params, grid64,
         ScalarField(grid64, 1.4 + 0.1 * np.sin(x)),
         VectorField(grid64, (0.1 * np.sin(x),)))
     evaluate(state, params, Mobility.constant(1.0))
-    assert solve_counter["n"] == 1
+    assert solve_counter == {"invert_for_model": 1, "invert_periodic": 1}
+
+
+def wavy_state(grid):
+    xs = grid.coords()
+    wave = sum(np.sin((axis + 1) * x) for axis, x in enumerate(xs))
+    return MixtureState.from_primitive(
+        ScalarField(grid, 1.4 + 0.1 * wave),
+        VectorField(grid, tuple(0.1 * np.cos(x) for x in xs)))
+
+
+@pytest.mark.parametrize("grid", [Grid.periodic(64), Grid.periodic((32, 32))],
+                         ids=["1d", "2d"])
+def test_rhs_validates_only_what_it_returns(grid, params, monkeypatch):
+    # the right-hand sides run on arrays: only the returned (drho, dm) and,
+    # for NSK2, the solve's input and output are validated fields
+    state = wavy_state(grid)
+    calls = {}
+    counting(monkeypatch, korteweg.fields, "_frozen_array", calls)
+    returned = 1 + grid.dim
+    rhs_nsk1(state, params, SPECTRAL)
+    assert calls["_frozen_array"] == returned
+    x = grid.coords()[0]
+    for gamma in (Mobility.constant(1.0), Mobility.spatial(2.0 + np.cos(x))):
+        calls["_frozen_array"] = 0
+        rhs_nsk2(state, params, gamma, SPECTRAL)
+        assert calls["_frozen_array"] <= returned + 2
 
 
 def test_rhs_divergence_free_velocity_agrees_between_models(params, grid64):
