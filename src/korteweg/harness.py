@@ -228,9 +228,9 @@ class MetricsWriter:
         self._fh = open(path, "w")
         self._fh.write(json.dumps({"config": config_hash}) + "\n")
 
-    def __call__(self, step: int, state: MixtureState, dt: float) -> None:
-        if step % self.every == 0:
-            self._fh.write(json.dumps(step_metrics(step, state, dt)) + "\n")
+    def __call__(self, record: dict) -> None:
+        if record["step"] % self.every == 0:
+            self._fh.write(json.dumps(record) + "\n")
 
     def close(self):
         self._fh.close()
@@ -247,12 +247,18 @@ def run_simulation(cfg: RunConfig, quiet: bool = False):
     chash = cfg.config_hash()
     state = cfg.build_initial_state()
     mobility = cfg.build_mobility() if cfg.model is ModelKind.NSK2 else None
-    observers = []
+    records = []
     metrics = None
+
+    def record(step, st, dt):
+        records.append(step_metrics(step, st, dt))
+        if metrics is not None:
+            metrics(records[-1])
+
+    observers = [record]
     if cfg.out_dir is not None:
         metrics = MetricsWriter(cfg.out_dir / "metrics.jsonl", chash,
                                 cfg.metrics_every)
-        observers.append(metrics)
         if cfg.snapshot_every > 0:
             def snapshot(step, st, dt, _dir=cfg.out_dir, _hash=chash,
                          _every=cfg.snapshot_every):
@@ -261,11 +267,11 @@ def run_simulation(cfg: RunConfig, quiet: bool = False):
             observers.append(snapshot)
     try:
         result = integrate(state, cfg.control, cfg.params, cfg.model, mobility,
-                           cfg.disc, observers=tuple(observers),
-                           record_metrics=True)
+                           cfg.disc, observers=tuple(observers))
     finally:
         if metrics is not None:
             metrics.close()
+    result.metrics = records
     if not cfg.control.reached(result.state.t):
         raise StateError(
             f"step budget exhausted: {result.steps} steps reached t = "

@@ -2,7 +2,9 @@
 
 Everything here differentiates *symbolically* (sympy) and is therefore
 independent of the discrete operators it is used to check.  Lambdified
-callables are returned for pointwise evaluation on grids.
+callables are returned for pointwise evaluation on grids.  The expressions
+are lambdified as they are built, unsimplified: ``sp.simplify`` took ~95 %
+of a convergence table and moved no oracle value by more than round-off.
 
 The non-local term in the conserved-phase model admits a closed form only
 for trigonometric-polynomial velocity divergence with constant mobility;
@@ -65,29 +67,26 @@ def _lambdify(expr, xs):
     return wrapped
 
 
+def _korteweg_exprs(state: SymbolicState, params: FluidParams, xs) -> dict:
+    """Symbolic capillary stress entries keyed by (i, j), i <= j."""
+    rho = state.rho
+    _, _, kappa = constitutive_exprs(params, rho)
+    grads = [sp.diff(rho, v) for v in xs]
+    # partial of the Helmholtz energy in rho at fixed |grad rho|^2
+    rho_s, g2 = sp.Symbol("rho_s", positive=True), sp.Symbol("g2")
+    _, bulk_s, _ = constitutive_exprs(params, rho_s)
+    psi_rho = sp.diff(bulk_s + sp.Float(params.delta_star) / (2 * rho_s**4) * g2, rho_s)
+    psi_rho = psi_rho.subs({rho_s: rho, g2: sum(g**2 for g in grads)})
+    diag = -(rho**2) * psi_rho + rho * sum(sp.diff(kappa * g, v)
+                                           for g, v in zip(grads, xs))
+    return {(i, j): -kappa * grads[i] * grads[j] + (diag if i == j else 0)
+            for i in range(state.dim) for j in range(i, state.dim)}
+
+
 def exact_korteweg_tensor(state: SymbolicState, params: FluidParams):
     """Lambdified components of the capillary stress, upper triangle order."""
     xs = _symbols(state.dim)
-    rho = state.rho
-    _, bulk, kappa = constitutive_exprs(params, rho)
-    grads = [sp.diff(rho, v) for v in xs]
-    grad_sq = sum(g**2 for g in grads)
-    # partial of the Helmholtz energy in rho at fixed |grad rho|^2
-    rho_s = sp.Symbol("rho_s", positive=True)
-    _, bulk_s, _ = constitutive_exprs(params, rho_s)
-    psi_rho = sp.diff(bulk_s + sp.Float(params.delta_star) / (2 * rho_s**4)
-                      * sp.Symbol("g2"), rho_s)
-    psi_rho = psi_rho.subs({rho_s: rho, sp.Symbol("g2"): grad_sq})
-    diag = -(rho**2) * psi_rho + rho * sum(sp.diff(kappa * g, v)
-                                           for g, v in zip(grads, xs))
-    comps = []
-    for i in range(state.dim):
-        for j in range(i, state.dim):
-            entry = -kappa * grads[i] * grads[j]
-            if i == j:
-                entry += diag
-            comps.append(sp.simplify(entry))
-    return [_lambdify(c, xs) for c in comps]
+    return [_lambdify(c, xs) for c in _korteweg_exprs(state, params, xs).values()]
 
 
 def exact_pressure(state: SymbolicState, params: FluidParams,
@@ -110,7 +109,7 @@ def exact_pressure(state: SymbolicState, params: FluidParams,
             raise ConfigError("exact non-local pressure needs a constant mobility")
         scale = sp.Float(params.temperature) / sp.Float(params.delta_tau) ** 2
         p = -scale * invert_harmonics(divu, gamma0, xs) + local
-    return _lambdify(sp.simplify(p), xs)
+    return _lambdify(p, xs)
 
 
 def invert_harmonics(expr, gamma0: float, xs) -> sp.Expr:
@@ -156,13 +155,9 @@ def exact_rhs(state: SymbolicState, params: FluidParams,
     mu = sp.Float(params.shear_viscosity)
     divu = sum(sp.diff(ui, v) for ui, v in zip(u, xs))
 
-    _, bulk_s, kappa = constitutive_exprs(params, rho)
-    grads = [sp.diff(rho, v) for v in xs]
-    ds = sp.Float(params.delta_star)
-
     if kind is ModelKind.NSK1:
-        lam_term = (sp.Float(params.bulk_viscosity)
-                    + ds / (sp.sqrt(sp.Float(params.delta)) * rho)) * divu
+        lam_term = (sp.Float(params.bulk_viscosity) + sp.Float(params.delta_star)
+                    / (sp.sqrt(sp.Float(params.delta)) * rho)) * divu
     else:
         if gamma0 is None:
             raise ConfigError("exact non-local rhs needs a constant mobility")
@@ -170,29 +165,19 @@ def exact_rhs(state: SymbolicState, params: FluidParams,
             + (sp.Float(params.temperature) / sp.Float(params.delta_tau) ** 2) \
             * invert_harmonics(divu, gamma0, xs)
 
-    # strain and viscous stress
+    # viscous plus capillary stress
+    korteweg = _korteweg_exprs(state, params, xs)
     stress = {}
     for i in range(dim):
         for j in range(dim):
             dij = (sp.diff(u[i], xs[j]) + sp.diff(u[j], xs[i])) / 2
-            stress[(i, j)] = 2 * mu * dij + (lam_term if i == j else 0)
-
-    # capillary stress
-    rho_s = sp.Symbol("rho_s", positive=True)
-    _, bulk_sym, _ = constitutive_exprs(params, rho_s)
-    g2 = sp.Symbol("g2")
-    psi_rho = sp.diff(bulk_sym + sp.Float(params.delta_star) / (2 * rho_s**4) * g2, rho_s)
-    psi_rho = psi_rho.subs({rho_s: rho, g2: sum(g**2 for g in grads)})
-    kdiag = -(rho**2) * psi_rho + rho * sum(sp.diff(kappa * g, v)
-                                            for g, v in zip(grads, xs))
-    for i in range(dim):
-        for j in range(dim):
-            stress[(i, j)] += -kappa * grads[i] * grads[j] + (kdiag if i == j else 0)
+            stress[(i, j)] = 2 * mu * dij + (lam_term if i == j else 0) \
+                + korteweg[min(i, j), max(i, j)]
 
     drho = -sum(sp.diff(rho * ui, v) for ui, v in zip(u, xs))
     dms = []
     for i in range(dim):
         adv = sum(sp.diff(rho * u[i] * u[j], xs[j]) for j in range(dim))
         visc = sum(sp.diff(stress[(i, j)], xs[j]) for j in range(dim))
-        dms.append(sp.simplify(-adv + visc))
-    return _lambdify(sp.simplify(drho), xs), [_lambdify(e, xs) for e in dms]
+        dms.append(-adv + visc)
+    return _lambdify(drho, xs), [_lambdify(e, xs) for e in dms]

@@ -159,9 +159,9 @@ def integrate(state: MixtureState, control: StepControl, params: FluidParams,
 
     Observers are called once at step 0 and after every accepted step.
     Aborts with a stiffness diagnostic if the step estimate undershoots
-    dt_min; density-floor violations propagate as StateError with the
-    offending fields attached; non-finite values in a step (DomainError)
-    are re-raised as StateError with the step, t, dt and last good state.
+    dt_min.  A step whose stage states are inadmissible (non-finite values
+    raise DomainError, a density below the floor StateError) is re-raised
+    as StateError with the step, t, dt and last good state.
     """
     rhs = make_rhs(params, kind, gamma, d)
     d.require_compatible(state.grid)
@@ -191,7 +191,7 @@ def integrate(state: MixtureState, control: StepControl, params: FluidParams,
         dt = min(dt, control.t_end - state.t)
         try:
             state = ssprk3_step(state, dt, rhs)
-        except DomainError as exc:
+        except (DomainError, StateError) as exc:
             raise StateError(f"step {step + 1} from t = {state.t:.6g} with dt = {dt:.3e}: "
                              f"{exc}", state=state, step=step + 1, t=state.t, dt=dt) from exc
         step += 1

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import korteweg.harness
+import korteweg.timestepping
 from korteweg import ConfigError, StateError, StepControl
 from korteweg.cli import main
 from korteweg.fields import read_scalar_csv
@@ -148,6 +149,45 @@ def test_overflow_in_a_step_is_a_numeric_failure(tmp_path):
     assert "non-finite" in record["message"]
     assert record["step"] == 1 and record["t"] == 0.0
     assert not (out / "summary.json").exists()
+
+
+def test_density_floor_in_a_step_is_a_numeric_failure(tmp_path):
+    # a fast flow pushes the density below its floor inside a fixed step
+    out = tmp_path / "out"
+    path = write_config(tmp_path, grid={"n": [128]},
+                        initial={"family": "sine_density", "rho0": 1.5, "amplitude": 0.3,
+                                 "velocity_amplitude": 2.0},
+                        step={"t_end": 0.2, "dt_fixed": 0.02},
+                        output={"dir": str(out)})
+    with pytest.raises(StateError) as info:
+        run_simulation(load_config(path), quiet=True)
+    exc = info.value
+    assert exc.step >= 1 and exc.dt == 0.02
+    assert exc.state.t == exc.t and np.min(exc.state.rho.values) > 0.0
+    assert main(["run", str(path), "--quiet"]) == 3
+    record = json.loads((out / "failure.json").read_text())
+    assert record["error"] == "StateError"
+    assert "density fell" in record["message"]
+    assert (record["step"], record["t"]) == (exc.step, exc.t)
+    assert not (out / "summary.json").exists()
+
+
+def test_step_metrics_computed_once_per_record(tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    path = write_config(tmp_path,
+                        initial={"family": "sine_density", "rho0": 1.5, "amplitude": 0.05,
+                                 "velocity_amplitude": 0.02},
+                        step={"t_end": 0.01, "dt_fixed": 1e-3},
+                        output={"dir": str(out), "metrics_every": 1})
+    calls = []
+    original = korteweg.timestepping.step_metrics
+    for module in (korteweg.timestepping, korteweg.harness):
+        monkeypatch.setattr(module, "step_metrics",
+                            lambda *args: calls.append(args[0]) or original(*args))
+    result = run_simulation(load_config(path), quiet=True)
+    assert len(calls) == result.steps + 1 == len(result.metrics)
+    lines = (out / "metrics.jsonl").read_text().splitlines()[1:]
+    assert lines == [json.dumps(m) for m in result.metrics]
 
 
 def test_snapshot_files_are_self_describing(tmp_path):

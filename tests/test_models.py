@@ -16,6 +16,7 @@ from korteweg.models import (momentum_equivalence_gap, reconstruct_fields,
                              reconstruct_pressure_nsac, reconstruct_pressure_nsch,
                              residual_nsac, residual_nsch, rhs_nsk1, rhs_nsk2)
 from korteweg.operators import div, mean
+from korteweg.timestepping import make_rhs
 
 
 def constant_state(grid, rho0=1.4, u0=0.0):
@@ -170,6 +171,25 @@ def test_rhs_nsk1_symbolic_oracle(params):
 
     assert err(128, SPECTRAL) < 1e-10
     assert 3.5 < err(128, FD2) / err(256, FD2) < 4.5
+
+
+@pytest.mark.parametrize("kind", [ModelKind.NSK1, ModelKind.NSK2], ids=["nsk1", "nsk2"])
+def test_exact_rhs_matches_spectral_rhs(params, kind):
+    # the manufactured state of the convergence tables; spectral
+    # differentiation is exact to round-off on it at N = 64
+    x = sp.Symbol("x")
+    sym = SymbolicState.one_d(sp.Rational(3, 2) + sp.Rational(1, 5) * sp.sin(x),
+                              sp.Rational(1, 20) * sp.sin(x)
+                              + sp.Rational(1, 50) * sp.cos(2 * x))
+    drho_exact, dm_exact = exact_rhs(sym, params, kind, gamma0=1.0)
+    grid = Grid.periodic(64)
+    xv = grid.coords()[0]
+    state = MixtureState.from_primitive(
+        ScalarField(grid, 1.5 + 0.2 * np.sin(xv)),
+        VectorField(grid, (0.05 * np.sin(xv) + 0.02 * np.cos(2.0 * xv),)))
+    drho, dm = make_rhs(params, kind, Mobility.constant(1.0), SPECTRAL)(state)
+    assert np.max(np.abs(drho.values - drho_exact(xv))) < 1e-11
+    assert np.max(np.abs(dm.components[0] - dm_exact[0](xv))) < 1e-11
 
 
 def counting(monkeypatch, module, name, calls):

@@ -1,5 +1,8 @@
 """The certification check suite and its convention sensitivity."""
 
+import numpy as np
+import pytest
+
 from korteweg import Convention, FluidParams, ModelKind
 from korteweg.grids import Discretization, Scheme
 from korteweg.verification import (CheckReport, check_constitutive,
@@ -49,3 +52,34 @@ def test_report_serialization(tmp_path):
     assert (tmp_path / "report.json").exists()
     assert report.all_passed
     assert all("PASS" in r.line() for r in results)
+
+
+# FD2 convergence rows at N = 32, 64, 128 of the certification benchmark
+# (n, rho_rate_error, momentum_rate_error, rho order, momentum order)
+CONVERGENCE_ROWS = {
+    ModelKind.NSK1: [
+        (32, 0.0015008941451150892, 0.005666347221055468),
+        (64, 0.00037845195476342297, 0.0014540231877495091),
+        (128, 9.488054102024801e-05, 0.00036430904503542694),
+    ],
+    ModelKind.NSK2: [
+        (32, 0.0015008941451150892, 0.005137853411764981),
+        (64, 0.00037845195476342297, 0.001293620881966412),
+        (128, 9.488054102024801e-05, 0.0003239838363008618),
+    ],
+}
+CONVERGENCE_ORDERS = {ModelKind.NSK1: (1.9917830918840127, 1.979592144894647),
+                      ModelKind.NSK2: (1.9917830918840127, 1.993585992970161)}
+
+
+@pytest.mark.parametrize("kind", [ModelKind.NSK1, ModelKind.NSK2], ids=["nsk1", "nsk2"])
+def test_convergence_table_rows_are_pinned(kind):
+    params = FluidParams(tau1=1.0, tau2=0.5, temperature=1.0, delta=0.01,
+                         shear_viscosity=0.01, bulk_viscosity=0.0, mobility=1.0)
+    rows = convergence_table(params, kind, Discretization(Scheme.FD2), (32, 64, 128))
+    orders = CONVERGENCE_ORDERS[kind]
+    for row, (n, e_rho, e_m) in zip(rows, CONVERGENCE_ROWS[kind], strict=True):
+        assert row["n"] == n
+        got = [row["rho_rate_error"], row["momentum_rate_error"],
+               row["rho_rate_error_order"], row["momentum_rate_error_order"]]
+        np.testing.assert_allclose(got, [e_rho, e_m, *orders], rtol=1e-9, atol=0.0)
