@@ -4,9 +4,10 @@ The non-local operator in three settings
 
 The conserved-phase reduction replaces a local bulk-viscosity term with
 the inverse of -div(gamma grad .), normalized to zero mean.  Three
-inverters cover the settings of interest: Fourier on periodic grids,
-conjugate gradients on bounded Neumann grids, and the kernel -|x|/2 on a
-free-space window.
+inverters cover the settings of interest: Fourier on periodic grids
+(Fourier-preconditioned conjugate gradients when the mobility varies), a
+direct prefix-sum solve on bounded Neumann grids, and the kernel -|x|/2 on
+a free-space window.
 """
 
 import numpy as np
@@ -23,7 +24,7 @@ for k in (1, 2, 3):
     err = np.max(np.abs(phi.values - np.cos(k * x) / k**2))
     print(f"periodic: cos({k}x) -> cos({k}x)/{k * k}, error {err:.2e}")
 
-# bounded Neumann grid + variable mobility: iterative solve, exact round trip
+# bounded Neumann grid + variable mobility: direct solve, exact round trip
 bgrid = Grid.bounded_neumann_1d(128, length=1.0)
 bx = bgrid.coords()[0]
 gvar = Mobility.spatial(2.0 + np.cos(np.pi * bx))

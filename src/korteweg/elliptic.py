@@ -5,13 +5,14 @@ zero-mean subspace (the operator kills constants, so compatible data must
 have zero mean and the solution is fixed by mean(phi) = 0):
 
 * periodic grids, constant mobility: diagonal Fourier solve;
-* bounded Neumann 1-D grids: preconditioned conjugate gradients on the
-  flux-form FD2 matrix (reflected ghosts = zero wall flux);
-* free space 1-D: direct convolution with the kernel -|x|/2 on a window,
-  for compactly supported data.
+* bounded Neumann 1-D grids: direct solve of the flux-form FD2 system
+  (reflected ghosts = zero wall flux) by two prefix sums;
+* free space 1-D: the kernel -|x|/2 on a window, for compactly supported
+  data, by prefix sums of f and x f.
 
-Variable mobility on periodic grids falls back to the same conjugate
-gradient iteration with the composed discrete operator as matvec.
+Variable mobility on periodic grids uses CG on the composed discrete
+operator, preconditioned by the Fourier solve at the mean mobility; the
+iteration count then depends on the mobility contrast, not on N.
 """
 
 from __future__ import annotations
@@ -121,9 +122,8 @@ def _matvec(gamma_vals: np.ndarray, grid: Grid, d: Discretization):
     return neumann
 
 
-def _pcg_zero_mean(matvec, b: np.ndarray, diag: np.ndarray,
-                   rtol: float, max_iter: int, context: str) -> np.ndarray:
-    """Jacobi-preconditioned CG on the mean-zero subspace.
+def _pcg_zero_mean(matvec, b: np.ndarray, precond, context: str) -> np.ndarray:
+    """Preconditioned CG on the mean-zero subspace.
 
     The operators used here map mean-zero vectors to mean-zero vectors
     exactly (divergence form), so a single initial projection suffices.
@@ -134,25 +134,25 @@ def _pcg_zero_mean(matvec, b: np.ndarray, diag: np.ndarray,
         return np.zeros_like(b)
     x = np.zeros_like(b)
     r = b.copy()
-    z = r / diag
+    z = precond(r)
     p = z.copy()
-    rz = float(r @ z)
-    for it in range(1, max_iter + 1):
+    rz = float(np.vdot(r, z))
+    for it in range(1, 10 * b.size + 1):
         ap = matvec(p)
-        alpha = rz / float(p @ ap)
+        alpha = rz / float(np.vdot(p, ap))
         x += alpha * p
         r -= alpha * ap
         rnorm = float(np.linalg.norm(r))
-        if rnorm <= rtol * bnorm:
+        if rnorm <= SOLVE_RTOL * bnorm:
             log.debug("%s: cg converged in %d iterations, residual %.3e",
                       context, it, rnorm / bnorm)
             x -= x.mean()
             return x
-        z = r / diag
-        rz_new = float(r @ z)
+        z = precond(r)
+        rz_new = float(np.vdot(r, z))
         p = z + (rz_new / rz) * p
         rz = rz_new
-    raise SolverError(f"{context}: cg failed to converge in {max_iter} iterations "
+    raise SolverError(f"{context}: cg failed to converge in {it} iterations "
                       f"(relative residual {rnorm / bnorm:.3e})")
 
 
@@ -170,6 +170,15 @@ def _periodic_symbol(grid: Grid, scheme: Scheme) -> np.ndarray:
     return sym
 
 
+def _fourier_solve(fv: np.ndarray, sym: np.ndarray) -> np.ndarray:
+    """Divide by a Fourier symbol, zeroing its null modes; zero-mean result."""
+    fhat = np.fft.fftn(fv)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        phihat = np.where(sym > 0.0, fhat / np.where(sym > 0.0, sym, 1.0), 0.0)
+    phi = np.fft.ifftn(phihat).real
+    return phi - phi.mean()
+
+
 def invert_periodic(gamma: Mobility, f: ScalarField,
                     d: Discretization = Discretization(Scheme.SPECTRAL),
                     project_mean: bool = False) -> ScalarField:
@@ -178,7 +187,8 @@ def invert_periodic(gamma: Mobility, f: ScalarField,
     Constant mobility is a diagonal Fourier solve with the scheme-matched
     symbol, so the round trip through :func:`apply_operator` reproduces
     f minus its mean to solver precision.  Variable mobility uses CG with
-    the composed operator.
+    the composed operator, preconditioned by that Fourier solve at the
+    mean mobility.
     """
     grid = f.grid
     if not grid.is_periodic:
@@ -186,45 +196,31 @@ def invert_periodic(gamma: Mobility, f: ScalarField,
     d.require_compatible(grid)
     fv = _check_compatible(f, project_mean, "periodic solve")
     if gamma.is_constant:
-        sym = gamma.value * _periodic_symbol(grid, d.scheme)
-        fhat = np.fft.fftn(fv)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            phihat = np.where(sym > 0.0, fhat / np.where(sym > 0.0, sym, 1.0), 0.0)
-        phi = np.fft.ifftn(phihat).real
-        return ScalarField(grid, phi - phi.mean())
+        return ScalarField(grid, _fourier_solve(
+            fv, gamma.value * _periodic_symbol(grid, d.scheme)))
     gv = gamma.values_on(grid)
-    size = int(np.prod(grid.shape))
-    op = _matvec(gv, grid, d)
-
-    def matvec(x_flat):
-        return op(x_flat.reshape(grid.shape)).ravel()
-
-    diag = np.full(size, float(np.mean(gv)) * _periodic_symbol(grid, d.scheme).mean())
-    diag = np.maximum(diag, 1e-30)
-    x = _pcg_zero_mean(matvec, fv.ravel(), diag, SOLVE_RTOL, 10 * size,
-                       "periodic variable-mobility solve")
-    return ScalarField(grid, x.reshape(grid.shape))
+    sym = float(np.mean(gv)) * _periodic_symbol(grid, d.scheme)
+    return ScalarField(grid, _pcg_zero_mean(
+        _matvec(gv, grid, d), fv, lambda r: _fourier_solve(r, sym),
+        "periodic variable-mobility solve"))
 
 
 def invert_neumann_1d(gamma: Mobility, f: ScalarField,
-                      rtol: float = SOLVE_RTOL, max_iter: int | None = None,
                       project_mean: bool = False) -> ScalarField:
-    """Solve the bounded 1-D problem with zero Neumann flux and zero mean."""
+    """Solve the bounded 1-D problem with zero Neumann flux and zero mean.
+
+    Exact: with zero wall flux, the flux through face i+1/2 is -h sum_{j<=i} f_j,
+    and phi is the running sum of the face differences h flux / gamma_face.
+    """
     grid = f.grid
     if grid.is_periodic or grid.dim != 1:
         raise ConfigError("invert_neumann_1d needs a bounded 1-D grid")
     fv = _check_compatible(f, project_mean, "neumann solve")
     gv = gamma.values_on(grid)
     h = grid.h[0]
-    n = grid.n[0]
-    matvec = _matvec(gv, grid, FD2)
-    gface = 0.5 * (gv[1:] + gv[:-1])
-    diag = np.empty(n)
-    diag[0] = gface[0] / h**2
-    diag[1:-1] = (gface[1:] + gface[:-1]) / h**2
-    diag[-1] = gface[-1] / h**2
-    x = _pcg_zero_mean(matvec, fv, diag, rtol, max_iter or 10 * n, "neumann solve")
-    return ScalarField(grid, x)
+    flux = -h * np.cumsum(fv[:-1])
+    phi = np.concatenate(([0.0], np.cumsum(h * flux / (0.5 * (gv[1:] + gv[:-1])))))
+    return ScalarField(grid, phi - phi.mean())
 
 
 def invert_freespace_1d(gamma: Mobility, f: ScalarField,
@@ -234,7 +230,8 @@ def invert_freespace_1d(gamma: Mobility, f: ScalarField,
     phi(x) = -(1/gamma) * integral |x - y|/2 f(y) dy  (trapezoid rule),
     shifted to zero mean over the window.  Requires f to vanish near the
     window edges and to have zero mean; then -gamma phi'' = f holds on the
-    support interior at quadrature order.
+    support interior at quadrature order.  With the prefix sums S of f and
+    T of x f, sum_j |x_i - x_j| f_j = x_i (2 S_i - S_N) - (2 T_i - T_N).
     """
     grid = f.grid
     if grid.dim != 1:
@@ -249,17 +246,18 @@ def invert_freespace_1d(gamma: Mobility, f: ScalarField,
         raise DomainError("free-space data must be supported away from the window edges")
     fv = _check_compatible(f, False, "free-space solve")
     x = grid.axis_coords(0)
-    kernel = -0.5 * np.abs(x[:, None] - x[None, :])
-    phi = (grid.h[0] / gamma.value) * (kernel @ fv)
+    s, t = np.cumsum(fv), np.cumsum(x * fv)
+    phi = (-0.5 * grid.h[0] / gamma.value) * (x * (2.0 * s - s[-1]) - (2.0 * t - t[-1]))
     return ScalarField(grid, phi - phi.mean())
 
 
 def invert_for_model(gamma: Mobility, f: ScalarField, d: Discretization) -> ScalarField:
     """Inverse used inside the reduced model right-hand sides.
 
-    Routes on the grid's boundary kind and projects off round-off mean
-    drift (the data there is a discrete divergence, mean-zero up to
-    round-off by construction).
+    Routes on the grid's boundary kind and projects off the data's mean.
+    The data is a discrete divergence: its mean is round-off on periodic
+    grids, but (u[n-1] - u[0]) / L on the bounded Neumann grid (FD2 with
+    reflected ghosts), and the projection discards it.
     """
     if f.grid.is_periodic:
         return invert_periodic(gamma, f, d, project_mean=True)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -133,59 +134,88 @@ def _require(cond: bool, message: str) -> None:
         raise ConfigError(message)
 
 
+def _number(value, name: str, integer: bool = False):
+    """A finite JSON number (an integer where asked), else ConfigError."""
+    ok = isinstance(value, int if integer else (int, float)) and not isinstance(value, bool)
+    try:
+        ok = ok and math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        ok = False
+    _require(ok, f"{name} must be a finite {'integer' if integer else 'number'}, "
+                 f"got {value!r}")
+    return value
+
+
 def config_from_dict(doc: dict, out_dir: str | None = None,
                      seed: int | None = None) -> RunConfig:
-    """Build and cross-validate a RunConfig from a parsed JSON document."""
+    """Build and cross-validate a RunConfig from a parsed JSON document.
+
+    Every section must be a JSON object and every number a finite real (an
+    integer for counts, modes and seeds); anything else is a ConfigError.
+    """
     _require(isinstance(doc, dict), "config root must be a JSON object")
+
+    def section(key: str, default: dict):
+        """The section as a dict, and a reader of its numeric entries."""
+        sec = doc.get(key, default)
+        _require(isinstance(sec, dict), f"config section {key!r} must be a JSON object")
+
+        def num(name: str, fallback, integer: bool = False):
+            return _number(sec.get(name, fallback), f"{key}.{name}", integer)
+
+        return sec, num
+
     try:
-        gdoc = doc.get("grid", {})
-        grid = Grid(dim=len(gdoc["n"]), n=tuple(gdoc["n"]),
-                    length=tuple(gdoc["length"]),
+        gdoc, _ = section("grid", {})
+        grid = Grid(dim=len(gdoc["n"]),
+                    n=tuple(_number(k, "grid.n", True) for k in gdoc["n"]),
+                    length=tuple(_number(v, "grid.length") for v in gdoc["length"]),
                     boundary=BoundaryKind(gdoc.get("boundary", "periodic")))
-        disc = Discretization(Scheme(doc.get("scheme", "spectral")),
-                              dealias=bool(doc.get("dealias", False)))
-        pdoc = doc.get("params", {})
+        dealias = doc.get("dealias", False)
+        _require(isinstance(dealias, bool), f"dealias must be true or false, got {dealias!r}")
+        disc = Discretization(Scheme(doc.get("scheme", "spectral")), dealias=dealias)
+        pdoc, p = section("params", {})
         params = FluidParams(
-            tau1=pdoc.get("tau1", 1.0), tau2=pdoc.get("tau2", 0.5),
-            temperature=pdoc.get("temperature", 1.0),
-            delta=pdoc.get("delta", 1e-2),
-            shear_viscosity=pdoc.get("shear_viscosity", 1e-2),
-            bulk_viscosity=pdoc.get("bulk_viscosity", 0.0),
-            mobility=pdoc.get("mobility", 1.0),
-            well=DoubleWell(scale=pdoc.get("well_scale", 1.0)),
+            tau1=p("tau1", 1.0), tau2=p("tau2", 0.5),
+            temperature=p("temperature", 1.0),
+            delta=p("delta", 1e-2),
+            shear_viscosity=p("shear_viscosity", 1e-2),
+            bulk_viscosity=p("bulk_viscosity", 0.0),
+            mobility=p("mobility", 1.0),
+            well=DoubleWell(scale=p("well_scale", 1.0)),
             convention=Convention(pdoc.get("convention", "consistent")))
         model = ModelKind(doc.get("model", "nsk1"))
-        mdoc = doc.get("mobility", {"kind": "constant", "value": params.mobility})
+        mdoc, m = section("mobility", {"kind": "constant", "value": params.mobility})
         mobility = MobilitySpec(
             kind=mdoc.get("kind", "constant"),
-            value=mdoc.get("value", params.mobility),
-            base=mdoc.get("base", 2.0), amplitude=mdoc.get("amplitude", 1.0),
-            mode=mdoc.get("mode", 1))
-        idoc = doc.get("initial", {"family": "constant"})
+            value=m("value", params.mobility),
+            base=m("base", 2.0), amplitude=m("amplitude", 1.0),
+            mode=m("mode", 1, integer=True))
+        idoc, i = section("initial", {"family": "constant"})
         initial = InitialCondition(
             family=ICFamily(idoc.get("family", "constant")),
-            rho0=idoc.get("rho0", 1.5), amplitude=idoc.get("amplitude", 0.1),
-            mode=idoc.get("mode", 1),
-            interface_sharpness=idoc.get("interface_sharpness", 4.0),
-            velocity_amplitude=idoc.get("velocity_amplitude", 0.0),
-            velocity_mode=idoc.get("velocity_mode", 1),
-            kmax=idoc.get("kmax", 4), seed=idoc.get("seed", 0))
-        sdoc = doc.get("step", {})
+            rho0=i("rho0", 1.5), amplitude=i("amplitude", 0.1),
+            mode=i("mode", 1, integer=True),
+            interface_sharpness=i("interface_sharpness", 4.0),
+            velocity_amplitude=i("velocity_amplitude", 0.0),
+            velocity_mode=i("velocity_mode", 1, integer=True),
+            kmax=i("kmax", 4, integer=True), seed=i("seed", 0, integer=True))
+        sdoc, st = section("step", {})
         control = StepControl(
-            t_end=sdoc.get("t_end", 0.1),
-            cfl_advective=sdoc.get("cfl_advective", 0.4),
-            cfl_parabolic=sdoc.get("cfl_parabolic", 0.2),
-            dt_min=sdoc.get("dt_min", 1e-10), dt_max=sdoc.get("dt_max", 1.0),
-            dt_fixed=sdoc.get("dt_fixed"))
-        odoc = doc.get("output", {})
+            t_end=st("t_end", 0.1),
+            cfl_advective=st("cfl_advective", 0.4),
+            cfl_parabolic=st("cfl_parabolic", 0.2),
+            dt_min=st("dt_min", 1e-10), dt_max=st("dt_max", 1.0),
+            dt_fixed=None if sdoc.get("dt_fixed") is None else st("dt_fixed", None))
+        odoc, o = section("output", {})
         out = out_dir if out_dir is not None else odoc.get("dir")
         cfg = RunConfig(
             grid=grid, disc=disc, params=params, model=model, mobility=mobility,
             initial=initial, control=control,
             out_dir=Path(out) if out else None,
-            snapshot_every=odoc.get("snapshot_every", 0),
-            metrics_every=odoc.get("metrics_every", 1),
-            seed=seed if seed is not None else doc.get("seed", 0))
+            snapshot_every=o("snapshot_every", 0, integer=True),
+            metrics_every=o("metrics_every", 1, integer=True),
+            seed=_number(seed if seed is not None else doc.get("seed", 0), "seed", True))
     except ConfigError:
         raise
     except (KeyError, TypeError, ValueError) as exc:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from korteweg import (FD2, SPECTRAL, CompatibilityError, ConfigError, DomainError,
-                      Grid, ScalarField, SolverError)
+                      Grid, ScalarField)
 from korteweg.elliptic import (Mobility, apply_operator, invert_freespace_1d,
                                invert_neumann_1d, invert_periodic)
 from korteweg.initial import random_band_limited
@@ -105,6 +105,36 @@ def test_periodic_cg_logs_its_iteration_count(caplog):
     assert isinstance(iterations, int) and iterations > 0
 
 
+def _variable_mobility_case(shape, seed):
+    grid = Grid.periodic(shape)
+    xs = grid.coords()
+    gamma = 2.0 + np.sin(xs[0]) * (np.cos(xs[1]) if grid.dim == 2 else 1.0)
+    rng = np.random.default_rng(seed)
+    return grid, Mobility.spatial(gamma), ScalarField(grid, random_band_limited(grid, rng, 8))
+
+
+@pytest.mark.parametrize("shape", [64, 1024, (64, 64)], ids=["1d-64", "1d-1024", "2d-64"])
+@pytest.mark.parametrize("d", [SPECTRAL, FD2], ids=["spectral", "fd2"])
+def test_periodic_cg_iterations_independent_of_n(caplog, shape, d):
+    # the mean-mobility Fourier preconditioner bounds the iteration count by
+    # the mobility contrast, not by the grid size
+    grid, gamma, f = _variable_mobility_case(shape, 12)
+    with caplog.at_level(logging.DEBUG, logger="korteweg.elliptic"):
+        invert_periodic(gamma, f, d)
+    records = [r for r in caplog.records if "cg converged" in str(r.msg)]
+    assert len(records) == 1
+    assert records[0].args[1] <= 30
+
+
+@pytest.mark.parametrize("d", [SPECTRAL, FD2], ids=["spectral", "fd2"])
+def test_invert_periodic_variable_mobility_roundtrip_2d(d):
+    grid, gamma, f = _variable_mobility_case((64, 64), 13)
+    phi = invert_periodic(gamma, f, d)
+    back = apply_operator(gamma, phi, d)
+    assert np.max(np.abs(back.values - (f.values - f.values.mean()))) < 1e-9
+    assert abs(float(phi.values.mean())) < 1e-13
+
+
 def test_invert_neumann_eigenfunction():
     n = 128
     grid = Grid.bounded_neumann_1d(n, length=1.0)
@@ -126,10 +156,12 @@ def test_invert_neumann_zero_and_errors():
     assert np.max(np.abs(invert_neumann_1d(Mobility.constant(1.0), zero).values)) == 0.0
     with pytest.raises(CompatibilityError):
         invert_neumann_1d(Mobility.constant(1.0), ScalarField.constant(grid, 2.0))
+    # the direct solve is exact on the grid-cosine eigenvector
     x = grid.coords()[0]
     f = ScalarField(grid, np.cos(np.pi * x))
-    with pytest.raises(SolverError):
-        invert_neumann_1d(Mobility.constant(1.0), f, max_iter=1)
+    lam = (2.0 - 2.0 * np.cos(np.pi / 64)) / grid.h[0] ** 2
+    phi = invert_neumann_1d(Mobility.constant(1.0), f)
+    assert np.max(np.abs(phi.values - f.values / lam)) < 1e-12
 
 
 def test_invert_neumann_variable_mobility_roundtrip():
@@ -144,6 +176,20 @@ def test_invert_neumann_variable_mobility_roundtrip():
     back = apply_operator(gamma, phi, FD2)
     assert np.max(np.abs(back.values - f)) < 1e-9
     assert abs(float(phi.values.mean())) < 1e-13
+
+
+def test_invert_neumann_direct_solve_at_large_n(caplog):
+    grid = Grid.bounded_neumann_1d(2048, length=1.0)
+    x = grid.coords()[0]
+    gamma = Mobility.spatial(2.0 + np.sin(2.0 * np.pi * x))
+    rng = np.random.default_rng(5)
+    f = random_band_limited(grid, rng, kmax=6)
+    f -= f.mean()
+    with caplog.at_level(logging.DEBUG, logger="korteweg.elliptic"):
+        phi = invert_neumann_1d(gamma, ScalarField(grid, f))
+    back = apply_operator(gamma, phi, FD2)
+    assert np.max(np.abs(back.values - f)) < 1e-9
+    assert not [r for r in caplog.records if "cg converged" in str(r.msg)]
 
 
 def test_selfadjointness_and_positivity():
@@ -193,6 +239,16 @@ def test_freespace_matches_antidifferentiation_oracle():
     oracle -= oracle.mean()
     assert np.max(np.abs(phi.values - oracle)) < 1e-3
     assert abs(float(phi.values.mean())) < 1e-13
+
+
+@pytest.mark.parametrize("n", [512, 1024])
+def test_freespace_prefix_sums_match_dense_kernel(n):
+    grid, x, f, gamma = freespace_setup(n=n)
+    fv = f.values - f.values.mean()
+    xs = grid.axis_coords(0)
+    dense = (grid.h[0] / 1.5) * (-0.5 * np.abs(xs[:, None] - xs[None, :]) @ fv)
+    dense -= dense.mean()
+    assert np.max(np.abs(invert_freespace_1d(gamma, f).values - dense)) < 1e-12
 
 
 def test_freespace_zero_and_guards():

@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -54,6 +55,35 @@ def test_config_validation_happens_before_compute(tmp_path):
         config_from_dict({**BASE_CONFIG, "model": "not_a_model"})
     missing = tmp_path / "nope.json"
     assert main(["run", str(missing)]) == 2
+
+
+NEUMANN_CONFIG = Path(__file__).resolve().parents[1] / "demos" / "configs" / "nsk2_neumann.json"
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("keys, value", [
+    (("params",), None), (("mobility",), "x"), (("initial",), [1.0]), (("step",), 1.5),
+    (("output",), []),
+    (("mobility", "base"), "x"), (("mobility", "base"), None), (("mobility", "base"), [1.0]),
+    (("mobility", "amplitude"), {}), (("mobility", "mode"), None), (("mobility", "mode"), 1.5),
+    (("initial", "rho0"), [1, 2]), (("initial", "amplitude"), "x"),
+    (("initial", "velocity_amplitude"), NAN), (("initial", "mode"), "x"),
+    (("params", "tau1"), True), (("params", "delta"), INF), (("params", "mobility"), "x"),
+    (("step", "t_end"), NAN), (("step", "t_end"), INF), (("step", "dt_fixed"), "x"),
+    (("output", "snapshot_every"), None), (("output", "metrics_every"), [1.0]),
+    (("grid", "n"), [128.5]), (("grid", "length"), [NAN]), (("dealias",), "x"),
+    (("seed",), 0.5),
+], ids=lambda v: repr(v))
+def test_malformed_config_is_a_config_error(tmp_path, keys, value):
+    doc = json.loads(NEUMANN_CONFIG.read_text())
+    target = doc
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", str(path), "--quiet", "--out", str(tmp_path / "out")]) == 2
+    assert json.loads((tmp_path / "out" / "failure.json").read_text())["error"] == "ConfigError"
 
 
 def test_config_hash_is_stable(tmp_path):
