@@ -4,7 +4,8 @@ Three inversion settings are provided, each normalized on the
 zero-mean subspace (the operator kills constants, so compatible data must
 have zero mean and the solution is fixed by mean(phi) = 0):
 
-* periodic grids, constant mobility: diagonal Fourier solve;
+* periodic grids, constant mobility: diagonal Fourier solve on the real
+  half spectrum, with the scheme's symbol (Nyquist and mean modes zeroed);
 * bounded Neumann 1-D grids: direct solve of the flux-form FD2 system
   (reflected ghosts = zero wall flux) by two prefix sums;
 * free space 1-D: the kernel -|x|/2 on a window, for compactly supported
@@ -25,7 +26,7 @@ import numpy as np
 from .errors import CompatibilityError, ConfigError, DomainError, SolverError
 from .fields import ScalarField
 from .grids import FD2, Discretization, Grid, Scheme
-from .operators import _axis_shaped, _deriv_wavenumbers, _derivs, _div
+from .operators import _derivs, _div, _ik, _irfftn
 
 log = logging.getLogger(__name__)
 
@@ -104,7 +105,7 @@ def _matvec(gamma_vals: np.ndarray, grid: Grid, d: Discretization):
     """-div(gamma grad .) as an array->array map on either boundary kind."""
     if grid.is_periodic:
         def periodic(phi: np.ndarray) -> np.ndarray:
-            g = _derivs(phi, grid, range(grid.dim), d)
+            g = _derivs(phi, grid, d)
             return -_div(tuple(gamma_vals * comp for comp in g), grid, d)
 
         return periodic
@@ -157,25 +158,17 @@ def _pcg_zero_mean(matvec, b: np.ndarray, precond, context: str) -> np.ndarray:
 
 
 def _periodic_symbol(grid: Grid, scheme: Scheme) -> np.ndarray:
-    """Fourier symbol of -div(grad .) for the requested scheme."""
-    sym = np.zeros(grid.shape)
-    for axis in range(grid.dim):
-        k = _axis_shaped(_deriv_wavenumbers(grid.n[axis], grid.h[axis]),
-                         grid.dim, axis)
-        if scheme is Scheme.SPECTRAL:
-            sym = sym + k * k
-        else:
-            h = grid.h[axis]
-            sym = sym + (np.sin(k * h) / h) ** 2
-    return sym
+    """Fourier symbol of -div(grad .) for the requested scheme, on the half spectrum."""
+    return sum(ik.imag * ik.imag if scheme is Scheme.SPECTRAL else (np.sin(ik.imag * h) / h) ** 2
+               for ik, h in zip(_ik(grid), grid.h))
 
 
 def _fourier_solve(fv: np.ndarray, sym: np.ndarray) -> np.ndarray:
-    """Divide by a Fourier symbol, zeroing its null modes; zero-mean result."""
-    fhat = np.fft.fftn(fv)
+    """Divide by a half-spectrum symbol, zeroing its null modes; zero-mean result."""
+    fhat = np.fft.rfftn(fv)
     with np.errstate(divide="ignore", invalid="ignore"):
         phihat = np.where(sym > 0.0, fhat / np.where(sym > 0.0, sym, 1.0), 0.0)
-    phi = np.fft.ifftn(phihat).real
+    phi = _irfftn(phihat, fv.shape)
     return phi - phi.mean()
 
 

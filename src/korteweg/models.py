@@ -13,8 +13,8 @@ concentration to the density.  This module provides
 ``_reduced_stress`` is the one place the reduced stress is assembled, for
 the right-hand sides, the momentum-flux gap and the residuals alike: the
 NSK1 augmented viscosity or the NSK2 non-local term, plus the Korteweg
-tensor.  The non-local term is solved for once per evaluation.  Between
-the validated inputs and returned fields everything runs on arrays.
+tensor.  Per evaluation grad u is taken and the non-local term solved once;
+between the validated inputs and returned fields everything runs on arrays.
 
 The full systems are never time-stepped: the closure makes them
 differential-algebraic, so they are only ever checked residually.
@@ -34,7 +34,7 @@ from .errors import ConfigError, StateError
 from .fields import Components, ScalarField, VectorField, _outer, _sup
 from .grids import Discretization, Grid, Scheme
 from .operators import _derivs, _div, _div_tensor, dealias_array
-from .tensors import _korteweg, _phase_stress, _viscous_stress
+from .tensors import _div_of, _korteweg, _phase_stress, _velocity_gradient, _viscous_stress
 
 RHO_FLOOR = 1e-8
 
@@ -88,15 +88,15 @@ def _velocity(state: MixtureState) -> Components:
     return tuple(c / r for c in state.m.components)
 
 
-def _nonlocal_term(u: Components, grid: Grid, kind: ModelKind, gamma: Mobility | None,
+def _nonlocal_term(divu: np.ndarray, grid: Grid, kind: ModelKind, gamma: Mobility | None,
                    d: Discretization) -> np.ndarray | None:
     """Lambda_gamma^{-1}(div u) for NSK2, the model's one elliptic solve; None for NSK1."""
     if kind is ModelKind.NSK1:
         return None
-    return invert_for_model(gamma, ScalarField(grid, _div(u, grid, d)), d).values
+    return invert_for_model(gamma, ScalarField(grid, divu), d).values
 
 
-def _pressure(state: MixtureState, u: Components, params: FluidParams,
+def _pressure(state: MixtureState, divu: np.ndarray, params: FluidParams,
               d: Discretization, nonlocal_term: np.ndarray | None = None) -> np.ndarray:
     """Eliminated pressure: a bulk part plus the local part shared by both models.
 
@@ -107,11 +107,11 @@ def _pressure(state: MixtureState, u: Components, params: FluidParams,
     grid = state.grid
     r = state.rho.values
     if nonlocal_term is None:
-        bulk = -(params.delta_star / (np.sqrt(params.delta) * r)) * _div(u, grid, d)
+        bulk = -(params.delta_star / (np.sqrt(params.delta) * r)) * divu
     else:
         bulk = -(params.temperature / params.delta_tau**2) * nonlocal_term
     ds = params.delta_star
-    flux = tuple((ds / r) * g for g in _derivs(r, grid, range(grid.dim), d))
+    flux = tuple((ds / r) * g for g in _derivs(r, grid, d))
     local = r * r * law.bulk_energy_drho(r, params) - _div(flux, grid, d) / r
     return bulk + local
 
@@ -123,7 +123,8 @@ def reconstruct_pressure_nsac(state: MixtureState, params: FluidParams,
     p = -(delta_star / (sqrt(delta) rho)) div u
         + rho^2 R'(rho) - (1/rho) div((delta_star/rho) grad rho)
     """
-    return ScalarField(state.grid, _pressure(state, _velocity(state), params, d))
+    return ScalarField(state.grid, _pressure(state, _div(_velocity(state), state.grid, d),
+                                             params, d))
 
 
 def reconstruct_pressure_nsch(state: MixtureState, params: FluidParams,
@@ -132,9 +133,9 @@ def reconstruct_pressure_nsch(state: MixtureState, params: FluidParams,
 
     p = -(theta / delta_tau^2) * Lambda_gamma^{-1}(div u) + local part.
     """
-    u = _velocity(state)
-    nonlocal_term = _nonlocal_term(u, state.grid, ModelKind.NSK2, gamma, d)
-    return ScalarField(state.grid, _pressure(state, u, params, d, nonlocal_term))
+    divu = _div(_velocity(state), state.grid, d)
+    nonlocal_term = _nonlocal_term(divu, state.grid, ModelKind.NSK2, gamma, d)
+    return ScalarField(state.grid, _pressure(state, divu, params, d, nonlocal_term))
 
 
 def _diffusive_div(state: MixtureState, c: np.ndarray, params: FluidParams,
@@ -142,11 +143,11 @@ def _diffusive_div(state: MixtureState, c: np.ndarray, params: FluidParams,
     """div(delta rho grad c)."""
     grid = state.grid
     r = state.rho.values
-    flux = tuple(params.delta * r * g for g in _derivs(c, grid, range(grid.dim), d))
+    flux = tuple(params.delta * r * g for g in _derivs(c, grid, d))
     return _div(flux, grid, d)
 
 
-def _reconstruct(state: MixtureState, u: Components, params: FluidParams, kind: ModelKind,
+def _reconstruct(state: MixtureState, divu: np.ndarray, params: FluidParams, kind: ModelKind,
                  gamma: Mobility | None, d: Discretization):
     """The eliminated fields as arrays: (c, p, q | mu, NSK2 non-local term or None)."""
     r = state.rho.values
@@ -155,8 +156,8 @@ def _reconstruct(state: MixtureState, u: Components, params: FluidParams, kind: 
         raise ConfigError("the conserved-phase model needs a mobility")
     c = law.concentration(r, params)
     wprime = params.well.derivative(c)
-    nonlocal_term = _nonlocal_term(u, state.grid, kind, gamma, d)
-    p = _pressure(state, u, params, d, nonlocal_term)
+    nonlocal_term = _nonlocal_term(divu, state.grid, kind, gamma, d)
+    p = _pressure(state, divu, params, d, nonlocal_term)
     if kind is ModelKind.NSK1:
         return c, p, -(params.delta_tau / params.temperature) * p - wprime, None
     mu = (params.delta_tau / params.temperature) * p + wprime \
@@ -168,35 +169,36 @@ def reconstruct_fields(state: MixtureState, params: FluidParams, kind: ModelKind
                        gamma: Mobility | None = None,
                        d: Discretization = Discretization(Scheme.SPECTRAL)) -> ReconstructedFields:
     """Rebuild (c, p, q | mu) from a reduced state under the given model."""
-    c, p, rate, _ = _reconstruct(state, _velocity(state), params, kind, gamma, d)
+    divu = _div(_velocity(state), state.grid, d)
+    c, p, rate, _ = _reconstruct(state, divu, params, kind, gamma, d)
     c, p, rate = (ScalarField(state.grid, v) for v in (c, p, rate))
     return ReconstructedFields(c, p, **{"q" if kind is ModelKind.NSK1 else "mu_chem": rate})
 
 
-def _reduced_stress(u: Components, r: np.ndarray, grid: Grid, params: FluidParams,
+def _reduced_stress(r: np.ndarray, gu: tuple[Components, ...], grid: Grid, params: FluidParams,
                     d: Discretization, nonlocal_term: np.ndarray | None) -> Components:
-    """The reduced stress of either model: viscous or non-local part plus Korteweg."""
+    """The reduced stress of either model from grad u: viscous or non-local part plus Korteweg."""
     if nonlocal_term is None:
-        bulk = _viscous_stress(u, grid, augmented_bulk_viscosity(r, params), params, d)
+        bulk = _viscous_stress(gu, augmented_bulk_viscosity(r, params), params)
     else:
-        bulk = _viscous_stress(u, grid, params.bulk_viscosity, params, d,
-                               extra=params.temperature / params.delta_tau**2 * nonlocal_term)
-    return tuple(a + b for a, b in zip(bulk, _korteweg(r, grid, params, d)))
+        bulk = _viscous_stress(gu, params.bulk_viscosity, params,
+                               params.temperature / params.delta_tau**2 * nonlocal_term)
+    return tuple(a + b for a, b in zip(bulk, _korteweg(r, _derivs(r, grid, d), grid, params, d)))
 
 
 def _rhs(state: MixtureState, params: FluidParams, kind: ModelKind,
          gamma: Mobility | None, d: Discretization) -> tuple[ScalarField, VectorField]:
+    """(-div m, div(Sigma - m (x) u)): each field differentiated once, one divergence each."""
     grid = state.grid
-    u = _velocity(state)
-    mass_flux, mom_flux = state.m.components, _outer(state.m.components, u)   # rho u, rho u (x) u
+    m, u = state.m.components, _velocity(state)
+    gu = _velocity_gradient(u, grid, d)
+    stress = _reduced_stress(state.rho.values, gu, grid, params, d,
+                             _nonlocal_term(_div_of(gu), grid, kind, gamma, d))
+    mom_flux = _outer(m, u)
     if d.dealias and d.scheme is Scheme.SPECTRAL:
-        mass_flux, mom_flux = ([dealias_array(c, grid) for c in f] for f in (mass_flux, mom_flux))
-    drho = -_div(mass_flux, grid, d)
-    stress = _reduced_stress(u, state.rho.values, grid, params, d,
-                             _nonlocal_term(u, grid, kind, gamma, d))
-    adv = _div_tensor(mom_flux, grid, d)
-    visc = _div_tensor(stress, grid, d)
-    return ScalarField(grid, drho), VectorField(grid, tuple(v - a for a, v in zip(adv, visc)))
+        m, mom_flux = ([dealias_array(c, grid) for c in f] for f in (m, mom_flux))
+    flux = tuple(s - a for s, a in zip(stress, mom_flux))
+    return ScalarField(grid, -_div(m, grid, d)), VectorField(grid, _div_tensor(flux, grid, d))
 
 
 def rhs_nsk1(state: MixtureState, params: FluidParams,
@@ -226,15 +228,16 @@ class ResidualReport:
     phase: float
 
 
-def _full_model_gap(state: MixtureState, u: Components, params: FluidParams, d: Discretization,
-                    c: np.ndarray, p: np.ndarray, nonlocal_term: np.ndarray | None) -> Components:
-    """div(S + P) - div(S_reduced + K), the momentum-flux defect."""
+def _full_model_gap(state: MixtureState, gu: tuple[Components, ...], params: FluidParams,
+                    d: Discretization, c: np.ndarray, p: np.ndarray,
+                    nonlocal_term: np.ndarray | None) -> Components:
+    """div(S + P) - div(S_reduced + K), the momentum-flux defect; ``gu`` is grad u."""
     grid = state.grid
     r = state.rho.values
-    full = tuple(a + b for a, b in zip(_viscous_stress(u, grid, params.bulk_viscosity, params, d),
+    full = tuple(a + b for a, b in zip(_viscous_stress(gu, params.bulk_viscosity, params),
                                        _phase_stress(c, p, r, grid, params, d)))
     lhs = _div_tensor(full, grid, d)
-    rhs = _div_tensor(_reduced_stress(u, r, grid, params, d, nonlocal_term), grid, d)
+    rhs = _div_tensor(_reduced_stress(r, gu, grid, params, d, nonlocal_term), grid, d)
     return tuple(a - b for a, b in zip(lhs, rhs))
 
 
@@ -246,9 +249,9 @@ def momentum_equivalence_gap(state: MixtureState, params: FluidParams, kind: Mod
     This is the single number that certifies the reduction: it converges
     to zero at scheme order for smooth states.
     """
-    u = _velocity(state)
-    c, p, _, nonlocal_term = _reconstruct(state, u, params, kind, gamma, d)
-    return _sup(_full_model_gap(state, u, params, d, c, p, nonlocal_term))
+    gu = _velocity_gradient(_velocity(state), state.grid, d)
+    c, p, _, nonlocal_term = _reconstruct(state, _div_of(gu), params, kind, gamma, d)
+    return _sup(_full_model_gap(state, gu, params, d, c, p, nonlocal_term))
 
 
 def _residual(state: MixtureState, params: FluidParams, kind: ModelKind,
@@ -257,11 +260,12 @@ def _residual(state: MixtureState, params: FluidParams, kind: ModelKind,
     grid = state.grid
     r = state.rho.values
     u = _velocity(state)
-    c, p, rate, nonlocal_term = _reconstruct(state, u, params, kind, gamma, d)
+    gu = _velocity_gradient(u, grid, d)
+    c, p, rate, nonlocal_term = _reconstruct(state, _div_of(gu), params, kind, gamma, d)
     mass_div = _div(state.m.components, grid, d)
     drho = -mass_div
     mass = _sup((drho + mass_div,))
-    momentum = _sup(_full_model_gap(state, u, params, d, c, p, nonlocal_term))
+    momentum = _sup(_full_model_gap(state, gu, params, d, c, p, nonlocal_term))
     # d/dt(rho c) + div(rho c u) with the semi-discrete density rate
     ctilde = law.phase_mass_density(r, params)
     lhs = law.phase_mass_density_drho(r, params) * drho \

@@ -2,16 +2,18 @@
 
 Two interchangeable discretizations:
 
-* ``Scheme.SPECTRAL`` -- Fourier differentiation on periodic grids.  The
-  Nyquist mode is dropped (set to zero) so odd derivatives stay real and
-  skew-symmetric.
+* ``Scheme.SPECTRAL`` -- Fourier differentiation on periodic grids by real
+  half-spectrum transforms; the Nyquist mode is dropped on every axis so
+  odd derivatives stay real and skew-symmetric.  A divergence transforms
+  each component once and sums in Fourier space before one inverse.
 * ``Scheme.FD2`` -- second-order centered differences; periodic grids use
   wraparound, bounded 1-D grids use even-reflection ghost values
   (consistent with homogeneous Neumann data).
 
 All operators are linear and act node-wise on the stored arrays.  Public
 functions return validated fields; internal kernels (``_derivs``,
-``_div``, ``_div_tensor``) work on arrays and are what the hot loops call.
+``_div``, ``_div_tensor``) work on arrays, and refuse a non-periodic grid
+under the spectral scheme.
 """
 
 from __future__ import annotations
@@ -25,24 +27,28 @@ from .fields import Components, ScalarField, SymTensorField, VectorField
 from .grids import Discretization, Grid, Scheme
 
 
+def _half_axes(grid: Grid):
+    """Per axis of the rfftn half spectrum (the last axis halved): n, h, frequencies, shape."""
+    for axis, (n, h) in enumerate(zip(grid.n, grid.h)):
+        freq = np.fft.rfftfreq if axis == grid.dim - 1 else np.fft.fftfreq
+        yield n, h, freq, [-1 if a == axis else 1 for a in range(grid.dim)]
+
+
 @lru_cache(maxsize=128)
-def _deriv_wavenumbers(n: int, h: float) -> np.ndarray:
-    """FFT wavenumbers for first derivatives, Nyquist zeroed (read-only)."""
-    k = 2.0 * np.pi * np.fft.fftfreq(n, d=h)
-    if n % 2 == 0:
-        k[n // 2] = 0.0
-    k.setflags(write=False)
-    return k
+def _ik(grid: Grid) -> tuple[np.ndarray, ...]:
+    """i k per axis on the half spectrum, zero at every axis's Nyquist mode (read-only)."""
+    out = []
+    for n, h, freq, shape in _half_axes(grid):
+        k = 2.0 * np.pi * freq(n, d=h)
+        if n % 2 == 0:
+            k[n // 2] = 0.0
+        out.append((1j * k).reshape(shape))
+        out[-1].setflags(write=False)
+    return tuple(out)
 
 
-def _axis_shaped(k: np.ndarray, dim: int, axis: int) -> np.ndarray:
-    shape = [1] * dim
-    shape[axis] = k.size
-    return k.reshape(shape)
-
-
-def _axis_wavenumbers(grid: Grid, axis: int) -> np.ndarray:
-    return _axis_shaped(_deriv_wavenumbers(grid.n[axis], grid.h[axis]), grid.dim, axis)
+def _irfftn(fhat: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    return np.fft.irfftn(fhat, s=shape, axes=tuple(range(len(shape))))
 
 
 def _fd2_deriv(values: np.ndarray, grid: Grid, axis: int) -> np.ndarray:
@@ -57,40 +63,38 @@ def _fd2_deriv(values: np.ndarray, grid: Grid, axis: int) -> np.ndarray:
     return out
 
 
-def _derivs(values: np.ndarray, grid: Grid, axes, d: Discretization) -> Components:
-    """First derivatives of one array along ``axes``.
-
-    Spectral: one forward transform shared by all axes, one inverse each;
-    every derivative passes here, so this is where a non-periodic grid is refused.
-    """
+def _derivs(values: np.ndarray, grid: Grid, d: Discretization) -> Components:
+    """The gradient of one array.  Spectral: one forward transform, one inverse per axis."""
     if d.scheme is Scheme.SPECTRAL:
         d.require_compatible(grid)
-        fhat = np.fft.fftn(values)
-        return tuple(np.fft.ifftn(1j * _axis_wavenumbers(grid, axis) * fhat).real
-                     for axis in axes)
-    return tuple(_fd2_deriv(values, grid, axis) for axis in axes)
+        fhat = np.fft.rfftn(values)
+        return tuple(_irfftn(ik * fhat, grid.shape) for ik in _ik(grid))
+    return tuple(_fd2_deriv(values, grid, axis) for axis in range(grid.dim))
 
 
-def _deriv(values: np.ndarray, grid: Grid, axis: int, d: Discretization) -> np.ndarray:
-    return _derivs(values, grid, (axis,), d)[0]
+def _div_tensor(t: Components, grid: Grid, d: Discretization, rows: int = 0) -> Components:
+    """Row-wise divergence of a stored symmetric tensor: row i is t[i:i + dim].
+
+    ``rows`` = 1 takes the divergence of a vector.  Spectral: each component
+    is transformed once, each row summed in Fourier space before one inverse.
+    """
+    dim, rows = grid.dim, rows or grid.dim
+    if d.scheme is Scheme.SPECTRAL:
+        d.require_compatible(grid)
+        ik, hats = _ik(grid), [np.fft.rfftn(c) for c in t]
+        return tuple(_irfftn(sum(ik[j] * hats[i + j] for j in range(dim)), grid.shape)
+                     for i in range(rows))
+    return tuple(sum(_fd2_deriv(t[i + j], grid, j) for j in range(dim)) for i in range(rows))
 
 
 def _div(v: Components, grid: Grid, d: Discretization) -> np.ndarray:
     """Divergence of a vector given by its component arrays."""
-    total = np.zeros(grid.shape)
-    for axis in range(grid.dim):
-        total += _deriv(v[axis], grid, axis, d)
-    return total
-
-
-def _div_tensor(t: Components, grid: Grid, d: Discretization) -> Components:
-    """Row-wise divergence of a stored symmetric tensor: row i is t[i:i + dim]."""
-    return tuple(_div(t[i:i + grid.dim], grid, d) for i in range(grid.dim))
+    return _div_tensor(v, grid, d, rows=1)[0]
 
 
 def grad(f: ScalarField, d: Discretization) -> VectorField:
     """Discrete gradient of a scalar field."""
-    return VectorField(f.grid, _derivs(f.values, f.grid, range(f.grid.dim), d))
+    return VectorField(f.grid, _derivs(f.values, f.grid, d))
 
 
 def div(v: VectorField, d: Discretization) -> ScalarField:
@@ -106,19 +110,15 @@ def div_tensor(t: SymTensorField, d: Discretization) -> VectorField:
 def laplacian(f: ScalarField, d: Discretization) -> ScalarField:
     """Discrete Laplacian.
 
-    Spectral: multiplication by -|k|^2 with the same Nyquist mask as the
+    Spectral: multiplication by (i k)^2 with the same Nyquist mask as the
     first derivatives, so it equals div(grad(.)) exactly.  FD2: the compact
     3-point stencil per axis.
     """
-    d.require_compatible(f.grid)
     grid = f.grid
     if d.scheme is Scheme.SPECTRAL:
-        fhat = np.fft.fftn(f.values)
-        k2 = np.zeros(grid.shape)
-        for axis in range(grid.dim):
-            k = _axis_wavenumbers(grid, axis)
-            k2 = k2 + k * k
-        return ScalarField(grid, np.fft.ifftn(-k2 * fhat).real)
+        d.require_compatible(grid)
+        fhat = np.fft.rfftn(f.values)
+        return ScalarField(grid, _irfftn(sum(ik * ik for ik in _ik(grid)) * fhat, grid.shape))
     total = np.zeros(grid.shape)
     v = f.values
     for axis in range(grid.dim):
@@ -139,18 +139,11 @@ def mean(f: ScalarField) -> float:
     return float(f.values.mean())
 
 
-def dealias_mask(grid: Grid) -> np.ndarray:
-    """2/3-rule mask in FFT layout: True on retained (low) modes."""
-    mask = np.ones(grid.shape, dtype=bool)
-    for axis in range(grid.dim):
-        n = grid.n[axis]
-        modes = np.abs(np.fft.fftfreq(n, d=1.0 / n))
-        keep = modes <= n / 3.0
-        mask &= _axis_shaped(keep, grid.dim, axis)
-    return mask
-
-
 def dealias_array(values: np.ndarray, grid: Grid) -> np.ndarray:
+    """2/3-rule filter: zero every mode above n/3 on any axis."""
     if not grid.is_periodic:
         raise ConfigError("dealiasing is defined on periodic grids only")
-    return np.fft.ifftn(np.where(dealias_mask(grid), np.fft.fftn(values), 0.0)).real
+    keep = np.ones((), dtype=bool)
+    for n, _, freq, shape in _half_axes(grid):
+        keep = keep & (np.abs(freq(n, d=1.0 / n)) <= n / 3.0).reshape(shape)
+    return _irfftn(np.where(keep, np.fft.rfftn(values), 0.0), grid.shape)

@@ -7,9 +7,9 @@ derivative inside the Korteweg tensor is the partial derivative in rho at
 fixed |grad rho|^2 (the Dunn-Serrin convention).
 
 The kernels ``_strain``, ``_viscous_stress``, ``_phase_stress`` and
-``_korteweg`` take and return arrays, tensors as component tuples in the
-storage order of :mod:`korteweg.fields`; each public function wraps one
-kernel in a validated field.
+``_korteweg`` take arrays (grad u and grad rho rather than u and rho) and
+return arrays, tensors as component tuples in the storage order of
+:mod:`korteweg.fields`; each public function wraps one in a validated field.
 """
 
 from __future__ import annotations
@@ -24,38 +24,46 @@ from .grids import Discretization, Grid
 from .operators import _derivs, _div
 
 
-def _strain(u: Components, grid: Grid, d: Discretization) -> Components:
-    g = [_derivs(c, grid, range(grid.dim), d) for c in u]   # g[i][j] = d_j u_i
+def _velocity_gradient(u: Components, grid: Grid, d: Discretization) -> tuple[Components, ...]:
+    """g[i][j] = d_j u_i."""
+    return tuple(_derivs(c, grid, d) for c in u)
+
+
+def _div_of(g: tuple[Components, ...]) -> np.ndarray:
+    """div u, the trace of the velocity gradient."""
+    return sum(g[i][i] for i in range(len(g)))
+
+
+def _strain(g: tuple[Components, ...]) -> Components:
     return tuple(g[i][i] if i == j else 0.5 * (g[i][j] + g[j][i])
-                 for i in range(grid.dim) for j in range(i, grid.dim))
+                 for i in range(len(g)) for j in range(i, len(g)))
 
 
 def strain(u: VectorField, d: Discretization) -> SymTensorField:
     """Symmetric velocity gradient (grad u + grad u^T) / 2."""
-    return SymTensorField(u.grid, _strain(u.components, u.grid, d))
+    return SymTensorField(u.grid, _strain(_velocity_gradient(u.components, u.grid, d)))
 
 
-def _viscous_stress(u: Components, grid: Grid, bulk, params: FluidParams, d: Discretization,
+def _viscous_stress(g: tuple[Components, ...], bulk, params: FluidParams,
                     extra=None) -> Components:
     """(2 mu D(u) + bulk div u I) + extra I, the assembly behind the three Cauchy stresses.
 
-    ``bulk`` is a constant or a grid function; ``extra`` is optional.
+    ``g`` is grad u; ``bulk`` is a constant or a grid function; ``extra`` is optional.
     """
-    dd = _strain(u, grid, d)
-    out = _plus_diag(tuple(2.0 * params.shear_viscosity * c for c in dd),
-                     bulk * _div(u, grid, d))
+    out = _plus_diag(tuple(2.0 * params.shear_viscosity * c for c in _strain(g)),
+                     bulk * _div_of(g))
     return out if extra is None else _plus_diag(out, extra)
 
 
 def cauchy_stress(u: VectorField, params: FluidParams, d: Discretization) -> SymTensorField:
     """2 mu D(u) + lambda (div u) I."""
-    return SymTensorField(u.grid, _viscous_stress(u.components, u.grid,
-                                                  params.bulk_viscosity, params, d))
+    return SymTensorField(u.grid, _viscous_stress(
+        _velocity_gradient(u.components, u.grid, d), params.bulk_viscosity, params))
 
 
 def _phase_stress(c: np.ndarray, p: np.ndarray, r: np.ndarray, grid: Grid,
                   params: FluidParams, d: Discretization) -> Components:
-    gc = _derivs(c, grid, range(grid.dim), d)
+    gc = _derivs(c, grid, d)
     coef = params.temperature * params.delta * r
     return _plus_diag(tuple(-coef * o for o in _outer(gc, gc)), -p)
 
@@ -69,8 +77,8 @@ def phase_stress(c: ScalarField, p: ScalarField, rho: ScalarField,
                                                 c.grid, params, d))
 
 
-def _korteweg(r: np.ndarray, grid: Grid, params: FluidParams, d: Discretization) -> Components:
-    gr = _derivs(r, grid, range(grid.dim), d)
+def _korteweg(r: np.ndarray, gr: Components, grid: Grid, params: FluidParams,
+              d: Discretization) -> Components:
     grad_rho_sq = sum(g * g for g in gr)
     kap = capillarity(r, params)
     psi_r = helmholtz_energy_drho(r, grad_rho_sq, params)
@@ -86,14 +94,16 @@ def korteweg_tensor(rho: ScalarField, params: FluidParams, d: Discretization) ->
     """
     if np.any(rho.values <= 0.0):
         raise DomainError("Korteweg tensor needs positive density")
-    return SymTensorField(rho.grid, _korteweg(rho.values, rho.grid, params, d))
+    r = rho.values
+    return SymTensorField(rho.grid, _korteweg(r, _derivs(r, rho.grid, d), rho.grid, params, d))
 
 
 def augmented_cauchy_stress(u: VectorField, rho: ScalarField,
                             params: FluidParams, d: Discretization) -> SymTensorField:
     """Cauchy stress with the density-dependent augmented bulk viscosity."""
     return SymTensorField(u.grid, _viscous_stress(
-        u.components, u.grid, augmented_bulk_viscosity(rho.values, params), params, d))
+        _velocity_gradient(u.components, u.grid, d),
+        augmented_bulk_viscosity(rho.values, params), params))
 
 
 def nonlocal_cauchy_stress(u: VectorField, nonlocal_term: ScalarField,
@@ -104,8 +114,8 @@ def nonlocal_cauchy_stress(u: VectorField, nonlocal_term: ScalarField,
     div u; no solve happens here.
     """
     extra = params.temperature / params.delta_tau**2 * nonlocal_term.values
-    return SymTensorField(u.grid, _viscous_stress(u.components, u.grid, params.bulk_viscosity,
-                                                  params, d, extra=extra))
+    return SymTensorField(u.grid, _viscous_stress(
+        _velocity_gradient(u.components, u.grid, d), params.bulk_viscosity, params, extra))
 
 
 def korteweg_identity_residual(rho: ScalarField, params: FluidParams,
@@ -122,11 +132,11 @@ def korteweg_identity_residual(rho: ScalarField, params: FluidParams,
         raise DomainError("identity residual needs positive density")
     grid = rho.grid
     r = rho.values
-    gr = _derivs(r, grid, range(grid.dim), d)
+    gr = _derivs(r, grid, d)
     kap = capillarity(r, params)
     lhs_inner = _div(tuple(r * r * kap * g for g in gr), grid, d) / r
-    lhs = _derivs(lhs_inner, grid, range(grid.dim), d)   # div(s I) = grad s, also discretely
+    lhs = _derivs(lhs_inner, grid, d)   # div(s I) = grad s, also discretely
     rhs_inner = r * _div(tuple(kap * g for g in gr), grid, d) \
         + 2.0 * kap * sum(g * g for g in gr)
-    rhs = _derivs(rhs_inner, grid, range(grid.dim), d)
+    rhs = _derivs(rhs_inner, grid, d)
     return _sup(a - b for a, b in zip(lhs, rhs))

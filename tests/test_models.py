@@ -8,14 +8,17 @@ import korteweg.constitutive as law
 import korteweg.elliptic
 import korteweg.fields
 import korteweg.models
-from korteweg import (FD2, SPECTRAL, ConfigError, FluidParams, Grid, MixtureState,
-                      Mobility, ModelKind, ScalarField, StateError, VectorField)
+from korteweg import (FD2, SPECTRAL, ConfigError, Discretization, FluidParams, Grid,
+                      MixtureState, Mobility, ModelKind, ScalarField, Scheme, StateError,
+                      SymTensorField, VectorField, augmented_cauchy_stress, div_tensor,
+                      invert_periodic, korteweg_tensor, nonlocal_cauchy_stress)
 from korteweg.fields import sup_norm
+from korteweg.initial import random_band_limited
 from korteweg.manufactured import SymbolicState, exact_pressure, exact_rhs
 from korteweg.models import (momentum_equivalence_gap, reconstruct_fields,
                              reconstruct_pressure_nsac, reconstruct_pressure_nsch,
                              residual_nsac, residual_nsch, rhs_nsk1, rhs_nsk2)
-from korteweg.operators import div, mean
+from korteweg.operators import dealias_array, div, mean
 from korteweg.timestepping import make_rhs
 
 
@@ -286,11 +289,76 @@ def test_galilean_shift_only_changes_advection(params):
                                             VectorField(grid, (uvals,)))
         _, dm = rhs_nsk1(state, params, FD2)
         flux = VectorField(grid, (rho * uvals * uvals,))
-        from korteweg.operators import _deriv
-        adv = _deriv(flux.components[0], grid, 0, FD2)
+        adv = div(flux, FD2).values
         return dm.components[0] + adv  # the non-advective part
 
     assert np.max(np.abs(parts(u) - parts(u + shift))) < 1e-11
+
+
+FFT_NAMES = ("fft", "ifft", "fftn", "ifftn", "fft2", "ifft2",
+             "rfft", "irfft", "rfftn", "irfftn", "rfft2", "irfft2")
+
+
+@pytest.mark.parametrize("grid, nsk1, nsk2", [(Grid.periodic(64), 10, 12),
+                                              (Grid.periodic((32, 32)), 20, 22)],
+                         ids=["1d", "2d"])
+def test_rhs_transform_counts(grid, nsk1, nsk2, params, monkeypatch):
+    # rho, m and u are transformed once each, every divergence is summed in
+    # Fourier space before one inverse, and every transform is real
+    calls = {}
+    for name in FFT_NAMES:
+        counting(monkeypatch, np.fft, name, calls)
+    state = wavy_state(grid)
+
+    def counts(rhs, *args):
+        calls.update(dict.fromkeys(FFT_NAMES, 0))
+        rhs(state, params, *args)
+        real = sum(n for name, n in calls.items() if name.startswith(("rfft", "irfft")))
+        return real, sum(calls.values()) - real
+
+    assert counts(rhs_nsk1, SPECTRAL) == (nsk1, 0)
+    assert counts(rhs_nsk2, Mobility.constant(1.0), SPECTRAL) == (nsk2, 0)
+
+
+def composed_rhs(state, params, kind, gamma, d):
+    """-div m and div(K + S - m (x) u) from the public operators."""
+    grid = state.grid
+    u = state.velocity()
+    m = state.m.components
+    mom = [m[i] * u.components[j] for i in range(grid.dim) for j in range(i, grid.dim)]
+    if d.dealias:
+        m, mom = [dealias_array(c, grid) for c in m], [dealias_array(c, grid) for c in mom]
+    if kind is ModelKind.NSK1:
+        s = augmented_cauchy_stress(u, state.rho, params, d)
+    else:
+        nonlocal_term = invert_periodic(gamma, div(u, d), d, project_mean=True)
+        s = nonlocal_cauchy_stress(u, nonlocal_term, params, d)
+    k = korteweg_tensor(state.rho, params, d)
+    flux = SymTensorField(grid, tuple(a + b - c for a, b, c in
+                                      zip(k.components, s.components, mom)))
+    return -div(VectorField(grid, tuple(m)), d).values, div_tensor(flux, d).components
+
+
+@pytest.mark.parametrize("dealias", [False, True], ids=["plain", "dealias"])
+@pytest.mark.parametrize("model", ["nsk1", "nsk2-const", "nsk2-cos"])
+@pytest.mark.parametrize("grid", [Grid.periodic(64), Grid.periodic(63),
+                                  Grid.periodic((48, 36)), Grid.periodic((33, 35))],
+                         ids=["64", "63", "48x36", "33x35"])
+def test_rhs_matches_public_operator_composition(grid, model, dealias, params):
+    d = Discretization(Scheme.SPECTRAL, dealias=dealias)
+    rng = np.random.default_rng(17)
+    state = MixtureState.from_primitive(
+        ScalarField(grid, 1.4 + 0.1 * random_band_limited(grid, rng, kmax=12)),
+        VectorField(grid, tuple(0.1 * random_band_limited(grid, rng, kmax=12)
+                                for _ in range(grid.dim))))
+    x = grid.coords()[0]
+    gamma = Mobility.spatial(2.0 + np.cos(x)) if model == "nsk2-cos" else Mobility.constant(1.0)
+    kind = ModelKind.NSK1 if model == "nsk1" else ModelKind.NSK2
+    drho, dm = make_rhs(params, kind, gamma, d)(state)
+    ref_rho, ref_m = composed_rhs(state, params, kind, gamma, d)
+    assert np.max(np.abs(drho.values - ref_rho)) <= 1e-11 * np.max(np.abs(ref_rho))
+    scale = max(np.max(np.abs(c)) for c in ref_m)
+    assert max(np.max(np.abs(a - b)) for a, b in zip(dm.components, ref_m)) <= 1e-11 * scale
 
 
 def test_residual_nsac_equilibrium_and_floor(params, grid64):

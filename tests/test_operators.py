@@ -193,6 +193,19 @@ def test_spectral_nyquist_mode_is_dropped(grid64):
     assert sup_norm(grad(f, SPECTRAL)) < 1e-12
 
 
+def test_spectral_nyquist_mode_is_dropped_on_both_axes():
+    # the last axis of a real transform keeps its Nyquist bin at the end of
+    # the half spectrum, the other axes in the middle; both are zeroed
+    grid = Grid.periodic((64, 64))
+    for axis, x in enumerate(grid.coords()):
+        f = ScalarField(grid, np.cos(32.0 * x))
+        assert sup_norm(grad(f, SPECTRAL)) < 1e-12
+        assert sup_norm(laplacian(f, SPECTRAL)) < 1e-12
+        v = VectorField(grid, tuple(f.values if a == axis else np.zeros(grid.shape)
+                                    for a in range(2)))
+        assert sup_norm(div(v, SPECTRAL)) < 1e-12
+
+
 def test_spectral_requires_periodic_grid():
     grid = Grid.bounded_neumann_1d(32)
     f = ScalarField.constant(grid, 1.0)
