@@ -1,0 +1,52 @@
+"""Golden short runs of the bundled configs.
+
+Each config in ``demos/configs`` runs through ``run_simulation`` to a short
+horizon (18 steps).  The step count is pinned exactly, and the last step
+and the final state's norms to 1e-12 relative, so a refactor that claims
+identical outputs is checked, not asserted.
+"""
+
+import dataclasses
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from korteweg.harness import load_config, run_simulation
+
+CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"
+
+# name: (t_end, steps, dt_last, rms rho, min rho, max rho, rms of each m component)
+GOLDEN = {
+    "literal_convention": (0.02, 18, 0.00048639783087980545, 1.5597152837481987,
+                           1.000450886021468, 1.9990245601101952, (0.2758834036893532,)),
+    "nsk1_interface": (0.02, 18, 0.00048640264225295257, 1.5605755381386623,
+                       1.0004502437619993, 1.9991886393466105, (0.024548498223590367,)),
+    "nsk2_interface": (0.02, 18, 0.00048658072365971583, 1.560578367517863,
+                       1.0004333763140936, 1.999203904774118, (0.024040327482801126,)),
+    "nsk2_neumann": (0.001, 18, 1.657519207583528e-05, 1.5009372358085808,
+                     1.4250053679457468, 1.5749944410727115, (0.00018644712714377558,)),
+}
+
+
+def _rms(a: np.ndarray) -> float:
+    return float(np.sqrt(np.mean(a * a)))
+
+
+def test_every_bundled_config_has_a_golden_run():
+    assert sorted(p.stem for p in CONFIGS.glob("*.json")) == sorted(GOLDEN)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_short_run_matches_golden(name):
+    t_end, steps, dt_last, rms_rho, min_rho, max_rho, rms_m = GOLDEN[name]
+    cfg = load_config(CONFIGS / f"{name}.json")
+    cfg = dataclasses.replace(cfg, control=dataclasses.replace(cfg.control, t_end=t_end))
+    res = run_simulation(cfg, quiet=True)
+    rho = res.state.rho.values
+    assert res.steps == steps
+    assert res.state.t == pytest.approx(t_end, rel=1e-14)
+    measured = (res.dt_last, _rms(rho), float(rho.min()), float(rho.max()),
+                *(_rms(c) for c in res.state.m.components))
+    for got, want in zip(measured, (dt_last, rms_rho, min_rho, max_rho, *rms_m), strict=True):
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
