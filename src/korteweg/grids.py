@@ -107,12 +107,16 @@ class Grid:
 class Discretization:
     """Choice of discrete calculus: Fourier-spectral or centered differences.
 
-    ``dealias`` enables a 2/3-rule filter on nonlinear advective fluxes;
-    it has no effect on the differential operators themselves.
+    ``dealias`` (spectral only) enables a 2/3-rule filter on nonlinear
+    advective fluxes; it has no effect on the differential operators themselves.
     """
 
     scheme: Scheme = Scheme.SPECTRAL
     dealias: bool = False
+
+    def __post_init__(self):
+        if self.dealias and self.scheme is not Scheme.SPECTRAL:
+            raise ConfigError("dealiasing needs the spectral scheme")
 
     def require_compatible(self, grid: Grid) -> None:
         if self.scheme is Scheme.SPECTRAL and not grid.is_periodic:

@@ -72,6 +72,24 @@ def _derivs(values: np.ndarray, grid: Grid, d: Discretization) -> Components:
     return tuple(_fd2_deriv(values, grid, axis) for axis in range(grid.dim))
 
 
+def _spectra(t: Components, grid: Grid, dealias: bool = False) -> list[np.ndarray]:
+    """The half spectrum of each component; ``dealias`` zeroes every mode above n/3 on any axis."""
+    hats = [np.fft.rfftn(c) for c in t]
+    if not dealias:
+        return hats
+    keep = np.ones((), dtype=bool)
+    for n, _, freq, shape in _half_axes(grid):
+        keep = keep & (np.abs(freq(n, d=1.0 / n)) <= n / 3.0).reshape(shape)
+    return [np.where(keep, h, 0.0) for h in hats]
+
+
+def _div_spectra(hats: list[np.ndarray], grid: Grid, rows: int) -> Components:
+    """Row-wise divergence from the half spectra of a stored tensor: one inverse per row."""
+    ik = _ik(grid)
+    return tuple(_irfftn(sum(ik[j] * hats[i + j] for j in range(grid.dim)), grid.shape)
+                 for i in range(rows))
+
+
 def _div_tensor(t: Components, grid: Grid, d: Discretization, rows: int = 0) -> Components:
     """Row-wise divergence of a stored symmetric tensor: row i is t[i:i + dim].
 
@@ -81,9 +99,7 @@ def _div_tensor(t: Components, grid: Grid, d: Discretization, rows: int = 0) -> 
     dim, rows = grid.dim, rows or grid.dim
     if d.scheme is Scheme.SPECTRAL:
         d.require_compatible(grid)
-        ik, hats = _ik(grid), [np.fft.rfftn(c) for c in t]
-        return tuple(_irfftn(sum(ik[j] * hats[i + j] for j in range(dim)), grid.shape)
-                     for i in range(rows))
+        return _div_spectra(_spectra(t, grid), grid, rows)
     return tuple(sum(_fd2_deriv(t[i + j], grid, j) for j in range(dim)) for i in range(rows))
 
 
@@ -143,7 +159,4 @@ def dealias_array(values: np.ndarray, grid: Grid) -> np.ndarray:
     """2/3-rule filter: zero every mode above n/3 on any axis."""
     if not grid.is_periodic:
         raise ConfigError("dealiasing is defined on periodic grids only")
-    keep = np.ones((), dtype=bool)
-    for n, _, freq, shape in _half_axes(grid):
-        keep = keep & (np.abs(freq(n, d=1.0 / n)) <= n / 3.0).reshape(shape)
-    return _irfftn(np.where(keep, np.fft.rfftn(values), 0.0), grid.shape)
+    return _irfftn(_spectra((values,), grid, dealias=True)[0], grid.shape)

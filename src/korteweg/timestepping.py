@@ -13,10 +13,10 @@ from .elliptic import Mobility
 from .errors import ConfigError, DomainError, StateError
 from .fields import ScalarField, VectorField
 from .grids import Discretization
-from .models import MixtureState, ModelKind, rhs_nsk1, rhs_nsk2
+from .models import MixtureState, ModelKind, _velocity, rhs_nsk1, rhs_nsk2
 
-# Shu-Osher stage weights (prev-state weight, euler-step weight); each row
-# is a convex combination, which is what makes the scheme SSP.
+# Shu-Osher stage weights (step-start weight, weight of the Euler step from
+# the last stage); each row is a convex combination, which makes it SSP.
 SHU_OSHER_COEFFS = ((0.0, 1.0), (0.75, 0.25), (1.0 / 3.0, 2.0 / 3.0))
 
 
@@ -25,8 +25,8 @@ class StepControl:
     """CFL-style step selection and run horizon.
 
     ``dt_fixed`` bypasses the estimate (used by temporal-convergence
-    studies); otherwise the step is the clamped minimum of the advective,
-    viscous, and capillary candidates.
+    studies); otherwise the step is the bound of :func:`estimate_dt`, and a
+    bound below ``dt_min`` aborts the run rather than being raised to it.
     """
 
     t_end: float = 1.0
@@ -56,8 +56,7 @@ def dt_candidates(state: MixtureState, params: FluidParams,
     grid = state.grid
     h_min = min(grid.h)
     r = state.rho.values
-    u = state.velocity()
-    speed = np.sqrt(sum(c * c for c in u.components))
+    speed = np.sqrt(sum(c * c for c in _velocity(state)))
     cs_sq = 2.0 * r * law.bulk_energy_drho(r, params) + r * r * law.bulk_energy_d2rho(r, params)
     cs = np.sqrt(max(float(np.max(cs_sq)), 1e-12))
     fastest = float(np.max(speed)) + cs
@@ -75,16 +74,26 @@ def dt_candidates(state: MixtureState, params: FluidParams,
     return {"advective": adv, "viscous": visc, "capillary": cap}
 
 
+def _step_bound(state: MixtureState, params: FluidParams, control: StepControl,
+                step: int | None = None) -> float:
+    """The smallest candidate capped at dt_max; below dt_min it is a stiffness abort."""
+    cand = min(dt_candidates(state, params, control).values())
+    if cand < control.dt_min:
+        raise StateError(f"stiffness abort: stable step {cand:.3e} fell below "
+                         f"dt_min {control.dt_min:.3e} at t = {state.t:.6g}",
+                         state=state, step=step, t=state.t)
+    return min(cand, control.dt_max)
+
+
 def estimate_dt(state: MixtureState, params: FluidParams,
                 kind: ModelKind = ModelKind.NSK1,
                 control: StepControl = StepControl()) -> float:
-    """Stable-step estimate, clamped to [dt_min, dt_max].
+    """The step bound of :func:`integrate`: the smallest candidate, capped at dt_max.
 
-    The same bound serves both reduced models: the non-local stress is no
-    stiffer than its local counterpart at equal parameters.
+    Below dt_min it raises the stiffness-abort StateError.  Both models share
+    it: the non-local stress is no stiffer than the local one at equal parameters.
     """
-    cand = min(dt_candidates(state, params, control).values())
-    return float(np.clip(cand, control.dt_min, control.dt_max))
+    return _step_bound(state, params, control)
 
 
 RhsEvaluator = Callable[[MixtureState], tuple[ScalarField, VectorField]]
@@ -99,29 +108,23 @@ def make_rhs(params: FluidParams, kind: ModelKind, gamma: Mobility | None,
     return lambda s: rhs_nsk2(s, params, gamma, d)
 
 
-def _euler(state: MixtureState, dt: float, rhs: RhsEvaluator) -> MixtureState:
-    drho, dm = rhs(state)
-    rho = ScalarField(state.grid, state.rho.values + dt * drho.values)
-    m = VectorField(state.grid, tuple(a + dt * b for a, b in
-                                      zip(state.m.components, dm.components)))
-    return MixtureState(rho, m, state.t + dt)
-
-
-def _blend(a: MixtureState, wa: float, b: MixtureState, wb: float,
-           t: float) -> MixtureState:
-    rho = ScalarField(a.grid, wa * a.rho.values + wb * b.rho.values)
-    m = VectorField(a.grid, tuple(wa * x + wb * y for x, y in
-                                  zip(a.m.components, b.m.components)))
-    return MixtureState(rho, m, t)
-
-
 def ssprk3_step(state: MixtureState, dt: float, rhs: RhsEvaluator) -> MixtureState:
-    """One Shu-Osher three-stage third-order step."""
+    """One SSP-RK3 step: stage k + 1 is wa * u0 + wb * (u_k + dt * L(u_k)) per table row.
+
+    Each stage is computed on arrays and validated once, as one MixtureState.  Time
+    is combined like the state: the RHS sees t, t + dt, t + dt/2; the step ends at t + dt.
+    """
     if dt <= 0.0:
         raise ConfigError("dt must be positive")
-    u1 = _euler(state, dt, rhs)
-    u2 = _blend(state, 0.75, _euler(u1, dt, rhs), 0.25, state.t + 0.5 * dt)
-    return _blend(state, 1.0 / 3.0, _euler(u2, dt, rhs), 2.0 / 3.0, state.t + dt)
+    grid, stage, c = state.grid, state, 0.0
+    for wa, wb in SHU_OSHER_COEFFS:
+        drho, dm = rhs(stage)
+        rho = wa * state.rho.values + wb * (stage.rho.values + dt * drho.values)
+        m = tuple(wa * a + wb * (b + dt * g) for a, b, g in
+                  zip(state.m.components, stage.m.components, dm.components))
+        c = wb * (c + 1.0)
+        stage = MixtureState(ScalarField(grid, rho), VectorField(grid, m), state.t + c * dt)
+    return stage
 
 
 Observer = Callable[[int, MixtureState, float], None]
@@ -137,8 +140,7 @@ class IntegrationResult:
 
 def step_metrics(step: int, state: MixtureState, dt: float) -> dict:
     """One line of the metrics stream."""
-    u = state.velocity()
-    speed = np.sqrt(sum(c * c for c in u.components))
+    speed = np.sqrt(sum(c * c for c in _velocity(state)))
     return {
         "step": step,
         "t": state.t,
@@ -178,16 +180,8 @@ def integrate(state: MixtureState, control: StepControl, params: FluidParams,
     notify(0, state, 0.0)
     step = 0
     while not control.reached(state.t) and step < control.max_steps:
-        if control.dt_fixed is not None:
-            dt = control.dt_fixed
-        else:
-            cand = min(dt_candidates(state, params, control).values())
-            if cand < control.dt_min:
-                raise StateError(
-                    f"stiffness abort: stable step {cand:.3e} fell below "
-                    f"dt_min {control.dt_min:.3e} at t = {state.t:.6g}",
-                    state=state, step=step + 1, t=state.t)
-            dt = min(cand, control.dt_max)
+        dt = control.dt_fixed if control.dt_fixed is not None \
+            else _step_bound(state, params, control, step + 1)
         dt = min(dt, control.t_end - state.t)
         try:
             state = ssprk3_step(state, dt, rhs)

@@ -10,7 +10,6 @@ around the same functions.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -29,7 +28,7 @@ from .models import (MixtureState, ModelKind, momentum_equivalence_gap,
                      residual_nsac, residual_nsch, rhs_nsk1, rhs_nsk2)
 from .operators import div, grad, mean
 from .tensors import korteweg_identity_residual, korteweg_tensor
-from .timestepping import StepControl, integrate, make_rhs
+from .timestepping import StepControl, estimate_dt, integrate, make_rhs
 
 SPECTRAL_PAIR = (64, 128)          # resolutions for the decrease criterion
 FD2_TRIPLE = (128, 256, 512)       # resolutions for order measurement
@@ -76,10 +75,6 @@ class CheckReport:
                              "measured": r.measured, "threshold": r.threshold,
                              "note": r.note} for r in self.results],
                 "residual_records": self.records}
-
-    def write(self, path: Path) -> None:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(self.to_dict(), indent=1, default=float))
 
 
 def fit_order(resolutions, errors) -> float:
@@ -294,7 +289,7 @@ def residual_record(cs: CorpusState, n: int, params: FluidParams,
         rep = residual_nsch(state, params, cs.mobility_on(grid), d)
     rewrite = korteweg_identity_residual(state.rho, params, d)
     return {"state_id": cs.name, "model": kind.value, "scheme": d.scheme.value,
-            "n": n, "mass_res": rep.mass, "momentum_res": rep.momentum,
+            "n": n, "momentum_res": rep.momentum,
             "phase_res": rep.phase, "equivalence_gap": rep.momentum,
             "rewrite_identity_res": rewrite}
 
@@ -558,7 +553,9 @@ def compare_models(cfg_a, cfg_b, n_checkpoints: int = 8) -> CompareReport:
 
     Requires configs that differ only in the model kind (nsk1 vs nsk2);
     verifies that the capillary stress is shared bit for bit, then runs
-    both models with a common fixed step and records trajectory distance.
+    both models with a common fixed step (about half the step bound of the
+    initial state under the config's step control) and records trajectory
+    distance.
     """
     if {cfg_a.model, cfg_b.model} != {ModelKind.NSK1, ModelKind.NSK2}:
         raise ConfigError("compare needs one nsk1 config and one nsk2 config")
@@ -579,33 +576,25 @@ def compare_models(cfg_a, cfg_b, n_checkpoints: int = 8) -> CompareReport:
     rhs_diff = _sup((d1rho.values - d2rho.values,
                      *(a - b for a, b in zip(d1m.components, d2m.components))))
 
-    from .timestepping import dt_candidates
-    dt = 0.5 * min(min(dt_candidates(state, cfg_a.params).values()),
-                   cfg_a.control.dt_max)
+    dt = 0.5 * estimate_dt(state, cfg_a.params, ModelKind.NSK1, cfg_a.control)
     t_end = cfg_a.control.t_end
     n_steps = max(1, int(np.ceil(t_end / dt)))
     dt = t_end / n_steps
     every = max(1, n_steps // n_checkpoints)
     control = StepControl(t_end=t_end, dt_fixed=dt)
 
-    class Recorder:
-        def __init__(self):
-            self.states = {}
-
-        def __call__(self, step, st, _dt):
+    states_a, states_b = {}, {}
+    for cfg, kind, gamma, states in ((cfg_a, ModelKind.NSK1, None, states_a),
+                                     (cfg_b, ModelKind.NSK2, mobility, states_b)):
+        def record(step, st, _dt, states=states):
             if step % every == 0 or step == n_steps:
-                self.states[step] = st
-
-    rec_a, rec_b = Recorder(), Recorder()
-    integrate(state, control, cfg_a.params, ModelKind.NSK1, None, cfg_a.disc,
-              observers=(rec_a,))
-    integrate(state, control, cfg_b.params, ModelKind.NSK2, mobility, cfg_b.disc,
-              observers=(rec_b,))
+                states[step] = st
+        integrate(state, control, cfg.params, kind, gamma, cfg.disc, observers=(record,))
     divergence = []
-    for step in sorted(rec_a.states):
-        if step not in rec_b.states:
+    for step in sorted(states_a):
+        if step not in states_b:
             continue
-        sa, sb = rec_a.states[step], rec_b.states[step]
+        sa, sb = states_a[step], states_b[step]
         divergence.append({
             "step": step, "t": sa.t,
             "rho_distance": float(np.max(np.abs(sa.rho.values - sb.rho.values))),

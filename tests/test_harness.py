@@ -72,7 +72,7 @@ NAN, INF = float("nan"), float("inf")
     (("step", "t_end"), NAN), (("step", "t_end"), INF), (("step", "dt_fixed"), "x"),
     (("output", "snapshot_every"), None), (("output", "metrics_every"), [1.0]),
     (("grid", "n"), [128.5]), (("grid", "length"), [NAN]), (("dealias",), "x"),
-    (("seed",), 0.5),
+    (("dealias",), True), (("seed",), 0.5),
 ], ids=lambda v: repr(v))
 def test_malformed_config_is_a_config_error(tmp_path, keys, value):
     doc = json.loads(NEUMANN_CONFIG.read_text())

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+import korteweg.timestepping
+
 from korteweg import (SPECTRAL, ConfigError, FluidParams, Grid, MixtureState,
                       ModelKind, ScalarField, StateError, StepControl, VectorField,
                       estimate_dt, integrate, ssprk3_step)
@@ -53,6 +55,28 @@ def test_scalar_decay_matches_hand_computed_stages(grid64):
     assert abs(expected - np.exp(-0.1)) < 1e-5  # third-order one-step accuracy
 
 
+def test_shu_osher_table_drives_the_stages(grid64, monkeypatch):
+    # three chained forward-Euler stages: y' = -y from 1 lands on 0.9**3
+    monkeypatch.setattr(korteweg.timestepping, "SHU_OSHER_COEFFS", ((0.0, 1.0),) * 3)
+    state = constant_state(grid64, rho0=1.0)
+    decay = lambda s: (ScalarField(s.grid, -s.rho.values),
+                       VectorField(s.grid, tuple(-c for c in s.m.components)))
+    out = ssprk3_step(state, 0.1, decay)
+    assert np.max(np.abs(out.rho.values - 0.9**3)) < 1e-14
+
+
+def test_step_validates_one_state_per_stage(grid64, monkeypatch):
+    built = []
+    original = MixtureState.__post_init__
+    monkeypatch.setattr(MixtureState, "__post_init__",
+                        lambda self: built.append(self.t) or original(self))
+    state = constant_state(grid64)
+    built.clear()
+    zero_rhs = lambda s: (ScalarField.constant(s.grid, 0.0), VectorField.zero(s.grid))
+    out = ssprk3_step(state, 0.25, zero_rhs)
+    assert built == [0.25, 0.125, 0.25] and out.t == 0.25
+
+
 def test_constant_state_is_fixed_point(params, grid64):
     state = constant_state(grid64)
     rhs = make_rhs(params, ModelKind.NSK1, None, SPECTRAL)
@@ -88,6 +112,14 @@ def test_estimate_dt_is_clamped(params, grid64):
     control = StepControl(t_end=1.0, dt_min=1e-5, dt_max=2e-5)
     dt = estimate_dt(state, params, ModelKind.NSK1, control)
     assert 1e-5 <= dt <= 2e-5
+
+
+def test_estimate_dt_below_dt_min_is_a_stiffness_abort(params, grid64):
+    state = constant_state(grid64)
+    bound = min(dt_candidates(state, params).values())
+    control = StepControl(t_end=1.0, dt_min=2.0 * bound, dt_max=1.0)
+    with pytest.raises(StateError, match="stiffness"):
+        estimate_dt(state, params, ModelKind.NSK1, control)
 
 
 def test_integrate_zero_horizon_returns_initial(params, grid64):
