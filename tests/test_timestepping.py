@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import korteweg.timestepping
-
 from korteweg import (SPECTRAL, ConfigError, FluidParams, Grid, MixtureState,
                       ModelKind, ScalarField, StateError, StepControl, VectorField,
                       estimate_dt, integrate, ssprk3_step)
