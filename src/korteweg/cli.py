@@ -13,8 +13,8 @@ from pathlib import Path
 
 from .errors import CompatibilityError, ConfigError, DomainError, SolverError, StateError
 from .harness import load_config, run_simulation
-from .verification import (compare_models, convergence_table, run_check_suite,
-                           write_convergence_csv)
+from .verification import (compare_models, convergence_csv, convergence_table,
+                           run_check_suite)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -99,15 +99,13 @@ def main(argv=None) -> int:
         if args.command == "convergence":
             cfg = load_config(args.config, out_dir=args.out, seed=args.seed)
             resolutions = [int(v) for v in args.n.split(",") if v]
-            rows = convergence_table(cfg.params, cfg.model, cfg.disc, resolutions)
-            header = list(rows[0].keys())
-            print(",".join(header))
-            for row in rows:
-                print(",".join(f"{row[c]:.6e}" if isinstance(row[c], float)
-                               else str(row[c]) for c in header))
+            table = convergence_csv(convergence_table(cfg.params, cfg.model, cfg.disc,
+                                                      resolutions))
+            print(table, end="")
             dest = out_dir or cfg.out_dir
             if dest is not None:
-                write_convergence_csv(rows, dest / "convergence.csv")
+                dest.mkdir(parents=True, exist_ok=True)
+                (dest / "convergence.csv").write_text(table)
             return EXIT_OK
 
         if args.command == "compare":

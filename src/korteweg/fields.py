@@ -112,11 +112,8 @@ def write_scalar_csv(field: ScalarField, path, config_hash: str | None = None) -
             fh.write(f"# config {config_hash}\n")
         cols = ["x", "y"][: grid.dim] + ["value"]
         fh.write(",".join(cols) + "\n")
-        flat_coords = [c.ravel() for c in coords]
-        flat_vals = field.values.ravel()
-        for idx in range(flat_vals.size):
-            row = [f"{c[idx]:.17g}" for c in flat_coords] + [f"{flat_vals[idx]:.17g}"]
-            fh.write(",".join(row) + "\n")
+        np.savetxt(fh, np.column_stack([c.ravel() for c in (*coords, field.values)]),
+                   fmt="%.17g", delimiter=",")
 
 
 def read_scalar_csv(path) -> tuple[dict, np.ndarray]:

@@ -1,22 +1,27 @@
 """Run configuration, snapshot/metrics output, and run orchestration.
 
-Configs are flat JSON documents, validated before any allocation.  Every
-emitted file embeds the config hash and the grid header, so runs are
-self-describing and bit-reproducible for a fixed config + seed.
+Configs are flat JSON documents, validated before any allocation.  The
+params, mobility, initial and step sections are read, defaulted and
+written back through the classes they build, and an entry that
+``RunConfig.to_dict`` would not write is rejected.  Every emitted file
+embeds the config hash and the grid header, so runs are self-describing
+and bit-reproducible for a fixed config + seed.
 """
 
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 import logging
 import math
 from dataclasses import dataclass, replace
+from enum import Enum
 from pathlib import Path
 
 import numpy as np
 
-from .constitutive import Convention, DoubleWell, FluidParams
+from .constitutive import DoubleWell, FluidParams
 from .elliptic import Mobility
 from .errors import ConfigError, StateError
 from .fields import write_scalar_csv, ScalarField
@@ -28,29 +33,27 @@ from .timestepping import StepControl, integrate, step_metrics
 log = logging.getLogger(__name__)
 
 
+class MobilityKind(Enum):
+    CONSTANT = "constant"
+    COSINE = "cosine"
+
+
 @dataclass(frozen=True)
 class MobilitySpec:
     """Mobility described by the config: constant or a cosine profile."""
 
-    kind: str = "constant"
+    kind: MobilityKind = MobilityKind.CONSTANT
     value: float = 1.0
     base: float = 2.0
     amplitude: float = 1.0
     mode: int = 1
 
     def build(self, grid: Grid) -> Mobility:
-        if self.kind == "constant":
+        if self.kind is MobilityKind.CONSTANT:
             return Mobility.constant(self.value)
-        if self.kind == "cosine":
-            x = grid.coords()[0]
-            if grid.is_periodic:
-                prof = self.base + self.amplitude * np.cos(
-                    2.0 * np.pi * self.mode * x / grid.length[0])
-            else:
-                prof = self.base + self.amplitude * np.cos(
-                    np.pi * self.mode * x / grid.length[0])
-            return Mobility.spatial(prof)
-        raise ConfigError(f"unknown mobility kind {self.kind!r}")
+        x = grid.coords()[0]
+        k = (2.0 if grid.is_periodic else 1.0) * np.pi * self.mode
+        return Mobility.spatial(self.base + self.amplitude * np.cos(k * x / grid.length[0]))
 
 
 @dataclass(frozen=True)
@@ -72,6 +75,9 @@ class RunConfig:
         self.params.validate_for_dim(self.grid.dim)
         if self.model is ModelKind.NSK2 and self.mobility is None:
             raise ConfigError("the nsk2 model needs a mobility")
+        _require(self.seed >= 0, f"seed must be >= 0, got {self.seed}")
+        _require(self.snapshot_every >= 0, "output.snapshot_every must be >= 0")
+        _require(self.metrics_every >= 1, "output.metrics_every must be >= 1")
 
     def build_mobility(self) -> Mobility:
         return self.mobility.build(self.grid)
@@ -83,31 +89,17 @@ class RunConfig:
         return ic.build(self.grid, self.params)
 
     def to_dict(self) -> dict:
+        """The config document, every entry written; it reads back to this config."""
         return {
             "grid": {"n": list(self.grid.n), "length": list(self.grid.length),
                      "boundary": self.grid.boundary.value},
             "scheme": self.disc.scheme.value,
             "dealias": self.disc.dealias,
             "model": self.model.value,
-            "params": {
-                "tau1": self.params.tau1, "tau2": self.params.tau2,
-                "temperature": self.params.temperature, "delta": self.params.delta,
-                "shear_viscosity": self.params.shear_viscosity,
-                "bulk_viscosity": self.params.bulk_viscosity,
-                "mobility": self.params.mobility,
-                "well_scale": self.params.well.scale,
-                "convention": self.params.convention.value,
-            },
-            "mobility": {"kind": self.mobility.kind, "value": self.mobility.value,
-                         "base": self.mobility.base,
-                         "amplitude": self.mobility.amplitude,
-                         "mode": self.mobility.mode},
-            "initial": _ic_dict(self.initial),
-            "step": {"t_end": self.control.t_end,
-                     "cfl_advective": self.control.cfl_advective,
-                     "cfl_parabolic": self.control.cfl_parabolic,
-                     "dt_min": self.control.dt_min, "dt_max": self.control.dt_max,
-                     "dt_fixed": self.control.dt_fixed},
+            "params": {**_entries_of(self.params), "well_scale": self.params.well.scale},
+            "mobility": _entries_of(self.mobility),
+            "initial": _entries_of(self.initial),
+            "step": _entries_of(self.control),
             "output": {"dir": str(self.out_dir) if self.out_dir else None,
                        "snapshot_every": self.snapshot_every,
                        "metrics_every": self.metrics_every},
@@ -122,11 +114,17 @@ class RunConfig:
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def _ic_dict(ic: InitialCondition) -> dict:
-    return {"family": ic.family.value, "rho0": ic.rho0, "amplitude": ic.amplitude,
-            "mode": ic.mode, "interface_sharpness": ic.interface_sharpness,
-            "velocity_amplitude": ic.velocity_amplitude,
-            "velocity_mode": ic.velocity_mode, "kmax": ic.kmax, "seed": ic.seed}
+def _entries(cls) -> dict:
+    """Config entries of a class, name -> default: the parameters whose default is
+    an enum, a number or null, which also fixes the entry's kind."""
+    return {name: p.default for name, p in inspect.signature(cls).parameters.items()
+            if name != "max_steps"  # config files carry no step budget
+            and isinstance(p.default, (Enum, int, float, type(None)))}
+
+
+def _entries_of(obj) -> dict:
+    values = ((name, getattr(obj, name)) for name in _entries(type(obj)))
+    return {name: v.value if isinstance(v, Enum) else v for name, v in values}
 
 
 def _require(cond: bool, message: str) -> None:
@@ -146,80 +144,77 @@ def _number(value, name: str, integer: bool = False):
     return value
 
 
+def _section(doc: dict, key: str) -> dict:
+    sec = doc.get(key, {})
+    _require(isinstance(sec, dict), f"config section {key!r} must be a JSON object")
+    return sec
+
+
+def _read(cls, doc: dict, key: str, **defaults):
+    """Build cls from config section ``key``.
+
+    Each entry of cls takes its value from the section, else from
+    ``defaults``, else from cls, and must be of the kind of its class
+    default.  ``defaults`` may also pass a parameter that is not an entry.
+    """
+    sec, args = _section(doc, key), dict(defaults)
+    for name, default in _entries(cls).items():
+        value = args[name] = sec.get(name, defaults.get(name, default))
+        if isinstance(default, Enum):
+            args[name] = type(default)(value)
+        elif not (default is None and value is None):
+            _number(value, f"{key}.{name}", integer=isinstance(default, int))
+    return cls(**args)
+
+
+def _reject_unknown(doc: dict, known: dict, where: str = "") -> None:
+    """Raise ConfigError for the first entry of doc that known (a to_dict document) lacks."""
+    for key, value in doc.items():
+        _require(key in known, f"unknown config entry '{where}{key}'")
+        if isinstance(value, dict) and isinstance(known[key], dict):
+            _reject_unknown(value, known[key], f"{where}{key}.")
+
+
 def config_from_dict(doc: dict, out_dir: str | None = None,
                      seed: int | None = None) -> RunConfig:
     """Build and cross-validate a RunConfig from a parsed JSON document.
 
-    Every section must be a JSON object and every number a finite real (an
-    integer for counts, modes and seeds); anything else is a ConfigError.
+    Every section must be a JSON object, every number a finite real (an
+    integer for counts, modes and seeds) and every entry one that
+    ``to_dict`` writes; anything else is a ConfigError.  Defaults are
+    those of the classes built, but step.t_end = 0.1 and mobility.value =
+    params.mobility.
     """
     _require(isinstance(doc, dict), "config root must be a JSON object")
-
-    def section(key: str, default: dict):
-        """The section as a dict, and a reader of its numeric entries."""
-        sec = doc.get(key, default)
-        _require(isinstance(sec, dict), f"config section {key!r} must be a JSON object")
-
-        def num(name: str, fallback, integer: bool = False):
-            return _number(sec.get(name, fallback), f"{key}.{name}", integer)
-
-        return sec, num
-
     try:
-        gdoc, _ = section("grid", {})
+        gdoc = _section(doc, "grid")
         grid = Grid(dim=len(gdoc["n"]),
                     n=tuple(_number(k, "grid.n", True) for k in gdoc["n"]),
                     length=tuple(_number(v, "grid.length") for v in gdoc["length"]),
                     boundary=BoundaryKind(gdoc.get("boundary", "periodic")))
         dealias = doc.get("dealias", False)
         _require(isinstance(dealias, bool), f"dealias must be true or false, got {dealias!r}")
-        disc = Discretization(Scheme(doc.get("scheme", "spectral")), dealias=dealias)
-        pdoc, p = section("params", {})
-        params = FluidParams(
-            tau1=p("tau1", 1.0), tau2=p("tau2", 0.5),
-            temperature=p("temperature", 1.0),
-            delta=p("delta", 1e-2),
-            shear_viscosity=p("shear_viscosity", 1e-2),
-            bulk_viscosity=p("bulk_viscosity", 0.0),
-            mobility=p("mobility", 1.0),
-            well=DoubleWell(scale=p("well_scale", 1.0)),
-            convention=Convention(pdoc.get("convention", "consistent")))
-        model = ModelKind(doc.get("model", "nsk1"))
-        mdoc, m = section("mobility", {"kind": "constant", "value": params.mobility})
-        mobility = MobilitySpec(
-            kind=mdoc.get("kind", "constant"),
-            value=m("value", params.mobility),
-            base=m("base", 2.0), amplitude=m("amplitude", 1.0),
-            mode=m("mode", 1, integer=True))
-        idoc, i = section("initial", {"family": "constant"})
-        initial = InitialCondition(
-            family=ICFamily(idoc.get("family", "constant")),
-            rho0=i("rho0", 1.5), amplitude=i("amplitude", 0.1),
-            mode=i("mode", 1, integer=True),
-            interface_sharpness=i("interface_sharpness", 4.0),
-            velocity_amplitude=i("velocity_amplitude", 0.0),
-            velocity_mode=i("velocity_mode", 1, integer=True),
-            kmax=i("kmax", 4, integer=True), seed=i("seed", 0, integer=True))
-        sdoc, st = section("step", {})
-        control = StepControl(
-            t_end=st("t_end", 0.1),
-            cfl_advective=st("cfl_advective", 0.4),
-            cfl_parabolic=st("cfl_parabolic", 0.2),
-            dt_min=st("dt_min", 1e-10), dt_max=st("dt_max", 1.0),
-            dt_fixed=None if sdoc.get("dt_fixed") is None else st("dt_fixed", None))
-        odoc, o = section("output", {})
+        scale = _section(doc, "params").get("well_scale", DoubleWell.scale)
+        params = _read(FluidParams, doc, "params",
+                       well=DoubleWell(scale=_number(scale, "params.well_scale")))
+        odoc = _section(doc, "output")
         out = out_dir if out_dir is not None else odoc.get("dir")
         cfg = RunConfig(
-            grid=grid, disc=disc, params=params, model=model, mobility=mobility,
-            initial=initial, control=control,
+            grid=grid,
+            disc=Discretization(Scheme(doc.get("scheme", "spectral")), dealias=dealias),
+            params=params, model=ModelKind(doc.get("model", "nsk1")),
+            mobility=_read(MobilitySpec, doc, "mobility", value=params.mobility),
+            initial=_read(InitialCondition, doc, "initial"),
+            control=_read(StepControl, doc, "step", t_end=0.1),
             out_dir=Path(out) if out else None,
-            snapshot_every=o("snapshot_every", 0, integer=True),
-            metrics_every=o("metrics_every", 1, integer=True),
+            snapshot_every=_number(odoc.get("snapshot_every", 0), "output.snapshot_every", True),
+            metrics_every=_number(odoc.get("metrics_every", 1), "output.metrics_every", True),
             seed=_number(seed if seed is not None else doc.get("seed", 0), "seed", True))
     except ConfigError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid config: {exc}") from exc
+    _reject_unknown(doc, cfg.to_dict())
     return cfg
 
 
@@ -233,27 +228,19 @@ def load_config(path, out_dir: str | None = None, seed: int | None = None) -> Ru
 
 
 def write_state_snapshot(state: MixtureState, out_dir: Path, step: int,
-                         config_hash: str | None = None) -> list[Path]:
+                         config_hash: str | None = None) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-    path = out_dir / f"snap_{step:06d}_rho.csv"
-    write_scalar_csv(state.rho, path, config_hash)
-    written.append(path)
-    for i in range(state.grid.dim):
-        path = out_dir / f"snap_{step:06d}_m{i}.csv"
-        write_scalar_csv(ScalarField(state.grid, state.m.components[i]), path,
+    write_scalar_csv(state.rho, out_dir / f"snap_{step:06d}_rho.csv", config_hash)
+    for i, c in enumerate(state.m.components):
+        write_scalar_csv(ScalarField(state.grid, c), out_dir / f"snap_{step:06d}_m{i}.csv",
                          config_hash)
-        written.append(path)
-    return written
 
 
 class MetricsWriter:
     """Line-delimited JSON metrics stream."""
 
     def __init__(self, path: Path, config_hash: str, every: int = 1):
-        self.path = path
-        self.every = max(1, every)
-        self.config_hash = config_hash
+        self.every = every
         path.parent.mkdir(parents=True, exist_ok=True)
         self._fh = open(path, "w")
         self._fh.write(json.dumps({"config": config_hash}) + "\n")

@@ -11,8 +11,7 @@ around the same functions.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -405,11 +404,7 @@ def check_shared_capillary_structure(params: FluidParams) -> list[CheckResult]:
     x = grid.coords()[0]
     rho = ScalarField(grid, 1.5 + 0.3 * np.tanh(3.0 * np.cos(x)) / np.tanh(3.0))
     # two equal-but-distinct params objects, as two run configs would carry
-    params_twin = FluidParams(
-        tau1=params.tau1, tau2=params.tau2, temperature=params.temperature,
-        delta=params.delta, shear_viscosity=params.shear_viscosity,
-        bulk_viscosity=params.bulk_viscosity, mobility=params.mobility,
-        well=params.well, convention=params.convention)
+    params_twin = replace(params)
     k1 = korteweg_tensor(rho, params, SPECTRAL)
     k2 = korteweg_tensor(rho, params_twin, SPECTRAL)
     identical = all(np.array_equal(a, b) for a, b in
@@ -522,14 +517,11 @@ def convergence_table(params: FluidParams, kind: ModelKind, d: Discretization,
     return rows
 
 
-def write_convergence_csv(rows: list[dict], path: Path) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    cols = list(rows[0].keys())
-    with open(path, "w") as fh:
-        fh.write(",".join(cols) + "\n")
-        for r in rows:
-            fh.write(",".join(f"{r[c]:.6e}" if isinstance(r[c], float) else str(r[c])
-                              for c in cols) + "\n")
+def convergence_csv(rows: list[dict]) -> str:
+    """The table as CSV text: a header line, then one line per resolution."""
+    lines = [rows[0].keys(), *(r.values() for r in rows)]
+    return "".join(",".join(f"{v:.6e}" if isinstance(v, float) else str(v) for v in line)
+                   + "\n" for line in lines)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,80 @@
+"""The run-config format: every bundled and benchmark config reads, hashes
+and round-trips unchanged, and an entry the format does not have is an error."""
+
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from korteweg import ConfigError
+from korteweg.harness import config_from_dict
+
+ROOT = Path(__file__).resolve().parents[1]
+CONFIGS = ROOT / "demos" / "configs"
+WORKLOADS = ROOT / "perfbench" / "workloads.py"
+
+BUNDLED_HASHES = {
+    "literal_convention": "4689dd2b494c46b2",
+    "nsk1_interface": "d9dea8215271e54e",
+    "nsk2_interface": "014462db7051f41e",
+    "nsk2_neumann": "f2b7f6a8be484e2e",
+}
+
+
+def _workload_docs() -> dict:
+    """Every run config the benchmark builds, read from its module without running it."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads   # its dataclasses resolve their module
+    try:
+        spec.loader.exec_module(workloads)
+    finally:
+        del sys.modules[spec.name]
+    docs = {f"{w.name}/{size}/{sub.label}": sub.doc
+            for w in workloads.WORKLOADS.values()
+            for size, subs in w.subruns.items() for sub in subs}
+    for model in ("nsk1", "nsk2"):   # the configs certify reads its params from
+        docs[f"certify/{model}"] = workloads._doc(model, (128,), t_end=0.2, scheme="fd2")
+    return docs
+
+
+DOCS = {**{p.stem: json.loads(p.read_text()) for p in sorted(CONFIGS.glob("*.json"))},
+        **_workload_docs()}
+
+
+def test_every_config_is_collected():
+    assert len(DOCS) == 18
+    assert sorted(BUNDLED_HASHES) == sorted(p.stem for p in CONFIGS.glob("*.json"))
+
+
+@pytest.mark.parametrize("name", sorted(DOCS))
+def test_config_round_trips_through_to_dict(name):
+    cfg = config_from_dict(DOCS[name])
+    assert config_from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED_HASHES))
+def test_bundled_config_hash_is_pinned(name):
+    assert config_from_dict(DOCS[name]).config_hash() == BUNDLED_HASHES[name]
+
+
+@pytest.mark.parametrize("name", sorted(DOCS))
+def test_unknown_entries_are_config_errors(name):
+    doc = DOCS[name]
+    with pytest.raises(ConfigError, match="unknown config entry 'modle'"):
+        config_from_dict({**doc, "modle": "nsk2"})
+    for key, section in doc.items():
+        if isinstance(section, dict):
+            with pytest.raises(ConfigError, match=f"unknown config entry '{key}.bogus'"):
+                config_from_dict({**doc, key: {**section, "bogus": 1}})
+
+
+def test_section_defaults_come_from_the_classes():
+    cfg = config_from_dict({"grid": {"n": [16], "length": [1.0]},
+                            "params": {"mobility": 2.5}})
+    assert cfg.control.t_end == 0.1 and cfg.mobility.value == 2.5
+    doc = cfg.to_dict()
+    assert doc["params"]["well_scale"] == 1.0 and doc["step"]["dt_fixed"] is None
+    assert doc["initial"]["family"] == "constant" and doc["mobility"]["kind"] == "constant"

@@ -72,7 +72,10 @@ NAN, INF = float("nan"), float("inf")
     (("step", "t_end"), NAN), (("step", "t_end"), INF), (("step", "dt_fixed"), "x"),
     (("output", "snapshot_every"), None), (("output", "metrics_every"), [1.0]),
     (("grid", "n"), [128.5]), (("grid", "length"), [NAN]), (("dealias",), "x"),
-    (("dealias",), True), (("seed",), 0.5),
+    (("dealias",), True), (("seed",), 0.5), (("seed",), -1),
+    (("output", "metrics_every"), 0), (("output", "snapshot_every"), -1),
+    (("step", "tend"), 5), (("step", "max_steps"), 5), (("grid", "dim"), 1),
+    (("params", "well"), 1.0), (("modle",), "nsk1"),
 ], ids=lambda v: repr(v))
 def test_malformed_config_is_a_config_error(tmp_path, keys, value):
     doc = json.loads(NEUMANN_CONFIG.read_text())
@@ -84,6 +87,12 @@ def test_malformed_config_is_a_config_error(tmp_path, keys, value):
     path.write_text(json.dumps(doc))
     assert main(["run", str(path), "--quiet", "--out", str(tmp_path / "out")]) == 2
     assert json.loads((tmp_path / "out" / "failure.json").read_text())["error"] == "ConfigError"
+
+
+def test_negative_seed_override_is_a_config_error(tmp_path):
+    path = write_config(tmp_path, initial={"family": "random_band", "rho0": 1.5,
+                                           "amplitude": 0.05, "kmax": 4})
+    assert main(["run", str(path), "--quiet", "--seed", "-1"]) == 2
 
 
 def test_config_hash_is_stable(tmp_path):

@@ -247,6 +247,22 @@ def test_scalar_csv_roundtrip(tmp_path, grid64):
     assert np.max(np.abs(values - f.values)) == 0.0
 
 
+@pytest.mark.parametrize("grid", [
+    Grid.periodic(64),
+    Grid(dim=1, n=(40,), length=(1.0,), boundary=BoundaryKind.BOUNDED_NEUMANN_1D),
+    Grid(dim=2, n=(11, 9), length=(1.0, 2.0), boundary=BoundaryKind.PERIODIC),
+], ids=["periodic", "bounded", "2d"])
+def test_scalar_csv_rows_match_per_value_formatting(tmp_path, grid):
+    rng = np.random.default_rng(5)
+    values = rng.normal(size=grid.shape) * 10.0 ** rng.integers(-300, 300, size=grid.shape)
+    values.reshape(-1)[:6] = [0.0, -0.0, 5e-324, -1e-310, 1e300, -1e-300]
+    path = tmp_path / "field.csv"
+    write_scalar_csv(ScalarField(grid, values), path)
+    columns = [c.ravel() for c in (*grid.coords(), values)]
+    expected = [",".join(f"{c[i]:.17g}" for c in columns) for i in range(values.size)]
+    assert path.read_text().splitlines()[2:] == expected
+
+
 def test_discretization_enum_roundtrip():
     assert Discretization(Scheme.FD2).scheme is Scheme.FD2
     assert SPECTRAL.scheme is Scheme.SPECTRAL
