@@ -13,6 +13,14 @@ Two sign conventions for inverting the closure are selectable:
   variant that is sometimes quoted; it differs from CONSISTENT by the
   constant -1, so every derivative-based identity below holds under
   either choice, but the closure ``G_p(p, c(rho)) = 1/rho`` does not.
+
+Each density law is one unchecked array kernel (``_bulk_energy_drho``,
+``_capillarity``, ...) on a ``_Density``, which holds rho, 1/rho and c(rho)
+formed once, and one public function that raises DomainError unless
+rho > 0 and then calls the kernel.  The hot loop (the Korteweg and reduced
+stresses, the step-size bound) calls the kernels on the density of a
+validated MixtureState, which already lies above the density floor;
+everything else calls the public laws.
 """
 
 from __future__ import annotations
@@ -20,6 +28,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -114,11 +123,6 @@ class FluidParams:
         return 1.0 / self.tau1, 1.0 / self.tau2
 
 
-def _require_positive_rho(rho) -> None:
-    if np.any(np.asarray(rho) <= 0.0):
-        raise DomainError("density must be positive")
-
-
 def gibbs_energy(p, c, grad_c_sq, params: FluidParams):
     """Pressure-based mixture energy (c tau1 + (1-c) tau2) p + theta (W + delta/2 |grad c|^2)."""
     w = params.well.value(c)
@@ -126,74 +130,130 @@ def gibbs_energy(p, c, grad_c_sq, params: FluidParams):
         + params.temperature * (w + 0.5 * params.delta * grad_c_sq)
 
 
+class _Density(NamedTuple):
+    """A positive density array with its reciprocal v = 1/rho and concentration c."""
+
+    rho: np.ndarray
+    v: np.ndarray
+    c: np.ndarray
+
+
+def _offset_volume(params: FluidParams) -> float:
+    """The specific volume at which the selected convention puts c = 0."""
+    return params.tau2 if params.convention is Convention.CONSISTENT else params.tau1
+
+
+def _density(rho, params: FluidParams) -> _Density:
+    """Kernel of :func:`concentration`: rho with 1/rho and c(rho), unchecked."""
+    r = np.asarray(rho, dtype=float)
+    v = 1.0 / r
+    return _Density(r, v, (v - _offset_volume(params)) / params.delta_tau)
+
+
+def _require_positive_rho(rho, params: FluidParams) -> _Density:
+    """The public laws' entry: DomainError unless rho > 0, else :func:`_density`."""
+    if np.any(np.asarray(rho) <= 0.0):
+        raise DomainError("density must be positive")
+    return _density(rho, params)
+
+
+def _concentration_drho(dn: _Density, params: FluidParams):
+    return -(dn.v * dn.v) / params.delta_tau
+
+
+def _phase_mass_density(dn: _Density, params: FluidParams):
+    return dn.rho * dn.c
+
+
+def _phase_mass_density_drho(dn: _Density, params: FluidParams):
+    return np.full_like(dn.rho, -_offset_volume(params) / params.delta_tau)
+
+
+def _bulk_energy(dn: _Density, params: FluidParams):
+    return params.temperature * params.well.value(dn.c)
+
+
+def _bulk_energy_drho(dn: _Density, params: FluidParams):
+    return params.temperature * params.well.derivative(dn.c) * _concentration_drho(dn, params)
+
+
+def _bulk_energy_d2rho(dn: _Density, params: FluidParams):
+    dc = _concentration_drho(dn, params)
+    d2c = -2.0 * dn.v * dc
+    return params.temperature * (params.well.second_derivative(dn.c) * dc * dc
+                                 + params.well.derivative(dn.c) * d2c)
+
+
+def _capillarity(dn: _Density, params: FluidParams):
+    return params.delta_star * dn.v * dn.v * dn.v
+
+
+def _helmholtz_energy(dn: _Density, grad_rho_sq, params: FluidParams):
+    v2 = dn.v * dn.v
+    return _bulk_energy(dn, params) + 0.5 * params.delta_star * grad_rho_sq * (v2 * v2)
+
+
+def _helmholtz_energy_drho(dn: _Density, grad_rho_sq, params: FluidParams):
+    v2 = dn.v * dn.v
+    return _bulk_energy_drho(dn, params) \
+        - 2.0 * params.delta_star * grad_rho_sq * (v2 * v2 * dn.v)
+
+
+def _augmented_bulk_viscosity(dn: _Density, params: FluidParams):
+    return params.bulk_viscosity + params.delta_star / np.sqrt(params.delta) * dn.v
+
+
 def concentration(rho, params: FluidParams):
     """Concentration as a function of density under the selected convention."""
-    _require_positive_rho(rho)
-    if params.convention is Convention.CONSISTENT:
-        return (1.0 / rho - params.tau2) / params.delta_tau
-    return (1.0 / rho - params.tau1) / params.delta_tau
+    return _require_positive_rho(rho, params).c
 
 
 def concentration_drho(rho, params: FluidParams):
     """d/drho of concentration: -1/(delta_tau rho^2), identical for both conventions."""
-    _require_positive_rho(rho)
-    return -1.0 / (params.delta_tau * np.asarray(rho, dtype=float) ** 2)
+    return _concentration_drho(_require_positive_rho(rho, params), params)
 
 
 def phase_mass_density(rho, params: FluidParams):
     """rho * c(rho): mass of phase 1 per unit volume."""
-    return rho * concentration(rho, params)
+    return _phase_mass_density(_require_positive_rho(rho, params), params)
 
 
 def phase_mass_density_drho(rho, params: FluidParams):
     """Exact derivative of rho*c(rho); a constant for this linear closure."""
-    _require_positive_rho(rho)
-    tau = params.tau2 if params.convention is Convention.CONSISTENT else params.tau1
-    return np.full_like(np.asarray(rho, dtype=float), -tau / params.delta_tau)
+    return _phase_mass_density_drho(_require_positive_rho(rho, params), params)
 
 
 def bulk_energy(rho, params: FluidParams):
     """theta * W(c(rho)): the double-well energy expressed in density."""
-    return params.temperature * params.well.value(concentration(rho, params))
+    return _bulk_energy(_require_positive_rho(rho, params), params)
 
 
 def bulk_energy_drho(rho, params: FluidParams):
-    return params.temperature * params.well.derivative(concentration(rho, params)) \
-        * concentration_drho(rho, params)
+    return _bulk_energy_drho(_require_positive_rho(rho, params), params)
 
 
 def bulk_energy_d2rho(rho, params: FluidParams):
-    c = concentration(rho, params)
-    dc = concentration_drho(rho, params)
-    d2c = 2.0 / (params.delta_tau * np.asarray(rho, dtype=float) ** 3)
-    return params.temperature * (params.well.second_derivative(c) * dc * dc
-                                 + params.well.derivative(c) * d2c)
+    return _bulk_energy_d2rho(_require_positive_rho(rho, params), params)
 
 
 def capillarity(rho, params: FluidParams):
     """Density-gradient energy coefficient delta_star / rho^3."""
-    _require_positive_rho(rho)
-    return params.delta_star / np.asarray(rho, dtype=float) ** 3
+    return _capillarity(_require_positive_rho(rho, params), params)
 
 
 def helmholtz_energy(rho, grad_rho_sq, params: FluidParams):
     """Extended Helmholtz energy: bulk part plus (capillarity/(2 rho)) |grad rho|^2."""
-    _require_positive_rho(rho)
-    return bulk_energy(rho, params) \
-        + 0.5 * params.delta_star * grad_rho_sq / np.asarray(rho, dtype=float) ** 4
+    return _helmholtz_energy(_require_positive_rho(rho, params), grad_rho_sq, params)
 
 
 def helmholtz_energy_drho(rho, grad_rho_sq, params: FluidParams):
     """Partial derivative in rho at fixed |grad rho|^2."""
-    _require_positive_rho(rho)
-    return bulk_energy_drho(rho, params) \
-        - 2.0 * params.delta_star * grad_rho_sq / np.asarray(rho, dtype=float) ** 5
+    return _helmholtz_energy_drho(_require_positive_rho(rho, params), grad_rho_sq, params)
 
 
 def augmented_bulk_viscosity(rho, params: FluidParams):
     """lambda + delta_star / (sqrt(delta) rho): the local closure's extra bulk term."""
-    _require_positive_rho(rho)
-    return params.bulk_viscosity + params.delta_star / (np.sqrt(params.delta) * rho)
+    return _augmented_bulk_viscosity(_require_positive_rho(rho, params), params)
 
 
 def admissible_density_window(params: FluidParams, margin: float = 0.5) -> tuple[float, float]:

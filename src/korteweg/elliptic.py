@@ -5,7 +5,9 @@ zero-mean subspace (the operator kills constants, so compatible data must
 have zero mean and the solution is fixed by mean(phi) = 0):
 
 * periodic grids, constant mobility: diagonal Fourier solve on the real
-  half spectrum, with the scheme's symbol (Nyquist and mean modes zeroed);
+  half spectrum, a multiplication by the inverse of the scheme's symbol,
+  cached read-only per (grid, scheme) and zero on the symbol's null modes
+  (the mean and the zeroed Nyquist modes);
 * bounded Neumann 1-D grids: direct solve of the flux-form FD2 system
   (reflected ghosts = zero wall flux) by two prefix sums;
 * free space 1-D: the kernel -|x|/2 on a window, for compactly supported
@@ -20,13 +22,14 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import CompatibilityError, ConfigError, DomainError, SolverError
 from .fields import ScalarField
 from .grids import FD2, Discretization, Grid, Scheme
-from .operators import _derivs, _div, _ik, _irfftn
+from .operators import _derivs, _div, _ik, _irfft, _rfft
 
 log = logging.getLogger(__name__)
 
@@ -157,19 +160,25 @@ def _pcg_zero_mean(matvec, b: np.ndarray, precond, context: str) -> np.ndarray:
                       f"(relative residual {rnorm / bnorm:.3e})")
 
 
-def _periodic_symbol(grid: Grid, scheme: Scheme) -> np.ndarray:
-    """Fourier symbol of -div(grad .) for the requested scheme, on the half spectrum."""
-    return sum(ik.imag * ik.imag if scheme is Scheme.SPECTRAL else (np.sin(ik.imag * h) / h) ** 2
-               for ik, h in zip(_ik(grid), grid.h))
+@lru_cache(maxsize=128)
+def _inverse_symbol(grid: Grid, scheme: Scheme) -> np.ndarray:
+    """1 / the half-spectrum symbol of -div(grad .), zero on its null modes (read-only).
+
+    The symbol is the scheme's: |k|^2 spectrally, sum (sin(k h) / h)^2 for FD2,
+    with the Nyquist modes zeroed as in the first derivatives.
+    """
+    sym = sum(ik.imag * ik.imag if scheme is Scheme.SPECTRAL else (np.sin(ik.imag * h) / h) ** 2
+              for ik, h in zip(_ik(grid), grid.h))
+    inv = np.zeros_like(sym)
+    np.divide(1.0, sym, out=inv, where=sym > 0.0)
+    inv.setflags(write=False)
+    return inv
 
 
-def _fourier_solve(fv: np.ndarray, sym: np.ndarray) -> np.ndarray:
-    """Divide by a half-spectrum symbol, zeroing its null modes; zero-mean result."""
-    fhat = np.fft.rfftn(fv)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        phihat = np.where(sym > 0.0, fhat / np.where(sym > 0.0, sym, 1.0), 0.0)
-    phi = _irfftn(phihat, fv.shape)
-    return phi - phi.mean()
+def _fourier_solve(fv: np.ndarray, inv_sym: np.ndarray, gamma: float) -> np.ndarray:
+    """Solve -gamma div(grad phi) = fv by the inverse symbol; zero-mean result."""
+    phi = _irfft(_rfft(fv) * inv_sym, fv.shape)
+    return (phi - phi.mean()) / gamma
 
 
 def invert_periodic(gamma: Mobility, f: ScalarField,
@@ -188,13 +197,13 @@ def invert_periodic(gamma: Mobility, f: ScalarField,
         raise ConfigError("invert_periodic needs a periodic grid")
     d.require_compatible(grid)
     fv = _check_compatible(f, project_mean, "periodic solve")
+    inv_sym = _inverse_symbol(grid, d.scheme)
     if gamma.is_constant:
-        return ScalarField(grid, _fourier_solve(
-            fv, gamma.value * _periodic_symbol(grid, d.scheme)))
+        return ScalarField(grid, _fourier_solve(fv, inv_sym, gamma.value))
     gv = gamma.values_on(grid)
-    sym = float(np.mean(gv)) * _periodic_symbol(grid, d.scheme)
+    gmean = float(np.mean(gv))
     return ScalarField(grid, _pcg_zero_mean(
-        _matvec(gv, grid, d), fv, lambda r: _fourier_solve(r, sym),
+        _matvec(gv, grid, d), fv, lambda r: _fourier_solve(r, inv_sym, gmean),
         "periodic variable-mobility solve"))
 
 

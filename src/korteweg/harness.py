@@ -144,6 +144,15 @@ def _number(value, name: str, integer: bool = False):
     return value
 
 
+def _choice(kind: type[Enum], value, name: str):
+    """The member of enum ``kind`` whose value is ``value``, else ConfigError."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        options = ", ".join(repr(m.value) for m in kind)
+        raise ConfigError(f"{name} must be one of {options}, got {value!r}") from None
+
+
 def _section(doc: dict, key: str) -> dict:
     sec = doc.get(key, {})
     _require(isinstance(sec, dict), f"config section {key!r} must be a JSON object")
@@ -161,7 +170,7 @@ def _read(cls, doc: dict, key: str, **defaults):
     for name, default in _entries(cls).items():
         value = args[name] = sec.get(name, defaults.get(name, default))
         if isinstance(default, Enum):
-            args[name] = type(default)(value)
+            args[name] = _choice(type(default), value, f"{key}.{name}")
         elif not (default is None and value is None):
             _number(value, f"{key}.{name}", integer=isinstance(default, int))
     return cls(**args)
@@ -191,7 +200,8 @@ def config_from_dict(doc: dict, out_dir: str | None = None,
         grid = Grid(dim=len(gdoc["n"]),
                     n=tuple(_number(k, "grid.n", True) for k in gdoc["n"]),
                     length=tuple(_number(v, "grid.length") for v in gdoc["length"]),
-                    boundary=BoundaryKind(gdoc.get("boundary", "periodic")))
+                    boundary=_choice(BoundaryKind, gdoc.get("boundary", "periodic"),
+                                     "grid.boundary"))
         dealias = doc.get("dealias", False)
         _require(isinstance(dealias, bool), f"dealias must be true or false, got {dealias!r}")
         scale = _section(doc, "params").get("well_scale", DoubleWell.scale)
@@ -201,8 +211,9 @@ def config_from_dict(doc: dict, out_dir: str | None = None,
         out = out_dir if out_dir is not None else odoc.get("dir")
         cfg = RunConfig(
             grid=grid,
-            disc=Discretization(Scheme(doc.get("scheme", "spectral")), dealias=dealias),
-            params=params, model=ModelKind(doc.get("model", "nsk1")),
+            disc=Discretization(_choice(Scheme, doc.get("scheme", "spectral"), "scheme"),
+                                dealias=dealias),
+            params=params, model=_choice(ModelKind, doc.get("model", "nsk1"), "model"),
             mobility=_read(MobilitySpec, doc, "mobility", value=params.mobility),
             initial=_read(InitialCondition, doc, "initial"),
             control=_read(StepControl, doc, "step", t_end=0.1),

@@ -57,7 +57,7 @@ class SymbolicState:
 
 
 def _lambdify(expr, xs):
-    fn = sp.lambdify(xs, expr, modules="numpy")
+    fn = sp.lambdify(xs, expr, modules=[np])
 
     def wrapped(*coords):
         out = np.asarray(fn(*coords), dtype=float)

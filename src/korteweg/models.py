@@ -28,7 +28,7 @@ from enum import Enum
 import numpy as np
 
 from . import constitutive as law
-from .constitutive import FluidParams, augmented_bulk_viscosity
+from .constitutive import FluidParams, _augmented_bulk_viscosity, _density
 from .elliptic import Mobility, _matvec, invert_for_model
 from .errors import ConfigError, StateError
 from .fields import Components, ScalarField, VectorField, _outer, _sup
@@ -177,13 +177,17 @@ def reconstruct_fields(state: MixtureState, params: FluidParams, kind: ModelKind
 
 def _reduced_stress(r: np.ndarray, gu: tuple[Components, ...], grid: Grid, params: FluidParams,
                     d: Discretization, nonlocal_term: np.ndarray | None) -> Components:
-    """The reduced stress of either model from grad u: viscous or non-local part plus Korteweg."""
+    """The reduced stress of either model from grad u: viscous or non-local part plus Korteweg.
+
+    ``r`` is a validated state's density, so the laws run unchecked on one _Density.
+    """
+    dn = _density(r, params)
     if nonlocal_term is None:
-        bulk = _viscous_stress(gu, augmented_bulk_viscosity(r, params), params)
+        bulk = _viscous_stress(gu, _augmented_bulk_viscosity(dn, params), params)
     else:
         bulk = _viscous_stress(gu, params.bulk_viscosity, params,
                                params.temperature / params.delta_tau**2 * nonlocal_term)
-    return tuple(a + b for a, b in zip(bulk, _korteweg(r, _derivs(r, grid, d), grid, params, d)))
+    return tuple(a + b for a, b in zip(bulk, _korteweg(dn, _derivs(r, grid, d), grid, params, d)))
 
 
 def _rhs(state: MixtureState, params: FluidParams, kind: ModelKind,

@@ -6,6 +6,10 @@ Two interchangeable discretizations:
   half-spectrum transforms; the Nyquist mode is dropped on every axis so
   odd derivatives stay real and skew-symmetric.  A divergence transforms
   each component once and sums in Fourier space before one inverse.
+  Every transform here and in :mod:`korteweg.elliptic` goes through
+  ``_rfft``/``_irfft``, which call ``rfft``/``irfft`` on 1-D arrays
+  (same values, without ``rfftn``'s n-D argument handling) and
+  ``rfftn``/``irfftn`` otherwise.
 * ``Scheme.FD2`` -- second-order centered differences; periodic grids use
   wraparound, bounded 1-D grids use even-reflection ghost values
   (consistent with homogeneous Neumann data).
@@ -47,7 +51,15 @@ def _ik(grid: Grid) -> tuple[np.ndarray, ...]:
     return tuple(out)
 
 
-def _irfftn(fhat: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+def _rfft(values: np.ndarray) -> np.ndarray:
+    """The half spectrum of a grid array: ``rfft`` in 1-D, skipping ``rfftn``'s n-D set-up."""
+    return np.fft.rfft(values) if values.ndim == 1 else np.fft.rfftn(values)
+
+
+def _irfft(fhat: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """The grid array of a half spectrum, the inverse of :func:`_rfft`."""
+    if len(shape) == 1:
+        return np.fft.irfft(fhat, n=shape[0])
     return np.fft.irfftn(fhat, s=shape, axes=tuple(range(len(shape))))
 
 
@@ -67,14 +79,14 @@ def _derivs(values: np.ndarray, grid: Grid, d: Discretization) -> Components:
     """The gradient of one array.  Spectral: one forward transform, one inverse per axis."""
     if d.scheme is Scheme.SPECTRAL:
         d.require_compatible(grid)
-        fhat = np.fft.rfftn(values)
-        return tuple(_irfftn(ik * fhat, grid.shape) for ik in _ik(grid))
+        fhat = _rfft(values)
+        return tuple(_irfft(ik * fhat, grid.shape) for ik in _ik(grid))
     return tuple(_fd2_deriv(values, grid, axis) for axis in range(grid.dim))
 
 
 def _spectra(t: Components, grid: Grid, dealias: bool = False) -> list[np.ndarray]:
     """The half spectrum of each component; ``dealias`` zeroes every mode above n/3 on any axis."""
-    hats = [np.fft.rfftn(c) for c in t]
+    hats = [_rfft(c) for c in t]
     if not dealias:
         return hats
     keep = np.ones((), dtype=bool)
@@ -86,7 +98,7 @@ def _spectra(t: Components, grid: Grid, dealias: bool = False) -> list[np.ndarra
 def _div_spectra(hats: list[np.ndarray], grid: Grid, rows: int) -> Components:
     """Row-wise divergence from the half spectra of a stored tensor: one inverse per row."""
     ik = _ik(grid)
-    return tuple(_irfftn(sum(ik[j] * hats[i + j] for j in range(grid.dim)), grid.shape)
+    return tuple(_irfft(sum(ik[j] * hats[i + j] for j in range(grid.dim)), grid.shape)
                  for i in range(rows))
 
 
@@ -133,8 +145,8 @@ def laplacian(f: ScalarField, d: Discretization) -> ScalarField:
     grid = f.grid
     if d.scheme is Scheme.SPECTRAL:
         d.require_compatible(grid)
-        fhat = np.fft.rfftn(f.values)
-        return ScalarField(grid, _irfftn(sum(ik * ik for ik in _ik(grid)) * fhat, grid.shape))
+        fhat = _rfft(f.values)
+        return ScalarField(grid, _irfft(sum(ik * ik for ik in _ik(grid)) * fhat, grid.shape))
     total = np.zeros(grid.shape)
     v = f.values
     for axis in range(grid.dim):
@@ -159,4 +171,4 @@ def dealias_array(values: np.ndarray, grid: Grid) -> np.ndarray:
     """2/3-rule filter: zero every mode above n/3 on any axis."""
     if not grid.is_periodic:
         raise ConfigError("dealiasing is defined on periodic grids only")
-    return _irfftn(_spectra((values,), grid, dealias=True)[0], grid.shape)
+    return _irfft(_spectra((values,), grid, dealias=True)[0], grid.shape)

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .constitutive import (FluidParams, augmented_bulk_viscosity, capillarity,
-                           helmholtz_energy_drho)
+from .constitutive import (FluidParams, _capillarity, _Density, _density,
+                           _helmholtz_energy_drho, augmented_bulk_viscosity, capillarity)
 from .errors import DomainError
 from .fields import Components, ScalarField, SymTensorField, VectorField, _outer, _plus_diag, _sup
 from .grids import Discretization, Grid
@@ -77,11 +77,11 @@ def phase_stress(c: ScalarField, p: ScalarField, rho: ScalarField,
                                                 c.grid, params, d))
 
 
-def _korteweg(r: np.ndarray, gr: Components, grid: Grid, params: FluidParams,
+def _korteweg(dn: _Density, gr: Components, grid: Grid, params: FluidParams,
               d: Discretization) -> Components:
-    grad_rho_sq = sum(g * g for g in gr)
-    kap = capillarity(r, params)
-    psi_r = helmholtz_energy_drho(r, grad_rho_sq, params)
+    r = dn.rho
+    kap = _capillarity(dn, params)
+    psi_r = _helmholtz_energy_drho(dn, sum(g * g for g in gr), params)
     diag = -r * r * psi_r + r * _div(tuple(kap * g for g in gr), grid, d)
     return _plus_diag(tuple(-kap * o for o in _outer(gr, gr)), diag)
 
@@ -95,7 +95,8 @@ def korteweg_tensor(rho: ScalarField, params: FluidParams, d: Discretization) ->
     if np.any(rho.values <= 0.0):
         raise DomainError("Korteweg tensor needs positive density")
     r = rho.values
-    return SymTensorField(rho.grid, _korteweg(r, _derivs(r, rho.grid, d), rho.grid, params, d))
+    return SymTensorField(rho.grid, _korteweg(_density(r, params), _derivs(r, rho.grid, d),
+                                              rho.grid, params, d))
 
 
 def augmented_cauchy_stress(u: VectorField, rho: ScalarField,

@@ -56,14 +56,16 @@ def dt_candidates(state: MixtureState, params: FluidParams,
     grid = state.grid
     h_min = min(grid.h)
     r = state.rho.values
+    dn = law._density(r, params)   # a validated state: the laws run unchecked
     speed = np.sqrt(sum(c * c for c in _velocity(state)))
-    cs_sq = 2.0 * r * law.bulk_energy_drho(r, params) + r * r * law.bulk_energy_d2rho(r, params)
+    cs_sq = 2.0 * r * law._bulk_energy_drho(dn, params) \
+        + r * r * law._bulk_energy_d2rho(dn, params)
     cs = np.sqrt(max(float(np.max(cs_sq)), 1e-12))
     fastest = float(np.max(speed)) + cs
     adv = control.cfl_advective * h_min / fastest if fastest > 0.0 else np.inf
 
     rho_min = float(np.min(r))
-    lam_star_max = float(np.max(np.abs(law.augmented_bulk_viscosity(r, params))))
+    lam_star_max = float(np.max(np.abs(law._augmented_bulk_viscosity(dn, params))))
     visc_denom = 2.0 * params.shear_viscosity + lam_star_max
     visc = control.cfl_parabolic * h_min**2 * rho_min / visc_denom \
         if visc_denom > 1e-300 else np.inf

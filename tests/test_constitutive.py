@@ -142,6 +142,44 @@ def test_augmented_bulk_viscosity():
     assert np.all(law.augmented_bulk_viscosity(rho, p) > p.bulk_viscosity)
 
 
+DENSITY_LAWS = ("concentration", "concentration_drho", "phase_mass_density",
+                "phase_mass_density_drho", "bulk_energy", "bulk_energy_drho",
+                "bulk_energy_d2rho", "capillarity", "helmholtz_energy",
+                "helmholtz_energy_drho", "augmented_bulk_viscosity")
+
+
+def density_law(name, rho, p):
+    """The public law ``name`` at rho; the Helmholtz laws at |grad rho|^2 = 2."""
+    fn = getattr(law, name)
+    return fn(rho, 2.0, p) if name.startswith("helmholtz") else fn(rho, p)
+
+
+@pytest.mark.parametrize("rho", [0.0, -1.0, np.array([1.0, 0.0]), np.array([1.5, -2.0])],
+                         ids=["zero", "negative", "array-zero", "array-negative"])
+@pytest.mark.parametrize("name", DENSITY_LAWS)
+def test_public_density_laws_reject_nonpositive_density(name, rho):
+    with pytest.raises(DomainError):
+        density_law(name, rho, make_params())
+
+
+@pytest.mark.parametrize("convention", [Convention.CONSISTENT, Convention.LITERAL])
+@pytest.mark.parametrize("name", DENSITY_LAWS)
+def test_kernels_match_public_laws(name, convention):
+    # the hot path calls the unchecked kernels on one _Density per state;
+    # the public, checked laws are the reference
+    p = make_params(bulk_viscosity=0.1, well=DoubleWell(scale=0.7), convention=convention)
+    rho = np.linspace(0.3, 4.0, 257)
+    dn = law._density(rho, p)
+    if name == "concentration":
+        got = dn.c
+    else:
+        kernel = getattr(law, f"_{name}")
+        got = kernel(dn, 2.0, p) if name.startswith("helmholtz") else kernel(dn, p)
+    want = density_law(name, rho, p)
+    assert got.shape == rho.shape
+    assert np.array_equal(got, want)
+
+
 def test_derivatives_match_finite_differences():
     p = make_params()
     rho = np.linspace(0.7, 2.5, 200)

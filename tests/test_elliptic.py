@@ -7,7 +7,7 @@ import pytest
 
 from korteweg import (FD2, SPECTRAL, CompatibilityError, ConfigError, DomainError,
                       Grid, ScalarField)
-from korteweg.elliptic import (Mobility, apply_operator, invert_freespace_1d,
+from korteweg.elliptic import (Mobility, _inverse_symbol, apply_operator, invert_freespace_1d,
                                invert_neumann_1d, invert_periodic)
 from korteweg.initial import random_band_limited
 from korteweg.operators import mean
@@ -66,6 +66,26 @@ def test_invert_periodic_roundtrip_and_mean():
         assert abs(float(phi.values.mean())) < 1e-13
         back = apply_operator(gamma, phi, d)
         assert np.max(np.abs(back.values - (f.values - f.values.mean()))) < 1e-10
+
+
+@pytest.mark.parametrize("shape", [(32,), (16, 12)], ids=["1d", "2d"])
+@pytest.mark.parametrize("d", [SPECTRAL, FD2], ids=["spectral", "fd2"])
+def test_inverse_symbol_is_cached_and_zero_on_null_modes(shape, d):
+    # the Fourier solve multiplies by 1/symbol: one read-only array per (grid, scheme)
+    grid = Grid.periodic(shape)
+    inv = _inverse_symbol(grid, d.scheme)
+    assert _inverse_symbol(Grid.periodic(shape), d.scheme) is inv
+    assert not inv.flags.writeable
+    assert inv.flat[0] == 0.0   # the mean mode
+    # the operator's symbol, read off the solve's images of single modes
+    x = grid.coords()[-1]
+    for k in range(1, shape[-1] // 2):
+        f = ScalarField(grid, np.cos(k * x))
+        sym = apply_operator(Mobility.constant(1.0), f, d).values[(0,) * grid.dim]
+        assert abs(inv.reshape(-1, inv.shape[-1])[0, k] * sym - 1.0) < 1e-12
+    # the first derivatives zero the Nyquist mode, so the symbol vanishes there
+    # when every other axis sits at its mean mode; so does the inverse
+    assert inv[(0,) * (grid.dim - 1) + (shape[-1] // 2,)] == 0.0
 
 
 def test_invert_periodic_compatibility_guard():

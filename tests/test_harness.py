@@ -57,6 +57,23 @@ def test_config_validation_happens_before_compute(tmp_path):
     assert main(["run", str(missing)]) == 2
 
 
+@pytest.mark.parametrize("section, entry, options", [
+    ("params", "convention", "'consistent', 'literal'"),
+    ("initial", "family", "'constant', 'sine_density', 'tanh_interface', 'random_band'"),
+    ("mobility", "kind", "'constant', 'cosine'"),
+    ("grid", "boundary", "'periodic', 'bounded_neumann_1d'"),
+    (None, "scheme", "'spectral', 'fd2'"),
+    (None, "model", "'nsk1', 'nsk2'"),
+])
+def test_invalid_choice_names_its_entry(section, entry, options):
+    doc = json.loads(json.dumps(BASE_CONFIG))
+    (doc[section] if section else doc)[entry] = "bogus"
+    name = f"{section}.{entry}" if section else entry
+    with pytest.raises(ConfigError) as err:
+        config_from_dict(doc)
+    assert str(err.value) == f"{name} must be one of {options}, got 'bogus'"
+
+
 NEUMANN_CONFIG = Path(__file__).resolve().parents[1] / "demos" / "configs" / "nsk2_neumann.json"
 NAN, INF = float("nan"), float("inf")
 

@@ -299,28 +299,34 @@ FFT_NAMES = ("fft", "ifft", "fftn", "ifftn", "fft2", "ifft2",
              "rfft", "irfft", "rfftn", "irfftn", "rfft2", "irfft2")
 
 
-@pytest.mark.parametrize("grid, dealias, nsk1, nsk2", [
-    (Grid.periodic(64), False, 10, 12), (Grid.periodic((32, 32)), False, 20, 22),
-    (Grid.periodic(64), True, 11, 13), (Grid.periodic((32, 32)), True, 23, 25),
+@pytest.mark.parametrize("grid, dealias, nsk1, nsk2, names", [
+    (Grid.periodic(64), False, 10, 12, ("rfft", "irfft")),
+    (Grid.periodic((32, 32)), False, 20, 22, ("rfftn", "irfftn")),
+    (Grid.periodic(64), True, 11, 13, ("rfft", "irfft")),
+    (Grid.periodic((32, 32)), True, 23, 25, ("rfftn", "irfftn")),
 ], ids=["1d", "2d", "1d-dealias", "2d-dealias"])
-def test_rhs_transform_counts(grid, dealias, nsk1, nsk2, params, monkeypatch):
+def test_rhs_transform_counts(grid, dealias, nsk1, nsk2, names, params, monkeypatch):
     # rho, m and u are transformed once each, every divergence is summed in
     # Fourier space before one inverse, and every transform is real; the
-    # 2/3 rule masks those spectra and adds one transform per m (x) u component
+    # 2/3 rule masks those spectra and adds one transform per m (x) u component.
+    # 1-D transforms go through rfft/irfft, skipping rfftn/irfftn's n-D set-up.
     calls = {}
     for name in FFT_NAMES:
         counting(monkeypatch, np.fft, name, calls)
     state = wavy_state(grid)
 
-    def counts(rhs, *args):
+    def counts(fn, *args):
+        """(calls of ``names``, calls of every other transform) made by fn(*args)."""
         calls.update(dict.fromkeys(FFT_NAMES, 0))
-        rhs(state, params, *args)
-        real = sum(n for name, n in calls.items() if name.startswith(("rfft", "irfft")))
-        return real, sum(calls.values()) - real
+        fn(*args)
+        named = sum(calls[name] for name in names)
+        return named, sum(calls.values()) - named
 
     d = Discretization(Scheme.SPECTRAL, dealias=dealias)
-    assert counts(rhs_nsk1, d) == (nsk1, 0)
-    assert counts(rhs_nsk2, Mobility.constant(1.0), d) == (nsk2, 0)
+    gamma = Mobility.constant(1.0)
+    assert counts(rhs_nsk1, state, params, d) == (nsk1, 0)
+    assert counts(rhs_nsk2, state, params, gamma, d) == (nsk2, 0)
+    assert counts(invert_periodic, gamma, div(state.velocity(), d), d) == (2, 0)
 
 
 def composed_rhs(state, params, kind, gamma, d):
