@@ -182,12 +182,13 @@ def _reduced_stress(r: np.ndarray, gu: tuple[Components, ...], grid: Grid, param
     ``r`` is a validated state's density, so the laws run unchecked on one _Density.
     """
     dn = _density(r, params)
+    korteweg = _korteweg(dn, _derivs(r, grid, d), grid, params, d)
     if nonlocal_term is None:
         bulk = _viscous_stress(gu, _augmented_bulk_viscosity(dn, params), params)
     else:
         bulk = _viscous_stress(gu, params.bulk_viscosity, params,
                                params.temperature / params.delta_tau**2 * nonlocal_term)
-    return tuple(a + b for a, b in zip(bulk, _korteweg(dn, _derivs(r, grid, d), grid, params, d)))
+    return tuple(a + b for a, b in zip(bulk, korteweg))
 
 
 def _rhs(state: MixtureState, params: FluidParams, kind: ModelKind,

@@ -10,6 +10,8 @@ The kernels ``_strain``, ``_viscous_stress``, ``_phase_stress`` and
 ``_korteweg`` take arrays (grad u and grad rho rather than u and rho) and
 return arrays, tensors as component tuples in the storage order of
 :mod:`korteweg.fields`; each public function wraps one in a validated field.
+``_korteweg`` takes the density as a constitutive ``_Density`` and calls the
+unchecked law kernels on it; its callers have checked rho > 0.
 """
 
 from __future__ import annotations
