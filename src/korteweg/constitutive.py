@@ -184,6 +184,15 @@ def _bulk_energy_d2rho(dn: _Density, params: FluidParams):
                                  + params.well.derivative(dn.c) * d2c)
 
 
+def _sound_speed_sq(dn: _Density, params: FluidParams):
+    """d(rho^2 R')/drho = 2 rho R' + rho^2 R'' in closed form, theta W''(c) v^2 / delta_tau^2.
+
+    The two W'(c) terms cancel exactly, since c'' = -2 v c' for c' = -v^2 / delta_tau.
+    """
+    return params.temperature / params.delta_tau**2 * params.well.second_derivative(dn.c) \
+        * (dn.v * dn.v)
+
+
 def _capillarity(dn: _Density, params: FluidParams):
     return params.delta_star * dn.v * dn.v * dn.v
 

@@ -112,8 +112,11 @@ def write_scalar_csv(field: ScalarField, path, config_hash: str | None = None) -
             fh.write(f"# config {config_hash}\n")
         cols = ["x", "y"][: grid.dim] + ["value"]
         fh.write(",".join(cols) + "\n")
-        np.savetxt(fh, np.column_stack([c.ravel() for c in (*coords, field.values)]),
-                   fmt="%.17g", delimiter=",")
+        # one % format for the whole table: the bytes of np.savetxt(fmt="%.17g",
+        # delimiter=","), without its Python loop over rows
+        table = np.column_stack([c.ravel() for c in (*coords, field.values)])
+        rows, cols = table.shape
+        fh.write((",".join(["%.17g"] * cols) + "\n") * rows % tuple(table.ravel().tolist()))
 
 
 def read_scalar_csv(path) -> tuple[dict, np.ndarray]:

@@ -16,6 +16,18 @@ NSK1 augmented viscosity or the NSK2 non-local term, plus the Korteweg
 tensor.  Per evaluation grad u is taken and the non-local term solved once;
 between the validated inputs and returned fields everything runs on arrays.
 
+Both reduced systems are conservation laws for (rho, m): the right-hand
+side is the divergence of the flux [m; Sigma - m (x) u].  It is built in
+three dependency levels: (1) grad rho and grad u, (2) div(kappa grad rho)
+inside the Korteweg tensor, next to the NSK2 solve on div u, and (3) the
+divergence of the flux.  On a 1-D spectral grid levels 1 and 3 each make
+one stacked forward and one stacked inverse transform
+(:func:`korteweg.operators._grads`, :func:`korteweg.operators._conservation_rates`):
+10/12 real transforms per NSK1/NSK2 evaluation in 6/8 numpy calls.  In 2-D
+every array is transformed on its own (20/22 transforms and calls), in the
+order of the per-array code: grad u, the solve, then grad rho inside
+``_reduced_stress``; other orders measured more page faults there.
+
 The full systems are never time-stepped: the closure makes them
 differential-algebraic, so they are only ever checked residually.
 """
@@ -33,7 +45,7 @@ from .elliptic import Mobility, _matvec, invert_for_model
 from .errors import ConfigError, StateError
 from .fields import Components, ScalarField, VectorField, _outer, _sup
 from .grids import Discretization, Grid, Scheme
-from .operators import _derivs, _div, _div_spectra, _div_tensor, _spectra
+from .operators import _conservation_rates, _derivs, _div, _div_tensor, _grads, _stacks
 from .tensors import _div_of, _korteweg, _phase_stress, _velocity_gradient, _viscous_stress
 
 RHO_FLOOR = 1e-8
@@ -175,14 +187,17 @@ def reconstruct_fields(state: MixtureState, params: FluidParams, kind: ModelKind
     return ReconstructedFields(c, p, **{"q" if kind is ModelKind.NSK1 else "mu_chem": rate})
 
 
-def _reduced_stress(r: np.ndarray, gu: tuple[Components, ...], grid: Grid, params: FluidParams,
-                    d: Discretization, nonlocal_term: np.ndarray | None) -> Components:
-    """The reduced stress of either model from grad u: viscous or non-local part plus Korteweg.
+def _reduced_stress(r: np.ndarray, gr: Components | None, gu: tuple[Components, ...],
+                    grid: Grid, params: FluidParams, d: Discretization,
+                    nonlocal_term: np.ndarray | None) -> Components:
+    """The reduced stress of either model: viscous or non-local part plus Korteweg.
 
-    ``r`` is a validated state's density, so the laws run unchecked on one _Density.
+    ``gr`` is grad rho, or None to take it here, after the density; ``gu`` is
+    grad u.  ``r`` is a validated state's density, so the laws run unchecked
+    on one _Density.
     """
     dn = _density(r, params)
-    korteweg = _korteweg(dn, _derivs(r, grid, d), grid, params, d)
+    korteweg = _korteweg(dn, _derivs(r, grid, d) if gr is None else gr, grid, params, d)
     if nonlocal_term is None:
         bulk = _viscous_stress(gu, _augmented_bulk_viscosity(dn, params), params)
     else:
@@ -193,19 +208,17 @@ def _reduced_stress(r: np.ndarray, gu: tuple[Components, ...], grid: Grid, param
 
 def _rhs(state: MixtureState, params: FluidParams, kind: ModelKind,
          gamma: Mobility | None, d: Discretization) -> tuple[ScalarField, VectorField]:
-    """(-div m, div(Sigma - m (x) u)): each field differentiated once, one divergence each."""
+    """(-div m, div(Sigma - m (x) u)) in the three dependency levels of the module notes."""
     grid = state.grid
-    m, u = state.m.components, _velocity(state)
-    gu = _velocity_gradient(u, grid, d)
-    stress = _reduced_stress(state.rho.values, gu, grid, params, d,
+    r, m, u = state.rho.values, state.m.components, _velocity(state)
+    if _stacks(grid, d):   # level 1 as one stacked pair
+        grads = _grads((*u, r), grid, d)
+        gu, gr = grads[:-1], grads[-1]
+    else:                  # grad rho after the solve, inside _reduced_stress
+        gu, gr = _grads(u, grid, d), None
+    stress = _reduced_stress(r, gr, gu, grid, params, d,
                              _nonlocal_term(_div_of(gu), grid, kind, gamma, d))
-    mom_flux = _outer(m, u)
-    if d.dealias:   # the 2/3 rule on m and m (x) u, in the spectra the divergences take
-        flux_hat = [s - a for s, a in zip(_spectra(stress, grid), _spectra(mom_flux, grid, True))]
-        return (ScalarField(grid, -_div_spectra(_spectra(m, grid, True), grid, 1)[0]),
-                VectorField(grid, _div_spectra(flux_hat, grid, grid.dim)))
-    flux = tuple(s - a for s, a in zip(stress, mom_flux))
-    return ScalarField(grid, -_div(m, grid, d)), VectorField(grid, _div_tensor(flux, grid, d))
+    return _conservation_rates(m, stress, _outer(m, u), grid, d)
 
 
 def rhs_nsk1(state: MixtureState, params: FluidParams,
@@ -243,7 +256,7 @@ def _full_model_gap(state: MixtureState, gu: tuple[Components, ...], params: Flu
     full = tuple(a + b for a, b in zip(_viscous_stress(gu, params.bulk_viscosity, params),
                                        _phase_stress(c, p, r, grid, params, d)))
     lhs = _div_tensor(full, grid, d)
-    rhs = _div_tensor(_reduced_stress(r, gu, grid, params, d, nonlocal_term), grid, d)
+    rhs = _div_tensor(_reduced_stress(r, None, gu, grid, params, d, nonlocal_term), grid, d)
     return tuple(a - b for a, b in zip(lhs, rhs))
 
 

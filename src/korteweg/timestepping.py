@@ -58,9 +58,7 @@ def dt_candidates(state: MixtureState, params: FluidParams,
     r = state.rho.values
     dn = law._density(r, params)   # a validated state: the laws run unchecked
     speed = np.sqrt(sum(c * c for c in _velocity(state)))
-    cs_sq = 2.0 * r * law._bulk_energy_drho(dn, params) \
-        + r * r * law._bulk_energy_d2rho(dn, params)
-    cs = np.sqrt(max(float(np.max(cs_sq)), 1e-12))
+    cs = np.sqrt(max(float(np.max(law._sound_speed_sq(dn, params))), 1e-12))
     fastest = float(np.max(speed)) + cs
     adv = control.cfl_advective * h_min / fastest if fastest > 0.0 else np.inf
 

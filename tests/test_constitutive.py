@@ -178,6 +178,17 @@ def test_kernels_match_public_laws(name, convention):
     assert np.array_equal(got, density_law(name, rho, p))
 
 
+@pytest.mark.parametrize("convention", [Convention.CONSISTENT, Convention.LITERAL])
+def test_sound_speed_closed_form_matches_pressure_derivative(convention):
+    # the step bound's sound speed: d(rho^2 R')/drho = 2 rho R' + rho^2 R'', whose
+    # W'(c) terms cancel; the kernel evaluates the closed form theta W'' v^2 / delta_tau^2
+    p = make_params(well=DoubleWell(scale=0.7), convention=convention)
+    rho = np.linspace(0.3, 4.0, 257)
+    expanded = 2.0 * rho * law.bulk_energy_drho(rho, p) + rho * rho * law.bulk_energy_d2rho(rho, p)
+    closed = law._sound_speed_sq(law._density(rho, p), p)
+    assert np.max(np.abs(closed - expanded)) <= 1e-14 * np.max(np.abs(expanded))
+
+
 def test_derivatives_match_finite_differences():
     p = make_params()
     rho = np.linspace(0.7, 2.5, 200)

@@ -12,13 +12,16 @@ from korteweg import (FD2, SPECTRAL, ConfigError, Discretization, FluidParams, G
                       MixtureState, Mobility, ModelKind, ScalarField, Scheme, StateError,
                       SymTensorField, VectorField, augmented_cauchy_stress, div_tensor,
                       invert_periodic, korteweg_tensor, nonlocal_cauchy_stress)
-from korteweg.fields import sup_norm
+from korteweg.elliptic import invert_for_model
+from korteweg.fields import _outer, sup_norm
 from korteweg.initial import random_band_limited
 from korteweg.manufactured import SymbolicState, exact_pressure, exact_rhs
-from korteweg.models import (momentum_equivalence_gap, reconstruct_fields,
+from korteweg.models import (_reduced_stress, momentum_equivalence_gap, reconstruct_fields,
                              reconstruct_pressure_nsac, reconstruct_pressure_nsch,
                              residual_nsac, residual_nsch, rhs_nsk1, rhs_nsk2)
-from korteweg.operators import dealias_array, div, mean
+from korteweg.operators import (_conservation_rates, _derivs, _div, _div_spectra, _div_tensor,
+                                _grads, _spectra, dealias_array, div, mean)
+from korteweg.tensors import _div_of
 from korteweg.timestepping import make_rhs
 
 
@@ -299,34 +302,91 @@ FFT_NAMES = ("fft", "ifft", "fftn", "ifftn", "fft2", "ifft2",
              "rfft", "irfft", "rfftn", "irfftn", "rfft2", "irfft2")
 
 
-@pytest.mark.parametrize("grid, dealias, nsk1, nsk2, names", [
-    (Grid.periodic(64), False, 10, 12, ("rfft", "irfft")),
-    (Grid.periodic((32, 32)), False, 20, 22, ("rfftn", "irfftn")),
-    (Grid.periodic(64), True, 11, 13, ("rfft", "irfft")),
-    (Grid.periodic((32, 32)), True, 23, 25, ("rfftn", "irfftn")),
+@pytest.mark.parametrize("grid, dealias, transforms, calls, names", [
+    (Grid.periodic(64), False, (10, 12), (6, 8), ("rfft", "irfft")),
+    (Grid.periodic((32, 32)), False, (20, 22), (20, 22), ("rfftn", "irfftn")),
+    (Grid.periodic(64), True, (11, 13), (6, 8), ("rfft", "irfft")),
+    (Grid.periodic((32, 32)), True, (23, 25), (23, 25), ("rfftn", "irfftn")),
 ], ids=["1d", "2d", "1d-dealias", "2d-dealias"])
-def test_rhs_transform_counts(grid, dealias, nsk1, nsk2, names, params, monkeypatch):
+def test_rhs_transform_counts(grid, dealias, transforms, calls, names, params, monkeypatch):
     # rho, m and u are transformed once each, every divergence is summed in
     # Fourier space before one inverse, and every transform is real; the
     # 2/3 rule masks those spectra and adds one transform per m (x) u component.
-    # 1-D transforms go through rfft/irfft, skipping rfftn/irfftn's n-D set-up.
-    calls = {}
+    # In 1-D each dependency level stacks its rows into one rfft and one irfft
+    # call, and a stacked call counts one transform per row; 2-D never stacks.
+    made = []   # (name, transforms) per call
+
+    def tracking(name, original):
+        def wrapper(a, *args, **kwargs):
+            made.append((name, int(np.prod(np.shape(a)[:np.ndim(a) - grid.dim]))))
+            return original(a, *args, **kwargs)
+        return wrapper
+
     for name in FFT_NAMES:
-        counting(monkeypatch, np.fft, name, calls)
+        monkeypatch.setattr(np.fft, name, tracking(name, getattr(np.fft, name)))
     state = wavy_state(grid)
 
     def counts(fn, *args):
-        """(calls of ``names``, calls of every other transform) made by fn(*args)."""
-        calls.update(dict.fromkeys(FFT_NAMES, 0))
+        """(transforms of ``names``, calls of ``names``, calls of any other transform)."""
+        made.clear()
         fn(*args)
-        named = sum(calls[name] for name in names)
-        return named, sum(calls.values()) - named
+        named = [rows for name, rows in made if name in names]
+        return sum(named), len(named), len(made) - len(named)
 
     d = Discretization(Scheme.SPECTRAL, dealias=dealias)
     gamma = Mobility.constant(1.0)
-    assert counts(rhs_nsk1, state, params, d) == (nsk1, 0)
-    assert counts(rhs_nsk2, state, params, gamma, d) == (nsk2, 0)
-    assert counts(invert_periodic, gamma, div(state.velocity(), d), d) == (2, 0)
+    assert counts(rhs_nsk1, state, params, d) == (transforms[0], calls[0], 0)
+    assert counts(rhs_nsk2, state, params, gamma, d) == (transforms[1], calls[1], 0)
+    assert counts(invert_periodic, gamma, div(state.velocity(), d), d) == (2, 2, 0)
+
+
+def per_array_rhs(state, params, kind, gamma, d):
+    """The right-hand side with one transform per array: every gradient through
+    _derivs, every divergence through _div/_div_tensor (or their spectra when dealiased)."""
+    grid = state.grid
+    r, m = state.rho.values, state.m.components
+    u = tuple(c / r for c in m)
+    gu = tuple(_derivs(c, grid, d) for c in u)
+    nonlocal_term = None if kind is ModelKind.NSK1 else \
+        invert_for_model(gamma, ScalarField(grid, _div_of(gu)), d).values
+    stress = _reduced_stress(r, _derivs(r, grid, d), gu, grid, params, d, nonlocal_term)
+    mom = _outer(m, u)
+    if d.dealias:
+        flux_hat = [s - a for s, a in zip(_spectra(stress, grid), _spectra(mom, grid, True))]
+        return (-_div_spectra(_spectra(m, grid, True), grid, 1)[0],
+                _div_spectra(flux_hat, grid, grid.dim))
+    flux = tuple(s - a for s, a in zip(stress, mom))
+    return -_div(m, grid, d), _div_tensor(flux, grid, d)
+
+
+@pytest.mark.parametrize("dealias", [False, True], ids=["plain", "dealias"])
+@pytest.mark.parametrize("n", [64, 63, 256])
+def test_stacked_kernels_equal_per_array_kernels(n, dealias, params):
+    # the stacked 1-D calls transform each row exactly as a call of its own does
+    grid = Grid.periodic(n)
+    d = Discretization(Scheme.SPECTRAL, dealias=dealias)
+    rng = np.random.default_rng(n)
+    a, b, c = (random_band_limited(grid, rng, kmax=n // 3) for _ in range(3))
+    assert all(np.array_equal(g[0], ref[0]) for g, ref in
+               zip(_grads((a, b, c), grid, d), (_derivs(x, grid, d) for x in (a, b, c))))
+    rate_mass, rate_flux = _conservation_rates((a,), (b,), (c,), grid, d)
+    if dealias:
+        ref_mass = _div_spectra(_spectra((a,), grid, True), grid, 1)[0]
+        ref_flux = _div_spectra([s - t for s, t in zip(_spectra((b,), grid),
+                                                        _spectra((c,), grid, True))], grid, 1)
+    else:
+        ref_mass, ref_flux = _div((a,), grid, d), _div_tensor((b - c,), grid, d)
+    assert np.array_equal(rate_mass.values, -ref_mass)
+    assert np.array_equal(rate_flux.components[0], ref_flux[0])
+    state = MixtureState.from_primitive(ScalarField(grid, 1.4 + 0.1 * a),
+                                        VectorField(grid, (0.1 * b,)))
+    x = grid.coords()[0]
+    for kind, gamma in ((ModelKind.NSK1, None), (ModelKind.NSK2, Mobility.constant(1.0)),
+                        (ModelKind.NSK2, Mobility.spatial(2.0 + np.cos(x)))):
+        drho, dm = make_rhs(params, kind, gamma, d)(state)
+        ref_rho, ref_m = per_array_rhs(state, params, kind, gamma, d)
+        assert np.array_equal(drho.values, ref_rho)
+        assert np.array_equal(dm.components[0], ref_m[0])
 
 
 def composed_rhs(state, params, kind, gamma, d):

@@ -8,7 +8,7 @@ from korteweg import (FD2, SPECTRAL, BoundaryKind, ConfigError, Discretization,
                       VectorField, div, div_tensor, grad, laplacian, mean)
 from korteweg.fields import read_scalar_csv, sup_norm, write_scalar_csv
 from korteweg.initial import random_band_limited
-from korteweg.operators import dealias_array
+from korteweg.operators import _dealias_mask, dealias_array
 
 
 def test_grid_validation():
@@ -261,6 +261,34 @@ def test_scalar_csv_rows_match_per_value_formatting(tmp_path, grid):
     columns = [c.ravel() for c in (*grid.coords(), values)]
     expected = [",".join(f"{c[i]:.17g}" for c in columns) for i in range(values.size)]
     assert path.read_text().splitlines()[2:] == expected
+
+
+@pytest.mark.parametrize("grid", [Grid.periodic(64), Grid.periodic((11, 9))], ids=["1d", "2d"])
+def test_scalar_csv_rows_are_savetxt_bytes(tmp_path, grid):
+    # the whole table is one % format; its bytes are np.savetxt's
+    rng = np.random.default_rng(8)
+    f = ScalarField(grid, rng.normal(size=grid.shape))
+    path = tmp_path / "field.csv"
+    write_scalar_csv(f, path)
+    table = np.column_stack([c.ravel() for c in (*grid.coords(), f.values)])
+    with open(tmp_path / "savetxt.csv", "w") as fh:
+        np.savetxt(fh, table, fmt="%.17g", delimiter=",")
+    rows = path.read_bytes().split(b"\n", 2)[2]
+    assert rows == (tmp_path / "savetxt.csv").read_bytes()
+    _, values = read_scalar_csv(path)
+    assert np.array_equal(values, f.values.ravel())
+
+
+@pytest.mark.parametrize("shape", [(64,), (63,), (12, 9)], ids=["64", "63", "12x9"])
+def test_dealias_mask_is_cached_and_read_only(shape):
+    mask = _dealias_mask(Grid.periodic(shape))
+    assert _dealias_mask(Grid.periodic(shape)) is mask
+    assert not mask.flags.writeable
+    # the last axis keeps the modes 0 .. n/3 of its half spectrum
+    n = shape[-1]
+    assert mask.shape[-1] == n // 2 + 1
+    first_row = mask.reshape(-1, n // 2 + 1)[0]
+    assert list(np.flatnonzero(~first_row)) == list(range(n // 3 + 1, n // 2 + 1))
 
 
 def test_discretization_enum_roundtrip():
