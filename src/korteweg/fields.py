@@ -115,8 +115,8 @@ def write_scalar_csv(field: ScalarField, path, config_hash: str | None = None) -
         # one % format for the whole table: the bytes of np.savetxt(fmt="%.17g",
         # delimiter=","), without its Python loop over rows
         table = np.column_stack([c.ravel() for c in (*coords, field.values)])
-        rows, cols = table.shape
-        fh.write((",".join(["%.17g"] * cols) + "\n") * rows % tuple(table.ravel().tolist()))
+        row = ",".join(["%.17g"] * len(cols)) + "\n"
+        fh.write(row * len(table) % tuple(table.ravel().tolist()))
 
 
 def read_scalar_csv(path) -> tuple[dict, np.ndarray]:
