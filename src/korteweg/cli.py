@@ -98,7 +98,10 @@ def main(argv=None) -> int:
 
         if args.command == "convergence":
             cfg = load_config(args.config, out_dir=args.out, seed=args.seed)
-            resolutions = [int(v) for v in args.n.split(",") if v]
+            try:
+                resolutions = [int(v) for v in args.n.split(",") if v]
+            except ValueError:
+                raise ConfigError(f"--n needs comma-separated integers, got {args.n!r}") from None
             table = convergence_csv(convergence_table(cfg.params, cfg.model, cfg.disc,
                                                       resolutions))
             print(table, end="")

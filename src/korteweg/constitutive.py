@@ -271,8 +271,8 @@ def admissible_density_window(params: FluidParams, margin: float = 0.5) -> tuple
     return lo * (1.0 - margin), hi * (1.0 + margin)
 
 
-def warn_outside_window(rho, params: FluidParams, margin: float = 0.5, context: str = "") -> bool:
-    lo, hi = admissible_density_window(params, margin)
+def warn_outside_window(rho, params: FluidParams, context: str = "") -> bool:
+    lo, hi = admissible_density_window(params)
     rmin, rmax = float(np.min(rho)), float(np.max(rho))
     if rmin < lo or rmax > hi:
         log.warning("density range [%.6g, %.6g] leaves admissible window [%.6g, %.6g]%s",

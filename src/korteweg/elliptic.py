@@ -29,12 +29,13 @@ import numpy as np
 from .errors import CompatibilityError, ConfigError, DomainError, SolverError
 from .fields import ScalarField
 from .grids import FD2, Discretization, Grid, Scheme
-from .operators import _derivs, _div, _ik, _irfft, _rfft
+from .operators import _derivs, _div, _ik, _irfft, _neighbours, _rfft
 
 log = logging.getLogger(__name__)
 
 COMPAT_RTOL = 1e-10
 SOLVE_RTOL = 1e-10
+SUPPORT_RTOL = 1e-10   # free-space data must fall below this fraction of max|f| at the edges
 
 
 @dataclass(frozen=True)
@@ -105,7 +106,10 @@ def apply_operator(gamma: Mobility, phi: ScalarField, d: Discretization) -> Scal
 
 
 def _matvec(gamma_vals: np.ndarray, grid: Grid, d: Discretization):
-    """-div(gamma grad .) as an array->array map on either boundary kind."""
+    """-div(gamma grad .) as an array->array map on either boundary kind.
+
+    Bounded: face fluxes to the FD2 ghost-rule neighbours, zero at both walls.
+    """
     if grid.is_periodic:
         def periodic(phi: np.ndarray) -> np.ndarray:
             g = _derivs(phi, grid, d)
@@ -113,15 +117,12 @@ def _matvec(gamma_vals: np.ndarray, grid: Grid, d: Discretization):
 
         return periodic
     h = grid.h[0]
-    gface = 0.5 * (gamma_vals[1:] + gamma_vals[:-1])
+    gprev, g, gnext = _neighbours(gamma_vals, grid, 0)
+    gleft, gright = 0.5 * (gprev + g), 0.5 * (g + gnext)
 
     def neumann(phi: np.ndarray) -> np.ndarray:
-        flux = gface * (phi[1:] - phi[:-1]) / h
-        out = np.empty_like(phi)
-        out[0] = flux[0] / h
-        out[1:-1] = (flux[1:] - flux[:-1]) / h
-        out[-1] = -flux[-1] / h
-        return -out
+        prev, this, nxt = _neighbours(phi, grid, 0)
+        return -(gright * (nxt - this) / h - gleft * (this - prev) / h) / h
 
     return neumann
 
@@ -225,8 +226,7 @@ def invert_neumann_1d(gamma: Mobility, f: ScalarField,
     return ScalarField(grid, phi - phi.mean())
 
 
-def invert_freespace_1d(gamma: Mobility, f: ScalarField,
-                        support_rtol: float = 1e-10) -> ScalarField:
+def invert_freespace_1d(gamma: Mobility, f: ScalarField) -> ScalarField:
     """Kernel-convolution inverse on a 1-D window for compactly supported f.
 
     phi(x) = -(1/gamma) * integral |x - y|/2 f(y) dy  (trapezoid rule),
@@ -244,7 +244,7 @@ def invert_freespace_1d(gamma: Mobility, f: ScalarField,
     scale = float(np.max(np.abs(fv)))
     edge = max(2, grid.n[0] // 20)
     if scale > 0.0 and float(np.max(np.abs(fv[:edge])) + np.max(np.abs(fv[-edge:]))) \
-            > support_rtol * scale:
+            > SUPPORT_RTOL * scale:
         raise DomainError("free-space data must be supported away from the window edges")
     fv = _check_compatible(f, False, "free-space solve")
     x = grid.axis_coords(0)

@@ -15,7 +15,7 @@ import inspect
 import json
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
@@ -26,7 +26,7 @@ from .elliptic import Mobility
 from .errors import ConfigError, StateError
 from .fields import write_scalar_csv, ScalarField
 from .grids import BoundaryKind, Discretization, Grid, Scheme
-from .initial import ICFamily, InitialCondition
+from .initial import InitialCondition
 from .models import MixtureState, ModelKind
 from .timestepping import StepControl, integrate, step_metrics
 
@@ -83,10 +83,7 @@ class RunConfig:
         return self.mobility.build(self.grid)
 
     def build_initial_state(self) -> MixtureState:
-        ic = self.initial
-        if ic.family is ICFamily.RANDOM_BAND and ic.seed != self.seed:
-            ic = replace(ic, seed=self.seed)  # the run seed drives the rng
-        return ic.build(self.grid, self.params)
+        return self.initial.build(self.grid, self.params, self.seed)
 
     def to_dict(self) -> dict:
         """The config document, every entry written; it reads back to this config."""

@@ -51,9 +51,9 @@ class InitialCondition:
     velocity_amplitude: float = 0.0
     velocity_mode: int = 1
     kmax: int = 4
-    seed: int = 0
 
-    def build(self, grid: Grid, params: FluidParams) -> MixtureState:
+    def build(self, grid: Grid, params: FluidParams, seed: int = 0) -> MixtureState:
+        """The state on ``grid``; ``seed`` drives the random_band family's rng."""
         xs = grid.coords()
         if self.family is ICFamily.CONSTANT:
             rho = np.full(grid.shape, self.rho0)
@@ -65,7 +65,7 @@ class InitialCondition:
             rho = tanh_interface(grid, xs, params, self.interface_sharpness)
             u = _velocity(grid, xs, self.velocity_amplitude, self.velocity_mode)
         elif self.family is ICFamily.RANDOM_BAND:
-            rng = np.random.default_rng(self.seed)
+            rng = np.random.default_rng(seed)
             rho = self.rho0 * (1.0 + self.amplitude
                                * random_band_limited(grid, rng, self.kmax))
             u = [self.velocity_amplitude * random_band_limited(grid, rng, self.kmax)
@@ -115,9 +115,8 @@ def tanh_interface(grid: Grid, xs, params: FluidParams, sharpness: float) -> np.
     return mid + half * np.tanh(sharpness * carrier) / np.tanh(sharpness)
 
 
-def random_band_limited(grid: Grid, rng: np.random.Generator, kmax: int = 4,
-                        normalize: bool = True) -> np.ndarray:
-    """Zero-mean random field with spectrum confined to |k| <= kmax.
+def random_band_limited(grid: Grid, rng: np.random.Generator, kmax: int = 4) -> np.ndarray:
+    """Zero-mean random field with spectrum confined to |k| <= kmax, peak 1.
 
     Periodic grids use random Fourier modes; bounded grids use a cosine
     series (wall-even), so the field is always smooth for the grid's
@@ -141,7 +140,7 @@ def random_band_limited(grid: Grid, rng: np.random.Generator, kmax: int = 4,
             out += rng.normal() * np.cos(np.pi * k * x / grid.length[0])
         out -= out.mean()
     peak = np.max(np.abs(out))
-    if normalize and peak > 0.0:
+    if peak > 0.0:
         out = out / peak
     return out
 
@@ -157,9 +156,9 @@ class CorpusState:
     mobility_fn: Callable[[Grid], Mobility] | None = None
     dim: int = 1
 
-    def grid(self, n: int, length: float = 2.0 * np.pi) -> Grid:
+    def grid(self, n: int) -> Grid:
         if self.boundary is BoundaryKind.PERIODIC:
-            return Grid.periodic((n,) * self.dim, (length,) * self.dim)
+            return Grid.periodic((n,) * self.dim, (2.0 * np.pi,) * self.dim)
         return Grid.bounded_neumann_1d(n, 1.0)
 
     def on_grid(self, grid: Grid) -> MixtureState:
@@ -168,8 +167,8 @@ class CorpusState:
         u = VectorField(grid, tuple(fn(*xs) for fn in self.u_fns))
         return MixtureState.from_primitive(rho, u)
 
-    def state(self, n: int, length: float = 2.0 * np.pi) -> MixtureState:
-        return self.on_grid(self.grid(n, length))
+    def state(self, n: int) -> MixtureState:
+        return self.on_grid(self.grid(n))
 
     def mobility_on(self, grid: Grid) -> Mobility:
         if self.mobility_fn is None:
@@ -236,7 +235,7 @@ def default_corpus(params: FluidParams) -> list[CorpusState]:
     return states
 
 
-def neumann_mobility(grid: Grid, base: float = 2.0, amplitude: float = 1.0) -> Mobility:
-    """Wall-even positive mobility profile for the bounded corpus case."""
+def neumann_mobility(grid: Grid) -> Mobility:
+    """Wall-even positive mobility profile for the bounded corpus case: 2 + cos(pi x / L)."""
     x = grid.coords()[0]
-    return Mobility.spatial(base + amplitude * np.cos(np.pi * x / grid.length[0]))
+    return Mobility.spatial(2.0 + np.cos(np.pi * x / grid.length[0]))

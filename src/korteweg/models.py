@@ -13,20 +13,18 @@ concentration to the density.  This module provides
 ``_reduced_stress`` is the one place the reduced stress is assembled, for
 the right-hand sides, the momentum-flux gap and the residuals alike: the
 NSK1 augmented viscosity or the NSK2 non-local term, plus the Korteweg
-tensor.  Per evaluation grad u is taken and the non-local term solved once;
-between the validated inputs and returned fields everything runs on arrays.
+tensor.  Per evaluation each gradient is taken and the non-local term
+solved once; between the validated inputs and returned fields everything
+runs on arrays.
 
 Both reduced systems are conservation laws for (rho, m): the right-hand
 side is the divergence of the flux [m; Sigma - m (x) u].  It is built in
-three dependency levels: (1) grad rho and grad u, (2) div(kappa grad rho)
-inside the Korteweg tensor, next to the NSK2 solve on div u, and (3) the
-divergence of the flux.  On a 1-D spectral grid levels 1 and 3 each make
-one stacked forward and one stacked inverse transform
-(:func:`korteweg.operators._grads`, :func:`korteweg.operators._conservation_rates`):
-10/12 real transforms per NSK1/NSK2 evaluation in 6/8 numpy calls.  In 2-D
-every array is transformed on its own (20/22 transforms and calls), in the
-order of the per-array code: grad u, the solve, then grad rho inside
-``_reduced_stress``; other orders measured more page faults there.
+three dependency levels: (1) grad u and grad rho in one
+:func:`korteweg.operators._grads` call, (2) div(kappa grad rho) inside the
+Korteweg tensor, next to the NSK2 solve on div u, and (3) the divergence of
+the flux (:func:`korteweg.operators._conservation_rates`).  The gap and the
+residuals take level 1 the same way and grad c once.  How a level is
+transformed is decided in :mod:`korteweg.operators`, not here.
 
 The full systems are never time-stepped: the closure makes them
 differential-algebraic, so they are only ever checked residually.
@@ -45,8 +43,8 @@ from .elliptic import Mobility, _matvec, invert_for_model
 from .errors import ConfigError, StateError
 from .fields import Components, ScalarField, VectorField, _outer, _sup
 from .grids import Discretization, Grid, Scheme
-from .operators import _conservation_rates, _derivs, _div, _div_tensor, _grads, _stacks
-from .tensors import _div_of, _korteweg, _phase_stress, _velocity_gradient, _viscous_stress
+from .operators import _conservation_rates, _derivs, _div, _div_tensor, _grads
+from .tensors import _div_of, _korteweg, _phase_stress, _viscous_stress
 
 RHO_FLOOR = 1e-8
 
@@ -108,7 +106,7 @@ def _nonlocal_term(divu: np.ndarray, grid: Grid, kind: ModelKind, gamma: Mobilit
     return invert_for_model(gamma, ScalarField(grid, divu), d).values
 
 
-def _pressure(state: MixtureState, divu: np.ndarray, params: FluidParams,
+def _pressure(state: MixtureState, divu: np.ndarray, gr: Components, params: FluidParams,
               d: Discretization, nonlocal_term: np.ndarray | None = None) -> np.ndarray:
     """Eliminated pressure: a bulk part plus the local part shared by both models.
 
@@ -116,16 +114,20 @@ def _pressure(state: MixtureState, divu: np.ndarray, params: FluidParams,
     bulk = -(delta_star / (sqrt(delta) rho)) div u without a non-local term
     (NSK1) and -(theta / delta_tau^2) * nonlocal_term with one (NSK2).
     """
-    grid = state.grid
     r = state.rho.values
     if nonlocal_term is None:
         bulk = -(params.delta_star / (np.sqrt(params.delta) * r)) * divu
     else:
         bulk = -(params.temperature / params.delta_tau**2) * nonlocal_term
     ds = params.delta_star
-    flux = tuple((ds / r) * g for g in _derivs(r, grid, d))
-    local = r * r * law.bulk_energy_drho(r, params) - _div(flux, grid, d) / r
+    flux = tuple((ds / r) * g for g in gr)
+    local = r * r * law.bulk_energy_drho(r, params) - _div(flux, state.grid, d) / r
     return bulk + local
+
+
+def _div_u_grad_rho(state: MixtureState, d: Discretization) -> tuple[np.ndarray, Components]:
+    """div u (one inverse, no grad u) and grad rho, the public reconstructions' gradients."""
+    return _div(_velocity(state), state.grid, d), _derivs(state.rho.values, state.grid, d)
 
 
 def reconstruct_pressure_nsac(state: MixtureState, params: FluidParams,
@@ -135,8 +137,7 @@ def reconstruct_pressure_nsac(state: MixtureState, params: FluidParams,
     p = -(delta_star / (sqrt(delta) rho)) div u
         + rho^2 R'(rho) - (1/rho) div((delta_star/rho) grad rho)
     """
-    return ScalarField(state.grid, _pressure(state, _div(_velocity(state), state.grid, d),
-                                             params, d))
+    return ScalarField(state.grid, _pressure(state, *_div_u_grad_rho(state, d), params, d))
 
 
 def reconstruct_pressure_nsch(state: MixtureState, params: FluidParams,
@@ -145,23 +146,22 @@ def reconstruct_pressure_nsch(state: MixtureState, params: FluidParams,
 
     p = -(theta / delta_tau^2) * Lambda_gamma^{-1}(div u) + local part.
     """
-    divu = _div(_velocity(state), state.grid, d)
+    divu, gr = _div_u_grad_rho(state, d)
     nonlocal_term = _nonlocal_term(divu, state.grid, ModelKind.NSK2, gamma, d)
-    return ScalarField(state.grid, _pressure(state, divu, params, d, nonlocal_term))
+    return ScalarField(state.grid, _pressure(state, divu, gr, params, d, nonlocal_term))
 
 
-def _diffusive_div(state: MixtureState, c: np.ndarray, params: FluidParams,
+def _diffusive_div(state: MixtureState, gc: Components, params: FluidParams,
                    d: Discretization) -> np.ndarray:
-    """div(delta rho grad c)."""
-    grid = state.grid
+    """div(delta rho grad c) from grad c."""
     r = state.rho.values
-    flux = tuple(params.delta * r * g for g in _derivs(c, grid, d))
-    return _div(flux, grid, d)
+    return _div(tuple(params.delta * r * g for g in gc), state.grid, d)
 
 
-def _reconstruct(state: MixtureState, divu: np.ndarray, params: FluidParams, kind: ModelKind,
-                 gamma: Mobility | None, d: Discretization):
-    """The eliminated fields as arrays: (c, p, q | mu, NSK2 non-local term or None)."""
+def _reconstruct(state: MixtureState, divu: np.ndarray, gr: Components, params: FluidParams,
+                 kind: ModelKind, gamma: Mobility | None, d: Discretization):
+    """The eliminated fields as arrays from div u and grad rho: (c, grad c for
+    mu (NSK2) or None, p, q | mu, NSK2 non-local term or None)."""
     r = state.rho.values
     law.warn_outside_window(r, params, context="reconstruction")
     if kind is ModelKind.NSK2 and gamma is None:
@@ -169,35 +169,34 @@ def _reconstruct(state: MixtureState, divu: np.ndarray, params: FluidParams, kin
     c = law.concentration(r, params)
     wprime = params.well.derivative(c)
     nonlocal_term = _nonlocal_term(divu, state.grid, kind, gamma, d)
-    p = _pressure(state, divu, params, d, nonlocal_term)
+    p = _pressure(state, divu, gr, params, d, nonlocal_term)
     if kind is ModelKind.NSK1:
-        return c, p, -(params.delta_tau / params.temperature) * p - wprime, None
+        return c, None, p, -(params.delta_tau / params.temperature) * p - wprime, None
+    gc = _derivs(c, state.grid, d)
     mu = (params.delta_tau / params.temperature) * p + wprime \
-        - _diffusive_div(state, c, params, d) / r
-    return c, p, mu, nonlocal_term
+        - _diffusive_div(state, gc, params, d) / r
+    return c, gc, p, mu, nonlocal_term
 
 
 def reconstruct_fields(state: MixtureState, params: FluidParams, kind: ModelKind,
                        gamma: Mobility | None = None,
                        d: Discretization = Discretization(Scheme.SPECTRAL)) -> ReconstructedFields:
     """Rebuild (c, p, q | mu) from a reduced state under the given model."""
-    divu = _div(_velocity(state), state.grid, d)
-    c, p, rate, _ = _reconstruct(state, divu, params, kind, gamma, d)
+    c, _, p, rate, _ = _reconstruct(state, *_div_u_grad_rho(state, d), params, kind, gamma, d)
     c, p, rate = (ScalarField(state.grid, v) for v in (c, p, rate))
     return ReconstructedFields(c, p, **{"q" if kind is ModelKind.NSK1 else "mu_chem": rate})
 
 
-def _reduced_stress(r: np.ndarray, gr: Components | None, gu: tuple[Components, ...],
+def _reduced_stress(r: np.ndarray, gr: Components, gu: tuple[Components, ...],
                     grid: Grid, params: FluidParams, d: Discretization,
                     nonlocal_term: np.ndarray | None) -> Components:
     """The reduced stress of either model: viscous or non-local part plus Korteweg.
 
-    ``gr`` is grad rho, or None to take it here, after the density; ``gu`` is
-    grad u.  ``r`` is a validated state's density, so the laws run unchecked
-    on one _Density.
+    ``gr`` is grad rho and ``gu`` grad u.  ``r`` is a validated state's
+    density, so the laws run unchecked on one _Density.
     """
     dn = _density(r, params)
-    korteweg = _korteweg(dn, _derivs(r, grid, d) if gr is None else gr, grid, params, d)
+    korteweg = _korteweg(dn, gr, grid, params, d)
     if nonlocal_term is None:
         bulk = _viscous_stress(gu, _augmented_bulk_viscosity(dn, params), params)
     else:
@@ -211,11 +210,7 @@ def _rhs(state: MixtureState, params: FluidParams, kind: ModelKind,
     """(-div m, div(Sigma - m (x) u)) in the three dependency levels of the module notes."""
     grid = state.grid
     r, m, u = state.rho.values, state.m.components, _velocity(state)
-    if _stacks(grid, d):   # level 1 as one stacked pair
-        grads = _grads((*u, r), grid, d)
-        gu, gr = grads[:-1], grads[-1]
-    else:                  # grad rho after the solve, inside _reduced_stress
-        gu, gr = _grads(u, grid, d), None
+    *gu, gr = _grads((*u, r), grid, d)
     stress = _reduced_stress(r, gr, gu, grid, params, d,
                              _nonlocal_term(_div_of(gu), grid, kind, gamma, d))
     return _conservation_rates(m, stress, _outer(m, u), grid, d)
@@ -247,17 +242,22 @@ class ResidualReport:
     phase: float
 
 
-def _full_model_gap(state: MixtureState, gu: tuple[Components, ...], params: FluidParams,
-                    d: Discretization, c: np.ndarray, p: np.ndarray,
-                    nonlocal_term: np.ndarray | None) -> Components:
-    """div(S + P) - div(S_reduced + K), the momentum-flux defect; ``gu`` is grad u."""
+def _full_model(state: MixtureState, params: FluidParams, kind: ModelKind,
+                gamma: Mobility | None, d: Discretization):
+    """The momentum-flux gap sup|div(S + P) - div(S_reduced + K)| and what the phase
+    residual reuses: (gap, grad c, q | mu).  Each gradient is taken once."""
     grid = state.grid
-    r = state.rho.values
+    r, u = state.rho.values, _velocity(state)
+    *gu, gr = _grads((*u, r), grid, d)
+    c, gc, p, rate, nonlocal_term = _reconstruct(state, _div_of(gu), gr, params, kind, gamma, d)
+    # the reduced flux first: the other order keeps grad c and div(S + P) alive
+    # through _reduced_stress, 5 more arrays at the peak of a 2-D gap
+    reduced = _div_tensor(_reduced_stress(r, gr, gu, grid, params, d, nonlocal_term), grid, d)
+    if gc is None:
+        gc = _derivs(c, grid, d)
     full = tuple(a + b for a, b in zip(_viscous_stress(gu, params.bulk_viscosity, params),
-                                       _phase_stress(c, p, r, grid, params, d)))
-    lhs = _div_tensor(full, grid, d)
-    rhs = _div_tensor(_reduced_stress(r, None, gu, grid, params, d, nonlocal_term), grid, d)
-    return tuple(a - b for a, b in zip(lhs, rhs))
+                                       _phase_stress(gc, p, r, params)))
+    return _sup(a - b for a, b in zip(_div_tensor(full, grid, d), reduced)), gc, rate
 
 
 def momentum_equivalence_gap(state: MixtureState, params: FluidParams, kind: ModelKind,
@@ -268,9 +268,7 @@ def momentum_equivalence_gap(state: MixtureState, params: FluidParams, kind: Mod
     This is the single number that certifies the reduction: it converges
     to zero at scheme order for smooth states.
     """
-    gu = _velocity_gradient(_velocity(state), state.grid, d)
-    c, p, _, nonlocal_term = _reconstruct(state, _div_of(gu), params, kind, gamma, d)
-    return _sup(_full_model_gap(state, gu, params, d, c, p, nonlocal_term))
+    return _full_model(state, params, kind, gamma, d)[0]
 
 
 def _residual(state: MixtureState, params: FluidParams, kind: ModelKind,
@@ -278,17 +276,14 @@ def _residual(state: MixtureState, params: FluidParams, kind: ModelKind,
     """Full-model residuals; the models differ only in the phase right-hand side."""
     grid = state.grid
     r = state.rho.values
-    u = _velocity(state)
-    gu = _velocity_gradient(u, grid, d)
-    c, p, rate, nonlocal_term = _reconstruct(state, _div_of(gu), params, kind, gamma, d)
+    momentum, gc, rate = _full_model(state, params, kind, gamma, d)
     drho = -_div(state.m.components, grid, d)
-    momentum = _sup(_full_model_gap(state, gu, params, d, c, p, nonlocal_term))
     # d/dt(rho c) + div(rho c u) with the semi-discrete density rate
     ctilde = law.phase_mass_density(r, params)
     lhs = law.phase_mass_density_drho(r, params) * drho \
-        + _div(tuple(ctilde * cu for cu in u), grid, d)
+        + _div(tuple(ctilde * cu for cu in _velocity(state)), grid, d)
     if kind is ModelKind.NSK1:
-        rhs = (r * rate + _diffusive_div(state, c, params, d)) / np.sqrt(params.delta)
+        rhs = (r * rate + _diffusive_div(state, gc, params, d)) / np.sqrt(params.delta)
     else:
         rhs = -_matvec(gamma.values_on(grid), grid, d)(rate)
     return ResidualReport(momentum=momentum, phase=_sup((lhs - rhs,)))

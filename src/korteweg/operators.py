@@ -10,8 +10,10 @@ Two interchangeable discretizations:
   ``_rfft``/``_irfft``, which call ``rfft``/``irfft`` on 1-D arrays
   (same values, without ``rfftn``'s n-D argument handling) and
   ``rfftn``/``irfftn`` otherwise.
-* ``Scheme.FD2`` -- second-order centered differences; periodic grids use
-  wraparound, bounded 1-D grids use even-reflection ghost values
+* ``Scheme.FD2`` -- second-order centered differences.  One ghost rule,
+  ``_neighbours``, gives every FD2 kernel (here and the Neumann operator of
+  :mod:`korteweg.elliptic`) a node's neighbours: wraparound on periodic
+  grids, even reflection f[-1] = f[0], f[n] = f[n-1] on bounded 1-D grids
   (consistent with homogeneous Neumann data).
 
 All operators are linear and act node-wise on the stored arrays.  Public
@@ -25,11 +27,8 @@ and ``_conservation_rates`` the divergences of a conservation law's flux.
 On a 1-D spectral grid each stacks its rows and makes one ``rfft`` and one
 ``irfft`` call for all of them: at N = 256 numpy's cost per call, not the
 FFT work, dominates, and a stacked call gives each row the bits of a call
-of its own.  In 2-D and under FD2 they run the per-array kernels in turn,
-in the order of the code before them: a stacked ``rfftn`` over 5 arrays of
-128 x 128 measured slower than 5 calls, and changing only how long the
-128 KiB temporaries live changed how often glibc trimmed and regrew the
-heap, moving the minor page faults of a 2-D run by up to 1.5x.
+of its own.  In 2-D and under FD2 they run the per-array kernels in turn:
+a stacked ``rfftn`` over 5 arrays of 128 x 128 measured slower than 5 calls.
 """
 
 from __future__ import annotations
@@ -78,16 +77,28 @@ def _irfft(fhat: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return np.fft.irfftn(fhat, s=shape, axes=tuple(range(len(shape))))
 
 
-def _fd2_deriv(values: np.ndarray, grid: Grid, axis: int) -> np.ndarray:
-    h = grid.h[axis]
-    if grid.is_periodic:
-        return (np.roll(values, -1, axis=axis) - np.roll(values, 1, axis=axis)) / (2.0 * h)
-    # bounded 1-D: even-reflection ghosts f[-1] = f[0], f[n] = f[n-1]
-    out = np.empty_like(values)
-    out[1:-1] = (values[2:] - values[:-2]) / (2.0 * h)
-    out[0] = (values[1] - values[0]) / (2.0 * h)
-    out[-1] = (values[-1] - values[-2]) / (2.0 * h)
+@lru_cache(maxsize=128)
+def _ghost_index(n: int, periodic: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The FD2 ghost rule as indices of each node's previous and next node (read-only):
+    wraparound, or even reflection f[-1] = f[0], f[n] = f[n - 1] on a bounded axis."""
+    i = np.arange(n)
+    mode = "wrap" if periodic else "clip"
+    out = i.take(i - 1, mode=mode), i.take(i + 1, mode=mode)
+    for index in out:
+        index.setflags(write=False)
     return out
+
+
+def _neighbours(values: np.ndarray, grid: Grid,
+                axis: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(previous, this, next) node values along ``axis`` under the FD2 ghost rule."""
+    prev, nxt = _ghost_index(grid.n[axis], grid.is_periodic)
+    return values.take(prev, axis=axis), values, values.take(nxt, axis=axis)
+
+
+def _fd2_deriv(values: np.ndarray, grid: Grid, axis: int) -> np.ndarray:
+    prev, _, nxt = _neighbours(values, grid, axis)
+    return (nxt - prev) / (2.0 * grid.h[axis])
 
 
 def _derivs(values: np.ndarray, grid: Grid, d: Discretization) -> Components:
@@ -216,7 +227,7 @@ def laplacian(f: ScalarField, d: Discretization) -> ScalarField:
 
     Spectral: multiplication by (i k)^2 with the same Nyquist mask as the
     first derivatives, so it equals div(grad(.)) exactly.  FD2: the compact
-    3-point stencil per axis.
+    3-point stencil per axis under the ghost rule.
     """
     grid = f.grid
     if d.scheme is Scheme.SPECTRAL:
@@ -224,17 +235,9 @@ def laplacian(f: ScalarField, d: Discretization) -> ScalarField:
         fhat = _rfft(f.values)
         return ScalarField(grid, _irfft(sum(ik * ik for ik in _ik(grid)) * fhat, grid.shape))
     total = np.zeros(grid.shape)
-    v = f.values
     for axis in range(grid.dim):
-        h2 = grid.h[axis] ** 2
-        if grid.is_periodic:
-            total += (np.roll(v, -1, axis=axis) - 2.0 * v + np.roll(v, 1, axis=axis)) / h2
-        else:
-            part = np.empty_like(v)
-            part[1:-1] = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / h2
-            part[0] = (v[1] - v[0]) / h2
-            part[-1] = (v[-2] - v[-1]) / h2
-            total += part
+        prev, this, nxt = _neighbours(f.values, grid, axis)
+        total += (nxt - 2.0 * this + prev) / grid.h[axis] ** 2
     return ScalarField(grid, total)
 
 

@@ -7,9 +7,9 @@ derivative inside the Korteweg tensor is the partial derivative in rho at
 fixed |grad rho|^2 (the Dunn-Serrin convention).
 
 The kernels ``_strain``, ``_viscous_stress``, ``_phase_stress`` and
-``_korteweg`` take arrays (grad u and grad rho rather than u and rho) and
-return arrays, tensors as component tuples in the storage order of
-:mod:`korteweg.fields`; each public function wraps one in a validated field.
+``_korteweg`` take gradients (of u, c and rho) and return arrays, tensors as
+component tuples in the storage order of :mod:`korteweg.fields`; each
+public function wraps one in a validated field.
 ``_korteweg`` takes the density as a constitutive ``_Density`` and calls the
 unchecked law kernels on it; its callers have checked rho > 0.
 """
@@ -23,12 +23,7 @@ from .constitutive import (FluidParams, _capillarity, _Density, _density,
 from .errors import DomainError
 from .fields import Components, ScalarField, SymTensorField, VectorField, _outer, _plus_diag, _sup
 from .grids import Discretization, Grid
-from .operators import _derivs, _div
-
-
-def _velocity_gradient(u: Components, grid: Grid, d: Discretization) -> tuple[Components, ...]:
-    """g[i][j] = d_j u_i."""
-    return tuple(_derivs(c, grid, d) for c in u)
+from .operators import _derivs, _div, _grads
 
 
 def _div_of(g: tuple[Components, ...]) -> np.ndarray:
@@ -43,7 +38,7 @@ def _strain(g: tuple[Components, ...]) -> Components:
 
 def strain(u: VectorField, d: Discretization) -> SymTensorField:
     """Symmetric velocity gradient (grad u + grad u^T) / 2."""
-    return SymTensorField(u.grid, _strain(_velocity_gradient(u.components, u.grid, d)))
+    return SymTensorField(u.grid, _strain(_grads(u.components, u.grid, d)))
 
 
 def _viscous_stress(g: tuple[Components, ...], bulk, params: FluidParams,
@@ -60,12 +55,11 @@ def _viscous_stress(g: tuple[Components, ...], bulk, params: FluidParams,
 def cauchy_stress(u: VectorField, params: FluidParams, d: Discretization) -> SymTensorField:
     """2 mu D(u) + lambda (div u) I."""
     return SymTensorField(u.grid, _viscous_stress(
-        _velocity_gradient(u.components, u.grid, d), params.bulk_viscosity, params))
+        _grads(u.components, u.grid, d), params.bulk_viscosity, params))
 
 
-def _phase_stress(c: np.ndarray, p: np.ndarray, r: np.ndarray, grid: Grid,
-                  params: FluidParams, d: Discretization) -> Components:
-    gc = _derivs(c, grid, d)
+def _phase_stress(gc: Components, p: np.ndarray, r: np.ndarray,
+                  params: FluidParams) -> Components:
     coef = params.temperature * params.delta * r
     return _plus_diag(tuple(-coef * o for o in _outer(gc, gc)), -p)
 
@@ -75,8 +69,8 @@ def phase_stress(c: ScalarField, p: ScalarField, rho: ScalarField,
     """Non-hydrodynamic stress -p I - theta delta rho (grad c) (x) (grad c)."""
     if np.any(rho.values <= 0.0):
         raise DomainError("phase stress needs positive density")
-    return SymTensorField(c.grid, _phase_stress(c.values, p.values, rho.values,
-                                                c.grid, params, d))
+    return SymTensorField(c.grid, _phase_stress(_derivs(c.values, c.grid, d), p.values,
+                                                rho.values, params))
 
 
 def _korteweg(dn: _Density, gr: Components, grid: Grid, params: FluidParams,
@@ -105,7 +99,7 @@ def augmented_cauchy_stress(u: VectorField, rho: ScalarField,
                             params: FluidParams, d: Discretization) -> SymTensorField:
     """Cauchy stress with the density-dependent augmented bulk viscosity."""
     return SymTensorField(u.grid, _viscous_stress(
-        _velocity_gradient(u.components, u.grid, d),
+        _grads(u.components, u.grid, d),
         augmented_bulk_viscosity(rho.values, params), params))
 
 
@@ -118,7 +112,7 @@ def nonlocal_cauchy_stress(u: VectorField, nonlocal_term: ScalarField,
     """
     extra = params.temperature / params.delta_tau**2 * nonlocal_term.values
     return SymTensorField(u.grid, _viscous_stress(
-        _velocity_gradient(u.components, u.grid, d), params.bulk_viscosity, params, extra))
+        _grads(u.components, u.grid, d), params.bulk_viscosity, params, extra))
 
 
 def korteweg_identity_residual(rho: ScalarField, params: FluidParams,

@@ -10,7 +10,7 @@ import numpy as np
 from . import constitutive as law
 from .constitutive import FluidParams
 from .elliptic import Mobility
-from .errors import ConfigError, DomainError, StateError
+from .errors import ConfigError, DomainError, SolverError, StateError
 from .fields import ScalarField, VectorField
 from .grids import Discretization
 from .models import MixtureState, ModelKind, _velocity, rhs_nsk1, rhs_nsk2
@@ -161,9 +161,10 @@ def integrate(state: MixtureState, control: StepControl, params: FluidParams,
 
     Observers are called once at step 0 and after every accepted step.
     Aborts with a stiffness diagnostic if the step estimate undershoots
-    dt_min.  A step whose stage states are inadmissible (non-finite values
-    raise DomainError, a density below the floor StateError) is re-raised
-    as StateError with the step, t, dt and last good state.
+    dt_min.  A step that fails in a stage (non-finite values raise
+    DomainError, a density below the floor StateError, an elliptic solve
+    that does not converge SolverError) is re-raised as StateError with
+    the step, t, dt and last good state.
     """
     rhs = make_rhs(params, kind, gamma, d)
     d.require_compatible(state.grid)
@@ -185,7 +186,7 @@ def integrate(state: MixtureState, control: StepControl, params: FluidParams,
         dt = min(dt, control.t_end - state.t)
         try:
             state = ssprk3_step(state, dt, rhs)
-        except (DomainError, StateError) as exc:
+        except (DomainError, SolverError, StateError) as exc:
             raise StateError(f"step {step + 1} from t = {state.t:.6g} with dt = {dt:.3e}: "
                              f"{exc}", state=state, step=step + 1, t=state.t, dt=dt) from exc
         step += 1

@@ -34,6 +34,8 @@ FD2_TRIPLE = (128, 256, 512)       # resolutions for order measurement
 IDENTITY_TRIPLE = (64, 128, 256)   # the milder rewrite-identity study
 SPECTRAL_DECREASE_MIN = 1e2
 FD2_ORDER_WINDOW = (1.7, 2.3)
+CHECK_N = 128                      # resolution of the operator and elliptic checks
+COMPARE_CHECKPOINTS = 8            # trajectory distances a model comparison records
 
 
 @dataclass
@@ -137,11 +139,11 @@ def check_constitutive(params: FluidParams) -> list[CheckResult]:
 # discrete calculus and elliptic solves
 
 
-def check_operators(n: int = 128) -> list[CheckResult]:
+def check_operators() -> list[CheckResult]:
     results = []
     for d, label in ((SPECTRAL, "spectral"), (FD2, "fd2")):
         for dim in (1, 2):
-            grid = Grid.periodic((n,) * dim if dim == 1 else (n // 2,) * dim)
+            grid = Grid.periodic((CHECK_N,) if dim == 1 else (CHECK_N // 2,) * dim)
             rng = np.random.default_rng(7 + dim)
             f = ScalarField(grid, random_band_limited(grid, rng, kmax=5))
             v = VectorField(grid, tuple(random_band_limited(grid, rng, kmax=5)
@@ -166,9 +168,9 @@ def check_operators(n: int = 128) -> list[CheckResult]:
     return results
 
 
-def check_elliptic(n: int = 128) -> list[CheckResult]:
+def check_elliptic() -> list[CheckResult]:
     results = []
-    grid = Grid.periodic(n)
+    grid = Grid.periodic(CHECK_N)
     x = grid.coords()[0]
     rng = np.random.default_rng(11)
     gamma = Mobility.constant(2.0)
@@ -192,7 +194,7 @@ def check_elliptic(n: int = 128) -> list[CheckResult]:
     results.append(CheckResult("elliptic/periodic_roundtrip", worst < 1e-10,
                                {"max_err": worst}, "< 1e-10, both schemes"))
 
-    bgrid = Grid.bounded_neumann_1d(n, 1.0)
+    bgrid = Grid.bounded_neumann_1d(CHECK_N, 1.0)
     bx = bgrid.coords()[0]
     gvar = Mobility.spatial(2.0 + np.sin(2.0 * np.pi * bx / bgrid.length[0]))
     fb = random_band_limited(bgrid, rng, kmax=6)
@@ -485,8 +487,8 @@ def run_check_suite(params: FluidParams | None = None,
 
 
 def convergence_table(params: FluidParams, kind: ModelKind, d: Discretization,
-                      resolutions, gamma0: float = 1.0) -> list[dict]:
-    """Error of the discrete RHS against the symbolic oracle, per resolution."""
+                      resolutions) -> list[dict]:
+    """Error of the discrete RHS against the symbolic oracle, per resolution (mobility 1)."""
     from .manufactured import SymbolicState, exact_rhs
     import sympy as sp
 
@@ -496,8 +498,8 @@ def convergence_table(params: FluidParams, kind: ModelKind, d: Discretization,
     sym_state = SymbolicState.one_d(
         sp.Rational(3, 2) + sp.Rational(1, 5) * sp.sin(x),
         sp.Rational(1, 20) * sp.sin(x) + sp.Rational(1, 50) * sp.cos(2 * x))
-    drho_exact, dm_exact = exact_rhs(sym_state, params, kind, gamma0)
-    rhs = make_rhs(params, kind, Mobility.constant(gamma0), d)
+    drho_exact, dm_exact = exact_rhs(sym_state, params, kind, 1.0)
+    rhs = make_rhs(params, kind, Mobility.constant(1.0), d)
     rows = []
     for n in resolutions:
         grid = Grid.periodic(int(n))
@@ -540,7 +542,7 @@ class CompareReport:
                 "divergence": self.divergence}
 
 
-def compare_models(cfg_a, cfg_b, n_checkpoints: int = 8) -> CompareReport:
+def compare_models(cfg_a, cfg_b) -> CompareReport:
     """Quantify how the two reduced systems diverge from a shared start.
 
     Requires configs that differ only in the model kind (nsk1 vs nsk2);
@@ -572,7 +574,7 @@ def compare_models(cfg_a, cfg_b, n_checkpoints: int = 8) -> CompareReport:
     t_end = cfg_a.control.t_end
     n_steps = max(1, int(np.ceil(t_end / dt)))
     dt = t_end / n_steps
-    every = max(1, n_steps // n_checkpoints)
+    every = max(1, n_steps // COMPARE_CHECKPOINTS)
     control = StepControl(t_end=t_end, dt_fixed=dt)
 
     states_a, states_b = {}, {}

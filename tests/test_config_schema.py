@@ -16,10 +16,10 @@ CONFIGS = ROOT / "demos" / "configs"
 WORKLOADS = ROOT / "perfbench" / "workloads.py"
 
 BUNDLED_HASHES = {
-    "literal_convention": "4689dd2b494c46b2",
-    "nsk1_interface": "d9dea8215271e54e",
-    "nsk2_interface": "014462db7051f41e",
-    "nsk2_neumann": "f2b7f6a8be484e2e",
+    "literal_convention": "5cf8eeca0bbbceda",
+    "nsk1_interface": "41fb3b875bde3f0b",
+    "nsk2_interface": "b5d7ccbb9e391daf",
+    "nsk2_neumann": "9824e33fb3acc942",
 }
 
 

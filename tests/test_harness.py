@@ -8,9 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import korteweg.elliptic
 import korteweg.harness
 import korteweg.timestepping
-from korteweg import ConfigError, StateError, StepControl
+from korteweg import ConfigError, SolverError, StateError, StepControl, integrate
 from korteweg.cli import main
 from korteweg.fields import read_scalar_csv
 from korteweg.harness import config_from_dict, load_config, run_simulation
@@ -228,6 +229,30 @@ def test_density_floor_in_a_step_is_a_numeric_failure(tmp_path):
     assert not (out / "summary.json").exists()
 
 
+def test_solver_failure_in_a_step_is_a_numeric_failure(tmp_path, monkeypatch):
+    # a variable-mobility CG solve that cannot meet a zero tolerance fails the first step
+    monkeypatch.setattr(korteweg.elliptic, "SOLVE_RTOL", 0.0)
+    out = tmp_path / "out"
+    path = write_config(tmp_path, grid={"n": [32]}, model="nsk2",
+                        mobility={"kind": "cosine", "base": 2.0, "amplitude": 1.0, "mode": 1},
+                        initial={"family": "sine_density", "rho0": 1.5, "amplitude": 0.05,
+                                 "velocity_amplitude": 0.02},
+                        step={"t_end": 0.01, "dt_fixed": 1e-3},
+                        output={"dir": str(out)})
+    cfg = load_config(path)
+    with pytest.raises(StateError) as info:
+        integrate(cfg.build_initial_state(), cfg.control, cfg.params, cfg.model,
+                  cfg.build_mobility(), cfg.disc)
+    exc = info.value
+    assert isinstance(exc.__cause__, SolverError)
+    assert (exc.step, exc.t, exc.dt) == (1, 0.0, 1e-3) and exc.state.t == 0.0
+    assert main(["run", str(path), "--quiet"]) == 3
+    record = json.loads((out / "failure.json").read_text())
+    assert record["error"] == "StateError" and "cg failed" in record["message"]
+    assert (record["step"], record["t"]) == (1, 0.0)
+    assert not (out / "summary.json").exists()
+
+
 def test_step_metrics_computed_once_per_record(tmp_path, monkeypatch):
     out = tmp_path / "out"
     path = write_config(tmp_path,
@@ -274,6 +299,13 @@ def test_neumann_fd2_run_completes(tmp_path):
 def test_cli_convergence_needs_three_resolutions(tmp_path):
     path = write_config(tmp_path, scheme="fd2")
     assert main(["convergence", str(path), "--n", "64", "--quiet"]) == 2
+
+
+def test_cli_convergence_non_integer_resolution_is_a_config_error(tmp_path, capsys):
+    path = write_config(tmp_path, scheme="fd2")
+    assert main(["convergence", str(path), "--n", "32,abc,128", "--quiet"]) == 2
+    record = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert record["error"] == "ConfigError" and "32,abc,128" in record["message"]
 
 
 def test_cli_convergence_fd2_order(tmp_path, capsys):

@@ -36,14 +36,12 @@ def test_tanh_interface_endpoints_hit_pure_phases(params):
 
 def test_random_band_family_is_seeded_and_positive(params):
     grid = Grid.periodic(64)
-    ic = InitialCondition(family=ICFamily.RANDOM_BAND, rho0=1.5, amplitude=0.1,
-                          kmax=4, seed=7)
-    a = ic.build(grid, params)
-    b = ic.build(grid, params)
+    ic = InitialCondition(family=ICFamily.RANDOM_BAND, rho0=1.5, amplitude=0.1, kmax=4)
+    a = ic.build(grid, params, seed=7)
+    b = ic.build(grid, params, seed=7)
     assert np.array_equal(a.rho.values, b.rho.values)
     assert np.min(a.rho.values) > 0.0
-    other = InitialCondition(family=ICFamily.RANDOM_BAND, rho0=1.5, amplitude=0.1,
-                             kmax=4, seed=8).build(grid, params)
+    other = ic.build(grid, params, seed=8)
     assert not np.array_equal(a.rho.values, other.rho.values)
 
 

@@ -302,6 +302,29 @@ FFT_NAMES = ("fft", "ifft", "fftn", "ifftn", "fft2", "ifft2",
              "rfft", "irfft", "rfftn", "irfftn", "rfft2", "irfft2")
 
 
+def transform_counter(monkeypatch, grid, names):
+    """counts(fn, *args): (transforms of ``names``, calls of ``names``, calls of any other
+    transform) made by one call; a stacked call counts one transform per row."""
+    made = []   # (name, transforms) per call
+
+    def tracking(name, original):
+        def wrapper(a, *args, **kwargs):
+            made.append((name, int(np.prod(np.shape(a)[:np.ndim(a) - grid.dim]))))
+            return original(a, *args, **kwargs)
+        return wrapper
+
+    for name in FFT_NAMES:
+        monkeypatch.setattr(np.fft, name, tracking(name, getattr(np.fft, name)))
+
+    def counts(fn, *args):
+        made.clear()
+        fn(*args)
+        named = [rows for name, rows in made if name in names]
+        return sum(named), len(named), len(made) - len(named)
+
+    return counts
+
+
 @pytest.mark.parametrize("grid, dealias, transforms, calls, names", [
     (Grid.periodic(64), False, (10, 12), (6, 8), ("rfft", "irfft")),
     (Grid.periodic((32, 32)), False, (20, 22), (20, 22), ("rfftn", "irfftn")),
@@ -314,25 +337,8 @@ def test_rhs_transform_counts(grid, dealias, transforms, calls, names, params, m
     # 2/3 rule masks those spectra and adds one transform per m (x) u component.
     # In 1-D each dependency level stacks its rows into one rfft and one irfft
     # call, and a stacked call counts one transform per row; 2-D never stacks.
-    made = []   # (name, transforms) per call
-
-    def tracking(name, original):
-        def wrapper(a, *args, **kwargs):
-            made.append((name, int(np.prod(np.shape(a)[:np.ndim(a) - grid.dim]))))
-            return original(a, *args, **kwargs)
-        return wrapper
-
-    for name in FFT_NAMES:
-        monkeypatch.setattr(np.fft, name, tracking(name, getattr(np.fft, name)))
+    counts = transform_counter(monkeypatch, grid, names)
     state = wavy_state(grid)
-
-    def counts(fn, *args):
-        """(transforms of ``names``, calls of ``names``, calls of any other transform)."""
-        made.clear()
-        fn(*args)
-        named = [rows for name, rows in made if name in names]
-        return sum(named), len(named), len(made) - len(named)
-
     d = Discretization(Scheme.SPECTRAL, dealias=dealias)
     gamma = Mobility.constant(1.0)
     assert counts(rhs_nsk1, state, params, d) == (transforms[0], calls[0], 0)
@@ -340,9 +346,42 @@ def test_rhs_transform_counts(grid, dealias, transforms, calls, names, params, m
     assert counts(invert_periodic, gamma, div(state.velocity(), d), d) == (2, 2, 0)
 
 
+@pytest.mark.parametrize("grid, names, transforms", [
+    (Grid.periodic(64), ("rfft", "irfft"), (14, 18, 20, 26, 6, 12)),
+    (Grid.periodic((32, 32)), ("rfftn", "irfftn"), (28, 33, 37, 45, 9, 17)),
+], ids=["1d", "2d"])
+def test_certificate_transform_counts(grid, names, transforms, params, monkeypatch):
+    # the NSK1/NSK2 gap, residual_nsac/nsch and reconstruct_fields NSK1/NSK2:
+    # the gap and the residuals take grad u and grad rho in one _grads call and
+    # grad c once; the public reconstructions take only div u and grad rho
+    counts = transform_counter(monkeypatch, grid, names)
+    state = wavy_state(grid)
+    gamma = Mobility.constant(1.0)
+    evaluations = [
+        (momentum_equivalence_gap, state, params, ModelKind.NSK1, None, SPECTRAL),
+        (momentum_equivalence_gap, state, params, ModelKind.NSK2, gamma, SPECTRAL),
+        (residual_nsac, state, params, SPECTRAL),
+        (residual_nsch, state, params, gamma, SPECTRAL),
+        (reconstruct_fields, state, params, ModelKind.NSK1, None, SPECTRAL),
+        (reconstruct_fields, state, params, ModelKind.NSK2, gamma, SPECTRAL)]
+    assert [counts(*e)[::2] for e in evaluations] == [(n, 0) for n in transforms]
+
+
+def per_array_rates(mass, stress, advective, grid, d):
+    """(-div mass, div(stress - advective)) with one transform per array (or
+    their spectra when dealiased)."""
+    if d.dealias:
+        flux_hat = [s - a for s, a in zip(_spectra(stress, grid),
+                                          _spectra(advective, grid, True))]
+        return (-_div_spectra(_spectra(mass, grid, True), grid, 1)[0],
+                _div_spectra(flux_hat, grid, grid.dim))
+    flux = tuple(s - a for s, a in zip(stress, advective))
+    return -_div(mass, grid, d), _div_tensor(flux, grid, d)
+
+
 def per_array_rhs(state, params, kind, gamma, d):
     """The right-hand side with one transform per array: every gradient through
-    _derivs, every divergence through _div/_div_tensor (or their spectra when dealiased)."""
+    _derivs, every divergence through per_array_rates."""
     grid = state.grid
     r, m = state.rho.values, state.m.components
     u = tuple(c / r for c in m)
@@ -350,43 +389,44 @@ def per_array_rhs(state, params, kind, gamma, d):
     nonlocal_term = None if kind is ModelKind.NSK1 else \
         invert_for_model(gamma, ScalarField(grid, _div_of(gu)), d).values
     stress = _reduced_stress(r, _derivs(r, grid, d), gu, grid, params, d, nonlocal_term)
-    mom = _outer(m, u)
-    if d.dealias:
-        flux_hat = [s - a for s, a in zip(_spectra(stress, grid), _spectra(mom, grid, True))]
-        return (-_div_spectra(_spectra(m, grid, True), grid, 1)[0],
-                _div_spectra(flux_hat, grid, grid.dim))
-    flux = tuple(s - a for s, a in zip(stress, mom))
-    return -_div(m, grid, d), _div_tensor(flux, grid, d)
+    return per_array_rates(m, stress, _outer(m, u), grid, d)
 
 
-@pytest.mark.parametrize("dealias", [False, True], ids=["plain", "dealias"])
-@pytest.mark.parametrize("n", [64, 63, 256])
-def test_stacked_kernels_equal_per_array_kernels(n, dealias, params):
-    # the stacked 1-D calls transform each row exactly as a call of its own does
-    grid = Grid.periodic(n)
-    d = Discretization(Scheme.SPECTRAL, dealias=dealias)
-    rng = np.random.default_rng(n)
-    a, b, c = (random_band_limited(grid, rng, kmax=n // 3) for _ in range(3))
-    assert all(np.array_equal(g[0], ref[0]) for g, ref in
-               zip(_grads((a, b, c), grid, d), (_derivs(x, grid, d) for x in (a, b, c))))
-    rate_mass, rate_flux = _conservation_rates((a,), (b,), (c,), grid, d)
-    if dealias:
-        ref_mass = _div_spectra(_spectra((a,), grid, True), grid, 1)[0]
-        ref_flux = _div_spectra([s - t for s, t in zip(_spectra((b,), grid),
-                                                        _spectra((c,), grid, True))], grid, 1)
-    else:
-        ref_mass, ref_flux = _div((a,), grid, d), _div_tensor((b - c,), grid, d)
-    assert np.array_equal(rate_mass.values, -ref_mass)
-    assert np.array_equal(rate_flux.components[0], ref_flux[0])
-    state = MixtureState.from_primitive(ScalarField(grid, 1.4 + 0.1 * a),
-                                        VectorField(grid, (0.1 * b,)))
+SPECTRAL_DEALIAS = Discretization(Scheme.SPECTRAL, dealias=True)
+
+
+@pytest.mark.parametrize("grid, d", [
+    *((Grid.periodic(n), d) for n in (64, 63, 256) for d in (SPECTRAL, SPECTRAL_DEALIAS)),
+    (Grid.periodic((32, 24)), SPECTRAL), (Grid.periodic((32, 24)), SPECTRAL_DEALIAS),
+    (Grid.bounded_neumann_1d(64, 1.0), FD2),
+], ids=["64-plain", "64-dealias", "63-plain", "63-dealias", "256-plain", "256-dealias",
+        "32x24-plain", "32x24-dealias", "bounded64-fd2"])
+def test_stacked_kernels_equal_per_array_kernels(grid, d, params):
+    # the multi-array kernels and the right-hand side give the per-array kernels'
+    # bits on every grid: in 1-D spectral the stacked calls transform each row
+    # exactly as a call of its own does
+    dim, rows = grid.dim, grid.dim * (grid.dim + 1) // 2
+    rng = np.random.default_rng(grid.n[0])
+    arrays = [random_band_limited(grid, rng, kmax=min(grid.n) // 3)
+              for _ in range(dim + 2 * rows)]
+    assert all(np.array_equal(g, ref) for gs, refs in
+               zip(_grads(arrays, grid, d), (_derivs(a, grid, d) for a in arrays))
+               for g, ref in zip(gs, refs))
+    mass, stress, advective = arrays[:dim], arrays[dim:dim + rows], arrays[dim + rows:]
+    rate_mass, rate_flux = _conservation_rates(mass, stress, advective, grid, d)
+    ref_mass, ref_flux = per_array_rates(mass, stress, advective, grid, d)
+    assert np.array_equal(rate_mass.values, ref_mass)
+    assert all(np.array_equal(a, b) for a, b in zip(rate_flux.components, ref_flux))
+    state = MixtureState.from_primitive(
+        ScalarField(grid, 1.4 + 0.1 * arrays[0]),
+        VectorField(grid, tuple(0.1 * a for a in arrays[1:1 + dim])))
     x = grid.coords()[0]
     for kind, gamma in ((ModelKind.NSK1, None), (ModelKind.NSK2, Mobility.constant(1.0)),
                         (ModelKind.NSK2, Mobility.spatial(2.0 + np.cos(x)))):
         drho, dm = make_rhs(params, kind, gamma, d)(state)
         ref_rho, ref_m = per_array_rhs(state, params, kind, gamma, d)
         assert np.array_equal(drho.values, ref_rho)
-        assert np.array_equal(dm.components[0], ref_m[0])
+        assert all(np.array_equal(a, b) for a, b in zip(dm.components, ref_m))
 
 
 def composed_rhs(state, params, kind, gamma, d):

@@ -8,7 +8,8 @@ from korteweg import (FD2, SPECTRAL, BoundaryKind, ConfigError, Discretization,
                       VectorField, div, div_tensor, grad, laplacian, mean)
 from korteweg.fields import read_scalar_csv, sup_norm, write_scalar_csv
 from korteweg.initial import random_band_limited
-from korteweg.operators import _dealias_mask, dealias_array
+from korteweg.elliptic import _matvec
+from korteweg.operators import _dealias_mask, _fd2_deriv, dealias_array
 
 
 def test_grid_validation():
@@ -223,6 +224,67 @@ def test_bounded_fd2_gradient_handles_wall_even_fields():
         g = grad(f, FD2)
         errs.append(np.max(np.abs(g.components[0] + np.pi * np.sin(np.pi * x))))
     assert 3.5 < errs[0] / errs[1] < 4.5
+
+
+def explicit_fd2_deriv(v, grid, axis):
+    """The FD2 derivative with the ghost rule written out: np.roll, or wall rows by hand."""
+    h = grid.h[axis]
+    if grid.is_periodic:
+        return (np.roll(v, -1, axis=axis) - np.roll(v, 1, axis=axis)) / (2.0 * h)
+    out = np.empty_like(v)
+    out[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
+    out[0] = (v[1] - v[0]) / (2.0 * h)
+    out[-1] = (v[-1] - v[-2]) / (2.0 * h)
+    return out
+
+
+def explicit_fd2_laplacian(v, grid):
+    total = np.zeros(grid.shape)
+    for axis in range(grid.dim):
+        h2 = grid.h[axis] ** 2
+        if grid.is_periodic:
+            total += (np.roll(v, -1, axis=axis) - 2.0 * v + np.roll(v, 1, axis=axis)) / h2
+        else:
+            part = np.empty_like(v)
+            part[1:-1] = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / h2
+            part[0] = (v[1] - v[0]) / h2
+            part[-1] = (v[-2] - v[-1]) / h2
+            total += part
+    return total
+
+
+def explicit_neumann_matvec(gamma, phi, h):
+    """-div(gamma grad phi) in face-flux form, the zero wall fluxes written out."""
+    flux = 0.5 * (gamma[1:] + gamma[:-1]) * (phi[1:] - phi[:-1]) / h
+    out = np.empty_like(phi)
+    out[0] = flux[0] / h
+    out[1:-1] = (flux[1:] - flux[:-1]) / h
+    out[-1] = -flux[-1] / h
+    return -out
+
+
+@pytest.mark.parametrize("grid", [
+    Grid.bounded_neumann_1d(8, 1.0), Grid.bounded_neumann_1d(63, 1.0),
+    Grid.bounded_neumann_1d(256, 1.0), Grid.periodic(64), Grid.periodic((48, 36))],
+    ids=["bounded8", "bounded63", "bounded256", "64", "48x36"])
+def test_fd2_ghost_rule_matches_explicit_wall_rows(grid):
+    rng = np.random.default_rng(grid.n[0])
+    f = rng.normal(size=grid.shape)
+    for axis in range(grid.dim):
+        assert np.array_equal(_fd2_deriv(f, grid, axis), explicit_fd2_deriv(f, grid, axis))
+    lap = laplacian(ScalarField(grid, f), FD2).values
+    ref = explicit_fd2_laplacian(f, grid)
+    if grid.is_periodic:
+        assert np.array_equal(lap, ref)
+        return
+    assert np.array_equal(lap[1:-1], ref[1:-1])
+    # at a wall the ghost form (f[1] - 2 f[0]) + f[0] rounds its intermediate where
+    # f[1] - f[0] does not: within 2 ulps of |f[1]| + 2 |f[0]|, over h^2
+    tol = 2.0 * np.spacing(np.abs(f[[1, -2]]) + 2.0 * np.abs(f[[0, -1]])) / grid.h[0] ** 2
+    assert np.all(np.abs(lap[[0, -1]] - ref[[0, -1]]) <= tol)
+    gamma = 1.5 + rng.uniform(size=grid.shape)
+    assert np.array_equal(_matvec(gamma, grid, FD2)(f),
+                          explicit_neumann_matvec(gamma, f, grid.h[0]))
 
 
 def test_dealias_filter_keeps_low_modes():
