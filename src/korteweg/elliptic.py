@@ -15,7 +15,9 @@ have zero mean and the solution is fixed by mean(phi) = 0):
 
 Variable mobility on periodic grids uses CG on the composed discrete
 operator, preconditioned by the Fourier solve at the mean mobility; the
-iteration count then depends on the mobility contrast, not on N.
+iteration count then depends on the mobility contrast, not on N.  The
+first two are one array kernel, ``_solve``: the public inverses wrap it,
+the right-hand sides call it directly.
 """
 
 from __future__ import annotations
@@ -77,9 +79,8 @@ class Mobility:
         return np.asarray(self.value)
 
 
-def _check_compatible(f: ScalarField, project: bool, context: str) -> np.ndarray:
+def _check_compatible(fv: np.ndarray, project: bool, context: str) -> np.ndarray:
     """Enforce (or project off) the zero-mean solvability constraint."""
-    fv = f.values
     m = float(fv.mean())
     scale = float(np.max(np.abs(fv)))
     if scale == 0.0:
@@ -135,6 +136,8 @@ def _pcg_zero_mean(matvec, b: np.ndarray, precond, context: str) -> np.ndarray:
     """
     b = b - b.mean()
     bnorm = float(np.linalg.norm(b))
+    if not np.isfinite(bnorm):   # else CG iterates to its budget
+        raise DomainError(f"{context}: non-finite right-hand side")
     if bnorm == 0.0:
         return np.zeros_like(b)
     x = np.zeros_like(b)
@@ -182,6 +185,32 @@ def _fourier_solve(fv: np.ndarray, inv_sym: np.ndarray, gamma: float) -> np.ndar
     return (phi - phi.mean()) / gamma
 
 
+def _solve(gamma: Mobility, fv: np.ndarray, grid: Grid, d: Discretization,
+           project_mean: bool) -> np.ndarray:
+    """-div(gamma grad phi) = fv, mean(phi) = 0, on arrays, for either boundary kind.
+
+    Neumann: with zero wall flux, the flux through face i+1/2 is
+    -h sum_{j<=i} f_j; phi is the running sum of h flux / gamma_face.
+    """
+    if grid.is_periodic:
+        d.require_compatible(grid)
+        fv = _check_compatible(fv, project_mean, "periodic solve")
+        inv_sym = _inverse_symbol(grid, d.scheme)
+        if gamma.is_constant:
+            return _fourier_solve(fv, inv_sym, gamma.value)
+        gv = gamma.values_on(grid)
+        gmean = float(np.mean(gv))
+        return _pcg_zero_mean(_matvec(gv, grid, d), fv,
+                              lambda r: _fourier_solve(r, inv_sym, gmean),
+                              "periodic variable-mobility solve")
+    fv = _check_compatible(fv, project_mean, "neumann solve")
+    gv = gamma.values_on(grid)
+    h = grid.h[0]
+    flux = -h * np.cumsum(fv[:-1])
+    phi = np.concatenate(([0.0], np.cumsum(h * flux / (0.5 * (gv[1:] + gv[:-1])))))
+    return phi - phi.mean()
+
+
 def invert_periodic(gamma: Mobility, f: ScalarField,
                     d: Discretization = Discretization(Scheme.SPECTRAL),
                     project_mean: bool = False) -> ScalarField:
@@ -196,34 +225,19 @@ def invert_periodic(gamma: Mobility, f: ScalarField,
     grid = f.grid
     if not grid.is_periodic:
         raise ConfigError("invert_periodic needs a periodic grid")
-    d.require_compatible(grid)
-    fv = _check_compatible(f, project_mean, "periodic solve")
-    inv_sym = _inverse_symbol(grid, d.scheme)
-    if gamma.is_constant:
-        return ScalarField(grid, _fourier_solve(fv, inv_sym, gamma.value))
-    gv = gamma.values_on(grid)
-    gmean = float(np.mean(gv))
-    return ScalarField(grid, _pcg_zero_mean(
-        _matvec(gv, grid, d), fv, lambda r: _fourier_solve(r, inv_sym, gmean),
-        "periodic variable-mobility solve"))
+    return ScalarField(grid, _solve(gamma, f.values, grid, d, project_mean))
 
 
 def invert_neumann_1d(gamma: Mobility, f: ScalarField,
                       project_mean: bool = False) -> ScalarField:
     """Solve the bounded 1-D problem with zero Neumann flux and zero mean.
 
-    Exact: with zero wall flux, the flux through face i+1/2 is -h sum_{j<=i} f_j,
-    and phi is the running sum of the face differences h flux / gamma_face.
+    Exact: a direct solve by two prefix sums (see :func:`_solve`).
     """
     grid = f.grid
     if grid.is_periodic or grid.dim != 1:
         raise ConfigError("invert_neumann_1d needs a bounded 1-D grid")
-    fv = _check_compatible(f, project_mean, "neumann solve")
-    gv = gamma.values_on(grid)
-    h = grid.h[0]
-    flux = -h * np.cumsum(fv[:-1])
-    phi = np.concatenate(([0.0], np.cumsum(h * flux / (0.5 * (gv[1:] + gv[:-1])))))
-    return ScalarField(grid, phi - phi.mean())
+    return ScalarField(grid, _solve(gamma, f.values, grid, FD2, project_mean))
 
 
 def invert_freespace_1d(gamma: Mobility, f: ScalarField) -> ScalarField:
@@ -246,7 +260,7 @@ def invert_freespace_1d(gamma: Mobility, f: ScalarField) -> ScalarField:
     if scale > 0.0 and float(np.max(np.abs(fv[:edge])) + np.max(np.abs(fv[-edge:]))) \
             > SUPPORT_RTOL * scale:
         raise DomainError("free-space data must be supported away from the window edges")
-    fv = _check_compatible(f, False, "free-space solve")
+    fv = _check_compatible(fv, False, "free-space solve")
     x = grid.axis_coords(0)
     s, t = np.cumsum(fv), np.cumsum(x * fv)
     phi = (-0.5 * grid.h[0] / gamma.value) * (x * (2.0 * s - s[-1]) - (2.0 * t - t[-1]))
@@ -261,6 +275,4 @@ def invert_for_model(gamma: Mobility, f: ScalarField, d: Discretization) -> Scal
     grids, but (u[n-1] - u[0]) / L on the bounded Neumann grid (FD2 with
     reflected ghosts), and the projection discards it.
     """
-    if f.grid.is_periodic:
-        return invert_periodic(gamma, f, d, project_mean=True)
-    return invert_neumann_1d(gamma, f, project_mean=True)
+    return ScalarField(f.grid, _solve(gamma, f.values, f.grid, d, True))

@@ -1,8 +1,8 @@
 """Grid-indexed scalar, vector, and symmetric-tensor fields.
 
 Fields are immutable value types: constructors copy their input, scan it
-for non-finite values and mark the arrays read-only.  Public functions
-return validated fields; internal kernels work on arrays (a scalar, or a
+for non-finite values and mark the arrays read-only.  They are the API
+edge: internal kernels and the time loop work on arrays (a scalar, or a
 tuple of components in the storage order below).  Values are stored
 axis-major (C order), axis 0 = x.
 """
@@ -19,12 +19,16 @@ from .grids import Grid
 Components = tuple[np.ndarray, ...]   # a vector, or a tensor in storage order, as plain arrays
 
 
+def _require_finite(arr: np.ndarray) -> None:
+    if not np.isfinite(arr).all():
+        raise DomainError("field contains non-finite values")
+
+
 def _frozen_array(values, grid: Grid) -> np.ndarray:
     arr = np.array(values, dtype=float, copy=True)
     if arr.shape != grid.shape:
         raise DomainError(f"field shape {arr.shape} does not match grid {grid.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise DomainError("field contains non-finite values")
+    _require_finite(arr)
     arr.setflags(write=False)
     return arr
 

@@ -18,13 +18,14 @@ solved once; between the validated inputs and returned fields everything
 runs on arrays.
 
 Both reduced systems are conservation laws for (rho, m): the right-hand
-side is the divergence of the flux [m; Sigma - m (x) u].  It is built in
-three dependency levels: (1) grad u and grad rho in one
-:func:`korteweg.operators._grads` call, (2) div(kappa grad rho) inside the
-Korteweg tensor, next to the NSK2 solve on div u, and (3) the divergence of
-the flux (:func:`korteweg.operators._conservation_rates`).  The gap and the
-residuals take level 1 the same way and grad c once.  How a level is
-transformed is decided in :mod:`korteweg.operators`, not here.
+side is the divergence of the flux [m; Sigma - m (x) u].  Its one assembly,
+the array kernel ``_rhs``, serves the time loop; ``rhs_nsk1``/``rhs_nsk2``
+wrap it.  It is built in three dependency levels: (1) grad u and
+grad rho in one :func:`korteweg.operators._grads` call, (2) div(kappa grad
+rho) inside the Korteweg tensor, next to the NSK2 solve on div u, and (3)
+the divergence of the flux (:func:`korteweg.operators._conservation_rates`).
+The gap and the residuals take level 1 the same way and grad c once.  How a
+level is transformed is decided in :mod:`korteweg.operators`, not here.
 
 The full systems are never time-stepped: the closure makes them
 differential-algebraic, so they are only ever checked residually.
@@ -39,7 +40,7 @@ import numpy as np
 
 from . import constitutive as law
 from .constitutive import FluidParams, _augmented_bulk_viscosity, _density
-from .elliptic import Mobility, _matvec, invert_for_model
+from .elliptic import Mobility, _matvec, _solve
 from .errors import ConfigError, StateError
 from .fields import Components, ScalarField, VectorField, _outer, _sup
 from .grids import Discretization, Grid, Scheme
@@ -54,6 +55,12 @@ class ModelKind(Enum):
     NSK2 = "nsk2"   # reduced from the conserved-phase (Cahn-Hilliard) model
 
 
+def _require_above_floor(r: np.ndarray, state=None) -> None:
+    rmin = float(r.min())
+    if rmin <= RHO_FLOOR:
+        raise StateError(f"density fell to {rmin:.3e} (floor {RHO_FLOOR:.0e})", state=state)
+
+
 @dataclass(frozen=True)
 class MixtureState:
     """Reduced-system unknowns: density rho and momentum density m = rho u."""
@@ -65,10 +72,7 @@ class MixtureState:
     def __post_init__(self):
         if self.m.grid != self.rho.grid:
             raise StateError("state fields live on different grids")
-        rmin = float(np.min(self.rho.values))
-        if rmin <= RHO_FLOOR:
-            raise StateError(f"density fell to {rmin:.3e} (floor {RHO_FLOOR:.0e})",
-                             state=(self.rho, self.m, self.t))
+        _require_above_floor(self.rho.values, state=(self.rho, self.m, self.t))
 
     @property
     def grid(self):
@@ -103,7 +107,7 @@ def _nonlocal_term(divu: np.ndarray, grid: Grid, kind: ModelKind, gamma: Mobilit
     """Lambda_gamma^{-1}(div u) for NSK2, the model's one elliptic solve; None for NSK1."""
     if kind is ModelKind.NSK1:
         return None
-    return invert_for_model(gamma, ScalarField(grid, divu), d).values
+    return _solve(gamma, divu, grid, d, project_mean=True)
 
 
 def _pressure(state: MixtureState, divu: np.ndarray, gr: Components, params: FluidParams,
@@ -205,21 +209,30 @@ def _reduced_stress(r: np.ndarray, gr: Components, gu: tuple[Components, ...],
     return tuple(a + b for a, b in zip(bulk, korteweg))
 
 
-def _rhs(state: MixtureState, params: FluidParams, kind: ModelKind,
-         gamma: Mobility | None, d: Discretization) -> tuple[ScalarField, VectorField]:
-    """(-div m, div(Sigma - m (x) u)) in the three dependency levels of the module notes."""
-    grid = state.grid
-    r, m, u = state.rho.values, state.m.components, _velocity(state)
+def _rhs(r: np.ndarray, m: Components, grid: Grid, params: FluidParams, kind: ModelKind,
+         gamma: Mobility | None, d: Discretization) -> tuple[np.ndarray, Components]:
+    """(-div m, div(Sigma - m (x) u)) on arrays, in the three dependency levels of
+    the module notes.  ``r`` must be finite and above the density floor.
+    """
+    u = tuple(c / r for c in m)
     *gu, gr = _grads((*u, r), grid, d)
     stress = _reduced_stress(r, gr, gu, grid, params, d,
                              _nonlocal_term(_div_of(gu), grid, kind, gamma, d))
+    del gu, gr   # level 3 needs neither: frees 6 arrays in 2-D
     return _conservation_rates(m, stress, _outer(m, u), grid, d)
+
+
+def _rhs_fields(state: MixtureState, params: FluidParams, kind: ModelKind,
+                gamma: Mobility | None, d: Discretization) -> tuple[ScalarField, VectorField]:
+    grid = state.grid
+    drho, dm = _rhs(state.rho.values, state.m.components, grid, params, kind, gamma, d)
+    return ScalarField(grid, drho), VectorField(grid, dm)
 
 
 def rhs_nsk1(state: MixtureState, params: FluidParams,
              d: Discretization) -> tuple[ScalarField, VectorField]:
     """Semi-discrete right-hand side of the local reduced system."""
-    return _rhs(state, params, ModelKind.NSK1, None, d)
+    return _rhs_fields(state, params, ModelKind.NSK1, None, d)
 
 
 def rhs_nsk2(state: MixtureState, params: FluidParams, gamma: Mobility,
@@ -228,7 +241,7 @@ def rhs_nsk2(state: MixtureState, params: FluidParams, gamma: Mobility,
 
     Exactly one elliptic solve per evaluation (for the non-local stress).
     """
-    return _rhs(state, params, ModelKind.NSK2, gamma, d)
+    return _rhs_fields(state, params, ModelKind.NSK2, gamma, d)
 
 
 @dataclass(frozen=True)

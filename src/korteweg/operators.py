@@ -177,26 +177,24 @@ def _grads(arrays: Components, grid: Grid, d: Discretization) -> tuple[Component
 
 
 def _conservation_rates(mass: Components, stress: Components, advective: Components,
-                        grid: Grid, d: Discretization) -> tuple[ScalarField, VectorField]:
-    """(-div mass, div(stress - advective)) as fields: the rates of a conservation law
-    for (rho, m) with flux [mass; advective - stress].
+                        grid: Grid, d: Discretization) -> tuple[np.ndarray, Components]:
+    """(-div mass, div(stress - advective)): the rates of a conservation law for
+    (rho, m) with flux [mass; advective - stress].
 
     ``mass`` is a vector, ``stress`` and ``advective`` stored symmetric tensors.
     Under ``d.dealias`` the 2/3 rule masks ``mass`` and ``advective`` (the
     quadratic terms) in the spectra the divergences take.  1-D spectral: every
     row in one stacked forward and both divergences in one stacked inverse.
-    Otherwise :func:`_div` of ``mass``, wrapped, then :func:`_div_tensor` of the
-    rest: in 2-D the orders tried that wrap later had more page faults.
+    Otherwise :func:`_div` of ``mass``, then :func:`_div_tensor` of the rest.
     """
     if not _stacks(grid, d):
         if d.dealias:
             flux_hat = [s - a for s, a in zip(_spectra(stress, grid),
                                               _spectra(advective, grid, True))]
-            return (ScalarField(grid, -_div_spectra(_spectra(mass, grid, True), grid, 1)[0]),
-                    VectorField(grid, _div_spectra(flux_hat, grid, grid.dim)))
+            return (-_div_spectra(_spectra(mass, grid, True), grid, 1)[0],
+                    _div_spectra(flux_hat, grid, grid.dim))
         flux = tuple(s - a for s, a in zip(stress, advective))
-        return (ScalarField(grid, -_div(mass, grid, d)),
-                VectorField(grid, _div_tensor(flux, grid, d)))
+        return -_div(mass, grid, d), _div_tensor(flux, grid, d)
     if d.dealias:
         keep = _dealias_mask(grid)
         hm, hs, ha = np.fft.rfft(np.array((*mass, *stress, *advective)))
@@ -204,7 +202,7 @@ def _conservation_rates(mass: Components, stress: Components, advective: Compone
     else:
         hats = np.fft.rfft(np.array((*mass, stress[0] - advective[0])))
     div_mass, div_flux = _irfft(_ik(grid)[0] * hats, grid.shape)
-    return ScalarField(grid, -div_mass), VectorField(grid, (div_flux,))
+    return -div_mass, (div_flux,)
 
 
 def grad(f: ScalarField, d: Discretization) -> VectorField:

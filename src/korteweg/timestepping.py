@@ -1,4 +1,7 @@
-"""Explicit SSP-RK3 (Shu-Osher) integration of reduced mixture states."""
+"""Explicit SSP-RK3 (Shu-Osher) integration of reduced mixture states.
+
+The stages run on arrays; each accepted step builds one validated MixtureState.
+"""
 
 from __future__ import annotations
 
@@ -11,9 +14,9 @@ from . import constitutive as law
 from .constitutive import FluidParams
 from .elliptic import Mobility
 from .errors import ConfigError, DomainError, SolverError, StateError
-from .fields import ScalarField, VectorField
-from .grids import Discretization
-from .models import MixtureState, ModelKind, _velocity, rhs_nsk1, rhs_nsk2
+from .fields import Components, ScalarField, VectorField, _require_finite
+from .grids import Discretization, Grid
+from .models import MixtureState, ModelKind, _require_above_floor, _rhs, _velocity
 
 # Shu-Osher stage weights (step-start weight, weight of the Euler step from
 # the last stage); each row is a convex combination, which makes it SSP.
@@ -96,35 +99,41 @@ def estimate_dt(state: MixtureState, params: FluidParams,
     return _step_bound(state, params, control)
 
 
-RhsEvaluator = Callable[[MixtureState], tuple[ScalarField, VectorField]]
+RhsEvaluator = Callable[[np.ndarray, Components, Grid], tuple[np.ndarray, Components]]
 
 
 def make_rhs(params: FluidParams, kind: ModelKind, gamma: Mobility | None,
              d: Discretization) -> RhsEvaluator:
-    if kind is ModelKind.NSK1:
-        return lambda s: rhs_nsk1(s, params, d)
-    if gamma is None:
+    """The model's right-hand side as (rho, m, grid) -> (d rho/dt, dm/dt) on arrays."""
+    if kind is ModelKind.NSK2 and gamma is None:
         raise ConfigError("the non-local reduced model needs a mobility")
-    return lambda s: rhs_nsk2(s, params, gamma, d)
+    return lambda rho, m, grid: _rhs(rho, m, grid, params, kind, gamma, d)
+
+
+def _check_stage(rho: np.ndarray, m: Components) -> None:
+    """A MixtureState's checks: non-finite (DomainError), density floor (StateError)."""
+    for a in (rho, *m):
+        _require_finite(a)
+    _require_above_floor(rho)
 
 
 def ssprk3_step(state: MixtureState, dt: float, rhs: RhsEvaluator) -> MixtureState:
     """One SSP-RK3 step: stage k + 1 is wa * u0 + wb * (u_k + dt * L(u_k)) per table row.
 
-    Each stage is computed on arrays and validated once, as one MixtureState.  Time
-    is combined like the state: the RHS sees t, t + dt, t + dt/2; the step ends at t + dt.
+    The stages run on arrays and each is checked before the next evaluation;
+    the last one becomes the step's one validated MixtureState, at t + dt.
     """
     if dt <= 0.0:
         raise ConfigError("dt must be positive")
-    grid, stage, c = state.grid, state, 0.0
-    for wa, wb in SHU_OSHER_COEFFS:
-        drho, dm = rhs(stage)
-        rho = wa * state.rho.values + wb * (stage.rho.values + dt * drho.values)
-        m = tuple(wa * a + wb * (b + dt * g) for a, b, g in
-                  zip(state.m.components, stage.m.components, dm.components))
-        c = wb * (c + 1.0)
-        stage = MixtureState(ScalarField(grid, rho), VectorField(grid, m), state.t + c * dt)
-    return stage
+    grid, rho0, m0 = state.grid, state.rho.values, state.m.components
+    rho, m = rho0, m0
+    for i, (wa, wb) in enumerate(SHU_OSHER_COEFFS):
+        if i:
+            _check_stage(rho, m)
+        drho, dm = rhs(rho, m, grid)
+        rho = wa * rho0 + wb * (rho + dt * drho)
+        m = tuple(wa * a + wb * (b + dt * g) for a, b, g in zip(m0, m, dm))
+    return MixtureState(ScalarField(grid, rho), VectorField(grid, m), state.t + dt)
 
 
 Observer = Callable[[int, MixtureState, float], None]

@@ -7,8 +7,8 @@ import pytest
 
 from korteweg import (FD2, SPECTRAL, CompatibilityError, ConfigError, DomainError,
                       Grid, ScalarField)
-from korteweg.elliptic import (Mobility, _inverse_symbol, apply_operator, invert_freespace_1d,
-                               invert_neumann_1d, invert_periodic)
+from korteweg.elliptic import (Mobility, _inverse_symbol, _solve, apply_operator,
+                               invert_freespace_1d, invert_neumann_1d, invert_periodic)
 from korteweg.initial import random_band_limited
 from korteweg.operators import mean
 
@@ -123,6 +123,17 @@ def test_periodic_cg_logs_its_iteration_count(caplog):
     context, iterations = records[0].args[:2]
     assert "periodic" in context
     assert isinstance(iterations, int) and iterations > 0
+
+
+def test_model_solve_refuses_non_finite_data_before_cg():
+    # the right-hand sides pass arrays straight to the solve kernel, so CG itself
+    # refuses non-finite data instead of iterating to its budget
+    grid = Grid.periodic(64)
+    x = grid.coords()[0]
+    f = np.cos(2.0 * x)
+    f[3] = np.nan
+    with pytest.raises(DomainError, match="non-finite"):
+        _solve(Mobility.spatial(2.0 + np.sin(x)), f, grid, SPECTRAL, True)
 
 
 def _variable_mobility_case(shape, seed):

@@ -11,7 +11,7 @@ import pytest
 import korteweg.elliptic
 import korteweg.harness
 import korteweg.timestepping
-from korteweg import ConfigError, SolverError, StateError, StepControl, integrate
+from korteweg import ConfigError, DomainError, SolverError, StateError, StepControl, integrate
 from korteweg.cli import main
 from korteweg.fields import read_scalar_csv
 from korteweg.harness import config_from_dict, load_config, run_simulation
@@ -250,6 +250,46 @@ def test_solver_failure_in_a_step_is_a_numeric_failure(tmp_path, monkeypatch):
     record = json.loads((out / "failure.json").read_text())
     assert record["error"] == "StateError" and "cg failed" in record["message"]
     assert (record["step"], record["t"]) == (1, 0.0)
+    assert not (out / "summary.json").exists()
+
+
+def failing_stage_two(rates):
+    """The right-hand-side kernel with stage 2 of the first step replaced by ``rates``."""
+    original = korteweg.timestepping._rhs
+    calls = []
+
+    def kernel(rho, m, *args):
+        calls.append(len(calls) + 1)
+        return rates(rho, m) if len(calls) == 2 else original(rho, m, *args)
+
+    return kernel, calls
+
+
+@pytest.mark.parametrize("rates, cause", [
+    (lambda rho, m: (np.full_like(rho, np.nan), m), DomainError),
+    (lambda rho, m: (np.full_like(rho, -1e9), m), StateError),
+], ids=["non-finite", "density-floor"])
+def test_failed_array_stage_is_a_numeric_failure(rates, cause, tmp_path, monkeypatch):
+    # the stages are arrays; each is checked before the next evaluation, and the
+    # failure names the step, its start t and dt, with the last good state
+    out = tmp_path / "out"
+    path = write_config(tmp_path, initial={"family": "sine_density", "rho0": 1.5,
+                                           "amplitude": 0.05, "velocity_amplitude": 0.02},
+                        step={"t_end": 0.01, "dt_fixed": 1e-3}, output={"dir": str(out)})
+    cfg = load_config(path)
+    state = cfg.build_initial_state()
+    kernel, calls = failing_stage_two(rates)
+    monkeypatch.setattr(korteweg.timestepping, "_rhs", kernel)
+    with pytest.raises(StateError) as info:
+        integrate(state, cfg.control, cfg.params, cfg.model, cfg.build_mobility(), cfg.disc)
+    exc = info.value
+    assert calls == [1, 2] and isinstance(exc.__cause__, cause)
+    assert (exc.step, exc.t, exc.dt) == (1, 0.0, 1e-3) and exc.state is state
+    kernel, calls = failing_stage_two(rates)
+    monkeypatch.setattr(korteweg.timestepping, "_rhs", kernel)
+    assert main(["run", str(path), "--quiet"]) == 3
+    record = json.loads((out / "failure.json").read_text())
+    assert record["error"] == "StateError" and (record["step"], record["t"]) == (1, 0.0)
     assert not (out / "summary.json").exists()
 
 

@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 
 import korteweg.timestepping
-from korteweg import (SPECTRAL, ConfigError, FluidParams, Grid, MixtureState,
-                      ModelKind, ScalarField, StateError, StepControl, VectorField,
-                      estimate_dt, integrate, ssprk3_step)
+from korteweg import (FD2, SPECTRAL, ConfigError, Discretization, FluidParams, Grid,
+                      MixtureState, Mobility, ModelKind, ScalarField, Scheme, StateError,
+                      StepControl, VectorField, estimate_dt, integrate, rhs_nsk1, rhs_nsk2,
+                      ssprk3_step)
 from korteweg.constitutive import DoubleWell
 from korteweg.errors import KortewegError
-from korteweg.timestepping import SHU_OSHER_COEFFS, dt_candidates, make_rhs
+from korteweg.initial import neumann_mobility
+from korteweg.timestepping import (SHU_OSHER_COEFFS, _step_bound, dt_candidates, make_rhs,
+                                   step_metrics)
 
 
 def constant_state(grid, rho0=1.4):
@@ -32,9 +35,16 @@ def test_step_control_validation():
         StepControl(t_end=-1.0)
 
 
+def zero_rhs(rho, m, grid):
+    return np.zeros_like(rho), tuple(np.zeros_like(c) for c in m)
+
+
+def decay(rho, m, grid):
+    return -rho, tuple(-c for c in m)
+
+
 def test_zero_rhs_leaves_state_unchanged(grid64):
     state = constant_state(grid64)
-    zero_rhs = lambda s: (ScalarField.constant(s.grid, 0.0), VectorField.zero(s.grid))
     out = ssprk3_step(state, 0.25, zero_rhs)
     assert np.array_equal(out.rho.values, state.rho.values)
     assert out.t == 0.25
@@ -46,8 +56,6 @@ def test_scalar_decay_matches_hand_computed_stages(grid64):
     # y' = -y, y0 = 1, dt = 0.1; Shu-Osher stage arithmetic gives
     # y1 = 1/3 + (2/3)*0.9*(3/4 + (1/4)*0.9*0.9) = 5429/6000
     state = constant_state(grid64, rho0=1.0)
-    decay = lambda s: (ScalarField(s.grid, -s.rho.values),
-                       VectorField(s.grid, tuple(-c for c in s.m.components)))
     out = ssprk3_step(state, 0.1, decay)
     expected = 5429.0 / 6000.0
     assert np.max(np.abs(out.rho.values - expected)) < 1e-14
@@ -58,22 +66,20 @@ def test_shu_osher_table_drives_the_stages(grid64, monkeypatch):
     # three chained forward-Euler stages: y' = -y from 1 lands on 0.9**3
     monkeypatch.setattr(korteweg.timestepping, "SHU_OSHER_COEFFS", ((0.0, 1.0),) * 3)
     state = constant_state(grid64, rho0=1.0)
-    decay = lambda s: (ScalarField(s.grid, -s.rho.values),
-                       VectorField(s.grid, tuple(-c for c in s.m.components)))
     out = ssprk3_step(state, 0.1, decay)
     assert np.max(np.abs(out.rho.values - 0.9**3)) < 1e-14
 
 
-def test_step_validates_one_state_per_stage(grid64, monkeypatch):
+def test_step_validates_one_state_per_step(grid64, monkeypatch):
+    # the stages run on arrays; only the step's result is a MixtureState
     built = []
     original = MixtureState.__post_init__
     monkeypatch.setattr(MixtureState, "__post_init__",
                         lambda self: built.append(self.t) or original(self))
     state = constant_state(grid64)
     built.clear()
-    zero_rhs = lambda s: (ScalarField.constant(s.grid, 0.0), VectorField.zero(s.grid))
     out = ssprk3_step(state, 0.25, zero_rhs)
-    assert built == [0.25, 0.125, 0.25] and out.t == 0.25
+    assert built == [0.25] and out.t == 0.25
 
 
 def test_constant_state_is_fixed_point(params, grid64):
@@ -212,3 +218,88 @@ def test_observers_are_invoked_every_step(params, grid64):
     integrate(state, StepControl(t_end=1e9, dt_fixed=1e-3, max_steps=5), params,
               observers=(obs,))
     assert seen == [0, 1, 2, 3, 4, 5]
+
+
+def moving_state(grid):
+    xs = grid.coords()
+    wave = sum(np.sin((axis + 1) * x) for axis, x in enumerate(xs))
+    return MixtureState.from_primitive(
+        ScalarField(grid, 1.4 + 0.1 * wave),
+        VectorField(grid, tuple(0.05 * np.cos(x) for x in xs)))
+
+
+SPECTRAL_DEALIAS = Discretization(Scheme.SPECTRAL, dealias=True)
+CONSTANT = Mobility.constant(1.0)
+# (grid, discretization, model, mobility) per case of the array time loop
+RUNS = {
+    "1d-nsk1": (Grid.periodic(64), SPECTRAL, ModelKind.NSK1, None),
+    "1d-nsk2": (Grid.periodic(64), SPECTRAL, ModelKind.NSK2, CONSTANT),
+    "1d-dealias-nsk1": (Grid.periodic(64), SPECTRAL_DEALIAS, ModelKind.NSK1, None),
+    "1d-dealias-nsk2": (Grid.periodic(64), SPECTRAL_DEALIAS, ModelKind.NSK2, CONSTANT),
+    "1d-odd-nsk1": (Grid.periodic(63), SPECTRAL, ModelKind.NSK1, None),
+    "1d-odd-nsk2": (Grid.periodic(63), SPECTRAL, ModelKind.NSK2, CONSTANT),
+    "1d-odd-dealias-nsk1": (Grid.periodic(63), SPECTRAL_DEALIAS, ModelKind.NSK1, None),
+    "1d-odd-dealias-nsk2": (Grid.periodic(63), SPECTRAL_DEALIAS, ModelKind.NSK2, CONSTANT),
+    "2d-nsk1": (Grid.periodic((32, 24)), SPECTRAL, ModelKind.NSK1, None),
+    "2d-nsk2": (Grid.periodic((32, 24)), SPECTRAL, ModelKind.NSK2, CONSTANT),
+    "periodic-cosine-nsk2": (Grid.periodic(64), SPECTRAL, ModelKind.NSK2,
+                             Mobility.spatial(2.0 + np.cos(Grid.periodic(64).coords()[0]))),
+    "bounded-cosine-nsk2": (Grid.bounded_neumann_1d(64, 1.0), FD2, ModelKind.NSK2,
+                            neumann_mobility(Grid.bounded_neumann_1d(64, 1.0))),
+}
+
+
+@pytest.mark.parametrize("case", ["1d-nsk1", "1d-nsk2", "bounded-cosine-nsk2", "2d-nsk1"])
+def test_integrate_builds_one_field_of_each_kind_per_step(case, params, monkeypatch):
+    grid, d, kind, gamma = RUNS[case]
+    state = moving_state(grid)
+    built = {}
+    for cls in (ScalarField, VectorField, MixtureState):
+        original = cls.__post_init__
+        monkeypatch.setattr(cls, "__post_init__",
+                            lambda self, cls=cls, original=original:
+                            built.update({cls.__name__: built.get(cls.__name__, 0) + 1})
+                            or original(self))
+    res = integrate(state, StepControl(t_end=1e9, max_steps=4), params, kind, gamma, d,
+                    record_metrics=True)
+    assert res.steps == 4
+    assert built == {"ScalarField": 4, "VectorField": 4, "MixtureState": 4}
+
+
+def reference_integrate(state, control, params, kind, gamma, d):
+    """The field-based stage loop: every stage a validated MixtureState, the
+    right-hand side through rhs_nsk1/rhs_nsk2.  Returns (final state, metrics)."""
+    rhs = (lambda s: rhs_nsk1(s, params, d)) if kind is ModelKind.NSK1 else \
+        (lambda s: rhs_nsk2(s, params, gamma, d))
+    grid = state.grid
+    metrics = [step_metrics(0, state, 0.0)]
+    step = 0
+    while not control.reached(state.t) and step < control.max_steps:
+        dt = min(_step_bound(state, params, control, step + 1), control.t_end - state.t)
+        stage, c = state, 0.0
+        for wa, wb in SHU_OSHER_COEFFS:
+            drho, dm = rhs(stage)
+            rho = wa * state.rho.values + wb * (stage.rho.values + dt * drho.values)
+            m = tuple(wa * a + wb * (b + dt * g) for a, b, g in
+                      zip(state.m.components, stage.m.components, dm.components))
+            c = wb * (c + 1.0)
+            stage = MixtureState(ScalarField(grid, rho), VectorField(grid, m),
+                                 state.t + c * dt)
+        state = stage
+        step += 1
+        metrics.append(step_metrics(step, state, dt))
+    return state, metrics
+
+
+@pytest.mark.parametrize("case", sorted(RUNS))
+def test_array_stages_match_field_stages_bit_for_bit(case, params):
+    grid, d, kind, gamma = RUNS[case]
+    state = moving_state(grid)
+    control = StepControl(t_end=1e9, max_steps=6)
+    res = integrate(state, control, params, kind, gamma, d, record_metrics=True)
+    ref, ref_metrics = reference_integrate(state, control, params, kind, gamma, d)
+    assert res.steps == 6 and res.state.t == ref.t
+    assert np.array_equal(res.state.rho.values, ref.rho.values)
+    assert all(np.array_equal(a, b) for a, b in zip(res.state.m.components, ref.m.components,
+                                                     strict=True))
+    assert res.metrics == ref_metrics
