@@ -13,7 +13,8 @@ a free-space window.
 import numpy as np
 
 from korteweg import FD2, SPECTRAL, Grid, Mobility, ScalarField, apply_operator
-from korteweg.elliptic import invert_freespace_1d, invert_neumann_1d, invert_periodic
+from korteweg.elliptic import (invert_for_model, invert_freespace_1d, invert_neumann_1d,
+                               invert_periodic)
 
 # periodic + constant mobility: eigenfunction solves are exact
 grid = Grid.periodic(64)
@@ -45,8 +46,7 @@ for length, n in ((40.0, 512), (80.0, 1024), (160.0, 2048)):
     xw = wide.coords()[0] - 0.5 * length
     f_free = ScalarField(wide, -2.0 * xw * np.exp(-xw * xw))  # derivative of a bump
     phi_free = invert_freespace_1d(Mobility.constant(1.0), f_free)
-    phi_per = invert_periodic(Mobility.constant(1.0), f_free, SPECTRAL,
-                              project_mean=True)
+    phi_per = invert_for_model(Mobility.constant(1.0), f_free, SPECTRAL)
     support = np.abs(xw) < 5.0
     diff = phi_free.values[support] - phi_per.values[support]
     diff -= diff.mean()

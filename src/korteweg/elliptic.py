@@ -16,8 +16,10 @@ have zero mean and the solution is fixed by mean(phi) = 0):
 Variable mobility on periodic grids uses CG on the composed discrete
 operator, preconditioned by the Fourier solve at the mean mobility; the
 iteration count then depends on the mobility contrast, not on N.  The
-first two are one array kernel, ``_solve``: the public inverses wrap it,
-the right-hand sides call it directly.
+first two are one array kernel, ``_solve``, which solves for the zero-mean
+part of its data.  The right-hand sides call it directly, and so does
+:func:`invert_for_model`, the one public inverse that discards a mean; the
+other public inverses first refuse data with a mean (CompatibilityError).
 """
 
 from __future__ import annotations
@@ -79,19 +81,14 @@ class Mobility:
         return np.asarray(self.value)
 
 
-def _check_compatible(fv: np.ndarray, project: bool, context: str) -> np.ndarray:
-    """Enforce (or project off) the zero-mean solvability constraint."""
+def _require_zero_mean(fv: np.ndarray, context: str) -> None:
+    """Refuse data off the zero-mean subspace, where the inverse does not exist."""
     m = float(fv.mean())
     scale = float(np.max(np.abs(fv)))
-    if scale == 0.0:
-        return fv
     if abs(m) > COMPAT_RTOL * scale:
-        if not project:
-            raise CompatibilityError(
-                f"{context}: right-hand side mean {m:.3e} exceeds "
-                f"{COMPAT_RTOL:.0e} * max|f| = {COMPAT_RTOL * scale:.3e}")
-        log.debug("%s: projecting off rhs mean %.3e", context, m)
-    return fv - m
+        raise CompatibilityError(
+            f"{context}: right-hand side mean {m:.3e} exceeds "
+            f"{COMPAT_RTOL:.0e} * max|f| = {COMPAT_RTOL * scale:.3e}")
 
 
 def apply_operator(gamma: Mobility, phi: ScalarField, d: Discretization) -> ScalarField:
@@ -185,16 +182,17 @@ def _fourier_solve(fv: np.ndarray, inv_sym: np.ndarray, gamma: float) -> np.ndar
     return (phi - phi.mean()) / gamma
 
 
-def _solve(gamma: Mobility, fv: np.ndarray, grid: Grid, d: Discretization,
-           project_mean: bool) -> np.ndarray:
-    """-div(gamma grad phi) = fv, mean(phi) = 0, on arrays, for either boundary kind.
+def _solve(gamma: Mobility, fv: np.ndarray, grid: Grid, d: Discretization) -> np.ndarray:
+    """-div(gamma grad phi) = fv - mean(fv), mean(phi) = 0, on arrays, either boundary kind.
 
-    Neumann: with zero wall flux, the flux through face i+1/2 is
-    -h sum_{j<=i} f_j; phi is the running sum of h flux / gamma_face.
+    The solve is for the zero-mean part of the data: callers that must
+    refuse a mean check it first (:func:`_require_zero_mean`).  Neumann:
+    with zero wall flux, the flux through face i+1/2 is -h sum_{j<=i} f_j;
+    phi is the running sum of h flux / gamma_face.
     """
+    fv = fv - fv.mean()
     if grid.is_periodic:
         d.require_compatible(grid)
-        fv = _check_compatible(fv, project_mean, "periodic solve")
         inv_sym = _inverse_symbol(grid, d.scheme)
         if gamma.is_constant:
             return _fourier_solve(fv, inv_sym, gamma.value)
@@ -203,7 +201,6 @@ def _solve(gamma: Mobility, fv: np.ndarray, grid: Grid, d: Discretization,
         return _pcg_zero_mean(_matvec(gv, grid, d), fv,
                               lambda r: _fourier_solve(r, inv_sym, gmean),
                               "periodic variable-mobility solve")
-    fv = _check_compatible(fv, project_mean, "neumann solve")
     gv = gamma.values_on(grid)
     h = grid.h[0]
     flux = -h * np.cumsum(fv[:-1])
@@ -212,8 +209,7 @@ def _solve(gamma: Mobility, fv: np.ndarray, grid: Grid, d: Discretization,
 
 
 def invert_periodic(gamma: Mobility, f: ScalarField,
-                    d: Discretization = Discretization(Scheme.SPECTRAL),
-                    project_mean: bool = False) -> ScalarField:
+                    d: Discretization = Discretization(Scheme.SPECTRAL)) -> ScalarField:
     """Solve -div(gamma grad phi) = f on a periodic grid, mean(phi) = 0.
 
     Constant mobility is a diagonal Fourier solve with the scheme-matched
@@ -225,11 +221,11 @@ def invert_periodic(gamma: Mobility, f: ScalarField,
     grid = f.grid
     if not grid.is_periodic:
         raise ConfigError("invert_periodic needs a periodic grid")
-    return ScalarField(grid, _solve(gamma, f.values, grid, d, project_mean))
+    _require_zero_mean(f.values, "periodic solve")
+    return ScalarField(grid, _solve(gamma, f.values, grid, d))
 
 
-def invert_neumann_1d(gamma: Mobility, f: ScalarField,
-                      project_mean: bool = False) -> ScalarField:
+def invert_neumann_1d(gamma: Mobility, f: ScalarField) -> ScalarField:
     """Solve the bounded 1-D problem with zero Neumann flux and zero mean.
 
     Exact: a direct solve by two prefix sums (see :func:`_solve`).
@@ -237,7 +233,8 @@ def invert_neumann_1d(gamma: Mobility, f: ScalarField,
     grid = f.grid
     if grid.is_periodic or grid.dim != 1:
         raise ConfigError("invert_neumann_1d needs a bounded 1-D grid")
-    return ScalarField(grid, _solve(gamma, f.values, grid, FD2, project_mean))
+    _require_zero_mean(f.values, "neumann solve")
+    return ScalarField(grid, _solve(gamma, f.values, grid, FD2))
 
 
 def invert_freespace_1d(gamma: Mobility, f: ScalarField) -> ScalarField:
@@ -260,7 +257,8 @@ def invert_freespace_1d(gamma: Mobility, f: ScalarField) -> ScalarField:
     if scale > 0.0 and float(np.max(np.abs(fv[:edge])) + np.max(np.abs(fv[-edge:]))) \
             > SUPPORT_RTOL * scale:
         raise DomainError("free-space data must be supported away from the window edges")
-    fv = _check_compatible(fv, False, "free-space solve")
+    _require_zero_mean(fv, "free-space solve")
+    fv = fv - fv.mean()
     x = grid.axis_coords(0)
     s, t = np.cumsum(fv), np.cumsum(x * fv)
     phi = (-0.5 * grid.h[0] / gamma.value) * (x * (2.0 * s - s[-1]) - (2.0 * t - t[-1]))
@@ -270,9 +268,10 @@ def invert_freespace_1d(gamma: Mobility, f: ScalarField) -> ScalarField:
 def invert_for_model(gamma: Mobility, f: ScalarField, d: Discretization) -> ScalarField:
     """Inverse used inside the reduced model right-hand sides.
 
-    Routes on the grid's boundary kind and projects off the data's mean.
-    The data is a discrete divergence: its mean is round-off on periodic
-    grids, but (u[n-1] - u[0]) / L on the bounded Neumann grid (FD2 with
-    reflected ghosts), and the projection discards it.
+    Routes on the grid's boundary kind and, unlike the strict inverses,
+    solves for the zero-mean part of f without checking its mean.  The data
+    is a discrete divergence: its mean is round-off on periodic grids, but
+    (u[n-1] - u[0]) / L on the bounded Neumann grid (FD2 with reflected
+    ghosts), and :func:`_solve` discards it.
     """
-    return ScalarField(f.grid, _solve(gamma, f.values, f.grid, d, True))
+    return ScalarField(f.grid, _solve(gamma, f.values, f.grid, d))

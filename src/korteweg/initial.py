@@ -147,18 +147,17 @@ def random_band_limited(grid: Grid, rng: np.random.Generator, kmax: int = 4) -> 
 
 @dataclass(frozen=True)
 class CorpusState:
-    """Analytic state that can be sampled on any grid at a given boundary kind."""
+    """Analytic 1-D state that can be sampled on any grid of a given boundary kind."""
 
     name: str
     boundary: BoundaryKind
     rho_fn: Callable[..., np.ndarray]
     u_fns: tuple[Callable[..., np.ndarray], ...]
     mobility_fn: Callable[[Grid], Mobility] | None = None
-    dim: int = 1
 
     def grid(self, n: int) -> Grid:
         if self.boundary is BoundaryKind.PERIODIC:
-            return Grid.periodic((n,) * self.dim, (2.0 * np.pi,) * self.dim)
+            return Grid.periodic(n)
         return Grid.bounded_neumann_1d(n, 1.0)
 
     def on_grid(self, grid: Grid) -> MixtureState:

@@ -50,11 +50,6 @@ class SymbolicState:
     def one_d(cls, rho_expr, u_expr) -> "SymbolicState":
         return cls(dim=1, rho=sp.sympify(rho_expr), u=(sp.sympify(u_expr),))
 
-    @classmethod
-    def two_d(cls, rho_expr, u_exprs) -> "SymbolicState":
-        return cls(dim=2, rho=sp.sympify(rho_expr),
-                   u=tuple(sp.sympify(e) for e in u_exprs))
-
 
 def _lambdify(expr, xs):
     fn = sp.lambdify(xs, expr, modules=[np])

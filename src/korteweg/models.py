@@ -107,7 +107,7 @@ def _nonlocal_term(divu: np.ndarray, grid: Grid, kind: ModelKind, gamma: Mobilit
     """Lambda_gamma^{-1}(div u) for NSK2, the model's one elliptic solve; None for NSK1."""
     if kind is ModelKind.NSK1:
         return None
-    return _solve(gamma, divu, grid, d, project_mean=True)
+    return _solve(gamma, divu, grid, d)
 
 
 def _pressure(state: MixtureState, divu: np.ndarray, gr: Components, params: FluidParams,

@@ -47,6 +47,8 @@ class StepControl:
             raise ConfigError("CFL safety factors must be in (0, 1]")
         if self.t_end < 0.0:
             raise ConfigError("t_end must be >= 0")
+        if self.dt_fixed is not None and not self.dt_fixed > 0.0:
+            raise ConfigError("dt_fixed must be positive")
 
     def reached(self, t: float) -> bool:
         """Whether time ``t`` counts as the end of the run."""

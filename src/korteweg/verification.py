@@ -493,8 +493,9 @@ def convergence_table(params: FluidParams, kind: ModelKind, d: Discretization,
     from .manufactured import SymbolicState, exact_rhs
     import sympy as sp
 
-    if len(resolutions) < 3:
-        raise ConfigError("a convergence study needs at least 3 resolutions")
+    if len(set(resolutions)) < 3:
+        raise ConfigError("a convergence study needs at least 3 distinct resolutions, "
+                          f"got {list(resolutions)}")
     x = sp.Symbol("x")
     sym_state = SymbolicState.one_d(
         sp.Rational(3, 2) + sp.Rational(1, 5) * sp.sin(x),
@@ -576,7 +577,8 @@ def compare_models(cfg_a, cfg_b) -> CompareReport:
     n_steps = max(1, int(np.ceil(t_end / dt)))
     dt = t_end / n_steps
     every = max(1, n_steps // COMPARE_CHECKPOINTS)
-    control = StepControl(t_end=t_end, dt_fixed=dt)
+    # t_end = 0 takes no step, so there is no step to fix
+    control = StepControl(t_end=t_end, dt_fixed=dt if t_end > 0.0 else None)
 
     states_a, states_b = {}, {}
     for cfg, kind, gamma, states in ((cfg_a, ModelKind.NSK1, None, states_a),

@@ -8,7 +8,8 @@ import pytest
 from korteweg import (FD2, SPECTRAL, CompatibilityError, ConfigError, DomainError,
                       Grid, ScalarField)
 from korteweg.elliptic import (Mobility, _inverse_symbol, _solve, apply_operator,
-                               invert_freespace_1d, invert_neumann_1d, invert_periodic)
+                               invert_for_model, invert_freespace_1d, invert_neumann_1d,
+                               invert_periodic)
 from korteweg.initial import random_band_limited
 from korteweg.operators import mean
 
@@ -93,8 +94,8 @@ def test_invert_periodic_compatibility_guard():
     f = ScalarField.constant(grid, 1.0)
     with pytest.raises(CompatibilityError):
         invert_periodic(Mobility.constant(1.0), f)
-    # projection mode strips the mean instead of raising
-    phi = invert_periodic(Mobility.constant(1.0), f, project_mean=True)
+    # the model inverse strips the mean instead of raising
+    phi = invert_for_model(Mobility.constant(1.0), f, SPECTRAL)
     assert np.max(np.abs(phi.values)) < 1e-12
 
 
@@ -133,7 +134,7 @@ def test_model_solve_refuses_non_finite_data_before_cg():
     f = np.cos(2.0 * x)
     f[3] = np.nan
     with pytest.raises(DomainError, match="non-finite"):
-        _solve(Mobility.spatial(2.0 + np.sin(x)), f, grid, SPECTRAL, True)
+        _solve(Mobility.spatial(2.0 + np.sin(x)), f, grid, SPECTRAL)
 
 
 def _variable_mobility_case(shape, seed):
@@ -207,6 +208,29 @@ def test_invert_neumann_variable_mobility_roundtrip():
     back = apply_operator(gamma, phi, FD2)
     assert np.max(np.abs(back.values - f)) < 1e-9
     assert abs(float(phi.values.mean())) < 1e-13
+
+
+@pytest.mark.parametrize("grid, d", [(Grid.bounded_neumann_1d(128, length=1.0), FD2),
+                                     (Grid.periodic(96), SPECTRAL)],
+                         ids=["neumann-fd2", "periodic-cg"])
+def test_strict_inverse_refuses_a_mean_the_model_inverse_discards(grid, d):
+    # one zero-mean contract on both boundary kinds, with cosine mobility:
+    # the strict inverses refuse data with a mean, the model inverse solves
+    # for the zero-mean part of the same data
+    x = grid.coords()[0]
+    k = (2.0 if grid.is_periodic else 1.0) * np.pi / grid.length[0]
+    gamma = Mobility.spatial(2.0 + np.cos(k * x))
+    rng = np.random.default_rng(23)
+    f = ScalarField(grid, 0.5 + random_band_limited(grid, rng, kmax=6))
+    with pytest.raises(CompatibilityError):
+        if grid.is_periodic:
+            invert_periodic(gamma, f, d)
+        else:
+            invert_neumann_1d(gamma, f)
+    phi = invert_for_model(gamma, f, d)
+    assert abs(float(phi.values.mean())) < 1e-13
+    back = apply_operator(gamma, phi, d)
+    assert np.max(np.abs(back.values - (f.values - f.values.mean()))) < 1e-9
 
 
 def test_invert_neumann_direct_solve_at_large_n(caplog):
@@ -301,7 +325,7 @@ def test_freespace_agrees_with_periodic_inverse_on_support():
     def disagreement(length):
         grid, x, f, gamma = freespace_setup(n=1024, length=length)
         phi_free = invert_freespace_1d(gamma, f)
-        phi_per = invert_periodic(gamma, f, SPECTRAL, project_mean=True)
+        phi_per = invert_for_model(gamma, f, SPECTRAL)
         support = np.abs(x) < 5.0
         diff = phi_free.values[support] - phi_per.values[support]
         diff -= diff.mean()  # mean alignment

@@ -3,16 +3,19 @@
 Each config in ``demos/configs`` runs through ``run_simulation`` to a short
 horizon (18 steps).  The step count is pinned exactly, and the last step
 and the final state's norms to 1e-12 relative, so a refactor that claims
-identical outputs is checked, not asserted.
+identical outputs is checked, not asserted.  Variants of a bundled config
+reach paths the configs themselves do not, such as the CG solve of NSK2
+with a variable mobility on a periodic grid.
 """
 
 import dataclasses
+import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from korteweg.harness import load_config, run_simulation
+from korteweg.harness import config_from_dict, load_config, run_simulation
 
 CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"
 
@@ -28,6 +31,14 @@ GOLDEN = {
                      1.4250053679457468, 1.5749944410727115, (0.00018644712714377558,)),
 }
 
+# name: (bundled config, section overrides, golden values as above)
+VARIANTS = {
+    "nsk2_interface_cosine_mobility": (
+        "nsk2_interface", {"mobility": {"kind": "cosine", "base": 2, "amplitude": 1, "mode": 1}},
+        (0.02, 18, 0.000486580592780006, 1.560577115196243, 1.00043339628966,
+         1.99919332612211, (0.024546221655788812,))),
+}
+
 
 def _rms(a: np.ndarray) -> float:
     return float(np.sqrt(np.mean(a * a)))
@@ -37,10 +48,8 @@ def test_every_bundled_config_has_a_golden_run():
     assert sorted(p.stem for p in CONFIGS.glob("*.json")) == sorted(GOLDEN)
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_short_run_matches_golden(name):
-    t_end, steps, dt_last, rms_rho, min_rho, max_rho, rms_m = GOLDEN[name]
-    cfg = load_config(CONFIGS / f"{name}.json")
+def _check_short_run(cfg, golden):
+    t_end, steps, dt_last, rms_rho, min_rho, max_rho, rms_m = golden
     cfg = dataclasses.replace(cfg, control=dataclasses.replace(cfg.control, t_end=t_end))
     res = run_simulation(cfg, quiet=True)
     rho = res.state.rho.values
@@ -50,3 +59,15 @@ def test_short_run_matches_golden(name):
                 *(_rms(c) for c in res.state.m.components))
     for got, want in zip(measured, (dt_last, rms_rho, min_rho, max_rho, *rms_m), strict=True):
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_short_run_matches_golden(name):
+    _check_short_run(load_config(CONFIGS / f"{name}.json"), GOLDEN[name])
+
+
+@pytest.mark.parametrize("name", sorted(VARIANTS))
+def test_short_variant_run_matches_golden(name):
+    config, overrides, golden = VARIANTS[name]
+    doc = json.loads((CONFIGS / f"{config}.json").read_text())
+    _check_short_run(config_from_dict({**doc, **overrides}), golden)

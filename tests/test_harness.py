@@ -88,6 +88,7 @@ NAN, INF = float("nan"), float("inf")
     (("initial", "velocity_amplitude"), NAN), (("initial", "mode"), "x"),
     (("params", "tau1"), True), (("params", "delta"), INF), (("params", "mobility"), "x"),
     (("step", "t_end"), NAN), (("step", "t_end"), INF), (("step", "dt_fixed"), "x"),
+    (("step", "dt_fixed"), 0.0), (("step", "dt_fixed"), -1e-3),
     (("output", "snapshot_every"), None), (("output", "metrics_every"), [1.0]),
     (("grid", "n"), [128.5]), (("grid", "length"), [NAN]), (("dealias",), "x"),
     (("dealias",), True), (("seed",), 0.5), (("seed",), -1),
@@ -105,6 +106,8 @@ def test_malformed_config_is_a_config_error(tmp_path, keys, value):
     path.write_text(json.dumps(doc))
     assert main(["run", str(path), "--quiet", "--out", str(tmp_path / "out")]) == 2
     assert json.loads((tmp_path / "out" / "failure.json").read_text())["error"] == "ConfigError"
+    # validated before any allocation: the failure record is the only output
+    assert [p.name for p in (tmp_path / "out").iterdir()] == ["failure.json"]
 
 
 def test_negative_seed_override_is_a_config_error(tmp_path):
@@ -341,11 +344,15 @@ def test_cli_convergence_needs_three_resolutions(tmp_path):
     assert main(["convergence", str(path), "--n", "64", "--quiet"]) == 2
 
 
-def test_cli_convergence_non_integer_resolution_is_a_config_error(tmp_path, capsys):
+@pytest.mark.parametrize("resolutions, named", [("32,abc,128", "32,abc,128"),
+                                                 ("32,32,64", "[32, 32, 64]")])
+def test_cli_convergence_non_integer_resolution_is_a_config_error(tmp_path, capsys,
+                                                                  resolutions, named):
+    # a fit needs three distinct integer resolutions
     path = write_config(tmp_path, scheme="fd2")
-    assert main(["convergence", str(path), "--n", "32,abc,128", "--quiet"]) == 2
+    assert main(["convergence", str(path), "--n", resolutions, "--quiet"]) == 2
     record = json.loads(capsys.readouterr().err.splitlines()[-1])
-    assert record["error"] == "ConfigError" and "32,abc,128" in record["message"]
+    assert record["error"] == "ConfigError" and named in record["message"]
 
 
 def test_cli_convergence_fd2_order(tmp_path, capsys):
@@ -386,6 +393,22 @@ def test_cli_compare_reports_shared_structure(tmp_path):
     report = json.loads((out / "compare_report.json").read_text())
     assert report["capillary_tensor_max_diff"] == 0.0
     assert report["divergence"][-1]["rho_distance"] > 0.0
+
+
+def test_cli_compare_at_zero_horizon_reports_the_start(tmp_path):
+    # t_end = 0 takes no step: the report is the shared start alone
+    out = tmp_path / "out"
+    initial = {"family": "sine_density", "rho0": 1.5, "amplitude": 0.1,
+               "velocity_amplitude": 0.02}
+    a = write_config(tmp_path, name="a.json", model="nsk1", initial=initial,
+                     step={"t_end": 0.0})
+    b = write_config(tmp_path, name="b.json", model="nsk2", initial=initial,
+                     step={"t_end": 0.0})
+    assert main(["compare", str(a), str(b), "--out", str(out), "--quiet"]) == 0
+    report = json.loads((out / "compare_report.json").read_text())
+    assert report["capillary_tensor_max_diff"] == 0.0
+    assert report["divergence"] == [{"step": 0, "t": 0.0, "rho_distance": 0.0,
+                                     "momentum_distance": 0.0}]
 
 
 def test_cli_compare_rejects_mismatched_configs(tmp_path):
