@@ -2,9 +2,9 @@
 Manufactured-solution order verification
 ========================================
 
-A symbolic oracle differentiates the exact right-hand side of a chosen
-analytic state; the discrete right-hand side is compared against it over
-a resolution sweep.  Centered differences show second order; Fourier
+An exact oracle (Taylor-jet arithmetic on a trigonometric-polynomial
+state) gives the right-hand side of a chosen analytic state; the discrete
+right-hand side is compared against it over a resolution sweep.  Centered differences show second order; Fourier
 differentiation drops to the round-off floor almost immediately.
 """
 

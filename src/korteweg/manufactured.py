@@ -1,178 +1,179 @@
-"""Symbolic oracles: exact tensors, pressures, and right-hand sides.
+"""Exact oracles: tensors, pressures and right-hand sides of a 1-D manufactured state.
 
-Everything here differentiates *symbolically* (sympy) and is therefore
-independent of the discrete operators it is used to check.  Lambdified
-callables are returned for pointwise evaluation on grids.  The expressions
-are lambdified as they are built, unsimplified: ``sp.simplify`` took ~95 %
-of a convergence table and moved no oracle value by more than round-off.
-
-The non-local term in the conserved-phase model admits a closed form only
-for trigonometric-polynomial velocity divergence with constant mobility;
-the inverse is then computed term by term on the harmonics.
+rho and u are trigonometric polynomials, so the non-local inverse of the
+conserved-phase model (constant mobility gamma0) is a division by gamma0 k^2 per
+harmonic, and truncated Taylor series in x (Griewank & Walther 2008) carry every
+derivative exactly; a partial in rho at fixed gradient is a complex step on a
+series' value.  The laws are re-derived from the ``FluidParams`` fields alone.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
-import sympy as sp
 
 from .constitutive import Convention, FluidParams
 from .errors import ConfigError
 from .models import ModelKind
 
+_ORDER = 3      # highest Taylor coefficient: the momentum rate needs d3 rho/dx3
+_STEP = 1e-30   # complex step of a partial; its truncation error is O(_STEP^2)
 
-def _symbols(dim: int):
-    return sp.symbols("x y")[:dim]
+
+class Jet:
+    """Truncated Taylor series in x at each point: ``c[j] = f^(j)(x) / j!``.
+
+    A scalar operand is a constant.  A binary result keeps the lower order
+    of its operands, and ``d()`` lowers the order by one.
+    """
+
+    def __init__(self, coeffs):
+        self.c = tuple(coeffs)
+
+    def _jet(self, other) -> "Jet":
+        return other if isinstance(other, Jet) else Jet((other,) + (0.0,) * (len(self.c) - 1))
+
+    def __add__(self, other):
+        return Jet(a + b for a, b in zip(self.c, self._jet(other).c))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Jet(-a for a in self.c)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __mul__(self, other):
+        f, g = self.c, self._jet(other).c
+        return Jet(sum(f[j] * g[k - j] for j in range(k + 1))
+                   for k in range(min(len(f), len(g))))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        f, g, h = self.c, self._jet(other).c, []
+        for k in range(min(len(f), len(g))):
+            h.append((f[k] - sum(g[j] * h[k - j] for j in range(1, k + 1))) / g[0])
+        return Jet(h)
+
+    def __rtruediv__(self, other):
+        return self._jet(other) / self
+
+    def __pow__(self, n: int):
+        return math.prod([self] * n)
+
+    def d(self) -> "Jet":
+        """The series of df/dx."""
+        return Jet((k + 1) * a for k, a in enumerate(self.c[1:]))
 
 
-def constitutive_exprs(params: FluidParams, rho):
-    """Symbolic c(rho), R(rho), kappa(rho) under the params' convention."""
-    dtau = sp.Float(params.delta_tau)
-    tau = params.tau2 if params.convention is Convention.CONSISTENT else params.tau1
-    c = (1 / rho - sp.Float(tau)) / dtau
-    w = sp.Float(params.well.scale) * c**2 * (1 - c) ** 2
-    bulk = sp.Float(params.temperature) * w
-    kappa = sp.Float(params.delta_star) / rho**3
-    return c, bulk, kappa
+def _partial(fn, rho: Jet) -> Jet:
+    """Series of (d fn/d rho)(rho(x)): a complex step on rho's value."""
+    return Jet(a.imag / _STEP for a in fn(rho + 1j * _STEP).c)
 
 
 @dataclass(frozen=True)
-class SymbolicState:
-    """Analytic density/velocity pair as sympy expressions of x (and y)."""
+class TrigPoly:
+    """f(x) = mean + sum_k cos[k-1] cos(k x) + sin[k-1] sin(k x), k = 1, 2, ..."""
 
-    dim: int
-    rho: sp.Expr
-    u: tuple[sp.Expr, ...]
+    mean: float = 0.0
+    cos: tuple[float, ...] = ()
+    sin: tuple[float, ...] = ()
 
-    @classmethod
-    def one_d(cls, rho_expr, u_expr) -> "SymbolicState":
-        return cls(dim=1, rho=sp.sympify(rho_expr), u=(sp.sympify(u_expr),))
+    def __call__(self, x):
+        x = np.asarray(x, dtype=float)
+        waves = sum((a * np.cos(k * x) for k, a in enumerate(self.cos, 1)), np.zeros_like(x))
+        return self.mean + sum((b * np.sin(k * x) for k, b in enumerate(self.sin, 1)), waves)
+
+    def derivative(self) -> "TrigPoly":
+        return TrigPoly(cos=tuple(k * b for k, b in enumerate(self.sin, 1)),
+                        sin=tuple(-k * a for k, a in enumerate(self.cos, 1)))
+
+    def inverse_laplacian(self, gamma0: float) -> "TrigPoly":
+        """Zero-mean phi with -gamma0 phi'' = f - mean(f)."""
+        return TrigPoly(cos=tuple(a / (gamma0 * k * k) for k, a in enumerate(self.cos, 1)),
+                        sin=tuple(b / (gamma0 * k * k) for k, b in enumerate(self.sin, 1)))
+
+    def jet(self, x) -> Jet:
+        fs = itertools.accumulate(range(_ORDER), lambda f, _: f.derivative(), initial=self)
+        return Jet(f(x) / math.factorial(j) for j, f in enumerate(fs))
 
 
-def _lambdify(expr, xs):
-    fn = sp.lambdify(xs, expr, modules=[np])
+@dataclass(frozen=True)
+class ManufacturedState:
+    """A periodic 1-D density/velocity pair on [0, 2 pi), each a trigonometric polynomial."""
 
-    def wrapped(*coords):
-        out = np.asarray(fn(*coords), dtype=float)
-        shape = np.broadcast(*coords).shape
-        return np.broadcast_to(out, shape).copy() if out.shape != shape else out
-
-    return wrapped
+    rho: TrigPoly
+    u: TrigPoly = TrigPoly()
 
 
-def _korteweg_exprs(state: SymbolicState, params: FluidParams, xs) -> dict:
-    """Symbolic capillary stress entries keyed by (i, j), i <= j."""
-    rho = state.rho
-    _, _, kappa = constitutive_exprs(params, rho)
-    grads = [sp.diff(rho, v) for v in xs]
+def _bulk_energy(rho, params: FluidParams):
+    """R(rho) = theta * scale * c^2 (1 - c)^2, c(rho) under the params' convention."""
+    tau = params.tau2 if params.convention is Convention.CONSISTENT else params.tau1
+    c = (1.0 / rho - tau) / params.delta_tau
+    return params.temperature * params.well.scale * c**2 * (c - 1.0) ** 2
+
+
+def _korteweg(rho: Jet, params: FluidParams) -> Jet:
+    """Capillary stress -kappa rho'^2 - rho^2 psi_rho + rho (kappa rho')'."""
+    ds = params.delta_star
+    kappa, grad = ds / rho**3, rho.d()
+    g2 = grad * grad
     # partial of the Helmholtz energy in rho at fixed |grad rho|^2
-    rho_s, g2 = sp.Symbol("rho_s", positive=True), sp.Symbol("g2")
-    _, bulk_s, _ = constitutive_exprs(params, rho_s)
-    psi_rho = sp.diff(bulk_s + sp.Float(params.delta_star) / (2 * rho_s**4) * g2, rho_s)
-    psi_rho = psi_rho.subs({rho_s: rho, g2: sum(g**2 for g in grads)})
-    diag = -(rho**2) * psi_rho + rho * sum(sp.diff(kappa * g, v)
-                                           for g, v in zip(grads, xs))
-    return {(i, j): -kappa * grads[i] * grads[j] + (diag if i == j else 0)
-            for i in range(state.dim) for j in range(i, state.dim)}
+    psi_rho = _partial(lambda r: _bulk_energy(r, params) + ds / (2.0 * r**4) * g2, rho)
+    return -kappa * g2 - rho**2 * psi_rho + rho * (kappa * grad).d()
 
 
-def exact_korteweg_tensor(state: SymbolicState, params: FluidParams):
-    """Lambdified components of the capillary stress, upper triangle order."""
-    xs = _symbols(state.dim)
-    return [_lambdify(c, xs) for c in _korteweg_exprs(state, params, xs).values()]
+def _eliminated_rate(state: ManufacturedState, params: FluidParams, kind: ModelKind, gamma0):
+    """Callable (x, rho) -> series of the rate stress left by eliminating the pressure.
 
-
-def exact_pressure(state: SymbolicState, params: FluidParams,
-                   kind: ModelKind = ModelKind.NSK1,
-                   gamma0: float | None = None, length: float | None = None):
-    """Lambdified eliminated pressure for the analytic state."""
-    xs = _symbols(state.dim)
-    rho = state.rho
-    rho_s = sp.Symbol("rho_s", positive=True)
-    _, bulk_s, _ = constitutive_exprs(params, rho_s)
-    bulk_prime = sp.diff(bulk_s, rho_s).subs(rho_s, rho)
-    ds = sp.Float(params.delta_star)
-    divu = sum(sp.diff(ui, v) for ui, v in zip(state.u, xs))
-    local = rho**2 * bulk_prime - sp.expand(
-        sum(sp.diff((ds / rho) * sp.diff(rho, v), v) for v in xs)) / rho
-    if kind is ModelKind.NSK1:
-        p = -(ds / (sp.sqrt(sp.Float(params.delta)) * rho)) * divu + local
-    else:
-        if gamma0 is None:
-            raise ConfigError("exact non-local pressure needs a constant mobility")
-        scale = sp.Float(params.temperature) / sp.Float(params.delta_tau) ** 2
-        p = -scale * invert_harmonics(divu, gamma0, xs) + local
-    return _lambdify(p, xs)
-
-
-def invert_harmonics(expr, gamma0: float, xs) -> sp.Expr:
-    """Closed-form zero-mean elliptic inverse of a trigonometric polynomial.
-
-    The expression is rewritten as a sum of single harmonics
-    sin/cos(a.x + b) (product-to-sum rules); each harmonic is an
-    eigenfunction with eigenvalue gamma0 |a|^2.  Anything that cannot be
-    reduced to harmonics is rejected.
+    NSK1: delta_star / (sqrt(delta) rho) div u; NSK2, for a constant mobility gamma0:
+    theta / delta_tau^2 Lambda_gamma0^-1(div u).  The pressure is its local part minus this.
     """
-    from sympy.simplify.fu import TR7, TR8
-
-    expr = sp.expand(TR8(TR7(sp.expand(expr))))
-    terms = expr.as_ordered_terms() if isinstance(expr, sp.Add) else [expr]
-    out = sp.S.Zero
-    for term in terms:
-        if term.is_zero:
-            continue
-        trig = list(term.atoms(sp.sin, sp.cos))
-        if len(trig) != 1 or not term.has(trig[0]):
-            raise ConfigError(f"cannot invert non-harmonic term {term}")
-        if sp.degree(sp.Poly(term, trig[0])) != 1:
-            raise ConfigError(f"cannot invert trig power in term {term}")
-        arg = trig[0].args[0]
-        ksq = sum(sp.diff(arg, v) ** 2 for v in xs)
-        if ksq.free_symbols or ksq == 0:
-            raise ConfigError(f"cannot invert term with non-constant wavenumber {term}")
-        out += term / (sp.Float(gamma0) * ksq)
-    return out
+    if kind is ModelKind.NSK1:
+        lam_star = params.delta_star / np.sqrt(params.delta)
+        return lambda x, rho: lam_star / rho * state.u.jet(x).d()
+    if gamma0 is None:
+        raise ConfigError("the exact non-local oracle needs a constant mobility")
+    inv = state.u.derivative().inverse_laplacian(gamma0)
+    return lambda x, rho: params.temperature / params.delta_tau**2 * inv.jet(x)
 
 
-def exact_rhs(state: SymbolicState, params: FluidParams,
+def exact_korteweg_tensor(state: ManufacturedState, params: FluidParams):
+    """Callables of the capillary stress components, upper triangle order (1-D: one)."""
+    return [lambda x: _korteweg(state.rho.jet(x), params).c[0]]
+
+
+def exact_pressure(state: ManufacturedState, params: FluidParams,
+                   kind: ModelKind = ModelKind.NSK1, gamma0: float | None = None):
+    """Callable of the eliminated pressure for the manufactured state."""
+    ds, rate = params.delta_star, _eliminated_rate(state, params, kind, gamma0)
+
+    def pressure(x):
+        rho = state.rho.jet(x)
+        local = rho**2 * _partial(lambda r: _bulk_energy(r, params), rho) \
+            - (ds / rho * rho.d()).d() / rho
+        return (local - rate(x, rho)).c[0]
+
+    return pressure
+
+
+def exact_rhs(state: ManufacturedState, params: FluidParams,
               kind: ModelKind = ModelKind.NSK1, gamma0: float | None = None):
-    """Lambdified exact right-hand side (drho_dt, dm_dt components).
+    """Callables of the exact right-hand side (drho_dt, [dm_dt]) from the reduced stress."""
+    mu, lam = params.shear_viscosity, params.bulk_viscosity
+    rate = _eliminated_rate(state, params, kind, gamma0)
 
-    Assembled from the reduced system's stress divergence; the
-    conserved-phase variant supports constant mobility with harmonic
-    velocity divergence.
-    """
-    xs = _symbols(state.dim)
-    rho, u = state.rho, state.u
-    dim = state.dim
-    mu = sp.Float(params.shear_viscosity)
-    divu = sum(sp.diff(ui, v) for ui, v in zip(u, xs))
+    def drho(x):
+        return (-(state.rho.jet(x) * state.u.jet(x)).d()).c[0]
 
-    if kind is ModelKind.NSK1:
-        lam_term = (sp.Float(params.bulk_viscosity) + sp.Float(params.delta_star)
-                    / (sp.sqrt(sp.Float(params.delta)) * rho)) * divu
-    else:
-        if gamma0 is None:
-            raise ConfigError("exact non-local rhs needs a constant mobility")
-        lam_term = sp.Float(params.bulk_viscosity) * divu \
-            + (sp.Float(params.temperature) / sp.Float(params.delta_tau) ** 2) \
-            * invert_harmonics(divu, gamma0, xs)
+    def dm(x):
+        rho, u = state.rho.jet(x), state.u.jet(x)
+        stress = (2.0 * mu + lam) * u.d() + rate(x, rho) + _korteweg(rho, params)
+        return (-(rho * u * u).d() + stress.d()).c[0]
 
-    # viscous plus capillary stress
-    korteweg = _korteweg_exprs(state, params, xs)
-    stress = {}
-    for i in range(dim):
-        for j in range(dim):
-            dij = (sp.diff(u[i], xs[j]) + sp.diff(u[j], xs[i])) / 2
-            stress[(i, j)] = 2 * mu * dij + (lam_term if i == j else 0) \
-                + korteweg[min(i, j), max(i, j)]
-
-    drho = -sum(sp.diff(rho * ui, v) for ui, v in zip(u, xs))
-    dms = []
-    for i in range(dim):
-        adv = sum(sp.diff(rho * u[i] * u[j], xs[j]) for j in range(dim))
-        visc = sum(sp.diff(stress[(i, j)], xs[j]) for j in range(dim))
-        dms.append(-adv + visc)
-    return _lambdify(drho, xs), [_lambdify(e, xs) for e in dms]
+    return drho, [dm]

@@ -23,6 +23,7 @@ from .errors import ConfigError
 from .fields import ScalarField, VectorField, _sup
 from .grids import FD2, SPECTRAL, Discretization, Grid
 from .initial import CorpusState, default_corpus, random_band_limited
+from .manufactured import ManufacturedState, TrigPoly, exact_rhs
 from .models import (MixtureState, ModelKind, momentum_equivalence_gap,
                      residual_nsac, residual_nsch, rhs_nsk1, rhs_nsk2)
 from .operators import div, grad, mean
@@ -489,26 +490,23 @@ def run_check_suite(params: FluidParams | None = None,
 
 def convergence_table(params: FluidParams, kind: ModelKind, d: Discretization,
                       resolutions) -> list[dict]:
-    """Error of the discrete RHS against the symbolic oracle, per resolution (mobility 1)."""
-    from .manufactured import SymbolicState, exact_rhs
-    import sympy as sp
+    """Error of the discrete RHS against the exact oracle, per resolution (mobility 1).
 
+    The discrete state is rho = 3/2 + sin(x)/5, u = sin(x)/20 + cos(2x)/50 at the nodes.
+    """
     if len(set(resolutions)) < 3:
         raise ConfigError("a convergence study needs at least 3 distinct resolutions, "
                           f"got {list(resolutions)}")
-    x = sp.Symbol("x")
-    sym_state = SymbolicState.one_d(
-        sp.Rational(3, 2) + sp.Rational(1, 5) * sp.sin(x),
-        sp.Rational(1, 20) * sp.sin(x) + sp.Rational(1, 50) * sp.cos(2 * x))
-    drho_exact, dm_exact = exact_rhs(sym_state, params, kind, 1.0)
+    exact = ManufacturedState(rho=TrigPoly(1.5, sin=(0.2,)),
+                              u=TrigPoly(cos=(0.0, 0.02), sin=(0.05,)))
+    drho_exact, dm_exact = exact_rhs(exact, params, kind, 1.0)
     rhs = make_rhs(params, kind, Mobility.constant(1.0), d)
     rows = []
     for n in resolutions:
         grid = Grid.periodic(int(n))
         xv = grid.coords()[0]
-        state = MixtureState.from_primitive(
-            ScalarField(grid, 1.5 + 0.2 * np.sin(xv)),
-            VectorField(grid, (0.05 * np.sin(xv) + 0.02 * np.cos(2.0 * xv),)))
+        state = MixtureState.from_primitive(ScalarField(grid, exact.rho(xv)),
+                                            VectorField(grid, (exact.u(xv),)))
         drho, dm = rhs(state.rho.values, state.m.components, grid)
         e_rho = float(np.max(np.abs(drho - drho_exact(xv))))
         e_m = float(np.max(np.abs(dm[0] - dm_exact[0](xv))))

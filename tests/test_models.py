@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-import sympy as sp
 
 import korteweg.constitutive as law
 import korteweg.elliptic
@@ -15,7 +14,7 @@ from korteweg import (FD2, SPECTRAL, ConfigError, Discretization, FluidParams, G
 from korteweg.elliptic import invert_for_model
 from korteweg.fields import _outer, sup_norm
 from korteweg.initial import random_band_limited
-from korteweg.manufactured import SymbolicState, exact_pressure, exact_rhs
+from korteweg.manufactured import ManufacturedState, TrigPoly, exact_pressure, exact_rhs
 from korteweg.models import (_reduced_stress, momentum_equivalence_gap, reconstruct_fields,
                              reconstruct_pressure_nsac, reconstruct_pressure_nsch,
                              residual_nsac, residual_nsch, rhs_nsk1, rhs_nsk2)
@@ -59,10 +58,8 @@ def test_pressure_nsac_no_well_uniform_flow(grid64):
 
 
 def test_pressure_nsac_symbolic_oracle(params):
-    x = sp.Symbol("x")
-    sym = SymbolicState.one_d(1 + sp.Rational(1, 10) * sp.sin(x),
-                              sp.Rational(1, 10) * sp.cos(x))
-    oracle = exact_pressure(sym, params, ModelKind.NSK1)
+    exact = ManufacturedState(rho=TrigPoly(1.0, sin=(0.1,)), u=TrigPoly(cos=(0.1,)))
+    oracle = exact_pressure(exact, params, ModelKind.NSK1)
 
     def err(n, d):
         grid = Grid.periodic(n)
@@ -168,9 +165,8 @@ def test_rhs_is_conservative(d, params):
 
 
 def test_rhs_nsk1_symbolic_oracle(params):
-    x = sp.Symbol("x")
-    sym = SymbolicState.one_d(1 + sp.Rational(1, 10) * sp.sin(x), sp.S.Zero)
-    _, dm_exact = exact_rhs(sym, params, ModelKind.NSK1)
+    exact = ManufacturedState(rho=TrigPoly(1.0, sin=(0.1,)))
+    _, dm_exact = exact_rhs(exact, params, ModelKind.NSK1)
 
     def err(n, d):
         grid = Grid.periodic(n)
@@ -188,11 +184,9 @@ def test_rhs_nsk1_symbolic_oracle(params):
 def test_exact_rhs_matches_spectral_rhs(params, kind):
     # the manufactured state of the convergence tables; spectral
     # differentiation is exact to round-off on it at N = 64
-    x = sp.Symbol("x")
-    sym = SymbolicState.one_d(sp.Rational(3, 2) + sp.Rational(1, 5) * sp.sin(x),
-                              sp.Rational(1, 20) * sp.sin(x)
-                              + sp.Rational(1, 50) * sp.cos(2 * x))
-    drho_exact, dm_exact = exact_rhs(sym, params, kind, gamma0=1.0)
+    exact = ManufacturedState(rho=TrigPoly(1.5, sin=(0.2,)),
+                              u=TrigPoly(cos=(0.0, 0.02), sin=(0.05,)))
+    drho_exact, dm_exact = exact_rhs(exact, params, kind, gamma0=1.0)
     grid = Grid.periodic(64)
     xv = grid.coords()[0]
     state = MixtureState.from_primitive(

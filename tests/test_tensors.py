@@ -2,13 +2,12 @@
 
 import numpy as np
 import pytest
-import sympy as sp
 
 import korteweg.constitutive as law
 from korteweg import (FD2, SPECTRAL, DomainError, FluidParams, Grid, MixtureState,
                       ScalarField, VectorField)
 from korteweg.fields import sup_norm
-from korteweg.manufactured import SymbolicState, exact_korteweg_tensor
+from korteweg.manufactured import ManufacturedState, TrigPoly, exact_korteweg_tensor
 from korteweg.operators import div, grad
 from korteweg.tensors import (augmented_cauchy_stress, cauchy_stress,
                               korteweg_identity_residual, korteweg_tensor,
@@ -110,9 +109,8 @@ def test_korteweg_tensor_constant_density(params):
 
 
 def test_korteweg_tensor_against_symbolic_oracle(params):
-    x = sp.Symbol("x")
-    sym = SymbolicState.one_d(1 + sp.Rational(1, 10) * sp.sin(x), sp.S.Zero)
-    oracle = exact_korteweg_tensor(sym, params)[0]
+    exact = ManufacturedState(rho=TrigPoly(1.0, sin=(0.1,)))
+    oracle = exact_korteweg_tensor(exact, params)[0]
 
     def err(n, d):
         grid = Grid.periodic(n)
