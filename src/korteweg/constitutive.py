@@ -28,6 +28,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -104,14 +105,36 @@ class FluidParams:
         if self.mobility <= 0.0:
             raise ConfigError("mobility must be positive")
 
-    @property
+    # Derived coefficients, each formed on first use and then read as a plain
+    # attribute (the hot loop reads them per evaluation).
+
+    @cached_property
     def delta_tau(self) -> float:
         return self.tau1 - self.tau2
 
-    @property
+    @cached_property
     def delta_star(self) -> float:
         """theta * delta / delta_tau^2 (> 0); sets the capillarity scale."""
         return self.temperature * self.delta / self.delta_tau**2
+
+    @cached_property
+    def _theta_dtau2(self) -> float:
+        """theta / delta_tau^2: the sound-speed and NSK2 non-local scale."""
+        return self.temperature / self.delta_tau**2
+
+    @cached_property
+    def _c_offset(self) -> float:
+        """The specific volume at which the selected convention puts c = 0."""
+        return self.tau2 if self.convention is Convention.CONSISTENT else self.tau1
+
+    @cached_property
+    def _augmented_scale(self) -> float:
+        """delta_star / sqrt(delta): the augmented bulk viscosity is lambda + this / rho."""
+        return self.delta_star / np.sqrt(self.delta)
+
+    @cached_property
+    def _two_mu(self) -> float:
+        return 2.0 * self.shear_viscosity
 
     def validate_for_dim(self, dim: int) -> None:
         if self.bulk_viscosity + 2.0 * self.shear_viscosity / dim < 0.0:
@@ -138,16 +161,11 @@ class _Density(NamedTuple):
     c: np.ndarray
 
 
-def _offset_volume(params: FluidParams) -> float:
-    """The specific volume at which the selected convention puts c = 0."""
-    return params.tau2 if params.convention is Convention.CONSISTENT else params.tau1
-
-
 def _density(rho, params: FluidParams) -> _Density:
     """Kernel of :func:`concentration`: rho with 1/rho and c(rho), unchecked."""
     r = np.asarray(rho, dtype=float)
     v = 1.0 / r
-    return _Density(r, v, (v - _offset_volume(params)) / params.delta_tau)
+    return _Density(r, v, (v - params._c_offset) / params.delta_tau)
 
 
 def _require_positive_rho(rho, params: FluidParams) -> _Density:
@@ -166,7 +184,7 @@ def _phase_mass_density(dn: _Density, params: FluidParams):
 
 
 def _phase_mass_density_drho(dn: _Density, params: FluidParams):
-    return np.full_like(dn.rho, -_offset_volume(params) / params.delta_tau)
+    return np.full_like(dn.rho, -params._c_offset / params.delta_tau)
 
 
 def _bulk_energy(dn: _Density, params: FluidParams):
@@ -189,8 +207,7 @@ def _sound_speed_sq(dn: _Density, params: FluidParams):
 
     The two W'(c) terms cancel exactly, since c'' = -2 v c' for c' = -v^2 / delta_tau.
     """
-    return params.temperature / params.delta_tau**2 * params.well.second_derivative(dn.c) \
-        * (dn.v * dn.v)
+    return params._theta_dtau2 * params.well.second_derivative(dn.c) * (dn.v * dn.v)
 
 
 def _capillarity(dn: _Density, params: FluidParams):
@@ -209,7 +226,7 @@ def _helmholtz_energy_drho(dn: _Density, grad_rho_sq, params: FluidParams):
 
 
 def _augmented_bulk_viscosity(dn: _Density, params: FluidParams):
-    return params.bulk_viscosity + params.delta_star / np.sqrt(params.delta) * dn.v
+    return params.bulk_viscosity + params._augmented_scale * dn.v
 
 
 def concentration(rho, params: FluidParams):

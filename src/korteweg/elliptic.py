@@ -6,8 +6,9 @@ have zero mean and the solution is fixed by mean(phi) = 0):
 
 * periodic grids, constant mobility: diagonal Fourier solve on the real
   half spectrum, a multiplication by the inverse of the scheme's symbol,
-  cached read-only per (grid, scheme) and zero on the symbol's null modes
-  (the mean and the zeroed Nyquist modes);
+  cached read-only per (grid, scheme) in :mod:`korteweg.operators`, held by
+  the grid's bound calculus and zero on the symbol's null modes (the mean
+  and the zeroed Nyquist modes);
 * bounded Neumann 1-D grids: direct solve of the flux-form FD2 system
   (reflected ghosts = zero wall flux) by two prefix sums;
 * free space 1-D: the kernel -|x|/2 on a window, for compactly supported
@@ -17,7 +18,8 @@ Variable mobility on periodic grids uses CG on the composed discrete
 operator, preconditioned by the Fourier solve at the mean mobility; the
 iteration count then depends on the mobility contrast, not on N.  The
 first two are one array kernel, ``_solve``, which solves for the zero-mean
-part of its data.  The right-hand sides call it directly, and so does
+part of its data, on the grid's bound calculus (so a right-hand side looks
+the symbol up once per run).  The right-hand sides call it directly, and so does
 :func:`invert_for_model`, the one public inverse that discards a mean; the
 other public inverses first refuse data with a mean (CompatibilityError).
 """
@@ -26,14 +28,13 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import CompatibilityError, ConfigError, DomainError, SolverError
 from .fields import ScalarField
 from .grids import FD2, Discretization, Grid, Scheme
-from .operators import _derivs, _div, _ik, _irfft, _neighbours, _rfft
+from .operators import _calculus, _Calculus, _irfft, _neighbours, _rfft
 
 log = logging.getLogger(__name__)
 
@@ -99,19 +100,18 @@ def apply_operator(gamma: Mobility, phi: ScalarField, d: Discretization) -> Scal
     under even reflection.
     """
     grid = phi.grid
-    d.require_compatible(grid)
-    return ScalarField(grid, _matvec(gamma.values_on(grid), grid, d)(phi.values))
+    return ScalarField(grid, _matvec(gamma.values_on(grid), _calculus(grid, d))(phi.values))
 
 
-def _matvec(gamma_vals: np.ndarray, grid: Grid, d: Discretization):
+def _matvec(gamma_vals: np.ndarray, ops: _Calculus):
     """-div(gamma grad .) as an array->array map on either boundary kind.
 
     Bounded: face fluxes to the FD2 ghost-rule neighbours, zero at both walls.
     """
+    grid = ops.grid
     if grid.is_periodic:
         def periodic(phi: np.ndarray) -> np.ndarray:
-            g = _derivs(phi, grid, d)
-            return -_div(tuple(gamma_vals * comp for comp in g), grid, d)
+            return -ops.div(tuple(gamma_vals * comp for comp in ops.derivs(phi)))
 
         return periodic
     h = grid.h[0]
@@ -161,44 +161,30 @@ def _pcg_zero_mean(matvec, b: np.ndarray, precond, context: str) -> np.ndarray:
                       f"(relative residual {rnorm / bnorm:.3e})")
 
 
-@lru_cache(maxsize=128)
-def _inverse_symbol(grid: Grid, scheme: Scheme) -> np.ndarray:
-    """1 / the half-spectrum symbol of -div(grad .), zero on its null modes (read-only).
-
-    The symbol is the scheme's: |k|^2 spectrally, sum (sin(k h) / h)^2 for FD2,
-    with the Nyquist modes zeroed as in the first derivatives.
-    """
-    sym = sum(ik.imag * ik.imag if scheme is Scheme.SPECTRAL else (np.sin(ik.imag * h) / h) ** 2
-              for ik, h in zip(_ik(grid), grid.h))
-    inv = np.zeros_like(sym)
-    np.divide(1.0, sym, out=inv, where=sym > 0.0)
-    inv.setflags(write=False)
-    return inv
-
-
 def _fourier_solve(fv: np.ndarray, inv_sym: np.ndarray, gamma: float) -> np.ndarray:
     """Solve -gamma div(grad phi) = fv by the inverse symbol; zero-mean result."""
     phi = _irfft(_rfft(fv) * inv_sym, fv.shape)
     return (phi - phi.mean()) / gamma
 
 
-def _solve(gamma: Mobility, fv: np.ndarray, grid: Grid, d: Discretization) -> np.ndarray:
+def _solve(gamma: Mobility, fv: np.ndarray, ops: _Calculus) -> np.ndarray:
     """-div(gamma grad phi) = fv - mean(fv), mean(phi) = 0, on arrays, either boundary kind.
 
-    The solve is for the zero-mean part of the data: callers that must
-    refuse a mean check it first (:func:`_require_zero_mean`).  Neumann:
-    with zero wall flux, the flux through face i+1/2 is -h sum_{j<=i} f_j;
-    phi is the running sum of h flux / gamma_face.
+    ``ops`` is the grid's calculus, which holds the inverse symbol of a
+    periodic grid.  The solve is for the zero-mean part of the data: callers
+    that must refuse a mean check it first (:func:`_require_zero_mean`).
+    Neumann: with zero wall flux, the flux through face i+1/2 is
+    -h sum_{j<=i} f_j; phi is the running sum of h flux / gamma_face.
     """
     fv = fv - fv.mean()
+    grid = ops.grid
     if grid.is_periodic:
-        d.require_compatible(grid)
-        inv_sym = _inverse_symbol(grid, d.scheme)
+        inv_sym = ops.inv_sym
         if gamma.is_constant:
             return _fourier_solve(fv, inv_sym, gamma.value)
         gv = gamma.values_on(grid)
         gmean = float(np.mean(gv))
-        return _pcg_zero_mean(_matvec(gv, grid, d), fv,
+        return _pcg_zero_mean(_matvec(gv, ops), fv,
                               lambda r: _fourier_solve(r, inv_sym, gmean),
                               "periodic variable-mobility solve")
     gv = gamma.values_on(grid)
@@ -222,7 +208,7 @@ def invert_periodic(gamma: Mobility, f: ScalarField,
     if not grid.is_periodic:
         raise ConfigError("invert_periodic needs a periodic grid")
     _require_zero_mean(f.values, "periodic solve")
-    return ScalarField(grid, _solve(gamma, f.values, grid, d))
+    return ScalarField(grid, _solve(gamma, f.values, _calculus(grid, d)))
 
 
 def invert_neumann_1d(gamma: Mobility, f: ScalarField) -> ScalarField:
@@ -234,7 +220,7 @@ def invert_neumann_1d(gamma: Mobility, f: ScalarField) -> ScalarField:
     if grid.is_periodic or grid.dim != 1:
         raise ConfigError("invert_neumann_1d needs a bounded 1-D grid")
     _require_zero_mean(f.values, "neumann solve")
-    return ScalarField(grid, _solve(gamma, f.values, grid, FD2))
+    return ScalarField(grid, _solve(gamma, f.values, _calculus(grid, FD2)))
 
 
 def invert_freespace_1d(gamma: Mobility, f: ScalarField) -> ScalarField:
@@ -274,4 +260,4 @@ def invert_for_model(gamma: Mobility, f: ScalarField, d: Discretization) -> Scal
     (u[n-1] - u[0]) / L on the bounded Neumann grid (FD2 with reflected
     ghosts), and :func:`_solve` discards it.
     """
-    return ScalarField(f.grid, _solve(gamma, f.values, f.grid, d))
+    return ScalarField(f.grid, _solve(gamma, f.values, _calculus(f.grid, d)))

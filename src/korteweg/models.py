@@ -20,12 +20,17 @@ runs on arrays.
 Both reduced systems are conservation laws for (rho, m): the right-hand
 side is the divergence of the flux [m; Sigma - m (x) u].  Its one assembly,
 the array kernel ``_rhs``, serves the time loop; ``rhs_nsk1``/``rhs_nsk2``
-wrap it.  It is built in three dependency levels: (1) grad u and
-grad rho in one :func:`korteweg.operators._grads` call, (2) div(kappa grad
-rho) inside the Korteweg tensor, next to the NSK2 solve on div u, and (3)
-the divergence of the flux (:func:`korteweg.operators._conservation_rates`).
-The gap and the residuals take level 1 the same way and grad c once.  How a
-level is transformed is decided in :mod:`korteweg.operators`, not here.
+wrap it.  It takes the rows (rho, *m) and the grid's bound calculus
+(:class:`korteweg.operators._Calculus`), which
+:func:`korteweg.timestepping.make_rhs` resolves once per run, and returns
+the rates in the same stage layout: one (1 + dim, N) array on a 1-D grid,
+a tuple of arrays in 2-D (``_stage_rows``).  It is built in three
+dependency levels: (1) grad u and grad rho in one ``grads`` call, (2)
+div(kappa grad rho) inside the Korteweg tensor, next to the NSK2 solve on
+div u, and (3) the divergence of the flux (``conservation_rates``).  The
+gap and the residuals take level 1 the same way and grad c once.  How a
+level is transformed and laid out is decided in :mod:`korteweg.operators`,
+not here.
 
 The full systems are never time-stepped: the closure makes them
 differential-algebraic, so they are only ever checked residually.
@@ -43,8 +48,8 @@ from .constitutive import FluidParams, _augmented_bulk_viscosity, _density
 from .elliptic import Mobility, _matvec, _solve
 from .errors import ConfigError, StateError
 from .fields import Components, ScalarField, VectorField, _outer, _sup
-from .grids import Discretization, Grid, Scheme
-from .operators import _conservation_rates, _derivs, _div, _div_tensor, _grads
+from .grids import Discretization, Scheme
+from .operators import _calculus, _Calculus, _derivs, _div
 from .tensors import _div_of, _korteweg, _phase_stress, _viscous_stress
 
 RHO_FLOOR = 1e-8
@@ -102,12 +107,12 @@ def _velocity(state: MixtureState) -> Components:
     return tuple(c / r for c in state.m.components)
 
 
-def _nonlocal_term(divu: np.ndarray, grid: Grid, kind: ModelKind, gamma: Mobility | None,
-                   d: Discretization) -> np.ndarray | None:
+def _nonlocal_term(divu: np.ndarray, ops: _Calculus, kind: ModelKind,
+                   gamma: Mobility | None) -> np.ndarray | None:
     """Lambda_gamma^{-1}(div u) for NSK2, the model's one elliptic solve; None for NSK1."""
     if kind is ModelKind.NSK1:
         return None
-    return _solve(gamma, divu, grid, d)
+    return _solve(gamma, divu, ops)
 
 
 def _pressure(state: MixtureState, divu: np.ndarray, gr: Components, params: FluidParams,
@@ -122,7 +127,7 @@ def _pressure(state: MixtureState, divu: np.ndarray, gr: Components, params: Flu
     if nonlocal_term is None:
         bulk = -(params.delta_star / (np.sqrt(params.delta) * r)) * divu
     else:
-        bulk = -(params.temperature / params.delta_tau**2) * nonlocal_term
+        bulk = -params._theta_dtau2 * nonlocal_term
     ds = params.delta_star
     flux = tuple((ds / r) * g for g in gr)
     local = r * r * law.bulk_energy_drho(r, params) - _div(flux, state.grid, d) / r
@@ -151,7 +156,7 @@ def reconstruct_pressure_nsch(state: MixtureState, params: FluidParams,
     p = -(theta / delta_tau^2) * Lambda_gamma^{-1}(div u) + local part.
     """
     divu, gr = _div_u_grad_rho(state, d)
-    nonlocal_term = _nonlocal_term(divu, state.grid, ModelKind.NSK2, gamma, d)
+    nonlocal_term = _nonlocal_term(divu, _calculus(state.grid, d), ModelKind.NSK2, gamma)
     return ScalarField(state.grid, _pressure(state, divu, gr, params, d, nonlocal_term))
 
 
@@ -172,7 +177,7 @@ def _reconstruct(state: MixtureState, divu: np.ndarray, gr: Components, params: 
         raise ConfigError("the conserved-phase model needs a mobility")
     c = law.concentration(r, params)
     wprime = params.well.derivative(c)
-    nonlocal_term = _nonlocal_term(divu, state.grid, kind, gamma, d)
+    nonlocal_term = _nonlocal_term(divu, _calculus(state.grid, d), kind, gamma)
     p = _pressure(state, divu, gr, params, d, nonlocal_term)
     if kind is ModelKind.NSK1:
         return c, None, p, -(params.delta_tau / params.temperature) * p - wprime, None
@@ -192,7 +197,7 @@ def reconstruct_fields(state: MixtureState, params: FluidParams, kind: ModelKind
 
 
 def _reduced_stress(r: np.ndarray, gr: Components, gu: tuple[Components, ...],
-                    grid: Grid, params: FluidParams, d: Discretization,
+                    ops: _Calculus, params: FluidParams,
                     nonlocal_term: np.ndarray | None) -> Components:
     """The reduced stress of either model: viscous or non-local part plus Korteweg.
 
@@ -200,33 +205,43 @@ def _reduced_stress(r: np.ndarray, gr: Components, gu: tuple[Components, ...],
     density, so the laws run unchecked on one _Density.
     """
     dn = _density(r, params)
-    korteweg = _korteweg(dn, gr, grid, params, d)
+    korteweg = _korteweg(dn, gr, ops, params)
     if nonlocal_term is None:
         bulk = _viscous_stress(gu, _augmented_bulk_viscosity(dn, params), params)
     else:
         bulk = _viscous_stress(gu, params.bulk_viscosity, params,
-                               params.temperature / params.delta_tau**2 * nonlocal_term)
+                               params._theta_dtau2 * nonlocal_term)
     return tuple(a + b for a, b in zip(bulk, korteweg))
 
 
-def _rhs(r: np.ndarray, m: Components, grid: Grid, params: FluidParams, kind: ModelKind,
-         gamma: Mobility | None, d: Discretization) -> tuple[np.ndarray, Components]:
-    """(-div m, div(Sigma - m (x) u)) on arrays, in the three dependency levels of
-    the module notes.  ``r`` must be finite and above the density floor.
+def _rhs(q, ops: _Calculus, params: FluidParams, kind: ModelKind, gamma: Mobility | None):
+    """The rates (-div m, *div(Sigma - m (x) u)) of the rows q = (rho, *m), in the
+    three dependency levels of the module notes.
+
+    The rows come, and the rates return, in the stage layout of ``ops``: one
+    (1 + dim, N) array on a 1-D grid, a tuple of arrays otherwise.  rho must
+    be finite and above the density floor.
     """
+    r, m = q[0], q[1:]
     u = tuple(c / r for c in m)
-    *gu, gr = _grads((*u, r), grid, d)
-    stress = _reduced_stress(r, gr, gu, grid, params, d,
-                             _nonlocal_term(_div_of(gu), grid, kind, gamma, d))
+    *gu, gr = ops.grads((*u, r))
+    stress = _reduced_stress(r, gr, gu, ops, params,
+                             _nonlocal_term(_div_of(gu), ops, kind, gamma))
     del gu, gr   # level 3 needs neither: frees 6 arrays in 2-D
-    return _conservation_rates(m, stress, _outer(m, u), grid, d)
+    return ops.conservation_rates(m, stress, _outer(m, u))
+
+
+def _stage_rows(state: MixtureState):
+    """A state's rows (rho, *m) in the stage layout: stacked on a 1-D grid."""
+    rows = (state.rho.values, *state.m.components)
+    return np.array(rows) if state.grid.dim == 1 else rows
 
 
 def _rhs_fields(state: MixtureState, params: FluidParams, kind: ModelKind,
                 gamma: Mobility | None, d: Discretization) -> tuple[ScalarField, VectorField]:
     grid = state.grid
-    drho, dm = _rhs(state.rho.values, state.m.components, grid, params, kind, gamma, d)
-    return ScalarField(grid, drho), VectorField(grid, dm)
+    rates = _rhs(_stage_rows(state), _calculus(grid, d), params, kind, gamma)
+    return ScalarField(grid, rates[0]), VectorField(grid, tuple(rates[1:]))
 
 
 def rhs_nsk1(state: MixtureState, params: FluidParams,
@@ -259,18 +274,18 @@ def _full_model(state: MixtureState, params: FluidParams, kind: ModelKind,
                 gamma: Mobility | None, d: Discretization):
     """The momentum-flux gap sup|div(S + P) - div(S_reduced + K)| and what the phase
     residual reuses: (gap, grad c, q | mu).  Each gradient is taken once."""
-    grid = state.grid
+    ops = _calculus(state.grid, d)
     r, u = state.rho.values, _velocity(state)
-    *gu, gr = _grads((*u, r), grid, d)
+    *gu, gr = ops.grads((*u, r))
     c, gc, p, rate, nonlocal_term = _reconstruct(state, _div_of(gu), gr, params, kind, gamma, d)
     # the reduced flux first: the other order keeps grad c and div(S + P) alive
     # through _reduced_stress, 5 more arrays at the peak of a 2-D gap
-    reduced = _div_tensor(_reduced_stress(r, gr, gu, grid, params, d, nonlocal_term), grid, d)
+    reduced = ops.div_tensor(_reduced_stress(r, gr, gu, ops, params, nonlocal_term))
     if gc is None:
-        gc = _derivs(c, grid, d)
+        gc = ops.derivs(c)
     full = tuple(a + b for a, b in zip(_viscous_stress(gu, params.bulk_viscosity, params),
                                        _phase_stress(gc, p, r, params)))
-    return _sup(a - b for a, b in zip(_div_tensor(full, grid, d), reduced)), gc, rate
+    return _sup(a - b for a, b in zip(ops.div_tensor(full), reduced)), gc, rate
 
 
 def momentum_equivalence_gap(state: MixtureState, params: FluidParams, kind: ModelKind,
@@ -298,7 +313,7 @@ def _residual(state: MixtureState, params: FluidParams, kind: ModelKind,
     if kind is ModelKind.NSK1:
         rhs = (r * rate + _diffusive_div(state, gc, params, d)) / np.sqrt(params.delta)
     else:
-        rhs = -_matvec(gamma.values_on(grid), grid, d)(rate)
+        rhs = -_matvec(gamma.values_on(grid), _calculus(grid, d))(rate)
     return ResidualReport(momentum=momentum, phase=_sup((lhs - rhs,)))
 
 

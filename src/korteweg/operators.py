@@ -17,29 +17,37 @@ Two interchangeable discretizations:
   (consistent with homogeneous Neumann data).
 
 All operators are linear and act node-wise on the stored arrays.  Public
-functions return validated fields; internal kernels (``_derivs``,
-``_div``, ``_div_tensor``) work on arrays, and refuse a non-periodic grid
-under the spectral scheme.
+functions return validated fields; the array kernels are the methods of
+``_Calculus``, one grid's calculus under one discretization with
+everything an evaluation reuses resolved once (i k per axis, the shape,
+the dealias mask and whether rows stack; the inverse symbol of
+-div(grad .) on first use).  A right-hand side binds one per run; ``_calculus(grid, d)`` caches
+one per pair, and the module kernels (``_derivs``, ``_div``,
+``_div_tensor``, ``_grads``, ``_conservation_rates``) call through it.
+Under the spectral scheme a non-periodic grid is refused.
 
 Two multi-array kernels serve the dependency levels of a right-hand side
-(:mod:`korteweg.models`): ``_grads`` takes the gradients of several arrays
-and ``_conservation_rates`` the divergences of a conservation law's flux.
-On a 1-D spectral grid each stacks its rows and makes one ``rfft`` and one
-``irfft`` call for all of them: at N = 256 numpy's cost per call, not the
-FFT work, dominates, and a stacked call gives each row the bits of a call
-of its own.  In 2-D and under FD2 they run the per-array kernels in turn:
-a stacked ``rfftn`` over 5 arrays of 128 x 128 measured slower than 5 calls.
+(:mod:`korteweg.models`): ``grads`` takes the gradients of several arrays
+and ``conservation_rates`` the divergences of a conservation law's flux.
+On a 1-D grid every derivative runs on a stack of rows: spectrally one
+``rfft`` and one ``irfft`` call for all of them (at N = 256 numpy's cost
+per call, not the FFT work, dominates, and a stacked call gives each row
+the bits of a call of its own), and ``conservation_rates`` returns the
+rates as one (1 + dim, N) array, the stage layout of
+:mod:`korteweg.timestepping`.  In 2-D they run the per-array kernels in
+turn and return one array per component: a stacked ``rfftn`` over 5
+arrays of 128 x 128 measured slower than 5 calls.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .errors import ConfigError
 from .fields import Components, ScalarField, SymTensorField, VectorField
-from .grids import Discretization, Grid, Scheme
+from .grids import SPECTRAL, Discretization, Grid, Scheme
 
 
 def _half_axes(grid: Grid):
@@ -101,15 +109,6 @@ def _fd2_deriv(values: np.ndarray, grid: Grid, axis: int) -> np.ndarray:
     return (nxt - prev) / (2.0 * grid.h[axis])
 
 
-def _derivs(values: np.ndarray, grid: Grid, d: Discretization) -> Components:
-    """The gradient of one array.  Spectral: one forward transform, one inverse per axis."""
-    if d.scheme is Scheme.SPECTRAL:
-        d.require_compatible(grid)
-        fhat = _rfft(values)
-        return tuple(_irfft(ik * fhat, grid.shape) for ik in _ik(grid))
-    return tuple(_fd2_deriv(values, grid, axis) for axis in range(grid.dim))
-
-
 @lru_cache(maxsize=128)
 def _dealias_mask(grid: Grid) -> np.ndarray:
     """The 2/3 rule on the half spectrum: False at every mode above n/3 on any axis (read-only)."""
@@ -129,80 +128,176 @@ def _spectra(t: Components, grid: Grid, dealias: bool = False) -> list[np.ndarra
     return [np.where(keep, h, 0.0) for h in hats]
 
 
+@lru_cache(maxsize=128)
+def _inverse_symbol(grid: Grid, scheme: Scheme) -> np.ndarray:
+    """1 / the half-spectrum symbol of -div(grad .), zero on its null modes (read-only).
+
+    The symbol is the scheme's: |k|^2 spectrally, sum (sin(k h) / h)^2 for FD2,
+    with the Nyquist modes zeroed as in the first derivatives.
+    """
+    sym = sum(ik.imag * ik.imag if scheme is Scheme.SPECTRAL else (np.sin(ik.imag * h) / h) ** 2
+              for ik, h in zip(_ik(grid), grid.h))
+    inv = np.zeros_like(sym)
+    np.divide(1.0, sym, out=inv, where=sym > 0.0)
+    inv.setflags(write=False)
+    return inv
+
+
+def _total(terms):
+    """The sum of a non-empty sequence of arrays, from its first term (no 0 + ...)."""
+    terms = iter(terms)
+    out = next(terms)
+    for t in terms:
+        out = out + t
+    return out
+
+
+class _Calculus:
+    """The discrete calculus of one grid under one discretization.
+
+    Everything an evaluation reuses is resolved once here: the grid shape,
+    i k per axis and the 2/3-rule mask (spectral), whether the multi-array
+    kernels stack their rows (on a 1-D grid) and, on first use, the inverse
+    symbol of -div(grad .) on a periodic grid (for :mod:`korteweg.elliptic`).  A
+    right-hand side binds one per run; :func:`_calculus` caches one per
+    (grid, discretization) for everything else.  Like the module kernels,
+    it refuses a non-periodic grid under the spectral scheme.
+    """
+
+    def __init__(self, grid: Grid, d: Discretization):
+        d.require_compatible(grid)
+        self.grid, self.scheme, self.dim, self.shape = grid, d.scheme, grid.dim, grid.shape
+        self.spectral = d.scheme is Scheme.SPECTRAL
+        self.stacks = grid.dim == 1
+        self.ik = _ik(grid) if self.spectral else ()
+        self.keep = _dealias_mask(grid) if d.dealias else None
+
+    @cached_property
+    def inv_sym(self) -> np.ndarray:
+        """The inverse symbol of -div(grad .) on this periodic grid (:func:`_inverse_symbol`)."""
+        return _inverse_symbol(self.grid, self.scheme)
+
+    def _deriv_rows(self, rows) -> np.ndarray:
+        """d/dx of one 1-D grid array, or of every row of a stack of them at once
+        (spectral: one forward and one inverse transform call for all rows)."""
+        if not self.spectral:
+            return _fd2_deriv(np.asarray(rows), self.grid, -1)
+        return _irfft(self.ik[0] * np.fft.rfft(rows), self.shape)
+
+    def derivs(self, values: np.ndarray) -> Components:
+        """The gradient of one array.  Spectral: one forward transform, one inverse per axis."""
+        if self.stacks:   # 1-D: the one derivative
+            return (self._deriv_rows(values),)
+        if not self.spectral:
+            return tuple(_fd2_deriv(values, self.grid, axis) for axis in range(self.dim))
+        fhat = _rfft(values)
+        return tuple(_irfft(ik * fhat, self.shape) for ik in self.ik)
+
+    def div_spectra(self, hats: list[np.ndarray], rows: int) -> Components:
+        """Row-wise divergence from the half spectra of a stored tensor: one inverse per row."""
+        ik, axes = self.ik, range(self.dim)
+        return tuple(_irfft(_total(ik[j] * hats[i + j] for j in axes), self.shape)
+                     for i in range(rows))
+
+    def div_tensor(self, t: Components, rows: int = 0) -> Components:
+        """Row-wise divergence of a stored symmetric tensor: row i is t[i:i + dim].
+
+        ``rows`` = 1 takes the divergence of a vector.  Spectral: each component
+        is transformed once, each row summed in Fourier space before one inverse.
+        On a 1-D grid it is the derivative of the one component.
+        """
+        if self.stacks:
+            return (self._deriv_rows(t[0]),)
+        rows = rows or self.dim
+        if self.spectral:
+            return self.div_spectra([_rfft(c) for c in t], rows)
+        axes = range(self.dim)
+        return tuple(_total(_fd2_deriv(t[i + j], self.grid, j) for j in axes)
+                     for i in range(rows))
+
+    def div(self, v: Components) -> np.ndarray:
+        """Divergence of a vector given by its component arrays."""
+        return self.div_tensor(v, 1)[0]
+
+    def grads(self, arrays: Components) -> tuple[Components, ...]:
+        """The gradient of each array, as :meth:`derivs` gives it.
+
+        1-D: one stacked derivative of all of them (spectral: one forward and
+        one inverse transform).
+        """
+        if not self.stacks:
+            return tuple(self.derivs(a) for a in arrays)
+        return tuple((row,) for row in self._deriv_rows(arrays))
+
+    def conservation_rates(self, mass: Components, stress: Components,
+                           advective: Components):
+        """The rates (-div mass, *div(stress - advective)) of a conservation law for
+        (rho, m) with flux [mass; advective - stress], as rows: one (1 + dim, N)
+        array on a 1-D grid, a tuple of arrays otherwise.
+
+        ``mass`` is a vector, ``stress`` and ``advective`` stored symmetric tensors.
+        Under dealiasing the 2/3 rule masks ``mass`` and ``advective`` (the
+        quadratic terms) in the spectra the divergences take.  1-D: every row in
+        one stacked derivative (spectral: one forward and one inverse for both
+        divergences).  Otherwise :meth:`div` of ``mass``, then :meth:`div_tensor`
+        of the rest.
+        """
+        if not self.stacks:
+            if self.keep is not None:
+                grid = self.grid
+                flux_hat = [s - a for s, a in zip(_spectra(stress, grid),
+                                                  _spectra(advective, grid, True))]
+                return (-self.div_spectra(_spectra(mass, grid, True), 1)[0],
+                        *self.div_spectra(flux_hat, self.dim))
+            flux = tuple(s - a for s, a in zip(stress, advective))
+            return (-self.div(mass), *self.div_tensor(flux))
+        if self.keep is not None:
+            keep = self.keep
+            hm, hs, ha = np.fft.rfft(np.array((*mass, *stress, *advective)))
+            rates = _irfft(self.ik[0] * np.array((np.where(keep, hm, 0.0),
+                                                  hs - np.where(keep, ha, 0.0))), self.shape)
+        else:
+            rows = np.empty((2, *self.shape))
+            rows[0] = mass[0]
+            np.subtract(stress[0], advective[0], out=rows[1])
+            rates = self._deriv_rows(rows)
+        np.negative(rates[0], out=rates[0])
+        return rates
+
+
+_calculus = lru_cache(maxsize=128)(_Calculus)
+
+
+def _derivs(values: np.ndarray, grid: Grid, d: Discretization) -> Components:
+    """The gradient of one array (:meth:`_Calculus.derivs`)."""
+    return _calculus(grid, d).derivs(values)
+
+
 def _div_spectra(hats: list[np.ndarray], grid: Grid, rows: int) -> Components:
-    """Row-wise divergence from the half spectra of a stored tensor: one inverse per row."""
-    ik = _ik(grid)
-    return tuple(_irfft(sum(ik[j] * hats[i + j] for j in range(grid.dim)), grid.shape)
-                 for i in range(rows))
+    """Row-wise divergence from the half spectra of a stored tensor (:meth:`_Calculus.div_spectra`)."""
+    return _calculus(grid, SPECTRAL).div_spectra(hats, rows)
 
 
 def _div_tensor(t: Components, grid: Grid, d: Discretization, rows: int = 0) -> Components:
-    """Row-wise divergence of a stored symmetric tensor: row i is t[i:i + dim].
-
-    ``rows`` = 1 takes the divergence of a vector.  Spectral: each component
-    is transformed once, each row summed in Fourier space before one inverse.
-    """
-    dim, rows = grid.dim, rows or grid.dim
-    if d.scheme is Scheme.SPECTRAL:
-        d.require_compatible(grid)
-        return _div_spectra(_spectra(t, grid), grid, rows)
-    return tuple(sum(_fd2_deriv(t[i + j], grid, j) for j in range(dim)) for i in range(rows))
+    """Row-wise divergence of a stored symmetric tensor (:meth:`_Calculus.div_tensor`)."""
+    return _calculus(grid, d).div_tensor(t, rows)
 
 
 def _div(v: Components, grid: Grid, d: Discretization) -> np.ndarray:
     """Divergence of a vector given by its component arrays."""
-    return _div_tensor(v, grid, d, rows=1)[0]
-
-
-def _stacks(grid: Grid, d: Discretization) -> bool:
-    """Whether the multi-array kernels stack their rows: spectral on a 1-D grid.
-
-    Like the per-array kernels, refuses a non-periodic grid under the spectral scheme.
-    """
-    if d.scheme is not Scheme.SPECTRAL:
-        return False
-    d.require_compatible(grid)
-    return grid.dim == 1
+    return _calculus(grid, d).div(v)
 
 
 def _grads(arrays: Components, grid: Grid, d: Discretization) -> tuple[Components, ...]:
-    """The gradient of each array, as :func:`_derivs` gives it.
-
-    1-D spectral: one stacked forward and one stacked inverse for all of them.
-    """
-    if not _stacks(grid, d):
-        return tuple(_derivs(a, grid, d) for a in arrays)
-    rows = _irfft(_ik(grid)[0] * np.fft.rfft(np.array(arrays)), grid.shape)
-    return tuple((row,) for row in rows)
+    """The gradient of each array (:meth:`_Calculus.grads`)."""
+    return _calculus(grid, d).grads(arrays)
 
 
 def _conservation_rates(mass: Components, stress: Components, advective: Components,
                         grid: Grid, d: Discretization) -> tuple[np.ndarray, Components]:
-    """(-div mass, div(stress - advective)): the rates of a conservation law for
-    (rho, m) with flux [mass; advective - stress].
-
-    ``mass`` is a vector, ``stress`` and ``advective`` stored symmetric tensors.
-    Under ``d.dealias`` the 2/3 rule masks ``mass`` and ``advective`` (the
-    quadratic terms) in the spectra the divergences take.  1-D spectral: every
-    row in one stacked forward and both divergences in one stacked inverse.
-    Otherwise :func:`_div` of ``mass``, then :func:`_div_tensor` of the rest.
-    """
-    if not _stacks(grid, d):
-        if d.dealias:
-            flux_hat = [s - a for s, a in zip(_spectra(stress, grid),
-                                              _spectra(advective, grid, True))]
-            return (-_div_spectra(_spectra(mass, grid, True), grid, 1)[0],
-                    _div_spectra(flux_hat, grid, grid.dim))
-        flux = tuple(s - a for s, a in zip(stress, advective))
-        return -_div(mass, grid, d), _div_tensor(flux, grid, d)
-    if d.dealias:
-        keep = _dealias_mask(grid)
-        hm, hs, ha = np.fft.rfft(np.array((*mass, *stress, *advective)))
-        hats = np.array((np.where(keep, hm, 0.0), hs - np.where(keep, ha, 0.0)))
-    else:
-        hats = np.fft.rfft(np.array((*mass, stress[0] - advective[0])))
-    div_mass, div_flux = _irfft(_ik(grid)[0] * hats, grid.shape)
-    return -div_mass, (div_flux,)
+    """(-div mass, div(stress - advective)) of :meth:`_Calculus.conservation_rates`."""
+    rates = _calculus(grid, d).conservation_rates(mass, stress, advective)
+    return rates[0], tuple(rates[1:])
 
 
 def grad(f: ScalarField, d: Discretization) -> VectorField:

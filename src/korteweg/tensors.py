@@ -22,13 +22,13 @@ from .constitutive import (FluidParams, _capillarity, _Density, _density,
                            _helmholtz_energy_drho, augmented_bulk_viscosity, capillarity)
 from .errors import DomainError
 from .fields import Components, ScalarField, SymTensorField, VectorField, _outer, _plus_diag, _sup
-from .grids import Discretization, Grid
-from .operators import _derivs, _div, _grads
+from .grids import Discretization
+from .operators import _calculus, _Calculus, _derivs, _div, _grads, _total
 
 
 def _div_of(g: tuple[Components, ...]) -> np.ndarray:
     """div u, the trace of the velocity gradient."""
-    return sum(g[i][i] for i in range(len(g)))
+    return _total(g[i][i] for i in range(len(g)))
 
 
 def _strain(g: tuple[Components, ...]) -> Components:
@@ -47,8 +47,8 @@ def _viscous_stress(g: tuple[Components, ...], bulk, params: FluidParams,
 
     ``g`` is grad u; ``bulk`` is a constant or a grid function; ``extra`` is optional.
     """
-    out = _plus_diag(tuple(2.0 * params.shear_viscosity * c for c in _strain(g)),
-                     bulk * _div_of(g))
+    two_mu = params._two_mu
+    out = _plus_diag(tuple(two_mu * c for c in _strain(g)), bulk * _div_of(g))
     return out if extra is None else _plus_diag(out, extra)
 
 
@@ -73,12 +73,11 @@ def phase_stress(c: ScalarField, p: ScalarField, rho: ScalarField,
                                                 rho.values, params))
 
 
-def _korteweg(dn: _Density, gr: Components, grid: Grid, params: FluidParams,
-              d: Discretization) -> Components:
+def _korteweg(dn: _Density, gr: Components, ops: _Calculus, params: FluidParams) -> Components:
     r = dn.rho
     kap = _capillarity(dn, params)
-    psi_r = _helmholtz_energy_drho(dn, sum(g * g for g in gr), params)
-    diag = -r * r * psi_r + r * _div(tuple(kap * g for g in gr), grid, d)
+    psi_r = _helmholtz_energy_drho(dn, _total(g * g for g in gr), params)
+    diag = -r * r * psi_r + r * ops.div(tuple(kap * g for g in gr))
     return _plus_diag(tuple(-kap * o for o in _outer(gr, gr)), diag)
 
 
@@ -90,9 +89,8 @@ def korteweg_tensor(rho: ScalarField, params: FluidParams, d: Discretization) ->
     """
     if np.any(rho.values <= 0.0):
         raise DomainError("Korteweg tensor needs positive density")
-    r = rho.values
-    return SymTensorField(rho.grid, _korteweg(_density(r, params), _derivs(r, rho.grid, d),
-                                              rho.grid, params, d))
+    r, ops = rho.values, _calculus(rho.grid, d)
+    return SymTensorField(rho.grid, _korteweg(_density(r, params), ops.derivs(r), ops, params))
 
 
 def augmented_cauchy_stress(u: VectorField, rho: ScalarField,
@@ -110,7 +108,7 @@ def nonlocal_cauchy_stress(u: VectorField, nonlocal_term: ScalarField,
     ``nonlocal_term`` must be a precomputed inverse-elliptic image of
     div u; no solve happens here.
     """
-    extra = params.temperature / params.delta_tau**2 * nonlocal_term.values
+    extra = params._theta_dtau2 * nonlocal_term.values
     return SymTensorField(u.grid, _viscous_stress(
         _grads(u.components, u.grid, d), params.bulk_viscosity, params, extra))
 

@@ -1,6 +1,14 @@
 """Explicit SSP-RK3 (Shu-Osher) integration of reduced mixture states.
 
-The stages run on arrays; each accepted step builds one validated MixtureState.
+``make_rhs`` binds a run's right-hand side once: the grid's calculus (i k,
+shape, stacking decision; the NSK2 inverse symbol at its first solve) is
+resolved there, and the constitutive coefficients are attributes of
+``FluidParams``, formed once per parameter set.  The stages run on the rows
+(rho, *m): on a 1-D grid one stacked (1 + dim, N) array, so a stage is one
+Shu-Osher combination, one finite scan and one floor check; in 2-D one
+array per component, because stacked stages there need fresh temporaries
+of several fields' size, which raised the peak memory of a 128^2 run.
+Each accepted step builds one validated MixtureState.
 """
 
 from __future__ import annotations
@@ -16,7 +24,9 @@ from .elliptic import Mobility
 from .errors import ConfigError, DomainError, SolverError, StateError
 from .fields import Components, ScalarField, VectorField, _require_finite
 from .grids import Discretization, Grid
-from .models import MixtureState, ModelKind, _require_above_floor, _rhs, _velocity
+from .models import (MixtureState, ModelKind, _require_above_floor, _rhs, _stage_rows,
+                     _velocity)
+from .operators import _calculus, _total
 
 # Shu-Osher stage weights (step-start weight, weight of the Euler step from
 # the last stage); each row is a convex combination, which makes it SSP.
@@ -58,18 +68,17 @@ class StepControl:
 def dt_candidates(state: MixtureState, params: FluidParams,
                   control: StepControl = StepControl()) -> dict[str, float]:
     """Unclamped advective/viscous/capillary step candidates."""
-    grid = state.grid
-    h_min = min(grid.h)
+    h_min = min(state.grid.h)
     r = state.rho.values
     dn = law._density(r, params)   # a validated state: the laws run unchecked
-    speed = np.sqrt(sum(c * c for c in _velocity(state)))
-    cs = np.sqrt(max(float(np.max(law._sound_speed_sq(dn, params))), 1e-12))
-    fastest = float(np.max(speed)) + cs
+    speed = np.sqrt(_total(c * c for c in _velocity(state)))
+    cs = np.sqrt(max(float(law._sound_speed_sq(dn, params).max()), 1e-12))
+    fastest = float(speed.max()) + cs
     adv = control.cfl_advective * h_min / fastest if fastest > 0.0 else np.inf
 
-    rho_min = float(np.min(r))
-    lam_star_max = float(np.max(np.abs(law._augmented_bulk_viscosity(dn, params))))
-    visc_denom = 2.0 * params.shear_viscosity + lam_star_max
+    rho_min = float(r.min())
+    lam_star_max = float(np.abs(law._augmented_bulk_viscosity(dn, params)).max())
+    visc_denom = params._two_mu + lam_star_max
     visc = control.cfl_parabolic * h_min**2 * rho_min / visc_denom \
         if visc_denom > 1e-300 else np.inf
 
@@ -95,47 +104,64 @@ def estimate_dt(state: MixtureState, params: FluidParams,
                 control: StepControl = StepControl()) -> float:
     """The step bound of :func:`integrate`: the smallest candidate, capped at dt_max.
 
-    Below dt_min it raises the stiffness-abort StateError.  Both models share
-    it: the non-local stress is no stiffer than the local one at equal parameters.
+    Below dt_min it raises the stiffness-abort StateError.  Both models get
+    the same candidates (:func:`dt_candidates`, with the NSK1 augmented
+    viscosity), and ``kind`` is not used yet.  The shared bound is no
+    stability claim for NSK2: on a near-constant state (N = 128, rho = 1.5)
+    the SSP-RK3 limit is 3.81e-3 for NSK2 against 4.51e-3 for NSK1.
     """
     return _step_bound(state, params, control)
 
 
-RhsEvaluator = Callable[[np.ndarray, Components, Grid], tuple[np.ndarray, Components]]
+# rows (rho, *m) -> their rates, in the stage layout of the grid: one
+# (1 + dim, N) array on a 1-D grid, one array per row on a 2-D grid
+RhsEvaluator = Callable[[np.ndarray | Components], np.ndarray | Components]
 
 
 def make_rhs(params: FluidParams, kind: ModelKind, gamma: Mobility | None,
-             d: Discretization) -> RhsEvaluator:
-    """The model's right-hand side as (rho, m, grid) -> (d rho/dt, dm/dt) on arrays."""
+             d: Discretization, grid: Grid) -> RhsEvaluator:
+    """The model's right-hand side on ``grid``, as rows (rho, *m) -> their rates.
+
+    What stays fixed across calls is resolved here, once: the grid's
+    calculus (i k, shape, stacking; it holds the NSK2 inverse symbol from the
+    first solve on) and, through ``params``, the constitutive coefficients.
+    """
     if kind is ModelKind.NSK2 and gamma is None:
         raise ConfigError("the non-local reduced model needs a mobility")
-    return lambda rho, m, grid: _rhs(rho, m, grid, params, kind, gamma, d)
+    ops = _calculus(grid, d)
+    return lambda q: _rhs(q, ops, params, kind, gamma)
 
 
-def _check_stage(rho: np.ndarray, m: Components) -> None:
+def _check_stage(q) -> None:
     """A MixtureState's checks: non-finite (DomainError), density floor (StateError)."""
-    for a in (rho, *m):
+    for a in (q,) if isinstance(q, np.ndarray) else q:
         _require_finite(a)
-    _require_above_floor(rho)
+    _require_above_floor(q[0])
 
 
 def ssprk3_step(state: MixtureState, dt: float, rhs: RhsEvaluator) -> MixtureState:
     """One SSP-RK3 step: stage k + 1 is wa * u0 + wb * (u_k + dt * L(u_k)) per table row.
 
-    The stages run on arrays and each is checked before the next evaluation;
-    the last one becomes the step's one validated MixtureState, at t + dt.
+    The stages run on the rows (rho, *m) in the stage layout of the module
+    notes, the layout ``rhs`` takes and returns.  Each stage is checked
+    before the next evaluation; the last one becomes the step's one
+    validated MixtureState, at t + dt.
     """
     if dt <= 0.0:
         raise ConfigError("dt must be positive")
-    grid, rho0, m0 = state.grid, state.rho.values, state.m.components
-    rho, m = rho0, m0
+    grid = state.grid
+    q0 = q = _stage_rows(state)
     for i, (wa, wb) in enumerate(SHU_OSHER_COEFFS):
         if i:
-            _check_stage(rho, m)
-        drho, dm = rhs(rho, m, grid)
-        rho = wa * rho0 + wb * (rho + dt * drho)
-        m = tuple(wa * a + wb * (b + dt * g) for a, b, g in zip(m0, m, dm))
-    return MixtureState(ScalarField(grid, rho), VectorField(grid, m), state.t + dt)
+            _check_stage(q)
+        dq = rhs(q)
+        if isinstance(q0, np.ndarray):
+            q = wa * q0 + wb * (q + dt * dq)
+        else:   # one row at a time, each old stage row freed as its successor lands
+            q = list(q)
+            for j, (a, g) in enumerate(zip(q0, dq)):
+                q[j] = wa * a + wb * (q[j] + dt * g)
+    return MixtureState(ScalarField(grid, q[0]), VectorField(grid, tuple(q[1:])), state.t + dt)
 
 
 Observer = Callable[[int, MixtureState, float], None]
@@ -151,15 +177,15 @@ class IntegrationResult:
 
 def step_metrics(step: int, state: MixtureState, dt: float) -> dict:
     """One line of the metrics stream."""
-    speed = np.sqrt(sum(c * c for c in _velocity(state)))
+    speed = np.sqrt(_total(c * c for c in _velocity(state)))
     return {
         "step": step,
         "t": state.t,
         "dt": dt,
         "mass": float(state.rho.values.mean()),
         "momentum": [float(c.mean()) for c in state.m.components],
-        "min_rho": float(np.min(state.rho.values)),
-        "max_speed": float(np.max(speed)),
+        "min_rho": float(state.rho.values.min()),
+        "max_speed": float(speed.max()),
     }
 
 
@@ -177,8 +203,7 @@ def integrate(state: MixtureState, control: StepControl, params: FluidParams,
     that does not converge SolverError) is re-raised as StateError with
     the step, t, dt and last good state.
     """
-    rhs = make_rhs(params, kind, gamma, d)
-    d.require_compatible(state.grid)
+    rhs = make_rhs(params, kind, gamma, d, state.grid)
     params.validate_for_dim(state.grid.dim)
     law.warn_outside_window(state.rho.values, params, context="initial state")
     result = IntegrationResult(state=state, steps=0)

@@ -7,11 +7,10 @@ import pytest
 
 from korteweg import (FD2, SPECTRAL, CompatibilityError, ConfigError, DomainError,
                       Grid, ScalarField)
-from korteweg.elliptic import (Mobility, _inverse_symbol, _solve, apply_operator,
-                               invert_for_model, invert_freespace_1d, invert_neumann_1d,
-                               invert_periodic)
+from korteweg.elliptic import (Mobility, _solve, apply_operator, invert_for_model,
+                               invert_freespace_1d, invert_neumann_1d, invert_periodic)
 from korteweg.initial import random_band_limited
-from korteweg.operators import mean
+from korteweg.operators import _calculus, _inverse_symbol, mean
 
 
 def test_mobility_validation():
@@ -134,7 +133,7 @@ def test_model_solve_refuses_non_finite_data_before_cg():
     f = np.cos(2.0 * x)
     f[3] = np.nan
     with pytest.raises(DomainError, match="non-finite"):
-        _solve(Mobility.spatial(2.0 + np.sin(x)), f, grid, SPECTRAL)
+        _solve(Mobility.spatial(2.0 + np.sin(x)), f, _calculus(grid, SPECTRAL))
 
 
 def _variable_mobility_case(shape, seed):

@@ -15,11 +15,12 @@ from korteweg.elliptic import invert_for_model
 from korteweg.fields import _outer, sup_norm
 from korteweg.initial import random_band_limited
 from korteweg.manufactured import ManufacturedState, TrigPoly, exact_pressure, exact_rhs
-from korteweg.models import (_reduced_stress, momentum_equivalence_gap, reconstruct_fields,
-                             reconstruct_pressure_nsac, reconstruct_pressure_nsch,
-                             residual_nsac, residual_nsch, rhs_nsk1, rhs_nsk2)
-from korteweg.operators import (_conservation_rates, _derivs, _div, _div_spectra, _div_tensor,
-                                _grads, _spectra, dealias_array, div, mean)
+from korteweg.models import (_reduced_stress, _stage_rows, momentum_equivalence_gap,
+                             reconstruct_fields, reconstruct_pressure_nsac,
+                             reconstruct_pressure_nsch, residual_nsac, residual_nsch, rhs_nsk1,
+                             rhs_nsk2)
+from korteweg.operators import (_calculus, _conservation_rates, _derivs, _div, _div_spectra,
+                                _div_tensor, _grads, _spectra, dealias_array, div, mean)
 from korteweg.tensors import _div_of
 from korteweg.timestepping import make_rhs
 
@@ -31,7 +32,8 @@ def constant_state(grid, rho0=1.4, u0=0.0):
 
 def model_rates(state, params, kind, gamma, d):
     """make_rhs's array evaluator on a state: (d rho/dt, dm/dt) as arrays."""
-    return make_rhs(params, kind, gamma, d)(state.rho.values, state.m.components, state.grid)
+    rates = make_rhs(params, kind, gamma, d, state.grid)(_stage_rows(state))
+    return rates[0], tuple(rates[1:])
 
 
 def test_state_validation(grid64):
@@ -387,7 +389,8 @@ def per_array_rhs(state, params, kind, gamma, d):
     gu = tuple(_derivs(c, grid, d) for c in u)
     nonlocal_term = None if kind is ModelKind.NSK1 else \
         invert_for_model(gamma, ScalarField(grid, _div_of(gu)), d).values
-    stress = _reduced_stress(r, _derivs(r, grid, d), gu, grid, params, d, nonlocal_term)
+    stress = _reduced_stress(r, _derivs(r, grid, d), gu, _calculus(grid, d), params,
+                             nonlocal_term)
     return per_array_rates(m, stress, _outer(m, u), grid, d)
 
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import korteweg.fields
 import korteweg.timestepping
 from korteweg import (FD2, SPECTRAL, ConfigError, Discretization, FluidParams, Grid,
                       MixtureState, Mobility, ModelKind, ScalarField, Scheme, StateError,
@@ -35,12 +36,12 @@ def test_step_control_validation():
         StepControl(t_end=-1.0)
 
 
-def zero_rhs(rho, m, grid):
-    return np.zeros_like(rho), tuple(np.zeros_like(c) for c in m)
+def zero_rhs(q):
+    return np.zeros_like(q)
 
 
-def decay(rho, m, grid):
-    return -rho, tuple(-c for c in m)
+def decay(q):
+    return -q
 
 
 def test_zero_rhs_leaves_state_unchanged(grid64):
@@ -84,7 +85,7 @@ def test_step_validates_one_state_per_step(grid64, monkeypatch):
 
 def test_constant_state_is_fixed_point(params, grid64):
     state = constant_state(grid64)
-    rhs = make_rhs(params, ModelKind.NSK1, None, SPECTRAL)
+    rhs = make_rhs(params, ModelKind.NSK1, None, SPECTRAL, grid64)
     out = ssprk3_step(state, 0.05, rhs)
     assert np.max(np.abs(out.rho.values - state.rho.values)) < 1e-13
     assert np.max(np.abs(out.m.components[0] - state.m.components[0])) < 1e-13
@@ -303,3 +304,71 @@ def test_array_stages_match_field_stages_bit_for_bit(case, params):
     assert all(np.array_equal(a, b) for a, b in zip(res.state.m.components, ref.m.components,
                                                      strict=True))
     assert res.metrics == ref_metrics
+
+
+def per_component_steps(state, steps, params, kind, gamma, d):
+    """SSP-RK3 written out on one array per component: every stage's rates from the
+    public rhs_nsk1/rhs_nsk2, combined row by row of SHU_OSHER_COEFFS; dt from
+    estimate_dt."""
+    grid, control = state.grid, StepControl(t_end=1e9)
+    for _ in range(steps):
+        dt = estimate_dt(state, params, kind, control)
+        start = rows = (state.rho.values, *state.m.components)
+        for wa, wb in SHU_OSHER_COEFFS:
+            stage = MixtureState(ScalarField(grid, rows[0]), VectorField(grid, rows[1:]))
+            drho, dm = rhs_nsk1(stage, params, d) if kind is ModelKind.NSK1 \
+                else rhs_nsk2(stage, params, gamma, d)
+            rows = tuple(wa * a + wb * (b + dt * g)
+                         for a, b, g in zip(start, rows, (drho.values, *dm.components)))
+        state = MixtureState(ScalarField(grid, rows[0]), VectorField(grid, rows[1:]),
+                             state.t + dt)
+    return state
+
+
+GUARD_RUNS = {**{case: RUNS[case] for case in (
+    "1d-nsk1", "1d-nsk2", "1d-dealias-nsk1", "1d-dealias-nsk2", "bounded-cosine-nsk2")},
+    "2d-32-nsk1": (Grid.periodic((32, 32)), SPECTRAL, ModelKind.NSK1, None),
+    "2d-32-nsk2": (Grid.periodic((32, 32)), SPECTRAL, ModelKind.NSK2, CONSTANT)}
+
+
+@pytest.mark.parametrize("case", sorted(GUARD_RUNS))
+def test_twenty_steps_equal_the_per_component_loop(case, params):
+    # integrate binds the right-hand side once per run and, on a 1-D grid, runs the
+    # stages on one stacked array; neither may change a bit of the result
+    grid, d, kind, gamma = GUARD_RUNS[case]
+    state = moving_state(grid)
+    res = integrate(state, StepControl(t_end=1e9, max_steps=20), params, kind, gamma, d)
+    ref = per_component_steps(state, 20, params, kind, gamma, d)
+    assert res.steps == 20 and res.state.t == ref.t
+    assert np.array_equal(res.state.rho.values, ref.rho.values)
+    assert all(np.array_equal(a, b) for a, b in zip(res.state.m.components, ref.m.components,
+                                                     strict=True))
+
+
+FFT_NAMES = ("fft", "ifft", "fftn", "ifftn", "fft2", "ifft2",
+             "rfft", "irfft", "rfftn", "irfftn", "rfft2", "irfft2")
+
+
+@pytest.mark.parametrize("kind, gamma, ffts", [(ModelKind.NSK1, None, 18),
+                                               (ModelKind.NSK2, CONSTANT, 24)],
+                         ids=["nsk1", "nsk2"])
+def test_one_step_hot_path_counts(kind, gamma, ffts, params, grid64, monkeypatch):
+    # one 1-D spectral step without observers: three right-hand sides of 6 (NSK1)
+    # or 8 (NSK2) numpy.fft calls each, and 1 + dim validated arrays for the result
+    state = moving_state(grid64)
+    calls = {"fft": 0, "frozen": 0, "rhs": 0}
+
+    def counted(key, original):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in FFT_NAMES:
+        monkeypatch.setattr(np.fft, name, counted("fft", getattr(np.fft, name)))
+    monkeypatch.setattr(korteweg.fields, "_frozen_array",
+                        counted("frozen", korteweg.fields._frozen_array))
+    monkeypatch.setattr(korteweg.timestepping, "_rhs", counted("rhs", korteweg.timestepping._rhs))
+    res = integrate(state, StepControl(t_end=1e9, max_steps=1), params, kind, gamma, SPECTRAL)
+    assert res.steps == 1
+    assert calls == {"fft": ffts, "frozen": 1 + grid64.dim, "rhs": 3}
