@@ -60,7 +60,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _emit_failure(out_dir: Path | None, exc: Exception) -> None:
     record = {"error": type(exc).__name__, "message": str(exc)}
-    record.update((k, getattr(exc, k)) for k in ("step", "t")   # numeric aborts
+    record.update((k, getattr(exc, k)) for k in ("step", "t", "dt")   # numeric aborts
                   if getattr(exc, k, None) is not None)
     print(json.dumps(record), file=sys.stderr)
     if out_dir is not None:

@@ -19,9 +19,13 @@ operator, preconditioned by the Fourier solve at the mean mobility; the
 iteration count then depends on the mobility contrast, not on N.  The
 first two are one array kernel, ``_solve``, which solves for the zero-mean
 part of its data, on the grid's bound calculus (so a right-hand side looks
-the symbol up once per run).  The right-hand sides call it directly, and so does
-:func:`invert_for_model`, the one public inverse that discards a mean; the
-other public inverses first refuse data with a mean (CompatibilityError).
+the symbol up once per run).  The right-hand sides call it directly for a
+variable mobility or on a bounded grid; with a constant mobility on a
+spectral grid they apply the same inverse symbol as part of a Fourier
+multiplier (:func:`korteweg.models._stress_symbol`) and solve nothing.
+:func:`invert_for_model`, the one public inverse that discards a mean, calls
+it too; the other public inverses first refuse data with a mean
+(CompatibilityError).
 """
 
 from __future__ import annotations

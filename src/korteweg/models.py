@@ -14,23 +14,33 @@ concentration to the density.  This module provides
 the right-hand sides, the momentum-flux gap and the residuals alike: the
 NSK1 augmented viscosity or the NSK2 non-local term, plus the Korteweg
 tensor.  Per evaluation each gradient is taken and the non-local term
-solved once; between the validated inputs and returned fields everything
-runs on arrays.
+solved at most once; between the validated inputs and returned fields
+everything runs on arrays.
 
 Both reduced systems are conservation laws for (rho, m): the right-hand
 side is the divergence of the flux [m; Sigma - m (x) u].  Its one assembly,
 the array kernel ``_rhs``, serves the time loop; ``rhs_nsk1``/``rhs_nsk2``
-wrap it.  It takes the rows (rho, *m) and the grid's bound calculus
-(:class:`korteweg.operators._Calculus`), which
+wrap it.  It takes the rows (rho, *m), the grid's bound calculus
+(:class:`korteweg.operators._Calculus`) and the stress symbol, which
 :func:`korteweg.timestepping.make_rhs` resolves once per run, and returns
 the rates in the same stage layout: one (1 + dim, N) array on a 1-D grid,
-a tuple of arrays in 2-D (``_stage_rows``).  It is built in three
-dependency levels: (1) grad u and grad rho in one ``grads`` call, (2)
-div(kappa grad rho) inside the Korteweg tensor, next to the NSK2 solve on
-div u, and (3) the divergence of the flux (``conservation_rates``).  The
-gap and the residuals take level 1 the same way and grad c once.  How a
-level is transformed and laid out is decided in :mod:`korteweg.operators`,
-not here.
+a tuple of arrays in 2-D (``_stage_rows``).
+
+On a spectral grid the velocity-linear, constant-coefficient part of the
+stress, 2 mu D(u) + lambda (div u) I and, for NSK2 with a constant
+mobility, the non-local term, is a Fourier multiplier on u^
+(``_stress_symbol``), added to the momentum spectra before their inverse:
+grad u never returns to the grid and no solve is needed.
+``_reduced_stress`` assembles the rest pointwise (Korteweg, the NSK1
+(delta_star / (sqrt(delta) rho)) (div u) I, a variable mobility's solved
+term); FD2 has no symbol and assembles every term from grad u.  The levels:
+(1) grad rho, div u where a pointwise term needs it and the symbol's
+addend (``velocity_level``; FD2: grad u and grad rho in one ``grads``
+call), (2) div(kappa grad rho) inside the Korteweg tensor, next to any
+NSK2 solve, (3) the divergence of the flux (``conservation_rates``).  The
+gap and the residuals take grad u and grad rho in one ``grads`` call and
+grad c once.  How a level is transformed and laid out is decided in
+:mod:`korteweg.operators`, not here.
 
 The full systems are never time-stepped: the closure makes them
 differential-algebraic, so they are only ever checked residually.
@@ -40,6 +50,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,7 +60,7 @@ from .elliptic import Mobility, _matvec, _solve
 from .errors import ConfigError, StateError
 from .fields import Components, ScalarField, VectorField, _outer, _sup
 from .grids import Discretization, Scheme
-from .operators import _calculus, _Calculus, _derivs, _div
+from .operators import _calculus, _Calculus, _derivs, _div, _total
 from .tensors import _div_of, _korteweg, _phase_stress, _viscous_stress
 
 RHO_FLOOR = 1e-8
@@ -105,6 +116,34 @@ class ReconstructedFields:
 def _velocity(state: MixtureState) -> Components:
     r = state.rho.values
     return tuple(c / r for c in state.m.components)
+
+
+class _StressSymbol(NamedTuple):
+    """The multiplier part of div(reduced stress): row i is shear u^_i + i k_i
+    (bulk (div u)^), shear = -mu |k|^2, bulk = mu + lambda [+ theta /
+    (delta_tau^2 gamma |k|^2) if ``nonlocal_term``, zero where |k| is], with k
+    Nyquist-zeroed as in the derivatives.  1-D folds bulk into shear and holds
+    None."""
+
+    shear: np.ndarray
+    bulk: np.ndarray | float | None
+    nonlocal_term: bool
+
+
+def _stress_symbol(ops: _Calculus, params: FluidParams, kind: ModelKind,
+                   gamma: Mobility | None) -> _StressSymbol | None:
+    """The run's symbol, real arrays on the half spectrum; None under FD2."""
+    if not ops.spectral:
+        return None
+    k2 = _total(ik.imag * ik.imag for ik in ops.ik)
+    nonlocal_term = kind is ModelKind.NSK2 and gamma.is_constant
+    bulk = params.shear_viscosity + params.bulk_viscosity
+    if nonlocal_term:
+        bulk = bulk + (params._theta_dtau2 / gamma.value) * ops.inv_sym
+    shear = -params.shear_viscosity * k2
+    if ops.stacks:
+        return _StressSymbol(shear - bulk * k2, None, nonlocal_term)
+    return _StressSymbol(shear, bulk, nonlocal_term)
 
 
 def _nonlocal_term(divu: np.ndarray, ops: _Calculus, kind: ModelKind,
@@ -196,15 +235,25 @@ def reconstruct_fields(state: MixtureState, params: FluidParams, kind: ModelKind
     return ReconstructedFields(c, p, **{"q" if kind is ModelKind.NSK1 else "mu_chem": rate})
 
 
-def _reduced_stress(r: np.ndarray, gr: Components, gu: tuple[Components, ...],
-                    ops: _Calculus, params: FluidParams,
-                    nonlocal_term: np.ndarray | None) -> Components:
-    """The reduced stress of either model: viscous or non-local part plus Korteweg.
+def _reduced_stress(r: np.ndarray, gr: Components, gu, ops: _Calculus, params: FluidParams,
+                    nonlocal_term: np.ndarray | None,
+                    symbol: _StressSymbol | None = None) -> Components:
+    """The reduced stress of either model: viscous or non-local part plus Korteweg;
+    with a ``symbol``, only the part the symbol does not carry.
 
-    ``gr`` is grad rho and ``gu`` grad u.  ``r`` is a validated state's
-    density, so the laws run unchecked on one _Density.
+    ``gr`` is grad rho; ``gu`` is grad u, or with a symbol div u (None if
+    unused).  ``r`` is a validated state's density, so the laws run unchecked
+    on one _Density.
     """
     dn = _density(r, params)
+    if symbol is not None:
+        if nonlocal_term is not None:
+            extra = params._theta_dtau2 * nonlocal_term
+        elif not symbol.nonlocal_term:
+            extra = params._augmented_scale * dn.v * gu
+        else:
+            extra = None
+        return _korteweg(dn, gr, ops, params, extra)
     korteweg = _korteweg(dn, gr, ops, params)
     if nonlocal_term is None:
         bulk = _viscous_stress(gu, _augmented_bulk_viscosity(dn, params), params)
@@ -214,9 +263,11 @@ def _reduced_stress(r: np.ndarray, gr: Components, gu: tuple[Components, ...],
     return tuple(a + b for a, b in zip(bulk, korteweg))
 
 
-def _rhs(q, ops: _Calculus, params: FluidParams, kind: ModelKind, gamma: Mobility | None):
+def _rhs(q, ops: _Calculus, params: FluidParams, kind: ModelKind, gamma: Mobility | None,
+         symbol: _StressSymbol | None):
     """The rates (-div m, *div(Sigma - m (x) u)) of the rows q = (rho, *m), in the
-    three dependency levels of the module notes.
+    three dependency levels of the module notes; ``symbol`` is
+    :func:`_stress_symbol` of the same arguments.
 
     The rows come, and the rates return, in the stage layout of ``ops``: one
     (1 + dim, N) array on a 1-D grid, a tuple of arrays otherwise.  rho must
@@ -224,11 +275,18 @@ def _rhs(q, ops: _Calculus, params: FluidParams, kind: ModelKind, gamma: Mobilit
     """
     r, m = q[0], q[1:]
     u = tuple(c / r for c in m)
-    *gu, gr = ops.grads((*u, r))
-    stress = _reduced_stress(r, gr, gu, ops, params,
-                             _nonlocal_term(_div_of(gu), ops, kind, gamma))
-    del gu, gr   # level 3 needs neither: frees 6 arrays in 2-D
-    return ops.conservation_rates(m, stress, _outer(m, u))
+    if symbol is None:
+        *gu, gr = ops.grads((*u, r))
+        divu, addend = _div_of(gu), None
+    else:
+        gr, divu, addend = ops.velocity_level(u, r, symbol.shear, symbol.bulk,
+                                              not symbol.nonlocal_term)
+        gu = divu
+    # div u is None where the symbol carries the non-local term: no solve
+    nonlocal_term = None if divu is None else _nonlocal_term(divu, ops, kind, gamma)
+    stress = _reduced_stress(r, gr, gu, ops, params, nonlocal_term, symbol)
+    del gu, gr, divu, nonlocal_term   # level 3 needs none of them
+    return ops.conservation_rates(m, stress, _outer(m, u), addend)
 
 
 def _stage_rows(state: MixtureState):
@@ -240,7 +298,9 @@ def _stage_rows(state: MixtureState):
 def _rhs_fields(state: MixtureState, params: FluidParams, kind: ModelKind,
                 gamma: Mobility | None, d: Discretization) -> tuple[ScalarField, VectorField]:
     grid = state.grid
-    rates = _rhs(_stage_rows(state), _calculus(grid, d), params, kind, gamma)
+    ops = _calculus(grid, d)
+    rates = _rhs(_stage_rows(state), ops, params, kind, gamma,
+                 _stress_symbol(ops, params, kind, gamma))
     return ScalarField(grid, rates[0]), VectorField(grid, tuple(rates[1:]))
 
 
@@ -254,7 +314,8 @@ def rhs_nsk2(state: MixtureState, params: FluidParams, gamma: Mobility,
              d: Discretization) -> tuple[ScalarField, VectorField]:
     """Semi-discrete right-hand side of the non-local reduced system.
 
-    Exactly one elliptic solve per evaluation (for the non-local stress).
+    The non-local stress costs one elliptic solve per evaluation, or none
+    with a constant mobility on a spectral grid (a Fourier multiplier there).
     """
     return _rhs_fields(state, params, ModelKind.NSK2, gamma, d)
 

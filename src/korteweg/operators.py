@@ -21,14 +21,17 @@ functions return validated fields; the array kernels are the methods of
 ``_Calculus``, one grid's calculus under one discretization with
 everything an evaluation reuses resolved once (i k per axis, the shape,
 the dealias mask and whether rows stack; the inverse symbol of
--div(grad .) on first use).  A right-hand side binds one per run; ``_calculus(grid, d)`` caches
-one per pair, and the module kernels (``_derivs``, ``_div``,
-``_div_tensor``, ``_grads``, ``_conservation_rates``) call through it.
+-div(grad .) on first use).  A right-hand side binds one per run;
+``_calculus(grid, d)`` caches one per pair, and the module kernels
+(``_derivs``, ``_div``, ``_div_tensor``, ``_grads``, ``_conservation_rates``)
+call through it.
 Under the spectral scheme a non-periodic grid is refused.
 
-Two multi-array kernels serve the dependency levels of a right-hand side
-(:mod:`korteweg.models`): ``grads`` takes the gradients of several arrays
-and ``conservation_rates`` the divergences of a conservation law's flux.
+Three multi-array kernels serve the dependency levels of a right-hand side
+(:mod:`korteweg.models`): ``grads`` takes the gradients of several arrays,
+``velocity_level`` (spectral) grad rho, div u and a symbol's image of u^
+as spectra, and ``conservation_rates`` the divergences of a conservation
+law's flux, plus those spectra before the inverse.
 On a 1-D grid every derivative runs on a stack of rows: spectrally one
 ``rfft`` and one ``irfft`` call for all of them (at N = 256 numpy's cost
 per call, not the FFT work, dominates, and a stacked call gives each row
@@ -193,11 +196,16 @@ class _Calculus:
         fhat = _rfft(values)
         return tuple(_irfft(ik * fhat, self.shape) for ik in self.ik)
 
-    def div_spectra(self, hats: list[np.ndarray], rows: int) -> Components:
-        """Row-wise divergence from the half spectra of a stored tensor: one inverse per row."""
-        ik, axes = self.ik, range(self.dim)
-        return tuple(_irfft(_total(ik[j] * hats[i + j] for j in axes), self.shape)
-                     for i in range(rows))
+    def div_spectra(self, hats: list[np.ndarray], rows: int, addend=None) -> Components:
+        """Row-wise divergence from the half spectra of a stored tensor, plus
+        ``addend``'s spectrum per row: one inverse per row."""
+        ik, axes, out = self.ik, range(self.dim), []
+        for i in range(rows):
+            div_hat = _total(ik[j] * hats[i + j] for j in axes)
+            if addend is not None:
+                div_hat += addend[i]
+            out.append(_irfft(div_hat, self.shape))
+        return tuple(out)
 
     def div_tensor(self, t: Components, rows: int = 0) -> Components:
         """Row-wise divergence of a stored symmetric tensor: row i is t[i:i + dim].
@@ -229,38 +237,73 @@ class _Calculus:
             return tuple(self.derivs(a) for a in arrays)
         return tuple((row,) for row in self._deriv_rows(arrays))
 
+    def velocity_level(self, u: Components, r: np.ndarray, shear, bulk, div_u: bool):
+        """Level 1 of a spectral right-hand side: (grad rho, div u if ``div_u``
+        else None, addend), the addend being shear u^_i + i k_i (bulk (div u)^)
+        per momentum row as a half spectrum (``bulk`` None: all in ``shear``).
+
+        1-D: one stacked transform of (u, rho) each way.  2-D: the addend
+        reuses the buffers of u^.
+        """
+        ik = self.ik
+        if self.stacks:
+            hats = np.fft.rfft((*u, r))
+            rows = _irfft(ik[0] * (hats if div_u else hats[1:]), self.shape)
+            return (rows[-1],), rows[0] if div_u else None, shear * hats[:1]
+        addend = [_rfft(c) for c in u]   # u^, turned into the addend in place
+        rhat = _rfft(r)
+        gr = tuple(_irfft(k * rhat, self.shape) for k in ik)
+        del rhat
+        div_hat = _total(k * h for k, h in zip(ik, addend))
+        divu = _irfft(div_hat, self.shape) if div_u else None
+        div_hat *= bulk
+        for k, h in zip(ik, addend):
+            h *= shear
+            h += k * div_hat
+        return gr, divu, addend
+
     def conservation_rates(self, mass: Components, stress: Components,
-                           advective: Components):
+                           advective: Components, addend=None):
         """The rates (-div mass, *div(stress - advective)) of a conservation law for
         (rho, m) with flux [mass; advective - stress], as rows: one (1 + dim, N)
         array on a 1-D grid, a tuple of arrays otherwise.
 
-        ``mass`` is a vector, ``stress`` and ``advective`` stored symmetric tensors.
+        ``mass`` is a vector, ``stress`` and ``advective`` stored symmetric tensors;
+        ``addend`` (spectral) holds half spectra added to the momentum rows.
         Under dealiasing the 2/3 rule masks ``mass`` and ``advective`` (the
         quadratic terms) in the spectra the divergences take.  1-D: every row in
         one stacked derivative (spectral: one forward and one inverse for both
-        divergences).  Otherwise :meth:`div` of ``mass``, then :meth:`div_tensor`
-        of the rest.
+        divergences).  Otherwise the divergence of ``mass``, then the rest.
         """
         if not self.stacks:
-            if self.keep is not None:
-                grid = self.grid
+            if not self.spectral:
+                return (-self.div(mass),
+                        *self.div_tensor(tuple(s - a for s, a in zip(stress, advective))))
+            grid, masked = self.grid, self.keep is not None
+            rate = -self.div_spectra(_spectra(mass, grid, masked), 1)[0]
+            if masked:
                 flux_hat = [s - a for s, a in zip(_spectra(stress, grid),
                                                   _spectra(advective, grid, True))]
-                return (-self.div_spectra(_spectra(mass, grid, True), 1)[0],
-                        *self.div_spectra(flux_hat, self.dim))
-            flux = tuple(s - a for s, a in zip(stress, advective))
-            return (-self.div(mass), *self.div_tensor(flux))
-        if self.keep is not None:
-            keep = self.keep
-            hm, hs, ha = np.fft.rfft(np.array((*mass, *stress, *advective)))
-            rates = _irfft(self.ik[0] * np.array((np.where(keep, hm, 0.0),
-                                                  hs - np.where(keep, ha, 0.0))), self.shape)
-        else:
+            else:
+                flux_hat = [_rfft(s - a) for s, a in zip(stress, advective)]
+            return (rate, *self.div_spectra(flux_hat, self.dim, addend))
+        keep = self.keep
+        if keep is None:
             rows = np.empty((2, *self.shape))
             rows[0] = mass[0]
             np.subtract(stress[0], advective[0], out=rows[1])
-            rates = self._deriv_rows(rows)
+        if not self.spectral:
+            rates = _fd2_deriv(rows, self.grid, -1)
+        else:
+            if keep is None:
+                hats = self.ik[0] * np.fft.rfft(rows)
+            else:
+                hm, hs, ha = np.fft.rfft(np.array((*mass, *stress, *advective)))
+                hats = self.ik[0] * np.array((np.where(keep, hm, 0.0),
+                                              hs - np.where(keep, ha, 0.0)))
+            if addend is not None:
+                hats[1:] += addend
+            rates = _irfft(hats, self.shape)
         np.negative(rates[0], out=rates[0])
         return rates
 

@@ -73,11 +73,15 @@ def phase_stress(c: ScalarField, p: ScalarField, rho: ScalarField,
                                                 rho.values, params))
 
 
-def _korteweg(dn: _Density, gr: Components, ops: _Calculus, params: FluidParams) -> Components:
+def _korteweg(dn: _Density, gr: Components, ops: _Calculus, params: FluidParams,
+              extra=None) -> Components:
+    """The Korteweg tensor from grad rho, plus ``extra`` I when given."""
     r = dn.rho
     kap = _capillarity(dn, params)
     psi_r = _helmholtz_energy_drho(dn, _total(g * g for g in gr), params)
     diag = -r * r * psi_r + r * ops.div(tuple(kap * g for g in gr))
+    if extra is not None:
+        diag = diag + extra
     return _plus_diag(tuple(-kap * o for o in _outer(gr, gr)), diag)
 
 

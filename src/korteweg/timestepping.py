@@ -1,9 +1,11 @@
 """Explicit SSP-RK3 (Shu-Osher) integration of reduced mixture states.
 
 ``make_rhs`` binds a run's right-hand side once: the grid's calculus (i k,
-shape, stacking decision; the NSK2 inverse symbol at its first solve) is
-resolved there, and the constitutive coefficients are attributes of
-``FluidParams``, formed once per parameter set.  The stages run on the rows
+shape, stacking decision; the inverse symbol of -div(grad .) on first use)
+and, on a spectral grid, the stress symbol's real half-spectrum arrays
+(:func:`korteweg.models._stress_symbol`) are resolved there, and the
+constitutive coefficients are attributes of ``FluidParams``, formed once
+per parameter set.  The stages run on the rows
 (rho, *m): on a 1-D grid one stacked (1 + dim, N) array, so a stage is one
 Shu-Osher combination, one finite scan and one floor check; in 2-D one
 array per component, because stacked stages there need fresh temporaries
@@ -25,7 +27,7 @@ from .errors import ConfigError, DomainError, SolverError, StateError
 from .fields import Components, ScalarField, VectorField, _require_finite
 from .grids import Discretization, Grid
 from .models import (MixtureState, ModelKind, _require_above_floor, _rhs, _stage_rows,
-                     _velocity)
+                     _stress_symbol, _velocity)
 from .operators import _calculus, _total
 
 # Shu-Osher stage weights (step-start weight, weight of the Euler step from
@@ -123,13 +125,15 @@ def make_rhs(params: FluidParams, kind: ModelKind, gamma: Mobility | None,
     """The model's right-hand side on ``grid``, as rows (rho, *m) -> their rates.
 
     What stays fixed across calls is resolved here, once: the grid's
-    calculus (i k, shape, stacking; it holds the NSK2 inverse symbol from the
-    first solve on) and, through ``params``, the constitutive coefficients.
+    calculus (i k, shape, stacking; it holds the inverse symbol of
+    -div(grad .) from its first use on), the stress symbol of a spectral grid
+    as real arrays and, through ``params``, the constitutive coefficients.
     """
     if kind is ModelKind.NSK2 and gamma is None:
         raise ConfigError("the non-local reduced model needs a mobility")
     ops = _calculus(grid, d)
-    return lambda q: _rhs(q, ops, params, kind, gamma)
+    symbol = _stress_symbol(ops, params, kind, gamma)
+    return lambda q: _rhs(q, ops, params, kind, gamma, symbol)
 
 
 def _check_stage(q) -> None:

@@ -187,7 +187,7 @@ def test_failed_run_emits_machine_readable_record(tmp_path, capsys):
     record = json.loads((out / "failure.json").read_text())
     assert record["error"] == "StateError"
     assert "stiffness" in record["message"]
-    assert record["step"] == 1 and record["t"] == 0.0
+    assert record["step"] == 1 and record["t"] == 0.0 and "dt" not in record
 
 
 def test_overflow_in_a_step_is_a_numeric_failure(tmp_path):
@@ -207,7 +207,7 @@ def test_overflow_in_a_step_is_a_numeric_failure(tmp_path):
     record = json.loads((out / "failure.json").read_text())
     assert record["error"] == "StateError"
     assert "non-finite" in record["message"]
-    assert record["step"] == 1 and record["t"] == 0.0
+    assert record["step"] == 1 and record["t"] == 0.0 and record["dt"] == 1e-3
     assert not (out / "summary.json").exists()
 
 
@@ -228,7 +228,7 @@ def test_density_floor_in_a_step_is_a_numeric_failure(tmp_path):
     record = json.loads((out / "failure.json").read_text())
     assert record["error"] == "StateError"
     assert "density fell" in record["message"]
-    assert (record["step"], record["t"]) == (exc.step, exc.t)
+    assert (record["step"], record["t"], record["dt"]) == (exc.step, exc.t, 0.02)
     assert not (out / "summary.json").exists()
 
 
@@ -252,7 +252,7 @@ def test_solver_failure_in_a_step_is_a_numeric_failure(tmp_path, monkeypatch):
     assert main(["run", str(path), "--quiet"]) == 3
     record = json.loads((out / "failure.json").read_text())
     assert record["error"] == "StateError" and "cg failed" in record["message"]
-    assert (record["step"], record["t"]) == (1, 0.0)
+    assert (record["step"], record["t"], record["dt"]) == (1, 0.0, 1e-3)
     assert not (out / "summary.json").exists()
 
 
@@ -293,6 +293,7 @@ def test_failed_array_stage_is_a_numeric_failure(rates, cause, tmp_path, monkeyp
     assert main(["run", str(path), "--quiet"]) == 3
     record = json.loads((out / "failure.json").read_text())
     assert record["error"] == "StateError" and (record["step"], record["t"]) == (1, 0.0)
+    assert record["dt"] == 1e-3
     assert not (out / "summary.json").exists()
 
 

@@ -15,12 +15,13 @@ from korteweg.elliptic import invert_for_model
 from korteweg.fields import _outer, sup_norm
 from korteweg.initial import random_band_limited
 from korteweg.manufactured import ManufacturedState, TrigPoly, exact_pressure, exact_rhs
-from korteweg.models import (_reduced_stress, _stage_rows, momentum_equivalence_gap,
-                             reconstruct_fields, reconstruct_pressure_nsac,
-                             reconstruct_pressure_nsch, residual_nsac, residual_nsch, rhs_nsk1,
-                             rhs_nsk2)
+from korteweg.models import (_reduced_stress, _stage_rows, _stress_symbol,
+                             momentum_equivalence_gap, reconstruct_fields,
+                             reconstruct_pressure_nsac, reconstruct_pressure_nsch, residual_nsac,
+                             residual_nsch, rhs_nsk1, rhs_nsk2)
 from korteweg.operators import (_calculus, _conservation_rates, _derivs, _div, _div_spectra,
-                                _div_tensor, _grads, _spectra, dealias_array, div, mean)
+                                _div_tensor, _grads, _irfft, _rfft, _spectra, _total,
+                                dealias_array, div, mean)
 from korteweg.tensors import _div_of
 from korteweg.timestepping import make_rhs
 
@@ -221,13 +222,20 @@ def solve_counter(monkeypatch):
     return calls
 
 
-def test_rhs_nsk2_single_elliptic_solve(params, grid64, solve_counter):
+@pytest.mark.parametrize("mobility, d, solves", [
+    ("constant", SPECTRAL, 0), ("cosine", SPECTRAL, 1), ("constant", FD2, 1)],
+    ids=["spectral-constant", "spectral-cosine", "fd2-constant"])
+def test_rhs_nsk2_single_elliptic_solve(mobility, d, solves, params, grid64, solve_counter):
+    # a constant mobility on a spectral grid makes the non-local term a Fourier
+    # multiplier, with no solve; otherwise it is solved exactly once
     x = grid64.coords()[0]
     state = MixtureState.from_primitive(
         ScalarField(grid64, 1.4 + 0.1 * np.sin(x)),
         VectorField(grid64, (0.1 * np.sin(x),)))
-    rhs_nsk2(state, params, Mobility.constant(1.0), SPECTRAL)
-    assert solve_counter == {"_solve": 1}
+    gamma = Mobility.constant(1.0) if mobility == "constant" else \
+        Mobility.spatial(2.0 + np.cos(x))
+    rhs_nsk2(state, params, gamma, d)
+    assert solve_counter == {"_solve": solves}
 
 
 @pytest.mark.parametrize("evaluate", [
@@ -327,17 +335,20 @@ def transform_counter(monkeypatch, grid, names):
 
 
 @pytest.mark.parametrize("grid, dealias, transforms, calls, names", [
-    (Grid.periodic(64), False, (10, 12), (6, 8), ("rfft", "irfft")),
-    (Grid.periodic((32, 32)), False, (20, 22), (20, 22), ("rfftn", "irfftn")),
-    (Grid.periodic(64), True, (11, 13), (6, 8), ("rfft", "irfft")),
-    (Grid.periodic((32, 32)), True, (23, 25), (23, 25), ("rfftn", "irfftn")),
+    (Grid.periodic(64), False, (10, 9), (6, 6), ("rfft", "irfft")),
+    (Grid.periodic((32, 32)), False, (17, 16), (17, 16), ("rfftn", "irfftn")),
+    (Grid.periodic(64), True, (11, 10), (6, 6), ("rfft", "irfft")),
+    (Grid.periodic((32, 32)), True, (20, 19), (20, 19), ("rfftn", "irfftn")),
 ], ids=["1d", "2d", "1d-dealias", "2d-dealias"])
 def test_rhs_transform_counts(grid, dealias, transforms, calls, names, params, monkeypatch):
     # rho, m and u are transformed once each, every divergence is summed in
-    # Fourier space before one inverse, and every transform is real; the
-    # 2/3 rule masks those spectra and adds one transform per m (x) u component.
-    # In 1-D each dependency level stacks its rows into one rfft and one irfft
-    # call, and a stacked call counts one transform per row; 2-D never stacks.
+    # Fourier space before one inverse, and every transform is real; grad u
+    # never returns to the grid, as the viscous (and, for a constant mobility,
+    # the non-local) stress is a Fourier multiplier on u^, and div u returns
+    # only for NSK1.  The 2/3 rule masks those spectra and adds one transform per
+    # m (x) u component.  In 1-D each dependency level stacks its rows into one
+    # rfft and one irfft call, and a stacked call counts one transform per row;
+    # 2-D never stacks.
     counts = transform_counter(monkeypatch, grid, names)
     state = wavy_state(grid)
     d = Discretization(Scheme.SPECTRAL, dealias=dealias)
@@ -368,30 +379,49 @@ def test_certificate_transform_counts(grid, names, transforms, params, monkeypat
     assert [counts(*e)[::2] for e in evaluations] == [(n, 0) for n in transforms]
 
 
-def per_array_rates(mass, stress, advective, grid, d):
-    """(-div mass, div(stress - advective)) with one transform per array (or
-    their spectra when dealiased)."""
+def per_array_rates(mass, stress, advective, grid, d, addend=None):
+    """(-div mass, div(stress - advective) + addend) with one transform per array (or
+    their spectra when dealiased); ``addend`` (spectral) is one spectrum per momentum row."""
     if d.dealias:
+        mass_hat = _spectra(mass, grid, True)
         flux_hat = [s - a for s, a in zip(_spectra(stress, grid),
                                           _spectra(advective, grid, True))]
-        return (-_div_spectra(_spectra(mass, grid, True), grid, 1)[0],
-                _div_spectra(flux_hat, grid, grid.dim))
-    flux = tuple(s - a for s, a in zip(stress, advective))
-    return -_div(mass, grid, d), _div_tensor(flux, grid, d)
+    elif addend is not None:
+        mass_hat = _spectra(mass, grid)
+        flux_hat = [_rfft(s - a) for s, a in zip(stress, advective)]
+    else:
+        flux = tuple(s - a for s, a in zip(stress, advective))
+        return -_div(mass, grid, d), _div_tensor(flux, grid, d)
+    flux_div = _div_spectra(flux_hat, grid, grid.dim) if addend is None else tuple(
+        _irfft(_total(ik * h for ik, h in zip(_calculus(grid, d).ik, flux_hat[i:])) + a,
+               grid.shape) for i, a in enumerate(addend))
+    return -_div_spectra(mass_hat, grid, 1)[0], flux_div
 
 
 def per_array_rhs(state, params, kind, gamma, d):
-    """The right-hand side with one transform per array: every gradient through
-    _derivs, every divergence through per_array_rates."""
+    """The right-hand side with one transform per array: under FD2 every gradient
+    through _derivs; spectrally the spectra of u and rho, grad rho, div u and the
+    symbol's momentum addend written out per array; every divergence through
+    per_array_rates."""
     grid = state.grid
+    ops = _calculus(grid, d)
     r, m = state.rho.values, state.m.components
     u = tuple(c / r for c in m)
-    gu = tuple(_derivs(c, grid, d) for c in u)
-    nonlocal_term = None if kind is ModelKind.NSK1 else \
-        invert_for_model(gamma, ScalarField(grid, _div_of(gu)), d).values
-    stress = _reduced_stress(r, _derivs(r, grid, d), gu, _calculus(grid, d), params,
-                             nonlocal_term)
-    return per_array_rates(m, stress, _outer(m, u), grid, d)
+    symbol = _stress_symbol(ops, params, kind, gamma)
+    if symbol is None:
+        gu = tuple(_derivs(c, grid, d) for c in u)
+        gr, divu, addend = _derivs(r, grid, d), _div_of(gu), None
+    else:
+        uhat, rhat = [_rfft(c) for c in u], _rfft(r)
+        gr = tuple(_irfft(ik * rhat, grid.shape) for ik in ops.ik)
+        div_hat = _total(ik * h for ik, h in zip(ops.ik, uhat))
+        addend = (symbol.shear * uhat[0],) if grid.dim == 1 else tuple(
+            symbol.shear * h + ik * (symbol.bulk * div_hat) for ik, h in zip(ops.ik, uhat))
+        gu = divu = None if symbol.nonlocal_term else _irfft(div_hat, grid.shape)
+    nonlocal_term = None if kind is ModelKind.NSK1 or divu is None else \
+        invert_for_model(gamma, ScalarField(grid, divu), d).values
+    stress = _reduced_stress(r, gr, gu, ops, params, nonlocal_term, symbol)
+    return per_array_rates(m, stress, _outer(m, u), grid, d, addend)
 
 
 SPECTRAL_DEALIAS = Discretization(Scheme.SPECTRAL, dealias=True)
@@ -470,6 +500,54 @@ def test_rhs_matches_public_operator_composition(grid, model, dealias, params):
     assert np.max(np.abs(drho - ref_rho)) <= 1e-11 * np.max(np.abs(ref_rho))
     scale = max(np.max(np.abs(c)) for c in ref_m)
     assert max(np.max(np.abs(a - b)) for a, b in zip(dm, ref_m)) <= 1e-11 * scale
+
+
+@pytest.mark.parametrize("dealias", [False, True], ids=["plain", "dealias"])
+def test_momentum_rate_is_the_linear_symbol_at_constant_density(dealias):
+    # a small momentum mode on a constant density: every Korteweg and advective term
+    # vanishes at its wavenumber, so the rate is the velocity symbol a(k) m^(k),
+    # the augmented viscosity (NSK1) or the non-local damping plus viscosity (NSK2)
+    params, rho0, gamma0 = FluidParams(bulk_viscosity=0.004), 1.5, 0.5
+    grid = Grid.periodic(64)
+    d = Discretization(Scheme.SPECTRAL, dealias=dealias)
+    x = grid.coords()[0]
+    mu, lam = params.shear_viscosity, params.bulk_viscosity
+    lam_star = float(law.augmented_bulk_viscosity(rho0, params))
+    symbols = {
+        ModelKind.NSK1: (None, lambda k: -(2.0 * mu + lam_star) * k * k / rho0),
+        ModelKind.NSK2: (Mobility.constant(gamma0),
+                         lambda k: -params._theta_dtau2 / (gamma0 * rho0)
+                         - (2.0 * mu + lam) * k * k / rho0)}
+    for kind, (gamma, a) in symbols.items():
+        for k in range(1, 32):
+            m = 1e-7 * np.cos(k * x + 0.3 * k)
+            state = MixtureState(ScalarField.constant(grid, rho0), VectorField(grid, (m,)))
+            _, dm = model_rates(state, params, kind, gamma, d)
+            want = a(k) * np.fft.rfft(m)[k]
+            assert abs(np.fft.rfft(dm[0])[k] - want) <= 1e-6 * abs(want), (kind, k)
+
+
+@pytest.mark.parametrize("mode", [(1, 0), (0, 3), (2, 1), (5, 7)])
+def test_transverse_momentum_mode_decays_at_the_shear_rate(mode):
+    # div m = 0: neither bulk viscosity nor the non-local term acts, and both
+    # models damp the mode at mu |k|^2 / rho0
+    params, rho0 = FluidParams(bulk_viscosity=0.004), 1.5
+    grid = Grid.periodic((32, 32))
+    x, y = grid.coords()
+    kx, ky = mode
+    norm = np.hypot(kx, ky)
+    wave = 1e-7 * np.cos(kx * x + ky * y)
+    m = (-ky / norm * wave, kx / norm * wave)
+    state = MixtureState(ScalarField.constant(grid, rho0), VectorField(grid, m))
+    rate = -params.shear_viscosity * (kx * kx + ky * ky) / rho0
+    for kind, gamma in ((ModelKind.NSK1, None), (ModelKind.NSK2, Mobility.constant(1.0))):
+        _, dm = model_rates(state, params, kind, gamma, SPECTRAL)
+        for got, comp in zip(dm, m):
+            want = rate * np.fft.rfftn(comp)[kx, ky]
+            if want != 0.0:
+                assert abs(np.fft.rfftn(got)[kx, ky] - want) <= 1e-6 * abs(want), kind
+            else:
+                assert abs(np.fft.rfftn(got)[kx, ky]) <= 1e-22
 
 
 def test_residual_nsac_equilibrium_and_floor(params, grid64):

@@ -350,11 +350,11 @@ FFT_NAMES = ("fft", "ifft", "fftn", "ifftn", "fft2", "ifft2",
 
 
 @pytest.mark.parametrize("kind, gamma, ffts", [(ModelKind.NSK1, None, 18),
-                                               (ModelKind.NSK2, CONSTANT, 24)],
+                                               (ModelKind.NSK2, CONSTANT, 18)],
                          ids=["nsk1", "nsk2"])
 def test_one_step_hot_path_counts(kind, gamma, ffts, params, grid64, monkeypatch):
-    # one 1-D spectral step without observers: three right-hand sides of 6 (NSK1)
-    # or 8 (NSK2) numpy.fft calls each, and 1 + dim validated arrays for the result
+    # one 1-D spectral step without observers: three right-hand sides of 6
+    # numpy.fft calls each, and 1 + dim validated arrays for the result
     state = moving_state(grid64)
     calls = {"fft": 0, "frozen": 0, "rhs": 0}
 
