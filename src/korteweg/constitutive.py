@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, _require_finite_fields
 
 log = logging.getLogger(__name__)
 
@@ -55,6 +55,7 @@ class DoubleWell:
     scale: float = 1.0
 
     def __post_init__(self):
+        _require_finite_fields(self, "scale")
         if self.scale < 0.0:
             raise ConfigError("double-well scale must be >= 0")
 
@@ -92,6 +93,8 @@ class FluidParams:
     convention: Convention = Convention.CONSISTENT
 
     def __post_init__(self):
+        _require_finite_fields(self, "tau1", "tau2", "temperature", "delta",
+                               "shear_viscosity", "bulk_viscosity", "mobility")
         if self.tau1 <= 0.0 or self.tau2 <= 0.0:
             raise ConfigError("specific volumes must be positive")
         if self.tau1 == self.tau2:

@@ -6,9 +6,9 @@ have zero mean and the solution is fixed by mean(phi) = 0):
 
 * periodic grids, constant mobility: diagonal Fourier solve on the real
   half spectrum, a multiplication by the inverse of the scheme's symbol,
-  cached read-only per (grid, scheme) in :mod:`korteweg.operators`, held by
-  the grid's bound calculus and zero on the symbol's null modes (the mean
-  and the zeroed Nyquist modes);
+  a read-only array built on first use by the grid's calculus
+  (:class:`korteweg.operators._Calculus`, ``inv_sym``) and zero on the
+  symbol's null modes (the mean and the zeroed Nyquist modes);
 * bounded Neumann 1-D grids: direct solve of the flux-form FD2 system
   (reflected ghosts = zero wall flux) by two prefix sums;
 * free space 1-D: the kernel -|x|/2 on a window, for compactly supported
@@ -18,11 +18,13 @@ Variable mobility on periodic grids uses CG on the composed discrete
 operator, preconditioned by the Fourier solve at the mean mobility; the
 iteration count then depends on the mobility contrast, not on N.  The
 first two are one array kernel, ``_solve``, which solves for the zero-mean
-part of its data, on the grid's bound calculus (so a right-hand side looks
-the symbol up once per run).  The right-hand sides call it directly for a
-variable mobility or on a bounded grid; with a constant mobility on a
-spectral grid they apply the same inverse symbol as part of a Fourier
-multiplier (:func:`korteweg.models._stress_symbol`) and solve nothing.
+part of its data, on the grid's calculus (so a right-hand side looks the
+symbol up once per run); the Neumann operator takes its neighbours from the
+calculus's FD2 ghost rule, and each public function looks the calculus up
+once.  The right-hand sides call it directly for a variable mobility or on
+a bounded grid; with a constant mobility on a spectral grid they apply the
+same inverse symbol as part of a Fourier multiplier
+(:func:`korteweg.models._stress_symbol`) and solve nothing.
 :func:`invert_for_model`, the one public inverse that discards a mean, calls
 it too; the other public inverses first refuse data with a mean
 (CompatibilityError).
@@ -35,10 +37,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CompatibilityError, ConfigError, DomainError, SolverError
+from .errors import (CompatibilityError, ConfigError, DomainError, SolverError,
+                     _require_finite_fields)
 from .fields import ScalarField
 from .grids import FD2, Discretization, Grid, Scheme
-from .operators import _calculus, _Calculus, _irfft, _neighbours, _rfft
+from .operators import _calculus, _Calculus, _irfft, _rfft
 
 log = logging.getLogger(__name__)
 
@@ -65,6 +68,7 @@ class Mobility:
                 raise ConfigError("mobility field must be positive everywhere")
             arr.setflags(write=False)
             object.__setattr__(self, "value", arr)
+        _require_finite_fields(self, "value")
 
     @classmethod
     def constant(cls, gamma0: float) -> "Mobility":
@@ -119,11 +123,11 @@ def _matvec(gamma_vals: np.ndarray, ops: _Calculus):
 
         return periodic
     h = grid.h[0]
-    gprev, g, gnext = _neighbours(gamma_vals, grid, 0)
+    gprev, g, gnext = ops._neighbours(gamma_vals, 0)
     gleft, gright = 0.5 * (gprev + g), 0.5 * (g + gnext)
 
     def neumann(phi: np.ndarray) -> np.ndarray:
-        prev, this, nxt = _neighbours(phi, grid, 0)
+        prev, this, nxt = ops._neighbours(phi, 0)
         return -(gright * (nxt - this) / h - gleft * (this - prev) / h) / h
 
     return neumann

@@ -1,5 +1,7 @@
 """Exception hierarchy shared by all modules."""
 
+import numpy as np
+
 
 class KortewegError(Exception):
     """Base class for all package errors."""
@@ -7,6 +9,15 @@ class KortewegError(Exception):
 
 class ConfigError(KortewegError, ValueError):
     """Inconsistent configuration (grid/scheme mismatch, bad run file, ...)."""
+
+
+def _require_finite_fields(obj, *names: str) -> None:
+    """ConfigError naming the first of the fields ``names`` of ``obj`` that holds a
+    NaN or an infinity; a field set to None is skipped."""
+    for name in names:
+        value = getattr(obj, name)
+        if value is not None and not np.all(np.isfinite(value)):
+            raise ConfigError(f"{type(obj).__name__}.{name} must be finite, got {value!r}")
 
 
 class DomainError(KortewegError, ValueError):

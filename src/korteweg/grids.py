@@ -14,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, _require_finite_fields
 
 MIN_CELLS_PER_AXIS = 8
 
@@ -48,6 +48,7 @@ class Grid:
             raise ConfigError(f"grid dim must be 1 or 2, got {self.dim}")
         object.__setattr__(self, "n", tuple(int(k) for k in self.n))
         object.__setattr__(self, "length", tuple(float(l) for l in self.length))
+        _require_finite_fields(self, "length")
         if len(self.n) != self.dim or len(self.length) != self.dim:
             raise ConfigError("n and length must have one entry per axis")
         if any(k < MIN_CELLS_PER_AXIS for k in self.n):

@@ -24,7 +24,10 @@ wrap it.  It takes the rows (rho, *m), the grid's bound calculus
 (:class:`korteweg.operators._Calculus`) and the stress symbol, which
 :func:`korteweg.timestepping.make_rhs` resolves once per run, and returns
 the rates in the same stage layout: one (1 + dim, N) array on a 1-D grid,
-a tuple of arrays in 2-D (``_stage_rows``).
+a tuple of arrays in 2-D (``_stage_rows``).  The certification kernels
+(``_pressure``, ``_diffusive_div``, ``_reconstruct``, ``_full_model``,
+``_residual``) take that calculus too, as ``ops``: each public
+reconstruction, gap and residual looks it up once.
 
 On a spectral grid the velocity-linear, constant-coefficient part of the
 stress, 2 mu D(u) + lambda (div u) I and, for NSK2 with a constant
@@ -60,7 +63,7 @@ from .elliptic import Mobility, _matvec, _solve
 from .errors import ConfigError, StateError
 from .fields import Components, ScalarField, VectorField, _outer, _sup
 from .grids import Discretization, Scheme
-from .operators import _calculus, _Calculus, _derivs, _div, _total
+from .operators import _calculus, _Calculus, _total
 from .tensors import _div_of, _korteweg, _phase_stress, _viscous_stress
 
 RHO_FLOOR = 1e-8
@@ -155,7 +158,7 @@ def _nonlocal_term(divu: np.ndarray, ops: _Calculus, kind: ModelKind,
 
 
 def _pressure(state: MixtureState, divu: np.ndarray, gr: Components, params: FluidParams,
-              d: Discretization, nonlocal_term: np.ndarray | None = None) -> np.ndarray:
+              ops: _Calculus, nonlocal_term: np.ndarray | None = None) -> np.ndarray:
     """Eliminated pressure: a bulk part plus the local part shared by both models.
 
     p = bulk + rho^2 R'(rho) - (1/rho) div((delta_star/rho) grad rho), where
@@ -169,13 +172,8 @@ def _pressure(state: MixtureState, divu: np.ndarray, gr: Components, params: Flu
         bulk = -params._theta_dtau2 * nonlocal_term
     ds = params.delta_star
     flux = tuple((ds / r) * g for g in gr)
-    local = r * r * law.bulk_energy_drho(r, params) - _div(flux, state.grid, d) / r
+    local = r * r * law.bulk_energy_drho(r, params) - ops.div(flux) / r
     return bulk + local
-
-
-def _div_u_grad_rho(state: MixtureState, d: Discretization) -> tuple[np.ndarray, Components]:
-    """div u (one inverse, no grad u) and grad rho, the public reconstructions' gradients."""
-    return _div(_velocity(state), state.grid, d), _derivs(state.rho.values, state.grid, d)
 
 
 def reconstruct_pressure_nsac(state: MixtureState, params: FluidParams,
@@ -185,7 +183,9 @@ def reconstruct_pressure_nsac(state: MixtureState, params: FluidParams,
     p = -(delta_star / (sqrt(delta) rho)) div u
         + rho^2 R'(rho) - (1/rho) div((delta_star/rho) grad rho)
     """
-    return ScalarField(state.grid, _pressure(state, *_div_u_grad_rho(state, d), params, d))
+    ops = _calculus(state.grid, d)
+    divu, gr = ops.div(_velocity(state)), ops.derivs(state.rho.values)
+    return ScalarField(state.grid, _pressure(state, divu, gr, params, ops))
 
 
 def reconstruct_pressure_nsch(state: MixtureState, params: FluidParams,
@@ -194,20 +194,21 @@ def reconstruct_pressure_nsch(state: MixtureState, params: FluidParams,
 
     p = -(theta / delta_tau^2) * Lambda_gamma^{-1}(div u) + local part.
     """
-    divu, gr = _div_u_grad_rho(state, d)
-    nonlocal_term = _nonlocal_term(divu, _calculus(state.grid, d), ModelKind.NSK2, gamma)
-    return ScalarField(state.grid, _pressure(state, divu, gr, params, d, nonlocal_term))
+    ops = _calculus(state.grid, d)
+    divu, gr = ops.div(_velocity(state)), ops.derivs(state.rho.values)
+    nonlocal_term = _nonlocal_term(divu, ops, ModelKind.NSK2, gamma)
+    return ScalarField(state.grid, _pressure(state, divu, gr, params, ops, nonlocal_term))
 
 
 def _diffusive_div(state: MixtureState, gc: Components, params: FluidParams,
-                   d: Discretization) -> np.ndarray:
+                   ops: _Calculus) -> np.ndarray:
     """div(delta rho grad c) from grad c."""
     r = state.rho.values
-    return _div(tuple(params.delta * r * g for g in gc), state.grid, d)
+    return ops.div(tuple(params.delta * r * g for g in gc))
 
 
 def _reconstruct(state: MixtureState, divu: np.ndarray, gr: Components, params: FluidParams,
-                 kind: ModelKind, gamma: Mobility | None, d: Discretization):
+                 kind: ModelKind, gamma: Mobility | None, ops: _Calculus):
     """The eliminated fields as arrays from div u and grad rho: (c, grad c for
     mu (NSK2) or None, p, q | mu, NSK2 non-local term or None)."""
     r = state.rho.values
@@ -216,13 +217,13 @@ def _reconstruct(state: MixtureState, divu: np.ndarray, gr: Components, params: 
         raise ConfigError("the conserved-phase model needs a mobility")
     c = law.concentration(r, params)
     wprime = params.well.derivative(c)
-    nonlocal_term = _nonlocal_term(divu, _calculus(state.grid, d), kind, gamma)
-    p = _pressure(state, divu, gr, params, d, nonlocal_term)
+    nonlocal_term = _nonlocal_term(divu, ops, kind, gamma)
+    p = _pressure(state, divu, gr, params, ops, nonlocal_term)
     if kind is ModelKind.NSK1:
         return c, None, p, -(params.delta_tau / params.temperature) * p - wprime, None
-    gc = _derivs(c, state.grid, d)
+    gc = ops.derivs(c)
     mu = (params.delta_tau / params.temperature) * p + wprime \
-        - _diffusive_div(state, gc, params, d) / r
+        - _diffusive_div(state, gc, params, ops) / r
     return c, gc, p, mu, nonlocal_term
 
 
@@ -230,7 +231,9 @@ def reconstruct_fields(state: MixtureState, params: FluidParams, kind: ModelKind
                        gamma: Mobility | None = None,
                        d: Discretization = Discretization(Scheme.SPECTRAL)) -> ReconstructedFields:
     """Rebuild (c, p, q | mu) from a reduced state under the given model."""
-    c, _, p, rate, _ = _reconstruct(state, *_div_u_grad_rho(state, d), params, kind, gamma, d)
+    ops = _calculus(state.grid, d)
+    divu, gr = ops.div(_velocity(state)), ops.derivs(state.rho.values)
+    c, _, p, rate, _ = _reconstruct(state, divu, gr, params, kind, gamma, ops)
     c, p, rate = (ScalarField(state.grid, v) for v in (c, p, rate))
     return ReconstructedFields(c, p, **{"q" if kind is ModelKind.NSK1 else "mu_chem": rate})
 
@@ -332,13 +335,13 @@ class ResidualReport:
 
 
 def _full_model(state: MixtureState, params: FluidParams, kind: ModelKind,
-                gamma: Mobility | None, d: Discretization):
+                gamma: Mobility | None, ops: _Calculus):
     """The momentum-flux gap sup|div(S + P) - div(S_reduced + K)| and what the phase
     residual reuses: (gap, grad c, q | mu).  Each gradient is taken once."""
-    ops = _calculus(state.grid, d)
     r, u = state.rho.values, _velocity(state)
     *gu, gr = ops.grads((*u, r))
-    c, gc, p, rate, nonlocal_term = _reconstruct(state, _div_of(gu), gr, params, kind, gamma, d)
+    c, gc, p, rate, nonlocal_term = _reconstruct(state, _div_of(gu), gr, params, kind, gamma,
+                                                 ops)
     # the reduced flux first: the other order keeps grad c and div(S + P) alive
     # through _reduced_stress, 5 more arrays at the peak of a 2-D gap
     reduced = ops.div_tensor(_reduced_stress(r, gr, gu, ops, params, nonlocal_term))
@@ -357,24 +360,23 @@ def momentum_equivalence_gap(state: MixtureState, params: FluidParams, kind: Mod
     This is the single number that certifies the reduction: it converges
     to zero at scheme order for smooth states.
     """
-    return _full_model(state, params, kind, gamma, d)[0]
+    return _full_model(state, params, kind, gamma, _calculus(state.grid, d))[0]
 
 
 def _residual(state: MixtureState, params: FluidParams, kind: ModelKind,
-              gamma: Mobility | None, d: Discretization) -> ResidualReport:
+              gamma: Mobility | None, ops: _Calculus) -> ResidualReport:
     """Full-model residuals; the models differ only in the phase right-hand side."""
-    grid = state.grid
     r = state.rho.values
-    momentum, gc, rate = _full_model(state, params, kind, gamma, d)
-    drho = -_div(state.m.components, grid, d)
+    momentum, gc, rate = _full_model(state, params, kind, gamma, ops)
+    drho = -ops.div(state.m.components)
     # d/dt(rho c) + div(rho c u) with the semi-discrete density rate
     ctilde = law.phase_mass_density(r, params)
     lhs = law.phase_mass_density_drho(r, params) * drho \
-        + _div(tuple(ctilde * cu for cu in _velocity(state)), grid, d)
+        + ops.div(tuple(ctilde * cu for cu in _velocity(state)))
     if kind is ModelKind.NSK1:
-        rhs = (r * rate + _diffusive_div(state, gc, params, d)) / np.sqrt(params.delta)
+        rhs = (r * rate + _diffusive_div(state, gc, params, ops)) / np.sqrt(params.delta)
     else:
-        rhs = -_matvec(gamma.values_on(grid), _calculus(grid, d))(rate)
+        rhs = -_matvec(gamma.values_on(state.grid), ops)(rate)
     return ResidualReport(momentum=momentum, phase=_sup((lhs - rhs,)))
 
 
@@ -389,7 +391,7 @@ def residual_nsac(state: MixtureState, params: FluidParams,
     by the closure chain rule.  The phase-equation residual is the
     substantive check and converges at scheme order.
     """
-    return _residual(state, params, ModelKind.NSK1, None, d)
+    return _residual(state, params, ModelKind.NSK1, None, _calculus(state.grid, d))
 
 
 def residual_nsch(state: MixtureState, params: FluidParams, gamma: Mobility,
@@ -400,4 +402,4 @@ def residual_nsch(state: MixtureState, params: FluidParams, gamma: Mobility,
     d/dt(rho c) + div(rho c u) = div(gamma grad mu) with the
     reconstructed chemical potential.
     """
-    return _residual(state, params, ModelKind.NSK2, gamma, d)
+    return _residual(state, params, ModelKind.NSK2, gamma, _calculus(state.grid, d))

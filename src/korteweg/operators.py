@@ -11,21 +11,24 @@ Two interchangeable discretizations:
   (same values, without ``rfftn``'s n-D argument handling) and
   ``rfftn``/``irfftn`` otherwise.
 * ``Scheme.FD2`` -- second-order centered differences.  One ghost rule,
-  ``_neighbours``, gives every FD2 kernel (here and the Neumann operator of
-  :mod:`korteweg.elliptic`) a node's neighbours: wraparound on periodic
-  grids, even reflection f[-1] = f[0], f[n] = f[n-1] on bounded 1-D grids
-  (consistent with homogeneous Neumann data).
+  ``_Calculus._neighbours``, gives every FD2 kernel (here and the Neumann
+  operator of :mod:`korteweg.elliptic`) a node's neighbours: wraparound on
+  periodic grids, even reflection f[-1] = f[0], f[n] = f[n-1] on bounded
+  1-D grids (consistent with homogeneous Neumann data).
 
 All operators are linear and act node-wise on the stored arrays.  Public
 functions return validated fields; the array kernels are the methods of
-``_Calculus``, one grid's calculus under one discretization with
-everything an evaluation reuses resolved once (i k per axis, the shape,
-the dealias mask and whether rows stack; the inverse symbol of
--div(grad .) on first use).  A right-hand side binds one per run;
-``_calculus(grid, d)`` caches one per pair, and the module kernels
-(``_derivs``, ``_div``, ``_div_tensor``, ``_grads``, ``_conservation_rates``)
-call through it.
-Under the spectral scheme a non-periodic grid is refused.
+``_Calculus``, one grid's calculus under one discretization, which builds
+once everything an evaluation reuses: i k per axis, the dealias mask, the
+shape, whether rows stack and, on first use, the FD2 ghost indices and
+the inverse symbol of -div(grad .).  ``_calculus(grid, d)`` caches one
+per pair and is the only per-grid cache.  Each public function, here and in
+:mod:`korteweg.tensors`, :mod:`korteweg.elliptic` and
+:mod:`korteweg.models`, looks it up once and passes it down; a right-hand
+side binds one per run.  Under the spectral scheme a non-periodic grid is
+refused.  ``numpy.fft`` is named only here, and each transform is looked
+up when it is called (``np.fft.<name>(...)``), so patching ``numpy.fft``
+sees every call.
 
 Three multi-array kernels serve the dependency levels of a right-hand side
 (:mod:`korteweg.models`): ``grads`` takes the gradients of several arrays,
@@ -50,27 +53,22 @@ import numpy as np
 
 from .errors import ConfigError
 from .fields import Components, ScalarField, SymTensorField, VectorField
-from .grids import SPECTRAL, Discretization, Grid, Scheme
+from .grids import Discretization, Grid, Scheme
 
 
-def _half_axes(grid: Grid):
-    """Per axis of the rfftn half spectrum (the last axis halved): n, h, frequencies, shape."""
+def _half_freqs(grid: Grid, unit: bool = False):
+    """Per axis of the rfftn half spectrum (the last axis halved): n, the sample
+    frequencies at spacing h (1/n if ``unit``: the mode numbers) and the shape
+    that broadcasts them."""
     for axis, (n, h) in enumerate(zip(grid.n, grid.h)):
-        freq = np.fft.rfftfreq if axis == grid.dim - 1 else np.fft.fftfreq
-        yield n, h, freq, [-1 if a == axis else 1 for a in range(grid.dim)]
+        d = 1.0 / n if unit else h
+        f = np.fft.rfftfreq(n, d=d) if axis == grid.dim - 1 else np.fft.fftfreq(n, d=d)
+        yield n, f, [-1 if a == axis else 1 for a in range(grid.dim)]
 
 
-@lru_cache(maxsize=128)
-def _ik(grid: Grid) -> tuple[np.ndarray, ...]:
-    """i k per axis on the half spectrum, zero at every axis's Nyquist mode (read-only)."""
-    out = []
-    for n, h, freq, shape in _half_axes(grid):
-        k = 2.0 * np.pi * freq(n, d=h)
-        if n % 2 == 0:
-            k[n // 2] = 0.0
-        out.append((1j * k).reshape(shape))
-        out[-1].setflags(write=False)
-    return tuple(out)
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 def _rfft(values: np.ndarray) -> np.ndarray:
@@ -88,64 +86,6 @@ def _irfft(fhat: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return np.fft.irfftn(fhat, s=shape, axes=tuple(range(len(shape))))
 
 
-@lru_cache(maxsize=128)
-def _ghost_index(n: int, periodic: bool) -> tuple[np.ndarray, np.ndarray]:
-    """The FD2 ghost rule as indices of each node's previous and next node (read-only):
-    wraparound, or even reflection f[-1] = f[0], f[n] = f[n - 1] on a bounded axis."""
-    i = np.arange(n)
-    mode = "wrap" if periodic else "clip"
-    out = i.take(i - 1, mode=mode), i.take(i + 1, mode=mode)
-    for index in out:
-        index.setflags(write=False)
-    return out
-
-
-def _neighbours(values: np.ndarray, grid: Grid,
-                axis: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(previous, this, next) node values along ``axis`` under the FD2 ghost rule."""
-    prev, nxt = _ghost_index(grid.n[axis], grid.is_periodic)
-    return values.take(prev, axis=axis), values, values.take(nxt, axis=axis)
-
-
-def _fd2_deriv(values: np.ndarray, grid: Grid, axis: int) -> np.ndarray:
-    prev, _, nxt = _neighbours(values, grid, axis)
-    return (nxt - prev) / (2.0 * grid.h[axis])
-
-
-@lru_cache(maxsize=128)
-def _dealias_mask(grid: Grid) -> np.ndarray:
-    """The 2/3 rule on the half spectrum: False at every mode above n/3 on any axis (read-only)."""
-    keep = np.ones((), dtype=bool)
-    for n, _, freq, shape in _half_axes(grid):
-        keep = keep & (np.abs(freq(n, d=1.0 / n)) <= n / 3.0).reshape(shape)
-    keep.setflags(write=False)
-    return keep
-
-
-def _spectra(t: Components, grid: Grid, dealias: bool = False) -> list[np.ndarray]:
-    """The half spectrum of each component; ``dealias`` zeroes every mode above n/3 on any axis."""
-    hats = [_rfft(c) for c in t]
-    if not dealias:
-        return hats
-    keep = _dealias_mask(grid)
-    return [np.where(keep, h, 0.0) for h in hats]
-
-
-@lru_cache(maxsize=128)
-def _inverse_symbol(grid: Grid, scheme: Scheme) -> np.ndarray:
-    """1 / the half-spectrum symbol of -div(grad .), zero on its null modes (read-only).
-
-    The symbol is the scheme's: |k|^2 spectrally, sum (sin(k h) / h)^2 for FD2,
-    with the Nyquist modes zeroed as in the first derivatives.
-    """
-    sym = sum(ik.imag * ik.imag if scheme is Scheme.SPECTRAL else (np.sin(ik.imag * h) / h) ** 2
-              for ik, h in zip(_ik(grid), grid.h))
-    inv = np.zeros_like(sym)
-    np.divide(1.0, sym, out=inv, where=sym > 0.0)
-    inv.setflags(write=False)
-    return inv
-
-
 def _total(terms):
     """The sum of a non-empty sequence of arrays, from its first term (no 0 + ...)."""
     terms = iter(terms)
@@ -158,33 +98,83 @@ def _total(terms):
 class _Calculus:
     """The discrete calculus of one grid under one discretization.
 
-    Everything an evaluation reuses is resolved once here: the grid shape,
-    i k per axis and the 2/3-rule mask (spectral), whether the multi-array
-    kernels stack their rows (on a 1-D grid) and, on first use, the inverse
-    symbol of -div(grad .) on a periodic grid (for :mod:`korteweg.elliptic`).  A
-    right-hand side binds one per run; :func:`_calculus` caches one per
-    (grid, discretization) for everything else.  Like the module kernels,
-    it refuses a non-periodic grid under the spectral scheme.
+    Everything an evaluation reuses is built once here, as read-only arrays:
+    with the calculus, i k per axis ``ik`` (spectral) and the 2/3-rule mask
+    ``keep`` (when dealiasing); on first use, the FD2 ghost indices ``ghost``
+    and the inverse symbol ``inv_sym`` of -div(grad .) on a periodic grid
+    (for :mod:`korteweg.elliptic` and the stress symbol), so a calculus holds
+    only what its grid uses.  It also fixes the shape and whether the
+    multi-array kernels stack their rows (on a 1-D grid).  A right-hand side
+    binds one per run; :func:`_calculus` caches one per (grid,
+    discretization) for everything else.  It refuses a non-periodic grid
+    under the spectral scheme.
     """
 
     def __init__(self, grid: Grid, d: Discretization):
         d.require_compatible(grid)
-        self.grid, self.scheme, self.dim, self.shape = grid, d.scheme, grid.dim, grid.shape
+        self.grid, self.dim, self.shape = grid, grid.dim, grid.shape
         self.spectral = d.scheme is Scheme.SPECTRAL
         self.stacks = grid.dim == 1
-        self.ik = _ik(grid) if self.spectral else ()
-        self.keep = _dealias_mask(grid) if d.dealias else None
+        self.ik = self._wavenumbers() if self.spectral else ()
+        self.keep = None
+        if d.dealias:
+            keep = np.ones((), dtype=bool)
+            for n, f, shape in _half_freqs(grid, unit=True):
+                keep = keep & (np.abs(f) <= n / 3.0).reshape(shape)
+            self.keep = _read_only(keep)
+
+    def _wavenumbers(self) -> tuple[np.ndarray, ...]:
+        """i k per axis on the half spectrum, zero at every axis's Nyquist mode."""
+        ik = []
+        for n, f, shape in _half_freqs(self.grid):
+            k = 2.0 * np.pi * f
+            if n % 2 == 0:
+                k[n // 2] = 0.0
+            ik.append(_read_only((1j * k).reshape(shape)))
+        return tuple(ik)
+
+    @cached_property
+    def ghost(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """The FD2 ghost rule as each node's previous and next node per axis:
+        wraparound, or even reflection f[-1] = f[0], f[n] = f[n - 1] on a bounded axis."""
+        mode = "wrap" if self.grid.is_periodic else "clip"
+        return tuple(tuple(_read_only(i.take(i + step, mode=mode)) for step in (-1, 1))
+                     for i in map(np.arange, self.grid.n))
 
     @cached_property
     def inv_sym(self) -> np.ndarray:
-        """The inverse symbol of -div(grad .) on this periodic grid (:func:`_inverse_symbol`)."""
-        return _inverse_symbol(self.grid, self.scheme)
+        """1 / the half-spectrum symbol of -div(grad .) on this periodic grid, zero on
+        its null modes: |k|^2 spectrally, sum (sin(k h) / h)^2 for FD2, with k
+        Nyquist-zeroed as in the spectral derivatives."""
+        sym = sum(ik.imag * ik.imag if self.spectral else (np.sin(ik.imag * h) / h) ** 2
+                  for ik, h in zip(self.ik or self._wavenumbers(), self.grid.h))
+        inv = np.zeros_like(sym)
+        np.divide(1.0, sym, out=inv, where=sym > 0.0)
+        return _read_only(inv)
+
+    def _neighbours(self, values: np.ndarray,
+                    axis: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(previous, this, next) node values along ``axis`` under the FD2 ghost rule."""
+        prev, nxt = self.ghost[axis]
+        return values.take(prev, axis=axis), values, values.take(nxt, axis=axis)
+
+    def _fd2_deriv(self, values: np.ndarray, axis: int) -> np.ndarray:
+        prev, _, nxt = self._neighbours(values, axis)
+        return (nxt - prev) / (2.0 * self.grid.h[axis])
+
+    def _spectra(self, t: Components, masked: bool = False) -> list[np.ndarray]:
+        """The half spectrum of each component; ``masked`` zeroes every mode the
+        2/3 rule drops (``keep``)."""
+        hats = [_rfft(c) for c in t]
+        if not masked:
+            return hats
+        return [np.where(self.keep, h, 0.0) for h in hats]
 
     def _deriv_rows(self, rows) -> np.ndarray:
         """d/dx of one 1-D grid array, or of every row of a stack of them at once
         (spectral: one forward and one inverse transform call for all rows)."""
         if not self.spectral:
-            return _fd2_deriv(np.asarray(rows), self.grid, -1)
+            return self._fd2_deriv(np.asarray(rows), -1)
         return _irfft(self.ik[0] * np.fft.rfft(rows), self.shape)
 
     def derivs(self, values: np.ndarray) -> Components:
@@ -192,10 +182,9 @@ class _Calculus:
         if self.stacks:   # 1-D: the one derivative
             return (self._deriv_rows(values),)
         if not self.spectral:
-            return tuple(_fd2_deriv(values, self.grid, axis) for axis in range(self.dim))
+            return tuple(self._fd2_deriv(values, axis) for axis in range(self.dim))
         fhat = _rfft(values)
         return tuple(_irfft(ik * fhat, self.shape) for ik in self.ik)
-
     def div_spectra(self, hats: list[np.ndarray], rows: int, addend=None) -> Components:
         """Row-wise divergence from the half spectra of a stored tensor, plus
         ``addend``'s spectrum per row: one inverse per row."""
@@ -220,7 +209,7 @@ class _Calculus:
         if self.spectral:
             return self.div_spectra([_rfft(c) for c in t], rows)
         axes = range(self.dim)
-        return tuple(_total(_fd2_deriv(t[i + j], self.grid, j) for j in axes)
+        return tuple(_total(self._fd2_deriv(t[i + j], j) for j in axes)
                      for i in range(rows))
 
     def div(self, v: Components) -> np.ndarray:
@@ -279,11 +268,11 @@ class _Calculus:
             if not self.spectral:
                 return (-self.div(mass),
                         *self.div_tensor(tuple(s - a for s, a in zip(stress, advective))))
-            grid, masked = self.grid, self.keep is not None
-            rate = -self.div_spectra(_spectra(mass, grid, masked), 1)[0]
+            masked = self.keep is not None
+            rate = -self.div_spectra(self._spectra(mass, masked), 1)[0]
             if masked:
-                flux_hat = [s - a for s, a in zip(_spectra(stress, grid),
-                                                  _spectra(advective, grid, True))]
+                flux_hat = [s - a for s, a in zip(self._spectra(stress),
+                                                  self._spectra(advective, True))]
             else:
                 flux_hat = [_rfft(s - a) for s, a in zip(stress, advective)]
             return (rate, *self.div_spectra(flux_hat, self.dim, addend))
@@ -293,7 +282,7 @@ class _Calculus:
             rows[0] = mass[0]
             np.subtract(stress[0], advective[0], out=rows[1])
         if not self.spectral:
-            rates = _fd2_deriv(rows, self.grid, -1)
+            rates = self._fd2_deriv(rows, -1)
         else:
             if keep is None:
                 hats = self.ik[0] * np.fft.rfft(rows)
@@ -311,51 +300,19 @@ class _Calculus:
 _calculus = lru_cache(maxsize=128)(_Calculus)
 
 
-def _derivs(values: np.ndarray, grid: Grid, d: Discretization) -> Components:
-    """The gradient of one array (:meth:`_Calculus.derivs`)."""
-    return _calculus(grid, d).derivs(values)
-
-
-def _div_spectra(hats: list[np.ndarray], grid: Grid, rows: int) -> Components:
-    """Row-wise divergence from the half spectra of a stored tensor (:meth:`_Calculus.div_spectra`)."""
-    return _calculus(grid, SPECTRAL).div_spectra(hats, rows)
-
-
-def _div_tensor(t: Components, grid: Grid, d: Discretization, rows: int = 0) -> Components:
-    """Row-wise divergence of a stored symmetric tensor (:meth:`_Calculus.div_tensor`)."""
-    return _calculus(grid, d).div_tensor(t, rows)
-
-
-def _div(v: Components, grid: Grid, d: Discretization) -> np.ndarray:
-    """Divergence of a vector given by its component arrays."""
-    return _calculus(grid, d).div(v)
-
-
-def _grads(arrays: Components, grid: Grid, d: Discretization) -> tuple[Components, ...]:
-    """The gradient of each array (:meth:`_Calculus.grads`)."""
-    return _calculus(grid, d).grads(arrays)
-
-
-def _conservation_rates(mass: Components, stress: Components, advective: Components,
-                        grid: Grid, d: Discretization) -> tuple[np.ndarray, Components]:
-    """(-div mass, div(stress - advective)) of :meth:`_Calculus.conservation_rates`."""
-    rates = _calculus(grid, d).conservation_rates(mass, stress, advective)
-    return rates[0], tuple(rates[1:])
-
-
 def grad(f: ScalarField, d: Discretization) -> VectorField:
     """Discrete gradient of a scalar field."""
-    return VectorField(f.grid, _derivs(f.values, f.grid, d))
+    return VectorField(f.grid, _calculus(f.grid, d).derivs(f.values))
 
 
 def div(v: VectorField, d: Discretization) -> ScalarField:
     """Discrete divergence of a vector field."""
-    return ScalarField(v.grid, _div(v.components, v.grid, d))
+    return ScalarField(v.grid, _calculus(v.grid, d).div(v.components))
 
 
 def div_tensor(t: SymTensorField, d: Discretization) -> VectorField:
     """Row-wise divergence of a symmetric tensor: (div T)_i = sum_j d_j T_ij."""
-    return VectorField(t.grid, _div_tensor(t.components, t.grid, d))
+    return VectorField(t.grid, _calculus(t.grid, d).div_tensor(t.components))
 
 
 def laplacian(f: ScalarField, d: Discretization) -> ScalarField:
@@ -365,14 +322,13 @@ def laplacian(f: ScalarField, d: Discretization) -> ScalarField:
     first derivatives, so it equals div(grad(.)) exactly.  FD2: the compact
     3-point stencil per axis under the ghost rule.
     """
-    grid = f.grid
-    if d.scheme is Scheme.SPECTRAL:
-        d.require_compatible(grid)
+    grid, ops = f.grid, _calculus(f.grid, d)
+    if ops.spectral:
         fhat = _rfft(f.values)
-        return ScalarField(grid, _irfft(sum(ik * ik for ik in _ik(grid)) * fhat, grid.shape))
+        return ScalarField(grid, _irfft(sum(ik * ik for ik in ops.ik) * fhat, grid.shape))
     total = np.zeros(grid.shape)
     for axis in range(grid.dim):
-        prev, this, nxt = _neighbours(f.values, grid, axis)
+        prev, this, nxt = ops._neighbours(f.values, axis)
         total += (nxt - 2.0 * this + prev) / grid.h[axis] ** 2
     return ScalarField(grid, total)
 
@@ -386,4 +342,5 @@ def dealias_array(values: np.ndarray, grid: Grid) -> np.ndarray:
     """2/3-rule filter: zero every mode above n/3 on any axis."""
     if not grid.is_periodic:
         raise ConfigError("dealiasing is defined on periodic grids only")
-    return _irfft(_spectra((values,), grid, dealias=True)[0], grid.shape)
+    ops = _calculus(grid, Discretization(Scheme.SPECTRAL, dealias=True))
+    return _irfft(ops._spectra((values,), True)[0], grid.shape)

@@ -23,7 +23,7 @@ from .constitutive import (FluidParams, _capillarity, _Density, _density,
 from .errors import DomainError
 from .fields import Components, ScalarField, SymTensorField, VectorField, _outer, _plus_diag, _sup
 from .grids import Discretization
-from .operators import _calculus, _Calculus, _derivs, _div, _grads, _total
+from .operators import _calculus, _Calculus, _total
 
 
 def _div_of(g: tuple[Components, ...]) -> np.ndarray:
@@ -38,7 +38,7 @@ def _strain(g: tuple[Components, ...]) -> Components:
 
 def strain(u: VectorField, d: Discretization) -> SymTensorField:
     """Symmetric velocity gradient (grad u + grad u^T) / 2."""
-    return SymTensorField(u.grid, _strain(_grads(u.components, u.grid, d)))
+    return SymTensorField(u.grid, _strain(_calculus(u.grid, d).grads(u.components)))
 
 
 def _viscous_stress(g: tuple[Components, ...], bulk, params: FluidParams,
@@ -55,7 +55,7 @@ def _viscous_stress(g: tuple[Components, ...], bulk, params: FluidParams,
 def cauchy_stress(u: VectorField, params: FluidParams, d: Discretization) -> SymTensorField:
     """2 mu D(u) + lambda (div u) I."""
     return SymTensorField(u.grid, _viscous_stress(
-        _grads(u.components, u.grid, d), params.bulk_viscosity, params))
+        _calculus(u.grid, d).grads(u.components), params.bulk_viscosity, params))
 
 
 def _phase_stress(gc: Components, p: np.ndarray, r: np.ndarray,
@@ -69,8 +69,8 @@ def phase_stress(c: ScalarField, p: ScalarField, rho: ScalarField,
     """Non-hydrodynamic stress -p I - theta delta rho (grad c) (x) (grad c)."""
     if np.any(rho.values <= 0.0):
         raise DomainError("phase stress needs positive density")
-    return SymTensorField(c.grid, _phase_stress(_derivs(c.values, c.grid, d), p.values,
-                                                rho.values, params))
+    return SymTensorField(c.grid, _phase_stress(_calculus(c.grid, d).derivs(c.values),
+                                                p.values, rho.values, params))
 
 
 def _korteweg(dn: _Density, gr: Components, ops: _Calculus, params: FluidParams,
@@ -101,7 +101,7 @@ def augmented_cauchy_stress(u: VectorField, rho: ScalarField,
                             params: FluidParams, d: Discretization) -> SymTensorField:
     """Cauchy stress with the density-dependent augmented bulk viscosity."""
     return SymTensorField(u.grid, _viscous_stress(
-        _grads(u.components, u.grid, d),
+        _calculus(u.grid, d).grads(u.components),
         augmented_bulk_viscosity(rho.values, params), params))
 
 
@@ -114,7 +114,7 @@ def nonlocal_cauchy_stress(u: VectorField, nonlocal_term: ScalarField,
     """
     extra = params._theta_dtau2 * nonlocal_term.values
     return SymTensorField(u.grid, _viscous_stress(
-        _grads(u.components, u.grid, d), params.bulk_viscosity, params, extra))
+        _calculus(u.grid, d).grads(u.components), params.bulk_viscosity, params, extra))
 
 
 def korteweg_identity_residual(rho: ScalarField, params: FluidParams,
@@ -129,13 +129,12 @@ def korteweg_identity_residual(rho: ScalarField, params: FluidParams,
     """
     if np.any(rho.values <= 0.0):
         raise DomainError("identity residual needs positive density")
-    grid = rho.grid
-    r = rho.values
-    gr = _derivs(r, grid, d)
+    r, ops = rho.values, _calculus(rho.grid, d)
+    gr = ops.derivs(r)
     kap = capillarity(r, params)
-    lhs_inner = _div(tuple(r * r * kap * g for g in gr), grid, d) / r
-    lhs = _derivs(lhs_inner, grid, d)   # div(s I) = grad s, also discretely
-    rhs_inner = r * _div(tuple(kap * g for g in gr), grid, d) \
+    lhs_inner = ops.div(tuple(r * r * kap * g for g in gr)) / r
+    lhs = ops.derivs(lhs_inner)   # div(s I) = grad s, also discretely
+    rhs_inner = r * ops.div(tuple(kap * g for g in gr)) \
         + 2.0 * kap * sum(g * g for g in gr)
-    rhs = _derivs(rhs_inner, grid, d)
+    rhs = ops.derivs(rhs_inner)
     return _sup(a - b for a, b in zip(lhs, rhs))

@@ -23,7 +23,8 @@ import numpy as np
 from . import constitutive as law
 from .constitutive import FluidParams
 from .elliptic import Mobility
-from .errors import ConfigError, DomainError, SolverError, StateError
+from .errors import (ConfigError, DomainError, SolverError, StateError,
+                     _require_finite_fields)
 from .fields import Components, ScalarField, VectorField, _require_finite
 from .grids import Discretization, Grid
 from .models import (MixtureState, ModelKind, _require_above_floor, _rhs, _stage_rows,
@@ -53,6 +54,8 @@ class StepControl:
     max_steps: int = 1_000_000
 
     def __post_init__(self):
+        _require_finite_fields(self, "t_end", "cfl_advective", "cfl_parabolic", "dt_min",
+                               "dt_max", "dt_fixed")
         if not (0.0 < self.dt_min <= self.dt_max):
             raise ConfigError("need 0 < dt_min <= dt_max")
         if not (0.0 < self.cfl_advective <= 1.0 and 0.0 < self.cfl_parabolic <= 1.0):

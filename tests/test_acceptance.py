@@ -16,7 +16,7 @@ from korteweg.verification import (FD2_TRIPLE, SPECTRAL_DECREASE_MIN,
                                    SPECTRAL_PAIR, check_elliptic,
                                    check_shared_capillary_structure,
                                    check_temporal_order, fit_order,
-                                   gap_and_residual, run_check_suite)
+                                   residual_record, run_check_suite)
 
 PARAMS = FluidParams()
 
@@ -34,20 +34,15 @@ def reduction_certificate(kind: ModelKind) -> tuple[bool, str]:
     assert len(periodic) >= 5
     worst_ratio = np.inf
     worst_order = np.inf
+    keys = ("equivalence_gap", "phase_res")
     for cs in periodic:
-        coarse = gap_and_residual(cs, SPECTRAL_PAIR[0], PARAMS, kind, SPECTRAL)
-        fine = gap_and_residual(cs, SPECTRAL_PAIR[1], PARAMS, kind, SPECTRAL)
-        worst_ratio = min(worst_ratio, coarse[0] / max(fine[0], 1e-300),
-                          coarse[1] / max(fine[1], 1e-300))
-        gaps, resids = zip(*(gap_and_residual(cs, n, PARAMS, kind, FD2)
-                             for n in FD2_TRIPLE))
-        worst_order = min(worst_order, fit_order(FD2_TRIPLE, gaps),
-                          fit_order(FD2_TRIPLE, resids))
-    for cs in bounded:
-        gaps, resids = zip(*(gap_and_residual(cs, n, PARAMS, kind, FD2)
-                             for n in FD2_TRIPLE))
-        worst_order = min(worst_order, fit_order(FD2_TRIPLE, gaps),
-                          fit_order(FD2_TRIPLE, resids))
+        coarse = residual_record(cs, SPECTRAL_PAIR[0], PARAMS, kind, SPECTRAL)
+        fine = residual_record(cs, SPECTRAL_PAIR[1], PARAMS, kind, SPECTRAL)
+        worst_ratio = min(worst_ratio, *(coarse[k] / max(fine[k], 1e-300) for k in keys))
+    for cs in periodic + bounded:
+        records = [residual_record(cs, n, PARAMS, kind, FD2) for n in FD2_TRIPLE]
+        worst_order = min(worst_order, *(fit_order(FD2_TRIPLE, [r[k] for r in records])
+                                         for k in keys))
     ok = worst_ratio >= SPECTRAL_DECREASE_MIN and worst_order >= 1.7
     detail = (f"{len(periodic)} periodic + {len(bounded)} bounded states, "
               f"min spectral decrease x{worst_ratio:.1e} (need >= 1e2), "

@@ -1,5 +1,6 @@
 """The run-config format: every bundled and benchmark config reads, hashes
-and round-trips unchanged, and an entry the format does not have is an error."""
+and round-trips unchanged, an entry the format does not have is an error, and
+the classes a config builds refuse non-finite numbers."""
 
 import importlib.util
 import json
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from korteweg import ConfigError
+from korteweg import ConfigError, DoubleWell, FluidParams, Grid, Mobility, StepControl
 from korteweg.harness import config_from_dict
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -78,3 +79,28 @@ def test_section_defaults_come_from_the_classes():
     doc = cfg.to_dict()
     assert doc["params"]["well_scale"] == 1.0 and doc["step"]["dt_fixed"] is None
     assert doc["initial"]["family"] == "constant" and doc["mobility"]["kind"] == "constant"
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Grid.periodic(16, NAN), lambda: Grid.periodic((16, 16), (1.0, INF)),
+    lambda: Grid.bounded_neumann_1d(16, -INF),
+    lambda: FluidParams(delta=NAN), lambda: FluidParams(tau1=INF),
+    lambda: FluidParams(temperature=INF), lambda: FluidParams(shear_viscosity=NAN),
+    lambda: FluidParams(bulk_viscosity=-INF), lambda: FluidParams(mobility=NAN),
+    lambda: Mobility.constant(NAN), lambda: Mobility.constant(INF),
+    lambda: Mobility.spatial([1.0, INF]), lambda: Mobility.spatial([1.0, NAN]),
+    lambda: DoubleWell(scale=NAN), lambda: DoubleWell(scale=INF),
+    lambda: StepControl(t_end=NAN), lambda: StepControl(t_end=INF),
+    lambda: StepControl(dt_max=INF), lambda: StepControl(dt_fixed=INF),
+], ids=["grid-nan", "grid-2d-inf", "bounded-neg-inf", "delta-nan", "tau1-inf",
+        "temperature-inf", "shear-nan", "bulk-neg-inf", "params-mobility-nan",
+        "mobility-nan", "mobility-inf", "spatial-inf", "spatial-nan", "well-nan", "well-inf",
+        "t_end-nan", "t_end-inf", "dt_max-inf", "dt_fixed-inf"])
+def test_non_finite_numbers_are_config_errors(build):
+    # a NaN passes every comparison-based range check; t_end = NaN would step
+    # to the budget, as StepControl.reached is never true
+    with pytest.raises(ConfigError, match="must be finite"):
+        build()

@@ -10,7 +10,7 @@ from korteweg import (FD2, SPECTRAL, CompatibilityError, ConfigError, DomainErro
 from korteweg.elliptic import (Mobility, _solve, apply_operator, invert_for_model,
                                invert_freespace_1d, invert_neumann_1d, invert_periodic)
 from korteweg.initial import random_band_limited
-from korteweg.operators import _calculus, _inverse_symbol, mean
+from korteweg.operators import _calculus, mean
 
 
 def test_mobility_validation():
@@ -71,10 +71,11 @@ def test_invert_periodic_roundtrip_and_mean():
 @pytest.mark.parametrize("shape", [(32,), (16, 12)], ids=["1d", "2d"])
 @pytest.mark.parametrize("d", [SPECTRAL, FD2], ids=["spectral", "fd2"])
 def test_inverse_symbol_is_cached_and_zero_on_null_modes(shape, d):
-    # the Fourier solve multiplies by 1/symbol: one read-only array per (grid, scheme)
+    # the Fourier solve multiplies by 1/symbol: one read-only array held by the
+    # grid's calculus, found again by an equal grid
     grid = Grid.periodic(shape)
-    inv = _inverse_symbol(grid, d.scheme)
-    assert _inverse_symbol(Grid.periodic(shape), d.scheme) is inv
+    inv = _calculus(grid, d).inv_sym
+    assert _calculus(Grid.periodic(shape), d).inv_sym is inv
     assert not inv.flags.writeable
     assert inv.flat[0] == 0.0   # the mean mode
     # the operator's symbol, read off the solve's images of single modes

@@ -19,9 +19,7 @@ from korteweg.models import (_reduced_stress, _stage_rows, _stress_symbol,
                              momentum_equivalence_gap, reconstruct_fields,
                              reconstruct_pressure_nsac, reconstruct_pressure_nsch, residual_nsac,
                              residual_nsch, rhs_nsk1, rhs_nsk2)
-from korteweg.operators import (_calculus, _conservation_rates, _derivs, _div, _div_spectra,
-                                _div_tensor, _grads, _irfft, _rfft, _spectra, _total,
-                                dealias_array, div, mean)
+from korteweg.operators import _calculus, _irfft, _rfft, _total, dealias_array, div, mean
 from korteweg.tensors import _div_of
 from korteweg.timestepping import make_rhs
 
@@ -382,25 +380,25 @@ def test_certificate_transform_counts(grid, names, transforms, params, monkeypat
 def per_array_rates(mass, stress, advective, grid, d, addend=None):
     """(-div mass, div(stress - advective) + addend) with one transform per array (or
     their spectra when dealiased); ``addend`` (spectral) is one spectrum per momentum row."""
+    ops = _calculus(grid, d)
     if d.dealias:
-        mass_hat = _spectra(mass, grid, True)
-        flux_hat = [s - a for s, a in zip(_spectra(stress, grid),
-                                          _spectra(advective, grid, True))]
+        mass_hat = ops._spectra(mass, True)
+        flux_hat = [s - a for s, a in zip(ops._spectra(stress), ops._spectra(advective, True))]
     elif addend is not None:
-        mass_hat = _spectra(mass, grid)
+        mass_hat = ops._spectra(mass)
         flux_hat = [_rfft(s - a) for s, a in zip(stress, advective)]
     else:
         flux = tuple(s - a for s, a in zip(stress, advective))
-        return -_div(mass, grid, d), _div_tensor(flux, grid, d)
-    flux_div = _div_spectra(flux_hat, grid, grid.dim) if addend is None else tuple(
-        _irfft(_total(ik * h for ik, h in zip(_calculus(grid, d).ik, flux_hat[i:])) + a,
-               grid.shape) for i, a in enumerate(addend))
-    return -_div_spectra(mass_hat, grid, 1)[0], flux_div
+        return -ops.div(mass), ops.div_tensor(flux)
+    flux_div = ops.div_spectra(flux_hat, grid.dim) if addend is None else tuple(
+        _irfft(_total(ik * h for ik, h in zip(ops.ik, flux_hat[i:])) + a, grid.shape)
+        for i, a in enumerate(addend))
+    return -ops.div_spectra(mass_hat, 1)[0], flux_div
 
 
 def per_array_rhs(state, params, kind, gamma, d):
     """The right-hand side with one transform per array: under FD2 every gradient
-    through _derivs; spectrally the spectra of u and rho, grad rho, div u and the
+    through derivs; spectrally the spectra of u and rho, grad rho, div u and the
     symbol's momentum addend written out per array; every divergence through
     per_array_rates."""
     grid = state.grid
@@ -409,8 +407,8 @@ def per_array_rhs(state, params, kind, gamma, d):
     u = tuple(c / r for c in m)
     symbol = _stress_symbol(ops, params, kind, gamma)
     if symbol is None:
-        gu = tuple(_derivs(c, grid, d) for c in u)
-        gr, divu, addend = _derivs(r, grid, d), _div_of(gu), None
+        gu = tuple(ops.derivs(c) for c in u)
+        gr, divu, addend = ops.derivs(r), _div_of(gu), None
     else:
         uhat, rhat = [_rfft(c) for c in u], _rfft(r)
         gr = tuple(_irfft(ik * rhat, grid.shape) for ik in ops.ik)
@@ -437,15 +435,16 @@ def test_stacked_kernels_equal_per_array_kernels(grid, d, params):
     # the multi-array kernels and the right-hand side give the per-array kernels'
     # bits on every grid: in 1-D spectral the stacked calls transform each row
     # exactly as a call of its own does
+    ops = _calculus(grid, d)
     dim, rows = grid.dim, grid.dim * (grid.dim + 1) // 2
     rng = np.random.default_rng(grid.n[0])
     arrays = [random_band_limited(grid, rng, kmax=min(grid.n) // 3)
               for _ in range(dim + 2 * rows)]
     assert all(np.array_equal(g, ref) for gs, refs in
-               zip(_grads(arrays, grid, d), (_derivs(a, grid, d) for a in arrays))
+               zip(ops.grads(arrays), (ops.derivs(a) for a in arrays))
                for g, ref in zip(gs, refs))
     mass, stress, advective = arrays[:dim], arrays[dim:dim + rows], arrays[dim + rows:]
-    rate_mass, rate_flux = _conservation_rates(mass, stress, advective, grid, d)
+    rate_mass, *rate_flux = ops.conservation_rates(mass, stress, advective)
     ref_mass, ref_flux = per_array_rates(mass, stress, advective, grid, d)
     assert np.array_equal(rate_mass, ref_mass)
     assert all(np.array_equal(a, b) for a, b in zip(rate_flux, ref_flux))

@@ -9,7 +9,7 @@ from korteweg import (FD2, SPECTRAL, BoundaryKind, ConfigError, Discretization,
 from korteweg.fields import read_scalar_csv, sup_norm, write_scalar_csv
 from korteweg.initial import random_band_limited
 from korteweg.elliptic import _matvec
-from korteweg.operators import _calculus, _dealias_mask, _fd2_deriv, dealias_array
+from korteweg.operators import _calculus, dealias_array
 
 
 def test_grid_validation():
@@ -270,8 +270,9 @@ def explicit_neumann_matvec(gamma, phi, h):
 def test_fd2_ghost_rule_matches_explicit_wall_rows(grid):
     rng = np.random.default_rng(grid.n[0])
     f = rng.normal(size=grid.shape)
+    ops = _calculus(grid, FD2)
     for axis in range(grid.dim):
-        assert np.array_equal(_fd2_deriv(f, grid, axis), explicit_fd2_deriv(f, grid, axis))
+        assert np.array_equal(ops._fd2_deriv(f, axis), explicit_fd2_deriv(f, grid, axis))
     lap = laplacian(ScalarField(grid, f), FD2).values
     ref = explicit_fd2_laplacian(f, grid)
     if grid.is_periodic:
@@ -283,7 +284,7 @@ def test_fd2_ghost_rule_matches_explicit_wall_rows(grid):
     tol = 2.0 * np.spacing(np.abs(f[[1, -2]]) + 2.0 * np.abs(f[[0, -1]])) / grid.h[0] ** 2
     assert np.all(np.abs(lap[[0, -1]] - ref[[0, -1]]) <= tol)
     gamma = 1.5 + rng.uniform(size=grid.shape)
-    assert np.array_equal(_matvec(gamma, _calculus(grid, FD2))(f),
+    assert np.array_equal(_matvec(gamma, ops)(f),
                           explicit_neumann_matvec(gamma, f, grid.h[0]))
 
 
@@ -343,14 +344,27 @@ def test_scalar_csv_rows_are_savetxt_bytes(tmp_path, grid):
 
 @pytest.mark.parametrize("shape", [(64,), (63,), (12, 9)], ids=["64", "63", "12x9"])
 def test_dealias_mask_is_cached_and_read_only(shape):
-    mask = _dealias_mask(Grid.periodic(shape))
-    assert _dealias_mask(Grid.periodic(shape)) is mask
+    # the grid's calculus holds one read-only mask, found again by an equal grid
+    dealiased = Discretization(Scheme.SPECTRAL, dealias=True)
+    mask = _calculus(Grid.periodic(shape), dealiased).keep
+    assert _calculus(Grid.periodic(shape), dealiased).keep is mask
     assert not mask.flags.writeable
     # the last axis keeps the modes 0 .. n/3 of its half spectrum
     n = shape[-1]
     assert mask.shape[-1] == n // 2 + 1
     first_row = mask.reshape(-1, n // 2 + 1)[0]
     assert list(np.flatnonzero(~first_row)) == list(range(n // 3 + 1, n // 2 + 1))
+    # likewise the FD2 ghost indices: per axis each node's previous and next node,
+    # wrapped on a periodic axis and reflected at the walls of a bounded one
+    bounded = [Grid.bounded_neumann_1d(*shape)] if len(shape) == 1 else []
+    for grid in [Grid.periodic(shape), *bounded]:
+        ghost = _calculus(grid, FD2).ghost
+        assert _calculus(Grid(grid.dim, grid.n, grid.length, grid.boundary), FD2).ghost is ghost
+        for (prev, nxt), n in zip(ghost, grid.n):
+            assert not prev.flags.writeable and not nxt.flags.writeable
+            i = np.arange(n)
+            edge = (n - 1, 0) if grid.is_periodic else (0, n - 1)
+            assert list(prev) == [edge[0], *i[:-1]] and list(nxt) == [*i[1:], edge[1]]
 
 
 def test_discretization_enum_roundtrip():
