@@ -4,10 +4,11 @@ The non-local operator in three settings
 
 The conserved-phase reduction replaces a local bulk-viscosity term with
 the inverse of -div(gamma grad .), normalized to zero mean.  Three
-inverters cover the settings of interest: Fourier on periodic grids
-(Fourier-preconditioned conjugate gradients when the mobility varies), a
-direct prefix-sum solve on bounded Neumann grids, and the kernel -|x|/2 on
-a free-space window.
+inverters cover the settings of interest: Fourier on periodic grids (when
+the mobility varies, a direct solve by two spectral antiderivatives in 1-D
+and Fourier-preconditioned conjugate gradients in 2-D), a direct
+prefix-sum solve on bounded Neumann grids, and the kernel -|x|/2 on a
+free-space window.
 """
 
 import numpy as np

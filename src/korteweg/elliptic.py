@@ -14,17 +14,23 @@ have zero mean and the solution is fixed by mean(phi) = 0):
 * free space 1-D: the kernel -|x|/2 on a window, for compactly supported
   data, by prefix sums of f and x f.
 
-Variable mobility on periodic grids uses CG on the composed discrete
-operator, preconditioned by the Fourier solve at the mean mobility; the
-iteration count then depends on the mobility contrast, not on N.  The
-first two are one array kernel, ``_solve``, which solves for the zero-mean
-part of its data, on the grid's calculus (so a right-hand side looks the
-symbol up once per run); the Neumann operator takes its neighbours from the
-calculus's FD2 ghost rule, and each public function looks the calculus up
-once.  The right-hand sides call it directly for a variable mobility or on
-a bounded grid; with a constant mobility on a spectral grid they apply the
-same inverse symbol as part of a Fourier multiplier
-(:func:`korteweg.models._stress_symbol`) and solve nothing.
+Variable mobility on a 1-D periodic grid is a direct solve too: with D the
+scheme's derivative, gamma D phi is an antiderivative of -f, so phi is two
+spectral antiderivatives (``_Calculus.antideriv``) away from f, with the
+free constants fixed by a 2 x 2 system (four transforms).  On a 2-D periodic grid
+it is CG on the composed discrete operator, preconditioned by the Fourier
+solve at the mean mobility; the iteration count then depends on the
+mobility contrast, not on N.  Every periodic solve drops the data's part on
+the operator's null modes: the mean and the checkerboards (-1)^i of even
+axes (``_Calculus.checkerboards``), which the derivatives kill.  The first
+two settings are one array kernel, ``_solve``, which solves for the
+zero-mean part of its data, on the grid's calculus (so a right-hand side
+looks the symbols up once per run); the Neumann operator takes its
+neighbours from the calculus's FD2 ghost rule, and each public function
+looks the calculus up once.  The right-hand sides call it directly for a
+variable mobility or on a bounded grid; with a constant mobility on a
+spectral grid they apply the same inverse symbol as part of a Fourier
+multiplier (:func:`korteweg.models._stress_symbol`) and solve nothing.
 :func:`invert_for_model`, the one public inverse that discards a mean, calls
 it too; the other public inverses first refuse data with a mean
 (CompatibilityError).
@@ -138,6 +144,8 @@ def _pcg_zero_mean(matvec, b: np.ndarray, precond, context: str) -> np.ndarray:
 
     The operators used here map mean-zero vectors to mean-zero vectors
     exactly (divergence form), so a single initial projection suffices.
+    Data on the operator's other null modes must already be dropped, or CG
+    runs to its budget.
     """
     b = b - b.mean()
     bnorm = float(np.linalg.norm(b))
@@ -175,23 +183,53 @@ def _fourier_solve(fv: np.ndarray, inv_sym: np.ndarray, gamma: float) -> np.ndar
     return (phi - phi.mean()) / gamma
 
 
+def _direct_periodic_1d(gv: np.ndarray, fv: np.ndarray, ops: _Calculus) -> np.ndarray:
+    """-D(gamma D phi) = fv on a 1-D periodic grid, D the scheme's derivative: exact.
+
+    With D+ the pseudo-inverse of D (``ops.antideriv``), gamma D phi = g with
+    g = -D+ fv + a + b nu, nu = (-1)^j (even N only, else b = 0), and
+    phi = D+(g / gamma).  a and b make g / gamma orthogonal to D's null modes 1
+    and nu, so that it has an antiderivative.  Data on those modes is dropped.
+    """
+    w = 1.0 / gv
+    wg = w * _irfft(_rfft(fv) * -ops.antideriv, ops.shape)
+    s0, wbar = float(wg.mean()), float(w.mean())
+    if not np.isfinite(s0):
+        raise DomainError("periodic variable-mobility solve: non-finite right-hand side")
+    if ops.checkerboards:   # [[wbar, c], [c, wbar]] (a, b) = -(s0, s1), det > 0 as w > 0
+        nu = ops.checkerboards[0]
+        wnu = w * nu
+        c, s1 = float(wnu.mean()), float((wg * nu).mean())
+        det = wbar * wbar - c * c
+        wg += ((c * s1 - wbar * s0) / det) * w + ((c * s0 - wbar * s1) / det) * wnu
+    else:
+        wg -= (s0 / wbar) * w
+    return _irfft(_rfft(wg) * ops.antideriv, ops.shape)
+
+
 def _solve(gamma: Mobility, fv: np.ndarray, ops: _Calculus) -> np.ndarray:
     """-div(gamma grad phi) = fv - mean(fv), mean(phi) = 0, on arrays, either boundary kind.
 
     ``ops`` is the grid's calculus, which holds the inverse symbol of a
     periodic grid.  The solve is for the zero-mean part of the data: callers
     that must refuse a mean check it first (:func:`_require_zero_mean`).
+    Periodic grids also drop the data's part on the operator's other null
+    modes, the checkerboards the derivatives kill.  A variable mobility is a
+    direct solve in 1-D (:func:`_direct_periodic_1d`) and CG in 2-D.
     Neumann: with zero wall flux, the flux through face i+1/2 is
     -h sum_{j<=i} f_j; phi is the running sum of h flux / gamma_face.
     """
     fv = fv - fv.mean()
     grid = ops.grid
     if grid.is_periodic:
-        inv_sym = ops.inv_sym
         if gamma.is_constant:
-            return _fourier_solve(fv, inv_sym, gamma.value)
+            return _fourier_solve(fv, ops.inv_sym, gamma.value)
         gv = gamma.values_on(grid)
-        gmean = float(np.mean(gv))
+        if grid.dim == 1:
+            return _direct_periodic_1d(gv, fv, ops)
+        for mode in ops.checkerboards:
+            fv -= float((fv * mode).mean()) * mode
+        inv_sym, gmean = ops.inv_sym, float(np.mean(gv))
         return _pcg_zero_mean(_matvec(gv, ops), fv,
                               lambda r: _fourier_solve(r, inv_sym, gmean),
                               "periodic variable-mobility solve")
@@ -208,9 +246,10 @@ def invert_periodic(gamma: Mobility, f: ScalarField,
 
     Constant mobility is a diagonal Fourier solve with the scheme-matched
     symbol, so the round trip through :func:`apply_operator` reproduces
-    f minus its mean to solver precision.  Variable mobility uses CG with
-    the composed operator, preconditioned by that Fourier solve at the
-    mean mobility.
+    f minus its mean to solver precision.  Variable mobility is a direct
+    solve by two antiderivatives in 1-D, and in 2-D CG with the composed
+    operator, preconditioned by that Fourier solve at the mean mobility.
+    Data on the checkerboard null modes of even axes is dropped.
     """
     grid = f.grid
     if not grid.is_periodic:

@@ -9,6 +9,7 @@ natural ghost-value rule.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -17,6 +18,13 @@ import numpy as np
 from .errors import ConfigError, _require_finite_fields
 
 MIN_CELLS_PER_AXIS = 8
+
+
+def _is_whole(k) -> bool:
+    """Whether k is an integer or an integral finite real, and not a bool."""
+    if isinstance(k, (bool, np.bool_)) or not isinstance(k, numbers.Real):
+        return False
+    return isinstance(k, numbers.Integral) or float(k).is_integer()
 
 
 class BoundaryKind(Enum):
@@ -46,6 +54,8 @@ class Grid:
     def __post_init__(self):
         if self.dim not in (1, 2):
             raise ConfigError(f"grid dim must be 1 or 2, got {self.dim}")
+        if not all(_is_whole(k) for k in self.n):
+            raise ConfigError(f"Grid.n must hold whole cell counts, got {self.n!r}")
         object.__setattr__(self, "n", tuple(int(k) for k in self.n))
         object.__setattr__(self, "length", tuple(float(l) for l in self.length))
         _require_finite_fields(self, "length")
@@ -68,7 +78,7 @@ class Grid:
 
     @classmethod
     def bounded_neumann_1d(cls, n: int, length: float = 1.0) -> "Grid":
-        return cls(dim=1, n=(int(n),), length=(float(length),),
+        return cls(dim=1, n=(n,), length=(float(length),),
                    boundary=BoundaryKind.BOUNDED_NEUMANN_1D)
 
     @property

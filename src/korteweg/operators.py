@@ -20,9 +20,10 @@ All operators are linear and act node-wise on the stored arrays.  Public
 functions return validated fields; the array kernels are the methods of
 ``_Calculus``, one grid's calculus under one discretization, which builds
 once everything an evaluation reuses: i k per axis, the dealias mask, the
-shape, whether rows stack and, on first use, the FD2 ghost indices and
-the inverse symbol of -div(grad .).  ``_calculus(grid, d)`` caches one
-per pair and is the only per-grid cache.  Each public function, here and in
+shape, whether rows stack and, on first use, the FD2 ghost indices, the
+inverse symbol of -div(grad .), the 1-D antiderivative symbol and the
+checkerboard null modes of the derivatives.  ``_calculus(grid, d)`` caches
+one per pair and is the only per-grid cache.  Each public function, here and in
 :mod:`korteweg.tensors`, :mod:`korteweg.elliptic` and
 :mod:`korteweg.models`, looks it up once and passes it down; a right-hand
 side binds one per run.  Under the spectral scheme a non-periodic grid is
@@ -101,8 +102,10 @@ class _Calculus:
     Everything an evaluation reuses is built once here, as read-only arrays:
     with the calculus, i k per axis ``ik`` (spectral) and the 2/3-rule mask
     ``keep`` (when dealiasing); on first use, the FD2 ghost indices ``ghost``
-    and the inverse symbol ``inv_sym`` of -div(grad .) on a periodic grid
-    (for :mod:`korteweg.elliptic` and the stress symbol), so a calculus holds
+    and, on a periodic grid, the inverse symbol ``inv_sym`` of -div(grad .)
+    (for :mod:`korteweg.elliptic` and the stress symbol), the 1-D
+    antiderivative symbol ``antideriv`` and the checkerboard null modes
+    ``checkerboards`` (for :mod:`korteweg.elliptic`), so a calculus holds
     only what its grid uses.  It also fixes the shape and whether the
     multi-array kernels stack their rows (on a 1-D grid).  A right-hand side
     binds one per run; :func:`_calculus` caches one per (grid,
@@ -151,6 +154,29 @@ class _Calculus:
         inv = np.zeros_like(sym)
         np.divide(1.0, sym, out=inv, where=sym > 0.0)
         return _read_only(inv)
+
+    @cached_property
+    def antideriv(self) -> np.ndarray:
+        """The half-spectrum symbol of the pseudo-inverse of d/dx on this 1-D periodic
+        grid: 1 / (i k) spectrally, 1 / (i sin(k h) / h) for FD2, zero on the
+        derivative's null modes (the mean and the Nyquist mode)."""
+        k = (self.ik or self._wavenumbers())[0].imag
+        sym = k if self.spectral else np.sin(k * self.grid.h[0]) / self.grid.h[0]
+        inv = np.zeros(sym.shape, dtype=complex)
+        np.divide(-1j, sym, out=inv, where=sym != 0.0)
+        return _read_only(inv)
+
+    @cached_property
+    def checkerboards(self) -> tuple[np.ndarray, ...]:
+        """The +-1 grid arrays besides constants that every first derivative of this
+        periodic grid kills: (-1)^i along each even axis and their products."""
+        modes = [np.ones(self.shape)]
+        for axis, n in enumerate(self.grid.n):
+            if n % 2 == 0:
+                sign = (1.0 - 2.0 * (np.arange(n) % 2)).reshape(
+                    [-1 if a == axis else 1 for a in range(self.dim)])
+                modes += [m * sign for m in modes]
+        return tuple(_read_only(m) for m in modes[1:])
 
     def _neighbours(self, values: np.ndarray,
                     axis: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

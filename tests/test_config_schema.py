@@ -7,6 +7,7 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from korteweg import ConfigError, DoubleWell, FluidParams, Grid, Mobility, StepControl
@@ -104,3 +105,22 @@ def test_non_finite_numbers_are_config_errors(build):
     # to the budget, as StepControl.reached is never true
     with pytest.raises(ConfigError, match="must be finite"):
         build()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Grid.periodic(16.7), lambda: Grid.periodic(INF), lambda: Grid.periodic(NAN),
+    lambda: Grid.periodic(True), lambda: Grid.periodic((16, 12.5)),
+    lambda: Grid.periodic(("16",)), lambda: Grid.bounded_neumann_1d(16.5),
+    lambda: Grid.bounded_neumann_1d(NAN),
+], ids=["fraction", "inf", "nan", "bool", "2d-fraction", "string", "bounded-fraction",
+        "bounded-nan"])
+def test_cell_counts_must_be_whole_numbers(build):
+    # int() would truncate 16.7 to 16 cells and raise OverflowError or
+    # ValueError on an infinity or a NaN
+    with pytest.raises(ConfigError, match="Grid.n"):
+        build()
+
+
+def test_integral_cell_counts_of_any_number_type_build_the_same_grid():
+    assert Grid.periodic(16.0) == Grid.periodic(np.int64(16)) == Grid.periodic(16)
+    assert Grid.periodic(16).n == (16,) and type(Grid.periodic(16.0).n[0]) is int

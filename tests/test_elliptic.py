@@ -5,12 +5,17 @@ import logging
 import numpy as np
 import pytest
 
-from korteweg import (FD2, SPECTRAL, CompatibilityError, ConfigError, DomainError,
-                      Grid, ScalarField)
-from korteweg.elliptic import (Mobility, _solve, apply_operator, invert_for_model,
-                               invert_freespace_1d, invert_neumann_1d, invert_periodic)
+import korteweg.elliptic
+from korteweg import (FD2, SPECTRAL, CompatibilityError, ConfigError, Discretization,
+                      DomainError, FluidParams, Grid, MixtureState, ScalarField, Scheme,
+                      VectorField, rhs_nsk2)
+from korteweg.elliptic import (Mobility, _fourier_solve, _matvec, _pcg_zero_mean, _solve,
+                               apply_operator, invert_for_model, invert_freespace_1d,
+                               invert_neumann_1d, invert_periodic)
 from korteweg.initial import random_band_limited
 from korteweg.operators import _calculus, mean
+
+DEALIASED = Discretization(Scheme.SPECTRAL, dealias=True)
 
 
 def test_mobility_validation():
@@ -99,25 +104,75 @@ def test_invert_periodic_compatibility_guard():
     assert np.max(np.abs(phi.values)) < 1e-12
 
 
-def test_invert_periodic_variable_mobility_cg():
-    grid = Grid.periodic(96)
+@pytest.mark.parametrize("n", [63, 96])
+@pytest.mark.parametrize("d", [SPECTRAL, FD2, DEALIASED], ids=["spectral", "fd2", "dealiased"])
+def test_invert_periodic_variable_mobility_roundtrip_1d(n, d):
+    grid = Grid.periodic(n)
     x = grid.coords()[0]
     gamma = Mobility.spatial(2.0 + np.sin(x))
     rng = np.random.default_rng(8)
     f = ScalarField(grid, random_band_limited(grid, rng, kmax=8))
-    for d in (SPECTRAL, FD2):
-        phi = invert_periodic(gamma, f, d)
-        back = apply_operator(gamma, phi, d)
-        assert np.max(np.abs(back.values - (f.values - f.values.mean()))) < 1e-9
+    phi = invert_for_model(gamma, f, d)
+    back = apply_operator(gamma, phi, d)
+    assert np.max(np.abs(back.values - (f.values - f.values.mean()))) < 1e-9
+    assert abs(float(phi.values.mean())) < 1e-13
+
+
+def _cg_reference(gamma, f, ops, monkeypatch):
+    """The CG solution of -div(gamma grad phi) = f at a tight tolerance, f off the null modes."""
+    monkeypatch.setattr(korteweg.elliptic, "SOLVE_RTOL", 1e-13)
+    f = f - f.mean()
+    for mode in ops.checkerboards:
+        f = f - (f * mode).mean() * mode
+    gmean = float(gamma.mean())
+    return _pcg_zero_mean(_matvec(gamma, ops), f,
+                          lambda r: _fourier_solve(r, ops.inv_sym, gmean), "reference")
+
+
+@pytest.mark.parametrize("n", [63, 64, 96, 1024])
+@pytest.mark.parametrize("d", [SPECTRAL, FD2, DEALIASED], ids=["spectral", "fd2", "dealiased"])
+def test_direct_1d_solve_matches_a_cg_reference(n, d, monkeypatch):
+    # gamma D phi = g is a first antiderivative of -f; choosing its constant (and,
+    # for even n, its Nyquist part) makes g / gamma integrable again
+    grid = Grid.periodic(n)
+    x = grid.coords()[0]
+    gamma = 2.0 + np.sin(x) + 0.5 * np.cos(3.0 * x)
+    f = random_band_limited(grid, np.random.default_rng(n), kmax=12)
+    ops = _calculus(grid, d)
+    phi = _solve(Mobility.spatial(gamma), f, ops)
+    ref = _cg_reference(gamma, f, ops, monkeypatch)
+    assert np.max(np.abs(phi - ref)) <= 1e-11 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("n", [63, 64])
+@pytest.mark.parametrize("d", [SPECTRAL, FD2, DEALIASED], ids=["spectral", "fd2", "dealiased"])
+def test_no_cg_on_a_1d_grid(n, d, caplog, monkeypatch):
+    # every 1-D periodic inverse is direct: the strict and model inverses and a
+    # variable-mobility NSK2 right-hand side make no CG call and log no CG record
+    def no_cg(*args):
+        raise AssertionError("CG called on a 1-D grid")
+
+    monkeypatch.setattr(korteweg.elliptic, "_pcg_zero_mean", no_cg)
+    grid = Grid.periodic(n)
+    x = grid.coords()[0]
+    gamma = Mobility.spatial(2.0 + np.cos(x))
+    f = ScalarField(grid, random_band_limited(grid, np.random.default_rng(3), kmax=6))
+    state = MixtureState(ScalarField(grid, 1.5 + 0.1 * np.cos(x)),
+                         VectorField(grid, (0.05 * np.sin(2.0 * x),)))
+    with caplog.at_level(logging.DEBUG, logger="korteweg.elliptic"):
+        invert_periodic(gamma, ScalarField(grid, f.values - f.values.mean()), d)
+        invert_for_model(gamma, f, d)
+        rhs_nsk2(state, FluidParams(), gamma, d)
+    assert not [r for r in caplog.records if "cg converged" in str(r.msg)]
 
 
 def test_periodic_cg_logs_its_iteration_count(caplog):
     # the benchmark reads CG iteration counts from this DEBUG record
-    grid = Grid.periodic(64)
-    x = grid.coords()[0]
+    grid = Grid.periodic((64, 64))
+    x, y = grid.coords()
     f = ScalarField(grid, np.cos(2.0 * x))
     with caplog.at_level(logging.DEBUG, logger="korteweg.elliptic"):
-        invert_periodic(Mobility.spatial(2.0 + np.sin(x)), f, SPECTRAL)
+        invert_periodic(Mobility.spatial(2.0 + np.sin(x) * np.cos(y)), f, SPECTRAL)
     records = [r for r in caplog.records if "cg converged" in str(r.msg)]
     assert len(records) == 1
     assert records[0].msg.startswith("%s: cg converged in %d iterations")
@@ -126,15 +181,17 @@ def test_periodic_cg_logs_its_iteration_count(caplog):
     assert isinstance(iterations, int) and iterations > 0
 
 
-def test_model_solve_refuses_non_finite_data_before_cg():
-    # the right-hand sides pass arrays straight to the solve kernel, so CG itself
-    # refuses non-finite data instead of iterating to its budget
-    grid = Grid.periodic(64)
-    x = grid.coords()[0]
-    f = np.cos(2.0 * x)
-    f[3] = np.nan
+@pytest.mark.parametrize("shape", [64, (64, 64)], ids=["1d", "2d"])
+def test_model_solve_refuses_non_finite_data(shape):
+    # the right-hand sides pass arrays straight to the solve kernel, so the
+    # direct solve and CG themselves refuse non-finite data (CG instead of
+    # iterating to its budget)
+    grid = Grid.periodic(shape)
+    xs = grid.coords()
+    f = np.cos(2.0 * xs[0])
+    f.flat[3] = np.nan
     with pytest.raises(DomainError, match="non-finite"):
-        _solve(Mobility.spatial(2.0 + np.sin(x)), f, _calculus(grid, SPECTRAL))
+        _solve(Mobility.spatial(2.0 + np.sin(xs[-1])), f, _calculus(grid, SPECTRAL))
 
 
 def _variable_mobility_case(shape, seed):
@@ -145,7 +202,8 @@ def _variable_mobility_case(shape, seed):
     return grid, Mobility.spatial(gamma), ScalarField(grid, random_band_limited(grid, rng, 8))
 
 
-@pytest.mark.parametrize("shape", [64, 1024, (64, 64)], ids=["1d-64", "1d-1024", "2d-64"])
+@pytest.mark.parametrize("shape", [(32, 32), (64, 64), (128, 128), (63, 48)],
+                         ids=["2d-32", "2d-64", "2d-128", "2d-63x48"])
 @pytest.mark.parametrize("d", [SPECTRAL, FD2], ids=["spectral", "fd2"])
 def test_periodic_cg_iterations_independent_of_n(caplog, shape, d):
     # the mean-mobility Fourier preconditioner bounds the iteration count by
@@ -158,13 +216,34 @@ def test_periodic_cg_iterations_independent_of_n(caplog, shape, d):
     assert records[0].args[1] <= 30
 
 
+@pytest.mark.parametrize("shape", [64, (32, 32)], ids=["1d", "2d"])
+@pytest.mark.parametrize("variable", [False, True], ids=["constant", "cosine"])
 @pytest.mark.parametrize("d", [SPECTRAL, FD2], ids=["spectral", "fd2"])
-def test_invert_periodic_variable_mobility_roundtrip_2d(d):
-    grid, gamma, f = _variable_mobility_case((64, 64), 13)
-    phi = invert_periodic(gamma, f, d)
-    back = apply_operator(gamma, phi, d)
-    assert np.max(np.abs(back.values - (f.values - f.values.mean()))) < 1e-9
-    assert abs(float(phi.values.mean())) < 1e-13
+def test_periodic_solves_drop_data_on_the_null_modes(shape, variable, d):
+    # one data contract for every periodic solve: the derivatives kill the
+    # checkerboards (-1)^i of even axes, so the operator does too, and data on
+    # them is dropped like a mean, by the Fourier solve, the direct solve and CG
+    grid = Grid.periodic(shape)
+    xs = grid.coords()
+    gamma = Mobility.spatial(2.0 + np.cos(xs[0])) if variable else Mobility.constant(2.0)
+    f = random_band_limited(grid, np.random.default_rng(31), kmax=6)
+    f -= f.mean()
+    clean = invert_periodic(gamma, ScalarField(grid, f), d).values
+    for mode in _calculus(grid, d).checkerboards:
+        noisy = invert_periodic(gamma, ScalarField(grid, f + 1e-6 * mode), d).values
+        assert np.max(np.abs(noisy - clean)) < 1e-12
+
+
+@pytest.mark.parametrize("shape, count", [(16, 1), (15, 0), ((16, 16), 3), ((16, 15), 1)])
+def test_checkerboards_are_the_derivatives_null_modes(shape, count):
+    grid = Grid.periodic(shape)
+    for d in (SPECTRAL, FD2):
+        ops = _calculus(grid, d)
+        modes = ops.checkerboards
+        assert len(modes) == count and _calculus(grid, d).checkerboards is modes
+        for mode in modes:
+            assert not mode.flags.writeable and abs(float(mode.mean())) < 1e-15
+            assert max(np.max(np.abs(g)) for g in ops.derivs(mode)) < 1e-12
 
 
 def test_invert_neumann_eigenfunction():
@@ -211,8 +290,9 @@ def test_invert_neumann_variable_mobility_roundtrip():
 
 
 @pytest.mark.parametrize("grid, d", [(Grid.bounded_neumann_1d(128, length=1.0), FD2),
-                                     (Grid.periodic(96), SPECTRAL)],
-                         ids=["neumann-fd2", "periodic-cg"])
+                                     (Grid.periodic(96), SPECTRAL),
+                                     (Grid.periodic((48, 48)), SPECTRAL)],
+                         ids=["neumann-fd2", "periodic-1d", "periodic-2d-cg"])
 def test_strict_inverse_refuses_a_mean_the_model_inverse_discards(grid, d):
     # one zero-mean contract on both boundary kinds, with cosine mobility:
     # the strict inverses refuse data with a mean, the model inverse solves

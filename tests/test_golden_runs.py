@@ -4,8 +4,8 @@ Each config in ``demos/configs`` runs through ``run_simulation`` to a short
 horizon (18 steps; the 2-D variants 10).  The step count is pinned exactly, and the last step
 and the final state's norms to 1e-12 relative, so a refactor that claims
 identical outputs is checked, not asserted.  Variants of a bundled config
-reach paths the configs themselves do not, such as the CG solve of NSK2
-with a variable mobility on a periodic grid.
+reach paths the configs themselves do not, such as the direct 1-D solve
+of NSK2 with a variable mobility on a periodic grid.
 """
 
 import dataclasses

@@ -233,10 +233,12 @@ def test_density_floor_in_a_step_is_a_numeric_failure(tmp_path):
 
 
 def test_solver_failure_in_a_step_is_a_numeric_failure(tmp_path, monkeypatch):
-    # a variable-mobility CG solve that cannot meet a zero tolerance fails the first step
+    # a variable-mobility CG solve (2-D; 1-D solves are direct) that cannot meet
+    # a zero tolerance fails the first step
     monkeypatch.setattr(korteweg.elliptic, "SOLVE_RTOL", 0.0)
     out = tmp_path / "out"
-    path = write_config(tmp_path, grid={"n": [32]}, model="nsk2",
+    path = write_config(tmp_path, grid={"n": [8, 8], "length": [2.0 * np.pi] * 2},
+                        model="nsk2",
                         mobility={"kind": "cosine", "base": 2.0, "amplitude": 1.0, "mode": 1},
                         initial={"family": "sine_density", "rho0": 1.5, "amplitude": 0.05,
                                  "velocity_amplitude": 0.02},

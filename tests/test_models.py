@@ -354,6 +354,9 @@ def test_rhs_transform_counts(grid, dealias, transforms, calls, names, params, m
     assert counts(rhs_nsk1, state, params, d) == (transforms[0], calls[0], 0)
     assert counts(rhs_nsk2, state, params, gamma, d) == (transforms[1], calls[1], 0)
     assert counts(invert_periodic, gamma, div(state.velocity(), d), d) == (2, 2, 0)
+    if grid.dim == 1:   # a variable mobility: two antiderivatives, no CG
+        cosine = Mobility.spatial(2.0 + np.cos(grid.coords()[0]))
+        assert counts(invert_periodic, cosine, div(state.velocity(), d), d) == (4, 4, 0)
 
 
 @pytest.mark.parametrize("grid, names, transforms", [
