@@ -112,7 +112,7 @@ def test_invert_periodic_variable_mobility_roundtrip_1d(n, d):
     gamma = Mobility.spatial(2.0 + np.sin(x))
     rng = np.random.default_rng(8)
     f = ScalarField(grid, random_band_limited(grid, rng, kmax=8))
-    phi = invert_for_model(gamma, f, d)
+    phi = invert_periodic(gamma, f, d)
     back = apply_operator(gamma, phi, d)
     assert np.max(np.abs(back.values - (f.values - f.values.mean()))) < 1e-9
     assert abs(float(phi.values.mean())) < 1e-13
@@ -214,6 +214,15 @@ def test_periodic_cg_iterations_independent_of_n(caplog, shape, d):
     records = [r for r in caplog.records if "cg converged" in str(r.msg)]
     assert len(records) == 1
     assert records[0].args[1] <= 30
+
+
+@pytest.mark.parametrize("d", [SPECTRAL, FD2], ids=["spectral", "fd2"])
+def test_invert_periodic_variable_mobility_roundtrip_2d(d):
+    grid, gamma, f = _variable_mobility_case((64, 64), 13)
+    phi = invert_periodic(gamma, f, d)
+    back = apply_operator(gamma, phi, d)
+    assert np.max(np.abs(back.values - (f.values - f.values.mean()))) < 1e-9
+    assert abs(float(phi.values.mean())) < 1e-13
 
 
 @pytest.mark.parametrize("shape", [64, (32, 32)], ids=["1d", "2d"])
