@@ -149,13 +149,6 @@ class FluidParams:
         return 1.0 / self.tau1, 1.0 / self.tau2
 
 
-def gibbs_energy(p, c, grad_c_sq, params: FluidParams):
-    """Pressure-based mixture energy (c tau1 + (1-c) tau2) p + theta (W + delta/2 |grad c|^2)."""
-    w = params.well.value(c)
-    return (c * params.tau1 + (1.0 - c) * params.tau2) * p \
-        + params.temperature * (w + 0.5 * params.delta * grad_c_sq)
-
-
 class _Density(NamedTuple):
     """A positive density array with its reciprocal v = 1/rho and concentration c."""
 
@@ -235,11 +228,6 @@ def _augmented_bulk_viscosity(dn: _Density, params: FluidParams):
 def concentration(rho, params: FluidParams):
     """Concentration as a function of density under the selected convention."""
     return _require_positive_rho(rho, params).c
-
-
-def concentration_drho(rho, params: FluidParams):
-    """d/drho of concentration: -1/(delta_tau rho^2), identical for both conventions."""
-    return _concentration_drho(_require_positive_rho(rho, params), params)
 
 
 def phase_mass_density(rho, params: FluidParams):

@@ -27,7 +27,7 @@ from .errors import ConfigError, StateError
 from .fields import write_scalar_csv, ScalarField
 from .grids import BoundaryKind, Discretization, Grid, Scheme
 from .initial import InitialCondition
-from .models import MixtureState, ModelKind
+from .models import MixtureState, ModelKind, _require_mobility
 from .timestepping import StepControl, integrate, step_metrics
 
 log = logging.getLogger(__name__)
@@ -73,8 +73,7 @@ class RunConfig:
     def __post_init__(self):
         self.disc.require_compatible(self.grid)
         self.params.validate_for_dim(self.grid.dim)
-        if self.model is ModelKind.NSK2 and self.mobility is None:
-            raise ConfigError("the nsk2 model needs a mobility")
+        _require_mobility(self.model, self.mobility)
         _require(self.seed >= 0, f"seed must be >= 0, got {self.seed}")
         _require(self.snapshot_every >= 0, "output.snapshot_every must be >= 0")
         _require(self.metrics_every >= 1, "output.metrics_every must be >= 1")

@@ -10,12 +10,15 @@ concentration to the density.  This module provides
 * residual evaluation of the *full* three-equation systems on reduced
   states -- the reduction theorems run backwards.
 
-``_reduced_stress`` is the one place the reduced stress is assembled, for
-the right-hand sides, the momentum-flux gap and the residuals alike: the
-NSK1 augmented viscosity or the NSK2 non-local term, plus the Korteweg
-tensor.  Per evaluation each gradient is taken and the non-local term
-solved at most once; between the validated inputs and returned fields
-everything runs on arrays.
+The two reductions differ in one term: eliminating c leaves an isotropic
+stress E in div u, (delta_star / (sqrt(delta) rho)) div u for NSK1 (the
+augmented bulk viscosity) and (theta / delta_tau^2) Lambda_gamma^{-1}(div u)
+for NSK2 (the non-local term).  ``_eliminated_stress`` forms E, with the
+model's one solve, for the pressure (local part - E) and the reduced stress;
+``_reduced_stress`` assembles Korteweg + E I, plus the viscous stress from
+grad u, for the right-hand sides, the gap and the residuals alike.  Per
+evaluation each gradient is taken and E solved at most once; between the
+validated inputs and returned fields everything runs on arrays.
 
 Both reduced systems are conservation laws for (rho, m): the right-hand
 side is the divergence of the flux [m; Sigma - m (x) u].  Its one assembly,
@@ -33,10 +36,9 @@ On a spectral grid the velocity-linear, constant-coefficient part of the
 stress, 2 mu D(u) + lambda (div u) I and, for NSK2 with a constant
 mobility, the non-local term, is a Fourier multiplier on u^
 (``_stress_symbol``), added to the momentum spectra before their inverse:
-grad u never returns to the grid and no solve is needed.
-``_reduced_stress`` assembles the rest pointwise (Korteweg, the NSK1
-(delta_star / (sqrt(delta) rho)) (div u) I, a variable mobility's solved
-term); FD2 has no symbol and assembles every term from grad u.  The levels:
+grad u never returns to the grid, and a constant-mobility E needs neither
+div u nor a solve.  ``_reduced_stress`` assembles the rest pointwise; FD2
+has no symbol and assembles every term from grad u.  The levels:
 (1) grad rho, div u where a pointwise term needs it and the symbol's
 addend (``velocity_level``; FD2: grad u and grad rho in one ``grads``
 call), (2) div(kappa grad rho) inside the Korteweg tensor, next to any
@@ -58,7 +60,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import constitutive as law
-from .constitutive import FluidParams, _augmented_bulk_viscosity, _density
+from .constitutive import FluidParams, _density, _Density
 from .elliptic import Mobility, _matvec, _solve
 from .errors import ConfigError, StateError
 from .fields import Components, ScalarField, VectorField, _outer, _sup
@@ -133,9 +135,15 @@ class _StressSymbol(NamedTuple):
     nonlocal_term: bool
 
 
+def _require_mobility(kind: ModelKind, gamma: Mobility | None) -> None:
+    if kind is ModelKind.NSK2 and gamma is None:
+        raise ConfigError("the nsk2 model needs a mobility")
+
+
 def _stress_symbol(ops: _Calculus, params: FluidParams, kind: ModelKind,
                    gamma: Mobility | None) -> _StressSymbol | None:
     """The run's symbol, real arrays on the half spectrum; None under FD2."""
+    _require_mobility(kind, gamma)
     if not ops.spectral:
         return None
     k2 = _total(ik.imag * ik.imag for ik in ops.ik)
@@ -149,55 +157,29 @@ def _stress_symbol(ops: _Calculus, params: FluidParams, kind: ModelKind,
     return _StressSymbol(shear, bulk, nonlocal_term)
 
 
-def _nonlocal_term(divu: np.ndarray, ops: _Calculus, kind: ModelKind,
-                   gamma: Mobility | None) -> np.ndarray | None:
-    """Lambda_gamma^{-1}(div u) for NSK2, the model's one elliptic solve; None for NSK1."""
-    if kind is ModelKind.NSK1:
+def _eliminated_stress(dn: _Density, divu: np.ndarray | None, ops: _Calculus,
+                       params: FluidParams, kind: ModelKind,
+                       gamma: Mobility | None) -> np.ndarray | None:
+    """E, the isotropic stress in div u that eliminating c leaves, and the model's
+    one elliptic solve: (delta_star / (sqrt(delta) rho)) div u for NSK1,
+    (theta / delta_tau^2) Lambda_gamma^{-1}(div u) for NSK2.  None without
+    div u, where the stress symbol carries the constant-mobility term."""
+    if divu is None:
         return None
-    return _solve(gamma, divu, ops)
+    if kind is ModelKind.NSK1:
+        return params._augmented_scale * dn.v * divu
+    return params._theta_dtau2 * _solve(gamma, divu, ops)
 
 
-def _pressure(state: MixtureState, divu: np.ndarray, gr: Components, params: FluidParams,
-              ops: _Calculus, nonlocal_term: np.ndarray | None = None) -> np.ndarray:
-    """Eliminated pressure: a bulk part plus the local part shared by both models.
+def _pressure(r: np.ndarray, gr: Components, E: np.ndarray, params: FluidParams,
+              ops: _Calculus) -> np.ndarray:
+    """Eliminated pressure: the local part shared by both models, less E.
 
-    p = bulk + rho^2 R'(rho) - (1/rho) div((delta_star/rho) grad rho), where
-    bulk = -(delta_star / (sqrt(delta) rho)) div u without a non-local term
-    (NSK1) and -(theta / delta_tau^2) * nonlocal_term with one (NSK2).
+    p = rho^2 R'(rho) - (1/rho) div((delta_star/rho) grad rho) - E.
     """
-    r = state.rho.values
-    if nonlocal_term is None:
-        bulk = -(params.delta_star / (np.sqrt(params.delta) * r)) * divu
-    else:
-        bulk = -params._theta_dtau2 * nonlocal_term
-    ds = params.delta_star
-    flux = tuple((ds / r) * g for g in gr)
+    flux = tuple((params.delta_star / r) * g for g in gr)
     local = r * r * law.bulk_energy_drho(r, params) - ops.div(flux) / r
-    return bulk + local
-
-
-def reconstruct_pressure_nsac(state: MixtureState, params: FluidParams,
-                              d: Discretization) -> ScalarField:
-    """Pressure eliminated via the phase-transformation balance.
-
-    p = -(delta_star / (sqrt(delta) rho)) div u
-        + rho^2 R'(rho) - (1/rho) div((delta_star/rho) grad rho)
-    """
-    ops = _calculus(state.grid, d)
-    divu, gr = ops.div(_velocity(state)), ops.derivs(state.rho.values)
-    return ScalarField(state.grid, _pressure(state, divu, gr, params, ops))
-
-
-def reconstruct_pressure_nsch(state: MixtureState, params: FluidParams,
-                              gamma: Mobility, d: Discretization) -> ScalarField:
-    """Pressure eliminated via the conserved-phase balance (non-local).
-
-    p = -(theta / delta_tau^2) * Lambda_gamma^{-1}(div u) + local part.
-    """
-    ops = _calculus(state.grid, d)
-    divu, gr = ops.div(_velocity(state)), ops.derivs(state.rho.values)
-    nonlocal_term = _nonlocal_term(divu, ops, ModelKind.NSK2, gamma)
-    return ScalarField(state.grid, _pressure(state, divu, gr, params, ops, nonlocal_term))
+    return local - E
 
 
 def _diffusive_div(state: MixtureState, gc: Components, params: FluidParams,
@@ -209,22 +191,21 @@ def _diffusive_div(state: MixtureState, gc: Components, params: FluidParams,
 
 def _reconstruct(state: MixtureState, divu: np.ndarray, gr: Components, params: FluidParams,
                  kind: ModelKind, gamma: Mobility | None, ops: _Calculus):
-    """The eliminated fields as arrays from div u and grad rho: (c, grad c for
-    mu (NSK2) or None, p, q | mu, NSK2 non-local term or None)."""
+    """The eliminated fields as arrays from div u and grad rho: (the density with
+    c, grad c for mu (NSK2) or None, p, q | mu, E)."""
     r = state.rho.values
     law.warn_outside_window(r, params, context="reconstruction")
-    if kind is ModelKind.NSK2 and gamma is None:
-        raise ConfigError("the conserved-phase model needs a mobility")
-    c = law.concentration(r, params)
-    wprime = params.well.derivative(c)
-    nonlocal_term = _nonlocal_term(divu, ops, kind, gamma)
-    p = _pressure(state, divu, gr, params, ops, nonlocal_term)
+    _require_mobility(kind, gamma)
+    dn = _density(r, params)
+    wprime = params.well.derivative(dn.c)
+    E = _eliminated_stress(dn, divu, ops, params, kind, gamma)
+    p = _pressure(r, gr, E, params, ops)
     if kind is ModelKind.NSK1:
-        return c, None, p, -(params.delta_tau / params.temperature) * p - wprime, None
-    gc = ops.derivs(c)
+        return dn, None, p, -(params.delta_tau / params.temperature) * p - wprime, E
+    gc = ops.derivs(dn.c)
     mu = (params.delta_tau / params.temperature) * p + wprime \
         - _diffusive_div(state, gc, params, ops) / r
-    return c, gc, p, mu, nonlocal_term
+    return dn, gc, p, mu, E
 
 
 def reconstruct_fields(state: MixtureState, params: FluidParams, kind: ModelKind,
@@ -233,37 +214,35 @@ def reconstruct_fields(state: MixtureState, params: FluidParams, kind: ModelKind
     """Rebuild (c, p, q | mu) from a reduced state under the given model."""
     ops = _calculus(state.grid, d)
     divu, gr = ops.div(_velocity(state)), ops.derivs(state.rho.values)
-    c, _, p, rate, _ = _reconstruct(state, divu, gr, params, kind, gamma, ops)
-    c, p, rate = (ScalarField(state.grid, v) for v in (c, p, rate))
+    dn, _, p, rate, _ = _reconstruct(state, divu, gr, params, kind, gamma, ops)
+    c, p, rate = (ScalarField(state.grid, v) for v in (dn.c, p, rate))
     return ReconstructedFields(c, p, **{"q" if kind is ModelKind.NSK1 else "mu_chem": rate})
 
 
-def _reduced_stress(r: np.ndarray, gr: Components, gu, ops: _Calculus, params: FluidParams,
-                    nonlocal_term: np.ndarray | None,
-                    symbol: _StressSymbol | None = None) -> Components:
-    """The reduced stress of either model: viscous or non-local part plus Korteweg;
-    with a ``symbol``, only the part the symbol does not carry.
+def reconstruct_pressure_nsac(state: MixtureState, params: FluidParams,
+                              d: Discretization) -> ScalarField:
+    """The p of :func:`reconstruct_fields` under NSK1: -(delta_star / (sqrt(delta)
+    rho)) div u + rho^2 R'(rho) - (1/rho) div((delta_star/rho) grad rho)."""
+    return reconstruct_fields(state, params, ModelKind.NSK1, None, d).p
 
-    ``gr`` is grad rho; ``gu`` is grad u, or with a symbol div u (None if
-    unused).  ``r`` is a validated state's density, so the laws run unchecked
-    on one _Density.
-    """
-    dn = _density(r, params)
-    if symbol is not None:
-        if nonlocal_term is not None:
-            extra = params._theta_dtau2 * nonlocal_term
-        elif not symbol.nonlocal_term:
-            extra = params._augmented_scale * dn.v * gu
-        else:
-            extra = None
-        return _korteweg(dn, gr, ops, params, extra)
-    korteweg = _korteweg(dn, gr, ops, params)
-    if nonlocal_term is None:
-        bulk = _viscous_stress(gu, _augmented_bulk_viscosity(dn, params), params)
-    else:
-        bulk = _viscous_stress(gu, params.bulk_viscosity, params,
-                               params._theta_dtau2 * nonlocal_term)
-    return tuple(a + b for a, b in zip(bulk, korteweg))
+
+def reconstruct_pressure_nsch(state: MixtureState, params: FluidParams,
+                              gamma: Mobility, d: Discretization) -> ScalarField:
+    """The p of :func:`reconstruct_fields` under NSK2 (non-local):
+    -(theta / delta_tau^2) Lambda_gamma^{-1}(div u) + the local part."""
+    return reconstruct_fields(state, params, ModelKind.NSK2, gamma, d).p
+
+
+def _reduced_stress(dn: _Density, gr: Components, gu: tuple[Components, ...] | None,
+                    ops: _Calculus, params: FluidParams, E: np.ndarray | None) -> Components:
+    """Korteweg plus E I, and 2 mu D(u) + lambda (div u) I from grad u ``gu`` unless
+    it is None (the stress symbol carries it).  ``gr`` is grad rho; ``dn`` is a
+    validated state's density, so the laws run unchecked on it."""
+    korteweg = _korteweg(dn, gr, ops, params, E)
+    if gu is None:
+        return korteweg
+    return tuple(a + b for a, b in zip(_viscous_stress(gu, params.bulk_viscosity, params),
+                                       korteweg))
 
 
 def _rhs(q, ops: _Calculus, params: FluidParams, kind: ModelKind, gamma: Mobility | None,
@@ -284,11 +263,12 @@ def _rhs(q, ops: _Calculus, params: FluidParams, kind: ModelKind, gamma: Mobilit
     else:
         gr, divu, addend = ops.velocity_level(u, r, symbol.shear, symbol.bulk,
                                               not symbol.nonlocal_term)
-        gu = divu
+        gu = None
+    dn = _density(r, params)
     # div u is None where the symbol carries the non-local term: no solve
-    nonlocal_term = None if divu is None else _nonlocal_term(divu, ops, kind, gamma)
-    stress = _reduced_stress(r, gr, gu, ops, params, nonlocal_term, symbol)
-    del gu, gr, divu, nonlocal_term   # level 3 needs none of them
+    stress = _reduced_stress(dn, gr, gu, ops, params,
+                             _eliminated_stress(dn, divu, ops, params, kind, gamma))
+    del gu, gr, divu, dn   # level 3 needs none of them
     return ops.conservation_rates(m, stress, _outer(m, u), addend)
 
 
@@ -340,13 +320,13 @@ def _full_model(state: MixtureState, params: FluidParams, kind: ModelKind,
     residual reuses: (gap, grad c, q | mu).  Each gradient is taken once."""
     r, u = state.rho.values, _velocity(state)
     *gu, gr = ops.grads((*u, r))
-    c, gc, p, rate, nonlocal_term = _reconstruct(state, _div_of(gu), gr, params, kind, gamma,
-                                                 ops)
+    dn, gc, p, rate, E = _reconstruct(state, _div_of(gu), gr, params, kind, gamma, ops)
     # the reduced flux first: the other order keeps grad c and div(S + P) alive
     # through _reduced_stress, 5 more arrays at the peak of a 2-D gap
-    reduced = ops.div_tensor(_reduced_stress(r, gr, gu, ops, params, nonlocal_term))
+    reduced = ops.div_tensor(_reduced_stress(dn, gr, gu, ops, params, E))
     if gc is None:
-        gc = ops.derivs(c)
+        gc = ops.derivs(dn.c)
+    del dn, E   # the full flux needs neither: two arrays less at the peak of a 2-D gap
     full = tuple(a + b for a, b in zip(_viscous_stress(gu, params.bulk_viscosity, params),
                                        _phase_stress(gc, p, r, params)))
     return _sup(a - b for a, b in zip(ops.div_tensor(full), reduced)), gc, rate

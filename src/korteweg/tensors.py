@@ -11,7 +11,11 @@ The kernels ``_strain``, ``_viscous_stress``, ``_phase_stress`` and
 component tuples in the storage order of :mod:`korteweg.fields`; each
 public function wraps one in a validated field.
 ``_korteweg`` takes the density as a constitutive ``_Density`` and calls the
-unchecked law kernels on it; its callers have checked rho > 0.
+unchecked law kernels on it; its callers have checked rho > 0.  The reduced
+models add their eliminated stress (``korteweg.models._eliminated_stress``)
+to its diagonal.  The public augmented and non-local Cauchy stresses form
+that term their own way (the augmented viscosity as one grid function, a
+given non-local image), so they stay an independent check of that assembly.
 """
 
 from __future__ import annotations
@@ -41,15 +45,13 @@ def strain(u: VectorField, d: Discretization) -> SymTensorField:
     return SymTensorField(u.grid, _strain(_calculus(u.grid, d).grads(u.components)))
 
 
-def _viscous_stress(g: tuple[Components, ...], bulk, params: FluidParams,
-                    extra=None) -> Components:
-    """(2 mu D(u) + bulk div u I) + extra I, the assembly behind the three Cauchy stresses.
+def _viscous_stress(g: tuple[Components, ...], bulk, params: FluidParams) -> Components:
+    """2 mu D(u) + bulk div u I, the assembly behind the three Cauchy stresses.
 
-    ``g`` is grad u; ``bulk`` is a constant or a grid function; ``extra`` is optional.
+    ``g`` is grad u; ``bulk`` is a constant or a grid function.
     """
     two_mu = params._two_mu
-    out = _plus_diag(tuple(two_mu * c for c in _strain(g)), bulk * _div_of(g))
-    return out if extra is None else _plus_diag(out, extra)
+    return _plus_diag(tuple(two_mu * c for c in _strain(g)), bulk * _div_of(g))
 
 
 def cauchy_stress(u: VectorField, params: FluidParams, d: Discretization) -> SymTensorField:
@@ -75,7 +77,8 @@ def phase_stress(c: ScalarField, p: ScalarField, rho: ScalarField,
 
 def _korteweg(dn: _Density, gr: Components, ops: _Calculus, params: FluidParams,
               extra=None) -> Components:
-    """The Korteweg tensor from grad rho, plus ``extra`` I when given."""
+    """The Korteweg tensor from grad rho, plus ``extra`` I when given (the reduced
+    models' eliminated stress)."""
     r = dn.rho
     kap = _capillarity(dn, params)
     psi_r = _helmholtz_energy_drho(dn, _total(g * g for g in gr), params)
@@ -112,9 +115,9 @@ def nonlocal_cauchy_stress(u: VectorField, nonlocal_term: ScalarField,
     ``nonlocal_term`` must be a precomputed inverse-elliptic image of
     div u; no solve happens here.
     """
-    extra = params._theta_dtau2 * nonlocal_term.values
-    return SymTensorField(u.grid, _viscous_stress(
-        _calculus(u.grid, d).grads(u.components), params.bulk_viscosity, params, extra))
+    viscous = _viscous_stress(_calculus(u.grid, d).grads(u.components),
+                              params.bulk_viscosity, params)
+    return SymTensorField(u.grid, _plus_diag(viscous, params._theta_dtau2 * nonlocal_term.values))
 
 
 def korteweg_identity_residual(rho: ScalarField, params: FluidParams,

@@ -132,8 +132,6 @@ def make_rhs(params: FluidParams, kind: ModelKind, gamma: Mobility | None,
     -div(grad .) from its first use on), the stress symbol of a spectral grid
     as real arrays and, through ``params``, the constitutive coefficients.
     """
-    if kind is ModelKind.NSK2 and gamma is None:
-        raise ConfigError("the non-local reduced model needs a mobility")
     ops = _calculus(grid, d)
     symbol = _stress_symbol(ops, params, kind, gamma)
     return lambda q: _rhs(q, ops, params, kind, gamma, symbol)

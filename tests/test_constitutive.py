@@ -47,15 +47,6 @@ def test_double_well_shape():
         DoubleWell(scale=-1.0)
 
 
-def test_gibbs_energy_values():
-    p = make_params()
-    assert law.gibbs_energy(0.0, 0.0, 0.0, p) == 0.0
-    assert law.gibbs_energy(2.0, 1.0, 0.0, p) == 2.0  # tau1 * p at c = 1
-    # frozen from direct evaluation: 0.75 + W(0.5) + 0.02 = 0.8325
-    val = law.gibbs_energy(1.0, 0.5, 4.0, p)
-    assert abs(val - 0.8325) < 1e-15
-
-
 def test_concentration_conventions():
     p = make_params()
     assert abs(law.concentration(1.0, p) - 1.0) < 1e-15  # 1/rho = tau1
@@ -142,7 +133,7 @@ def test_augmented_bulk_viscosity():
     assert np.all(law.augmented_bulk_viscosity(rho, p) > p.bulk_viscosity)
 
 
-DENSITY_LAWS = ("concentration", "concentration_drho", "phase_mass_density",
+DENSITY_LAWS = ("concentration", "phase_mass_density",
                 "phase_mass_density_drho", "bulk_energy", "bulk_energy_drho",
                 "bulk_energy_d2rho", "capillarity", "helmholtz_energy",
                 "helmholtz_energy_drho", "augmented_bulk_viscosity")

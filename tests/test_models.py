@@ -15,7 +15,7 @@ from korteweg.elliptic import invert_for_model
 from korteweg.fields import _outer, sup_norm
 from korteweg.initial import random_band_limited
 from korteweg.manufactured import ManufacturedState, TrigPoly, exact_pressure, exact_rhs
-from korteweg.models import (_reduced_stress, _stage_rows, _stress_symbol,
+from korteweg.models import (_eliminated_stress, _reduced_stress, _stage_rows, _stress_symbol,
                              momentum_equivalence_gap, reconstruct_fields,
                              reconstruct_pressure_nsac, reconstruct_pressure_nsch, residual_nsac,
                              residual_nsch, rhs_nsk1, rhs_nsk2)
@@ -276,6 +276,21 @@ def test_rhs_validates_only_what_it_returns(grid, params, monkeypatch):
         assert calls["_frozen_array"] <= returned + 2
 
 
+@pytest.mark.parametrize("evaluate", [
+    lambda s, p: rhs_nsk2(s, p, None, SPECTRAL),
+    lambda s, p: rhs_nsk2(s, p, None, FD2),
+    lambda s, p: reconstruct_pressure_nsch(s, p, None, SPECTRAL),
+    lambda s, p: reconstruct_fields(s, p, ModelKind.NSK2, None, SPECTRAL),
+    lambda s, p: residual_nsch(s, p, None, SPECTRAL),
+    lambda s, p: momentum_equivalence_gap(s, p, ModelKind.NSK2, None, SPECTRAL),
+    lambda s, p: make_rhs(p, ModelKind.NSK2, None, SPECTRAL, s.grid),
+], ids=["rhs_nsk2-spectral", "rhs_nsk2-fd2", "reconstruct_pressure_nsch", "reconstruct_fields",
+        "residual_nsch", "momentum_equivalence_gap", "make_rhs"])
+def test_nsk2_without_a_mobility_is_a_config_error(evaluate, params, grid64):
+    with pytest.raises(ConfigError, match="^the nsk2 model needs a mobility$"):
+        evaluate(constant_state(grid64, u0=0.1), params)
+
+
 def test_rhs_divergence_free_velocity_agrees_between_models(params, grid64):
     # constant density and velocity: discrete div u = 0 exactly, so the
     # augmented and non-local bulk terms both vanish and the two reduced
@@ -418,10 +433,10 @@ def per_array_rhs(state, params, kind, gamma, d):
         div_hat = _total(ik * h for ik, h in zip(ops.ik, uhat))
         addend = (symbol.shear * uhat[0],) if grid.dim == 1 else tuple(
             symbol.shear * h + ik * (symbol.bulk * div_hat) for ik, h in zip(ops.ik, uhat))
-        gu = divu = None if symbol.nonlocal_term else _irfft(div_hat, grid.shape)
-    nonlocal_term = None if kind is ModelKind.NSK1 or divu is None else \
-        invert_for_model(gamma, ScalarField(grid, divu), d).values
-    stress = _reduced_stress(r, gr, gu, ops, params, nonlocal_term, symbol)
+        gu, divu = None, None if symbol.nonlocal_term else _irfft(div_hat, grid.shape)
+    dn = law._density(r, params)
+    stress = _reduced_stress(dn, gr, gu, ops, params,
+                             _eliminated_stress(dn, divu, ops, params, kind, gamma))
     return per_array_rates(m, stress, _outer(m, u), grid, d, addend)
 
 
@@ -482,13 +497,23 @@ def composed_rhs(state, params, kind, gamma, d):
     return -div(VectorField(grid, tuple(m)), d).values, div_tensor(flux, d).components
 
 
-@pytest.mark.parametrize("dealias", [False, True], ids=["plain", "dealias"])
-@pytest.mark.parametrize("model", ["nsk1", "nsk2-const", "nsk2-cos"])
-@pytest.mark.parametrize("grid", [Grid.periodic(64), Grid.periodic(63),
-                                  Grid.periodic((48, 36)), Grid.periodic((33, 35))],
-                         ids=["64", "63", "48x36", "33x35"])
-def test_rhs_matches_public_operator_composition(grid, model, dealias, params):
-    d = Discretization(Scheme.SPECTRAL, dealias=dealias)
+def composition_cases():
+    """(grid, model, d), with ids grid-model-discretization: the two spectral
+    discretizations on four periodic grids, FD2 on three periodic grids and the
+    bounded Neumann grid."""
+    grids = {"64": Grid.periodic(64), "63": Grid.periodic(63), "48x36": Grid.periodic((48, 36)),
+             "33x35": Grid.periodic((33, 35)), "bounded64": Grid.bounded_neumann_1d(64)}
+    spectral = ("64", "63", "48x36", "33x35")
+    discretizations = (("plain", SPECTRAL, spectral),
+                       ("dealias", Discretization(Scheme.SPECTRAL, dealias=True), spectral),
+                       ("fd2", FD2, ("64", "63", "48x36", "bounded64")))
+    return [pytest.param(grids[g], model, d, id=f"{g}-{model}-{name}")
+            for name, d, names in discretizations for g in names
+            for model in ("nsk1", "nsk2-const", "nsk2-cos")]
+
+
+@pytest.mark.parametrize("grid, model, d", composition_cases())
+def test_rhs_matches_public_operator_composition(grid, model, d, params):
     rng = np.random.default_rng(17)
     state = MixtureState.from_primitive(
         ScalarField(grid, 1.4 + 0.1 * random_band_limited(grid, rng, kmax=12)),
