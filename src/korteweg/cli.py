@@ -12,7 +12,8 @@ import sys
 from pathlib import Path
 
 from .errors import CompatibilityError, ConfigError, DomainError, SolverError, StateError
-from .harness import load_config, run_simulation
+from .harness import load_config, run_simulation, write_state_snapshot
+from .models import MixtureState
 from .verification import (compare_models, convergence_csv, convergence_table,
                            run_check_suite)
 
@@ -59,9 +60,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _emit_failure(out_dir: Path | None, exc: Exception) -> None:
+    """The failure record on stderr and in ``out_dir``'s failure.json, with a numeric
+    abort's last good state as snapshots beside it (its ``state_files``)."""
     record = {"error": type(exc).__name__, "message": str(exc)}
     record.update((k, getattr(exc, k)) for k in ("step", "t", "dt")   # numeric aborts
                   if getattr(exc, k, None) is not None)
+    state = getattr(exc, "state", None)
+    if out_dir is not None and isinstance(state, MixtureState):
+        record["state_files"] = write_state_snapshot(state, out_dir, 0, stem="last_good")
     print(json.dumps(record), file=sys.stderr)
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)

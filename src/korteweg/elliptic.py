@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -87,6 +88,14 @@ class Mobility:
     @property
     def is_constant(self) -> bool:
         return np.isscalar(self.value)
+
+    @cached_property
+    def _periodic_1d_weights(self) -> tuple:
+        """w = 1/gamma, mean(w), w nu and mean(w nu), nu = (-1)^j: the constants of the
+        1-D periodic direct solve, formed once per mobility."""
+        w = 1.0 / self.value
+        wnu = w * (1.0 - 2.0 * (np.arange(w.size) % 2))
+        return w, float(w.mean()), wnu, float(wnu.mean())
 
     def values_on(self, grid: Grid) -> np.ndarray:
         if self.is_constant:
@@ -183,7 +192,7 @@ def _fourier_solve(fv: np.ndarray, inv_sym: np.ndarray, gamma: float) -> np.ndar
     return (phi - phi.mean()) / gamma
 
 
-def _direct_periodic_1d(gv: np.ndarray, fv: np.ndarray, ops: _Calculus) -> np.ndarray:
+def _direct_periodic_1d(gamma: Mobility, fv: np.ndarray, ops: _Calculus) -> np.ndarray:
     """-D(gamma D phi) = fv on a 1-D periodic grid, D the scheme's derivative: exact.
 
     With D+ the pseudo-inverse of D (``ops.antideriv``), gamma D phi = g with
@@ -191,15 +200,13 @@ def _direct_periodic_1d(gv: np.ndarray, fv: np.ndarray, ops: _Calculus) -> np.nd
     phi = D+(g / gamma).  a and b make g / gamma orthogonal to D's null modes 1
     and nu, so that it has an antiderivative.  Data on those modes is dropped.
     """
-    w = 1.0 / gv
+    w, wbar, wnu, c = gamma._periodic_1d_weights
     wg = w * _irfft(_rfft(fv) * -ops.antideriv, ops.shape)
-    s0, wbar = float(wg.mean()), float(w.mean())
+    s0 = float(wg.mean())
     if not np.isfinite(s0):
         raise DomainError("periodic variable-mobility solve: non-finite right-hand side")
     if ops.checkerboards:   # [[wbar, c], [c, wbar]] (a, b) = -(s0, s1), det > 0 as w > 0
-        nu = ops.checkerboards[0]
-        wnu = w * nu
-        c, s1 = float(wnu.mean()), float((wg * nu).mean())
+        s1 = float((wg * ops.checkerboards[0]).mean())
         det = wbar * wbar - c * c
         wg += ((c * s1 - wbar * s0) / det) * w + ((c * s0 - wbar * s1) / det) * wnu
     else:
@@ -226,7 +233,7 @@ def _solve(gamma: Mobility, fv: np.ndarray, ops: _Calculus) -> np.ndarray:
             return _fourier_solve(fv, ops.inv_sym, gamma.value)
         gv = gamma.values_on(grid)
         if grid.dim == 1:
-            return _direct_periodic_1d(gv, fv, ops)
+            return _direct_periodic_1d(gamma, fv, ops)
         for mode in ops.checkerboards:
             fv -= float((fv * mode).mean()) * mode
         inv_sym, gmean = ops.inv_sym, float(np.mean(gv))

@@ -235,12 +235,16 @@ def load_config(path, out_dir: str | None = None, seed: int | None = None) -> Ru
 
 
 def write_state_snapshot(state: MixtureState, out_dir: Path, step: int,
-                         config_hash: str | None = None) -> None:
+                         config_hash: str | None = None, stem: str | None = None) -> list[str]:
+    """One CSV per row, ``<stem>_rho.csv``, ``<stem>_m0.csv``, ..., the stem
+    ``snap_<step>`` unless given; returns the file names."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_scalar_csv(state.rho, out_dir / f"snap_{step:06d}_rho.csv", config_hash)
-    for i, c in enumerate(state.m.components):
-        write_scalar_csv(ScalarField(state.grid, c), out_dir / f"snap_{step:06d}_m{i}.csv",
-                         config_hash)
+    stem = stem or f"snap_{step:06d}"
+    names = [f"{stem}_{row}.csv" for row in ("rho", *(f"m{i}" for i in range(state.grid.dim)))]
+    fields = (state.rho, *(ScalarField(state.grid, c) for c in state.m.components))
+    for name, field in zip(names, fields):
+        write_scalar_csv(field, out_dir / name, config_hash)
+    return names
 
 
 class MetricsWriter:

@@ -157,18 +157,19 @@ def _stress_symbol(ops: _Calculus, params: FluidParams, kind: ModelKind,
     return _StressSymbol(shear, bulk, nonlocal_term)
 
 
-def _eliminated_stress(dn: _Density, divu: np.ndarray | None, ops: _Calculus,
+def _eliminated_stress(r: np.ndarray, divu: np.ndarray | None, ops: _Calculus,
                        params: FluidParams, kind: ModelKind,
-                       gamma: Mobility | None) -> np.ndarray | None:
-    """E, the isotropic stress in div u that eliminating c leaves, and the model's
-    one elliptic solve: (delta_star / (sqrt(delta) rho)) div u for NSK1,
-    (theta / delta_tau^2) Lambda_gamma^{-1}(div u) for NSK2.  None without
-    div u, where the stress symbol carries the constant-mobility term."""
-    if divu is None:
-        return None
-    if kind is ModelKind.NSK1:
-        return params._augmented_scale * dn.v * divu
-    return params._theta_dtau2 * _solve(gamma, divu, ops)
+                       gamma: Mobility | None) -> tuple[_Density, np.ndarray | None]:
+    """The density of ``r`` and E, the isotropic stress in div u that eliminating c
+    leaves, with the model's one elliptic solve: (delta_star / (sqrt(delta) rho))
+    div u for NSK1, (theta / delta_tau^2) Lambda_gamma^{-1}(div u) for NSK2, made
+    before 1/rho and c exist.  E is None without div u, where the stress symbol
+    carries the constant-mobility term."""
+    if divu is not None and kind is ModelKind.NSK2:
+        E = params._theta_dtau2 * _solve(gamma, divu, ops)
+        return _density(r, params), E
+    dn = _density(r, params)
+    return dn, None if divu is None else params._augmented_scale * dn.v * divu
 
 
 def _pressure(r: np.ndarray, gr: Components, E: np.ndarray, params: FluidParams,
@@ -196,9 +197,8 @@ def _reconstruct(state: MixtureState, divu: np.ndarray, gr: Components, params: 
     r = state.rho.values
     law.warn_outside_window(r, params, context="reconstruction")
     _require_mobility(kind, gamma)
-    dn = _density(r, params)
+    dn, E = _eliminated_stress(r, divu, ops, params, kind, gamma)
     wprime = params.well.derivative(dn.c)
-    E = _eliminated_stress(dn, divu, ops, params, kind, gamma)
     p = _pressure(r, gr, E, params, ops)
     if kind is ModelKind.NSK1:
         return dn, None, p, -(params.delta_tau / params.temperature) * p - wprime, E
@@ -264,11 +264,10 @@ def _rhs(q, ops: _Calculus, params: FluidParams, kind: ModelKind, gamma: Mobilit
         gr, divu, addend = ops.velocity_level(u, r, symbol.shear, symbol.bulk,
                                               not symbol.nonlocal_term)
         gu = None
-    dn = _density(r, params)
     # div u is None where the symbol carries the non-local term: no solve
-    stress = _reduced_stress(dn, gr, gu, ops, params,
-                             _eliminated_stress(dn, divu, ops, params, kind, gamma))
-    del gu, gr, divu, dn   # level 3 needs none of them
+    dn, E = _eliminated_stress(r, divu, ops, params, kind, gamma)
+    stress = _reduced_stress(dn, gr, gu, ops, params, E)
+    del gu, gr, divu, dn, E   # level 3 needs none of them
     return ops.conservation_rates(m, stress, _outer(m, u), addend)
 
 

@@ -4,7 +4,11 @@ All tensors are assembled pointwise and differentiated with a single
 Discretization, so the continuous rewriting identities hold at the
 discrete level up to one scheme's truncation error.  The Helmholtz-energy
 derivative inside the Korteweg tensor is the partial derivative in rho at
-fixed |grad rho|^2 (the Dunn-Serrin convention).
+fixed |grad rho|^2 (the Dunn-Serrin convention).  As rho^2 c'(rho) =
+-1/delta_tau, ``_korteweg`` takes -rho^2 psi_rho = (theta/delta_tau) W'(c) +
+2 kappa |grad rho|^2 in closed form; the chain stays in
+``constitutive.helmholtz_energy_drho`` and ``manufactured._korteweg``, which
+the checks compare it against.
 
 The kernels ``_strain``, ``_viscous_stress``, ``_phase_stress`` and
 ``_korteweg`` take gradients (of u, c and rho) and return arrays, tensors as
@@ -23,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from .constitutive import (FluidParams, _capillarity, _Density, _density,
-                           _helmholtz_energy_drho, augmented_bulk_viscosity, capillarity)
+                           augmented_bulk_viscosity, capillarity)
 from .errors import DomainError
 from .fields import Components, ScalarField, SymTensorField, VectorField, _outer, _plus_diag, _sup
 from .grids import Discretization
@@ -77,15 +81,23 @@ def phase_stress(c: ScalarField, p: ScalarField, rho: ScalarField,
 
 def _korteweg(dn: _Density, gr: Components, ops: _Calculus, params: FluidParams,
               extra=None) -> Components:
-    """The Korteweg tensor from grad rho, plus ``extra`` I when given (the reduced
-    models' eliminated stress)."""
-    r = dn.rho
+    """The Korteweg tensor from grad rho g, plus ``extra`` I when given (the reduced
+    models' eliminated stress), in closed form and in place (module notes):
+    K = [(theta/delta_tau) W'(c) + 2 kappa |g|^2 + rho div(kappa g)] I - kappa g (x) g."""
     kap = _capillarity(dn, params)
-    psi_r = _helmholtz_energy_drho(dn, _total(g * g for g in gr), params)
-    diag = -r * r * psi_r + r * ops.div(tuple(kap * g for g in gr))
+    kg = tuple(kap * g for g in gr)
+    diag = ops.div(kg)
+    diag *= dn.rho
+    diag += (params.temperature / params.delta_tau) * params.well.derivative(dn.c)
     if extra is not None:
-        diag = diag + extra
-    return _plus_diag(tuple(-kap * o for o in _outer(gr, gr)), diag)
+        diag += extra
+    t = _outer(kg, gr)   # kappa g_i g_j
+    if len(t) == 1:   # 2 kappa g^2 - kappa g^2
+        return (np.add(t[0], diag, out=t[0]),)
+    xx, xy, yy = t   # K_xx = diag + kappa (g_x^2 + 2 g_y^2), K_yy likewise
+    diag += xx
+    diag += yy
+    return np.add(yy, diag, out=yy), np.negative(xy, out=xy), np.add(xx, diag, out=xx)
 
 
 def korteweg_tensor(rho: ScalarField, params: FluidParams, d: Discretization) -> SymTensorField:

@@ -9,8 +9,9 @@ per parameter set.  The stages run on the rows
 (rho, *m): on a 1-D grid one stacked (1 + dim, N) array, so a stage is one
 Shu-Osher combination, one finite scan and one floor check; in 2-D one
 array per component, because stacked stages there need fresh temporaries
-of several fields' size, which raised the peak memory of a 128^2 run.
-Each accepted step builds one validated MixtureState.
+of several fields' size, which raised the peak memory of a 128^2 run.  A
+stage is formed in place in the rates of its evaluation.  Each accepted
+step builds one validated MixtureState.
 """
 
 from __future__ import annotations
@@ -81,8 +82,11 @@ def dt_candidates(state: MixtureState, params: FluidParams,
     fastest = float(speed.max()) + cs
     adv = control.cfl_advective * h_min / fastest if fastest > 0.0 else np.inf
 
+    # lambda* = lambda + s / rho, s > 0, and its rounding are monotone in rho:
+    # max |lambda*| is its larger value at the density extremes, bit for bit
     rho_min = float(r.min())
-    lam_star_max = float(np.abs(law._augmented_bulk_viscosity(dn, params)).max())
+    lam_star_max = max(abs(params.bulk_viscosity + params._augmented_scale * (1.0 / x))
+                       for x in (rho_min, float(r.max())))
     visc_denom = params._two_mu + lam_star_max
     visc = control.cfl_parabolic * h_min**2 * rho_min / visc_denom \
         if visc_denom > 1e-300 else np.inf
@@ -119,7 +123,8 @@ def estimate_dt(state: MixtureState, params: FluidParams,
 
 
 # rows (rho, *m) -> their rates, in the stage layout of the grid: one
-# (1 + dim, N) array on a 1-D grid, one array per row on a 2-D grid
+# (1 + dim, N) array on a 1-D grid, one array per row on a 2-D grid; the rates
+# are fresh arrays, as ssprk3_step forms the next stage in them
 RhsEvaluator = Callable[[np.ndarray | Components], np.ndarray | Components]
 
 
@@ -148,9 +153,11 @@ def ssprk3_step(state: MixtureState, dt: float, rhs: RhsEvaluator) -> MixtureSta
     """One SSP-RK3 step: stage k + 1 is wa * u0 + wb * (u_k + dt * L(u_k)) per table row.
 
     The stages run on the rows (rho, *m) in the stage layout of the module
-    notes, the layout ``rhs`` takes and returns.  Each stage is checked
-    before the next evaluation; the last one becomes the step's one
-    validated MixtureState, at t + dt.
+    notes, the layout ``rhs`` takes and returns.  Each stage is formed in
+    place in the rates ``rhs`` returns, which the step consumes; it never
+    writes into u0 or the state.  Each stage is checked before the next
+    evaluation; the last one becomes the step's one validated MixtureState,
+    at t + dt.
     """
     if dt <= 0.0:
         raise ConfigError("dt must be positive")
@@ -160,12 +167,16 @@ def ssprk3_step(state: MixtureState, dt: float, rhs: RhsEvaluator) -> MixtureSta
         if i:
             _check_stage(q)
         dq = rhs(q)
-        if isinstance(q0, np.ndarray):
-            q = wa * q0 + wb * (q + dt * dq)
-        else:   # one row at a time, each old stage row freed as its successor lands
-            q = list(q)
-            for j, (a, g) in enumerate(zip(q0, dq)):
-                q[j] = wa * a + wb * (q[j] + dt * g)
+        # bit for bit the out-of-place combination, as IEEE + and * commute; in 2-D
+        # row by row, so only one row of wa * u0 is ever allocated
+        for g, b, a in ((dq, q, q0),) if isinstance(q0, np.ndarray) else zip(dq, q, q0):
+            g *= dt
+            g += b
+            if wb != 1.0:
+                g *= wb
+            if wa:
+                g += wa * a
+        q = dq
     return MixtureState(ScalarField(grid, q[0]), VectorField(grid, tuple(q[1:])), state.t + dt)
 
 

@@ -13,7 +13,7 @@ from korteweg.elliptic import (Mobility, _fourier_solve, _matvec, _pcg_zero_mean
                                apply_operator, invert_for_model, invert_freespace_1d,
                                invert_neumann_1d, invert_periodic)
 from korteweg.initial import random_band_limited
-from korteweg.operators import _calculus, mean
+from korteweg.operators import _calculus, _irfft, _rfft, mean
 
 DEALIASED = Discretization(Scheme.SPECTRAL, dealias=True)
 
@@ -142,6 +142,34 @@ def test_direct_1d_solve_matches_a_cg_reference(n, d, monkeypatch):
     phi = _solve(Mobility.spatial(gamma), f, ops)
     ref = _cg_reference(gamma, f, ops, monkeypatch)
     assert np.max(np.abs(phi - ref)) <= 1e-11 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("n", [63, 64])
+@pytest.mark.parametrize("d", [SPECTRAL, FD2], ids=["spectral", "fd2"])
+def test_direct_1d_weights_are_formed_once_per_mobility(n, d):
+    # 1/gamma, its mean and (even n) the checkerboard weights are a mobility's, not a
+    # solve's: every solve reuses them and gives the bits of weights formed afresh
+    grid = Grid.periodic(n)
+    x = grid.coords()[0]
+    gv = 2.0 + np.sin(x) + 0.5 * np.cos(3.0 * x)
+    gamma, ops = Mobility.spatial(gv), _calculus(grid, d)
+    f = random_band_limited(grid, np.random.default_rng(n), kmax=12)
+    first = _solve(gamma, f, ops)
+    weights = gamma._periodic_1d_weights
+    assert np.array_equal(_solve(gamma, f, ops), first)
+    assert gamma._periodic_1d_weights is weights
+    w = 1.0 / gv   # the weights formed in the solve itself
+    wg = w * _irfft(_rfft(f - f.mean()) * -ops.antideriv, grid.shape)
+    s0, wbar = float(wg.mean()), float(w.mean())
+    if n % 2:
+        wg -= (s0 / wbar) * w
+    else:
+        nu = ops.checkerboards[0]
+        wnu = w * nu
+        c, s1 = float(wnu.mean()), float((wg * nu).mean())
+        det = wbar * wbar - c * c
+        wg += ((c * s1 - wbar * s0) / det) * w + ((c * s0 - wbar * s1) / det) * wnu
+    assert np.array_equal(first, _irfft(_rfft(wg) * ops.antideriv, grid.shape))
 
 
 @pytest.mark.parametrize("n", [63, 64])

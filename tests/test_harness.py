@@ -230,6 +230,12 @@ def test_density_floor_in_a_step_is_a_numeric_failure(tmp_path):
     assert "density fell" in record["message"]
     assert (record["step"], record["t"], record["dt"]) == (exc.step, exc.t, 0.02)
     assert not (out / "summary.json").exists()
+    # the last good state lies beside failure.json, bit for bit
+    assert record["state_files"] == ["last_good_rho.csv", "last_good_m0.csv"]
+    for name, values in zip(record["state_files"], (exc.state.rho.values,
+                                                    *exc.state.m.components), strict=True):
+        meta, read = read_scalar_csv(out / name)
+        assert meta["n"] == "128" and np.array_equal(read, values)
 
 
 def test_solver_failure_in_a_step_is_a_numeric_failure(tmp_path, monkeypatch):

@@ -122,6 +122,48 @@ def test_korteweg_tensor_against_symbolic_oracle(params):
     assert 3.5 < err(128, FD2) / err(256, FD2) < 4.5
 
 
+class ShiftedWell(law.DoubleWell):
+    """A double well that is not the quartic: the closed form must call W'."""
+
+    def value(self, c):
+        return self.scale * (c * c - 0.25) ** 2
+
+    def derivative(self, c):
+        return self.scale * 4.0 * c * (c * c - 0.25)
+
+
+def public_law_korteweg(rho, params, d):
+    """-rho^2 psi_rho I + rho div(kappa grad rho) I - kappa grad rho (x) grad rho from
+    the public laws and operators: the Dunn-Serrin chain, not the closed form."""
+    r = rho.values
+    g = grad(rho, d).components
+    kap = law.capillarity(r, params)
+    diag = -r * r * law.helmholtz_energy_drho(r, sum(c * c for c in g), params) \
+        + r * div(VectorField(rho.grid, tuple(kap * c for c in g)), d).values
+    outer = [kap * g[i] * g[j] for i in range(len(g)) for j in range(i, len(g))]
+    return [c + diag if i in (0, len(outer) - 1) else c
+            for i, c in enumerate(-o for o in outer)]
+
+
+@pytest.mark.parametrize("shape", [(64,), (63,), (48, 36)], ids=["64", "63", "48x36"])
+@pytest.mark.parametrize("d", [SPECTRAL, FD2], ids=["spectral", "fd2"])
+@pytest.mark.parametrize("params", [
+    FluidParams(), FluidParams(convention=law.Convention.LITERAL),
+    FluidParams(well=ShiftedWell(1.3), tau1=0.8, tau2=0.55)],
+    ids=["consistent", "literal", "other-well"])
+def test_closed_form_korteweg_matches_the_public_law_assembly(shape, d, params):
+    # rho^2 c'(rho) = -1/delta_tau under either convention, so the kernel's closed
+    # form equals the Dunn-Serrin assembly up to round-off
+    grid = Grid.periodic(shape)
+    xs = grid.coords()
+    rho = ScalarField(grid, 1.5 + 0.2 * np.cos(xs[0]) + 0.1 * np.sin(3.0 * xs[-1]))
+    k = korteweg_tensor(rho, params, d).components
+    ref = public_law_korteweg(rho, params, d)
+    scale = max(float(np.max(np.abs(c))) for c in ref)
+    assert len(k) == len(ref)
+    assert max(float(np.max(np.abs(a - b))) for a, b in zip(k, ref)) <= 1e-13 * scale
+
+
 def test_augmented_stress_relations(params):
     grid = Grid.periodic(64)
     x = grid.coords()[0]

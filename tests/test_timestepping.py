@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+import korteweg.constitutive
 import korteweg.fields
+import korteweg.tensors
 import korteweg.timestepping
 from korteweg import (FD2, SPECTRAL, ConfigError, Discretization, FluidParams, Grid,
                       MixtureState, Mobility, ModelKind, ScalarField, Scheme, StateError,
@@ -372,3 +374,76 @@ def test_one_step_hot_path_counts(kind, gamma, ffts, params, grid64, monkeypatch
     res = integrate(state, StepControl(t_end=1e9, max_steps=1), params, kind, gamma, SPECTRAL)
     assert res.steps == 1
     assert calls == {"fft": ffts, "frozen": 1 + grid64.dim, "rhs": 3}
+
+
+@pytest.mark.parametrize("lam, mu", [(0.0, 0.01), (-0.3, 0.5), (-0.45, 0.5)],
+                         ids=["lambda-0", "lambda-neg-sign-change", "lambda-neg"])
+@pytest.mark.parametrize("n", [64, (32, 24)], ids=["1d", "2d"])
+def test_viscous_candidate_reads_the_density_extremes(lam, mu, n):
+    # lambda* = lambda + s / rho is monotone in 1/rho, so its largest magnitude sits at
+    # rho_min or rho_max: at rho_min for lambda = 0; for lambda = -0.3 lambda* changes
+    # sign and is largest at rho_min, for lambda = -0.45 negative and largest at rho_max
+    params = FluidParams(bulk_viscosity=lam, shear_viscosity=mu)
+    grid = Grid.periodic(n)
+    params.validate_for_dim(grid.dim)
+    r = 1.4 + 0.5 * np.prod([np.cos(x) for x in grid.coords()], axis=0)   # [0.9, 1.9]
+    state = MixtureState.from_primitive(ScalarField(grid, r), VectorField.zero(grid))
+    lam_star = params.bulk_viscosity + params._augmented_scale * (1.0 / r)
+    control = StepControl()
+    full_array = control.cfl_parabolic * min(grid.h) ** 2 * float(r.min()) \
+        / (params._two_mu + float(np.abs(lam_star).max()))
+    assert dt_candidates(state, params, control)["viscous"] == full_array
+
+
+def random_rows(grid, rng):
+    rows = [1.5 + 0.1 * rng.standard_normal(grid.shape)] + \
+        [0.1 * rng.standard_normal(grid.shape) for _ in range(grid.dim)]
+    return MixtureState(ScalarField(grid, rows[0]), VectorField(grid, tuple(rows[1:])))
+
+
+def smooth_rates(q):
+    """A nonlinear right-hand side in the stage layout, with fresh rates."""
+    rows = [np.sin(a) * 0.3 - 0.1 * a * a for a in q]
+    return np.array(rows) if isinstance(q, np.ndarray) else tuple(rows)
+
+
+@pytest.mark.parametrize("table", [SHU_OSHER_COEFFS, ((0.0, 1.0),) * 3,
+                                   ((0.0, 0.5), (0.25, 0.75), (0.0, 0.7))],
+                         ids=["ssprk3", "euler", "wa-0-wb-not-1"])
+@pytest.mark.parametrize("n", [64, (16, 12)], ids=["1d", "2d"])
+def test_in_place_stages_equal_the_out_of_place_combination(table, n, monkeypatch):
+    # the step forms each stage in the rates it is given; bit for bit that is
+    # wa * q0 + wb * (q + dt * dq), and neither the state nor q0 is written
+    monkeypatch.setattr(korteweg.timestepping, "SHU_OSHER_COEFFS", table)
+    grid = Grid.periodic(n)
+    state = random_rows(grid, np.random.default_rng(21))
+    before = [a.copy() for a in (state.rho.values, *state.m.components)]
+    out = ssprk3_step(state, 0.05, smooth_rates)
+    q0 = q = [a.copy() for a in before]
+    for wa, wb in table:
+        dq = smooth_rates(np.array(q) if grid.dim == 1 else tuple(q))
+        q = [wa * a + wb * (b + 0.05 * g) for a, b, g in zip(q0, q, dq)]
+    got = (out.rho.values, *out.m.components)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(got, q, strict=True))
+    assert all(np.array_equal(a, b) for a, b in
+               zip((state.rho.values, *state.m.components), before, strict=True))
+
+
+@pytest.mark.parametrize("kind", [ModelKind.NSK1, ModelKind.NSK2], ids=["nsk1", "nsk2"])
+@pytest.mark.parametrize("d", [SPECTRAL, FD2], ids=["spectral", "fd2"])
+@pytest.mark.parametrize("n", [64, (16, 12)], ids=["1d", "2d"])
+def test_time_loop_runs_the_closed_form_korteweg_tensor(n, d, kind, params, monkeypatch):
+    # the Korteweg diagonal is (theta/delta_tau) W'(c) + 2 kappa |grad rho|^2 + ...;
+    # the Dunn-Serrin chain through psi_rho stays out of the time loop
+    def chain(*args):
+        raise AssertionError("the time loop evaluated the Helmholtz-derivative chain")
+
+    for module in (korteweg.constitutive, korteweg.tensors):
+        for name in ("_helmholtz_energy_drho", "_bulk_energy_drho"):
+            monkeypatch.setattr(module, name, chain, raising=False)
+    grid = Grid.periodic(n)
+    gamma = Mobility.spatial(2.0 + np.cos(grid.coords()[0])) if kind is ModelKind.NSK2 \
+        else None
+    res = integrate(moving_state(grid), StepControl(t_end=1e9, max_steps=3), params,
+                    kind, gamma, d)
+    assert res.steps == 3
