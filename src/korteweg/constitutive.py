@@ -14,13 +14,14 @@ Two sign conventions for inverting the closure are selectable:
   constant -1, so every derivative-based identity below holds under
   either choice, but the closure ``G_p(p, c(rho)) = 1/rho`` does not.
 
-Each density law is one unchecked array kernel (``_bulk_energy_drho``,
-``_capillarity``, ...) on a ``_Density``, which holds rho, 1/rho and c(rho)
-formed once, and one public function that raises DomainError unless
-rho > 0 and then calls the kernel.  The hot loop (the Korteweg and reduced
-stresses, the step-size bound) calls the kernels on the density of a
-validated MixtureState, which already lies above the density floor;
-everything else calls the public laws.
+Each density law is one public function that raises DomainError unless
+rho > 0 and then evaluates on a ``_Density``, which holds rho, 1/rho and
+c(rho) formed once.  The hot loop (the Korteweg and reduced stresses, the
+step-size bound) runs on the density of a validated MixtureState, which
+already lies above the density floor, so it skips the check: it forms the
+``_Density`` with ``_density`` and calls the only two unchecked kernels,
+``_capillarity`` and ``_sound_speed_sq``.  Everything else calls the public
+laws.
 """
 
 from __future__ import annotations
@@ -175,29 +176,6 @@ def _concentration_drho(dn: _Density, params: FluidParams):
     return -(dn.v * dn.v) / params.delta_tau
 
 
-def _phase_mass_density(dn: _Density, params: FluidParams):
-    return dn.rho * dn.c
-
-
-def _phase_mass_density_drho(dn: _Density, params: FluidParams):
-    return np.full_like(dn.rho, -params._c_offset / params.delta_tau)
-
-
-def _bulk_energy(dn: _Density, params: FluidParams):
-    return params.temperature * params.well.value(dn.c)
-
-
-def _bulk_energy_drho(dn: _Density, params: FluidParams):
-    return params.temperature * params.well.derivative(dn.c) * _concentration_drho(dn, params)
-
-
-def _bulk_energy_d2rho(dn: _Density, params: FluidParams):
-    dc = _concentration_drho(dn, params)
-    d2c = -2.0 * dn.v * dc
-    return params.temperature * (params.well.second_derivative(dn.c) * dc * dc
-                                 + params.well.derivative(dn.c) * d2c)
-
-
 def _sound_speed_sq(dn: _Density, params: FluidParams):
     """d(rho^2 R')/drho = 2 rho R' + rho^2 R'' in closed form, theta W''(c) v^2 / delta_tau^2.
 
@@ -210,21 +188,6 @@ def _capillarity(dn: _Density, params: FluidParams):
     return params.delta_star * dn.v * dn.v * dn.v
 
 
-def _helmholtz_energy(dn: _Density, grad_rho_sq, params: FluidParams):
-    v2 = dn.v * dn.v
-    return _bulk_energy(dn, params) + 0.5 * params.delta_star * grad_rho_sq * (v2 * v2)
-
-
-def _helmholtz_energy_drho(dn: _Density, grad_rho_sq, params: FluidParams):
-    v2 = dn.v * dn.v
-    return _bulk_energy_drho(dn, params) \
-        - 2.0 * params.delta_star * grad_rho_sq * (v2 * v2 * dn.v)
-
-
-def _augmented_bulk_viscosity(dn: _Density, params: FluidParams):
-    return params.bulk_viscosity + params._augmented_scale * dn.v
-
-
 def concentration(rho, params: FluidParams):
     """Concentration as a function of density under the selected convention."""
     return _require_positive_rho(rho, params).c
@@ -232,25 +195,32 @@ def concentration(rho, params: FluidParams):
 
 def phase_mass_density(rho, params: FluidParams):
     """rho * c(rho): mass of phase 1 per unit volume."""
-    return _phase_mass_density(_require_positive_rho(rho, params), params)
+    dn = _require_positive_rho(rho, params)
+    return dn.rho * dn.c
 
 
 def phase_mass_density_drho(rho, params: FluidParams):
     """Exact derivative of rho*c(rho); a constant for this linear closure."""
-    return _phase_mass_density_drho(_require_positive_rho(rho, params), params)
+    dn = _require_positive_rho(rho, params)
+    return np.full_like(dn.rho, -params._c_offset / params.delta_tau)
 
 
 def bulk_energy(rho, params: FluidParams):
     """theta * W(c(rho)): the double-well energy expressed in density."""
-    return _bulk_energy(_require_positive_rho(rho, params), params)
+    return params.temperature * params.well.value(_require_positive_rho(rho, params).c)
 
 
 def bulk_energy_drho(rho, params: FluidParams):
-    return _bulk_energy_drho(_require_positive_rho(rho, params), params)
+    dn = _require_positive_rho(rho, params)
+    return params.temperature * params.well.derivative(dn.c) * _concentration_drho(dn, params)
 
 
 def bulk_energy_d2rho(rho, params: FluidParams):
-    return _bulk_energy_d2rho(_require_positive_rho(rho, params), params)
+    dn = _require_positive_rho(rho, params)
+    dc = _concentration_drho(dn, params)
+    d2c = -2.0 * dn.v * dc
+    return params.temperature * (params.well.second_derivative(dn.c) * dc * dc
+                                 + params.well.derivative(dn.c) * d2c)
 
 
 def capillarity(rho, params: FluidParams):
@@ -260,17 +230,21 @@ def capillarity(rho, params: FluidParams):
 
 def helmholtz_energy(rho, grad_rho_sq, params: FluidParams):
     """Extended Helmholtz energy: bulk part plus (capillarity/(2 rho)) |grad rho|^2."""
-    return _helmholtz_energy(_require_positive_rho(rho, params), grad_rho_sq, params)
+    v = _require_positive_rho(rho, params).v
+    v2 = v * v
+    return bulk_energy(rho, params) + 0.5 * params.delta_star * grad_rho_sq * (v2 * v2)
 
 
 def helmholtz_energy_drho(rho, grad_rho_sq, params: FluidParams):
     """Partial derivative in rho at fixed |grad rho|^2."""
-    return _helmholtz_energy_drho(_require_positive_rho(rho, params), grad_rho_sq, params)
+    v = _require_positive_rho(rho, params).v
+    v2 = v * v
+    return bulk_energy_drho(rho, params) - 2.0 * params.delta_star * grad_rho_sq * (v2 * v2 * v)
 
 
 def augmented_bulk_viscosity(rho, params: FluidParams):
     """lambda + delta_star / (sqrt(delta) rho): the local closure's extra bulk term."""
-    return _augmented_bulk_viscosity(_require_positive_rho(rho, params), params)
+    return params.bulk_viscosity + params._augmented_scale * _require_positive_rho(rho, params).v
 
 
 def admissible_density_window(params: FluidParams, margin: float = 0.5) -> tuple[float, float]:

@@ -68,9 +68,10 @@ class InitialCondition:
             rng = np.random.default_rng(seed)
             rho = self.rho0 * (1.0 + self.amplitude
                                * random_band_limited(grid, rng, self.kmax))
-            u = [self.velocity_amplitude * random_band_limited(grid, rng, self.kmax)
-                 for _ in range(grid.dim)]
-            if not grid.is_periodic:
+            if grid.is_periodic:
+                u = [self.velocity_amplitude * random_band_limited(grid, rng, self.kmax)
+                     for _ in range(grid.dim)]
+            else:
                 u = _velocity(grid, xs, self.velocity_amplitude, self.velocity_mode)
         else:  # pragma: no cover
             raise ConfigError(f"unknown initial-condition family {self.family}")

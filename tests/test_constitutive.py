@@ -154,18 +154,14 @@ def test_public_density_laws_reject_nonpositive_density(name, rho):
 
 
 @pytest.mark.parametrize("convention", [Convention.CONSISTENT, Convention.LITERAL])
-@pytest.mark.parametrize("name", DENSITY_LAWS)
+@pytest.mark.parametrize("name", ["concentration", "capillarity"])
 def test_kernels_match_public_laws(name, convention):
-    # the hot path calls the unchecked kernels on one _Density per state;
-    # the public, checked laws are the reference
-    p = make_params(bulk_viscosity=0.1, well=DoubleWell(scale=0.7), convention=convention)
+    # the hot path forms one unchecked _Density per state and calls _capillarity
+    # on it; the public, checked laws are the reference
+    p = make_params(well=DoubleWell(scale=0.7), convention=convention)
     rho = np.linspace(0.3, 4.0, 257)
     dn = law._density(rho, p)
-    if name == "concentration":
-        got = dn.c
-    else:
-        kernel = getattr(law, f"_{name}")
-        got = kernel(dn, 2.0, p) if name.startswith("helmholtz") else kernel(dn, p)
+    got = dn.c if name == "concentration" else law._capillarity(dn, p)
     assert np.array_equal(got, density_law(name, rho, p))
 
 

@@ -27,6 +27,18 @@ def test_mobility_validation():
     assert not Mobility.spatial(np.ones(8)).is_constant
 
 
+@pytest.mark.parametrize("grid", [Grid.periodic(64), Grid.periodic((16, 12)),
+                                  Grid.bounded_neumann_1d(64)],
+                         ids=["periodic-1d", "periodic-2d", "neumann"])
+@pytest.mark.parametrize("values", [np.array([2.0]), np.full(32, 2.0)], ids=["one", "short"])
+def test_every_solve_refuses_a_mobility_of_another_shape(grid, values):
+    # the 1-D periodic solve reads only the mobility's cached weights, so the shape
+    # check in Mobility.values_on is what stops a size-1 field from broadcasting
+    f = np.cos(2.0 * np.pi * grid.coords()[0] / grid.length[0])
+    with pytest.raises(ConfigError, match="shape"):
+        _solve(Mobility.spatial(values), f, _calculus(grid, FD2))
+
+
 def test_apply_operator_eigenfunctions():
     grid = Grid.periodic(64)
     x = grid.coords()[0]

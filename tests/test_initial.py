@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import korteweg.initial
 from korteweg import ConfigError, FluidParams, Grid, ICFamily, InitialCondition
 from korteweg.initial import default_corpus, random_band_limited
 
@@ -34,7 +35,7 @@ def test_tanh_interface_endpoints_hit_pure_phases(params):
     assert abs(np.max(state.rho.values) - r2) < 1e-12
 
 
-def test_random_band_family_is_seeded_and_positive(params):
+def test_random_band_family_is_seeded_and_positive(params, monkeypatch):
     grid = Grid.periodic(64)
     ic = InitialCondition(family=ICFamily.RANDOM_BAND, rho0=1.5, amplitude=0.1, kmax=4)
     a = ic.build(grid, params, seed=7)
@@ -43,6 +44,24 @@ def test_random_band_family_is_seeded_and_positive(params):
     assert np.min(a.rho.values) > 0.0
     other = ic.build(grid, params, seed=8)
     assert not np.array_equal(a.rho.values, other.rho.values)
+    # bounded: rho is the seed's first draw, the velocity the wall-even sin^2 profile,
+    # and no random velocity is drawn
+    draws = []
+    monkeypatch.setattr(korteweg.initial, "random_band_limited",
+                        lambda *args: draws.append(args) or random_band_limited(*args))
+    bounded = Grid.bounded_neumann_1d(64)
+    ic = InitialCondition(family=ICFamily.RANDOM_BAND, rho0=1.5, amplitude=0.1, kmax=4,
+                          velocity_amplitude=0.05)
+    state = ic.build(bounded, params, seed=7)
+    assert len(draws) == 1
+    drawn = random_band_limited(bounded, np.random.default_rng(7), 4)
+    assert np.array_equal(state.rho.values, 1.5 * (1.0 + 0.1 * drawn))
+    assert np.min(state.rho.values) > 0.0
+    x = bounded.coords()[0]
+    assert np.allclose(state.velocity().components[0], 0.05 * np.sin(np.pi * x) ** 2,
+                       rtol=0.0, atol=1e-15)
+    ic.build(Grid.periodic(64), params, seed=7)
+    assert len(draws) == 3
 
 
 def test_overlarge_amplitude_is_rejected(params):

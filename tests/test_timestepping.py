@@ -5,12 +5,11 @@ import pytest
 
 import korteweg.constitutive
 import korteweg.fields
-import korteweg.tensors
 import korteweg.timestepping
 from korteweg import (FD2, SPECTRAL, ConfigError, Discretization, FluidParams, Grid,
                       MixtureState, Mobility, ModelKind, ScalarField, Scheme, StateError,
-                      StepControl, VectorField, estimate_dt, integrate, rhs_nsk1, rhs_nsk2,
-                      ssprk3_step)
+                      StepControl, VectorField, estimate_dt, integrate, reconstruct_fields,
+                      rhs_nsk1, rhs_nsk2, ssprk3_step)
 from korteweg.constitutive import DoubleWell
 from korteweg.errors import KortewegError
 from korteweg.initial import neumann_mobility
@@ -433,17 +432,20 @@ def test_in_place_stages_equal_the_out_of_place_combination(table, n, monkeypatc
 @pytest.mark.parametrize("d", [SPECTRAL, FD2], ids=["spectral", "fd2"])
 @pytest.mark.parametrize("n", [64, (16, 12)], ids=["1d", "2d"])
 def test_time_loop_runs_the_closed_form_korteweg_tensor(n, d, kind, params, monkeypatch):
-    # the Korteweg diagonal is (theta/delta_tau) W'(c) + 2 kappa |grad rho|^2 + ...;
-    # the Dunn-Serrin chain through psi_rho stays out of the time loop
+    # the Korteweg diagonal is (theta/delta_tau) W'(c) + 2 kappa |grad rho|^2 + ...
+    # and the step bound's sound speed is closed form too; the Dunn-Serrin chain
+    # through psi_rho and the bulk-energy derivatives stay out of the time loop
     def chain(*args):
         raise AssertionError("the time loop evaluated the Helmholtz-derivative chain")
 
-    for module in (korteweg.constitutive, korteweg.tensors):
-        for name in ("_helmholtz_energy_drho", "_bulk_energy_drho"):
-            monkeypatch.setattr(module, name, chain, raising=False)
+    for name in ("helmholtz_energy_drho", "bulk_energy_drho", "bulk_energy_d2rho"):
+        monkeypatch.setattr(korteweg.constitutive, name, chain, raising=True)
     grid = Grid.periodic(n)
     gamma = Mobility.spatial(2.0 + np.cos(grid.coords()[0])) if kind is ModelKind.NSK2 \
         else None
     res = integrate(moving_state(grid), StepControl(t_end=1e9, max_steps=3), params,
                     kind, gamma, d)
     assert res.steps == 3
+    # the spy sits where the program looks the laws up: a reconstruction reads R'
+    with pytest.raises(AssertionError, match="chain"):
+        reconstruct_fields(res.state, params, kind, gamma, d)
