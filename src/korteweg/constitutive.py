@@ -158,11 +158,14 @@ class _Density(NamedTuple):
     c: np.ndarray
 
 
-def _density(rho, params: FluidParams) -> _Density:
-    """Kernel of :func:`concentration`: rho with 1/rho and c(rho), unchecked."""
+def _density(rho, params: FluidParams, v=None, c=None) -> _Density:
+    """Kernel of :func:`concentration`: rho with 1/rho and c(rho), unchecked; 1/rho
+    and c are written into the arrays ``v`` and ``c`` if given."""
     r = np.asarray(rho, dtype=float)
-    v = 1.0 / r
-    return _Density(r, v, (v - params._c_offset) / params.delta_tau)
+    v = np.divide(1.0, r, out=v)
+    c = np.subtract(v, params._c_offset, out=c)
+    c /= params.delta_tau
+    return _Density(r, v, c)
 
 
 def _require_positive_rho(rho, params: FluidParams) -> _Density:
@@ -184,8 +187,12 @@ def _sound_speed_sq(dn: _Density, params: FluidParams):
     return params._theta_dtau2 * params.well.second_derivative(dn.c) * (dn.v * dn.v)
 
 
-def _capillarity(dn: _Density, params: FluidParams):
-    return params.delta_star * dn.v * dn.v * dn.v
+def _capillarity(dn: _Density, params: FluidParams, out=None):
+    """delta_star v^3, written into the array ``out`` if given."""
+    kap = np.multiply(params.delta_star, dn.v, out=out)
+    kap *= dn.v
+    kap *= dn.v
+    return kap
 
 
 def concentration(rho, params: FluidParams):

@@ -24,13 +24,14 @@ Both reduced systems are conservation laws for (rho, m): the right-hand
 side is the divergence of the flux [m; Sigma - m (x) u].  Its one assembly,
 the array kernel ``_rhs``, serves the time loop; ``rhs_nsk1``/``rhs_nsk2``
 wrap it.  It takes the rows (rho, *m), the grid's bound calculus
-(:class:`korteweg.operators._Calculus`) and the stress symbol, which
-:func:`korteweg.timestepping.make_rhs` resolves once per run, and returns
-the rates in the same stage layout: one (1 + dim, N) array on a 1-D grid,
-a tuple of arrays in 2-D (``_stage_rows``).  The certification kernels
-(``_pressure``, ``_diffusive_div``, ``_reconstruct``, ``_full_model``,
-``_residual``) take that calculus too, as ``ops``: each public
-reconstruction, gap and residual looks it up once.
+(:class:`korteweg.operators._Calculus`), the stress symbol and a workspace
+(:class:`korteweg.operators._Workspace` on a 2-D spectral grid, else
+``_FRESH``), which :func:`korteweg.timestepping.make_rhs` resolves once per
+run, and returns fresh rates in the same stage layout: one (1 + dim, N)
+array on a 1-D grid, a tuple of arrays in 2-D (``_stage_rows``).  The
+certification kernels (``_pressure``, ``_diffusive_div``, ``_reconstruct``,
+``_full_model``, ``_residual``) take that calculus too, as ``ops``: each
+public reconstruction, gap and residual looks it up once.
 
 On a spectral grid the velocity-linear, constant-coefficient part of the
 stress, 2 mu D(u) + lambda (div u) I and, for NSK2 with a constant
@@ -55,6 +56,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -63,9 +65,9 @@ from . import constitutive as law
 from .constitutive import FluidParams, _density, _Density
 from .elliptic import Mobility, _matvec, _solve
 from .errors import ConfigError, StateError
-from .fields import Components, ScalarField, VectorField, _outer, _sup
+from .fields import Components, ScalarField, VectorField, _sup
 from .grids import Discretization, Scheme
-from .operators import _calculus, _Calculus, _total
+from .operators import _FRESH, _calculus, _Calculus, _total
 from .tensors import _div_of, _korteweg, _phase_stress, _viscous_stress
 
 RHO_FLOOR = 1e-8
@@ -101,6 +103,13 @@ class MixtureState:
 
     def velocity(self) -> VectorField:
         return VectorField(self.grid, _velocity(self))
+
+    @cached_property
+    def max_speed(self) -> float:
+        """max |u| over the nodes, formed once per state for the step bound and the
+        metrics: the sqrt of the largest |u|^2, which is the largest node-wise sqrt
+        bit for bit, as a correctly rounded sqrt is monotone."""
+        return float(np.sqrt(_total(c * c for c in _velocity(self)).max()))
 
     @classmethod
     def from_primitive(cls, rho: ScalarField, u: VectorField, t: float = 0.0) -> "MixtureState":
@@ -158,18 +167,22 @@ def _stress_symbol(ops: _Calculus, params: FluidParams, kind: ModelKind,
 
 
 def _eliminated_stress(r: np.ndarray, divu: np.ndarray | None, ops: _Calculus,
-                       params: FluidParams, kind: ModelKind,
-                       gamma: Mobility | None) -> tuple[_Density, np.ndarray | None]:
+                       params: FluidParams, kind: ModelKind, gamma: Mobility | None,
+                       ws=_FRESH) -> tuple[_Density, np.ndarray | None]:
     """The density of ``r`` and E, the isotropic stress in div u that eliminating c
     leaves, with the model's one elliptic solve: (delta_star / (sqrt(delta) rho))
     div u for NSK1, (theta / delta_tau^2) Lambda_gamma^{-1}(div u) for NSK2, made
     before 1/rho and c exist.  E is None without div u, where the stress symbol
-    carries the constant-mobility term."""
+    carries the constant-mobility term.  1/rho, c and E are buffers of ``ws``."""
     if divu is not None and kind is ModelKind.NSK2:
-        E = params._theta_dtau2 * _solve(gamma, divu, ops)
-        return _density(r, params), E
-    dn = _density(r, params)
-    return dn, None if divu is None else params._augmented_scale * dn.v * divu
+        E = np.multiply(params._theta_dtau2, _solve(gamma, divu, ops), out=ws.real())
+        return _density(r, params, ws.real(), ws.real()), E
+    dn = _density(r, params, ws.real(), ws.real())
+    if divu is None:
+        return dn, None
+    E = np.multiply(params._augmented_scale, dn.v, out=ws.real())
+    E *= divu
+    return dn, E
 
 
 def _pressure(r: np.ndarray, gr: Components, E: np.ndarray, params: FluidParams,
@@ -234,11 +247,13 @@ def reconstruct_pressure_nsch(state: MixtureState, params: FluidParams,
 
 
 def _reduced_stress(dn: _Density, gr: Components, gu: tuple[Components, ...] | None,
-                    ops: _Calculus, params: FluidParams, E: np.ndarray | None) -> Components:
+                    ops: _Calculus, params: FluidParams, E: np.ndarray | None,
+                    ws=_FRESH) -> Components:
     """Korteweg plus E I, and 2 mu D(u) + lambda (div u) I from grad u ``gu`` unless
-    it is None (the stress symbol carries it).  ``gr`` is grad rho; ``dn`` is a
-    validated state's density, so the laws run unchecked on it."""
-    korteweg = _korteweg(dn, gr, ops, params, E)
+    it is None (the stress symbol carries it; then the components are buffers of
+    ``ws``).  ``gr`` is grad rho; ``dn`` is a validated state's density, so the
+    laws run unchecked on it."""
+    korteweg = _korteweg(dn, gr, ops, params, E, ws)
     if gu is None:
         return korteweg
     return tuple(a + b for a, b in zip(_viscous_stress(gu, params.bulk_viscosity, params),
@@ -246,29 +261,37 @@ def _reduced_stress(dn: _Density, gr: Components, gu: tuple[Components, ...] | N
 
 
 def _rhs(q, ops: _Calculus, params: FluidParams, kind: ModelKind, gamma: Mobility | None,
-         symbol: _StressSymbol | None):
+         symbol: _StressSymbol | None, ws=_FRESH):
     """The rates (-div m, *div(Sigma - m (x) u)) of the rows q = (rho, *m), in the
     three dependency levels of the module notes; ``symbol`` is
     :func:`_stress_symbol` of the same arguments.
 
-    The rows come, and the rates return, in the stage layout of ``ops``: one
-    (1 + dim, N) array on a 1-D grid, a tuple of arrays otherwise.  rho must
-    be finite and above the density floor.
+    The rows come, and the fresh rates return, in the stage layout of ``ops``:
+    one (1 + dim, N) array on a 1-D grid, a tuple of arrays otherwise.  The rows
+    are not written.  rho must be finite and above the density floor.  On a 2-D
+    spectral grid every other array is a buffer of ``ws``, given back once dead.
     """
     r, m = q[0], q[1:]
-    u = tuple(c / r for c in m)
+    u = tuple(np.divide(c, r, out=ws.real()) for c in m)
     if symbol is None:
         *gu, gr = ops.grads((*u, r))
         divu, addend = _div_of(gu), None
     else:
         gr, divu, addend = ops.velocity_level(u, r, symbol.shear, symbol.bulk,
-                                              not symbol.nonlocal_term)
+                                              not symbol.nonlocal_term, ws)
         gu = None
     # div u is None where the symbol carries the non-local term: no solve
-    dn, E = _eliminated_stress(r, divu, ops, params, kind, gamma)
-    stress = _reduced_stress(dn, gr, gu, ops, params, E)
+    dn, E = _eliminated_stress(r, divu, ops, params, kind, gamma, ws)
+    ws.give(divu)
+    stress = _reduced_stress(dn, gr, gu, ops, params, E, ws)   # takes back dn and E
+    ws.give(*gr)
     del gu, gr, divu, dn, E   # level 3 needs none of them
-    return ops.conservation_rates(m, stress, _outer(m, u), addend)
+    advective = tuple(np.multiply(m[i], u[j], out=ws.real())
+                      for i in range(len(m)) for j in range(i, len(m)))   # m (x) u
+    ws.give(*u)
+    rates = ops.conservation_rates(m, stress, advective, addend, ws)   # takes back addend
+    ws.give(*stress, *advective)
+    return rates
 
 
 def _stage_rows(state: MixtureState):

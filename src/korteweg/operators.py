@@ -44,6 +44,16 @@ rates as one (1 + dim, N) array, the stage layout of
 :mod:`korteweg.timestepping`.  In 2-D they run the per-array kernels in
 turn and return one array per component: a stacked ``rfftn`` over 5
 arrays of 128 x 128 measured slower than 5 calls.
+
+The 2-D spectral kernels (``velocity_level``, ``div``/``div_spectra``,
+``conservation_rates``) write every array they make, except the rates,
+into a workspace through numpy's ``out=``, transforms included.  A
+right-hand side binds one ``_Workspace`` per run: grid-shaped real and
+half-spectrum buffers, taken back as their values die, so the dependency
+levels share them and an evaluation makes no new one after the first.
+The default ``_FRESH`` has no buffers: each ``out=`` is None and numpy
+allocates afresh, which is how every public function runs the same
+kernels.
 """
 
 from __future__ import annotations
@@ -72,19 +82,69 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _rfft(values: np.ndarray) -> np.ndarray:
-    """The half spectrum of a grid array: ``rfft`` in 1-D, skipping ``rfftn``'s n-D set-up."""
-    return np.fft.rfft(values) if values.ndim == 1 else np.fft.rfftn(values)
+def _rfft(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The half spectrum of a grid array, into ``out`` if given: ``rfft`` in 1-D,
+    skipping ``rfftn``'s n-D set-up."""
+    if values.ndim == 1:
+        return np.fft.rfft(values, out=out)
+    return np.fft.rfftn(values, out=out)
 
 
-def _irfft(fhat: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """The grid array of a half spectrum, the inverse of :func:`_rfft`.
+def _irfft(fhat: np.ndarray, shape: tuple[int, ...],
+           out: np.ndarray | None = None) -> np.ndarray:
+    """The grid array of a half spectrum, into ``out`` if given: the inverse of
+    :func:`_rfft`.
 
     On a 1-D grid ``fhat`` may stack spectra along a leading axis; each row is inverted.
     """
     if len(shape) == 1:
-        return np.fft.irfft(fhat, n=shape[0])
-    return np.fft.irfftn(fhat, s=shape, axes=tuple(range(len(shape))))
+        return np.fft.irfft(fhat, n=shape[0], out=out)
+    return np.fft.irfftn(fhat, s=shape, axes=tuple(range(len(shape))), out=out)
+
+
+class _Fresh:
+    """No workspace: every buffer is None, so each ``out=`` it fills makes numpy
+    allocate the result afresh, and ``give`` keeps nothing."""
+
+    def real(self) -> None:
+        return None
+
+    half = real
+
+    def give(self, *arrays) -> None:
+        pass
+
+
+_FRESH = _Fresh()
+
+
+class _Workspace:
+    """Real grid-shaped and complex half-spectrum buffers that one bound right-hand
+    side reuses across its evaluations, as the ``out=`` of its numpy calls.
+
+    ``real``/``half`` hand out a free buffer, made when none is free; ``give``
+    takes buffers back once their values are dead.  So the dependency levels of
+    an evaluation share the buffers, and after the first evaluation no call
+    makes a new one.  A kernel gives back only what it took itself or what it
+    was handed to consume.
+    """
+
+    def __init__(self, ops: "_Calculus"):
+        self.shape = ops.shape
+        self.half_shape = (*ops.shape[:-1], ops.shape[-1] // 2 + 1)
+        self._real, self._half = [], []
+
+    def real(self) -> np.ndarray:
+        return self._real.pop() if self._real else np.empty(self.shape)
+
+    def half(self) -> np.ndarray:
+        return self._half.pop() if self._half else np.empty(self.half_shape, dtype=complex)
+
+    def give(self, *arrays) -> None:
+        """Take back buffers whose values are dead; None entries are skipped."""
+        for a in arrays:
+            if a is not None:
+                (self._half if a.dtype.kind == "c" else self._real).append(a)
 
 
 def _total(terms):
@@ -124,7 +184,7 @@ class _Calculus:
             keep = np.ones((), dtype=bool)
             for n, f, shape in _half_freqs(grid, unit=True):
                 keep = keep & (np.abs(f) <= n / 3.0).reshape(shape)
-            self.keep = _read_only(keep)
+            self.keep, self.drop = _read_only(keep), _read_only(~keep)
 
     def _wavenumbers(self) -> tuple[np.ndarray, ...]:
         """i k per axis on the half spectrum, zero at every axis's Nyquist mode."""
@@ -188,13 +248,14 @@ class _Calculus:
         prev, _, nxt = self._neighbours(values, axis)
         return (nxt - prev) / (2.0 * self.grid.h[axis])
 
-    def _spectra(self, t: Components, masked: bool = False) -> list[np.ndarray]:
-        """The half spectrum of each component; ``masked`` zeroes every mode the
-        2/3 rule drops (``keep``)."""
-        hats = [_rfft(c) for c in t]
-        if not masked:
-            return hats
-        return [np.where(self.keep, h, 0.0) for h in hats]
+    def _spectra(self, t: Components, masked: bool = False, ws=_FRESH) -> list[np.ndarray]:
+        """The half spectrum of each component, in ``ws``; ``masked`` zeroes every
+        mode the 2/3 rule drops (``drop``)."""
+        hats = [_rfft(c, ws.half()) for c in t]
+        if masked:
+            for h in hats:
+                np.copyto(h, 0.0, where=self.drop)
+        return hats
 
     def _deriv_rows(self, rows) -> np.ndarray:
         """d/dx of one 1-D grid array, or of every row of a stack of them at once
@@ -211,36 +272,54 @@ class _Calculus:
             return tuple(self._fd2_deriv(values, axis) for axis in range(self.dim))
         fhat = _rfft(values)
         return tuple(_irfft(ik * fhat, self.shape) for ik in self.ik)
-    def div_spectra(self, hats: list[np.ndarray], rows: int, addend=None) -> Components:
-        """Row-wise divergence from the half spectra of a stored tensor, plus
-        ``addend``'s spectrum per row: one inverse per row."""
-        ik, axes, out = self.ik, range(self.dim), []
+
+    def div_spectra(self, hats, rows: int, ws=_FRESH, addend=None, out=None) -> Components:
+        """Row-wise divergence from the half spectra ``hats`` (an iterable) of a stored
+        tensor, plus ``addend``'s spectrum per row: one inverse per row, into the
+        arrays of ``out`` (None: fresh arrays).
+
+        Each spectrum is drawn when a row first needs it and overwritten; ``ws``
+        takes it back after its last row, each addend once added, and the buffer
+        that holds i k_j hats[i + j] while a later row still reads hats[i + j].
+        """
+        ik, dim, hats, out = self.ik, self.dim, iter(hats), out or (None,) * rows
+        drawn, divs, tmp = [], [], ws.half() if rows > 1 else None
         for i in range(rows):
-            div_hat = _total(ik[j] * hats[i + j] for j in axes)
+            drawn += [next(hats) for _ in range(i + dim - len(drawn))]
+            div_hat = np.multiply(ik[0], drawn[i], out=drawn[i])
+            for j in range(1, dim):
+                h = drawn[i + j]
+                div_hat += np.multiply(ik[j], h, out=tmp if i < rows - 1 else h)
             if addend is not None:
                 div_hat += addend[i]
-            out.append(_irfft(div_hat, self.shape))
-        return tuple(out)
+                ws.give(addend[i])
+            divs.append(_irfft(div_hat, self.shape, out[i]))
+            ws.give(div_hat)
+        ws.give(tmp, *drawn[rows:])
+        return tuple(divs)
 
-    def div_tensor(self, t: Components, rows: int = 0) -> Components:
+    def div_tensor(self, t: Components, rows: int = 0, ws=_FRESH) -> Components:
         """Row-wise divergence of a stored symmetric tensor: row i is t[i:i + dim].
 
         ``rows`` = 1 takes the divergence of a vector.  Spectral: each component
-        is transformed once, each row summed in Fourier space before one inverse.
-        On a 1-D grid it is the derivative of the one component.
+        is transformed once, each row summed in Fourier space before one inverse;
+        in 2-D the spectra are buffers of ``ws`` and so are the rows.  On a 1-D
+        grid it is the derivative of the one component.
         """
         if self.stacks:
             return (self._deriv_rows(t[0]),)
         rows = rows or self.dim
         if self.spectral:
-            return self.div_spectra([_rfft(c) for c in t], rows)
+            return self.div_spectra(self._spectra(t, ws=ws), rows, ws,
+                                    out=[ws.real() for _ in range(rows)])
         axes = range(self.dim)
         return tuple(_total(self._fd2_deriv(t[i + j], j) for j in axes)
                      for i in range(rows))
 
-    def div(self, v: Components) -> np.ndarray:
-        """Divergence of a vector given by its component arrays."""
-        return self.div_tensor(v, 1)[0]
+    def div(self, v: Components, ws=_FRESH) -> np.ndarray:
+        """Divergence of a vector given by its component arrays (in 2-D spectral, a
+        buffer of ``ws``)."""
+        return self.div_tensor(v, 1, ws)[0]
 
     def grads(self, arrays: Components) -> tuple[Components, ...]:
         """The gradient of each array, as :meth:`derivs` gives it.
@@ -252,56 +331,68 @@ class _Calculus:
             return tuple(self.derivs(a) for a in arrays)
         return tuple((row,) for row in self._deriv_rows(arrays))
 
-    def velocity_level(self, u: Components, r: np.ndarray, shear, bulk, div_u: bool):
+    def velocity_level(self, u: Components, r: np.ndarray, shear, bulk, div_u: bool,
+                       ws=_FRESH):
         """Level 1 of a spectral right-hand side: (grad rho, div u if ``div_u``
         else None, addend), the addend being shear u^_i + i k_i (bulk (div u)^)
         per momentum row as a half spectrum (``bulk`` None: all in ``shear``).
 
-        1-D: one stacked transform of (u, rho) each way.  2-D: the addend
-        reuses the buffers of u^.
+        1-D: one stacked transform of (u, rho) each way.  2-D: every array is a
+        buffer of ``ws``, and the addend is formed in place in u^.
         """
         ik = self.ik
         if self.stacks:
             hats = np.fft.rfft((*u, r))
             rows = _irfft(ik[0] * (hats if div_u else hats[1:]), self.shape)
             return (rows[-1],), rows[0] if div_u else None, shear * hats[:1]
-        addend = [_rfft(c) for c in u]   # u^, turned into the addend in place
-        rhat = _rfft(r)
-        gr = tuple(_irfft(k * rhat, self.shape) for k in ik)
-        del rhat
-        div_hat = _total(k * h for k, h in zip(ik, addend))
-        divu = _irfft(div_hat, self.shape) if div_u else None
+        addend = self._spectra(u, ws=ws)   # u^, turned into the addend in place
+        rhat, tmp = _rfft(r, ws.half()), ws.half()
+        gr = tuple(_irfft(np.multiply(k, rhat, out=tmp), self.shape, ws.real()) for k in ik)
+        div_hat = np.multiply(ik[0], addend[0], out=rhat)
+        for k, h in zip(ik[1:], addend[1:]):
+            div_hat += np.multiply(k, h, out=tmp)
+        divu = _irfft(div_hat, self.shape, ws.real()) if div_u else None
         div_hat *= bulk
         for k, h in zip(ik, addend):
             h *= shear
-            h += k * div_hat
+            h += np.multiply(k, div_hat, out=tmp)
+        ws.give(div_hat, tmp)
         return gr, divu, addend
 
     def conservation_rates(self, mass: Components, stress: Components,
-                           advective: Components, addend=None):
+                           advective: Components, addend=None, ws=_FRESH):
         """The rates (-div mass, *div(stress - advective)) of a conservation law for
-        (rho, m) with flux [mass; advective - stress], as rows: one (1 + dim, N)
-        array on a 1-D grid, a tuple of arrays otherwise.
+        (rho, m) with flux [mass; advective - stress], as rows of fresh arrays:
+        one (1 + dim, N) array on a 1-D grid, a tuple of arrays otherwise.
 
-        ``mass`` is a vector, ``stress`` and ``advective`` stored symmetric tensors;
-        ``addend`` (spectral) holds half spectra added to the momentum rows.
-        Under dealiasing the 2/3 rule masks ``mass`` and ``advective`` (the
-        quadratic terms) in the spectra the divergences take.  1-D: every row in
-        one stacked derivative (spectral: one forward and one inverse for both
-        divergences).  Otherwise the divergence of ``mass``, then the rest.
+        ``mass`` is a vector, ``stress`` and ``advective`` stored symmetric tensors,
+        none of them written; ``addend`` (spectral) holds half spectra added to the
+        momentum rows.  Under dealiasing the 2/3 rule masks ``mass`` and
+        ``advective`` (the quadratic terms) in the spectra the divergences take.
+        1-D: every row in one stacked derivative (spectral: one forward and one
+        inverse for both divergences).  Otherwise the divergence of ``mass``, then
+        the rest; spectrally every spectrum and stress - advective are buffers of
+        ``ws``.
         """
         if not self.stacks:
             if not self.spectral:
                 return (-self.div(mass),
                         *self.div_tensor(tuple(s - a for s, a in zip(stress, advective))))
             masked = self.keep is not None
-            rate = -self.div_spectra(self._spectra(mass, masked), 1)[0]
-            if masked:
-                flux_hat = [s - a for s, a in zip(self._spectra(stress),
-                                                  self._spectra(advective, True))]
-            else:
-                flux_hat = [_rfft(s - a) for s, a in zip(stress, advective)]
-            return (rate, *self.div_spectra(flux_hat, self.dim, addend))
+            rate, = self.div_spectra(self._spectra(mass, masked, ws), 1, ws)
+            np.negative(rate, out=rate)
+
+            def flux_spectra():
+                for s, a in zip(stress, advective):
+                    if masked:   # stress^ - the masked advective^
+                        h, (d,) = _rfft(s, ws.half()), self._spectra((a,), True, ws)
+                        h -= d
+                    else:
+                        d = np.subtract(s, a, out=ws.real())
+                        h = _rfft(d, ws.half())
+                    ws.give(d)
+                    yield h
+            return (rate, *self.div_spectra(flux_spectra(), self.dim, ws, addend))
         keep = self.keep
         if keep is None:
             rows = np.empty((2, *self.shape))

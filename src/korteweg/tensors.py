@@ -31,7 +31,7 @@ from .constitutive import (FluidParams, _capillarity, _Density, _density,
 from .errors import DomainError
 from .fields import Components, ScalarField, SymTensorField, VectorField, _outer, _plus_diag, _sup
 from .grids import Discretization
-from .operators import _calculus, _Calculus, _total
+from .operators import _FRESH, _calculus, _Calculus, _total
 
 
 def _div_of(g: tuple[Components, ...]) -> np.ndarray:
@@ -80,24 +80,36 @@ def phase_stress(c: ScalarField, p: ScalarField, rho: ScalarField,
 
 
 def _korteweg(dn: _Density, gr: Components, ops: _Calculus, params: FluidParams,
-              extra=None) -> Components:
+              extra=None, ws=_FRESH) -> Components:
     """The Korteweg tensor from grad rho g, plus ``extra`` I when given (the reduced
     models' eliminated stress), in closed form and in place (module notes):
-    K = [(theta/delta_tau) W'(c) + 2 kappa |g|^2 + rho div(kappa g)] I - kappa g (x) g."""
-    kap = _capillarity(dn, params)
-    kg = tuple(kap * g for g in gr)
-    diag = ops.div(kg)
+    K = [(theta/delta_tau) W'(c) + 2 kappa |g|^2 + rho div(kappa g)] I - kappa g (x) g.
+
+    Its components and temporaries are buffers of ``ws``, except the values of the
+    double well's W'(c).  The caller hands over dn's 1/rho and c and ``extra``:
+    ``ws`` takes each back as soon as it is dead."""
+    kap = _capillarity(dn, params, ws.real())
+    ws.give(dn.v)
+    kg = tuple(np.multiply(kap, g, out=ws.real()) for g in gr)
+    ws.give(kap)
+    diag = ops.div(kg, ws)
     diag *= dn.rho
     diag += (params.temperature / params.delta_tau) * params.well.derivative(dn.c)
     if extra is not None:
         diag += extra
-    t = _outer(kg, gr)   # kappa g_i g_j
-    if len(t) == 1:   # 2 kappa g^2 - kappa g^2
-        return (np.add(t[0], diag, out=t[0]),)
-    xx, xy, yy = t   # K_xx = diag + kappa (g_x^2 + 2 g_y^2), K_yy likewise
-    diag += xx
-    diag += yy
-    return np.add(yy, diag, out=yy), np.negative(xy, out=xy), np.add(xx, diag, out=xx)
+    ws.give(dn.c, extra)
+    if len(gr) == 1:   # 2 kappa g^2 - kappa g^2
+        t = np.multiply(kg[0], gr[0], out=kg[0])
+        k = (np.add(t, diag, out=t),)
+    else:   # kappa g_i g_j; K_xx = diag + kappa (g_x^2 + 2 g_y^2), K_yy likewise
+        xy = np.multiply(kg[0], gr[1], out=ws.real())
+        xx = np.multiply(kg[0], gr[0], out=kg[0])
+        yy = np.multiply(kg[1], gr[1], out=kg[1])
+        diag += xx
+        diag += yy
+        k = np.add(yy, diag, out=yy), np.negative(xy, out=xy), np.add(xx, diag, out=xx)
+    ws.give(diag)
+    return k
 
 
 def korteweg_tensor(rho: ScalarField, params: FluidParams, d: Discretization) -> SymTensorField:

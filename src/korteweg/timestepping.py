@@ -5,13 +5,17 @@ shape, stacking decision; the inverse symbol of -div(grad .) on first use)
 and, on a spectral grid, the stress symbol's real half-spectrum arrays
 (:func:`korteweg.models._stress_symbol`) are resolved there, and the
 constitutive coefficients are attributes of ``FluidParams``, formed once
-per parameter set.  The stages run on the rows
-(rho, *m): on a 1-D grid one stacked (1 + dim, N) array, so a stage is one
-Shu-Osher combination, one finite scan and one floor check; in 2-D one
-array per component, because stacked stages there need fresh temporaries
-of several fields' size, which raised the peak memory of a 128^2 run.  A
-stage is formed in place in the rates of its evaluation.  Each accepted
-step builds one validated MixtureState.
+per parameter set.  On a 2-D spectral grid it also binds a workspace
+(:class:`korteweg.operators._Workspace`), the buffers into which every
+evaluation writes its temporaries, so that an evaluation allocates only its
+rates and, inside each inverse transform, one half spectrum.  The stages run
+on the rows (rho, *m): on a 1-D grid one stacked (1 + dim, N) array, so a
+stage is one Shu-Osher combination, one finite scan and one floor check; in
+2-D one array per component, the layout in which the 2-D kernels transform
+each array with a call of its own.  A stage is formed in place in the rates
+of its evaluation, and wa * u0 in the dead rows of the stage before.  Each
+accepted step builds one validated MixtureState, whose maximum speed the
+metrics and the next step bound share.
 """
 
 from __future__ import annotations
@@ -29,8 +33,8 @@ from .errors import (ConfigError, DomainError, SolverError, StateError,
 from .fields import Components, ScalarField, VectorField, _require_finite
 from .grids import Discretization, Grid
 from .models import (MixtureState, ModelKind, _require_above_floor, _rhs, _stage_rows,
-                     _stress_symbol, _velocity)
-from .operators import _calculus, _total
+                     _stress_symbol)
+from .operators import _FRESH, _calculus, _Workspace
 
 # Shu-Osher stage weights (step-start weight, weight of the Euler step from
 # the last stage); each row is a convex combination, which makes it SSP.
@@ -77,9 +81,8 @@ def dt_candidates(state: MixtureState, params: FluidParams,
     h_min = min(state.grid.h)
     r = state.rho.values
     dn = law._density(r, params)   # a validated state: the laws run unchecked
-    speed = np.sqrt(_total(c * c for c in _velocity(state)))
     cs = np.sqrt(max(float(law._sound_speed_sq(dn, params).max()), 1e-12))
-    fastest = float(speed.max()) + cs
+    fastest = state.max_speed + cs
     adv = control.cfl_advective * h_min / fastest if fastest > 0.0 else np.inf
 
     # lambda* = lambda + s / rho, s > 0, and its rounding are monotone in rho:
@@ -123,8 +126,9 @@ def estimate_dt(state: MixtureState, params: FluidParams,
 
 
 # rows (rho, *m) -> their rates, in the stage layout of the grid: one
-# (1 + dim, N) array on a 1-D grid, one array per row on a 2-D grid; the rates
-# are fresh arrays, as ssprk3_step forms the next stage in them
+# (1 + dim, N) array on a 1-D grid, one array per row on a 2-D grid; the rows
+# are not written, and the rates are fresh arrays, never a buffer of the
+# evaluator's workspace, as ssprk3_step forms the next stage in them
 RhsEvaluator = Callable[[np.ndarray | Components], np.ndarray | Components]
 
 
@@ -135,11 +139,15 @@ def make_rhs(params: FluidParams, kind: ModelKind, gamma: Mobility | None,
     What stays fixed across calls is resolved here, once: the grid's
     calculus (i k, shape, stacking; it holds the inverse symbol of
     -div(grad .) from its first use on), the stress symbol of a spectral grid
-    as real arrays and, through ``params``, the constitutive coefficients.
+    as real arrays, through ``params`` the constitutive coefficients and, on a
+    2-D spectral grid, the workspace whose buffers every call reuses, so the
+    evaluator runs one call at a time.  1-D and FD2 evaluations allocate their
+    arrays (``_FRESH``).
     """
     ops = _calculus(grid, d)
     symbol = _stress_symbol(ops, params, kind, gamma)
-    return lambda q: _rhs(q, ops, params, kind, gamma, symbol)
+    ws = _Workspace(ops) if ops.spectral and not ops.stacks else _FRESH
+    return lambda q: _rhs(q, ops, params, kind, gamma, symbol, ws)
 
 
 def _check_stage(q) -> None:
@@ -154,8 +162,9 @@ def ssprk3_step(state: MixtureState, dt: float, rhs: RhsEvaluator) -> MixtureSta
 
     The stages run on the rows (rho, *m) in the stage layout of the module
     notes, the layout ``rhs`` takes and returns.  Each stage is formed in
-    place in the rates ``rhs`` returns, which the step consumes; it never
-    writes into u0 or the state.  Each stage is checked before the next
+    place in the rates ``rhs`` returns, which the step consumes, with
+    wa * u0 in the rows of the stage before; it never writes into u0 or the
+    state.  Each stage is checked before the next
     evaluation; the last one becomes the step's one validated MixtureState,
     at t + dt.
     """
@@ -167,15 +176,16 @@ def ssprk3_step(state: MixtureState, dt: float, rhs: RhsEvaluator) -> MixtureSta
         if i:
             _check_stage(q)
         dq = rhs(q)
-        # bit for bit the out-of-place combination, as IEEE + and * commute; in 2-D
-        # row by row, so only one row of wa * u0 is ever allocated
+        # bit for bit the out-of-place combination, as IEEE + and * commute; wa * u0
+        # goes into the row of the stage before, dead once added (a fresh array
+        # at the first stage, whose rows are u0's)
         for g, b, a in ((dq, q, q0),) if isinstance(q0, np.ndarray) else zip(dq, q, q0):
             g *= dt
             g += b
             if wb != 1.0:
                 g *= wb
             if wa:
-                g += wa * a
+                g += np.multiply(wa, a, out=b if i else None)
         q = dq
     return MixtureState(ScalarField(grid, q[0]), VectorField(grid, tuple(q[1:])), state.t + dt)
 
@@ -193,7 +203,6 @@ class IntegrationResult:
 
 def step_metrics(step: int, state: MixtureState, dt: float) -> dict:
     """One line of the metrics stream."""
-    speed = np.sqrt(_total(c * c for c in _velocity(state)))
     return {
         "step": step,
         "t": state.t,
@@ -201,7 +210,7 @@ def step_metrics(step: int, state: MixtureState, dt: float) -> dict:
         "mass": float(state.rho.values.mean()),
         "momentum": [float(c.mean()) for c in state.m.components],
         "min_rho": float(state.rho.values.min()),
-        "max_speed": float(speed.max()),
+        "max_speed": state.max_speed,
     }
 
 

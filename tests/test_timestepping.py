@@ -5,6 +5,7 @@ import pytest
 
 import korteweg.constitutive
 import korteweg.fields
+import korteweg.models
 import korteweg.timestepping
 from korteweg import (FD2, SPECTRAL, ConfigError, Discretization, FluidParams, Grid,
                       MixtureState, Mobility, ModelKind, ScalarField, Scheme, StateError,
@@ -449,3 +450,27 @@ def test_time_loop_runs_the_closed_form_korteweg_tensor(n, d, kind, params, monk
     # the spy sits where the program looks the laws up: a reconstruction reads R'
     with pytest.raises(AssertionError, match="chain"):
         reconstruct_fields(res.state, params, kind, gamma, d)
+
+
+@pytest.mark.parametrize("n", [64, (32, 24)], ids=["1d", "2d"])
+def test_max_speed_is_the_largest_nodal_speed_bit_for_bit(n):
+    # sqrt of the largest |u|^2 is the largest node-wise sqrt(|u|^2): a correctly
+    # rounded sqrt is monotone
+    grid = Grid.periodic(n)
+    for seed in range(5):
+        state = random_rows(grid, np.random.default_rng(seed))
+        u = state.velocity().components
+        squares = u[0] * u[0] if grid.dim == 1 else u[0] * u[0] + u[1] * u[1]
+        assert state.max_speed == float(np.sqrt(squares).max())
+
+
+def test_step_bound_and_metrics_share_one_speed_per_state(params, monkeypatch):
+    # the bound of step n + 1 reads the state whose metrics line step n just wrote
+    velocities = []
+    original = korteweg.models._velocity
+    monkeypatch.setattr(korteweg.models, "_velocity",
+                        lambda state: velocities.append(state) or original(state))
+    res = integrate(moving_state(Grid.periodic((16, 12))), StepControl(t_end=1e9, max_steps=4),
+                    params, record_metrics=True)
+    assert res.steps == 4 and len(velocities) == 5
+    assert [m["max_speed"] for m in res.metrics] == [s.max_speed for s in velocities]
