@@ -48,7 +48,7 @@ from .errors import (CompatibilityError, ConfigError, DomainError, SolverError,
                      _require_finite_fields)
 from .fields import ScalarField
 from .grids import FD2, Discretization, Grid, Scheme
-from .operators import _calculus, _Calculus, _irfft, _rfft
+from .operators import _calculus, _Calculus
 
 log = logging.getLogger(__name__)
 
@@ -186,9 +186,9 @@ def _pcg_zero_mean(matvec, b: np.ndarray, precond, context: str) -> np.ndarray:
                       f"(relative residual {rnorm / bnorm:.3e})")
 
 
-def _fourier_solve(fv: np.ndarray, inv_sym: np.ndarray, gamma: float) -> np.ndarray:
-    """Solve -gamma div(grad phi) = fv by the inverse symbol; zero-mean result."""
-    phi = _irfft(_rfft(fv) * inv_sym, fv.shape)
+def _fourier_solve(fv: np.ndarray, ops: _Calculus, gamma: float) -> np.ndarray:
+    """Solve -gamma div(grad phi) = fv by the inverse symbol of ``ops``; zero-mean result."""
+    phi = ops.inverse(ops.forward(fv) * ops.inv_sym)
     return (phi - phi.mean()) / gamma
 
 
@@ -201,7 +201,7 @@ def _direct_periodic_1d(gamma: Mobility, fv: np.ndarray, ops: _Calculus) -> np.n
     and nu, so that it has an antiderivative.  Data on those modes is dropped.
     """
     w, wbar, wnu, c = gamma._periodic_1d_weights
-    wg = w * _irfft(_rfft(fv) * -ops.antideriv, ops.shape)
+    wg = w * ops.inverse(ops.forward(fv) * -ops.antideriv)
     s0 = float(wg.mean())
     if not np.isfinite(s0):
         raise DomainError("periodic variable-mobility solve: non-finite right-hand side")
@@ -211,7 +211,7 @@ def _direct_periodic_1d(gamma: Mobility, fv: np.ndarray, ops: _Calculus) -> np.n
         wg += ((c * s1 - wbar * s0) / det) * w + ((c * s0 - wbar * s1) / det) * wnu
     else:
         wg -= (s0 / wbar) * w
-    return _irfft(_rfft(wg) * ops.antideriv, ops.shape)
+    return ops.inverse(ops.forward(wg) * ops.antideriv)
 
 
 def _solve(gamma: Mobility, fv: np.ndarray, ops: _Calculus) -> np.ndarray:
@@ -230,15 +230,15 @@ def _solve(gamma: Mobility, fv: np.ndarray, ops: _Calculus) -> np.ndarray:
     grid = ops.grid
     if grid.is_periodic:
         if gamma.is_constant:
-            return _fourier_solve(fv, ops.inv_sym, gamma.value)
+            return _fourier_solve(fv, ops, gamma.value)
         gv = gamma.values_on(grid)
         if grid.dim == 1:
             return _direct_periodic_1d(gamma, fv, ops)
         for mode in ops.checkerboards:
             fv -= float((fv * mode).mean()) * mode
-        inv_sym, gmean = ops.inv_sym, float(np.mean(gv))
+        gmean = float(np.mean(gv))
         return _pcg_zero_mean(_matvec(gv, ops), fv,
-                              lambda r: _fourier_solve(r, inv_sym, gmean),
+                              lambda r: _fourier_solve(r, ops, gmean),
                               "periodic variable-mobility solve")
     gv = gamma.values_on(grid)
     h = grid.h[0]

@@ -7,9 +7,11 @@ Two interchangeable discretizations:
   odd derivatives stay real and skew-symmetric.  A divergence transforms
   each component once and sums in Fourier space before one inverse.
   Every transform here and in :mod:`korteweg.elliptic` goes through
-  ``_rfft``/``_irfft``, which call ``rfft``/``irfft`` on 1-D arrays
-  (same values, without ``rfftn``'s n-D argument handling) and
-  ``rfftn``/``irfftn`` otherwise.
+  ``_Calculus.forward``/``inverse``, which call the gufuncs of
+  ``numpy.fft._pocketfft_umath`` directly, without numpy.fft's Python
+  wrappers: the same factors (1 forward, 1/n per axis inverse) and axis
+  order, so the same bits as ``rfft``/``irfft`` of the last axis of a
+  stack of rows on a 1-D grid and as ``rfftn``/``irfftn`` on a 2-D grid.
 * ``Scheme.FD2`` -- second-order centered differences.  One ghost rule,
   ``_Calculus._neighbours``, gives every FD2 kernel (here and the Neumann
   operator of :mod:`korteweg.elliptic`) a node's neighbours: wraparound on
@@ -27,9 +29,10 @@ one per pair and is the only per-grid cache.  Each public function, here and in
 :mod:`korteweg.tensors`, :mod:`korteweg.elliptic` and
 :mod:`korteweg.models`, looks it up once and passes it down; a right-hand
 side binds one per run.  Under the spectral scheme a non-periodic grid is
-refused.  ``numpy.fft`` is named only here, and each transform is looked
-up when it is called (``np.fft.<name>(...)``), so patching ``numpy.fft``
-sees every call.
+refused.  ``numpy.fft`` is named only here: its frequency helpers, and
+the gufuncs that ``_Calculus.__init__`` binds (``rfft_n_even`` or
+``rfft_n_odd`` by the parity of the last axis).  Patching the two methods
+sees every transform.
 
 Three multi-array kernels serve the dependency levels of a right-hand side
 (:mod:`korteweg.models`): ``grads`` takes the gradients of several arrays,
@@ -37,9 +40,9 @@ Three multi-array kernels serve the dependency levels of a right-hand side
 as spectra, and ``conservation_rates`` the divergences of a conservation
 law's flux, plus those spectra before the inverse.
 On a 1-D grid every derivative runs on a stack of rows: spectrally one
-``rfft`` and one ``irfft`` call for all of them (at N = 256 numpy's cost
-per call, not the FFT work, dominates, and a stacked call gives each row
-the bits of a call of its own), and ``conservation_rates`` returns the
+forward and one inverse call for all of them (at N = 256 the cost per
+call, not the FFT work, dominates, and a stacked call gives each row the
+bits of a call of its own), and ``conservation_rates`` returns the
 rates as one (1 + dim, N) array, the stage layout of
 :mod:`korteweg.timestepping`.  In 2-D they run the per-array kernels in
 turn and return one array per component: a stacked ``rfftn`` over 5
@@ -47,13 +50,14 @@ arrays of 128 x 128 measured slower than 5 calls.
 
 The 2-D spectral kernels (``velocity_level``, ``div``/``div_spectra``,
 ``conservation_rates``) write every array they make, except the rates,
-into a workspace through numpy's ``out=``, transforms included.  A
-right-hand side binds one ``_Workspace`` per run: grid-shaped real and
-half-spectrum buffers, taken back as their values die, so the dependency
-levels share them and an evaluation makes no new one after the first.
-The default ``_FRESH`` has no buffers: each ``out=`` is None and numpy
-allocates afresh, which is how every public function runs the same
-kernels.
+into a workspace through numpy's ``out=``, transforms included, and each
+inverse makes its axis-0 pass in a half spectrum of it.  A right-hand
+side binds one ``_Workspace`` per run: grid-shaped real and half-spectrum
+buffers, taken back as their values die, so the dependency levels share
+them and an evaluation makes no new one after the first.  The default
+``_FRESH`` has no buffers: each ``out=`` is None and numpy (or the
+transform) allocates afresh, which is how every public function runs the
+same kernels.
 """
 
 from __future__ import annotations
@@ -61,10 +65,13 @@ from __future__ import annotations
 from functools import cached_property, lru_cache
 
 import numpy as np
+from numpy.fft import _pocketfft_umath as _pocketfft
 
 from .errors import ConfigError
 from .fields import Components, ScalarField, SymTensorField, VectorField
 from .grids import Discretization, Grid, Scheme
+
+_AXIS0 = [(0,), (), (0,)]   # a pocketfft gufunc's core axes for a pass along axis 0
 
 
 def _half_freqs(grid: Grid, unit: bool = False):
@@ -82,29 +89,9 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _rfft(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """The half spectrum of a grid array, into ``out`` if given: ``rfft`` in 1-D,
-    skipping ``rfftn``'s n-D set-up."""
-    if values.ndim == 1:
-        return np.fft.rfft(values, out=out)
-    return np.fft.rfftn(values, out=out)
-
-
-def _irfft(fhat: np.ndarray, shape: tuple[int, ...],
-           out: np.ndarray | None = None) -> np.ndarray:
-    """The grid array of a half spectrum, into ``out`` if given: the inverse of
-    :func:`_rfft`.
-
-    On a 1-D grid ``fhat`` may stack spectra along a leading axis; each row is inverted.
-    """
-    if len(shape) == 1:
-        return np.fft.irfft(fhat, n=shape[0], out=out)
-    return np.fft.irfftn(fhat, s=shape, axes=tuple(range(len(shape))), out=out)
-
-
 class _Fresh:
-    """No workspace: every buffer is None, so each ``out=`` it fills makes numpy
-    allocate the result afresh, and ``give`` keeps nothing."""
+    """No workspace: every buffer is None, so each ``out=`` it fills is allocated
+    afresh, by numpy or by the transform, and ``give`` keeps nothing."""
 
     def real(self) -> None:
         return None
@@ -166,11 +153,11 @@ class _Calculus:
     (for :mod:`korteweg.elliptic` and the stress symbol), the 1-D
     antiderivative symbol ``antideriv`` and the checkerboard null modes
     ``checkerboards`` (for :mod:`korteweg.elliptic`), so a calculus holds
-    only what its grid uses.  It also fixes the shape and whether the
-    multi-array kernels stack their rows (on a 1-D grid).  A right-hand side
-    binds one per run; :func:`_calculus` caches one per (grid,
-    discretization) for everything else.  It refuses a non-periodic grid
-    under the spectral scheme.
+    only what its grid uses.  It also fixes the shape, whether the
+    multi-array kernels stack their rows (on a 1-D grid) and the gufuncs and
+    factors of its transforms.  A right-hand side binds one per run;
+    :func:`_calculus` caches one per (grid, discretization) for everything
+    else.  It refuses a non-periodic grid under the spectral scheme.
     """
 
     def __init__(self, grid: Grid, d: Discretization):
@@ -178,6 +165,9 @@ class _Calculus:
         self.grid, self.dim, self.shape = grid, grid.dim, grid.shape
         self.spectral = d.scheme is Scheme.SPECTRAL
         self.stacks = grid.dim == 1
+        n = grid.n[-1]
+        self._rfft = _pocketfft.rfft_n_even if n % 2 == 0 else _pocketfft.rfft_n_odd
+        self._half_n, self._inv_n = n // 2 + 1, tuple(1.0 / m for m in grid.n)
         self.ik = self._wavenumbers() if self.spectral else ()
         self.keep = None
         if d.dealias:
@@ -248,10 +238,38 @@ class _Calculus:
         prev, _, nxt = self._neighbours(values, axis)
         return (nxt - prev) / (2.0 * self.grid.h[axis])
 
+    def forward(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The half spectrum of a real grid array, into ``out`` if given: numpy's
+        ``rfft`` of the last axis of every row of a stack on a 1-D grid, its
+        ``rfftn`` of one array on a 2-D grid (the last axis, then axis 0 in place)."""
+        if out is None:
+            out = np.empty((*values.shape[:-1], self._half_n), dtype=complex)
+        self._rfft(values, 1.0, out=out)
+        if not self.stacks:
+            _pocketfft.fft(out, 1.0, out=out, axes=_AXIS0)
+        return out
+
+    def inverse(self, hat: np.ndarray, out: np.ndarray | None = None,
+                ws=_FRESH) -> np.ndarray:
+        """The grid array of a half spectrum, into ``out`` if given, ``hat`` left
+        unwritten: numpy's ``irfft`` of every row of a stack on a 1-D grid, its
+        ``irfftn`` on a 2-D grid, whose axis-0 pass runs in a half spectrum of ``ws``."""
+        if out is None:
+            out = np.empty((*hat.shape[:-1], self.shape[-1]))
+        if self.stacks:
+            return _pocketfft.irfft(hat, self._inv_n[0], out=out)
+        tmp = ws.half()
+        if tmp is None:
+            tmp = np.empty(hat.shape, dtype=complex)
+        _pocketfft.irfft(_pocketfft.ifft(hat, self._inv_n[0], out=tmp, axes=_AXIS0),
+                         self._inv_n[1], out=out)
+        ws.give(tmp)
+        return out
+
     def _spectra(self, t: Components, masked: bool = False, ws=_FRESH) -> list[np.ndarray]:
         """The half spectrum of each component, in ``ws``; ``masked`` zeroes every
         mode the 2/3 rule drops (``drop``)."""
-        hats = [_rfft(c, ws.half()) for c in t]
+        hats = [self.forward(c, ws.half()) for c in t]
         if masked:
             for h in hats:
                 np.copyto(h, 0.0, where=self.drop)
@@ -261,8 +279,8 @@ class _Calculus:
         """d/dx of one 1-D grid array, or of every row of a stack of them at once
         (spectral: one forward and one inverse transform call for all rows)."""
         if not self.spectral:
-            return self._fd2_deriv(np.asarray(rows), -1)
-        return _irfft(self.ik[0] * np.fft.rfft(rows), self.shape)
+            return self._fd2_deriv(rows, -1)
+        return self.inverse(self.ik[0] * self.forward(rows))
 
     def derivs(self, values: np.ndarray) -> Components:
         """The gradient of one array.  Spectral: one forward transform, one inverse per axis."""
@@ -270,8 +288,8 @@ class _Calculus:
             return (self._deriv_rows(values),)
         if not self.spectral:
             return tuple(self._fd2_deriv(values, axis) for axis in range(self.dim))
-        fhat = _rfft(values)
-        return tuple(_irfft(ik * fhat, self.shape) for ik in self.ik)
+        fhat = self.forward(values)
+        return tuple(self.inverse(ik * fhat) for ik in self.ik)
 
     def div_spectra(self, hats, rows: int, ws=_FRESH, addend=None, out=None) -> Components:
         """Row-wise divergence from the half spectra ``hats`` (an iterable) of a stored
@@ -293,7 +311,7 @@ class _Calculus:
             if addend is not None:
                 div_hat += addend[i]
                 ws.give(addend[i])
-            divs.append(_irfft(div_hat, self.shape, out[i]))
+            divs.append(self.inverse(div_hat, out[i], ws))
             ws.give(div_hat)
         ws.give(tmp, *drawn[rows:])
         return tuple(divs)
@@ -329,7 +347,7 @@ class _Calculus:
         """
         if not self.stacks:
             return tuple(self.derivs(a) for a in arrays)
-        return tuple((row,) for row in self._deriv_rows(arrays))
+        return tuple((row,) for row in self._deriv_rows(np.array(arrays)))
 
     def velocity_level(self, u: Components, r: np.ndarray, shear, bulk, div_u: bool,
                        ws=_FRESH):
@@ -342,16 +360,16 @@ class _Calculus:
         """
         ik = self.ik
         if self.stacks:
-            hats = np.fft.rfft((*u, r))
-            rows = _irfft(ik[0] * (hats if div_u else hats[1:]), self.shape)
+            hats = self.forward(np.array((*u, r)))
+            rows = self.inverse(ik[0] * (hats if div_u else hats[1:]))
             return (rows[-1],), rows[0] if div_u else None, shear * hats[:1]
         addend = self._spectra(u, ws=ws)   # u^, turned into the addend in place
-        rhat, tmp = _rfft(r, ws.half()), ws.half()
-        gr = tuple(_irfft(np.multiply(k, rhat, out=tmp), self.shape, ws.real()) for k in ik)
+        rhat, tmp = self.forward(r, ws.half()), ws.half()
+        gr = tuple(self.inverse(np.multiply(k, rhat, out=tmp), ws.real(), ws) for k in ik)
         div_hat = np.multiply(ik[0], addend[0], out=rhat)
         for k, h in zip(ik[1:], addend[1:]):
             div_hat += np.multiply(k, h, out=tmp)
-        divu = _irfft(div_hat, self.shape, ws.real()) if div_u else None
+        divu = self.inverse(div_hat, ws.real(), ws) if div_u else None
         div_hat *= bulk
         for k, h in zip(ik, addend):
             h *= shear
@@ -385,11 +403,11 @@ class _Calculus:
             def flux_spectra():
                 for s, a in zip(stress, advective):
                     if masked:   # stress^ - the masked advective^
-                        h, (d,) = _rfft(s, ws.half()), self._spectra((a,), True, ws)
+                        h, (d,) = self.forward(s, ws.half()), self._spectra((a,), True, ws)
                         h -= d
                     else:
                         d = np.subtract(s, a, out=ws.real())
-                        h = _rfft(d, ws.half())
+                        h = self.forward(d, ws.half())
                     ws.give(d)
                     yield h
             return (rate, *self.div_spectra(flux_spectra(), self.dim, ws, addend))
@@ -402,14 +420,14 @@ class _Calculus:
             rates = self._fd2_deriv(rows, -1)
         else:
             if keep is None:
-                hats = self.ik[0] * np.fft.rfft(rows)
+                hats = self.ik[0] * self.forward(rows)
             else:
-                hm, hs, ha = np.fft.rfft(np.array((*mass, *stress, *advective)))
+                hm, hs, ha = self.forward(np.array((*mass, *stress, *advective)))
                 hats = self.ik[0] * np.array((np.where(keep, hm, 0.0),
                                               hs - np.where(keep, ha, 0.0)))
             if addend is not None:
                 hats[1:] += addend
-            rates = _irfft(hats, self.shape)
+            rates = self.inverse(hats)
         np.negative(rates[0], out=rates[0])
         return rates
 
@@ -441,8 +459,8 @@ def laplacian(f: ScalarField, d: Discretization) -> ScalarField:
     """
     grid, ops = f.grid, _calculus(f.grid, d)
     if ops.spectral:
-        fhat = _rfft(f.values)
-        return ScalarField(grid, _irfft(sum(ik * ik for ik in ops.ik) * fhat, grid.shape))
+        fhat = ops.forward(f.values)
+        return ScalarField(grid, ops.inverse(sum(ik * ik for ik in ops.ik) * fhat))
     total = np.zeros(grid.shape)
     for axis in range(grid.dim):
         prev, this, nxt = ops._neighbours(f.values, axis)
@@ -460,4 +478,4 @@ def dealias_array(values: np.ndarray, grid: Grid) -> np.ndarray:
     if not grid.is_periodic:
         raise ConfigError("dealiasing is defined on periodic grids only")
     ops = _calculus(grid, Discretization(Scheme.SPECTRAL, dealias=True))
-    return _irfft(ops._spectra((values,), True)[0], grid.shape)
+    return ops.inverse(ops._spectra((values,), True)[0])

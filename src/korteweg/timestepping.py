@@ -7,8 +7,8 @@ and, on a spectral grid, the stress symbol's real half-spectrum arrays
 constitutive coefficients are attributes of ``FluidParams``, formed once
 per parameter set.  On a 2-D spectral grid it also binds a workspace
 (:class:`korteweg.operators._Workspace`), the buffers into which every
-evaluation writes its temporaries, so that an evaluation allocates only its
-rates and, inside each inverse transform, one half spectrum.  The stages run
+evaluation writes its temporaries, each inverse transform's half spectrum
+included, so that an evaluation allocates only its rates.  The stages run
 on the rows (rho, *m): on a 1-D grid one stacked (1 + dim, N) array, so a
 stage is one Shu-Osher combination, one finite scan and one floor check; in
 2-D one array per component, the layout in which the 2-D kernels transform

@@ -9,7 +9,7 @@ from korteweg import (FD2, SPECTRAL, BoundaryKind, ConfigError, Discretization,
 from korteweg.fields import read_scalar_csv, sup_norm, write_scalar_csv
 from korteweg.initial import random_band_limited
 from korteweg.elliptic import _matvec
-from korteweg.operators import _calculus, dealias_array
+from korteweg.operators import _calculus, _Workspace, dealias_array
 
 
 def test_grid_validation():
@@ -370,3 +370,67 @@ def test_dealias_mask_is_cached_and_read_only(shape):
 def test_discretization_enum_roundtrip():
     assert Discretization(Scheme.FD2).scheme is Scheme.FD2
     assert SPECTRAL.scheme is Scheme.SPECTRAL
+
+
+def _unwritten(fn, *inputs):
+    """fn(*inputs), asserting that it leaves every input's bytes as they were."""
+    before = [a.tobytes() for a in inputs]
+    result = fn(*inputs)
+    assert [a.tobytes() for a in inputs] == before
+    return result
+
+
+def _transform_cases():
+    rng = np.random.default_rng(7)
+    for n in (64, 63):
+        for rows in ((), (1,), (2,), (3,)):
+            yield Grid.periodic(n), rng.standard_normal((*rows, n))
+    for shape in ((32, 32), (33, 35), (48, 36)):
+        yield Grid.periodic(shape), rng.standard_normal(shape)
+
+
+TRANSFORM_CASES = list(_transform_cases())
+
+
+@pytest.mark.parametrize("grid, x", TRANSFORM_CASES,
+                         ids=[f"{g.shape}-{x.shape}" for g, x in TRANSFORM_CASES])
+@pytest.mark.parametrize("with_out", [False, True], ids=["fresh", "out"])
+def test_bound_transforms_are_numpy_fft_byte_for_byte(grid, x, with_out):
+    # the calculus calls pocketfft's gufuncs with numpy's factors and axis order:
+    # rfft/irfft of every row of a 1-D stack, rfftn/irfftn of a 2-D array
+    ops, shape = _calculus(grid, SPECTRAL), grid.shape
+    if grid.dim == 1:
+        ref_fwd = np.fft.rfft(x)
+        hat = ref_fwd + 0.3j * np.random.default_rng(1).standard_normal(ref_fwd.shape)
+        ref_inv = np.fft.irfft(hat, n=shape[0])
+    else:
+        ref_fwd = np.fft.rfftn(x)
+        hat = ref_fwd + 0.3j * np.random.default_rng(1).standard_normal(ref_fwd.shape)
+        ref_inv = np.fft.irfftn(hat, s=shape, axes=(0, 1))
+    fwd_out = np.empty_like(ref_fwd) if with_out else None
+    inv_out = np.empty_like(ref_inv) if with_out else None
+    fwd = _unwritten(lambda a: ops.forward(a, fwd_out), x)
+    inv = _unwritten(lambda h: ops.inverse(h, inv_out), hat)
+    assert fwd.dtype == ref_fwd.dtype and fwd.shape == ref_fwd.shape
+    assert inv.dtype == ref_inv.dtype and inv.shape == ref_inv.shape
+    assert fwd.tobytes() == ref_fwd.tobytes() and inv.tobytes() == ref_inv.tobytes()
+    if with_out:
+        assert fwd is fwd_out and inv is inv_out
+
+
+@pytest.mark.parametrize("shape", [(32, 32), (33, 35)])
+def test_2d_inverse_makes_its_axis_0_pass_in_the_workspace(shape):
+    # the half spectrum of the axis-0 pass is drawn from the workspace and given
+    # back, so a bound evaluation reuses it; the spectrum handed in stays unwritten
+    grid = Grid.periodic(shape)
+    ops = _calculus(grid, SPECTRAL)
+    ws = _Workspace(ops)
+    hat = ops.forward(np.random.default_rng(3).standard_normal(shape))
+    ref = np.fft.irfftn(hat, s=shape, axes=(0, 1))
+    first = _unwritten(lambda h: ops.inverse(h, ws.real(), ws), hat)
+    (buffer,) = ws._half
+    second = _unwritten(lambda h: ops.inverse(h, None, ws), hat)
+    assert len(ws._half) == 1 and ws._half[0] is buffer
+    assert not np.shares_memory(buffer, hat)
+    assert first.tobytes() == second.tobytes() == ref.tobytes()
+

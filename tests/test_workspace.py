@@ -67,9 +67,9 @@ def test_rates_are_fresh_and_the_rows_unwritten(model, params):
 
 @pytest.mark.parametrize("model", ["nsk1", "nsk2-const"])
 def test_a_bound_evaluation_allocates_only_its_rates(model, params):
-    # after a warm-up the workspace holds every buffer an evaluation needs: a
-    # 128^2 evaluation peaks at its three rates plus the half spectrum that each
-    # irfftn makes inside numpy, and a few kilobytes of Python objects
+    # after a warm-up the workspace holds every buffer an evaluation needs, the
+    # half spectrum of each inverse's axis-0 pass included: a 128^2 evaluation
+    # peaks at its three rates and a few kilobytes of Python objects
     grid = Grid.periodic((128, 128))
     kind, gamma = MODELS[model]
     rhs = make_rhs(params, kind, gamma, SPECTRAL, grid)
@@ -81,5 +81,5 @@ def test_a_bound_evaluation_allocates_only_its_rates(model, params):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    real, half = 128 * 128 * 8, 128 * 65 * 16
-    assert peak <= 3 * real + half + 32 * 1024
+    real = 128 * 128 * 8
+    assert peak <= 3 * real + 32 * 1024
