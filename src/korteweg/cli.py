@@ -1,6 +1,6 @@
 """Command-line front end: run, check, convergence, compare.
 
-Exit codes: 0 ok, 2 config error, 3 numeric abort, 4 check failure.
+Exit codes: 0 ok, 2 config or output-directory error, 3 numeric abort, 4 check failure.
 """
 
 from __future__ import annotations
@@ -61,17 +61,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _emit_failure(out_dir: Path | None, exc: Exception) -> None:
     """The failure record on stderr and in ``out_dir``'s failure.json, with a numeric
-    abort's last good state as snapshots beside it (its ``state_files``)."""
+    abort's last good state as snapshots beside it (its ``state_files``); on stderr
+    only where ``out_dir`` cannot be written."""
     record = {"error": type(exc).__name__, "message": str(exc)}
     record.update((k, getattr(exc, k)) for k in ("step", "t", "dt")   # numeric aborts
                   if getattr(exc, k, None) is not None)
     state = getattr(exc, "state", None)
-    if out_dir is not None and isinstance(state, MixtureState):
-        record["state_files"] = write_state_snapshot(state, out_dir, 0, stem="last_good")
+    try:
+        if out_dir is not None and isinstance(state, MixtureState):
+            record["state_files"] = write_state_snapshot(state, out_dir, 0, stem="last_good")
+        if out_dir is not None:
+            out_dir.mkdir(parents=True, exist_ok=True)
+            (out_dir / "failure.json").write_text(json.dumps(record, indent=1))
+    except OSError:
+        pass
     print(json.dumps(record), file=sys.stderr)
-    if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "failure.json").write_text(json.dumps(record, indent=1))
 
 
 def main(argv=None) -> int:
@@ -129,7 +133,7 @@ def main(argv=None) -> int:
                     json.dumps(report.to_dict(), indent=1))
             return EXIT_OK
 
-    except (ConfigError, CompatibilityError, DomainError) as exc:
+    except (ConfigError, CompatibilityError, DomainError, OSError) as exc:
         _emit_failure(out_dir, exc)
         return EXIT_CONFIG
     except (StateError, SolverError, FloatingPointError, OverflowError) as exc:

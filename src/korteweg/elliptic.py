@@ -134,7 +134,7 @@ def _matvec(gamma_vals: np.ndarray, ops: _Calculus):
     grid = ops.grid
     if grid.is_periodic:
         def periodic(phi: np.ndarray) -> np.ndarray:
-            return -ops.div(tuple(gamma_vals * comp for comp in ops.derivs(phi)))
+            return -ops.div(gamma_vals * ops.derivs(phi))
 
         return periodic
     h = grid.h[0]

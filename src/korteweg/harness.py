@@ -28,7 +28,7 @@ from .fields import write_scalar_csv, ScalarField
 from .grids import BoundaryKind, Discretization, Grid, Scheme
 from .initial import InitialCondition
 from .models import MixtureState, ModelKind, _require_mobility
-from .timestepping import StepControl, integrate, step_metrics
+from .timestepping import StepControl, integrate
 
 log = logging.getLogger(__name__)
 
@@ -248,17 +248,19 @@ def write_state_snapshot(state: MixtureState, out_dir: Path, step: int,
 
 
 class MetricsWriter:
-    """Line-delimited JSON metrics stream."""
+    """Line-delimited JSON metrics stream: an observer of :func:`integrate` that
+    writes every ``every``-th step's line of ``records``, the list integrate
+    records each state's metrics line into before it calls its observers."""
 
-    def __init__(self, path: Path, config_hash: str, every: int = 1):
-        self.every = every
+    def __init__(self, path: Path, config_hash: str, records: list, every: int = 1):
+        self.records, self.every = records, every
         path.parent.mkdir(parents=True, exist_ok=True)
         self._fh = open(path, "w")
         self._fh.write(json.dumps({"config": config_hash}) + "\n")
 
-    def __call__(self, record: dict) -> None:
-        if record["step"] % self.every == 0:
-            self._fh.write(json.dumps(record) + "\n")
+    def __call__(self, step: int, state: MixtureState, dt: float) -> None:
+        if step % self.every == 0:
+            self._fh.write(json.dumps(self.records[-1]) + "\n")
 
     def close(self):
         self._fh.close()
@@ -275,18 +277,11 @@ def run_simulation(cfg: RunConfig, quiet: bool = False):
     chash = cfg.config_hash()
     state = cfg.build_initial_state()
     mobility = cfg.build_mobility() if cfg.model is ModelKind.NSK2 else None
-    records = []
-    metrics = None
-
-    def record(step, st, dt):
-        records.append(step_metrics(step, st, dt))
-        if metrics is not None:
-            metrics(records[-1])
-
-    observers = [record]
+    records, observers, metrics = [], [], None
     if cfg.out_dir is not None:
-        metrics = MetricsWriter(cfg.out_dir / "metrics.jsonl", chash,
+        metrics = MetricsWriter(cfg.out_dir / "metrics.jsonl", chash, records,
                                 cfg.metrics_every)
+        observers.append(metrics)
         if cfg.snapshot_every > 0:
             def snapshot(step, st, dt, _dir=cfg.out_dir, _hash=chash,
                          _every=cfg.snapshot_every):
@@ -294,12 +289,11 @@ def run_simulation(cfg: RunConfig, quiet: bool = False):
                     write_state_snapshot(st, _dir, step, _hash)
             observers.append(snapshot)
     try:
-        result = integrate(state, cfg.control, cfg.params, cfg.model, mobility,
-                           cfg.disc, observers=tuple(observers))
+        result = integrate(state, cfg.control, cfg.params, cfg.model, mobility, cfg.disc,
+                           observers=tuple(observers), record_metrics=True, metrics=records)
     finally:
         if metrics is not None:
             metrics.close()
-    result.metrics = records
     if not cfg.control.reached(result.state.t):
         raise StateError(
             f"step budget exhausted: {result.steps} steps reached t = "

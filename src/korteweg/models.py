@@ -25,10 +25,10 @@ side is the divergence of the flux [m; Sigma - m (x) u].  Its one assembly,
 the array kernel ``_rhs``, serves the time loop; ``rhs_nsk1``/``rhs_nsk2``
 wrap it.  It takes the rows (rho, *m), the grid's bound calculus
 (:class:`korteweg.operators._Calculus`), the stress symbol and a workspace
-(:class:`korteweg.operators._Workspace` on a 2-D spectral grid, else
-``_FRESH``), which :func:`korteweg.timestepping.make_rhs` resolves once per
-run, and returns fresh rates in the same stage layout: one (1 + dim, N)
-array on a 1-D grid, a tuple of arrays in 2-D (``_stage_rows``).  The
+(:class:`korteweg.operators._Workspace` on a spectral grid, else the
+calculus's ``fresh`` one), which :func:`korteweg.timestepping.make_rhs`
+resolves once per run, and returns fresh rates in the same stage layout,
+one (1 + dim, *shape) array on every grid (``_stage_rows``).  The
 certification kernels (``_pressure``, ``_diffusive_div``, ``_reconstruct``,
 ``_full_model``, ``_residual``) take that calculus too, as ``ops``: each
 public reconstruction, gap and residual looks it up once.
@@ -43,10 +43,11 @@ has no symbol and assembles every term from grad u.  The levels:
 (1) grad rho, div u where a pointwise term needs it and the symbol's
 addend (``velocity_level``; FD2: grad u and grad rho in one ``grads``
 call), (2) div(kappa grad rho) inside the Korteweg tensor, next to any
-NSK2 solve, (3) the divergence of the flux (``conservation_rates``).  The
-gap and the residuals take grad u and grad rho in one ``grads`` call and
-grad c once.  How a level is transformed and laid out is decided in
-:mod:`korteweg.operators`, not here.
+NSK2 solve, (3) the divergence of the flux (``conservation_rates``), each
+level one stacked forward and one stacked inverse transform call in 1-D
+and 2-D alike.  The gap and the residuals take grad u and grad rho in one
+``grads`` call and grad c once.  How a level is transformed and laid out is
+decided in :mod:`korteweg.operators`, not here.
 
 The full systems are never time-stepped: the closure makes them
 differential-algebraic, so they are only ever checked residually.
@@ -67,7 +68,7 @@ from .elliptic import Mobility, _matvec, _solve
 from .errors import ConfigError, StateError
 from .fields import Components, ScalarField, VectorField, _sup
 from .grids import Discretization, Scheme
-from .operators import _FRESH, _calculus, _Calculus, _total
+from .operators import _calculus, _Calculus, _total
 from .tensors import _div_of, _korteweg, _phase_stress, _viscous_stress
 
 RHO_FLOOR = 1e-8
@@ -161,19 +162,20 @@ def _stress_symbol(ops: _Calculus, params: FluidParams, kind: ModelKind,
     if nonlocal_term:
         bulk = bulk + (params._theta_dtau2 / gamma.value) * ops.inv_sym
     shear = -params.shear_viscosity * k2
-    if ops.stacks:
+    if ops.dim == 1:
         return _StressSymbol(shear - bulk * k2, None, nonlocal_term)
     return _StressSymbol(shear, bulk, nonlocal_term)
 
 
 def _eliminated_stress(r: np.ndarray, divu: np.ndarray | None, ops: _Calculus,
                        params: FluidParams, kind: ModelKind, gamma: Mobility | None,
-                       ws=_FRESH) -> tuple[_Density, np.ndarray | None]:
+                       ws=None) -> tuple[_Density, np.ndarray | None]:
     """The density of ``r`` and E, the isotropic stress in div u that eliminating c
     leaves, with the model's one elliptic solve: (delta_star / (sqrt(delta) rho))
     div u for NSK1, (theta / delta_tau^2) Lambda_gamma^{-1}(div u) for NSK2, made
     before 1/rho and c exist.  E is None without div u, where the stress symbol
     carries the constant-mobility term.  1/rho, c and E are buffers of ``ws``."""
+    ws = ws or ops.fresh
     if divu is not None and kind is ModelKind.NSK2:
         E = np.multiply(params._theta_dtau2, _solve(gamma, divu, ops), out=ws.real())
         return _density(r, params, ws.real(), ws.real()), E
@@ -185,22 +187,22 @@ def _eliminated_stress(r: np.ndarray, divu: np.ndarray | None, ops: _Calculus,
     return dn, E
 
 
-def _pressure(r: np.ndarray, gr: Components, E: np.ndarray, params: FluidParams,
+def _pressure(r: np.ndarray, gr: np.ndarray, E: np.ndarray, params: FluidParams,
               ops: _Calculus) -> np.ndarray:
     """Eliminated pressure: the local part shared by both models, less E.
 
     p = rho^2 R'(rho) - (1/rho) div((delta_star/rho) grad rho) - E.
     """
-    flux = tuple((params.delta_star / r) * g for g in gr)
+    flux = (params.delta_star / r) * gr
     local = r * r * law.bulk_energy_drho(r, params) - ops.div(flux) / r
     return local - E
 
 
-def _diffusive_div(state: MixtureState, gc: Components, params: FluidParams,
+def _diffusive_div(state: MixtureState, gc: np.ndarray, params: FluidParams,
                    ops: _Calculus) -> np.ndarray:
     """div(delta rho grad c) from grad c."""
     r = state.rho.values
-    return ops.div(tuple(params.delta * r * g for g in gc))
+    return ops.div(params.delta * r * gc)
 
 
 def _reconstruct(state: MixtureState, divu: np.ndarray, gr: Components, params: FluidParams,
@@ -246,67 +248,64 @@ def reconstruct_pressure_nsch(state: MixtureState, params: FluidParams,
     return reconstruct_fields(state, params, ModelKind.NSK2, gamma, d).p
 
 
-def _reduced_stress(dn: _Density, gr: Components, gu: tuple[Components, ...] | None,
+def _reduced_stress(dn: _Density, gr: np.ndarray, gu: tuple[Components, ...] | None,
                     ops: _Calculus, params: FluidParams, E: np.ndarray | None,
-                    ws=_FRESH) -> Components:
+                    ws=None) -> np.ndarray:
     """Korteweg plus E I, and 2 mu D(u) + lambda (div u) I from grad u ``gu`` unless
-    it is None (the stress symbol carries it; then the components are buffers of
-    ``ws``).  ``gr`` is grad rho; ``dn`` is a validated state's density, so the
+    it is None (the stress symbol carries it), as the rows of one stack, a buffer
+    of ``ws``.  ``gr`` is grad rho; ``dn`` is a validated state's density, so the
     laws run unchecked on it."""
-    korteweg = _korteweg(dn, gr, ops, params, E, ws)
-    if gu is None:
-        return korteweg
-    return tuple(a + b for a, b in zip(_viscous_stress(gu, params.bulk_viscosity, params),
-                                       korteweg))
+    stress = _korteweg(dn, gr, ops, params, E, ws)
+    if gu is not None:
+        stress += _viscous_stress(gu, params.bulk_viscosity, params)
+    return stress
 
 
 def _rhs(q, ops: _Calculus, params: FluidParams, kind: ModelKind, gamma: Mobility | None,
-         symbol: _StressSymbol | None, ws=_FRESH):
+         symbol: _StressSymbol | None, ws=None) -> np.ndarray:
     """The rates (-div m, *div(Sigma - m (x) u)) of the rows q = (rho, *m), in the
     three dependency levels of the module notes; ``symbol`` is
     :func:`_stress_symbol` of the same arguments.
 
-    The rows come, and the fresh rates return, in the stage layout of ``ops``:
-    one (1 + dim, N) array on a 1-D grid, a tuple of arrays otherwise.  The rows
-    are not written.  rho must be finite and above the density floor.  On a 2-D
-    spectral grid every other array is a buffer of ``ws``, given back once dead.
+    The rows come as the stage array, or any sequence of the row arrays, and
+    the fresh rates return as one (1 + dim, *shape) array.  The rows are not
+    written.  rho must be finite and above the density floor.  Every other
+    array is a buffer of ``ws``, given back once dead.
     """
-    r, m = q[0], q[1:]
-    u = tuple(np.divide(c, r, out=ws.real()) for c in m)
+    ws, r, m = ws or ops.fresh, q[0], q[1:]
+    ru = ws.real(len(q))   # (rho, *u)
+    ru[0] = r
+    u = np.divide(m, r, out=ru[1:])
     if symbol is None:
-        *gu, gr = ops.grads((*u, r))
-        divu, addend = _div_of(gu), None
+        gr, *gu = ops.grads(ru)
+        divu, level1, addend = _div_of(gu), None, None
     else:
-        gr, divu, addend = ops.velocity_level(u, r, symbol.shear, symbol.bulk,
-                                              not symbol.nonlocal_term, ws)
-        gu = None
+        level1, addend = ops.velocity_level(ru, symbol.shear, symbol.bulk,
+                                            not symbol.nonlocal_term, ws)
+        gr, gu = level1[:ops.dim], None
+        divu = None if symbol.nonlocal_term else level1[ops.dim]
     # div u is None where the symbol carries the non-local term: no solve
     dn, E = _eliminated_stress(r, divu, ops, params, kind, gamma, ws)
-    ws.give(divu)
     stress = _reduced_stress(dn, gr, gu, ops, params, E, ws)   # takes back dn and E
-    ws.give(*gr)
-    del gu, gr, divu, dn, E   # level 3 needs none of them
-    advective = tuple(np.multiply(m[i], u[j], out=ws.real())
-                      for i in range(len(m)) for j in range(i, len(m)))   # m (x) u
-    ws.give(*u)
-    rates = ops.conservation_rates(m, stress, advective, addend, ws)   # takes back addend
-    ws.give(*stress, *advective)
+    ws.give(level1)
+    del gu, gr, divu, dn, E, level1   # level 3 needs none of them
+    rates = ops.conservation_rates(m, u, stress, addend, ws)   # takes back addend
+    ws.give(ru, stress)
     return rates
 
 
-def _stage_rows(state: MixtureState):
-    """A state's rows (rho, *m) in the stage layout: stacked on a 1-D grid."""
-    rows = (state.rho.values, *state.m.components)
-    return np.array(rows) if state.grid.dim == 1 else rows
+def _stage_rows(state: MixtureState) -> np.ndarray:
+    """A state's rows (rho, *m) in the stage layout: one (1 + dim, *shape) array."""
+    return np.array((state.rho.values, *state.m.components))
 
 
 def _rhs_fields(state: MixtureState, params: FluidParams, kind: ModelKind,
                 gamma: Mobility | None, d: Discretization) -> tuple[ScalarField, VectorField]:
     grid = state.grid
     ops = _calculus(grid, d)
-    rates = _rhs(_stage_rows(state), ops, params, kind, gamma,
+    rates = _rhs((state.rho.values, *state.m.components), ops, params, kind, gamma,
                  _stress_symbol(ops, params, kind, gamma))
-    return ScalarField(grid, rates[0]), VectorField(grid, tuple(rates[1:]))
+    return ScalarField(grid, rates[0]), VectorField(grid, rates[1:])
 
 
 def rhs_nsk1(state: MixtureState, params: FluidParams,

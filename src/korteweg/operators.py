@@ -10,8 +10,8 @@ Two interchangeable discretizations:
   ``_Calculus.forward``/``inverse``, which call the gufuncs of
   ``numpy.fft._pocketfft_umath`` directly, without numpy.fft's Python
   wrappers: the same factors (1 forward, 1/n per axis inverse) and axis
-  order, so the same bits as ``rfft``/``irfft`` of the last axis of a
-  stack of rows on a 1-D grid and as ``rfftn``/``irfftn`` on a 2-D grid.
+  order, so every row of a stack gets the bits of ``rfft``/``irfft`` on a
+  1-D grid and of ``rfftn``/``irfftn`` on a 2-D grid.
 * ``Scheme.FD2`` -- second-order centered differences.  One ghost rule,
   ``_Calculus._neighbours``, gives every FD2 kernel (here and the Neumann
   operator of :mod:`korteweg.elliptic`) a node's neighbours: wraparound on
@@ -22,10 +22,10 @@ All operators are linear and act node-wise on the stored arrays.  Public
 functions return validated fields; the array kernels are the methods of
 ``_Calculus``, one grid's calculus under one discretization, which builds
 once everything an evaluation reuses: i k per axis, the dealias mask, the
-shape, whether rows stack and, on first use, the FD2 ghost indices, the
-inverse symbol of -div(grad .), the 1-D antiderivative symbol and the
-checkerboard null modes of the derivatives.  ``_calculus(grid, d)`` caches
-one per pair and is the only per-grid cache.  Each public function, here and in
+shapes and, on first use, the FD2 ghost indices, the inverse symbol of
+-div(grad .), the 1-D antiderivative symbol and the checkerboard null modes
+of the derivatives.  ``_calculus(grid, d)`` caches one per pair and is the
+only per-grid cache.  Each public function, here and in
 :mod:`korteweg.tensors`, :mod:`korteweg.elliptic` and
 :mod:`korteweg.models`, looks it up once and passes it down; a right-hand
 side binds one per run.  Under the spectral scheme a non-periodic grid is
@@ -34,44 +34,38 @@ the gufuncs that ``_Calculus.__init__`` binds (``rfft_n_even`` or
 ``rfft_n_odd`` by the parity of the last axis).  Patching the two methods
 sees every transform.
 
-Three multi-array kernels serve the dependency levels of a right-hand side
-(:mod:`korteweg.models`): ``grads`` takes the gradients of several arrays,
-``velocity_level`` (spectral) grad rho, div u and a symbol's image of u^
-as spectra, and ``conservation_rates`` the divergences of a conservation
-law's flux, plus those spectra before the inverse.
-On a 1-D grid every derivative runs on a stack of rows: spectrally one
-forward and one inverse call for all of them (at N = 256 the cost per
-call, not the FFT work, dominates, and a stacked call gives each row the
-bits of a call of its own), and ``conservation_rates`` returns the
-rates as one (1 + dim, N) array, the stage layout of
-:mod:`korteweg.timestepping`.  In 2-D they run the per-array kernels in
-turn and return one array per component: a stacked ``rfftn`` over 5
-arrays of 128 x 128 measured slower than 5 calls.
+The kernels work on stacks, (k, *shape) arrays of grid arrays, with one
+body for 1-D and 2-D grids: ``grads``, ``div_tensor`` and the dependency
+levels of a right-hand side (:mod:`korteweg.models`), ``velocity_level``
+(grad rho, div u and a symbol's image of u^) and ``conservation_rates``,
+whose rates are one (1 + dim, *shape) array, the stage layout of
+:mod:`korteweg.timestepping`.  Spectrally each makes one stacked forward
+and one stacked inverse call, a 2-D stack taking its axis-0 pass along
+axis -2: a stacked call gives each row the bits of a call of its own, and
+at N = 256 the cost per call, not the FFT work, dominates an evaluation.
 
-The 2-D spectral kernels (``velocity_level``, ``div``/``div_spectra``,
-``conservation_rates``) write every array they make, except the rates,
-into a workspace through numpy's ``out=``, transforms included, and each
-inverse makes its axis-0 pass in a half spectrum of it.  A right-hand
-side binds one ``_Workspace`` per run: grid-shaped real and half-spectrum
-buffers, taken back as their values die, so the dependency levels share
-them and an evaluation makes no new one after the first.  The default
-``_FRESH`` has no buffers: each ``out=`` is None and numpy (or the
-transform) allocates afresh, which is how every public function runs the
-same kernels.
+Every array a kernel makes but the rates goes into a workspace through
+``out=``, transforms included; a 2-D inverse makes its axis-0 pass in the
+dead spectrum its caller names.  A right-hand side on a spectral grid binds
+one ``_Workspace`` per run, whose real and half-spectrum stacks, keyed by
+row count, the levels share: an evaluation makes no new one after the
+first.  Each calculus's ``fresh`` workspace (``_Fresh``), the default,
+keeps nothing, so FD2 and every public function run the same kernels.
 """
 
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
+from itertools import combinations_with_replacement
 
 import numpy as np
 from numpy.fft import _pocketfft_umath as _pocketfft
 
 from .errors import ConfigError
-from .fields import Components, ScalarField, SymTensorField, VectorField
+from .fields import ScalarField, SymTensorField, VectorField
 from .grids import Discretization, Grid, Scheme
 
-_AXIS0 = [(0,), (), (0,)]   # a pocketfft gufunc's core axes for a pass along axis 0
+_AXIS_2 = [(-2,), (), (-2,)]   # a pocketfft gufunc's core axes for a pass along axis -2
 
 
 def _half_freqs(grid: Grid, unit: bool = False):
@@ -89,49 +83,62 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-class _Fresh:
-    """No workspace: every buffer is None, so each ``out=`` it fills is allocated
-    afresh, by numpy or by the transform, and ``give`` keeps nothing."""
-
-    def real(self) -> None:
-        return None
-
-    half = real
-
-    def give(self, *arrays) -> None:
-        pass
-
-
-_FRESH = _Fresh()
-
-
 class _Workspace:
-    """Real grid-shaped and complex half-spectrum buffers that one bound right-hand
-    side reuses across its evaluations, as the ``out=`` of its numpy calls.
+    """Real and complex half-spectrum buffers that one bound right-hand side reuses
+    across its evaluations, as the ``out=`` of its numpy calls.
 
-    ``real``/``half`` hand out a free buffer, made when none is free; ``give``
-    takes buffers back once their values are dead.  So the dependency levels of
-    an evaluation share the buffers, and after the first evaluation no call
-    makes a new one.  A kernel gives back only what it took itself or what it
-    was handed to consume.
+    ``real(k)``/``half(k)`` hand out a free stack of k grid-shaped (or
+    half-spectrum-shaped) rows, one array without k, made when none is free;
+    ``give`` takes buffers back once their values are dead.  So the dependency
+    levels of an evaluation share the buffers, and after the first evaluation no
+    call makes a new one.  A kernel gives back only what it took itself or what
+    it was handed to consume, and only whole buffers, never a row of one.
     """
 
     def __init__(self, ops: "_Calculus"):
-        self.shape = ops.shape
-        self.half_shape = (*ops.shape[:-1], ops.shape[-1] // 2 + 1)
-        self._real, self._half = [], []
+        self.shape, self.half_shape = ops.shape, ops.half_shape
+        self.real_free, self.half_free = {}, {}   # row count (None: one array) -> buffers
+        self._home = {}   # id of each buffer made -> the free list it goes back to
 
-    def real(self) -> np.ndarray:
-        return self._real.pop() if self._real else np.empty(self.shape)
+    def real(self, rows: int | None = None) -> np.ndarray:
+        try:
+            return self.real_free[rows].pop()
+        except (KeyError, IndexError):
+            return self._new(self.real_free, rows, self.shape, float)
 
-    def half(self) -> np.ndarray:
-        return self._half.pop() if self._half else np.empty(self.half_shape, dtype=complex)
+    def half(self, rows: int | None = None) -> np.ndarray:
+        try:
+            return self.half_free[rows].pop()
+        except (KeyError, IndexError):
+            return self._new(self.half_free, rows, self.half_shape, complex)
+
+    def _new(self, free: dict, rows: int | None, shape: tuple, dtype) -> np.ndarray:
+        a = np.empty(shape if rows is None else (rows, *shape), dtype)
+        self._home[id(a)] = free.setdefault(rows, [])
+        return a
 
     def give(self, *arrays) -> None:
         """Take back buffers whose values are dead; None entries are skipped."""
         for a in arrays:
             if a is not None:
-                (self._half if a.dtype.kind == "c" else self._real).append(a)
+                self._home[id(a)].append(a)
+
+
+class _Fresh:
+    """No workspace: a stack is a fresh array, one array None (numpy allocates the
+    ``out=`` it fills), and ``give`` keeps nothing; ``_Calculus.fresh`` holds one."""
+
+    def __init__(self, ops: "_Calculus"):
+        self.shape, self.half_shape = ops.shape, ops.half_shape
+
+    def real(self, rows: int | None = None) -> np.ndarray | None:
+        return None if rows is None else np.empty((rows, *self.shape))
+
+    def half(self, rows: int | None = None) -> np.ndarray | None:
+        return None if rows is None else np.empty((rows, *self.half_shape), dtype=complex)
+
+    def give(self, *arrays) -> None:
+        pass
 
 
 def _total(terms):
@@ -153,21 +160,28 @@ class _Calculus:
     (for :mod:`korteweg.elliptic` and the stress symbol), the 1-D
     antiderivative symbol ``antideriv`` and the checkerboard null modes
     ``checkerboards`` (for :mod:`korteweg.elliptic`), so a calculus holds
-    only what its grid uses.  It also fixes the shape, whether the
-    multi-array kernels stack their rows (on a 1-D grid) and the gufuncs and
-    factors of its transforms.  A right-hand side binds one per run;
-    :func:`_calculus` caches one per (grid, discretization) for everything
-    else.  It refuses a non-periodic grid under the spectral scheme.
+    only what its grid uses.  It also fixes the grid and half-spectrum shapes
+    and the gufuncs and factors of its transforms.  A right-hand side binds
+    one per run; :func:`_calculus` caches one per (grid, discretization) for
+    everything else.  It refuses a non-periodic grid under the spectral scheme.
     """
 
     def __init__(self, grid: Grid, d: Discretization):
         d.require_compatible(grid)
-        self.grid, self.dim, self.shape = grid, grid.dim, grid.shape
+        self.grid, self.dim, self.shape, self.h = grid, grid.dim, grid.shape, grid.h
         self.spectral = d.scheme is Scheme.SPECTRAL
-        self.stacks = grid.dim == 1
         n = grid.n[-1]
+        self.half_shape = (*grid.shape[:-1], n // 2 + 1)
         self._rfft = _pocketfft.rfft_n_even if n % 2 == 0 else _pocketfft.rfft_n_odd
-        self._half_n, self._inv_n = n // 2 + 1, tuple(1.0 / m for m in grid.n)
+        self._inv_n = tuple(1.0 / m for m in grid.n)
+        self.fresh = _Fresh(self)
+        # the (i, j), i <= j, of a stored symmetric tensor's components, and the
+        # divergence rows of the conservation law's flux stack [m; tensor] as runs
+        # (first spectrum read, first row written, rows): div m over m's last
+        # spectrum, then the tensor's rows in place, one run in 1-D
+        self._pairs = tuple(combinations_with_replacement(range(grid.dim), 2))
+        dim = grid.dim
+        self._rate_runs = ((0, 0, 2),) if dim == 1 else ((0, dim - 1, 1), (dim, dim, dim))
         self.ik = self._wavenumbers() if self.spectral else ()
         self.keep = None
         if d.dealias:
@@ -230,205 +244,184 @@ class _Calculus:
 
     def _neighbours(self, values: np.ndarray,
                     axis: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(previous, this, next) node values along ``axis`` under the FD2 ghost rule."""
+        """(previous, this, next) node values along grid axis ``axis`` of a grid array,
+        or of every row of a stack of them, under the FD2 ghost rule."""
         prev, nxt = self.ghost[axis]
+        axis -= self.dim
         return values.take(prev, axis=axis), values, values.take(nxt, axis=axis)
 
-    def _fd2_deriv(self, values: np.ndarray, axis: int) -> np.ndarray:
+    def _fd2_deriv(self, values: np.ndarray, axis: int, out=None) -> np.ndarray:
         prev, _, nxt = self._neighbours(values, axis)
-        return (nxt - prev) / (2.0 * self.grid.h[axis])
+        d = np.subtract(nxt, prev, out=out)
+        d /= 2.0 * self.h[axis]
+        return d
 
     def forward(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """The half spectrum of a real grid array, into ``out`` if given: numpy's
-        ``rfft`` of the last axis of every row of a stack on a 1-D grid, its
-        ``rfftn`` of one array on a 2-D grid (the last axis, then axis 0 in place)."""
+        """The half spectrum of a grid array, or of every row of a stack of them, into
+        ``out`` if given: numpy's ``rfft`` of each on a 1-D grid, its ``rfftn`` on a
+        2-D grid (the last axis, then axis -2 in place)."""
         if out is None:
-            out = np.empty((*values.shape[:-1], self._half_n), dtype=complex)
+            out = np.empty((*values.shape[:-1], self.half_shape[-1]), dtype=complex)
         self._rfft(values, 1.0, out=out)
-        if not self.stacks:
-            _pocketfft.fft(out, 1.0, out=out, axes=_AXIS0)
+        if self.dim == 2:
+            _pocketfft.fft(out, 1.0, out=out, axes=_AXIS_2)
         return out
 
     def inverse(self, hat: np.ndarray, out: np.ndarray | None = None,
-                ws=_FRESH) -> np.ndarray:
-        """The grid array of a half spectrum, into ``out`` if given, ``hat`` left
-        unwritten: numpy's ``irfft`` of every row of a stack on a 1-D grid, its
-        ``irfftn`` on a 2-D grid, whose axis-0 pass runs in a half spectrum of ``ws``."""
+                work: np.ndarray | None = None) -> np.ndarray:
+        """The grid array of a half spectrum, or of every row of a stack of them, into
+        ``out`` if given: numpy's ``irfft`` of each on a 1-D grid, its ``irfftn`` on a
+        2-D grid, whose axis -2 pass runs in ``work``.  A caller names its own dead
+        spectrum there (``hat`` itself: in place); by default the pass allocates,
+        which leaves ``hat`` unwritten."""
         if out is None:
             out = np.empty((*hat.shape[:-1], self.shape[-1]))
-        if self.stacks:
-            return _pocketfft.irfft(hat, self._inv_n[0], out=out)
-        tmp = ws.half()
-        if tmp is None:
-            tmp = np.empty(hat.shape, dtype=complex)
-        _pocketfft.irfft(_pocketfft.ifft(hat, self._inv_n[0], out=tmp, axes=_AXIS0),
-                         self._inv_n[1], out=out)
-        ws.give(tmp)
+        if self.dim == 2:
+            work = np.empty(hat.shape, dtype=complex) if work is None else work
+            hat = _pocketfft.ifft(hat, self._inv_n[0], out=work, axes=_AXIS_2)
+        return _pocketfft.irfft(hat, self._inv_n[-1], out=out)
+
+    def grads(self, arrays) -> np.ndarray:
+        """The gradient of each array of a stack, as a (k, dim, *shape) array whose row
+        (i, j) is d_j arrays[i].  Spectrally one forward and one inverse transform call
+        for all of them."""
+        a = np.asarray(arrays)
+        if not self.spectral:
+            g = np.empty((len(a), self.dim, *self.shape))
+            for axis in range(self.dim):
+                self._fd2_deriv(a, axis, out=g[:, axis])
+            return g
+        hats = self.forward(a)
+        prods = np.empty((len(a), self.dim, *self.half_shape), dtype=complex)
+        for axis, ik in enumerate(self.ik):
+            np.multiply(ik, hats, out=prods[:, axis])
+        return self.inverse(prods, work=prods)
+
+    def derivs(self, values: np.ndarray) -> np.ndarray:
+        """The gradient of one array, as a (dim, *shape) stack."""
+        return self.grads(values[None])[0]
+
+    def _div_spectra(self, hats: np.ndarray, src: int, dst: int, rows: int, ws) -> np.ndarray:
+        """Divergence spectra of ``rows`` consecutive rows of a tensor, written over
+        hats[dst:dst + rows]: row i is sum_j i k_j hats[src + i + j].  The terms in
+        i k_j, j >= 1, are formed first, each for all rows at once in a stack of
+        ``ws``, so the rows may overwrite what they read: dst = src, or a dst
+        range apart from hats[src:src + rows]."""
+        later = [np.multiply(self.ik[j], hats[src + j:src + j + rows], out=ws.half(rows))
+                 for j in range(1, self.dim)]
+        divs = np.multiply(self.ik[0], hats[src:src + rows], out=hats[dst:dst + rows])
+        for t in later:
+            divs += t
+            ws.give(t)
+        return divs
+
+    def _fd2_divs(self, t: np.ndarray, runs, out: np.ndarray) -> np.ndarray:
+        """The FD2 divergence rows of the runs (src, _, rows) of ``t``, one run after
+        another, into ``out``: row i of a run is sum_j d_j t[src + i + j]."""
+        i = 0
+        for src, _, n in runs:
+            divs = self._fd2_deriv(t[src:src + n], 0, out=out[i:i + n])
+            for j in range(1, self.dim):
+                divs += self._fd2_deriv(t[src + j:src + j + n], j)
+            i += n
         return out
 
-    def _spectra(self, t: Components, masked: bool = False, ws=_FRESH) -> list[np.ndarray]:
-        """The half spectrum of each component, in ``ws``; ``masked`` zeroes every
-        mode the 2/3 rule drops (``drop``)."""
-        hats = [self.forward(c, ws.half()) for c in t]
+    def div_tensor(self, t, rows: int = 0, ws=None, out=None) -> np.ndarray:
+        """Row-wise divergence of a stored symmetric tensor, row i of which is
+        t[i:i + dim], as a (rows, *shape) array, ``out`` if given.
+
+        ``rows`` = 1 takes the divergence of a vector.  Spectrally each component
+        is transformed once, into a half-spectrum stack of ``ws``, and each row
+        summed in Fourier space: one forward and one inverse transform call.
+        """
+        t, rows = np.asarray(t), rows or self.dim
+        if not self.spectral:
+            out = np.empty((rows, *self.shape)) if out is None else out
+            return self._fd2_divs(t, ((0, 0, rows),), out)
+        ws = ws or self.fresh
+        hats = self.forward(t, ws.half(len(t)))
+        divs = self._div_spectra(hats, 0, 0, rows, ws)
+        out = self.inverse(divs, out, work=divs)
+        ws.give(hats)
+        return out
+
+    def div(self, v, ws=None) -> np.ndarray:
+        """Divergence of a vector given by its components, into a buffer of ``ws``."""
+        ws = ws or self.fresh
+        out = ws.real()
+        divs = self.div_tensor(v, 1, ws, None if out is None else out[None])
+        return divs[0] if out is None else out
+
+    def velocity_level(self, ru: np.ndarray, shear, bulk, div_u: bool, ws):
+        """Level 1 of a spectral right-hand side from the rows ``ru`` = (rho, *u):
+        (rows, addend), buffers of ``ws``.
+
+        ``rows`` stacks grad rho and, if ``div_u``, div u.  ``addend`` is a
+        (1 + dim)-row half-spectrum stack: row i >= 1 is shear u^_i + i k_i (bulk
+        (div u)^) (``bulk`` None, as on a 1-D grid: all in ``shear``), row 0 is
+        scratch.  One forward and one inverse transform call.
+        """
+        dim, ik = self.dim, self.ik
+        hats = self.forward(ru, ws.half(1 + dim))
+        rho_hat, u_hat = hats[0], hats[1:]
+        spec = ws.half(1 + dim)   # i k_j rho^, then (div u)^
+        for k, row in zip(ik, spec):
+            np.multiply(k, rho_hat, out=row)
+        if div_u or bulk is not None:
+            div_hat = np.multiply(ik[0], u_hat[0], out=spec[dim])
+            for k, h in zip(ik[1:], u_hat[1:]):
+                div_hat += np.multiply(k, h, out=rho_hat)   # rho^ is dead
+            if bulk is not None:
+                bulk = np.multiply(div_hat, bulk, out=rho_hat)   # bulk (div u)^
+        inv = spec[:dim + div_u]
+        rows = self.inverse(inv, ws.real(len(inv)), work=inv)
+        u_hat *= shear
+        if bulk is not None:
+            for k, h in zip(ik, u_hat):
+                h += np.multiply(k, bulk, out=spec[0])   # spec is dead
+        ws.give(spec)
+        return rows, hats
+
+    def conservation_rates(self, m, u, stress, addend=None, ws=None) -> np.ndarray:
+        """The rates (-div m, *div(stress - m (x) u)) of the conservation law for
+        (rho, m) with flux [m; m (x) u - stress], as one fresh (1 + dim, *shape) array.
+
+        ``m`` and ``u`` are vectors, ``stress`` a stored symmetric tensor, none of them
+        written; ``addend`` (spectral) is a half-spectrum stack whose rows 1.. are
+        added to the momentum rows, and ``ws`` takes it back.  Under dealiasing the
+        2/3 rule masks m and m (x) u (the quadratic terms) in the spectra the
+        divergences take.  The flux components are the rows of one real stack of
+        ``ws``: spectrally one forward and one inverse transform call.
+        """
+        dim, nc, masked = self.dim, len(stress), self.keep is not None
+        ws = ws or self.fresh
+        flux = ws.real(dim + nc * (1 + masked))   # m, stress - m (x) u; or m, stress, m (x) u
+        flux[:dim] = m
+        adv = flux[dim + nc * masked:]
+        for row, (i, j) in zip(adv, self._pairs):
+            np.multiply(m[i], u[j], out=row)
         if masked:
-            for h in hats:
-                np.copyto(h, 0.0, where=self.drop)
-        return hats
-
-    def _deriv_rows(self, rows) -> np.ndarray:
-        """d/dx of one 1-D grid array, or of every row of a stack of them at once
-        (spectral: one forward and one inverse transform call for all rows)."""
-        if not self.spectral:
-            return self._fd2_deriv(rows, -1)
-        return self.inverse(self.ik[0] * self.forward(rows))
-
-    def derivs(self, values: np.ndarray) -> Components:
-        """The gradient of one array.  Spectral: one forward transform, one inverse per axis."""
-        if self.stacks:   # 1-D: the one derivative
-            return (self._deriv_rows(values),)
-        if not self.spectral:
-            return tuple(self._fd2_deriv(values, axis) for axis in range(self.dim))
-        fhat = self.forward(values)
-        return tuple(self.inverse(ik * fhat) for ik in self.ik)
-
-    def div_spectra(self, hats, rows: int, ws=_FRESH, addend=None, out=None) -> Components:
-        """Row-wise divergence from the half spectra ``hats`` (an iterable) of a stored
-        tensor, plus ``addend``'s spectrum per row: one inverse per row, into the
-        arrays of ``out`` (None: fresh arrays).
-
-        Each spectrum is drawn when a row first needs it and overwritten; ``ws``
-        takes it back after its last row, each addend once added, and the buffer
-        that holds i k_j hats[i + j] while a later row still reads hats[i + j].
-        """
-        ik, dim, hats, out = self.ik, self.dim, iter(hats), out or (None,) * rows
-        drawn, divs, tmp = [], [], ws.half() if rows > 1 else None
-        for i in range(rows):
-            drawn += [next(hats) for _ in range(i + dim - len(drawn))]
-            div_hat = np.multiply(ik[0], drawn[i], out=drawn[i])
-            for j in range(1, dim):
-                h = drawn[i + j]
-                div_hat += np.multiply(ik[j], h, out=tmp if i < rows - 1 else h)
-            if addend is not None:
-                div_hat += addend[i]
-                ws.give(addend[i])
-            divs.append(self.inverse(div_hat, out[i], ws))
-            ws.give(div_hat)
-        ws.give(tmp, *drawn[rows:])
-        return tuple(divs)
-
-    def div_tensor(self, t: Components, rows: int = 0, ws=_FRESH) -> Components:
-        """Row-wise divergence of a stored symmetric tensor: row i is t[i:i + dim].
-
-        ``rows`` = 1 takes the divergence of a vector.  Spectral: each component
-        is transformed once, each row summed in Fourier space before one inverse;
-        in 2-D the spectra are buffers of ``ws`` and so are the rows.  On a 1-D
-        grid it is the derivative of the one component.
-        """
-        if self.stacks:
-            return (self._deriv_rows(t[0]),)
-        rows = rows or self.dim
-        if self.spectral:
-            return self.div_spectra(self._spectra(t, ws=ws), rows, ws,
-                                    out=[ws.real() for _ in range(rows)])
-        axes = range(self.dim)
-        return tuple(_total(self._fd2_deriv(t[i + j], j) for j in axes)
-                     for i in range(rows))
-
-    def div(self, v: Components, ws=_FRESH) -> np.ndarray:
-        """Divergence of a vector given by its component arrays (in 2-D spectral, a
-        buffer of ``ws``)."""
-        return self.div_tensor(v, 1, ws)[0]
-
-    def grads(self, arrays: Components) -> tuple[Components, ...]:
-        """The gradient of each array, as :meth:`derivs` gives it.
-
-        1-D: one stacked derivative of all of them (spectral: one forward and
-        one inverse transform).
-        """
-        if not self.stacks:
-            return tuple(self.derivs(a) for a in arrays)
-        return tuple((row,) for row in self._deriv_rows(np.array(arrays)))
-
-    def velocity_level(self, u: Components, r: np.ndarray, shear, bulk, div_u: bool,
-                       ws=_FRESH):
-        """Level 1 of a spectral right-hand side: (grad rho, div u if ``div_u``
-        else None, addend), the addend being shear u^_i + i k_i (bulk (div u)^)
-        per momentum row as a half spectrum (``bulk`` None: all in ``shear``).
-
-        1-D: one stacked transform of (u, rho) each way.  2-D: every array is a
-        buffer of ``ws``, and the addend is formed in place in u^.
-        """
-        ik = self.ik
-        if self.stacks:
-            hats = self.forward(np.array((*u, r)))
-            rows = self.inverse(ik[0] * (hats if div_u else hats[1:]))
-            return (rows[-1],), rows[0] if div_u else None, shear * hats[:1]
-        addend = self._spectra(u, ws=ws)   # u^, turned into the addend in place
-        rhat, tmp = self.forward(r, ws.half()), ws.half()
-        gr = tuple(self.inverse(np.multiply(k, rhat, out=tmp), ws.real(), ws) for k in ik)
-        div_hat = np.multiply(ik[0], addend[0], out=rhat)
-        for k, h in zip(ik[1:], addend[1:]):
-            div_hat += np.multiply(k, h, out=tmp)
-        divu = self.inverse(div_hat, ws.real(), ws) if div_u else None
-        div_hat *= bulk
-        for k, h in zip(ik, addend):
-            h *= shear
-            h += np.multiply(k, div_hat, out=tmp)
-        ws.give(div_hat, tmp)
-        return gr, divu, addend
-
-    def conservation_rates(self, mass: Components, stress: Components,
-                           advective: Components, addend=None, ws=_FRESH):
-        """The rates (-div mass, *div(stress - advective)) of a conservation law for
-        (rho, m) with flux [mass; advective - stress], as rows of fresh arrays:
-        one (1 + dim, N) array on a 1-D grid, a tuple of arrays otherwise.
-
-        ``mass`` is a vector, ``stress`` and ``advective`` stored symmetric tensors,
-        none of them written; ``addend`` (spectral) holds half spectra added to the
-        momentum rows.  Under dealiasing the 2/3 rule masks ``mass`` and
-        ``advective`` (the quadratic terms) in the spectra the divergences take.
-        1-D: every row in one stacked derivative (spectral: one forward and one
-        inverse for both divergences).  Otherwise the divergence of ``mass``, then
-        the rest; spectrally every spectrum and stress - advective are buffers of
-        ``ws``.
-        """
-        if not self.stacks:
-            if not self.spectral:
-                return (-self.div(mass),
-                        *self.div_tensor(tuple(s - a for s, a in zip(stress, advective))))
-            masked = self.keep is not None
-            rate, = self.div_spectra(self._spectra(mass, masked, ws), 1, ws)
-            np.negative(rate, out=rate)
-
-            def flux_spectra():
-                for s, a in zip(stress, advective):
-                    if masked:   # stress^ - the masked advective^
-                        h, (d,) = self.forward(s, ws.half()), self._spectra((a,), True, ws)
-                        h -= d
-                    else:
-                        d = np.subtract(s, a, out=ws.real())
-                        h = self.forward(d, ws.half())
-                    ws.give(d)
-                    yield h
-            return (rate, *self.div_spectra(flux_spectra(), self.dim, ws, addend))
-        keep = self.keep
-        if keep is None:
-            rows = np.empty((2, *self.shape))
-            rows[0] = mass[0]
-            np.subtract(stress[0], advective[0], out=rows[1])
-        if not self.spectral:
-            rates = self._fd2_deriv(rows, -1)
+            flux[dim:dim + nc] = stress
         else:
-            if keep is None:
-                hats = self.ik[0] * self.forward(rows)
-            else:
-                hm, hs, ha = self.forward(np.array((*mass, *stress, *advective)))
-                hats = self.ik[0] * np.array((np.where(keep, hm, 0.0),
-                                              hs - np.where(keep, ha, 0.0)))
+            np.subtract(stress, adv, out=adv)
+        if not self.spectral:
+            rates = self._fd2_divs(flux, self._rate_runs, np.empty((1 + dim, *self.shape)))
+        else:
+            hats = self.forward(flux, ws.half(len(flux)))
+            if masked:
+                np.copyto(hats[:dim], 0.0, where=self.drop)
+                np.copyto(hats[dim + nc:], 0.0, where=self.drop)
+                hats[dim:dim + nc] -= hats[dim + nc:]
+            for run in self._rate_runs:
+                self._div_spectra(hats, *run, ws)
+            divs = hats[dim - 1:2 * dim]
             if addend is not None:
-                hats[1:] += addend
-            rates = self.inverse(hats)
-        np.negative(rates[0], out=rates[0])
+                divs[1:] += addend[1:]
+            rates = self.inverse(divs, work=divs)
+            ws.give(hats, addend)
+        ws.give(flux)
+        mass_rate = rates[0]
+        np.negative(mass_rate, out=mass_rate)
         return rates
 
 
@@ -478,4 +471,6 @@ def dealias_array(values: np.ndarray, grid: Grid) -> np.ndarray:
     if not grid.is_periodic:
         raise ConfigError("dealiasing is defined on periodic grids only")
     ops = _calculus(grid, Discretization(Scheme.SPECTRAL, dealias=True))
-    return ops.inverse(ops._spectra((values,), True)[0])
+    hat = ops.forward(values)
+    np.copyto(hat, 0.0, where=ops.drop)
+    return ops.inverse(hat, work=hat)

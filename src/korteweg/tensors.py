@@ -31,7 +31,7 @@ from .constitutive import (FluidParams, _capillarity, _Density, _density,
 from .errors import DomainError
 from .fields import Components, ScalarField, SymTensorField, VectorField, _outer, _plus_diag, _sup
 from .grids import Discretization
-from .operators import _FRESH, _calculus, _Calculus, _total
+from .operators import _calculus, _Calculus, _total
 
 
 def _div_of(g: tuple[Components, ...]) -> np.ndarray:
@@ -79,18 +79,20 @@ def phase_stress(c: ScalarField, p: ScalarField, rho: ScalarField,
                                                 p.values, rho.values, params))
 
 
-def _korteweg(dn: _Density, gr: Components, ops: _Calculus, params: FluidParams,
-              extra=None, ws=_FRESH) -> Components:
+def _korteweg(dn: _Density, gr: np.ndarray, ops: _Calculus, params: FluidParams,
+              extra=None, ws=None) -> np.ndarray:
     """The Korteweg tensor from grad rho g, plus ``extra`` I when given (the reduced
     models' eliminated stress), in closed form and in place (module notes):
     K = [(theta/delta_tau) W'(c) + 2 kappa |g|^2 + rho div(kappa g)] I - kappa g (x) g.
 
-    Its components and temporaries are buffers of ``ws``, except the values of the
-    double well's W'(c).  The caller hands over dn's 1/rho and c and ``extra``:
-    ``ws`` takes each back as soon as it is dead."""
+    Its components are the rows of one stack, which holds kappa g in its last rows
+    first; it and the temporaries but W'(c) are buffers of ``ws``.  The caller hands
+    over dn's 1/rho and c and ``extra``: ``ws`` takes each back as soon as it is dead."""
+    dim, ws = len(gr), ws or ops.fresh
+    k = ws.real(dim * (dim + 1) // 2)
     kap = _capillarity(dn, params, ws.real())
     ws.give(dn.v)
-    kg = tuple(np.multiply(kap, g, out=ws.real()) for g in gr)
+    kg = np.multiply(kap, gr, out=k[-dim:])
     ws.give(kap)
     diag = ops.div(kg, ws)
     diag *= dn.rho
@@ -98,16 +100,18 @@ def _korteweg(dn: _Density, gr: Components, ops: _Calculus, params: FluidParams,
     if extra is not None:
         diag += extra
     ws.give(dn.c, extra)
-    if len(gr) == 1:   # 2 kappa g^2 - kappa g^2
-        t = np.multiply(kg[0], gr[0], out=kg[0])
-        k = (np.add(t, diag, out=t),)
+    if dim == 1:   # 2 kappa g^2 - kappa g^2, with kg = k
+        kg *= gr
+        k += diag
     else:   # kappa g_i g_j; K_xx = diag + kappa (g_x^2 + 2 g_y^2), K_yy likewise
-        xy = np.multiply(kg[0], gr[1], out=ws.real())
-        xx = np.multiply(kg[0], gr[0], out=kg[0])
-        yy = np.multiply(kg[1], gr[1], out=kg[1])
+        yy = np.multiply(kg[1], gr[1], out=k[0])
+        xx = np.multiply(kg[0], gr[0], out=k[2])   # over kg[1], now dead
+        xy = np.multiply(kg[0], gr[1], out=k[1])   # in place: kg[0]'s last read
         diag += xx
         diag += yy
-        k = np.add(yy, diag, out=yy), np.negative(xy, out=xy), np.add(xx, diag, out=xx)
+        yy += diag
+        np.negative(xy, out=xy)
+        xx += diag
     ws.give(diag)
     return k
 
@@ -159,9 +163,9 @@ def korteweg_identity_residual(rho: ScalarField, params: FluidParams,
     r, ops = rho.values, _calculus(rho.grid, d)
     gr = ops.derivs(r)
     kap = capillarity(r, params)
-    lhs_inner = ops.div(tuple(r * r * kap * g for g in gr)) / r
+    lhs_inner = ops.div(r * r * kap * gr) / r
     lhs = ops.derivs(lhs_inner)   # div(s I) = grad s, also discretely
-    rhs_inner = r * ops.div(tuple(kap * g for g in gr)) \
+    rhs_inner = r * ops.div(kap * gr) \
         + 2.0 * kap * sum(g * g for g in gr)
     rhs = ops.derivs(rhs_inner)
     return _sup(a - b for a, b in zip(lhs, rhs))

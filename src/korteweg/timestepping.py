@@ -1,19 +1,19 @@
 """Explicit SSP-RK3 (Shu-Osher) integration of reduced mixture states.
 
 ``make_rhs`` binds a run's right-hand side once: the grid's calculus (i k,
-shape, stacking decision; the inverse symbol of -div(grad .) on first use)
+shapes; the inverse symbol of -div(grad .) on first use)
 and, on a spectral grid, the stress symbol's real half-spectrum arrays
 (:func:`korteweg.models._stress_symbol`) are resolved there, and the
 constitutive coefficients are attributes of ``FluidParams``, formed once
-per parameter set.  On a 2-D spectral grid it also binds a workspace
+per parameter set.  On a spectral grid it also binds a workspace
 (:class:`korteweg.operators._Workspace`), the buffers into which every
-evaluation writes its temporaries, each inverse transform's half spectrum
-included, so that an evaluation allocates only its rates.  The stages run
-on the rows (rho, *m): on a 1-D grid one stacked (1 + dim, N) array, so a
-stage is one Shu-Osher combination, one finite scan and one floor check; in
-2-D one array per component, the layout in which the 2-D kernels transform
-each array with a call of its own.  A stage is formed in place in the rates
-of its evaluation, and wa * u0 in the dead rows of the stage before.  Each
+evaluation writes its temporaries, transforms included, so that an
+evaluation allocates only its rates.  The stages run on the rows (rho, *m)
+as one (1 + dim, *shape) array on every grid, so a stage is one Shu-Osher
+combination, one finite scan and one floor check, and the spectral kernels
+transform its rows with one stacked call.  A stage is formed in place in
+the rates of its evaluation, and wa * u0 in the dead rows of the stage
+before.  Each
 accepted step builds one validated MixtureState, whose maximum speed the
 metrics and the next step bound share.
 """
@@ -30,11 +30,11 @@ from .constitutive import FluidParams
 from .elliptic import Mobility
 from .errors import (ConfigError, DomainError, SolverError, StateError,
                      _require_finite_fields)
-from .fields import Components, ScalarField, VectorField, _require_finite
+from .fields import ScalarField, VectorField, _require_finite
 from .grids import Discretization, Grid
 from .models import (MixtureState, ModelKind, _require_above_floor, _rhs, _stage_rows,
                      _stress_symbol)
-from .operators import _FRESH, _calculus, _Workspace
+from .operators import _calculus, _Workspace
 
 # Shu-Osher stage weights (step-start weight, weight of the Euler step from
 # the last stage); each row is a convex combination, which makes it SSP.
@@ -125,11 +125,10 @@ def estimate_dt(state: MixtureState, params: FluidParams,
     return _step_bound(state, params, control)
 
 
-# rows (rho, *m) -> their rates, in the stage layout of the grid: one
-# (1 + dim, N) array on a 1-D grid, one array per row on a 2-D grid; the rows
-# are not written, and the rates are fresh arrays, never a buffer of the
-# evaluator's workspace, as ssprk3_step forms the next stage in them
-RhsEvaluator = Callable[[np.ndarray | Components], np.ndarray | Components]
+# rows (rho, *m) -> their rates, both in the stage layout: one (1 + dim, *shape)
+# array; the rows are not written, and the rates are a fresh array, never a
+# buffer of the evaluator's workspace, as ssprk3_step forms the next stage in it
+RhsEvaluator = Callable[[np.ndarray], np.ndarray]
 
 
 def make_rhs(params: FluidParams, kind: ModelKind, gamma: Mobility | None,
@@ -137,23 +136,21 @@ def make_rhs(params: FluidParams, kind: ModelKind, gamma: Mobility | None,
     """The model's right-hand side on ``grid``, as rows (rho, *m) -> their rates.
 
     What stays fixed across calls is resolved here, once: the grid's
-    calculus (i k, shape, stacking; it holds the inverse symbol of
-    -div(grad .) from its first use on), the stress symbol of a spectral grid
-    as real arrays, through ``params`` the constitutive coefficients and, on a
-    2-D spectral grid, the workspace whose buffers every call reuses, so the
-    evaluator runs one call at a time.  1-D and FD2 evaluations allocate their
-    arrays (``_FRESH``).
+    calculus (i k, shapes; it holds the inverse symbol of -div(grad .) from
+    its first use on), the stress symbol of a spectral grid as real arrays,
+    through ``params`` the constitutive coefficients and, on a spectral grid,
+    the workspace whose buffers every call reuses, so the evaluator runs one
+    call at a time.  FD2 evaluations allocate their arrays (``ops.fresh``).
     """
     ops = _calculus(grid, d)
     symbol = _stress_symbol(ops, params, kind, gamma)
-    ws = _Workspace(ops) if ops.spectral and not ops.stacks else _FRESH
+    ws = _Workspace(ops) if ops.spectral else ops.fresh
     return lambda q: _rhs(q, ops, params, kind, gamma, symbol, ws)
 
 
-def _check_stage(q) -> None:
+def _check_stage(q: np.ndarray) -> None:
     """A MixtureState's checks: non-finite (DomainError), density floor (StateError)."""
-    for a in (q,) if isinstance(q, np.ndarray) else q:
-        _require_finite(a)
+    _require_finite(q)
     _require_above_floor(q[0])
 
 
@@ -177,17 +174,16 @@ def ssprk3_step(state: MixtureState, dt: float, rhs: RhsEvaluator) -> MixtureSta
             _check_stage(q)
         dq = rhs(q)
         # bit for bit the out-of-place combination, as IEEE + and * commute; wa * u0
-        # goes into the row of the stage before, dead once added (a fresh array
+        # goes into the rows of the stage before, dead once added (a fresh array
         # at the first stage, whose rows are u0's)
-        for g, b, a in ((dq, q, q0),) if isinstance(q0, np.ndarray) else zip(dq, q, q0):
-            g *= dt
-            g += b
-            if wb != 1.0:
-                g *= wb
-            if wa:
-                g += np.multiply(wa, a, out=b if i else None)
+        dq *= dt
+        dq += q
+        if wb != 1.0:
+            dq *= wb
+        if wa:
+            dq += np.multiply(wa, q0, out=q if i else None)
         q = dq
-    return MixtureState(ScalarField(grid, q[0]), VectorField(grid, tuple(q[1:])), state.t + dt)
+    return MixtureState(ScalarField(grid, q[0]), VectorField(grid, q[1:]), state.t + dt)
 
 
 Observer = Callable[[int, MixtureState, float], None]
@@ -218,10 +214,13 @@ def integrate(state: MixtureState, control: StepControl, params: FluidParams,
               kind: ModelKind = ModelKind.NSK1, gamma: Mobility | None = None,
               d: Discretization = Discretization(),
               observers: tuple[Observer, ...] = (),
-              record_metrics: bool = False) -> IntegrationResult:
+              record_metrics: bool = False, metrics: list | None = None) -> IntegrationResult:
     """Step the reduced system until t_end, invoking observers each step.
 
-    Observers are called once at step 0 and after every accepted step.
+    Observers are called once at step 0 and after every accepted step.  With
+    ``record_metrics`` each state's metrics line (:func:`step_metrics`) is
+    appended to ``result.metrics``, the list ``metrics`` if given, before the
+    observers are called: an observer reads it as the list's last entry.
     Aborts with a stiffness diagnostic if the step estimate undershoots
     dt_min.  A step that fails in a stage (non-finite values raise
     DomainError, a density below the floor StateError, an elliptic solve
@@ -231,7 +230,7 @@ def integrate(state: MixtureState, control: StepControl, params: FluidParams,
     rhs = make_rhs(params, kind, gamma, d, state.grid)
     params.validate_for_dim(state.grid.dim)
     law.warn_outside_window(state.rho.values, params, context="initial state")
-    result = IntegrationResult(state=state, steps=0)
+    result = IntegrationResult(state=state, steps=0, metrics=[] if metrics is None else metrics)
 
     def notify(step, st, dt):
         if record_metrics:

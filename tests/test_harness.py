@@ -314,9 +314,8 @@ def test_step_metrics_computed_once_per_record(tmp_path, monkeypatch):
                         output={"dir": str(out), "metrics_every": 1})
     calls = []
     original = korteweg.timestepping.step_metrics
-    for module in (korteweg.timestepping, korteweg.harness):
-        monkeypatch.setattr(module, "step_metrics",
-                            lambda *args: calls.append(args[0]) or original(*args))
+    monkeypatch.setattr(korteweg.timestepping, "step_metrics",
+                        lambda *args: calls.append(args[0]) or original(*args))
     result = run_simulation(load_config(path), quiet=True)
     assert len(calls) == result.steps + 1 == len(result.metrics)
     lines = (out / "metrics.jsonl").read_text().splitlines()[1:]
@@ -389,6 +388,24 @@ def test_cli_convergence_spectral_floor(tmp_path):
     # every error sits at the round-off floor, so no column has an order
     for key in ("rho_rate_error_order", "momentum_rate_error_order"):
         assert all(row.split(",")[header.index(key)] == "nan" for row in rows[1:])
+
+
+@pytest.mark.parametrize("command", ["run", "check", "convergence", "compare"])
+def test_cli_output_directory_that_cannot_be_made_is_a_config_error(command, tmp_path,
+                                                                     capsys):
+    # --out below a regular file cannot be created: exit 2, and the failure record
+    # goes to stderr alone, as failure.json cannot be written there either
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    a = write_config(tmp_path, name="a.json", model="nsk1")
+    b = write_config(tmp_path, name="b.json", model="nsk2")
+    args = {"run": ["run", str(a)], "check": ["check", str(a), "--no-2d"],
+            "convergence": ["convergence", str(a), "--n", "16,32,64"],
+            "compare": ["compare", str(a), str(b)]}[command]
+    assert main([*args, "--out", str(blocker / "out"), "--quiet"]) == 2
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "NotADirectoryError"
+    assert blocker.read_text() == ""
 
 
 def test_cli_compare_reports_shared_structure(tmp_path):

@@ -1,18 +1,20 @@
-"""The 2-D spectral right-hand side that make_rhs binds with a workspace.
+"""The spectral right-hand side that make_rhs binds with a workspace.
 
 Its buffers must change no bit of the rates, never be returned, never hold an
 input row, and leave an evaluation allocating only what it returns.
 """
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from korteweg import (SPECTRAL, Discretization, Grid, MixtureState, Mobility, ModelKind,
-                      ScalarField, Scheme, VectorField, rhs_nsk1, rhs_nsk2)
+from korteweg import (SPECTRAL, Discretization, DoubleWell, Grid, MixtureState, Mobility,
+                      ModelKind, ScalarField, Scheme, VectorField, rhs_nsk1, rhs_nsk2)
 from korteweg.initial import random_band_limited
-from korteweg.models import _stage_rows
+from korteweg.models import _rhs, _stage_rows, _stress_symbol
+from korteweg.operators import _calculus, _Workspace
 from korteweg.timestepping import make_rhs
 
 DEALIAS = Discretization(Scheme.SPECTRAL, dealias=True)
@@ -83,3 +85,60 @@ def test_a_bound_evaluation_allocates_only_its_rates(model, params):
         tracemalloc.stop()
     real = 128 * 128 * 8
     assert peak <= 3 * real + 32 * 1024
+
+
+@pytest.mark.parametrize("shape", [64, 63, (32, 24), (33, 35)], ids=str)
+@pytest.mark.parametrize("model", MODELS)
+@pytest.mark.parametrize("d", [SPECTRAL, DEALIAS], ids=["plain", "dealias"])
+def test_a_warm_workspace_makes_no_new_buffer(shape, model, d, params):
+    # every buffer an evaluation takes goes back to the workspace, so after a
+    # warm-up the later evaluations take only buffers of the first one
+    grid = Grid.periodic(shape)
+    kind, gamma = MODELS[model]
+    if gamma is not None and not gamma.is_constant:
+        gamma = Mobility.spatial(2.0 + np.cos(grid.coords()[0]))
+    ops = _calculus(grid, d)
+    ws, symbol = _Workspace(ops), _stress_symbol(ops, params, kind, gamma)
+    _rhs(_stage_rows(random_state(grid, 6)), ops, params, kind, gamma, symbol, ws)
+    warm = sorted(id(b) for pool in (ws.real_free, ws.half_free) for free in pool.values()
+                  for b in free)
+    taken = []
+    for name in ("real", "half"):
+        take = getattr(ws, name)
+        setattr(ws, name, lambda rows=None, take=take: taken.append(take(rows)) or taken[-1])
+    for seed in (7, 8):
+        _rhs(_stage_rows(random_state(grid, seed)), ops, params, kind, gamma, symbol, ws)
+        assert sorted(id(b) for pool in (ws.real_free, ws.half_free)
+                      for free in pool.values() for b in free) == warm
+        assert {id(b) for b in taken} <= set(warm)
+
+
+STORED = {}   # grid shape -> the W'(c) of StoredWell, made before any evaluation
+
+
+class StoredWell(DoubleWell):
+    """A double well whose W'(c) is an array made before the evaluation, so that a
+    traced peak shows what the right-hand side itself allocates."""
+
+    def derivative(self, c):
+        return STORED[c.shape]
+
+
+@pytest.mark.parametrize("model", ["nsk1", "nsk2-const"])
+def test_a_bound_1d_evaluation_allocates_only_its_rates(model, params):
+    # besides its two rates, a warm 1-D evaluation allocates only the scaled W'(c),
+    # one array that is dead before the rates are made
+    grid = Grid.periodic(16384)
+    STORED[grid.shape] = np.zeros(grid.shape)
+    params = replace(params, well=StoredWell())
+    kind, gamma = MODELS[model]
+    rhs = make_rhs(params, kind, gamma, SPECTRAL, grid)
+    rows = _stage_rows(random_state(grid, 5))
+    rhs(rows)
+    tracemalloc.start()
+    try:
+        rhs(rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * grid.shape[0] * 8 + 32 * 1024
