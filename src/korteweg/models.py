@@ -30,8 +30,8 @@ calculus's ``fresh`` one), which :func:`korteweg.timestepping.make_rhs`
 resolves once per run, and returns fresh rates in the same stage layout,
 one (1 + dim, *shape) array on every grid (``_stage_rows``).  The
 certification kernels (``_pressure``, ``_diffusive_div``, ``_reconstruct``,
-``_full_model``, ``_residual``) take that calculus too, as ``ops``: each
-public reconstruction, gap and residual looks it up once.
+``_phase_rate``, ``_full_model``, ``_residual``) take that calculus too, as
+``ops``: each public reconstruction, gap and residual looks it up once.
 
 On a spectral grid the velocity-linear, constant-coefficient part of the
 stress, 2 mu D(u) + lambda (div u) I and, for NSK2 with a constant
@@ -45,9 +45,18 @@ addend (``velocity_level``; FD2: grad u and grad rho in one ``grads``
 call), (2) div(kappa grad rho) inside the Korteweg tensor, next to any
 NSK2 solve, (3) the divergence of the flux (``conservation_rates``), each
 level one stacked forward and one stacked inverse transform call in 1-D
-and 2-D alike.  The gap and the residuals take grad u and grad rho in one
-``grads`` call and grad c once.  How a level is transformed and laid out is
-decided in :mod:`korteweg.operators`, not here.
+and 2-D alike.  How a level is transformed and laid out is decided in
+:mod:`korteweg.operators`, not here.
+
+The gap and the residuals take grad u and grad rho in one ``grads`` call on
+one (u, rho) stack, and grad c once.  They run on fresh arrays, so an array
+is freed only when its last name goes: ``_full_model`` makes and drops its
+arrays in the order that holds the fewest grid arrays at once (its
+docstring).  The local pressure comes before the density and E exist, W'(c)
+is formed once and handed to the Korteweg tensor, the phase rate comes last,
+and both fluxes are summed in place one component at a time, the full one in
+a stack of its own that its divergence reads without a copy.  A 2-D gap so
+peaks at about 17 grid arrays, 19 with NSK2's grad c, on either scheme.
 
 The full systems are never time-stepped: the closure makes them
 differential-algebraic, so they are only ever checked residually.
@@ -58,6 +67,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -187,15 +197,16 @@ def _eliminated_stress(r: np.ndarray, divu: np.ndarray | None, ops: _Calculus,
     return dn, E
 
 
-def _pressure(r: np.ndarray, gr: np.ndarray, E: np.ndarray, params: FluidParams,
+def _pressure(r: np.ndarray, gr: np.ndarray, params: FluidParams,
               ops: _Calculus) -> np.ndarray:
-    """Eliminated pressure: the local part shared by both models, less E.
-
-    p = rho^2 R'(rho) - (1/rho) div((delta_star/rho) grad rho) - E.
-    """
-    flux = (params.delta_star / r) * gr
-    local = r * r * law.bulk_energy_drho(r, params) - ops.div(flux) / r
-    return local - E
+    """The local part of the eliminated pressure, shared by both models, from which
+    :func:`_reconstruct` takes E: rho^2 R'(rho) - (1/rho) div((delta_star/rho) grad rho).
+    Each term is formed while the other's temporaries are dead."""
+    local = r * r * law.bulk_energy_drho(r, params)
+    capillary = ops.div((params.delta_star / r) * gr)
+    capillary /= r
+    local -= capillary
+    return local
 
 
 def _diffusive_div(state: MixtureState, gc: np.ndarray, params: FluidParams,
@@ -207,20 +218,25 @@ def _diffusive_div(state: MixtureState, gc: np.ndarray, params: FluidParams,
 
 def _reconstruct(state: MixtureState, divu: np.ndarray, gr: Components, params: FluidParams,
                  kind: ModelKind, gamma: Mobility | None, ops: _Calculus):
-    """The eliminated fields as arrays from div u and grad rho: (the density with
-    c, grad c for mu (NSK2) or None, p, q | mu, E)."""
+    """The eliminated fields but the phase rate, as arrays from div u and grad rho:
+    (the density with c, E, W'(c), p, grad c for mu (NSK2) or None)."""
     r = state.rho.values
     law.warn_outside_window(r, params, context="reconstruction")
     _require_mobility(kind, gamma)
+    p = _pressure(r, gr, params, ops)   # before the density and E exist
     dn, E = _eliminated_stress(r, divu, ops, params, kind, gamma)
+    p -= E
     wprime = params.well.derivative(dn.c)
-    p = _pressure(r, gr, E, params, ops)
+    return dn, E, wprime, p, ops.derivs(dn.c) if kind is ModelKind.NSK2 else None
+
+
+def _phase_rate(state: MixtureState, wprime: np.ndarray, p: np.ndarray, gc: np.ndarray | None,
+                params: FluidParams, kind: ModelKind, ops: _Calculus) -> np.ndarray:
+    """The eliminated phase rate from W'(c) and p: q (NSK1), or mu (NSK2) from grad c."""
     if kind is ModelKind.NSK1:
-        return dn, None, p, -(params.delta_tau / params.temperature) * p - wprime, E
-    gc = ops.derivs(dn.c)
-    mu = (params.delta_tau / params.temperature) * p + wprime \
-        - _diffusive_div(state, gc, params, ops) / r
-    return dn, gc, p, mu, E
+        return -(params.delta_tau / params.temperature) * p - wprime
+    return (params.delta_tau / params.temperature) * p + wprime \
+        - _diffusive_div(state, gc, params, ops) / state.rho.values
 
 
 def reconstruct_fields(state: MixtureState, params: FluidParams, kind: ModelKind,
@@ -229,7 +245,8 @@ def reconstruct_fields(state: MixtureState, params: FluidParams, kind: ModelKind
     """Rebuild (c, p, q | mu) from a reduced state under the given model."""
     ops = _calculus(state.grid, d)
     divu, gr = ops.div(_velocity(state)), ops.derivs(state.rho.values)
-    dn, _, p, rate, _ = _reconstruct(state, divu, gr, params, kind, gamma, ops)
+    dn, _, wprime, p, gc = _reconstruct(state, divu, gr, params, kind, gamma, ops)
+    rate = _phase_rate(state, wprime, p, gc, params, kind, ops)
     c, p, rate = (ScalarField(state.grid, v) for v in (dn.c, p, rate))
     return ReconstructedFields(c, p, **{"q" if kind is ModelKind.NSK1 else "mu_chem": rate})
 
@@ -250,14 +267,19 @@ def reconstruct_pressure_nsch(state: MixtureState, params: FluidParams,
 
 def _reduced_stress(dn: _Density, gr: np.ndarray, gu: tuple[Components, ...] | None,
                     ops: _Calculus, params: FluidParams, E: np.ndarray | None,
-                    ws=None) -> np.ndarray:
+                    ws=None, wprime=None) -> np.ndarray:
     """Korteweg plus E I, and 2 mu D(u) + lambda (div u) I from grad u ``gu`` unless
     it is None (the stress symbol carries it), as the rows of one stack, a buffer
-    of ``ws``.  ``gr`` is grad rho; ``dn`` is a validated state's density, so the
-    laws run unchecked on it."""
-    stress = _korteweg(dn, gr, ops, params, E, ws)
-    if gu is not None:
-        stress += _viscous_stress(gu, params.bulk_viscosity, params)
+    of ``ws``.  ``gr`` is grad rho, ``wprime`` W'(c) if the caller holds it; ``dn``
+    is a validated state's density, so the laws run unchecked on it."""
+    ws = ws or ops.fresh
+    stress = _korteweg(dn, gr, ops, params, E, ws, wprime)
+    if gu is not None:   # K + (2 mu D + lambda div u I), one component at a time
+        tmp = ws.real()
+        for row, v in zip(stress, _viscous_stress(gu, params.bulk_viscosity, params,
+                                                   repeat(tmp))):
+            row += v
+        ws.give(tmp)
     return stress
 
 
@@ -338,19 +360,37 @@ class ResidualReport:
 def _full_model(state: MixtureState, params: FluidParams, kind: ModelKind,
                 gamma: Mobility | None, ops: _Calculus):
     """The momentum-flux gap sup|div(S + P) - div(S_reduced + K)| and what the phase
-    residual reuses: (gap, grad c, q | mu).  Each gradient is taken once."""
-    r, u = state.rho.values, _velocity(state)
-    *gu, gr = ops.grads((*u, r))
-    dn, gc, p, rate, E = _reconstruct(state, _div_of(gu), gr, params, kind, gamma, ops)
-    # the reduced flux first: the other order keeps grad c and div(S + P) alive
-    # through _reduced_stress, 5 more arrays at the peak of a 2-D gap
-    reduced = ops.div_tensor(_reduced_stress(dn, gr, gu, ops, params, E))
+    residual reuses: (gap, grad c, q | mu).  Each gradient is taken once.
+
+    The arrays come in the order that keeps the fewest alive: grad u and grad rho
+    from one (u, rho) stack; p, the density, E and W'(c) (``_reconstruct``); the
+    reduced stress K + E I + S, after which 1/rho, E and grad rho are dropped; the
+    viscous stress S into the full flux's stack, after which grad u is dropped; the
+    reduced divergence, after which its stress is dropped; grad c (NSK1), then P
+    added into the full flux one component at a time; its divergence, less the
+    reduced one in place; the phase rate last.
+    """
+    r, dim = state.rho.values, ops.dim
+    g = ops.grads(np.array((*_velocity(state), r)))
+    gu, gr = g[:dim], g[dim]
+    dn, E, wprime, p, gc = _reconstruct(state, _div_of(gu), gr, params, kind, gamma, ops)
+    stress = _reduced_stress(dn, gr, gu, ops, params, E, wprime=wprime)
+    c = dn.c if gc is None else None
+    del dn, E, gr
+    full = np.empty_like(stress)   # S, then S + P
+    for _ in _viscous_stress(gu, params.bulk_viscosity, params, full):
+        pass
+    del g, gu
+    reduced = ops.div_tensor(stress)
+    del stress
     if gc is None:
-        gc = ops.derivs(dn.c)
-    del dn, E   # the full flux needs neither: two arrays less at the peak of a 2-D gap
-    full = tuple(a + b for a, b in zip(_viscous_stress(gu, params.bulk_viscosity, params),
-                                       _phase_stress(gc, p, r, params)))
-    return _sup(a - b for a, b in zip(ops.div_tensor(full), reduced)), gc, rate
+        gc = ops.derivs(c)
+    del c
+    for row, ph in zip(full, _phase_stress(gc, p, r, params, repeat(np.empty(ops.shape)))):
+        row += ph
+    gap = ops.div_tensor(full)
+    gap -= reduced
+    return _sup(gap), gc, _phase_rate(state, wprime, p, gc, params, kind, ops)
 
 
 def momentum_equivalence_gap(state: MixtureState, params: FluidParams, kind: ModelKind,

@@ -13,19 +13,26 @@ Two interchangeable discretizations:
   order, so every row of a stack gets the bits of ``rfft``/``irfft`` on a
   1-D grid and of ``rfftn``/``irfftn`` on a 2-D grid.
 * ``Scheme.FD2`` -- second-order centered differences.  One ghost rule,
-  ``_Calculus._neighbours``, gives every FD2 kernel (here and the Neumann
-  operator of :mod:`korteweg.elliptic`) a node's neighbours: wraparound on
-  periodic grids, even reflection f[-1] = f[0], f[n] = f[n-1] on bounded
-  1-D grids (consistent with homogeneous Neumann data).
+  ``_Calculus.ghost``, gives every FD2 kernel a node's neighbours:
+  wraparound on periodic grids, even reflection f[-1] = f[0], f[n] = f[n-1]
+  on bounded 1-D grids (consistent with homogeneous Neumann data).  The
+  first derivative, behind ``grads``, ``div_tensor`` and the rates, reads it
+  as slice stencils (``_Calculus.stencils``): it differences shifted slices
+  of its input straight into its output, every node at once over the
+  flattened arrays, then the two edge nodes of the axis, so it copies no
+  neighbours, and with an ``out=`` allocates nothing beyond numpy's
+  buffers for the edge nodes.  The Laplacian and the Neumann operator of
+  :mod:`korteweg.elliptic` take neighbour copies from the same rule
+  (``_Calculus._neighbours``).
 
 All operators are linear and act node-wise on the stored arrays.  Public
 functions return validated fields; the array kernels are the methods of
 ``_Calculus``, one grid's calculus under one discretization, which builds
 once everything an evaluation reuses: i k per axis, the dealias mask, the
-shapes and, on first use, the FD2 ghost indices, the inverse symbol of
--div(grad .), the 1-D antiderivative symbol and the checkerboard null modes
-of the derivatives.  ``_calculus(grid, d)`` caches one per pair and is the
-only per-grid cache.  Each public function, here and in
+shapes and, on first use, the FD2 ghost indices and stencils, the inverse
+symbol of -div(grad .), the 1-D antiderivative symbol and the checkerboard
+null modes of the derivatives.  ``_calculus(grid, d)`` caches one per pair
+and is the only per-grid cache.  Each public function, here and in
 :mod:`korteweg.tensors`, :mod:`korteweg.elliptic` and
 :mod:`korteweg.models`, looks it up once and passes it down; a right-hand
 side binds one per run.  Under the spectral scheme a non-periodic grid is
@@ -57,6 +64,7 @@ from __future__ import annotations
 
 from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement
+from math import prod
 
 import numpy as np
 from numpy.fft import _pocketfft_umath as _pocketfft
@@ -76,6 +84,12 @@ def _half_freqs(grid: Grid, unit: bool = False):
         d = 1.0 / n if unit else h
         f = np.fft.rfftfreq(n, d=d) if axis == grid.dim - 1 else np.fft.fftfreq(n, d=d)
         yield n, f, [-1 if a == axis else 1 for a in range(grid.dim)]
+
+
+def _pair(first: int, last: int) -> slice:
+    """The slice of an axis that picks index ``first``, then index ``last`` (!= first)."""
+    stop = last + (1 if last > first else -1)
+    return slice(first, None if stop < 0 else stop, last - first)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -156,11 +170,11 @@ class _Calculus:
     Everything an evaluation reuses is built once here, as read-only arrays:
     with the calculus, i k per axis ``ik`` (spectral) and the 2/3-rule mask
     ``keep`` (when dealiasing); on first use, the FD2 ghost indices ``ghost``
-    and, on a periodic grid, the inverse symbol ``inv_sym`` of -div(grad .)
-    (for :mod:`korteweg.elliptic` and the stress symbol), the 1-D
-    antiderivative symbol ``antideriv`` and the checkerboard null modes
-    ``checkerboards`` (for :mod:`korteweg.elliptic`), so a calculus holds
-    only what its grid uses.  It also fixes the grid and half-spectrum shapes
+    and slice stencils ``stencils`` and, on a periodic grid, the inverse symbol
+    ``inv_sym`` of -div(grad .) (for :mod:`korteweg.elliptic` and the stress
+    symbol), the 1-D antiderivative symbol ``antideriv`` and the checkerboard
+    null modes ``checkerboards`` (for :mod:`korteweg.elliptic`), so a calculus
+    holds only what its grid uses.  It also fixes the grid and half-spectrum shapes
     and the gufuncs and factors of its transforms.  A right-hand side binds
     one per run; :func:`_calculus` caches one per (grid, discretization) for
     everything else.  It refuses a non-periodic grid under the spectral scheme.
@@ -242,6 +256,23 @@ class _Calculus:
                 modes += [m * sign for m in modes]
         return tuple(_read_only(m) for m in modes[1:])
 
+    @cached_property
+    def stencils(self) -> tuple[tuple[tuple[slice, ...], tuple[tuple, ...]], ...]:
+        """The FD2 difference f[next] - f[prev] along each axis, on a C-contiguous grid
+        array or stack of them, as two (out, next, prev) triples of indices: ``flat``,
+        slices of the flattened arrays one shift of the axis's stride apart, give every
+        node at once, those at the axis's two edges wrongly (across rows); ``edges``
+        then pick those nodes, with the neighbours ``ghost`` gives."""
+        stencils = []
+        for axis, ((prev, nxt), n) in enumerate(zip(self.ghost, self.grid.n)):
+            stride = prod(self.grid.n[axis + 1:])
+            flat = (slice(stride, -stride), slice(2 * stride, None), slice(None, -2 * stride))
+            rest = (slice(None),) * (self.dim - 1 - axis)
+            edges = tuple((Ellipsis, _pair(int(first), int(last)), *rest)
+                          for first, last in ((0, n - 1), (nxt[0], nxt[-1]), (prev[0], prev[-1])))
+            stencils.append((flat, edges))
+        return tuple(stencils)
+
     def _neighbours(self, values: np.ndarray,
                     axis: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(previous, this, next) node values along grid axis ``axis`` of a grid array,
@@ -251,10 +282,21 @@ class _Calculus:
         return values.take(prev, axis=axis), values, values.take(nxt, axis=axis)
 
     def _fd2_deriv(self, values: np.ndarray, axis: int, out=None) -> np.ndarray:
-        prev, _, nxt = self._neighbours(values, axis)
-        d = np.subtract(nxt, prev, out=out)
-        d /= 2.0 * self.h[axis]
-        return d
+        """The FD2 derivative along grid axis ``axis`` of a grid array, or of every row
+        of a stack of them, into ``out`` if given (C-contiguous, apart from
+        ``values``): shifted slices of ``values`` differenced straight into it, with
+        no neighbour copies, the edge nodes last (``stencils``).  A ``values`` that
+        is not C-contiguous is flattened into a copy."""
+        out = np.empty(values.shape) if out is None else out
+        if not out.flags.c_contiguous:
+            raise ValueError("an FD2 derivative writes into a C-contiguous array")
+        (at, nxt, prev), edges = self.stencils[axis]
+        v, d = values.ravel(), out.ravel()
+        np.subtract(v[nxt], v[prev], out=d[at])
+        at, nxt, prev = edges
+        np.subtract(values[nxt], values[prev], out=out[at])
+        out /= 2.0 * self.h[axis]
+        return out
 
     def forward(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """The half spectrum of a grid array, or of every row of a stack of them, into
@@ -286,15 +328,16 @@ class _Calculus:
         (i, j) is d_j arrays[i].  Spectrally one forward and one inverse transform call
         for all of them."""
         a = np.asarray(arrays)
-        if not self.spectral:
-            g = np.empty((len(a), self.dim, *self.shape))
+        if not self.spectral:   # each axis's rows one contiguous block
+            g = np.empty((self.dim, len(a), *self.shape))
             for axis in range(self.dim):
-                self._fd2_deriv(a, axis, out=g[:, axis])
-            return g
+                self._fd2_deriv(a, axis, out=g[axis])
+            return g.swapaxes(0, 1)
         hats = self.forward(a)
         prods = np.empty((len(a), self.dim, *self.half_shape), dtype=complex)
         for axis, ik in enumerate(self.ik):
             np.multiply(ik, hats, out=prods[:, axis])
+        del hats   # dead before the inverse makes its output
         return self.inverse(prods, work=prods)
 
     def derivs(self, values: np.ndarray) -> np.ndarray:
@@ -304,15 +347,22 @@ class _Calculus:
     def _div_spectra(self, hats: np.ndarray, src: int, dst: int, rows: int, ws) -> np.ndarray:
         """Divergence spectra of ``rows`` consecutive rows of a tensor, written over
         hats[dst:dst + rows]: row i is sum_j i k_j hats[src + i + j].  The terms in
-        i k_j, j >= 1, are formed first, each for all rows at once in a stack of
-        ``ws``, so the rows may overwrite what they read: dst = src, or a dst
-        range apart from hats[src:src + rows]."""
-        later = [np.multiply(self.ik[j], hats[src + j:src + j + rows], out=ws.half(rows))
-                 for j in range(1, self.dim)]
+        i k_j, j >= 1, are formed first, each for all rows at once, so the rows may
+        overwrite what they read: dst = src, or a dst range apart from
+        hats[src:src + rows].  A term goes over the spectra it is formed from where
+        no row reads or writes them (a vector's divergence), else into a stack of
+        ``ws``."""
+        later = []
+        for j in range(1, self.dim):
+            read = hats[src + j:src + j + rows]
+            spare = src + j >= max(src, dst) + rows
+            later.append((np.multiply(self.ik[j], read, out=read if spare else ws.half(rows)),
+                          spare))
         divs = np.multiply(self.ik[0], hats[src:src + rows], out=hats[dst:dst + rows])
-        for t in later:
+        for t, spare in later:
             divs += t
-            ws.give(t)
+            if not spare:
+                ws.give(t)
         return divs
 
     def _fd2_divs(self, t: np.ndarray, runs, out: np.ndarray) -> np.ndarray:

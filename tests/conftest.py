@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -19,3 +21,14 @@ def sine_state(grid, rho_amp=0.1, u_amp=0.1) -> MixtureState:
     return MixtureState.from_primitive(
         ScalarField(grid, 1.0 + rho_amp * np.sin(x)),
         VectorField(grid, (u_amp * np.sin(x),)))
+
+
+def traced_peak(fn) -> int:
+    """The peak bytes that tracemalloc traces while ``fn()`` runs: what it allocates,
+    counted at its most at once.  Warm any cache ``fn`` fills before the call."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

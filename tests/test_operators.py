@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from conftest import traced_peak
 
 from korteweg import (FD2, SPECTRAL, BoundaryKind, ConfigError, Discretization,
                       DomainError, Grid, ScalarField, Scheme, SymTensorField,
@@ -286,6 +287,43 @@ def test_fd2_ghost_rule_matches_explicit_wall_rows(grid):
     gamma = 1.5 + rng.uniform(size=grid.shape)
     assert np.array_equal(_matvec(gamma, ops)(f),
                           explicit_neumann_matvec(gamma, f, grid.h[0]))
+
+
+def take_fd2_deriv(values, grid, axis):
+    """The FD2 derivative from neighbour copies: np.take of each node's next and
+    previous node along ``axis``, wrapped (periodic) or clipped (walls)."""
+    mode = "wrap" if grid.is_periodic else "clip"
+    i, ax = np.arange(grid.n[axis]), axis - grid.dim
+    d = values.take(i + 1, axis=ax, mode=mode) - values.take(i - 1, axis=ax, mode=mode)
+    d /= 2.0 * grid.h[axis]
+    return d
+
+
+@pytest.mark.parametrize("grid", [
+    Grid.bounded_neumann_1d(8, 1.0), Grid.bounded_neumann_1d(63, 2.0), Grid.periodic(8),
+    Grid.periodic(64), Grid.periodic((48, 36)), Grid.periodic((33, 35))],
+    ids=["bounded8", "bounded63", "8", "64", "48x36", "33x35"])
+@pytest.mark.parametrize("rows", [None, 1, 3], ids=["array", "stack1", "stack3"])
+def test_fd2_deriv_is_the_take_reference_and_allocates_only_its_output(grid, rows):
+    # shifted slices differenced straight into the output give the bits of neighbour
+    # copies; given out=, the derivative allocates only numpy's buffers for the
+    # strided edge nodes (at most the edge values of its three operands) and a few
+    # Python objects
+    rng = np.random.default_rng(grid.n[0] + 7 * (rows or 0))
+    values = rng.normal(size=grid.shape if rows is None else (rows, *grid.shape))
+    before = values.tobytes()
+    ops = _calculus(grid, FD2)
+    for axis in range(grid.dim):
+        ref = take_fd2_deriv(values, grid, axis).tobytes()
+        assert ops._fd2_deriv(values, axis).tobytes() == ref
+        out = np.empty_like(values)
+        assert ops._fd2_deriv(values, axis, out=out) is out
+        assert out.tobytes() == ref
+        edges = 3 * 8 * 2 * values.size // grid.n[axis]
+        assert traced_peak(lambda: ops._fd2_deriv(values, axis, out=out)) <= edges + 4096
+    assert values.tobytes() == before
+    with pytest.raises(ValueError):   # the flattened output must be a view
+        ops._fd2_deriv(values, 0, out=np.empty((*values.shape, 2))[..., 0])
 
 
 def test_dealias_filter_keeps_low_modes():

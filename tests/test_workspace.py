@@ -4,11 +4,11 @@ Its buffers must change no bit of the rates, never be returned, never hold an
 input row, and leave an evaluation allocating only what it returns.
 """
 
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import traced_peak
 
 from korteweg import (SPECTRAL, Discretization, DoubleWell, Grid, MixtureState, Mobility,
                       ModelKind, ScalarField, Scheme, VectorField, rhs_nsk1, rhs_nsk2)
@@ -77,14 +77,8 @@ def test_a_bound_evaluation_allocates_only_its_rates(model, params):
     rhs = make_rhs(params, kind, gamma, SPECTRAL, grid)
     rows = _stage_rows(random_state(grid, 5))
     rhs(rows)
-    tracemalloc.start()
-    try:
-        rhs(rows)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
     real = 128 * 128 * 8
-    assert peak <= 3 * real + 32 * 1024
+    assert traced_peak(lambda: rhs(rows)) <= 3 * real + 32 * 1024
 
 
 @pytest.mark.parametrize("shape", [64, 63, (32, 24), (33, 35)], ids=str)
@@ -135,10 +129,4 @@ def test_a_bound_1d_evaluation_allocates_only_its_rates(model, params):
     rhs = make_rhs(params, kind, gamma, SPECTRAL, grid)
     rows = _stage_rows(random_state(grid, 5))
     rhs(rows)
-    tracemalloc.start()
-    try:
-        rhs(rows)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2 * grid.shape[0] * 8 + 32 * 1024
+    assert traced_peak(lambda: rhs(rows)) <= 2 * grid.shape[0] * 8 + 32 * 1024
