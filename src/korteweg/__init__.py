@@ -11,7 +11,7 @@ from .elliptic import (Mobility, apply_operator, invert_freespace_1d,
                        invert_neumann_1d, invert_periodic)
 from .errors import (CompatibilityError, ConfigError, DomainError, KortewegError,
                      SolverError, StateError)
-from .fields import ScalarField, SymTensorField, VectorField, sup_norm, write_scalar_csv
+from .fields import ScalarField, SymTensorField, VectorField, write_scalar_csv
 from .grids import FD2, SPECTRAL, BoundaryKind, Discretization, Grid, Scheme
 from .initial import CorpusState, ICFamily, InitialCondition, default_corpus
 from .models import (MixtureState, ModelKind, ReconstructedFields, ResidualReport,
@@ -41,5 +41,5 @@ __all__ = [
     "momentum_equivalence_gap", "nonlocal_cauchy_stress", "phase_stress",
     "reconstruct_fields", "reconstruct_pressure_nsac", "reconstruct_pressure_nsch",
     "residual_nsac", "residual_nsch", "rhs_nsk1", "rhs_nsk2", "ssprk3_step",
-    "strain", "sup_norm", "write_scalar_csv",
+    "strain", "write_scalar_csv",
 ]

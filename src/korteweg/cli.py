@@ -15,7 +15,7 @@ from .errors import CompatibilityError, ConfigError, DomainError, SolverError, S
 from .harness import load_config, run_simulation, write_state_snapshot
 from .models import MixtureState
 from .verification import (compare_models, convergence_csv, convergence_table,
-                           run_check_suite)
+                           require_convergence_setup, run_check_suite)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -59,6 +59,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _write(dest: Path | None, name: str, text: str) -> None:
+    """Write a report file ``name`` into ``dest``, made if missing; nothing without one."""
+    if dest is not None:
+        dest.mkdir(parents=True, exist_ok=True)
+        (dest / name).write_text(text)
+
+
 def _emit_failure(out_dir: Path | None, exc: Exception) -> None:
     """The failure record on stderr and in ``out_dir``'s failure.json, with a numeric
     abort's last good state as snapshots beside it (its ``state_files``); on stderr
@@ -70,9 +77,7 @@ def _emit_failure(out_dir: Path | None, exc: Exception) -> None:
     try:
         if out_dir is not None and isinstance(state, MixtureState):
             record["state_files"] = write_state_snapshot(state, out_dir, 0, stem="last_good")
-        if out_dir is not None:
-            out_dir.mkdir(parents=True, exist_ok=True)
-            (out_dir / "failure.json").write_text(json.dumps(record, indent=1))
+        _write(out_dir, "failure.json", json.dumps(record, indent=1))
     except OSError:
         pass
     print(json.dumps(record), file=sys.stderr)
@@ -97,17 +102,13 @@ def main(argv=None) -> int:
                 print(r.line())
             print(f"{len(report.results) - len(report.failures)}/{len(report.results)} "
                   f"checks passed in {report.wallclock:.1f}s")
-            dest = out_dir or cfg.out_dir
-            if dest is not None:
-                dest.mkdir(parents=True, exist_ok=True)
-                doc = report.to_dict()
-                doc["config"] = cfg.config_hash()
-                (dest / "check_report.json").write_text(
-                    json.dumps(doc, indent=1, default=float))
+            doc = {**report.to_dict(), "config": cfg.config_hash()}
+            _write(cfg.out_dir, "check_report.json", json.dumps(doc, indent=1, default=float))
             return EXIT_OK if report.all_passed else EXIT_CHECK_FAILED
 
         if args.command == "convergence":
             cfg = load_config(args.config, out_dir=args.out, seed=args.seed)
+            require_convergence_setup(cfg)
             try:
                 resolutions = [int(v) for v in args.n.split(",") if v]
             except ValueError:
@@ -115,22 +116,15 @@ def main(argv=None) -> int:
             table = convergence_csv(convergence_table(cfg.params, cfg.model, cfg.disc,
                                                       resolutions))
             print(table, end="")
-            dest = out_dir or cfg.out_dir
-            if dest is not None:
-                dest.mkdir(parents=True, exist_ok=True)
-                (dest / "convergence.csv").write_text(table)
+            _write(cfg.out_dir, "convergence.csv", table)
             return EXIT_OK
 
         if args.command == "compare":
             cfg_a = load_config(args.config_a, out_dir=args.out, seed=args.seed)
             cfg_b = load_config(args.config_b, out_dir=args.out, seed=args.seed)
-            report = compare_models(cfg_a, cfg_b)
-            print(json.dumps(report.to_dict(), indent=1))
-            dest = out_dir or cfg_a.out_dir
-            if dest is not None:
-                dest.mkdir(parents=True, exist_ok=True)
-                (dest / "compare_report.json").write_text(
-                    json.dumps(report.to_dict(), indent=1))
+            text = json.dumps(compare_models(cfg_a, cfg_b).to_dict(), indent=1)
+            print(text)
+            _write(cfg_a.out_dir, "compare_report.json", text)
             return EXIT_OK
 
     except (ConfigError, CompatibilityError, DomainError, OSError) as exc:

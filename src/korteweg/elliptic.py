@@ -10,7 +10,8 @@ have zero mean and the solution is fixed by mean(phi) = 0):
   (:class:`korteweg.operators._Calculus`, ``inv_sym``) and zero on the
   symbol's null modes (the mean and the zeroed Nyquist modes);
 * bounded Neumann 1-D grids: direct solve of the flux-form FD2 system
-  (reflected ghosts = zero wall flux) by two prefix sums;
+  (reflected ghosts = zero wall flux) by two prefix sums, the face form of
+  the operator;
 * free space 1-D: the kernel -|x|/2 on a window, for compactly supported
   data, by prefix sums of f and x f.
 
@@ -25,15 +26,16 @@ the operator's null modes: the mean and the checkerboards (-1)^i of even
 axes (``_Calculus.checkerboards``), which the derivatives kill.  The first
 two settings are one array kernel, ``_solve``, which solves for the
 zero-mean part of its data, on the grid's calculus (so a right-hand side
-looks the symbols up once per run); the Neumann operator takes its
-neighbours from the calculus's FD2 ghost rule, and each public function
-looks the calculus up once.  The right-hand sides call it directly for a
-variable mobility or on a bounded grid; with a constant mobility on a
-spectral grid they apply the same inverse symbol as part of a Fourier
-multiplier (:func:`korteweg.models._stress_symbol`) and solve nothing.
+looks the symbols up once per run), and each public function looks the
+calculus up once.  The right-hand sides call it directly for a variable
+mobility or on a bounded grid; with a constant mobility on a spectral grid
+they apply the same inverse symbol as part of a Fourier multiplier
+(:func:`korteweg.models._stress_symbol`) and solve nothing.
 :func:`invert_for_model`, the one public inverse that discards a mean, calls
 it too; the other public inverses first refuse data with a mean
-(CompatibilityError).
+(CompatibilityError).  The Neumann operator (``_matvec``) and its solve
+share one face mobility, ``_faces``, and one wall rule: zero flux through
+both walls.
 """
 
 from __future__ import annotations
@@ -126,10 +128,16 @@ def apply_operator(gamma: Mobility, phi: ScalarField, d: Discretization) -> Scal
     return ScalarField(grid, _matvec(gamma.values_on(grid), _calculus(grid, d))(phi.values))
 
 
+def _faces(gamma_vals: np.ndarray) -> np.ndarray:
+    """The mobility at the n - 1 inner faces of a bounded 1-D grid: the mean of the
+    two nodes beside each."""
+    return 0.5 * (gamma_vals[1:] + gamma_vals[:-1])
+
+
 def _matvec(gamma_vals: np.ndarray, ops: _Calculus):
     """-div(gamma grad .) as an array->array map on either boundary kind.
 
-    Bounded: face fluxes to the FD2 ghost-rule neighbours, zero at both walls.
+    Bounded: the differences of the face fluxes (``_faces``), zero at both walls.
     """
     grid = ops.grid
     if grid.is_periodic:
@@ -137,13 +145,10 @@ def _matvec(gamma_vals: np.ndarray, ops: _Calculus):
             return -ops.div(gamma_vals * ops.derivs(phi))
 
         return periodic
-    h = grid.h[0]
-    gprev, g, gnext = ops._neighbours(gamma_vals, 0)
-    gleft, gright = 0.5 * (gprev + g), 0.5 * (g + gnext)
+    h, faces = grid.h[0], _faces(gamma_vals)
 
     def neumann(phi: np.ndarray) -> np.ndarray:
-        prev, this, nxt = ops._neighbours(phi, 0)
-        return -(gright * (nxt - this) / h - gleft * (this - prev) / h) / h
+        return -np.diff(faces * np.diff(phi) / h, prepend=0.0, append=0.0) / h
 
     return neumann
 
@@ -224,14 +229,14 @@ def _solve(gamma: Mobility, fv: np.ndarray, ops: _Calculus) -> np.ndarray:
     modes, the checkerboards the derivatives kill.  A variable mobility is a
     direct solve in 1-D (:func:`_direct_periodic_1d`) and CG in 2-D.
     Neumann: with zero wall flux, the flux through face i+1/2 is
-    -h sum_{j<=i} f_j; phi is the running sum of h flux / gamma_face.
+    -h sum_{j<=i} f_j; phi is the running sum of h flux / gamma_face (``_faces``).
     """
     fv = fv - fv.mean()
     grid = ops.grid
+    if grid.is_periodic and gamma.is_constant:
+        return _fourier_solve(fv, ops, gamma.value)
+    gv = gamma.values_on(grid)
     if grid.is_periodic:
-        if gamma.is_constant:
-            return _fourier_solve(fv, ops, gamma.value)
-        gv = gamma.values_on(grid)
         if grid.dim == 1:
             return _direct_periodic_1d(gamma, fv, ops)
         for mode in ops.checkerboards:
@@ -240,10 +245,9 @@ def _solve(gamma: Mobility, fv: np.ndarray, ops: _Calculus) -> np.ndarray:
         return _pcg_zero_mean(_matvec(gv, ops), fv,
                               lambda r: _fourier_solve(r, ops, gmean),
                               "periodic variable-mobility solve")
-    gv = gamma.values_on(grid)
     h = grid.h[0]
     flux = -h * np.cumsum(fv[:-1])
-    phi = np.concatenate(([0.0], np.cumsum(h * flux / (0.5 * (gv[1:] + gv[:-1])))))
+    phi = np.concatenate(([0.0], np.cumsum(h * flux / _faces(gv))))
     return phi - phi.mean()
 
 

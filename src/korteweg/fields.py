@@ -79,31 +79,15 @@ class SymTensorField:
             raise DomainError(f"expected {expected} tensor components, got {len(comps)}")
         object.__setattr__(self, "components", comps)
 
-    def comp(self, i: int, j: int) -> np.ndarray:
-        if self.grid.dim == 1:
-            return self.components[0]
-        idx = {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 2}[(i, j)]
-        return self.components[idx]
-
 
 def _plus_diag(t: Components, s) -> Components:
     """t + s I for stored components; the diagonal is the first and last entry."""
     return tuple(c + s if i in (0, len(t) - 1) else c for i, c in enumerate(t))
 
 
-def _outer(a: Components, b: Components) -> Components:
-    """Upper-triangle components a_i b_j (i <= j); a symmetric tensor when a = b."""
-    return tuple(a[i] * b[j] for i in range(len(a)) for j in range(i, len(a)))
-
-
 def _sup(arrays) -> float:
     """Max absolute value over a sequence of arrays."""
     return float(max(np.max(np.abs(c)) for c in arrays))
-
-
-def sup_norm(field) -> float:
-    """Max absolute nodal value of a scalar/vector/tensor field."""
-    return _sup((field.values,) if isinstance(field, ScalarField) else field.components)
 
 
 def write_scalar_csv(field: ScalarField, path, config_hash: str | None = None) -> None:

@@ -4,7 +4,8 @@ Grids are collocated and uniform.  Periodic grids place nodes at
 ``x_i = i*h`` so that the first node sits on the domain edge and the last
 spacing wraps around; bounded (Neumann) grids are cell-centered,
 ``x_i = (i + 1/2)*h``, which makes even reflection about the walls the
-natural ghost-value rule.
+natural ghost-value rule.  A grid is its cell counts, lengths and boundary
+kind; its dimension is the number of axes it counts cells on.
 """
 
 from __future__ import annotations
@@ -43,10 +44,9 @@ class Grid:
 
     ``n`` counts cells per axis (equal to the number of nodes stored),
     ``length`` is the physical extent per axis, so the spacing is
-    ``h = length / n`` on every axis.
+    ``h = length / n`` on every axis, and ``dim`` is the number of axes.
     """
 
-    dim: int
     n: tuple[int, ...]
     length: tuple[float, ...]
     boundary: BoundaryKind = BoundaryKind.PERIODIC
@@ -59,7 +59,7 @@ class Grid:
         object.__setattr__(self, "n", tuple(int(k) for k in self.n))
         object.__setattr__(self, "length", tuple(float(l) for l in self.length))
         _require_finite_fields(self, "length")
-        if len(self.n) != self.dim or len(self.length) != self.dim:
+        if len(self.length) != self.dim:
             raise ConfigError("n and length must have one entry per axis")
         if any(k < MIN_CELLS_PER_AXIS for k in self.n):
             raise ConfigError(f"need at least {MIN_CELLS_PER_AXIS} cells per axis, got {self.n}")
@@ -74,12 +74,15 @@ class Grid:
         if length is None:
             length = (2.0 * np.pi,) * len(n)
         length = (length,) if np.isscalar(length) else tuple(length)
-        return cls(dim=len(n), n=n, length=length, boundary=BoundaryKind.PERIODIC)
+        return cls(n=n, length=length, boundary=BoundaryKind.PERIODIC)
 
     @classmethod
     def bounded_neumann_1d(cls, n: int, length: float = 1.0) -> "Grid":
-        return cls(dim=1, n=(n,), length=(float(length),),
-                   boundary=BoundaryKind.BOUNDED_NEUMANN_1D)
+        return cls(n=(n,), length=(float(length),), boundary=BoundaryKind.BOUNDED_NEUMANN_1D)
+
+    @property
+    def dim(self) -> int:
+        return len(self.n)
 
     @property
     def h(self) -> tuple[float, ...]:
@@ -102,10 +105,7 @@ class Grid:
 
     def coords(self) -> tuple[np.ndarray, ...]:
         """Node coordinate arrays, broadcast to the full grid shape."""
-        axes = [self.axis_coords(a) for a in range(self.dim)]
-        if self.dim == 1:
-            return (axes[0],)
-        return tuple(np.meshgrid(*axes, indexing="ij"))
+        return tuple(np.meshgrid(*map(self.axis_coords, range(self.dim)), indexing="ij"))
 
     def header(self) -> str:
         """Self-describing one-line header used by snapshot files."""

@@ -193,8 +193,7 @@ def config_from_dict(doc: dict, out_dir: str | None = None,
     _require(isinstance(doc, dict), "config root must be a JSON object")
     try:
         gdoc = _section(doc, "grid")
-        grid = Grid(dim=len(gdoc["n"]),
-                    n=tuple(_number(k, "grid.n", True) for k in gdoc["n"]),
+        grid = Grid(n=tuple(_number(k, "grid.n", True) for k in gdoc["n"]),
                     length=tuple(_number(v, "grid.length") for v in gdoc["length"]),
                     boundary=_choice(BoundaryKind, gdoc.get("boundary", "periodic"),
                                      "grid.boundary"))
@@ -290,7 +289,7 @@ def run_simulation(cfg: RunConfig, quiet: bool = False):
             observers.append(snapshot)
     try:
         result = integrate(state, cfg.control, cfg.params, cfg.model, mobility, cfg.disc,
-                           observers=tuple(observers), record_metrics=True, metrics=records)
+                           observers=tuple(observers), metrics=records)
     finally:
         if metrics is not None:
             metrics.close()

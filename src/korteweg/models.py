@@ -166,7 +166,7 @@ def _stress_symbol(ops: _Calculus, params: FluidParams, kind: ModelKind,
     _require_mobility(kind, gamma)
     if not ops.spectral:
         return None
-    k2 = _total(ik.imag * ik.imag for ik in ops.ik)
+    k2 = ops.k2
     nonlocal_term = kind is ModelKind.NSK2 and gamma.is_constant
     bulk = params.shear_viscosity + params.bulk_viscosity
     if nonlocal_term:

@@ -21,9 +21,9 @@ Two interchangeable discretizations:
   of its input straight into its output, every node at once over the
   flattened arrays, then the two edge nodes of the axis, so it copies no
   neighbours, and with an ``out=`` allocates nothing beyond numpy's
-  buffers for the edge nodes.  The Laplacian and the Neumann operator of
-  :mod:`korteweg.elliptic` take neighbour copies from the same rule
-  (``_Calculus._neighbours``).
+  buffers for the edge nodes.  The Laplacian takes neighbour copies by the
+  same rule.  On a bounded grid even reflection is a zero wall flux, which
+  the Neumann operator of :mod:`korteweg.elliptic` writes in face form.
 
 All operators are linear and act node-wise on the stored arrays.  Public
 functions return validated fields; the array kernels are the methods of
@@ -31,8 +31,11 @@ functions return validated fields; the array kernels are the methods of
 once everything an evaluation reuses: i k per axis, the dealias mask, the
 shapes and, on first use, the FD2 ghost indices and stencils, the inverse
 symbol of -div(grad .), the 1-D antiderivative symbol and the checkerboard
-null modes of the derivatives.  ``_calculus(grid, d)`` caches one per pair
-and is the only per-grid cache.  Each public function, here and in
+null modes of the derivatives.  The symbol itself, ``k2``, is the one
+definition of |k|^2: the inverse symbol, the stress symbol of
+:mod:`korteweg.models` and the spectral Laplacian read it, and it is formed
+where it is read, not kept.  ``_calculus(grid, d)`` caches one per pair and
+is the only per-grid cache.  Each public function, here and in
 :mod:`korteweg.tensors`, :mod:`korteweg.elliptic` and
 :mod:`korteweg.models`, looks it up once and passes it down; a right-hand
 side binds one per run.  Under the spectral scheme a non-periodic grid is
@@ -170,10 +173,10 @@ class _Calculus:
     Everything an evaluation reuses is built once here, as read-only arrays:
     with the calculus, i k per axis ``ik`` (spectral) and the 2/3-rule mask
     ``keep`` (when dealiasing); on first use, the FD2 ghost indices ``ghost``
-    and slice stencils ``stencils`` and, on a periodic grid, the inverse symbol
-    ``inv_sym`` of -div(grad .) (for :mod:`korteweg.elliptic` and the stress
-    symbol), the 1-D antiderivative symbol ``antideriv`` and the checkerboard
-    null modes ``checkerboards`` (for :mod:`korteweg.elliptic`), so a calculus
+    and slice stencils ``stencils`` and, on a periodic grid, the inverse
+    ``inv_sym`` of the symbol ``k2`` of -div(grad .) (for :mod:`korteweg.elliptic`
+    and the stress symbol), the 1-D antiderivative symbol ``antideriv`` and the
+    checkerboard null modes ``checkerboards`` (for :mod:`korteweg.elliptic`), so a calculus
     holds only what its grid uses.  It also fixes the grid and half-spectrum shapes
     and the gufuncs and factors of its transforms.  A right-hand side binds
     one per run; :func:`_calculus` caches one per (grid, discretization) for
@@ -222,13 +225,19 @@ class _Calculus:
         return tuple(tuple(_read_only(i.take(i + step, mode=mode)) for step in (-1, 1))
                      for i in map(np.arange, self.grid.n))
 
+    @property
+    def k2(self) -> np.ndarray:
+        """The half-spectrum symbol of -div(grad .) on this periodic grid: |k|^2
+        spectrally, sum (sin(k h) / h)^2 for FD2, with k Nyquist-zeroed as in the
+        spectral derivatives.  A fresh array on each read: the calculus keeps
+        only its inverse, ``inv_sym``."""
+        return _total(ik.imag * ik.imag if self.spectral else (np.sin(ik.imag * h) / h) ** 2
+                      for ik, h in zip(self.ik or self._wavenumbers(), self.grid.h))
+
     @cached_property
     def inv_sym(self) -> np.ndarray:
-        """1 / the half-spectrum symbol of -div(grad .) on this periodic grid, zero on
-        its null modes: |k|^2 spectrally, sum (sin(k h) / h)^2 for FD2, with k
-        Nyquist-zeroed as in the spectral derivatives."""
-        sym = sum(ik.imag * ik.imag if self.spectral else (np.sin(ik.imag * h) / h) ** 2
-                  for ik, h in zip(self.ik or self._wavenumbers(), self.grid.h))
+        """1 / ``k2``, zero on its null modes."""
+        sym = self.k2
         inv = np.zeros_like(sym)
         np.divide(1.0, sym, out=inv, where=sym > 0.0)
         return _read_only(inv)
@@ -272,14 +281,6 @@ class _Calculus:
                           for first, last in ((0, n - 1), (nxt[0], nxt[-1]), (prev[0], prev[-1])))
             stencils.append((flat, edges))
         return tuple(stencils)
-
-    def _neighbours(self, values: np.ndarray,
-                    axis: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(previous, this, next) node values along grid axis ``axis`` of a grid array,
-        or of every row of a stack of them, under the FD2 ghost rule."""
-        prev, nxt = self.ghost[axis]
-        axis -= self.dim
-        return values.take(prev, axis=axis), values, values.take(nxt, axis=axis)
 
     def _fd2_deriv(self, values: np.ndarray, axis: int, out=None) -> np.ndarray:
         """The FD2 derivative along grid axis ``axis`` of a grid array, or of every row
@@ -496,18 +497,16 @@ def div_tensor(t: SymTensorField, d: Discretization) -> VectorField:
 def laplacian(f: ScalarField, d: Discretization) -> ScalarField:
     """Discrete Laplacian.
 
-    Spectral: multiplication by (i k)^2 with the same Nyquist mask as the
-    first derivatives, so it equals div(grad(.)) exactly.  FD2: the compact
+    Spectral: multiplication by -|k|^2 (``k2``) with the same Nyquist mask as
+    the first derivatives, so it equals div(grad(.)) exactly.  FD2: the compact
     3-point stencil per axis under the ghost rule.
     """
-    grid, ops = f.grid, _calculus(f.grid, d)
+    grid, ops, v = f.grid, _calculus(f.grid, d), f.values
     if ops.spectral:
-        fhat = ops.forward(f.values)
-        return ScalarField(grid, ops.inverse(sum(ik * ik for ik in ops.ik) * fhat))
+        return ScalarField(grid, ops.inverse(ops.forward(v) * -ops.k2))
     total = np.zeros(grid.shape)
-    for axis in range(grid.dim):
-        prev, this, nxt = ops._neighbours(f.values, axis)
-        total += (nxt - 2.0 * this + prev) / grid.h[axis] ** 2
+    for axis, (prev, nxt) in enumerate(ops.ghost):
+        total += (v.take(nxt, axis=axis) - 2.0 * v + v.take(prev, axis=axis)) / grid.h[axis] ** 2
     return ScalarField(grid, total)
 
 

@@ -1,8 +1,8 @@
 """Explicit SSP-RK3 (Shu-Osher) integration of reduced mixture states.
 
 ``make_rhs`` binds a run's right-hand side once: the grid's calculus (i k,
-shapes; the inverse symbol of -div(grad .) on first use)
-and, on a spectral grid, the stress symbol's real half-spectrum arrays
+shapes; the inverse symbol of -div(grad .) on first use) and, on a spectral
+grid, the stress symbol's real half-spectrum arrays
 (:func:`korteweg.models._stress_symbol`) are resolved there, and the
 constitutive coefficients are attributes of ``FluidParams``, formed once
 per parameter set.  On a spectral grid it also binds a workspace
@@ -13,14 +13,15 @@ as one (1 + dim, *shape) array on every grid, so a stage is one Shu-Osher
 combination, one finite scan and one floor check, and the spectral kernels
 transform its rows with one stacked call.  A stage is formed in place in
 the rates of its evaluation, and wa * u0 in the dead rows of the stage
-before.  Each
-accepted step builds one validated MixtureState, whose maximum speed the
-metrics and the next step bound share.
+before.  Each accepted step builds one validated MixtureState, whose
+maximum speed the metrics and the next step bound share.  ``integrate``
+records metrics lines only into a list it is given, and builds its
+``IntegrationResult`` once, at return.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -148,12 +149,6 @@ def make_rhs(params: FluidParams, kind: ModelKind, gamma: Mobility | None,
     return lambda q: _rhs(q, ops, params, kind, gamma, symbol, ws)
 
 
-def _check_stage(q: np.ndarray) -> None:
-    """A MixtureState's checks: non-finite (DomainError), density floor (StateError)."""
-    _require_finite(q)
-    _require_above_floor(q[0])
-
-
 def ssprk3_step(state: MixtureState, dt: float, rhs: RhsEvaluator) -> MixtureState:
     """One SSP-RK3 step: stage k + 1 is wa * u0 + wb * (u_k + dt * L(u_k)) per table row.
 
@@ -161,9 +156,9 @@ def ssprk3_step(state: MixtureState, dt: float, rhs: RhsEvaluator) -> MixtureSta
     notes, the layout ``rhs`` takes and returns.  Each stage is formed in
     place in the rates ``rhs`` returns, which the step consumes, with
     wa * u0 in the rows of the stage before; it never writes into u0 or the
-    state.  Each stage is checked before the next
-    evaluation; the last one becomes the step's one validated MixtureState,
-    at t + dt.
+    state.  Each stage gets a MixtureState's checks before the next evaluation
+    (non-finite values: DomainError, density floor: StateError); the last one
+    becomes the step's one validated MixtureState, at t + dt.
     """
     if dt <= 0.0:
         raise ConfigError("dt must be positive")
@@ -171,7 +166,8 @@ def ssprk3_step(state: MixtureState, dt: float, rhs: RhsEvaluator) -> MixtureSta
     q0 = q = _stage_rows(state)
     for i, (wa, wb) in enumerate(SHU_OSHER_COEFFS):
         if i:
-            _check_stage(q)
+            _require_finite(q)
+            _require_above_floor(q[0])
         dq = rhs(q)
         # bit for bit the out-of-place combination, as IEEE + and * commute; wa * u0
         # goes into the rows of the stage before, dead once added (a fresh array
@@ -189,12 +185,15 @@ def ssprk3_step(state: MixtureState, dt: float, rhs: RhsEvaluator) -> MixtureSta
 Observer = Callable[[int, MixtureState, float], None]
 
 
-@dataclass
+@dataclass(frozen=True)
 class IntegrationResult:
+    """The last state, the steps taken and the last step (0 without one), and the
+    metrics lines recorded (empty unless :func:`integrate` was given a list)."""
+
     state: MixtureState
     steps: int
-    dt_last: float = 0.0
-    metrics: list = field(default_factory=list)
+    dt_last: float
+    metrics: list
 
 
 def step_metrics(step: int, state: MixtureState, dt: float) -> dict:
@@ -214,13 +213,13 @@ def integrate(state: MixtureState, control: StepControl, params: FluidParams,
               kind: ModelKind = ModelKind.NSK1, gamma: Mobility | None = None,
               d: Discretization = Discretization(),
               observers: tuple[Observer, ...] = (),
-              record_metrics: bool = False, metrics: list | None = None) -> IntegrationResult:
+              metrics: list | None = None) -> IntegrationResult:
     """Step the reduced system until t_end, invoking observers each step.
 
-    Observers are called once at step 0 and after every accepted step.  With
-    ``record_metrics`` each state's metrics line (:func:`step_metrics`) is
-    appended to ``result.metrics``, the list ``metrics`` if given, before the
-    observers are called: an observer reads it as the list's last entry.
+    Observers are called once at step 0 and after every accepted step.  Given
+    a list ``metrics``, each state's metrics line (:func:`step_metrics`) is
+    appended to it before the observers are called, so an observer reads it as
+    the list's last entry, and the result carries it as ``result.metrics``.
     Aborts with a stiffness diagnostic if the step estimate undershoots
     dt_min.  A step that fails in a stage (non-finite values raise
     DomainError, a density below the floor StateError, an elliptic solve
@@ -230,16 +229,15 @@ def integrate(state: MixtureState, control: StepControl, params: FluidParams,
     rhs = make_rhs(params, kind, gamma, d, state.grid)
     params.validate_for_dim(state.grid.dim)
     law.warn_outside_window(state.rho.values, params, context="initial state")
-    result = IntegrationResult(state=state, steps=0, metrics=[] if metrics is None else metrics)
 
     def notify(step, st, dt):
-        if record_metrics:
-            result.metrics.append(step_metrics(step, st, dt))
+        if metrics is not None:
+            metrics.append(step_metrics(step, st, dt))
         for obs in observers:
             obs(step, st, dt)
 
-    notify(0, state, 0.0)
-    step = 0
+    step, dt = 0, 0.0
+    notify(step, state, dt)
     while not control.reached(state.t) and step < control.max_steps:
         dt = control.dt_fixed if control.dt_fixed is not None \
             else _step_bound(state, params, control, step + 1)
@@ -251,7 +249,4 @@ def integrate(state: MixtureState, control: StepControl, params: FluidParams,
                              f"{exc}", state=state, step=step + 1, t=state.t, dt=dt) from exc
         step += 1
         notify(step, state, dt)
-        result.state = state
-        result.steps = step
-        result.dt_last = dt
-    return result
+    return IntegrationResult(state, step, dt, [] if metrics is None else metrics)

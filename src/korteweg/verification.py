@@ -11,7 +11,7 @@ around the same functions.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -38,6 +38,7 @@ FD2_ORDER_WINDOW = (1.7, 2.3)
 CHECK_N = 128                      # resolution of the operator and elliptic checks
 COMPARE_CHECKPOINTS = 8            # trajectory distances a model comparison records
 _ROUNDOFF_FLOOR = 1e-10            # relative to sup|exact rate|: errors below it have no order
+_MIN_RESOLUTIONS = 3               # distinct resolutions an order is fitted through
 
 
 @dataclass
@@ -74,9 +75,7 @@ class CheckReport:
         return {"wallclock_s": self.wallclock,
                 "n_checks": len(self.results),
                 "n_failed": len(self.failures),
-                "results": [{"name": r.name, "passed": r.passed,
-                             "measured": r.measured, "threshold": r.threshold,
-                             "note": r.note} for r in self.results],
+                "results": [asdict(r) for r in self.results],
                 "residual_records": self.records}
 
 
@@ -363,8 +362,7 @@ def check_equilibrium_and_conservation(params: FluidParams) -> list[CheckResult]
         ScalarField(grid, 1.5 * (1.0 + 0.05 * np.sin(x))),
         VectorField(grid, (0.02 * np.sin(x),)))
     control = StepControl(t_end=1e9, dt_fixed=2e-4, max_steps=100)
-    res = integrate(s0, control, params, ModelKind.NSK1, None, SPECTRAL,
-                    record_metrics=True)
+    res = integrate(s0, control, params, ModelKind.NSK1, None, SPECTRAL, metrics=[])
     mass0 = res.metrics[0]["mass"]
     mom0 = res.metrics[0]["momentum"][0]
     drift = max(abs(m["mass"] - mass0) for m in res.metrics)
@@ -488,12 +486,13 @@ def convergence_table(params: FluidParams, kind: ModelKind, d: Discretization,
     """Error of the discrete RHS against the exact oracle, per resolution (mobility 1).
 
     The discrete state is rho = 3/2 + sin(x)/5, u = sin(x)/20 + cos(2x)/50 at the nodes.
-    Each error column gets one fitted order, or NaN when every error in it lies
-    below ``_ROUNDOFF_FLOOR`` times the largest |exact rate| at the nodes: such
-    errors are round-off (spectral schemes reach it at the first resolution),
+    Each error column gets one order, fitted through its rows whose error is at
+    least ``_ROUNDOFF_FLOOR`` times the largest |exact rate| at the nodes, or NaN
+    when those rows hold fewer than 3 distinct resolutions: errors below the
+    floor are round-off (spectral schemes reach it at the first resolutions),
     and a slope fitted to them measures nothing.
     """
-    if len(set(resolutions)) < 3:
+    if len(set(resolutions)) < _MIN_RESOLUTIONS:
         raise ConfigError("a convergence study needs at least 3 distinct resolutions, "
                           f"got {list(resolutions)}")
     exact = ManufacturedState(rho=TrigPoly(1.5, sin=(0.2,)),
@@ -513,14 +512,25 @@ def convergence_table(params: FluidParams, kind: ModelKind, d: Discretization,
             row[key] = float(np.max(np.abs(got - want)))
             scale[key] = max(scale[key], float(np.max(np.abs(want))))
         rows.append(row)
-    ns = [r["n"] for r in rows]
     for key in ("rho_rate_error", "momentum_rate_error"):
-        errors = [r[key] for r in rows]
-        order = float("nan") if max(errors) < _ROUNDOFF_FLOOR * scale[key] \
-            else fit_order(ns, [max(e, 1e-300) for e in errors])
+        above = [r for r in rows if r[key] >= _ROUNDOFF_FLOOR * scale[key]]
+        order = float("nan")
+        if len({r["n"] for r in above}) >= _MIN_RESOLUTIONS:
+            order = fit_order([r["n"] for r in above], [r[key] for r in above])
         for r in rows:
             r[f"{key}_order"] = order
     return rows
+
+
+def require_convergence_setup(cfg) -> None:
+    """Refuse a run config that :func:`convergence_table` cannot honour: the study runs
+    its manufactured 1-D state on Grid.periodic(n), over [0, 2 pi), at mobility 1."""
+    setup = "the manufactured 1-D state on a periodic grid of length 2 pi at mobility 1"
+    if cfg.grid != Grid.periodic(cfg.grid.n[0]):
+        raise ConfigError(f"convergence runs {setup}, not on {cfg.grid.header()[2:]}")
+    if cfg.model is ModelKind.NSK2 and not np.all(cfg.build_mobility().value == 1.0):
+        raise ConfigError(f"convergence runs {setup}, not at the config's "
+                          f"{cfg.mobility.kind.value} mobility")
 
 
 def convergence_csv(rows: list[dict]) -> str:
@@ -541,9 +551,7 @@ class CompareReport:
     divergence: list[dict]
 
     def to_dict(self) -> dict:
-        return {"capillary_tensor_max_diff": self.capillary_tensor_max_diff,
-                "first_rhs_max_diff": self.first_rhs_max_diff,
-                "divergence": self.divergence}
+        return asdict(self)
 
 
 def compare_models(cfg_a, cfg_b) -> CompareReport:

@@ -116,7 +116,7 @@ def test_criterion_6_dynamics_sanity():
                                         VectorField.zero(grid))
     control = StepControl(t_end=1e9, dt_fixed=1e-3, max_steps=1000)
     res = integrate(state, control, PARAMS, ModelKind.NSK1, None, SPECTRAL,
-                    record_metrics=True)
+                    metrics=[])
     fixed_drift = float(np.max(np.abs(res.state.rho.values - 1.4)))
     masses = [m["mass"] for m in res.metrics]
     moms = [m["momentum"][0] for m in res.metrics]

@@ -390,6 +390,40 @@ def test_cli_convergence_spectral_floor(tmp_path):
         assert all(row.split(",")[header.index(key)] == "nan" for row in rows[1:])
 
 
+CONFIGS = NEUMANN_CONFIG.parent
+
+
+def test_cli_convergence_refuses_the_wall_config(capsys):
+    # the study runs its periodic manufactured state whatever the config says: on
+    # the Neumann config it would report the periodic FD2 orders
+    assert main(["convergence", str(NEUMANN_CONFIG), "--n", "32,64,128", "--quiet"]) == 2
+    out, err = capsys.readouterr()
+    record = json.loads(err.splitlines()[-1])
+    assert out == "" and record["error"] == "ConfigError"
+    assert "periodic grid of length 2 pi" in record["message"]
+    assert "bounded_neumann_1d" in record["message"]
+
+
+@pytest.mark.parametrize("overrides, named", [
+    ({"grid": {"n": [64], "length": [1.0]}}, "length=1.0"),
+    ({"grid": {"n": [16, 16], "length": [6.283185307179586] * 2}}, "dim=2"),
+    ({"model": "nsk2", "mobility": {"kind": "constant", "value": 2.0}}, "constant mobility"),
+    ({"model": "nsk2", "mobility": {"kind": "cosine"}}, "cosine mobility"),
+], ids=["length", "2d", "mobility2", "cosine"])
+def test_cli_convergence_refuses_a_setup_it_does_not_run(tmp_path, capsys, overrides, named):
+    path = write_config(tmp_path, scheme="fd2", **overrides)
+    assert main(["convergence", str(path), "--n", "16,32,64", "--quiet"]) == 2
+    record = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert record["error"] == "ConfigError" and named in record["message"]
+
+
+@pytest.mark.parametrize("name", ["nsk1_interface", "nsk2_interface", "literal_convention"])
+def test_cli_convergence_runs_the_bundled_periodic_configs(name, capsys):
+    assert main(["convergence", str(CONFIGS / f"{name}.json"), "--n", "16,32,64",
+                 "--quiet"]) == 0
+    assert capsys.readouterr().out.startswith("n,rho_rate_error,")
+
+
 @pytest.mark.parametrize("command", ["run", "check", "convergence", "compare"])
 def test_cli_output_directory_that_cannot_be_made_is_a_config_error(command, tmp_path,
                                                                      capsys):

@@ -146,7 +146,7 @@ def test_integrate_conserves_mass_and_momentum(params):
         VectorField(grid, (0.02 * np.sin(x),)))
     control = StepControl(t_end=1e9, dt_fixed=2e-4, max_steps=1000)
     res = integrate(state, control, params, ModelKind.NSK1, None, SPECTRAL,
-                    record_metrics=True)
+                    metrics=[])
     assert res.steps == 1000
     mass = [m["mass"] for m in res.metrics]
     mom = [m["momentum"][0] for m in res.metrics]
@@ -265,7 +265,7 @@ def test_integrate_builds_one_field_of_each_kind_per_step(case, params, monkeypa
                             built.update({cls.__name__: built.get(cls.__name__, 0) + 1})
                             or original(self))
     res = integrate(state, StepControl(t_end=1e9, max_steps=4), params, kind, gamma, d,
-                    record_metrics=True)
+                    metrics=[])
     assert res.steps == 4
     assert built == {"ScalarField": 4, "VectorField": 4, "MixtureState": 4}
 
@@ -300,7 +300,7 @@ def test_array_stages_match_field_stages_bit_for_bit(case, params):
     grid, d, kind, gamma = RUNS[case]
     state = moving_state(grid)
     control = StepControl(t_end=1e9, max_steps=6)
-    res = integrate(state, control, params, kind, gamma, d, record_metrics=True)
+    res = integrate(state, control, params, kind, gamma, d, metrics=[])
     ref, ref_metrics = reference_integrate(state, control, params, kind, gamma, d)
     assert res.steps == 6 and res.state.t == ref.t
     assert np.array_equal(res.state.rho.values, ref.rho.values)
@@ -468,6 +468,6 @@ def test_step_bound_and_metrics_share_one_speed_per_state(params, monkeypatch):
     monkeypatch.setattr(korteweg.models, "_velocity",
                         lambda state: velocities.append(state) or original(state))
     res = integrate(moving_state(Grid.periodic((16, 12))), StepControl(t_end=1e9, max_steps=4),
-                    params, record_metrics=True)
+                    params, metrics=[])
     assert res.steps == 4 and len(velocities) == 5
     assert [m["max_speed"] for m in res.metrics] == [s.max_speed for s in velocities]

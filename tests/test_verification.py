@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from korteweg import Convention, FluidParams, ModelKind
+from korteweg import SPECTRAL, Convention, FluidParams, ModelKind
 from korteweg.grids import Discretization, Scheme
 from korteweg.verification import (CheckReport, check_constitutive,
                                    check_shared_capillary_structure,
@@ -85,3 +85,23 @@ def test_convergence_table_rows_are_pinned(kind):
         got = [row["rho_rate_error"], row["momentum_rate_error"],
                row["rho_rate_error_order"], row["momentum_rate_error_order"]]
         np.testing.assert_allclose(got, [e_rho, e_m, *orders], rtol=1e-9, atol=0.0)
+
+
+@pytest.mark.parametrize("kind, resolutions", [
+    (ModelKind.NSK2, (16, 32, 64)), (ModelKind.NSK1, (8, 16, 32, 64))],
+    ids=["nsk2-16-64", "nsk1-8-64"])
+def test_convergence_order_needs_three_rows_above_roundoff(kind, resolutions):
+    # spectrally one or two errors stand above the round-off floor, the rest are
+    # round-off: no order (a fit through every row read 11.9 and 13.5)
+    rows = convergence_table(FluidParams(), kind, SPECTRAL, resolutions)
+    assert rows[0]["momentum_rate_error"] > 1e-7 > rows[-1]["momentum_rate_error"]
+    assert all(np.isnan(r[f"{key}_order"]) for r in rows
+               for key in ("rho_rate_error", "momentum_rate_error"))
+
+
+def test_convergence_order_is_fitted_through_the_rows_above_roundoff():
+    resolutions = (8, 10, 12, 14, 16, 64)
+    rows = convergence_table(FluidParams(), ModelKind.NSK1, SPECTRAL, resolutions)
+    errors = [r["momentum_rate_error"] for r in rows]
+    assert errors[-1] < 1e-12 < min(errors[:-1])   # N = 64 is round-off
+    assert rows[0]["momentum_rate_error_order"] == fit_order(resolutions[:-1], errors[:-1])
