@@ -89,15 +89,21 @@ class ModelKind(Enum):
     NSK2 = "nsk2"   # reduced from the conserved-phase (Cahn-Hilliard) model
 
 
-def _require_above_floor(r: np.ndarray, state=None) -> None:
+def _require_above_floor(r: np.ndarray, state=None) -> float:
+    """min r, unless it is at or below the density floor (StateError)."""
     rmin = float(r.min())
     if rmin <= RHO_FLOOR:
         raise StateError(f"density fell to {rmin:.3e} (floor {RHO_FLOOR:.0e})", state=state)
+    return rmin
 
 
 @dataclass(frozen=True)
 class MixtureState:
-    """Reduced-system unknowns: density rho and momentum density m = rho u."""
+    """Reduced-system unknowns: density rho and momentum density m = rho u.
+
+    ``rho_min``, min rho, is kept from the floor check (not a dataclass field)
+    for the step bound and the metrics.
+    """
 
     rho: ScalarField
     m: VectorField
@@ -106,7 +112,8 @@ class MixtureState:
     def __post_init__(self):
         if self.m.grid != self.rho.grid:
             raise StateError("state fields live on different grids")
-        _require_above_floor(self.rho.values, state=(self.rho, self.m, self.t))
+        object.__setattr__(self, "rho_min", _require_above_floor(
+            self.rho.values, state=(self.rho, self.m, self.t)))
 
     @property
     def grid(self):

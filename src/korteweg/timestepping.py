@@ -13,8 +13,10 @@ as one (1 + dim, *shape) array on every grid, so a stage is one Shu-Osher
 combination, one finite scan and one floor check, and the spectral kernels
 transform its rows with one stacked call.  A stage is formed in place in
 the rates of its evaluation, and wa * u0 in the dead rows of the stage
-before.  Each accepted step builds one validated MixtureState, whose
-maximum speed the metrics and the next step bound share.  ``integrate``
+before.  Each accepted step builds one validated MixtureState, scanned
+once for min rho, which its floor check, the next step bound and the
+metrics share, as they share its maximum speed.  The metrics take their
+means as numpy's sum over the size, the bits of ``mean()``.  ``integrate``
 records metrics lines only into a list it is given, and builds its
 ``IntegrationResult`` once, at return.
 """
@@ -88,7 +90,7 @@ def dt_candidates(state: MixtureState, params: FluidParams,
 
     # lambda* = lambda + s / rho, s > 0, and its rounding are monotone in rho:
     # max |lambda*| is its larger value at the density extremes, bit for bit
-    rho_min = float(r.min())
+    rho_min = state.rho_min
     lam_star_max = max(abs(params.bulk_viscosity + params._augmented_scale * (1.0 / x))
                        for x in (rho_min, float(r.max())))
     visc_denom = params._two_mu + lam_star_max
@@ -196,15 +198,20 @@ class IntegrationResult:
     metrics: list
 
 
+def _mean(a: np.ndarray) -> float:
+    """a.mean() bit for bit (numpy's sum, then one divide), without its Python wrapper."""
+    return float(np.add.reduce(a, axis=None) / a.size)
+
+
 def step_metrics(step: int, state: MixtureState, dt: float) -> dict:
     """One line of the metrics stream."""
     return {
         "step": step,
         "t": state.t,
         "dt": dt,
-        "mass": float(state.rho.values.mean()),
-        "momentum": [float(c.mean()) for c in state.m.components],
-        "min_rho": float(state.rho.values.min()),
+        "mass": _mean(state.rho.values),
+        "momentum": [_mean(c) for c in state.m.components],
+        "min_rho": state.rho_min,
         "max_speed": state.max_speed,
     }
 

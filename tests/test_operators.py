@@ -28,6 +28,8 @@ def test_grid_validation():
 def test_field_validation(grid64):
     with pytest.raises(DomainError):
         ScalarField(grid64, np.zeros(12))
+    with pytest.raises(DomainError):
+        ScalarField(grid64, None)
     bad = np.zeros(grid64.shape)
     bad[3] = np.nan
     with pytest.raises(DomainError):

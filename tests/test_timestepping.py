@@ -309,6 +309,33 @@ def test_array_stages_match_field_stages_bit_for_bit(case, params):
     assert res.metrics == ref_metrics
 
 
+def mean_metrics(step, state, dt):
+    """step_metrics read through numpy's array methods, mean() and min()."""
+    return {"step": step, "t": state.t, "dt": dt,
+            "mass": float(state.rho.values.mean()),
+            "momentum": [float(c.mean()) for c in state.m.components],
+            "min_rho": float(state.rho.values.min()), "max_speed": state.max_speed}
+
+
+@pytest.mark.parametrize("grid", [
+    Grid.periodic(64), Grid.periodic(63), Grid.periodic(256), Grid.periodic((48, 36)),
+    Grid.periodic((33, 35)), Grid.periodic((128, 128)), Grid.bounded_neumann_1d(64, 1.0)],
+    ids=["64", "63", "256", "48x36", "33x35", "128^2", "bounded-64"])
+def test_metrics_are_the_bits_of_numpy_mean_and_min(grid):
+    # magnitudes over six decades, so that the order of summation shows in the bits
+    rng = np.random.default_rng(int(np.prod(grid.shape)))
+    scale = 10.0 ** rng.uniform(-3.0, 3.0, (1 + grid.dim, *grid.shape))
+    q = 1.5 + np.abs(rng.standard_normal(scale.shape)) * scale
+    q[1:] -= 1.5
+    state = MixtureState(ScalarField(grid, q[0]), VectorField(grid, q[1:]), 0.25)
+    want = mean_metrics(7, state, 1e-3)
+    assert state.rho_min == want["min_rho"]
+    got = step_metrics(7, state, 1e-3)
+    assert repr(got) == repr(want)
+    assert np.array([got["mass"], *got["momentum"]]).tobytes() == \
+        np.array([want["mass"], *want["momentum"]]).tobytes()
+
+
 def per_component_steps(state, steps, params, kind, gamma, d):
     """SSP-RK3 written out on one array per component: every stage's rates from the
     public rhs_nsk1/rhs_nsk2, combined row by row of SHU_OSHER_COEFFS; dt from
