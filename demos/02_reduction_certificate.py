@@ -43,7 +43,7 @@ for n in (64, 128):
     print(f"{n:>6} {gap:>18.3e}")
 
 print("\nconserved-phase model (non-local stress), same certificate:")
-gamma = Mobility.constant(1.0)
+gamma = Mobility(1.0)
 for n in (128, 256, 512):
     s = state_family.state(n)
     gap = momentum_equivalence_gap(s, params, ModelKind.NSK2, gamma, FD2)

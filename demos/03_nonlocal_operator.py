@@ -20,7 +20,7 @@ from korteweg.elliptic import (invert_for_model, invert_freespace_1d, invert_neu
 # periodic + constant mobility: eigenfunction solves are exact
 grid = Grid.periodic(64)
 x = grid.coords()[0]
-gamma = Mobility.constant(1.0)
+gamma = Mobility(1.0)
 for k in (1, 2, 3):
     phi = invert_periodic(gamma, ScalarField(grid, np.cos(k * x)))
     err = np.max(np.abs(phi.values - np.cos(k * x) / k**2))
@@ -29,7 +29,7 @@ for k in (1, 2, 3):
 # bounded Neumann grid + variable mobility: direct solve, exact round trip
 bgrid = Grid.bounded_neumann_1d(128, length=1.0)
 bx = bgrid.coords()[0]
-gvar = Mobility.spatial(2.0 + np.cos(np.pi * bx))
+gvar = Mobility(2.0 + np.cos(np.pi * bx))
 f = np.cos(np.pi * bx) + 0.3 * np.cos(2.0 * np.pi * bx)
 ff = ScalarField(bgrid, f)
 phi = invert_neumann_1d(gvar, ff)
@@ -46,8 +46,8 @@ for length, n in ((40.0, 512), (80.0, 1024), (160.0, 2048)):
     wide = Grid.periodic(n, length)
     xw = wide.coords()[0] - 0.5 * length
     f_free = ScalarField(wide, -2.0 * xw * np.exp(-xw * xw))  # derivative of a bump
-    phi_free = invert_freespace_1d(Mobility.constant(1.0), f_free)
-    phi_per = invert_for_model(Mobility.constant(1.0), f_free, SPECTRAL)
+    phi_free = invert_freespace_1d(Mobility(1.0), f_free)
+    phi_per = invert_for_model(Mobility(1.0), f_free, SPECTRAL)
     support = np.abs(xw) < 5.0
     diff = phi_free.values[support] - phi_per.values[support]
     diff -= diff.mean()

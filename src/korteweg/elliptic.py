@@ -1,5 +1,10 @@
 """The mobility-weighted elliptic operator -div(gamma grad .) and its inverses.
 
+A mobility is made one way, ``Mobility(v)``: any 0-d value (a Python or numpy
+number, or a 0-d array) is the constant, kept as a float; anything else is one
+value per node, kept as a read-only float copy.  The profiles that runs and the
+corpus use are built by :class:`korteweg.initial.MobilitySpec`.
+
 Three inversion settings are provided, each normalized on the
 zero-mean subspace (the operator kills constants, so compatible data must
 have zero mean and the solution is fixed by mean(phi) = 0):
@@ -61,13 +66,14 @@ SUPPORT_RTOL = 1e-10   # free-space data must fall below this fraction of max|f|
 
 @dataclass(frozen=True)
 class Mobility:
-    """Strictly positive mobility: a constant or one value per node."""
+    """Strictly positive mobility: a constant (any 0-d value, kept as a float) or
+    one value per node (kept as a read-only float copy)."""
 
     value: float | np.ndarray
 
     def __post_init__(self):
         v = self.value
-        if np.isscalar(v):
+        if np.ndim(v) == 0:
             if v <= 0.0:
                 raise ConfigError("mobility must be positive")
             object.__setattr__(self, "value", float(v))
@@ -78,14 +84,6 @@ class Mobility:
             arr.setflags(write=False)
             object.__setattr__(self, "value", arr)
         _require_finite_fields(self, "value")
-
-    @classmethod
-    def constant(cls, gamma0: float) -> "Mobility":
-        return cls(float(gamma0))
-
-    @classmethod
-    def spatial(cls, values) -> "Mobility":
-        return cls(np.asarray(values, dtype=float))
 
     @property
     def is_constant(self) -> bool:

@@ -19,41 +19,16 @@ from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
-import numpy as np
-
 from .constitutive import DoubleWell, FluidParams
 from .elliptic import Mobility
 from .errors import ConfigError, StateError
 from .fields import write_scalar_csv, ScalarField
 from .grids import BoundaryKind, Discretization, Grid, Scheme
-from .initial import InitialCondition
+from .initial import InitialCondition, MobilitySpec
 from .models import MixtureState, ModelKind, _require_mobility
 from .timestepping import StepControl, integrate
 
 log = logging.getLogger(__name__)
-
-
-class MobilityKind(Enum):
-    CONSTANT = "constant"
-    COSINE = "cosine"
-
-
-@dataclass(frozen=True)
-class MobilitySpec:
-    """Mobility described by the config: constant or a cosine profile."""
-
-    kind: MobilityKind = MobilityKind.CONSTANT
-    value: float = 1.0
-    base: float = 2.0
-    amplitude: float = 1.0
-    mode: int = 1
-
-    def build(self, grid: Grid) -> Mobility:
-        if self.kind is MobilityKind.CONSTANT:
-            return Mobility.constant(self.value)
-        x = grid.coords()[0]
-        k = (2.0 if grid.is_periodic else 1.0) * np.pi * self.mode
-        return Mobility.spatial(self.base + self.amplitude * np.cos(k * x / grid.length[0]))
 
 
 @dataclass(frozen=True)

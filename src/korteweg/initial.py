@@ -1,4 +1,4 @@
-"""Initial-condition families and the named verification corpus.
+"""Initial-condition families, mobility profiles and the named verification corpus.
 
 Corpus states are defined analytically so a single state can be sampled
 at any resolution for refinement studies.  The bounded-grid states are
@@ -6,6 +6,15 @@ built from wall-symmetric cosine series (density, mobility) and
 squared-sine series (velocity), which makes even-reflection ghosts exact
 restrictions of smooth extensions and keeps div u mean-free on the wall
 quadrature.
+
+Each grid profile has one formula.  ``mode_angle`` is the phase of a mode:
+2 pi k x / L on a periodic axis, pi k x / L between walls, where its cosine
+is wall-even; the initial families, the random band and the cosine
+mobility read it.  ``tanh_profile`` is the interface mid + half tanh(s c) /
+tanh(s) over a carrier c in [-1, 1], for ``tanh_interface``, the corpus and
+the check suite's states.  A mobility profile, of a run config or of a
+corpus state, is a ``MobilitySpec``: a constant or a cosine profile, which
+``build`` samples on a grid.
 """
 
 from __future__ import annotations
@@ -81,39 +90,54 @@ class InitialCondition:
                                            VectorField(grid, tuple(u)))
 
 
+def mode_angle(grid: Grid, xs, mode: int, axis: int = 0) -> np.ndarray:
+    """The phase of mode ``mode`` along ``axis`` at the nodes ``xs`` (``grid.coords()``):
+    2 pi mode x / L on a periodic grid, pi mode x / L between walls (its cosine is
+    wall-even)."""
+    return (2.0 if grid.is_periodic else 1.0) * np.pi * mode * xs[axis] / grid.length[axis]
+
+
+def tanh_profile(carrier, mid: float, half: float, sharpness: float) -> np.ndarray:
+    """The interface mid + half tanh(s c) / tanh(s) over a carrier c in [-1, 1]: it
+    takes the plateau values mid -+ half where c = -+1."""
+    return mid + half * np.tanh(sharpness * carrier) / np.tanh(sharpness)
+
+
 def _wave(grid: Grid, xs, mode: int) -> np.ndarray:
     """Periodic: sin(2 pi k x / L); bounded: cos(pi k x / L) (wall-even)."""
     if grid.is_periodic:
-        w = np.sin(2.0 * np.pi * mode * xs[0] / grid.length[0])
+        w = np.sin(mode_angle(grid, xs, mode))
         if grid.dim == 2:
-            w = 0.5 * (w + np.sin(2.0 * np.pi * mode * xs[1] / grid.length[1]))
+            w = 0.5 * (w + np.sin(mode_angle(grid, xs, mode, 1)))
         return w
-    return np.cos(np.pi * mode * xs[0] / grid.length[0])
+    return np.cos(mode_angle(grid, xs, mode))
 
 
 def _velocity(grid: Grid, xs, amplitude: float, mode: int) -> list[np.ndarray]:
     if amplitude == 0.0:
         return [np.zeros(grid.shape) for _ in range(grid.dim)]
     if grid.is_periodic:
-        u0 = amplitude * np.sin(2.0 * np.pi * mode * xs[0] / grid.length[0])
+        u0 = amplitude * np.sin(mode_angle(grid, xs, mode))
         if grid.dim == 1:
             return [u0]
-        return [u0, amplitude * np.cos(2.0 * np.pi * mode * xs[1] / grid.length[1])]
+        return [u0, amplitude * np.cos(mode_angle(grid, xs, mode, 1))]
     # wall-zero, wall-even: sin^2 vanishes at both walls with zero slope
-    return [amplitude * np.sin(np.pi * mode * xs[0] / grid.length[0]) ** 2]
+    return [amplitude * np.sin(mode_angle(grid, xs, mode)) ** 2]
+
+
+def _plateaus(params: FluidParams) -> tuple[float, float]:
+    """Mid and half of the pure-phase densities: the plateaus are mid -+ half."""
+    r1, r2 = params.pure_phase_densities()
+    return 0.5 * (r1 + r2), 0.5 * (r2 - r1)
 
 
 def tanh_interface(grid: Grid, xs, params: FluidParams, sharpness: float) -> np.ndarray:
-    """Smooth two-phase interface whose extremes are the pure-phase densities."""
-    r1, r2 = params.pure_phase_densities()
-    mid, half = 0.5 * (r1 + r2), 0.5 * (r2 - r1)
-    if grid.is_periodic:
-        carrier = np.cos(2.0 * np.pi * xs[0] / grid.length[0])
-        if grid.dim == 2:
-            carrier = 0.5 * (carrier + np.cos(2.0 * np.pi * xs[1] / grid.length[1]))
-    else:
-        carrier = np.cos(np.pi * xs[0] / grid.length[0])
-    return mid + half * np.tanh(sharpness * carrier) / np.tanh(sharpness)
+    """Smooth two-phase interface whose extremes are the pure-phase densities; its
+    carrier is the cosine of the mode-1 angle (the mean over the axes in 2-D)."""
+    carrier = np.cos(mode_angle(grid, xs, 1))
+    if grid.dim == 2:
+        carrier = 0.5 * (carrier + np.cos(mode_angle(grid, xs, 1, 1)))
+    return tanh_profile(carrier, *_plateaus(params), sharpness)
 
 
 def random_band_limited(grid: Grid, rng: np.random.Generator, kmax: int = 4) -> np.ndarray:
@@ -123,22 +147,19 @@ def random_band_limited(grid: Grid, rng: np.random.Generator, kmax: int = 4) -> 
     series (wall-even), so the field is always smooth for the grid's
     ghost rule.
     """
+    xs = grid.coords()
+    out = np.zeros(grid.shape)
     if grid.is_periodic:
-        out = np.zeros(grid.shape)
-        xs = grid.coords()
         for _ in range(2 * kmax):
             ks = [rng.integers(-kmax, kmax + 1) for _ in range(grid.dim)]
             if all(k == 0 for k in ks):
                 continue
             phase = rng.uniform(0.0, 2.0 * np.pi)
-            arg = sum(2.0 * np.pi * k * x / l
-                      for k, x, l in zip(ks, xs, grid.length))
+            arg = sum(mode_angle(grid, xs, k, axis) for axis, k in enumerate(ks))
             out += rng.normal() * np.cos(arg + phase)
     else:
-        x = grid.coords()[0]
-        out = np.zeros(grid.shape)
         for k in range(1, kmax + 1):
-            out += rng.normal() * np.cos(np.pi * k * x / grid.length[0])
+            out += rng.normal() * np.cos(mode_angle(grid, xs, k))
         out -= out.mean()
     peak = np.max(np.abs(out))
     if peak > 0.0:
@@ -146,15 +167,39 @@ def random_band_limited(grid: Grid, rng: np.random.Generator, kmax: int = 4) -> 
     return out
 
 
+class MobilityKind(Enum):
+    CONSTANT = "constant"
+    COSINE = "cosine"
+
+
+@dataclass(frozen=True)
+class MobilitySpec:
+    """A mobility profile: the constant ``value``, or base + amplitude cos of the
+    angle of ``mode`` (wall-even between walls)."""
+
+    kind: MobilityKind = MobilityKind.CONSTANT
+    value: float = 1.0
+    base: float = 2.0
+    amplitude: float = 1.0
+    mode: int = 1
+
+    def build(self, grid: Grid) -> Mobility:
+        if self.kind is MobilityKind.CONSTANT:
+            return Mobility(self.value)
+        angle = mode_angle(grid, grid.coords(), self.mode)
+        return Mobility(self.base + self.amplitude * np.cos(angle))
+
+
 @dataclass(frozen=True)
 class CorpusState:
-    """Analytic 1-D state that can be sampled on any grid of a given boundary kind."""
+    """Analytic 1-D state, with its mobility profile, that can be sampled on any grid
+    of a given boundary kind."""
 
     name: str
     boundary: BoundaryKind
     rho_fn: Callable[..., np.ndarray]
     u_fns: tuple[Callable[..., np.ndarray], ...]
-    mobility_fn: Callable[[Grid], Mobility] | None = None
+    mobility: MobilitySpec = MobilitySpec()
 
     def grid(self, n: int) -> Grid:
         if self.boundary is BoundaryKind.PERIODIC:
@@ -171,19 +216,7 @@ class CorpusState:
         return self.on_grid(self.grid(n))
 
     def mobility_on(self, grid: Grid) -> Mobility:
-        if self.mobility_fn is None:
-            return Mobility.constant(1.0)
-        return self.mobility_fn(grid)
-
-
-def _tanh_profile(params: FluidParams, sharpness: float, phase: float):
-    r1, r2 = params.pure_phase_densities()
-    mid, half = 0.5 * (r1 + r2), 0.5 * (r2 - r1)
-
-    def fn(x):
-        return mid + half * np.tanh(sharpness * np.cos(x - phase)) / np.tanh(sharpness)
-
-    return fn
+        return self.mobility.build(grid)
 
 
 def default_corpus(params: FluidParams) -> list[CorpusState]:
@@ -198,44 +231,44 @@ def default_corpus(params: FluidParams) -> list[CorpusState]:
     squared-sine velocity).
     """
     zero = lambda x: np.zeros_like(x)
+    mid, half = _plateaus(params)
+
+    def interface(sharpness, phase):
+        return lambda x: tanh_profile(np.cos(x - phase), mid, half, sharpness)
+
     states = [
         CorpusState(
             name="interface_rest",
             boundary=BoundaryKind.PERIODIC,
-            rho_fn=_tanh_profile(params, 2.5, 0.0),
+            rho_fn=interface(2.5, 0.0),
             u_fns=(zero,)),
         CorpusState(
             name="interface_flow",
             boundary=BoundaryKind.PERIODIC,
-            rho_fn=_tanh_profile(params, 2.5, 1.0),
+            rho_fn=interface(2.5, 1.0),
             u_fns=(lambda x: 0.05 * np.sin(x),)),
         CorpusState(
             name="interface_mild",
             boundary=BoundaryKind.PERIODIC,
-            rho_fn=_tanh_profile(params, 2.0, 0.5),
+            rho_fn=interface(2.0, 0.5),
             u_fns=(lambda x: 0.02 * np.cos(x),)),
         CorpusState(
             name="interface_steep",
             boundary=BoundaryKind.PERIODIC,
-            rho_fn=_tanh_profile(params, 3.0, 2.0),
+            rho_fn=interface(3.0, 2.0),
             u_fns=(lambda x: 0.03 * np.sin(x) + 0.01 * np.cos(2.0 * x),)),
         CorpusState(
             name="interface_shear",
             boundary=BoundaryKind.PERIODIC,
-            rho_fn=_tanh_profile(params, 2.5, 0.8),
+            rho_fn=interface(2.5, 0.8),
             u_fns=(lambda x: 0.05 * np.tanh(3.0 * np.cos(x)) / np.tanh(3.0),)),
         CorpusState(
             name="neumann_variable_mobility",
             boundary=BoundaryKind.BOUNDED_NEUMANN_1D,
-            rho_fn=lambda x: 1.5 + 0.4 * np.tanh(3.0 * np.cos(np.pi * x)) / np.tanh(3.0),
+            rho_fn=lambda x: tanh_profile(np.cos(np.pi * x), 1.5, 0.4, 3.0),
             u_fns=(lambda x: 0.05 * np.sin(np.pi * x) ** 2
                    + 0.02 * np.sin(2.0 * np.pi * x) ** 2,),
-            mobility_fn=neumann_mobility),
+            mobility=MobilitySpec(MobilityKind.COSINE)),
     ]
     return states
 
-
-def neumann_mobility(grid: Grid) -> Mobility:
-    """Wall-even positive mobility profile for the bounded corpus case: 2 + cos(pi x / L)."""
-    x = grid.coords()[0]
-    return Mobility.spatial(2.0 + np.cos(np.pi * x / grid.length[0]))

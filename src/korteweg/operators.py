@@ -31,11 +31,12 @@ functions return validated fields; the array kernels are the methods of
 once everything an evaluation reuses: i k per axis, the dealias mask, the
 shapes and, on first use, the FD2 ghost indices and stencils, the inverse
 symbol of -div(grad .), the 1-D antiderivative symbol and the checkerboard
-null modes of the derivatives.  The symbol itself, ``k2``, is the one
-definition of |k|^2: the inverse symbol, the stress symbol of
-:mod:`korteweg.models` and the spectral Laplacian read it, and it is formed
-where it is read, not kept.  ``_calculus(grid, d)`` caches one per pair and
-is the only per-grid cache.  Each public function, here and in
+null modes of the derivatives.  Both symbols read one first-derivative
+symbol per axis, ``d1`` (k, or sin(k h) / h under FD2).  The symbol itself,
+``k2``, is the one definition of |k|^2: the inverse symbol, the stress
+symbol of :mod:`korteweg.models` and the spectral Laplacian read it, and it
+is formed where it is read, not kept.  ``_calculus(grid, d)`` caches one
+per pair and is the only per-grid cache.  Each public function, here and in
 :mod:`korteweg.tensors`, :mod:`korteweg.elliptic` and
 :mod:`korteweg.models`, looks it up once and passes it down; a right-hand
 side binds one per run.  Under the spectral scheme a non-periodic grid is
@@ -177,8 +178,9 @@ class _Calculus:
     ``inv_sym`` of the symbol ``k2`` of -div(grad .) (for :mod:`korteweg.elliptic`
     and the stress symbol), the 1-D antiderivative symbol ``antideriv`` and the
     checkerboard null modes ``checkerboards`` (for :mod:`korteweg.elliptic`), so a calculus
-    holds only what its grid uses.  It also fixes the grid and half-spectrum shapes
-    and the gufuncs and factors of its transforms.  A right-hand side binds
+    holds only what its grid uses; ``k2`` and ``antideriv`` both read the one
+    first-derivative symbol per axis, ``d1``.  It also fixes the grid and
+    half-spectrum shapes and the gufuncs and factors of its transforms.  A right-hand side binds
     one per run; :func:`_calculus` caches one per (grid, discretization) for
     everything else.  It refuses a non-periodic grid under the spectral scheme.
     """
@@ -226,13 +228,20 @@ class _Calculus:
                      for i in map(np.arange, self.grid.n))
 
     @property
+    def d1(self) -> tuple[np.ndarray, ...]:
+        """Per axis, the half-spectrum symbol s of the first derivative on this
+        periodic grid, D = i s: k spectrally, sin(k h) / h for FD2, with k
+        Nyquist-zeroed as in the spectral derivatives.  Formed on each read, not
+        kept (spectrally, read-only views of ``ik``)."""
+        return tuple(ik.imag if self.spectral else np.sin(ik.imag * h) / h
+                     for ik, h in zip(self.ik or self._wavenumbers(), self.h))
+
+    @property
     def k2(self) -> np.ndarray:
-        """The half-spectrum symbol of -div(grad .) on this periodic grid: |k|^2
-        spectrally, sum (sin(k h) / h)^2 for FD2, with k Nyquist-zeroed as in the
-        spectral derivatives.  A fresh array on each read: the calculus keeps
-        only its inverse, ``inv_sym``."""
-        return _total(ik.imag * ik.imag if self.spectral else (np.sin(ik.imag * h) / h) ** 2
-                      for ik, h in zip(self.ik or self._wavenumbers(), self.grid.h))
+        """The half-spectrum symbol of -div(grad .) on this periodic grid, sum s^2 over
+        the axes' ``d1``: |k|^2 spectrally, sum (sin(k h) / h)^2 for FD2.  A fresh
+        array on each read: the calculus keeps only its inverse, ``inv_sym``."""
+        return _total(d1 * d1 for d1 in self.d1)
 
     @cached_property
     def inv_sym(self) -> np.ndarray:
@@ -245,10 +254,9 @@ class _Calculus:
     @cached_property
     def antideriv(self) -> np.ndarray:
         """The half-spectrum symbol of the pseudo-inverse of d/dx on this 1-D periodic
-        grid: 1 / (i k) spectrally, 1 / (i sin(k h) / h) for FD2, zero on the
-        derivative's null modes (the mean and the Nyquist mode)."""
-        k = (self.ik or self._wavenumbers())[0].imag
-        sym = k if self.spectral else np.sin(k * self.grid.h[0]) / self.grid.h[0]
+        grid, 1 / (i s) of its ``d1`` s: 1 / (i k) spectrally, 1 / (i sin(k h) / h)
+        for FD2, zero on the derivative's null modes (the mean and the Nyquist mode)."""
+        sym = self.d1[0]
         inv = np.zeros(sym.shape, dtype=complex)
         np.divide(-1j, sym, out=inv, where=sym != 0.0)
         return _read_only(inv)

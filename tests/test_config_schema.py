@@ -91,8 +91,8 @@ NAN, INF = float("nan"), float("inf")
     lambda: FluidParams(delta=NAN), lambda: FluidParams(tau1=INF),
     lambda: FluidParams(temperature=INF), lambda: FluidParams(shear_viscosity=NAN),
     lambda: FluidParams(bulk_viscosity=-INF), lambda: FluidParams(mobility=NAN),
-    lambda: Mobility.constant(NAN), lambda: Mobility.constant(INF),
-    lambda: Mobility.spatial([1.0, INF]), lambda: Mobility.spatial([1.0, NAN]),
+    lambda: Mobility(NAN), lambda: Mobility(INF),
+    lambda: Mobility([1.0, INF]), lambda: Mobility([1.0, NAN]),
     lambda: DoubleWell(scale=NAN), lambda: DoubleWell(scale=INF),
     lambda: StepControl(t_end=NAN), lambda: StepControl(t_end=INF),
     lambda: StepControl(dt_max=INF), lambda: StepControl(dt_fixed=INF),

@@ -20,11 +20,33 @@ DEALIASED = Discretization(Scheme.SPECTRAL, dealias=True)
 
 def test_mobility_validation():
     with pytest.raises(ConfigError):
-        Mobility.constant(0.0)
+        Mobility(0.0)
     with pytest.raises(ConfigError):
-        Mobility.spatial(np.array([1.0, -0.5, 2.0]))
-    assert Mobility.constant(2.0).is_constant
-    assert not Mobility.spatial(np.ones(8)).is_constant
+        Mobility(np.array([1.0, -0.5, 2.0]))
+    assert Mobility(2.0).is_constant
+    assert not Mobility(np.ones(8)).is_constant
+
+
+@pytest.mark.parametrize("value", [2, 2.0, np.float64(2.0), np.array(2.0)],
+                         ids=["int", "float", "numpy-scalar", "0-d-array"])
+def test_every_0d_mobility_is_the_constant(value):
+    # each 0-d value is kept as the float constant, and every inverse takes it
+    gamma = Mobility(value)
+    assert gamma.is_constant and type(gamma.value) is float and gamma == Mobility(2.0)
+    with pytest.raises(ConfigError, match="^mobility must be positive$"):
+        Mobility(np.array(-2.0))
+    periodic, bounded = Grid.periodic(64), Grid.bounded_neumann_1d(64)
+    f, fb = (ScalarField(g, np.cos(2.0 * np.pi * g.coords()[0] / g.length[0]))
+             for g in (periodic, bounded))
+    for d in (SPECTRAL, FD2):
+        for solve in (invert_periodic, invert_for_model, apply_operator):
+            assert np.array_equal(solve(gamma, f, d).values, solve(Mobility(2.0), f, d).values)
+    assert np.array_equal(invert_for_model(gamma, fb, FD2).values,
+                          invert_for_model(Mobility(2.0), fb, FD2).values)
+    xw = Grid.periodic(256, 40.0).coords()[0] - 20.0
+    bump = ScalarField(Grid.periodic(256, 40.0), -2.0 * xw * np.exp(-xw * xw))
+    for solve, data in ((invert_neumann_1d, fb), (invert_freespace_1d, bump)):
+        assert np.array_equal(solve(gamma, data).values, solve(Mobility(2.0), data).values)
 
 
 @pytest.mark.parametrize("grid", [Grid.periodic(64), Grid.periodic((16, 12)),
@@ -36,13 +58,13 @@ def test_every_solve_refuses_a_mobility_of_another_shape(grid, values):
     # check in Mobility.values_on is what stops a size-1 field from broadcasting
     f = np.cos(2.0 * np.pi * grid.coords()[0] / grid.length[0])
     with pytest.raises(ConfigError, match="shape"):
-        _solve(Mobility.spatial(values), f, _calculus(grid, FD2))
+        _solve(Mobility(values), f, _calculus(grid, FD2))
 
 
 def test_apply_operator_eigenfunctions():
     grid = Grid.periodic(64)
     x = grid.coords()[0]
-    one = Mobility.constant(1.0)
+    one = Mobility(1.0)
     out = apply_operator(one, ScalarField(grid, np.cos(x)), SPECTRAL)
     assert np.max(np.abs(out.values - np.cos(x))) < 1e-12
     out0 = apply_operator(one, ScalarField.constant(grid, 4.2), SPECTRAL)
@@ -54,19 +76,19 @@ def test_apply_operator_eigenfunctions():
 def test_apply_operator_zero_mean_in_divergence_form():
     grid = Grid.periodic(64)
     rng = np.random.default_rng(2)
-    gamma = Mobility.spatial(1.5 + 0.5 * random_band_limited(grid, rng, 4))
+    gamma = Mobility(1.5 + 0.5 * random_band_limited(grid, rng, 4))
     phi = ScalarField(grid, random_band_limited(grid, rng, 9))
     for d in (SPECTRAL, FD2):
         assert abs(mean(apply_operator(gamma, phi, d))) < 1e-13
     bgrid = Grid.bounded_neumann_1d(64)
     bphi = ScalarField(bgrid, random_band_limited(bgrid, rng, 5))
-    assert abs(mean(apply_operator(Mobility.constant(1.0), bphi, FD2))) < 1e-14
+    assert abs(mean(apply_operator(Mobility(1.0), bphi, FD2))) < 1e-14
 
 
 def test_invert_periodic_eigenfunctions():
     grid = Grid.periodic(64)
     x = grid.coords()[0]
-    one = Mobility.constant(1.0)
+    one = Mobility(1.0)
     phi1 = invert_periodic(one, ScalarField(grid, np.cos(x)))
     assert np.max(np.abs(phi1.values - np.cos(x))) < 1e-12
     phi2 = invert_periodic(one, ScalarField(grid, np.cos(2 * x)))
@@ -77,7 +99,7 @@ def test_invert_periodic_roundtrip_and_mean():
     grid = Grid.periodic(128)
     rng = np.random.default_rng(4)
     f = ScalarField(grid, random_band_limited(grid, rng, kmax=20))
-    gamma = Mobility.constant(0.7)
+    gamma = Mobility(0.7)
     for d in (SPECTRAL, FD2):
         phi = invert_periodic(gamma, f, d)
         assert abs(float(phi.values.mean())) < 1e-13
@@ -99,7 +121,7 @@ def test_inverse_symbol_is_cached_and_zero_on_null_modes(shape, d):
     x = grid.coords()[-1]
     for k in range(1, shape[-1] // 2):
         f = ScalarField(grid, np.cos(k * x))
-        sym = apply_operator(Mobility.constant(1.0), f, d).values[(0,) * grid.dim]
+        sym = apply_operator(Mobility(1.0), f, d).values[(0,) * grid.dim]
         assert abs(inv.reshape(-1, inv.shape[-1])[0, k] * sym - 1.0) < 1e-12
     # the first derivatives zero the Nyquist mode, so the symbol vanishes there
     # when every other axis sits at its mean mode; so does the inverse
@@ -110,9 +132,9 @@ def test_invert_periodic_compatibility_guard():
     grid = Grid.periodic(32)
     f = ScalarField.constant(grid, 1.0)
     with pytest.raises(CompatibilityError):
-        invert_periodic(Mobility.constant(1.0), f)
+        invert_periodic(Mobility(1.0), f)
     # the model inverse strips the mean instead of raising
-    phi = invert_for_model(Mobility.constant(1.0), f, SPECTRAL)
+    phi = invert_for_model(Mobility(1.0), f, SPECTRAL)
     assert np.max(np.abs(phi.values)) < 1e-12
 
 
@@ -121,7 +143,7 @@ def test_invert_periodic_compatibility_guard():
 def test_invert_periodic_variable_mobility_roundtrip_1d(n, d):
     grid = Grid.periodic(n)
     x = grid.coords()[0]
-    gamma = Mobility.spatial(2.0 + np.sin(x))
+    gamma = Mobility(2.0 + np.sin(x))
     rng = np.random.default_rng(8)
     f = ScalarField(grid, random_band_limited(grid, rng, kmax=8))
     phi = invert_periodic(gamma, f, d)
@@ -151,7 +173,7 @@ def test_direct_1d_solve_matches_a_cg_reference(n, d, monkeypatch):
     gamma = 2.0 + np.sin(x) + 0.5 * np.cos(3.0 * x)
     f = random_band_limited(grid, np.random.default_rng(n), kmax=12)
     ops = _calculus(grid, d)
-    phi = _solve(Mobility.spatial(gamma), f, ops)
+    phi = _solve(Mobility(gamma), f, ops)
     ref = _cg_reference(gamma, f, ops, monkeypatch)
     assert np.max(np.abs(phi - ref)) <= 1e-11 * np.max(np.abs(ref))
 
@@ -164,7 +186,7 @@ def test_direct_1d_weights_are_formed_once_per_mobility(n, d):
     grid = Grid.periodic(n)
     x = grid.coords()[0]
     gv = 2.0 + np.sin(x) + 0.5 * np.cos(3.0 * x)
-    gamma, ops = Mobility.spatial(gv), _calculus(grid, d)
+    gamma, ops = Mobility(gv), _calculus(grid, d)
     f = random_band_limited(grid, np.random.default_rng(n), kmax=12)
     first = _solve(gamma, f, ops)
     weights = gamma._periodic_1d_weights
@@ -195,7 +217,7 @@ def test_no_cg_on_a_1d_grid(n, d, caplog, monkeypatch):
     monkeypatch.setattr(korteweg.elliptic, "_pcg_zero_mean", no_cg)
     grid = Grid.periodic(n)
     x = grid.coords()[0]
-    gamma = Mobility.spatial(2.0 + np.cos(x))
+    gamma = Mobility(2.0 + np.cos(x))
     f = ScalarField(grid, random_band_limited(grid, np.random.default_rng(3), kmax=6))
     state = MixtureState(ScalarField(grid, 1.5 + 0.1 * np.cos(x)),
                          VectorField(grid, (0.05 * np.sin(2.0 * x),)))
@@ -212,7 +234,7 @@ def test_periodic_cg_logs_its_iteration_count(caplog):
     x, y = grid.coords()
     f = ScalarField(grid, np.cos(2.0 * x))
     with caplog.at_level(logging.DEBUG, logger="korteweg.elliptic"):
-        invert_periodic(Mobility.spatial(2.0 + np.sin(x) * np.cos(y)), f, SPECTRAL)
+        invert_periodic(Mobility(2.0 + np.sin(x) * np.cos(y)), f, SPECTRAL)
     records = [r for r in caplog.records if "cg converged" in str(r.msg)]
     assert len(records) == 1
     assert records[0].msg.startswith("%s: cg converged in %d iterations")
@@ -231,7 +253,7 @@ def test_model_solve_refuses_non_finite_data(shape):
     f = np.cos(2.0 * xs[0])
     f.flat[3] = np.nan
     with pytest.raises(DomainError, match="non-finite"):
-        _solve(Mobility.spatial(2.0 + np.sin(xs[-1])), f, _calculus(grid, SPECTRAL))
+        _solve(Mobility(2.0 + np.sin(xs[-1])), f, _calculus(grid, SPECTRAL))
 
 
 def _variable_mobility_case(shape, seed):
@@ -239,7 +261,7 @@ def _variable_mobility_case(shape, seed):
     xs = grid.coords()
     gamma = 2.0 + np.sin(xs[0]) * (np.cos(xs[1]) if grid.dim == 2 else 1.0)
     rng = np.random.default_rng(seed)
-    return grid, Mobility.spatial(gamma), ScalarField(grid, random_band_limited(grid, rng, 8))
+    return grid, Mobility(gamma), ScalarField(grid, random_band_limited(grid, rng, 8))
 
 
 @pytest.mark.parametrize("shape", [(32, 32), (64, 64), (128, 128), (63, 48)],
@@ -274,7 +296,7 @@ def test_periodic_solves_drop_data_on_the_null_modes(shape, variable, d):
     # them is dropped like a mean, by the Fourier solve, the direct solve and CG
     grid = Grid.periodic(shape)
     xs = grid.coords()
-    gamma = Mobility.spatial(2.0 + np.cos(xs[0])) if variable else Mobility.constant(2.0)
+    gamma = Mobility(2.0 + np.cos(xs[0])) if variable else Mobility(2.0)
     f = random_band_limited(grid, np.random.default_rng(31), kmax=6)
     f -= f.mean()
     clean = invert_periodic(gamma, ScalarField(grid, f), d).values
@@ -301,7 +323,7 @@ def test_invert_neumann_eigenfunction():
     x = grid.coords()[0]
     h = grid.h[0]
     f = ScalarField(grid, np.cos(np.pi * x))
-    phi = invert_neumann_1d(Mobility.constant(1.0), f)
+    phi = invert_neumann_1d(Mobility(1.0), f)
     # exact solution of the discrete system: the grid cosine is an
     # eigenvector with eigenvalue (2 - 2 cos(pi/n)) / h^2
     lam = (2.0 - 2.0 * np.cos(np.pi / n)) / h**2
@@ -313,21 +335,21 @@ def test_invert_neumann_eigenfunction():
 def test_invert_neumann_zero_and_errors():
     grid = Grid.bounded_neumann_1d(64)
     zero = ScalarField.constant(grid, 0.0)
-    assert np.max(np.abs(invert_neumann_1d(Mobility.constant(1.0), zero).values)) == 0.0
+    assert np.max(np.abs(invert_neumann_1d(Mobility(1.0), zero).values)) == 0.0
     with pytest.raises(CompatibilityError):
-        invert_neumann_1d(Mobility.constant(1.0), ScalarField.constant(grid, 2.0))
+        invert_neumann_1d(Mobility(1.0), ScalarField.constant(grid, 2.0))
     # the direct solve is exact on the grid-cosine eigenvector
     x = grid.coords()[0]
     f = ScalarField(grid, np.cos(np.pi * x))
     lam = (2.0 - 2.0 * np.cos(np.pi / 64)) / grid.h[0] ** 2
-    phi = invert_neumann_1d(Mobility.constant(1.0), f)
+    phi = invert_neumann_1d(Mobility(1.0), f)
     assert np.max(np.abs(phi.values - f.values / lam)) < 1e-12
 
 
 def test_invert_neumann_variable_mobility_roundtrip():
     grid = Grid.bounded_neumann_1d(128, length=1.0)
     x = grid.coords()[0]
-    gamma = Mobility.spatial(2.0 + np.sin(2.0 * np.pi * x))
+    gamma = Mobility(2.0 + np.sin(2.0 * np.pi * x))
     rng = np.random.default_rng(5)
     f = random_band_limited(grid, rng, kmax=6)
     f -= f.mean()
@@ -348,7 +370,7 @@ def test_strict_inverse_refuses_a_mean_the_model_inverse_discards(grid, d):
     # for the zero-mean part of the same data
     x = grid.coords()[0]
     k = (2.0 if grid.is_periodic else 1.0) * np.pi / grid.length[0]
-    gamma = Mobility.spatial(2.0 + np.cos(k * x))
+    gamma = Mobility(2.0 + np.cos(k * x))
     rng = np.random.default_rng(23)
     f = ScalarField(grid, 0.5 + random_band_limited(grid, rng, kmax=6))
     with pytest.raises(CompatibilityError):
@@ -365,7 +387,7 @@ def test_strict_inverse_refuses_a_mean_the_model_inverse_discards(grid, d):
 def test_invert_neumann_direct_solve_at_large_n(caplog):
     grid = Grid.bounded_neumann_1d(2048, length=1.0)
     x = grid.coords()[0]
-    gamma = Mobility.spatial(2.0 + np.sin(2.0 * np.pi * x))
+    gamma = Mobility(2.0 + np.sin(2.0 * np.pi * x))
     rng = np.random.default_rng(5)
     f = random_band_limited(grid, rng, kmax=6)
     f -= f.mean()
@@ -384,7 +406,7 @@ def test_selfadjointness_and_positivity():
         g = random_band_limited(grid, rng, 6)
         f -= f.mean()
         g -= g.mean()
-        gamma = Mobility.constant(1.3)
+        gamma = Mobility(1.3)
         if grid.is_periodic:
             inv = lambda s: invert_periodic(gamma, s)
         else:
@@ -400,8 +422,8 @@ def test_mobility_scaling_inverse():
     grid = Grid.periodic(64)
     rng = np.random.default_rng(21)
     f = ScalarField(grid, random_band_limited(grid, rng, 8))
-    phi1 = invert_periodic(Mobility.constant(1.0), f)
-    phi3 = invert_periodic(Mobility.constant(3.0), f)
+    phi1 = invert_periodic(Mobility(1.0), f)
+    phi3 = invert_periodic(Mobility(3.0), f)
     assert np.max(np.abs(3.0 * phi3.values - phi1.values)) < 1e-12
 
 
@@ -410,7 +432,7 @@ def freespace_setup(n=512, length=40.0, gamma0=1.5):
     x = grid.coords()[0] - 0.5 * length
     bump = np.exp(-x * x)
     f = ScalarField(grid, -2.0 * x * bump)  # derivative of a bump: zero mean
-    return grid, x, f, Mobility.constant(gamma0)
+    return grid, x, f, Mobility(gamma0)
 
 
 def test_freespace_matches_antidifferentiation_oracle():

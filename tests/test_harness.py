@@ -458,6 +458,23 @@ def test_cli_compare_reports_shared_structure(tmp_path):
     assert report["divergence"][-1]["rho_distance"] > 0.0
 
 
+def test_cli_compare_report_does_not_depend_on_the_config_order(tmp_path):
+    # compare takes its nsk1 and nsk2 configs in either order
+    initial = {"family": "sine_density", "rho0": 1.5, "amplitude": 0.1,
+               "velocity_amplitude": 0.02}
+    a = write_config(tmp_path, name="a.json", model="nsk1", initial=initial,
+                     step={"t_end": 0.02})
+    b = write_config(tmp_path, name="b.json", model="nsk2", initial=initial,
+                     step={"t_end": 0.02}, mobility={"kind": "cosine"})
+    reports = []
+    for order, out in (((a, b), "ab"), ((b, a), "ba")):
+        assert main(["compare", *map(str, order), "--out", str(tmp_path / out),
+                     "--quiet"]) == 0
+        reports.append((tmp_path / out / "compare_report.json").read_bytes())
+    assert reports[0] == reports[1]
+    assert len(json.loads(reports[0])["divergence"]) > 2
+
+
 def test_cli_compare_at_zero_horizon_reports_the_start(tmp_path):
     # t_end = 0 takes no step: the report is the shared start alone
     out = tmp_path / "out"

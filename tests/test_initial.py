@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import korteweg.initial
-from korteweg import ConfigError, FluidParams, Grid, ICFamily, InitialCondition
-from korteweg.initial import default_corpus, random_band_limited
+from korteweg import ConfigError, FluidParams, Grid, ICFamily, InitialCondition, Mobility
+from korteweg.initial import (MobilityKind, MobilitySpec, default_corpus,
+                              random_band_limited, tanh_interface)
 
 
 def test_constant_family(params):
@@ -93,3 +94,41 @@ def test_default_corpus_shape(params):
         assert np.min(state.rho.values) > 0.0
         gamma = cs.mobility_on(cs.grid(64))
         assert np.min(np.atleast_1d(gamma.values_on(cs.grid(64)))) > 0.0
+        # every periodic state runs at mobility 1; the wall state at 2 + cos(pi x / L)
+        if cs.boundary.value == "periodic":
+            assert gamma == Mobility(1.0)
+        else:
+            x = cs.grid(64).coords()[0]
+            np.testing.assert_allclose(gamma.value, 2.0 + np.cos(np.pi * x), rtol=1e-15,
+                                       atol=0.0)
+
+
+@pytest.mark.parametrize("n, length", [(64, 1.0), (63, 0.7)])
+def test_bounded_tanh_interface_is_its_closed_form(params, n, length):
+    # between walls the carrier is cos(pi x / L): wall-even, falling from near the
+    # upper plateau at x = 0 to near the lower one at x = L
+    grid = Grid.bounded_neumann_1d(n, length)
+    x = grid.coords()[0]
+    rho = tanh_interface(grid, grid.coords(), params, 3.0)
+    r1, r2 = params.pure_phase_densities()
+    want = 0.5 * (r1 + r2) + 0.5 * (r2 - r1) * np.tanh(3.0 * np.cos(np.pi * x / length)) \
+        / np.tanh(3.0)
+    np.testing.assert_allclose(rho, want, rtol=1e-15, atol=0.0)
+    assert np.all(np.diff(rho) < 0.0)
+    assert r1 < rho.min() < rho.max() < r2
+
+
+@pytest.mark.parametrize("grid", [Grid.periodic(64), Grid.periodic((16, 12)),
+                                  Grid.bounded_neumann_1d(64, 1.0),
+                                  Grid.bounded_neumann_1d(63, 3.3)],
+                         ids=["periodic", "periodic-2d", "bounded", "bounded-63"])
+def test_mobility_spec_builds_its_closed_form(grid):
+    # constant: Mobility(value); cosine at mode 2: base + amplitude cos(4 pi x / L),
+    # or cos(2 pi x / L) between walls (wall-even)
+    assert MobilitySpec(value=2.5).build(grid) == Mobility(2.5)
+    x = grid.coords()[0]
+    angle = (4.0 if grid.is_periodic else 2.0) * np.pi * x / grid.length[0]
+    gamma = MobilitySpec(MobilityKind.COSINE, base=1.5, amplitude=0.5, mode=2).build(grid)
+    np.testing.assert_allclose(gamma.values_on(grid), 1.5 + 0.5 * np.cos(angle),
+                               rtol=1e-15, atol=0.0)
+

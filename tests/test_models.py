@@ -80,7 +80,7 @@ def test_pressure_nsch_reduces_to_local_part_for_zero_velocity(params, grid64):
     x = grid64.coords()[0]
     state = MixtureState.from_primitive(
         ScalarField(grid64, 1.2 + 0.1 * np.sin(x)), VectorField.zero(grid64))
-    p_nsch = reconstruct_pressure_nsch(state, params, Mobility.constant(1.0), SPECTRAL)
+    p_nsch = reconstruct_pressure_nsch(state, params, Mobility(1.0), SPECTRAL)
     p_nsac = reconstruct_pressure_nsac(state, params, SPECTRAL)
     assert np.max(np.abs(p_nsch.values - p_nsac.values)) < 1e-13
 
@@ -93,7 +93,7 @@ def test_pressure_nsch_eigenfunction(params, grid64):
     state = MixtureState.from_primitive(
         ScalarField.constant(grid64, rho0),
         VectorField(grid64, (amp * np.sin(x),)))
-    p = reconstruct_pressure_nsch(state, params, Mobility.constant(1.0), SPECTRAL)
+    p = reconstruct_pressure_nsch(state, params, Mobility(1.0), SPECTRAL)
     scale = params.temperature / params.delta_tau**2
     expected = -scale * amp * np.cos(x) + rho0**2 * law.bulk_energy_drho(rho0, params)
     assert np.max(np.abs(p.values - expected)) < 1e-11
@@ -112,7 +112,7 @@ def test_reconstruct_fields_pure_phase_equilibrium(params, grid64):
     assert _sup((rec1.p.values,)) < 1e-12
     assert _sup((rec1.q.values,)) < 1e-12
     rec2 = reconstruct_fields(state, params, ModelKind.NSK2,
-                              Mobility.constant(1.0), SPECTRAL)
+                              Mobility(1.0), SPECTRAL)
     assert _sup((rec2.mu_chem.values,)) < 1e-12
     with pytest.raises(ConfigError):
         reconstruct_fields(state, params, ModelKind.NSK2, None, SPECTRAL)
@@ -125,7 +125,7 @@ def test_chemical_potential_balance(params, grid64):
     from korteweg.elliptic import apply_operator
 
     x = grid64.coords()[0]
-    gamma = Mobility.constant(1.0)
+    gamma = Mobility(1.0)
     state = MixtureState.from_primitive(
         ScalarField.constant(grid64, 1.4),
         VectorField(grid64, (np.sin(x),)))
@@ -142,7 +142,7 @@ def test_chemical_potential_balance(params, grid64):
 @pytest.mark.parametrize("kind", [ModelKind.NSK1, ModelKind.NSK2])
 def test_rhs_constant_state_is_equilibrium(kind, params, grid64):
     state = constant_state(grid64)
-    gamma = Mobility.constant(1.0)
+    gamma = Mobility(1.0)
     if kind is ModelKind.NSK1:
         drho, dm = rhs_nsk1(state, params, SPECTRAL)
     else:
@@ -161,7 +161,7 @@ def test_rhs_is_conservative(d, params):
     drho, dm = rhs_nsk1(state, params, d)
     assert abs(mean(drho)) < 1e-12
     assert abs(float(dm.components[0].mean())) < 1e-12
-    drho2, dm2 = rhs_nsk2(state, params, Mobility.constant(1.0), d)
+    drho2, dm2 = rhs_nsk2(state, params, Mobility(1.0), d)
     assert abs(mean(drho2)) < 1e-12
     assert abs(float(dm2.components[0].mean())) < 1e-12
 
@@ -194,7 +194,7 @@ def test_exact_rhs_matches_spectral_rhs(params, kind):
     state = MixtureState.from_primitive(
         ScalarField(grid, 1.5 + 0.2 * np.sin(xv)),
         VectorField(grid, (0.05 * np.sin(xv) + 0.02 * np.cos(2.0 * xv),)))
-    drho, dm = model_rates(state, params, kind, Mobility.constant(1.0), SPECTRAL)
+    drho, dm = model_rates(state, params, kind, Mobility(1.0), SPECTRAL)
     assert np.max(np.abs(drho - drho_exact(xv))) < 1e-11
     assert np.max(np.abs(dm[0] - dm_exact[0](xv))) < 1e-11
 
@@ -231,8 +231,8 @@ def test_rhs_nsk2_single_elliptic_solve(mobility, d, solves, params, grid64, sol
     state = MixtureState.from_primitive(
         ScalarField(grid64, 1.4 + 0.1 * np.sin(x)),
         VectorField(grid64, (0.1 * np.sin(x),)))
-    gamma = Mobility.constant(1.0) if mobility == "constant" else \
-        Mobility.spatial(2.0 + np.cos(x))
+    gamma = Mobility(1.0) if mobility == "constant" else \
+        Mobility(2.0 + np.cos(x))
     rhs_nsk2(state, params, gamma, d)
     assert solve_counter == {"_solve": solves}
 
@@ -247,7 +247,7 @@ def test_nsk2_gap_and_residual_single_elliptic_solve(evaluate, params, grid64,
     state = MixtureState.from_primitive(
         ScalarField(grid64, 1.4 + 0.1 * np.sin(x)),
         VectorField(grid64, (0.1 * np.sin(x),)))
-    evaluate(state, params, Mobility.constant(1.0))
+    evaluate(state, params, Mobility(1.0))
     assert solve_counter == {"_solve": 1}
 
 
@@ -271,7 +271,7 @@ def test_rhs_validates_only_what_it_returns(grid, params, monkeypatch):
     rhs_nsk1(state, params, SPECTRAL)
     assert calls["_frozen_array"] == returned
     x = grid.coords()[0]
-    for gamma in (Mobility.constant(1.0), Mobility.spatial(2.0 + np.cos(x))):
+    for gamma in (Mobility(1.0), Mobility(2.0 + np.cos(x))):
         calls["_frozen_array"] = 0
         rhs_nsk2(state, params, gamma, SPECTRAL)
         assert calls["_frozen_array"] <= returned + 2
@@ -298,7 +298,7 @@ def test_rhs_divergence_free_velocity_agrees_between_models(params, grid64):
     # systems produce bit-identical rates
     state = constant_state(grid64, 1.4, u0=0.3)
     d1rho, d1m = rhs_nsk1(state, params, FD2)
-    d2rho, d2m = rhs_nsk2(state, params, Mobility.constant(1.0), FD2)
+    d2rho, d2m = rhs_nsk2(state, params, Mobility(1.0), FD2)
     assert np.array_equal(d1rho.values, d2rho.values)
     assert np.array_equal(d1m.components[0], d2m.components[0])
 
@@ -375,12 +375,12 @@ def test_rhs_transform_counts(grid, dealias, transforms, calls, params, monkeypa
     counts = transform_counter(monkeypatch)
     state = wavy_state(grid)
     d = Discretization(Scheme.SPECTRAL, dealias=dealias)
-    gamma = Mobility.constant(1.0)
+    gamma = Mobility(1.0)
     assert counts(rhs_nsk1, state, params, d) == (transforms[0], calls[0], 0)
     assert counts(rhs_nsk2, state, params, gamma, d) == (transforms[1], calls[1], 0)
     assert counts(invert_periodic, gamma, div(state.velocity(), d), d) == (2, 2, 0)
     if grid.dim == 1:   # a variable mobility: two antiderivatives, no CG
-        cosine = Mobility.spatial(2.0 + np.cos(grid.coords()[0]))
+        cosine = Mobility(2.0 + np.cos(grid.coords()[0]))
         assert counts(invert_periodic, cosine, div(state.velocity(), d), d) == (4, 4, 0)
 
 
@@ -394,7 +394,7 @@ def test_certificate_transform_counts(grid, transforms, params, monkeypatch):
     # grad c once; the public reconstructions take only div u and grad rho
     counts = transform_counter(monkeypatch)
     state = wavy_state(grid)
-    gamma = Mobility.constant(1.0)
+    gamma = Mobility(1.0)
     evaluations = [
         (momentum_equivalence_gap, state, params, ModelKind.NSK1, None, SPECTRAL),
         (momentum_equivalence_gap, state, params, ModelKind.NSK2, gamma, SPECTRAL),
@@ -492,8 +492,8 @@ def test_stacked_kernels_equal_per_array_kernels(grid, d, params):
         ScalarField(grid, 1.4 + 0.1 * arrays[0]),
         VectorField(grid, tuple(0.1 * a for a in arrays[1:1 + dim])))
     x = grid.coords()[0]
-    for kind, gamma in ((ModelKind.NSK1, None), (ModelKind.NSK2, Mobility.constant(1.0)),
-                        (ModelKind.NSK2, Mobility.spatial(2.0 + np.cos(x)))):
+    for kind, gamma in ((ModelKind.NSK1, None), (ModelKind.NSK2, Mobility(1.0)),
+                        (ModelKind.NSK2, Mobility(2.0 + np.cos(x)))):
         drho, dm = model_rates(state, params, kind, gamma, d)
         ref_rho, ref_m = per_array_rhs(state, params, kind, gamma, d)
         assert np.array_equal(drho, ref_rho)
@@ -542,7 +542,7 @@ def test_rhs_matches_public_operator_composition(grid, model, d, params):
         VectorField(grid, tuple(0.1 * random_band_limited(grid, rng, kmax=12)
                                 for _ in range(grid.dim))))
     x = grid.coords()[0]
-    gamma = Mobility.spatial(2.0 + np.cos(x)) if model == "nsk2-cos" else Mobility.constant(1.0)
+    gamma = Mobility(2.0 + np.cos(x)) if model == "nsk2-cos" else Mobility(1.0)
     kind = ModelKind.NSK1 if model == "nsk1" else ModelKind.NSK2
     drho, dm = model_rates(state, params, kind, gamma, d)
     ref_rho, ref_m = composed_rhs(state, params, kind, gamma, d)
@@ -564,7 +564,7 @@ def test_momentum_rate_is_the_linear_symbol_at_constant_density(dealias):
     lam_star = float(law.augmented_bulk_viscosity(rho0, params))
     symbols = {
         ModelKind.NSK1: (None, lambda k: -(2.0 * mu + lam_star) * k * k / rho0),
-        ModelKind.NSK2: (Mobility.constant(gamma0),
+        ModelKind.NSK2: (Mobility(gamma0),
                          lambda k: -params._theta_dtau2 / (gamma0 * rho0)
                          - (2.0 * mu + lam) * k * k / rho0)}
     for kind, (gamma, a) in symbols.items():
@@ -589,7 +589,7 @@ def test_transverse_momentum_mode_decays_at_the_shear_rate(mode):
     m = (-ky / norm * wave, kx / norm * wave)
     state = MixtureState(ScalarField.constant(grid, rho0), VectorField(grid, m))
     rate = -params.shear_viscosity * (kx * kx + ky * ky) / rho0
-    for kind, gamma in ((ModelKind.NSK1, None), (ModelKind.NSK2, Mobility.constant(1.0))):
+    for kind, gamma in ((ModelKind.NSK1, None), (ModelKind.NSK2, Mobility(1.0))):
         _, dm = model_rates(state, params, kind, gamma, SPECTRAL)
         for got, comp in zip(dm, m):
             want = rate * np.fft.rfftn(comp)[kx, ky]
@@ -606,14 +606,14 @@ def test_variable_mobility_rhs_forms_the_density_after_its_solve(params):
     x, y = grid.coords()
     state = MixtureState.from_primitive(ScalarField(grid, 1.5 + 0.1 * np.cos(x) * np.cos(y)),
                                         VectorField(grid, (0.05 * np.sin(x), 0.05 * np.cos(y))))
-    gamma = Mobility.spatial(2.0 + np.cos(x))
+    gamma = Mobility(2.0 + np.cos(x))
     rhs_nsk2(state, params, gamma, SPECTRAL)   # the calculus builds its symbols once
     assert traced_peak(lambda: rhs_nsk2(state, params, gamma, SPECTRAL)) <= 12.1e6
 
 
 @pytest.mark.parametrize("d", [FD2, SPECTRAL], ids=["fd2", "spectral"])
 @pytest.mark.parametrize("kind, gamma, arrays", [
-    (ModelKind.NSK1, None, 18), (ModelKind.NSK2, Mobility.constant(1.0), 20)],
+    (ModelKind.NSK1, None, 18), (ModelKind.NSK2, Mobility(1.0), 20)],
     ids=["nsk1", "nsk2-const"])
 def test_2d_gap_holds_few_grid_arrays(kind, gamma, arrays, d, params):
     # the gap runs on fresh arrays, freed at their last name: assembled in place and
@@ -658,7 +658,7 @@ def test_residual_nsac_fd2_order(params):
 
 
 def test_residual_nsch_equilibrium_and_eigenfunction(params, grid64):
-    gamma = Mobility.constant(1.0)
+    gamma = Mobility(1.0)
     rep = residual_nsch(constant_state(grid64, 1.0), params, gamma, SPECTRAL)
     assert rep.momentum < 1e-12 and rep.phase < 1e-12
     x = grid64.coords()[0]

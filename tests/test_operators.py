@@ -475,3 +475,22 @@ def test_2d_inverse_makes_its_axis_0_pass_in_the_workspace(shape):
     assert not np.shares_memory(work, hats)
     in_place = ops.inverse(hats, work=hats)
     assert fresh.tobytes() == named.tobytes() == in_place.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(64,), (63,), (48, 36)], ids=["64", "63", "48x36"])
+@pytest.mark.parametrize("d", [SPECTRAL, FD2], ids=["spectral", "fd2"])
+def test_first_derivative_symbol_is_the_derivatives_multiplier(shape, d):
+    # d1 is the multiplier s of each axis's first derivative, D = i s, and the
+    # symbols of -div(grad .) and of the 1-D antiderivative are read from it
+    grid = Grid.periodic(shape)
+    ops = _calculus(grid, d)
+    f = random_band_limited(grid, np.random.default_rng(5), kmax=12)
+    fh = ops.forward(f)
+    for g, s in zip(grad(ScalarField(grid, f), d).components, ops.d1):
+        assert np.max(np.abs(ops.forward(g) - 1j * s * fh)) < 1e-11 * np.max(np.abs(fh))
+    assert np.array_equal(ops.k2, sum(s * s for s in ops.d1))
+    if grid.dim == 1:
+        s = ops.d1[0]
+        want = np.zeros(s.shape, dtype=complex)
+        want[s != 0.0] = -1j / s[s != 0.0]
+        assert np.array_equal(ops.antideriv, want)

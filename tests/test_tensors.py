@@ -195,7 +195,7 @@ def test_nonlocal_stress_relations(params):
                                        params, SPECTRAL).components) == 0.0
     # eigenfunction: the inverse-elliptic image of div(sin x) is cos x
     from korteweg.elliptic import Mobility, invert_periodic
-    nl = invert_periodic(Mobility.constant(1.0), div(u, SPECTRAL), SPECTRAL)
+    nl = invert_periodic(Mobility(1.0), div(u, SPECTRAL), SPECTRAL)
     s_g = nonlocal_cauchy_stress(u, nl, params, SPECTRAL)
     scale = params.temperature / params.delta_tau**2
     assert np.max(np.abs(s_g.components[0] - s.components[0]

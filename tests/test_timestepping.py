@@ -13,7 +13,7 @@ from korteweg import (FD2, SPECTRAL, ConfigError, Discretization, FluidParams, G
                       rhs_nsk1, rhs_nsk2, ssprk3_step)
 from korteweg.constitutive import DoubleWell
 from korteweg.errors import KortewegError
-from korteweg.initial import neumann_mobility
+from korteweg.initial import MobilityKind, MobilitySpec
 from korteweg.operators import _Calculus
 from korteweg.timestepping import (SHU_OSHER_COEFFS, _step_bound, dt_candidates, make_rhs,
                                    step_metrics)
@@ -233,7 +233,7 @@ def moving_state(grid):
 
 
 SPECTRAL_DEALIAS = Discretization(Scheme.SPECTRAL, dealias=True)
-CONSTANT = Mobility.constant(1.0)
+CONSTANT = Mobility(1.0)
 # (grid, discretization, model, mobility) per case of the array time loop
 RUNS = {
     "1d-nsk1": (Grid.periodic(64), SPECTRAL, ModelKind.NSK1, None),
@@ -247,9 +247,10 @@ RUNS = {
     "2d-nsk1": (Grid.periodic((32, 24)), SPECTRAL, ModelKind.NSK1, None),
     "2d-nsk2": (Grid.periodic((32, 24)), SPECTRAL, ModelKind.NSK2, CONSTANT),
     "periodic-cosine-nsk2": (Grid.periodic(64), SPECTRAL, ModelKind.NSK2,
-                             Mobility.spatial(2.0 + np.cos(Grid.periodic(64).coords()[0]))),
+                             Mobility(2.0 + np.cos(Grid.periodic(64).coords()[0]))),
     "bounded-cosine-nsk2": (Grid.bounded_neumann_1d(64, 1.0), FD2, ModelKind.NSK2,
-                            neumann_mobility(Grid.bounded_neumann_1d(64, 1.0))),
+                            MobilitySpec(MobilityKind.COSINE).build(
+                                Grid.bounded_neumann_1d(64, 1.0))),
 }
 
 
@@ -466,7 +467,7 @@ def test_time_loop_runs_the_closed_form_korteweg_tensor(n, d, kind, params, monk
     for name in ("helmholtz_energy_drho", "bulk_energy_drho", "bulk_energy_d2rho"):
         monkeypatch.setattr(korteweg.constitutive, name, chain, raising=True)
     grid = Grid.periodic(n)
-    gamma = Mobility.spatial(2.0 + np.cos(grid.coords()[0])) if kind is ModelKind.NSK2 \
+    gamma = Mobility(2.0 + np.cos(grid.coords()[0])) if kind is ModelKind.NSK2 \
         else None
     res = integrate(moving_state(grid), StepControl(t_end=1e9, max_steps=3), params,
                     kind, gamma, d)

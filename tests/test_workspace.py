@@ -21,8 +21,8 @@ DEALIAS = Discretization(Scheme.SPECTRAL, dealias=True)
 GRID = Grid.periodic((32, 24))
 MODELS = {
     "nsk1": (ModelKind.NSK1, None),
-    "nsk2-const": (ModelKind.NSK2, Mobility.constant(1.3)),
-    "nsk2-cos": (ModelKind.NSK2, Mobility.spatial(2.0 + np.cos(GRID.coords()[0]))),
+    "nsk2-const": (ModelKind.NSK2, Mobility(1.3)),
+    "nsk2-cos": (ModelKind.NSK2, Mobility(2.0 + np.cos(GRID.coords()[0]))),
 }
 
 
@@ -90,7 +90,7 @@ def test_a_warm_workspace_makes_no_new_buffer(shape, model, d, params):
     grid = Grid.periodic(shape)
     kind, gamma = MODELS[model]
     if gamma is not None and not gamma.is_constant:
-        gamma = Mobility.spatial(2.0 + np.cos(grid.coords()[0]))
+        gamma = Mobility(2.0 + np.cos(grid.coords()[0]))
     ops = _calculus(grid, d)
     ws, symbol = _Workspace(ops), _stress_symbol(ops, params, kind, gamma)
     _rhs(_stage_rows(random_state(grid, 6)), ops, params, kind, gamma, symbol, ws)
