@@ -19,9 +19,12 @@ rho > 0 and then evaluates on a ``_Density``, which holds rho, 1/rho and
 c(rho) formed once.  The hot loop (the Korteweg and reduced stresses, the
 step-size bound) runs on the density of a validated MixtureState, which
 already lies above the density floor, so it skips the check: it forms the
-``_Density`` with ``_density`` and calls the only two unchecked kernels,
-``_capillarity`` and ``_sound_speed_sq``.  Everything else calls the public
-laws.
+``_Density`` with ``_density`` and calls the unchecked kernels,
+``_capillarity`` and ``_sound_speed_sq``.  The step-size bound needs c_s^2
+only at the density extremes and at the maxima of c_s^2(rho) between them
+(``FluidParams._sound_speed_peaks``, in closed form for the quartic well),
+and ``_sound_speed_sq_max`` evaluates it there in Python floats.  Everything
+else calls the public laws.
 """
 
 from __future__ import annotations
@@ -140,6 +143,30 @@ class FluidParams:
     def _two_mu(self) -> float:
         return 2.0 * self.shear_viscosity
 
+    @cached_property
+    def _sound_speed_peaks(self) -> tuple[float, ...] | None:
+        """The densities of the local maxima of c_s^2(rho) (:func:`_sound_speed_sq`)
+        under the quartic ``DoubleWell``; None for a well that overrides its
+        ``second_derivative``.
+
+        With v = 1/rho = a + delta_tau c (a the convention's offset), c_s^2 is
+        (theta / delta_tau^2) scale (2 - 12 c + 12 c^2) v^2, a quartic in c, and
+        dc_s^2/dc is a positive multiple of v h(c) with
+        h(c) = 48 delta_tau c^2 + (24 a - 36 delta_tau) c + 4 delta_tau - 12 a.
+        A maximum is a root of h at which h falls, with v > 0.  At the defaults it
+        is rho = 2.8652 (CONSISTENT) or rho = 1.6427 (LITERAL).
+        """
+        if type(self.well).second_derivative is not DoubleWell.second_derivative:
+            return None
+        a, d = self._c_offset, self.delta_tau
+        qa, qb, qc = 48.0 * d, 24.0 * a - 36.0 * d, 4.0 * d - 12.0 * a
+        disc = qb * qb - 4.0 * qa * qc
+        if self.well.scale == 0.0 or disc <= 0.0:   # c_s^2 = 0, or no interior extremum
+            return ()
+        roots = ((-qb + sign * np.sqrt(disc)) / (2.0 * qa) for sign in (-1.0, 1.0))
+        return tuple(float(1.0 / (a + d * c)) for c in roots
+                     if 2.0 * qa * c + qb < 0.0 and a + d * c > 0.0)
+
     def validate_for_dim(self, dim: int) -> None:
         if self.bulk_viscosity + 2.0 * self.shear_viscosity / dim < 0.0:
             raise ConfigError(
@@ -185,6 +212,24 @@ def _sound_speed_sq(dn: _Density, params: FluidParams):
     The two W'(c) terms cancel exactly, since c'' = -2 v c' for c' = -v^2 / delta_tau.
     """
     return params._theta_dtau2 * params.well.second_derivative(dn.c) * (dn.v * dn.v)
+
+
+def _sound_speed_sq_max(lo: float, hi: float, params: FluidParams) -> float | None:
+    """max c_s^2 over the densities [lo, hi], from its values at lo, hi and the
+    maxima of ``params._sound_speed_peaks`` between them; None under a well of
+    another shape.  Each value is :func:`_sound_speed_sq` in Python floats, in the
+    operation order of ``_density`` and the kernel, so it has the kernel's bits
+    at that density."""
+    peaks = params._sound_speed_peaks
+    if peaks is None:
+        return None
+    values = []
+    for rho in (lo, hi, *peaks):
+        if lo <= rho <= hi:
+            v = 1.0 / rho
+            values.append(_sound_speed_sq(
+                _Density(rho, v, (v - params._c_offset) / params.delta_tau), params))
+    return max(values)
 
 
 def _capillarity(dn: _Density, params: FluidParams, out=None):

@@ -90,21 +90,31 @@ def _sup(arrays) -> float:
     return float(max(np.max(np.abs(c)) for c in arrays))
 
 
-def write_scalar_csv(field: ScalarField, path, config_hash: str | None = None) -> None:
-    """One CSV per field: grid header, then node coordinates + value rows."""
-    grid = field.grid
-    coords = grid.coords()
+def _csv_template(grid: Grid, config_hash: str | None = None) -> str:
+    """The text of a scalar CSV on ``grid`` with a %.17g slot for each value: the
+    grid header, the config line if given, the column names, then per node its
+    coordinates and the slot.  The coordinates are formatted here, in one % format,
+    so a writer that holds the text formats only the values."""
+    head = [grid.header(), *([f"# config {config_hash}"] if config_hash is not None else []),
+            ",".join(["x", "y"][: grid.dim] + ["value"])]
+    coords = np.column_stack([c.ravel() for c in grid.coords()])
+    row = "%.17g," * grid.dim + "%%.17g\n"
+    return "\n".join(head).replace("%", "%%") + "\n" \
+        + row * len(coords) % tuple(coords.ravel().tolist())
+
+
+def write_scalar_csv(field: ScalarField, path, config_hash: str | None = None,
+                     template: str | None = None) -> None:
+    """One CSV per field: grid header, then node coordinates + value rows.
+
+    The rows are the bytes of np.savetxt(fmt="%.17g", delimiter=","), without its
+    Python loop over rows: one % format of the values into ``template``, the
+    field's ``_csv_template(grid, config_hash)``, formed here unless given.
+    """
+    if template is None:
+        template = _csv_template(field.grid, config_hash)
     with open(path, "w") as fh:
-        fh.write(grid.header() + "\n")
-        if config_hash is not None:
-            fh.write(f"# config {config_hash}\n")
-        cols = ["x", "y"][: grid.dim] + ["value"]
-        fh.write(",".join(cols) + "\n")
-        # one % format for the whole table: the bytes of np.savetxt(fmt="%.17g",
-        # delimiter=","), without its Python loop over rows
-        table = np.column_stack([c.ravel() for c in (*coords, field.values)])
-        row = ",".join(["%.17g"] * len(cols)) + "\n"
-        fh.write(row * len(table) % tuple(table.ravel().tolist()))
+        fh.write(template % tuple(field.values.ravel().tolist()))
 
 
 def read_scalar_csv(path) -> tuple[dict, np.ndarray]:

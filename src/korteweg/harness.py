@@ -5,7 +5,9 @@ params, mobility, initial and step sections are read, defaulted and
 written back through the classes they build, and an entry that
 ``RunConfig.to_dict`` would not write is rejected.  Every emitted file
 embeds the config hash and the grid header, so runs are self-describing
-and bit-reproducible for a fixed config + seed.
+and bit-reproducible for a fixed config + seed.  A run formats its grid's
+coordinate text once (``fields._csv_template``, held for the run only), and
+each snapshot CSV is then one % format of its values into that text.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from pathlib import Path
 from .constitutive import DoubleWell, FluidParams
 from .elliptic import Mobility
 from .errors import ConfigError, StateError
-from .fields import write_scalar_csv, ScalarField
+from .fields import ScalarField, _csv_template, write_scalar_csv
 from .grids import BoundaryKind, Discretization, Grid, Scheme
 from .initial import InitialCondition, MobilitySpec
 from .models import MixtureState, ModelKind, _require_mobility
@@ -209,15 +211,19 @@ def load_config(path, out_dir: str | None = None, seed: int | None = None) -> Ru
 
 
 def write_state_snapshot(state: MixtureState, out_dir: Path, step: int,
-                         config_hash: str | None = None, stem: str | None = None) -> list[str]:
+                         config_hash: str | None = None, stem: str | None = None,
+                         template: str | None = None) -> list[str]:
     """One CSV per row, ``<stem>_rho.csv``, ``<stem>_m0.csv``, ..., the stem
-    ``snap_<step>`` unless given; returns the file names."""
+    ``snap_<step>`` unless given; returns the file names.  ``template`` is the
+    state grid's ``_csv_template(grid, config_hash)``, formed here unless given."""
     out_dir.mkdir(parents=True, exist_ok=True)
     stem = stem or f"snap_{step:06d}"
     names = [f"{stem}_{row}.csv" for row in ("rho", *(f"m{i}" for i in range(state.grid.dim)))]
     fields = (state.rho, *(ScalarField(state.grid, c) for c in state.m.components))
+    if template is None:
+        template = _csv_template(state.grid, config_hash)
     for name, field in zip(names, fields):
-        write_scalar_csv(field, out_dir / name, config_hash)
+        write_scalar_csv(field, out_dir / name, template=template)
     return names
 
 
@@ -251,16 +257,17 @@ def run_simulation(cfg: RunConfig, quiet: bool = False):
     chash = cfg.config_hash()
     state = cfg.build_initial_state()
     mobility = cfg.build_mobility() if cfg.model is ModelKind.NSK2 else None
-    records, observers, metrics = [], [], None
+    records, observers, metrics, template = [], [], None, None
     if cfg.out_dir is not None:
         metrics = MetricsWriter(cfg.out_dir / "metrics.jsonl", chash, records,
                                 cfg.metrics_every)
         observers.append(metrics)
+        # the grid's coordinate text, formatted once for every snapshot of the run
+        template = _csv_template(cfg.grid, chash)
         if cfg.snapshot_every > 0:
-            def snapshot(step, st, dt, _dir=cfg.out_dir, _hash=chash,
-                         _every=cfg.snapshot_every):
+            def snapshot(step, st, dt, _dir=cfg.out_dir, _every=cfg.snapshot_every):
                 if step % _every == 0:
-                    write_state_snapshot(st, _dir, step, _hash)
+                    write_state_snapshot(st, _dir, step, template=template)
             observers.append(snapshot)
     try:
         result = integrate(state, cfg.control, cfg.params, cfg.model, mobility, cfg.disc,
@@ -274,7 +281,7 @@ def run_simulation(cfg: RunConfig, quiet: bool = False):
             f"{result.state.t:.6g} of t_end = {cfg.control.t_end:.6g}",
             state=result.state, step=result.steps, t=result.state.t)
     if cfg.out_dir is not None:
-        write_state_snapshot(result.state, cfg.out_dir, result.steps, chash)
+        write_state_snapshot(result.state, cfg.out_dir, result.steps, template=template)
         summary = {"config": chash, "steps": result.steps,
                    "t": result.state.t, "dt_last": result.dt_last}
         (cfg.out_dir / "summary.json").write_text(json.dumps(summary, indent=1))

@@ -175,7 +175,11 @@ class MobilityKind(Enum):
 @dataclass(frozen=True)
 class MobilitySpec:
     """A mobility profile: the constant ``value``, or base + amplitude cos of the
-    angle of ``mode`` (wall-even between walls)."""
+    angle of ``mode`` (wall-even between walls).
+
+    The cosine profile varies along x only (``mode_angle`` of axis 0): on a 2-D
+    grid it is constant along y, while ``tanh_interface`` and ``_wave`` average
+    their carrier over both axes."""
 
     kind: MobilityKind = MobilityKind.CONSTANT
     value: float = 1.0

@@ -43,9 +43,11 @@ has no symbol and assembles every term from grad u.  The levels:
 (1) grad rho, div u where a pointwise term needs it and the symbol's
 addend (``velocity_level``; FD2: grad u and grad rho in one ``grads``
 call), (2) div(kappa grad rho) inside the Korteweg tensor, next to any
-NSK2 solve, (3) the divergence of the flux (``conservation_rates``), each
-level one stacked forward and one stacked inverse transform call in 1-D
-and 2-D alike.  How a level is transformed and laid out is decided in
+NSK2 solve, (3) the divergence of the flux, each level one stacked
+forward and one stacked inverse transform call in 1-D and 2-D alike.
+Level 3 assembles the flux (``conservation_flux``) and drops the (rho, u)
+stack and the stress before its divergence (``conservation_rates``)
+transforms it.  How a level is transformed and laid out is decided in
 :mod:`korteweg.operators`, not here.
 
 The gap and the residuals take grad u and grad rho in one ``grads`` call on
@@ -318,9 +320,10 @@ def _rhs(q, ops: _Calculus, params: FluidParams, kind: ModelKind, gamma: Mobilit
     stress = _reduced_stress(dn, gr, gu, ops, params, E, ws)   # takes back dn and E
     ws.give(level1)
     del gu, gr, divu, dn, E, level1   # level 3 needs none of them
-    rates = ops.conservation_rates(m, u, stress, addend, ws)   # takes back addend
+    flux = ops.conservation_flux(m, u, stress, ws)
     ws.give(ru, stress)
-    return rates
+    del ru, u, stress   # nor these, once the flux is assembled
+    return ops.conservation_rates(flux, addend, ws)   # takes back flux and addend
 
 
 def _stage_rows(state: MixtureState) -> np.ndarray:

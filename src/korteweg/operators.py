@@ -48,9 +48,10 @@ sees every transform.
 The kernels work on stacks, (k, *shape) arrays of grid arrays, with one
 body for 1-D and 2-D grids: ``grads``, ``div_tensor`` and the dependency
 levels of a right-hand side (:mod:`korteweg.models`), ``velocity_level``
-(grad rho, div u and a symbol's image of u^) and ``conservation_rates``,
-whose rates are one (1 + dim, *shape) array, the stage layout of
-:mod:`korteweg.timestepping`.  Spectrally each makes one stacked forward
+(grad rho, div u and a symbol's image of u^), and ``conservation_flux``
+and ``conservation_rates``, which assemble the flux stack and take its
+divergence, whose rates are one (1 + dim, *shape) array, the stage layout
+of :mod:`korteweg.timestepping`.  Spectrally each makes one stacked forward
 and one stacked inverse call, a 2-D stack taking its axis-0 pass along
 axis -2: a stacked call gives each row the bits of a call of its own, and
 at N = 256 the cost per call, not the FFT work, dominates an evaluation.
@@ -441,20 +442,17 @@ class _Calculus:
         ws.give(spec)
         return rows, hats
 
-    def conservation_rates(self, m, u, stress, addend=None, ws=None) -> np.ndarray:
-        """The rates (-div m, *div(stress - m (x) u)) of the conservation law for
-        (rho, m) with flux [m; m (x) u - stress], as one fresh (1 + dim, *shape) array.
+    def conservation_flux(self, m, u, stress, ws=None) -> np.ndarray:
+        """The flux of the conservation law for (rho, m), as the rows of one real
+        stack of ``ws``: [m; stress - m (x) u], or under dealiasing [m; stress;
+        m (x) u], whose quadratic terms :meth:`conservation_rates` masks apart.
 
-        ``m`` and ``u`` are vectors, ``stress`` a stored symmetric tensor, none of them
-        written; ``addend`` (spectral) is a half-spectrum stack whose rows 1.. are
-        added to the momentum rows, and ``ws`` takes it back.  Under dealiasing the
-        2/3 rule masks m and m (x) u (the quadratic terms) in the spectra the
-        divergences take.  The flux components are the rows of one real stack of
-        ``ws``: spectrally one forward and one inverse transform call.
+        ``m`` and ``u`` are vectors, ``stress`` a stored symmetric tensor, none of
+        them written, and none read again: a caller drops them before the rates.
         """
         dim, nc, masked = self.dim, len(stress), self.keep is not None
         ws = ws or self.fresh
-        flux = ws.real(dim + nc * (1 + masked))   # m, stress - m (x) u; or m, stress, m (x) u
+        flux = ws.real(dim + nc * (1 + masked))
         flux[:dim] = m
         adv = flux[dim + nc * masked:]
         for row, (i, j) in zip(adv, self._pairs):
@@ -463,6 +461,20 @@ class _Calculus:
             flux[dim:dim + nc] = stress
         else:
             np.subtract(stress, adv, out=adv)
+        return flux
+
+    def conservation_rates(self, flux, addend=None, ws=None) -> np.ndarray:
+        """The rates (-div m, *div(stress - m (x) u)) of the conservation law for
+        (rho, m) from its flux stack (:meth:`conservation_flux`), as one fresh
+        (1 + dim, *shape) array; ``ws`` takes the flux back.
+
+        ``addend`` (spectral) is a half-spectrum stack whose rows 1.. are added to
+        the momentum rows, and ``ws`` takes it back too.  Under dealiasing the
+        2/3 rule masks m and m (x) u (the quadratic terms) in the spectra the
+        divergences take.  Spectrally one forward and one inverse transform call.
+        """
+        dim, nc, masked = self.dim, len(self._pairs), self.keep is not None
+        ws = ws or self.fresh
         if not self.spectral:
             rates = self._fd2_divs(flux, self._rate_runs, np.empty((1 + dim, *self.shape)))
         else:

@@ -15,14 +15,19 @@ transform its rows with one stacked call.  A stage is formed in place in
 the rates of its evaluation, and wa * u0 in the dead rows of the stage
 before.  Each accepted step builds one validated MixtureState, scanned
 once for min rho, which its floor check, the next step bound and the
-metrics share, as they share its maximum speed.  The metrics take their
-means as numpy's sum over the size, the bits of ``mean()``.  ``integrate``
-records metrics lines only into a list it is given, and builds its
-``IntegrationResult`` once, at return.
+metrics share, as they share its maximum speed.  Every law is a function
+of rho alone, so the step bound reads only those two and rho_max, one
+reduction: c_s^2 is taken at the extremes and at any maximum of c_s^2(rho)
+between them, found once per ``FluidParams`` in closed form, so the bound
+forms no grid array.  The metrics take their means as numpy's sum over the
+size, the bits of ``mean()``.  ``integrate`` records metrics lines only
+into a list it is given, and builds its ``IntegrationResult`` once, at
+return.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -80,19 +85,27 @@ class StepControl:
 
 def dt_candidates(state: MixtureState, params: FluidParams,
                   control: StepControl = StepControl()) -> dict[str, float]:
-    """Unclamped advective/viscous/capillary step candidates."""
+    """Unclamped advective/viscous/capillary step candidates.
+
+    Every law is a function of rho alone, so the candidates read only the
+    density extremes and the largest speed: rho_min and max |u| are kept on the
+    state, and rho_max is one reduction.  The sound speed is the largest c_s^2
+    over [rho_min, rho_max], at the extremes and at any maximum of c_s^2(rho)
+    between them (:func:`korteweg.constitutive._sound_speed_sq_max`), in Python
+    floats; a well that overrides ``second_derivative`` takes c_s^2 over the grid.
+    """
     h_min = min(state.grid.h)
-    r = state.rho.values
-    dn = law._density(r, params)   # a validated state: the laws run unchecked
-    cs = np.sqrt(max(float(law._sound_speed_sq(dn, params).max()), 1e-12))
-    fastest = state.max_speed + cs
+    rho_min, rho_max = state.rho_min, float(state.rho.values.max())
+    cs2 = law._sound_speed_sq_max(rho_min, rho_max, params)
+    if cs2 is None:   # a well of another shape: its c_s^2 at every node
+        cs2 = float(law._sound_speed_sq(law._density(state.rho.values, params), params).max())
+    fastest = state.max_speed + math.sqrt(max(cs2, 1e-12))
     adv = control.cfl_advective * h_min / fastest if fastest > 0.0 else np.inf
 
     # lambda* = lambda + s / rho, s > 0, and its rounding are monotone in rho:
     # max |lambda*| is its larger value at the density extremes, bit for bit
-    rho_min = state.rho_min
     lam_star_max = max(abs(params.bulk_viscosity + params._augmented_scale * (1.0 / x))
-                       for x in (rho_min, float(r.max())))
+                       for x in (rho_min, rho_max))
     visc_denom = params._two_mu + lam_star_max
     visc = control.cfl_parabolic * h_min**2 * rho_min / visc_denom \
         if visc_denom > 1e-300 else np.inf
@@ -121,9 +134,10 @@ def estimate_dt(state: MixtureState, params: FluidParams,
 
     Below dt_min it raises the stiffness-abort StateError.  Both models get
     the same candidates (:func:`dt_candidates`, with the NSK1 augmented
-    viscosity), and ``kind`` is not used yet.  The shared bound is no
-    stability claim for NSK2: on a near-constant state (N = 128, rho = 1.5)
-    the SSP-RK3 limit is 3.81e-3 for NSK2 against 4.51e-3 for NSK1.
+    viscosity), from the density extremes, the maxima of c_s^2(rho) between
+    them and the largest speed, and ``kind`` is not used yet.  The shared
+    bound is no stability claim for NSK2: on a near-constant state (N = 128,
+    rho = 1.5) the SSP-RK3 limit is 3.81e-3 for NSK2 against 4.51e-3 for NSK1.
     """
     return _step_bound(state, params, control)
 

@@ -2,7 +2,9 @@
 
 import dataclasses
 import functools
+import io
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +16,7 @@ import korteweg.timestepping
 from korteweg import ConfigError, DomainError, SolverError, StateError, StepControl, integrate
 from korteweg.cli import main
 from korteweg.fields import read_scalar_csv
+from korteweg.grids import Grid
 from korteweg.harness import config_from_dict, load_config, run_simulation
 
 BASE_CONFIG = {
@@ -332,6 +335,51 @@ def test_snapshot_files_are_self_describing(tmp_path):
     meta, _ = read_scalar_csv(snap)
     assert meta["config"] == cfg.config_hash()
     assert meta["n"] == "64"
+
+
+SINE = {"family": "sine_density", "rho0": 1.5, "amplitude": 0.05, "velocity_amplitude": 0.02}
+
+
+@pytest.mark.parametrize("overrides", [
+    {},
+    {"grid": {"n": [64], "length": [1.0], "boundary": "bounded_neumann_1d"}, "scheme": "fd2",
+     "model": "nsk2", "mobility": {"kind": "cosine", "base": 2.0, "amplitude": 1.0, "mode": 1}},
+    {"grid": {"n": [24, 20], "length": [6.283185307179586] * 2, "boundary": "periodic"}},
+], ids=["periodic", "bounded", "2d"])
+def test_every_snapshot_is_savetxt_bytes_from_one_coordinate_read(tmp_path, monkeypatch,
+                                                                   overrides):
+    # a run formats its grid's coordinates once and each snapshot's values into that
+    # text: every file is the header, then np.savetxt's bytes of (coords, values)
+    out = tmp_path / "out"
+    path = write_config(tmp_path, **overrides, initial=SINE,
+                        step={"t_end": 2e-3, "dt_fixed": 1e-3},
+                        output={"dir": str(out), "snapshot_every": 1})
+    cfg = load_config(path)
+    coords = cfg.grid.coords()
+    reads, original = [], Grid.coords
+
+    def spy(grid):
+        if sys._getframe(1).f_globals["__name__"] == "korteweg.fields":
+            reads.append(grid)
+        return original(grid)
+
+    monkeypatch.setattr(Grid, "coords", spy)
+    states = []
+    monkeypatch.setattr(korteweg.harness, "integrate", lambda *a, observers, **k: integrate(
+        *a, observers=(*observers, lambda step, st, dt: states.append(st)), **k))
+    result = run_simulation(cfg, quiet=True)
+    assert result.steps == 2 and len(states) == 3 and reads == [cfg.grid]
+    head = "\n".join([cfg.grid.header(), f"# config {cfg.config_hash()}",
+                      ",".join(["x", "y"][:cfg.grid.dim] + ["value"])]) + "\n"
+    for step, state in enumerate(states):
+        rows = (state.rho.values, *state.m.components)
+        names = [f"snap_{step:06d}_{row}.csv" for row in ("rho", "m0", "m1")[:len(rows)]]
+        assert sorted(p.name for p in out.glob(f"snap_{step:06d}_*")) == sorted(names)
+        for name, values in zip(names, rows):
+            buf = io.BytesIO()
+            np.savetxt(buf, np.column_stack([c.ravel() for c in (*coords, values)]),
+                       fmt="%.17g", delimiter=",")
+            assert (out / name).read_bytes() == head.encode() + buf.getvalue()
 
 
 def test_neumann_fd2_run_completes(tmp_path):

@@ -1,7 +1,11 @@
 """SSP-RK3 stepping, step control, and conservation under integration."""
 
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
+from conftest import traced_peak
 
 import korteweg.constitutive
 import korteweg.fields
@@ -11,12 +15,15 @@ from korteweg import (FD2, SPECTRAL, ConfigError, Discretization, FluidParams, G
                       MixtureState, Mobility, ModelKind, ScalarField, Scheme, StateError,
                       StepControl, VectorField, estimate_dt, integrate, reconstruct_fields,
                       rhs_nsk1, rhs_nsk2, ssprk3_step)
-from korteweg.constitutive import DoubleWell
+from korteweg.constitutive import Convention, DoubleWell
 from korteweg.errors import KortewegError
+from korteweg.harness import load_config
 from korteweg.initial import MobilityKind, MobilitySpec
 from korteweg.operators import _Calculus
 from korteweg.timestepping import (SHU_OSHER_COEFFS, _step_bound, dt_candidates, make_rhs,
                                    step_metrics)
+
+CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"
 
 
 def constant_state(grid, rho0=1.4):
@@ -499,3 +506,159 @@ def test_step_bound_and_metrics_share_one_speed_per_state(params, monkeypatch):
                     params, metrics=[])
     assert res.steps == 4 and len(velocities) == 5
     assert [m["max_speed"] for m in res.metrics] == [s.max_speed for s in velocities]
+
+
+def grid_sound_speed_sq(state, params):
+    """max c_s^2 over the nodes: the array kernel at every node."""
+    r = state.rho.values
+    return float(korteweg.constitutive._sound_speed_sq(korteweg.constitutive._density(r, params),
+                                                       params).max())
+
+
+def advective_from(state, cs2, control=StepControl()):
+    """The advective candidate for a largest c_s^2 of ``cs2``."""
+    return control.cfl_advective * min(state.grid.h) / (state.max_speed
+                                                       + math.sqrt(max(cs2, 1e-12)))
+
+
+def ranged_state(grid, lo, hi):
+    """A moving state whose density spans [lo, hi] (up to the sampling)."""
+    xs = grid.coords()
+    if grid.is_periodic:
+        carrier = np.prod([np.cos(x) for x in xs], axis=0)
+    else:
+        carrier = np.cos(np.pi * xs[0] / grid.length[0])
+    rho = 0.5 * (lo + hi) + 0.5 * (hi - lo) * carrier
+    return MixtureState.from_primitive(ScalarField(grid, rho),
+                                       VectorField(grid, tuple(0.1 * np.sin(x) for x in xs)))
+
+
+@pytest.mark.parametrize("grid", [Grid.periodic(64), Grid.periodic((48, 36)),
+                                  Grid.bounded_neumann_1d(64, 1.0)],
+                         ids=["64", "48x36", "bounded64"])
+@pytest.mark.parametrize("lo, hi", [(0.9, 1.9), (1.0, 2.0), (1.5, 2.6)])
+@pytest.mark.parametrize("params", [
+    FluidParams(), FluidParams(tau2=0.3, temperature=1.3, well=DoubleWell(scale=0.7))],
+    ids=["defaults", "tau2-0.3"])
+def test_sound_speed_bound_without_an_interior_peak_is_the_grid_maximum(grid, lo, hi, params):
+    # no maximum of c_s^2 (rho = 2.8652, or 3.6885 with tau2 = 0.3) lies in the
+    # density range, so the bound's values at rho_min and rho_max are the grid's
+    # largest, bit for bit: the scalar evaluation keeps the kernel's operation
+    # order, which delta_tau = 0.7 puts to the test where 0.5 divides exactly.
+    # [0.9, 1.9] holds the interior minimum at rho = 1.289, which the bound skips
+    state = ranged_state(grid, lo, hi)
+    rho_max = float(state.rho.values.max())
+    assert not any(state.rho_min < p < rho_max for p in params._sound_speed_peaks)
+    grid_max = grid_sound_speed_sq(state, params)
+    assert korteweg.constitutive._sound_speed_sq_max(state.rho_min, rho_max, params) == grid_max
+    assert dt_candidates(state, params)["advective"] == advective_from(state, grid_max)
+
+
+@pytest.mark.parametrize("convention, lo, hi, peak", [
+    (Convention.CONSISTENT, 2.0, 3.0, 2.8652), (Convention.LITERAL, 1.2, 2.0, 1.6427)],
+    ids=["consistent", "literal"])
+@pytest.mark.parametrize("n", [64, (48, 36)], ids=["64", "48x36"])
+def test_sound_speed_bound_takes_an_interior_peak(convention, lo, hi, peak, n):
+    # a range across the maximum of c_s^2 takes its closed-form value there: at
+    # least the grid's largest, and the largest of a fine sampling around it
+    params = FluidParams(convention=convention)
+    (rho_peak,) = params._sound_speed_peaks
+    assert abs(rho_peak - peak) < 5e-5
+    at_peak = float(korteweg.constitutive._sound_speed_sq(
+        korteweg.constitutive._density(np.array([rho_peak]), params), params)[0])
+    state = ranged_state(Grid.periodic(n), lo, hi)
+    rho_max = float(state.rho.values.max())
+    bound = korteweg.constitutive._sound_speed_sq_max(state.rho_min, rho_max, params)
+    assert bound == at_peak
+    assert bound >= grid_sound_speed_sq(state, params)
+    fine = np.linspace(rho_peak - 1e-3, rho_peak + 1e-3, 2001)
+    sampled = korteweg.constitutive._sound_speed_sq(
+        korteweg.constitutive._density(fine, params), params)
+    assert 0.0 <= bound - sampled.max() <= 1e-14 * bound
+    assert dt_candidates(state, params)["advective"] == advective_from(state, at_peak)
+
+
+@pytest.mark.parametrize("tau1, tau2, scale", [(1.0, 0.5, 1.0), (0.5, 1.0, 1.0),
+                                                (2.0, 0.3, 0.7), (0.3, 2.0, 2.5)])
+@pytest.mark.parametrize("convention", [Convention.CONSISTENT, Convention.LITERAL])
+def test_sound_speed_bound_covers_every_density_of_its_range(tau1, tau2, scale, convention):
+    # the extremes and the maxima between them bound c_s^2 on the whole range, for
+    # either sign of delta_tau and either convention
+    params = FluidParams(tau1=tau1, tau2=tau2, well=DoubleWell(scale=scale),
+                         convention=convention)
+    grid = np.geomspace(0.2, 8.0, 40)
+    for lo, hi in zip(grid[:-5], grid[5:]):
+        fine = np.linspace(lo, hi, 4001)
+        sampled = korteweg.constitutive._sound_speed_sq(
+            korteweg.constitutive._density(fine, params), params)
+        bound = korteweg.constitutive._sound_speed_sq_max(float(lo), float(hi), params)
+        assert bound >= sampled.max() - 1e-14 * abs(sampled).max()
+        assert bound <= sampled.max() + 1e-7 * abs(sampled).max()
+
+
+def test_sound_speed_bound_without_a_well_is_the_floor(grid64):
+    # c_s^2 = 0 everywhere: the advective candidate takes the 1e-12 floor
+    params = FluidParams(well=DoubleWell(scale=0.0))
+    assert params._sound_speed_peaks == ()
+    state = ranged_state(grid64, 1.0, 2.0)
+    assert korteweg.constitutive._sound_speed_sq_max(state.rho_min, 2.0, params) == 0.0
+    assert dt_candidates(state, params)["advective"] == advective_from(state, 1e-12)
+
+
+class SteeperWell(DoubleWell):
+    """A well whose W'' is not the quartic's: its c_s^2 has no closed-form peaks."""
+
+    def second_derivative(self, c):
+        return self.scale * (2.0 - 12.0 * c + 12.0 * c * c) + 0.3 * np.cos(5.0 * c)
+
+
+def test_a_well_of_another_shape_takes_the_grid_maximum(grid64, monkeypatch):
+    # the closed form holds only for the quartic's W'': a well that overrides it
+    # has c_s^2 formed at every node, as the one guarded branch
+    densities = []
+    original = korteweg.constitutive._density
+    monkeypatch.setattr(korteweg.constitutive, "_density",
+                        lambda r, p, *a: densities.append(r) or original(r, p, *a))
+    state = ranged_state(grid64, 1.0, 2.0)
+    quartic, steeper = FluidParams(), FluidParams(well=SteeperWell())
+    dt_candidates(state, quartic)
+    assert densities == []
+    assert steeper._sound_speed_peaks is None
+    assert korteweg.constitutive._sound_speed_sq_max(1.0, 2.0, steeper) is None
+    grid_max = grid_sound_speed_sq(state, steeper)
+    densities.clear()
+    assert dt_candidates(state, steeper)["advective"] == advective_from(state, grid_max)
+    assert len(densities) == 1 and densities[0] is state.rho.values
+
+
+@pytest.mark.parametrize("name", ["nsk1_interface", "nsk2_interface", "nsk2_neumann",
+                                  "literal_convention"])
+def test_bundled_runs_take_the_steps_of_the_grid_wide_bound(name):
+    # on every state of a bundled run, the step is the one the grid-wide c_s^2 gives
+    # (its advective candidate binds nowhere), so the runs and their metrics stay
+    # those of the bound that scanned every node
+    cfg = load_config(CONFIGS / f"{name}.json")
+    control, params = cfg.control, cfg.params
+    seen = []
+    integrate(cfg.build_initial_state(), control, params, cfg.model,
+              cfg.build_mobility() if cfg.model is ModelKind.NSK2 else None, cfg.disc,
+              observers=(lambda step, st, dt: seen.append((st, dt)),))
+    assert len(seen) > 10
+    for (state, _), (_, dt) in zip(seen, seen[1:]):
+        cand = dt_candidates(state, params, control)
+        grid_adv = advective_from(state, grid_sound_speed_sq(state, params), control)
+        assert cand["advective"] <= grid_adv
+        rho_max = float(state.rho.values.max())
+        if not any(state.rho_min < p < rho_max for p in params._sound_speed_peaks):
+            assert cand["advective"] == grid_adv
+        grid_wide = min(grid_adv, cand["viscous"], cand["capillary"], control.dt_max)
+        assert min(cand.values()) == min(grid_wide, cand["advective"])
+        assert dt == min(grid_wide, control.t_end - state.t)
+
+
+def test_step_bound_forms_no_grid_array(params):
+    # the bound reads the extremes, the largest speed and one rho_max reduction: after
+    # warm-up (the state's max |u|, the parameters' peaks) it allocates no grid array
+    state = ranged_state(Grid.periodic((256, 256)), 1.0, 2.0)
+    dt_candidates(state, params)
+    assert traced_peak(lambda: dt_candidates(state, params)) <= 4096
