@@ -12,7 +12,7 @@ from .elliptic import (Mobility, apply_operator, invert_freespace_1d,
 from .errors import (CompatibilityError, ConfigError, DomainError, KortewegError,
                      SolverError, StateError)
 from .fields import ScalarField, SymTensorField, VectorField, write_scalar_csv
-from .grids import FD2, SPECTRAL, BoundaryKind, Discretization, Grid, Scheme
+from .grids import FD2, SPECTRAL, BoundaryKind, Grid, Scheme
 from .initial import CorpusState, ICFamily, InitialCondition, default_corpus
 from .models import (MixtureState, ModelKind, ReconstructedFields, ResidualReport,
                      momentum_equivalence_gap, reconstruct_fields,
@@ -29,7 +29,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundaryKind", "CompatibilityError", "ConfigError", "Convention",
-    "CorpusState", "Discretization", "DomainError", "DoubleWell", "FD2",
+    "CorpusState", "DomainError", "DoubleWell", "FD2",
     "FluidParams", "Grid", "ICFamily", "InitialCondition", "IntegrationResult",
     "KortewegError", "MixtureState", "Mobility", "ModelKind",
     "ReconstructedFields", "ResidualReport", "ScalarField", "Scheme",

@@ -30,6 +30,7 @@ else calls the public laws.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -137,7 +138,7 @@ class FluidParams:
     @cached_property
     def _augmented_scale(self) -> float:
         """delta_star / sqrt(delta): the augmented bulk viscosity is lambda + this / rho."""
-        return self.delta_star / np.sqrt(self.delta)
+        return self.delta_star / math.sqrt(self.delta)
 
     @cached_property
     def _two_mu(self) -> float:

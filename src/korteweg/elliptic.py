@@ -54,7 +54,7 @@ import numpy as np
 from .errors import (CompatibilityError, ConfigError, DomainError, SolverError,
                      _require_finite_fields)
 from .fields import ScalarField
-from .grids import FD2, Discretization, Grid, Scheme
+from .grids import FD2, SPECTRAL, Grid, Scheme
 from .operators import _calculus, _Calculus
 
 log = logging.getLogger(__name__)
@@ -115,7 +115,7 @@ def _require_zero_mean(fv: np.ndarray, context: str) -> None:
             f"{COMPAT_RTOL:.0e} * max|f| = {COMPAT_RTOL * scale:.3e}")
 
 
-def apply_operator(gamma: Mobility, phi: ScalarField, d: Discretization) -> ScalarField:
+def apply_operator(gamma: Mobility, phi: ScalarField, d: Scheme) -> ScalarField:
     """-div(gamma grad phi), assembled in divergence form.
 
     Periodic grids compose the scheme's grad and div; bounded Neumann
@@ -250,7 +250,7 @@ def _solve(gamma: Mobility, fv: np.ndarray, ops: _Calculus) -> np.ndarray:
 
 
 def invert_periodic(gamma: Mobility, f: ScalarField,
-                    d: Discretization = Discretization(Scheme.SPECTRAL)) -> ScalarField:
+                    d: Scheme = SPECTRAL) -> ScalarField:
     """Solve -div(gamma grad phi) = f on a periodic grid, mean(phi) = 0.
 
     Constant mobility is a diagonal Fourier solve with the scheme-matched
@@ -307,7 +307,7 @@ def invert_freespace_1d(gamma: Mobility, f: ScalarField) -> ScalarField:
     return ScalarField(grid, phi - phi.mean())
 
 
-def invert_for_model(gamma: Mobility, f: ScalarField, d: Discretization) -> ScalarField:
+def invert_for_model(gamma: Mobility, f: ScalarField, d: Scheme) -> ScalarField:
     """Inverse used inside the reduced model right-hand sides.
 
     Routes on the grid's boundary kind and, unlike the strict inverses,

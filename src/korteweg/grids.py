@@ -1,11 +1,13 @@
-"""Structured uniform grids and discretization descriptors.
+"""Structured uniform grids and the choice of discrete calculus.
 
 Grids are collocated and uniform.  Periodic grids place nodes at
 ``x_i = i*h`` so that the first node sits on the domain edge and the last
 spacing wraps around; bounded (Neumann) grids are cell-centered,
 ``x_i = (i + 1/2)*h``, which makes even reflection about the walls the
 natural ghost-value rule.  A grid is its cell counts, lengths and boundary
-kind; its dimension is the number of axes it counts cells on.
+kind; its dimension is the number of axes it counts cells on.  A
+``Scheme`` is the discretization: Fourier-spectral (periodic grids only)
+or second-order centered differences.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import numbers
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -33,18 +36,14 @@ class BoundaryKind(Enum):
     BOUNDED_NEUMANN_1D = "bounded_neumann_1d"
 
 
-class Scheme(Enum):
-    SPECTRAL = "spectral"
-    FD2 = "fd2"
-
-
 @dataclass(frozen=True)
 class Grid:
     """Uniform structured grid in one or two dimensions.
 
     ``n`` counts cells per axis (equal to the number of nodes stored),
     ``length`` is the physical extent per axis, so the spacing is
-    ``h = length / n`` on every axis, and ``dim`` is the number of axes.
+    ``h = length / n`` on every axis (formed on first read, then kept; equality
+    and hashing read the fields only), and ``dim`` is the number of axes.
     """
 
     n: tuple[int, ...]
@@ -84,7 +83,7 @@ class Grid:
     def dim(self) -> int:
         return len(self.n)
 
-    @property
+    @cached_property
     def h(self) -> tuple[float, ...]:
         return tuple(l / k for l, k in zip(self.length, self.n))
 
@@ -114,25 +113,16 @@ class Grid:
         return f"# grid dim={self.dim} n={n} length={length} boundary={self.boundary.value}"
 
 
-@dataclass(frozen=True)
-class Discretization:
-    """Choice of discrete calculus: Fourier-spectral or centered differences.
+class Scheme(Enum):
+    """Choice of discrete calculus: Fourier-spectral or centered differences."""
 
-    ``dealias`` (spectral only) enables a 2/3-rule filter on nonlinear
-    advective fluxes; it has no effect on the differential operators themselves.
-    """
-
-    scheme: Scheme = Scheme.SPECTRAL
-    dealias: bool = False
-
-    def __post_init__(self):
-        if self.dealias and self.scheme is not Scheme.SPECTRAL:
-            raise ConfigError("dealiasing needs the spectral scheme")
+    SPECTRAL = "spectral"
+    FD2 = "fd2"
 
     def require_compatible(self, grid: Grid) -> None:
-        if self.scheme is Scheme.SPECTRAL and not grid.is_periodic:
+        if self is Scheme.SPECTRAL and not grid.is_periodic:
             raise ConfigError("spectral differentiation requires a periodic grid")
 
 
-SPECTRAL = Discretization(Scheme.SPECTRAL)
-FD2 = Discretization(Scheme.FD2)
+SPECTRAL = Scheme.SPECTRAL
+FD2 = Scheme.FD2

@@ -7,7 +7,10 @@ written back through the classes they build, and an entry that
 embeds the config hash and the grid header, so runs are self-describing
 and bit-reproducible for a fixed config + seed.  A run formats its grid's
 coordinate text once (``fields._csv_template``, held for the run only), and
-each snapshot CSV is then one % format of its values into that text.
+each snapshot CSV is then one % format of its values into that text.  The
+top-level ``dealias`` entry names the removed 2/3-rule option: it is read
+and written only as false, which keeps the config hashes of documents that
+carry it.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from .constitutive import DoubleWell, FluidParams
 from .elliptic import Mobility
 from .errors import ConfigError, StateError
 from .fields import ScalarField, _csv_template, write_scalar_csv
-from .grids import BoundaryKind, Discretization, Grid, Scheme
+from .grids import BoundaryKind, Grid, Scheme
 from .initial import InitialCondition, MobilitySpec
 from .models import MixtureState, ModelKind, _require_mobility
 from .timestepping import StepControl, integrate
@@ -36,7 +39,7 @@ log = logging.getLogger(__name__)
 @dataclass(frozen=True)
 class RunConfig:
     grid: Grid
-    disc: Discretization
+    disc: Scheme
     params: FluidParams
     model: ModelKind
     mobility: MobilitySpec
@@ -66,8 +69,8 @@ class RunConfig:
         return {
             "grid": {"n": list(self.grid.n), "length": list(self.grid.length),
                      "boundary": self.grid.boundary.value},
-            "scheme": self.disc.scheme.value,
-            "dealias": self.disc.dealias,
+            "scheme": self.disc.value,
+            "dealias": False,
             "model": self.model.value,
             "params": {**_entries_of(self.params), "well_scale": self.params.well.scale},
             "mobility": _entries_of(self.mobility),
@@ -175,7 +178,8 @@ def config_from_dict(doc: dict, out_dir: str | None = None,
                     boundary=_choice(BoundaryKind, gdoc.get("boundary", "periodic"),
                                      "grid.boundary"))
         dealias = doc.get("dealias", False)
-        _require(isinstance(dealias, bool), f"dealias must be true or false, got {dealias!r}")
+        _require(dealias is False, "dealias must be false: the 2/3-rule dealiasing option "
+                                   f"was removed, got {dealias!r}")
         scale = _section(doc, "params").get("well_scale", DoubleWell.scale)
         params = _read(FluidParams, doc, "params",
                        well=DoubleWell(scale=_number(scale, "params.well_scale")))
@@ -183,8 +187,7 @@ def config_from_dict(doc: dict, out_dir: str | None = None,
         out = out_dir if out_dir is not None else odoc.get("dir")
         cfg = RunConfig(
             grid=grid,
-            disc=Discretization(_choice(Scheme, doc.get("scheme", "spectral"), "scheme"),
-                                dealias=dealias),
+            disc=_choice(Scheme, doc.get("scheme", "spectral"), "scheme"),
             params=params, model=_choice(ModelKind, doc.get("model", "nsk1"), "model"),
             mobility=_read(MobilitySpec, doc, "mobility", value=params.mobility),
             initial=_read(InitialCondition, doc, "initial"),

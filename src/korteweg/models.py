@@ -79,7 +79,7 @@ from .constitutive import FluidParams, _density, _Density
 from .elliptic import Mobility, _matvec, _solve
 from .errors import ConfigError, StateError
 from .fields import Components, ScalarField, VectorField, _sup
-from .grids import Discretization, Scheme
+from .grids import SPECTRAL, Scheme
 from .operators import _calculus, _Calculus, _total
 from .tensors import _div_of, _korteweg, _phase_stress, _viscous_stress
 
@@ -250,7 +250,7 @@ def _phase_rate(state: MixtureState, wprime: np.ndarray, p: np.ndarray, gc: np.n
 
 def reconstruct_fields(state: MixtureState, params: FluidParams, kind: ModelKind,
                        gamma: Mobility | None = None,
-                       d: Discretization = Discretization(Scheme.SPECTRAL)) -> ReconstructedFields:
+                       d: Scheme = SPECTRAL) -> ReconstructedFields:
     """Rebuild (c, p, q | mu) from a reduced state under the given model."""
     ops = _calculus(state.grid, d)
     divu, gr = ops.div(_velocity(state)), ops.derivs(state.rho.values)
@@ -261,14 +261,14 @@ def reconstruct_fields(state: MixtureState, params: FluidParams, kind: ModelKind
 
 
 def reconstruct_pressure_nsac(state: MixtureState, params: FluidParams,
-                              d: Discretization) -> ScalarField:
+                              d: Scheme) -> ScalarField:
     """The p of :func:`reconstruct_fields` under NSK1: -(delta_star / (sqrt(delta)
     rho)) div u + rho^2 R'(rho) - (1/rho) div((delta_star/rho) grad rho)."""
     return reconstruct_fields(state, params, ModelKind.NSK1, None, d).p
 
 
 def reconstruct_pressure_nsch(state: MixtureState, params: FluidParams,
-                              gamma: Mobility, d: Discretization) -> ScalarField:
+                              gamma: Mobility, d: Scheme) -> ScalarField:
     """The p of :func:`reconstruct_fields` under NSK2 (non-local):
     -(theta / delta_tau^2) Lambda_gamma^{-1}(div u) + the local part."""
     return reconstruct_fields(state, params, ModelKind.NSK2, gamma, d).p
@@ -332,7 +332,7 @@ def _stage_rows(state: MixtureState) -> np.ndarray:
 
 
 def _rhs_fields(state: MixtureState, params: FluidParams, kind: ModelKind,
-                gamma: Mobility | None, d: Discretization) -> tuple[ScalarField, VectorField]:
+                gamma: Mobility | None, d: Scheme) -> tuple[ScalarField, VectorField]:
     grid = state.grid
     ops = _calculus(grid, d)
     rates = _rhs((state.rho.values, *state.m.components), ops, params, kind, gamma,
@@ -341,13 +341,13 @@ def _rhs_fields(state: MixtureState, params: FluidParams, kind: ModelKind,
 
 
 def rhs_nsk1(state: MixtureState, params: FluidParams,
-             d: Discretization) -> tuple[ScalarField, VectorField]:
+             d: Scheme) -> tuple[ScalarField, VectorField]:
     """Semi-discrete right-hand side of the local reduced system."""
     return _rhs_fields(state, params, ModelKind.NSK1, None, d)
 
 
 def rhs_nsk2(state: MixtureState, params: FluidParams, gamma: Mobility,
-             d: Discretization) -> tuple[ScalarField, VectorField]:
+             d: Scheme) -> tuple[ScalarField, VectorField]:
     """Semi-discrete right-hand side of the non-local reduced system.
 
     The non-local stress costs one elliptic solve per evaluation, or none
@@ -405,7 +405,7 @@ def _full_model(state: MixtureState, params: FluidParams, kind: ModelKind,
 
 def momentum_equivalence_gap(state: MixtureState, params: FluidParams, kind: ModelKind,
                              gamma: Mobility | None = None,
-                             d: Discretization = Discretization(Scheme.SPECTRAL)) -> float:
+                             d: Scheme = SPECTRAL) -> float:
     """Sup-norm distance between the full and reduced momentum fluxes.
 
     This is the single number that certifies the reduction: it converges
@@ -432,7 +432,7 @@ def _residual(state: MixtureState, params: FluidParams, kind: ModelKind,
 
 
 def residual_nsac(state: MixtureState, params: FluidParams,
-                  d: Discretization) -> ResidualReport:
+                  d: Scheme) -> ResidualReport:
     """Evaluate the full phase-transformation system on a reduced state.
 
     Time derivatives are semi-discrete: the density rate is the continuity
@@ -446,7 +446,7 @@ def residual_nsac(state: MixtureState, params: FluidParams,
 
 
 def residual_nsch(state: MixtureState, params: FluidParams, gamma: Mobility,
-                  d: Discretization) -> ResidualReport:
+                  d: Scheme) -> ResidualReport:
     """Evaluate the full conserved-phase system on a reduced state.
 
     Mirrors :func:`residual_nsac`; the phase residual checks

@@ -27,11 +27,11 @@ Two interchangeable discretizations:
 
 All operators are linear and act node-wise on the stored arrays.  Public
 functions return validated fields; the array kernels are the methods of
-``_Calculus``, one grid's calculus under one discretization, which builds
-once everything an evaluation reuses: i k per axis, the dealias mask, the
-shapes and, on first use, the FD2 ghost indices and stencils, the inverse
-symbol of -div(grad .), the 1-D antiderivative symbol and the checkerboard
-null modes of the derivatives.  Both symbols read one first-derivative
+``_Calculus``, one grid's calculus under one ``Scheme``, which builds once
+everything an evaluation reuses: i k per axis, the shapes and, on first
+use, the FD2 ghost indices and stencils, the inverse symbol of
+-div(grad .), the 1-D antiderivative symbol and the checkerboard null
+modes of the derivatives.  Both symbols read one first-derivative
 symbol per axis, ``d1`` (k, or sin(k h) / h under FD2).  The symbol itself,
 ``k2``, is the one definition of |k|^2: the inverse symbol, the stress
 symbol of :mod:`korteweg.models` and the spectral Laplacian read it, and it
@@ -49,12 +49,13 @@ The kernels work on stacks, (k, *shape) arrays of grid arrays, with one
 body for 1-D and 2-D grids: ``grads``, ``div_tensor`` and the dependency
 levels of a right-hand side (:mod:`korteweg.models`), ``velocity_level``
 (grad rho, div u and a symbol's image of u^), and ``conservation_flux``
-and ``conservation_rates``, which assemble the flux stack and take its
-divergence, whose rates are one (1 + dim, *shape) array, the stage layout
-of :mod:`korteweg.timestepping`.  Spectrally each makes one stacked forward
-and one stacked inverse call, a 2-D stack taking its axis-0 pass along
-axis -2: a stacked call gives each row the bits of a call of its own, and
-at N = 256 the cost per call, not the FFT work, dominates an evaluation.
+and ``conservation_rates``, which assemble the one flux stack
+[m; stress - m (x) u] and take its divergence, whose rates are one
+(1 + dim, *shape) array, the stage layout of :mod:`korteweg.timestepping`.
+Spectrally each makes one stacked forward and one stacked inverse call, a
+2-D stack taking its axis-0 pass along axis -2: a stacked call gives each
+row the bits of a call of its own, and at N = 256 the cost per call, not
+the FFT work, dominates an evaluation.
 
 Every array a kernel makes but the rates goes into a workspace through
 ``out=``, transforms included; a 2-D inverse makes its axis-0 pass in the
@@ -74,21 +75,10 @@ from math import prod
 import numpy as np
 from numpy.fft import _pocketfft_umath as _pocketfft
 
-from .errors import ConfigError
 from .fields import ScalarField, SymTensorField, VectorField
-from .grids import Discretization, Grid, Scheme
+from .grids import Grid, Scheme
 
 _AXIS_2 = [(-2,), (), (-2,)]   # a pocketfft gufunc's core axes for a pass along axis -2
-
-
-def _half_freqs(grid: Grid, unit: bool = False):
-    """Per axis of the rfftn half spectrum (the last axis halved): n, the sample
-    frequencies at spacing h (1/n if ``unit``: the mode numbers) and the shape
-    that broadcasts them."""
-    for axis, (n, h) in enumerate(zip(grid.n, grid.h)):
-        d = 1.0 / n if unit else h
-        f = np.fft.rfftfreq(n, d=d) if axis == grid.dim - 1 else np.fft.fftfreq(n, d=d)
-        yield n, f, [-1 if a == axis else 1 for a in range(grid.dim)]
 
 
 def _pair(first: int, last: int) -> slice:
@@ -170,11 +160,10 @@ def _total(terms):
 
 
 class _Calculus:
-    """The discrete calculus of one grid under one discretization.
+    """The discrete calculus of one grid under one ``Scheme``.
 
     Everything an evaluation reuses is built once here, as read-only arrays:
-    with the calculus, i k per axis ``ik`` (spectral) and the 2/3-rule mask
-    ``keep`` (when dealiasing); on first use, the FD2 ghost indices ``ghost``
+    with the calculus, i k per axis ``ik`` (spectral); on first use, the FD2 ghost indices ``ghost``
     and slice stencils ``stencils`` and, on a periodic grid, the inverse
     ``inv_sym`` of the symbol ``k2`` of -div(grad .) (for :mod:`korteweg.elliptic`
     and the stress symbol), the 1-D antiderivative symbol ``antideriv`` and the
@@ -182,14 +171,14 @@ class _Calculus:
     holds only what its grid uses; ``k2`` and ``antideriv`` both read the one
     first-derivative symbol per axis, ``d1``.  It also fixes the grid and
     half-spectrum shapes and the gufuncs and factors of its transforms.  A right-hand side binds
-    one per run; :func:`_calculus` caches one per (grid, discretization) for
+    one per run; :func:`_calculus` caches one per (grid, scheme) for
     everything else.  It refuses a non-periodic grid under the spectral scheme.
     """
 
-    def __init__(self, grid: Grid, d: Discretization):
+    def __init__(self, grid: Grid, d: Scheme):
         d.require_compatible(grid)
         self.grid, self.dim, self.shape, self.h = grid, grid.dim, grid.shape, grid.h
-        self.spectral = d.scheme is Scheme.SPECTRAL
+        self.spectral = d is Scheme.SPECTRAL
         n = grid.n[-1]
         self.half_shape = (*grid.shape[:-1], n // 2 + 1)
         self._rfft = _pocketfft.rfft_n_even if n % 2 == 0 else _pocketfft.rfft_n_odd
@@ -203,21 +192,17 @@ class _Calculus:
         dim = grid.dim
         self._rate_runs = ((0, 0, 2),) if dim == 1 else ((0, dim - 1, 1), (dim, dim, dim))
         self.ik = self._wavenumbers() if self.spectral else ()
-        self.keep = None
-        if d.dealias:
-            keep = np.ones((), dtype=bool)
-            for n, f, shape in _half_freqs(grid, unit=True):
-                keep = keep & (np.abs(f) <= n / 3.0).reshape(shape)
-            self.keep, self.drop = _read_only(keep), _read_only(~keep)
 
     def _wavenumbers(self) -> tuple[np.ndarray, ...]:
-        """i k per axis on the half spectrum, zero at every axis's Nyquist mode."""
-        ik = []
-        for n, f, shape in _half_freqs(self.grid):
+        """i k per axis on the rfftn half spectrum (the last axis halved), zero at
+        every axis's Nyquist mode."""
+        ik, dim = [], self.dim
+        for axis, (n, h) in enumerate(zip(self.grid.n, self.h)):
+            f = np.fft.rfftfreq(n, d=h) if axis == dim - 1 else np.fft.fftfreq(n, d=h)
             k = 2.0 * np.pi * f
             if n % 2 == 0:
                 k[n // 2] = 0.0
-            ik.append(_read_only((1j * k).reshape(shape)))
+            ik.append(_read_only((1j * k).reshape([-1 if a == axis else 1 for a in range(dim)])))
         return tuple(ik)
 
     @cached_property
@@ -443,24 +428,20 @@ class _Calculus:
         return rows, hats
 
     def conservation_flux(self, m, u, stress, ws=None) -> np.ndarray:
-        """The flux of the conservation law for (rho, m), as the rows of one real
-        stack of ``ws``: [m; stress - m (x) u], or under dealiasing [m; stress;
-        m (x) u], whose quadratic terms :meth:`conservation_rates` masks apart.
+        """The flux of the conservation law for (rho, m), [m; stress - m (x) u], as
+        the rows of one real stack of ``ws``.
 
         ``m`` and ``u`` are vectors, ``stress`` a stored symmetric tensor, none of
         them written, and none read again: a caller drops them before the rates.
         """
-        dim, nc, masked = self.dim, len(stress), self.keep is not None
+        dim = self.dim
         ws = ws or self.fresh
-        flux = ws.real(dim + nc * (1 + masked))
+        flux = ws.real(dim + len(stress))
         flux[:dim] = m
-        adv = flux[dim + nc * masked:]
+        adv = flux[dim:]
         for row, (i, j) in zip(adv, self._pairs):
             np.multiply(m[i], u[j], out=row)
-        if masked:
-            flux[dim:dim + nc] = stress
-        else:
-            np.subtract(stress, adv, out=adv)
+        np.subtract(stress, adv, out=adv)
         return flux
 
     def conservation_rates(self, flux, addend=None, ws=None) -> np.ndarray:
@@ -469,20 +450,15 @@ class _Calculus:
         (1 + dim, *shape) array; ``ws`` takes the flux back.
 
         ``addend`` (spectral) is a half-spectrum stack whose rows 1.. are added to
-        the momentum rows, and ``ws`` takes it back too.  Under dealiasing the
-        2/3 rule masks m and m (x) u (the quadratic terms) in the spectra the
-        divergences take.  Spectrally one forward and one inverse transform call.
+        the momentum rows, and ``ws`` takes it back too.  Spectrally one forward
+        and one inverse transform call.
         """
-        dim, nc, masked = self.dim, len(self._pairs), self.keep is not None
+        dim = self.dim
         ws = ws or self.fresh
         if not self.spectral:
             rates = self._fd2_divs(flux, self._rate_runs, np.empty((1 + dim, *self.shape)))
         else:
             hats = self.forward(flux, ws.half(len(flux)))
-            if masked:
-                np.copyto(hats[:dim], 0.0, where=self.drop)
-                np.copyto(hats[dim + nc:], 0.0, where=self.drop)
-                hats[dim:dim + nc] -= hats[dim + nc:]
             for run in self._rate_runs:
                 self._div_spectra(hats, *run, ws)
             divs = hats[dim - 1:2 * dim]
@@ -499,22 +475,22 @@ class _Calculus:
 _calculus = lru_cache(maxsize=128)(_Calculus)
 
 
-def grad(f: ScalarField, d: Discretization) -> VectorField:
+def grad(f: ScalarField, d: Scheme) -> VectorField:
     """Discrete gradient of a scalar field."""
     return VectorField(f.grid, _calculus(f.grid, d).derivs(f.values))
 
 
-def div(v: VectorField, d: Discretization) -> ScalarField:
+def div(v: VectorField, d: Scheme) -> ScalarField:
     """Discrete divergence of a vector field."""
     return ScalarField(v.grid, _calculus(v.grid, d).div(v.components))
 
 
-def div_tensor(t: SymTensorField, d: Discretization) -> VectorField:
+def div_tensor(t: SymTensorField, d: Scheme) -> VectorField:
     """Row-wise divergence of a symmetric tensor: (div T)_i = sum_j d_j T_ij."""
     return VectorField(t.grid, _calculus(t.grid, d).div_tensor(t.components))
 
 
-def laplacian(f: ScalarField, d: Discretization) -> ScalarField:
+def laplacian(f: ScalarField, d: Scheme) -> ScalarField:
     """Discrete Laplacian.
 
     Spectral: multiplication by -|k|^2 (``k2``) with the same Nyquist mask as
@@ -533,13 +509,3 @@ def laplacian(f: ScalarField, d: Discretization) -> ScalarField:
 def mean(f: ScalarField) -> float:
     """Grid average (trapezoid rule collapses to the plain average here)."""
     return float(f.values.mean())
-
-
-def dealias_array(values: np.ndarray, grid: Grid) -> np.ndarray:
-    """2/3-rule filter: zero every mode above n/3 on any axis."""
-    if not grid.is_periodic:
-        raise ConfigError("dealiasing is defined on periodic grids only")
-    ops = _calculus(grid, Discretization(Scheme.SPECTRAL, dealias=True))
-    hat = ops.forward(values)
-    np.copyto(hat, 0.0, where=ops.drop)
-    return ops.inverse(hat, work=hat)

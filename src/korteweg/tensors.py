@@ -1,7 +1,7 @@
 """Assembly of the stress tensors appearing in both mixture models.
 
 All tensors are assembled pointwise and differentiated with a single
-Discretization, so the continuous rewriting identities hold at the
+``Scheme``, so the continuous rewriting identities hold at the
 discrete level up to one scheme's truncation error.  The Helmholtz-energy
 derivative inside the Korteweg tensor is the partial derivative in rho at
 fixed |grad rho|^2 (the Dunn-Serrin convention).  As rho^2 c'(rho) =
@@ -36,7 +36,7 @@ from .constitutive import (FluidParams, _capillarity, _Density, _density,
                            augmented_bulk_viscosity, capillarity)
 from .errors import DomainError
 from .fields import Components, ScalarField, SymTensorField, VectorField, _plus_diag, _sup
-from .grids import Discretization
+from .grids import Scheme
 from .operators import _calculus, _Calculus, _total
 
 
@@ -50,7 +50,7 @@ def _strain(g: tuple[Components, ...]) -> Components:
                  for i in range(len(g)) for j in range(i, len(g)))
 
 
-def strain(u: VectorField, d: Discretization) -> SymTensorField:
+def strain(u: VectorField, d: Scheme) -> SymTensorField:
     """Symmetric velocity gradient (grad u + grad u^T) / 2."""
     return SymTensorField(u.grid, _strain(_calculus(u.grid, d).grads(u.components)))
 
@@ -76,7 +76,7 @@ def _viscous_stress(g: tuple[Components, ...], bulk, params: FluidParams, rows=N
         yield row
 
 
-def cauchy_stress(u: VectorField, params: FluidParams, d: Discretization) -> SymTensorField:
+def cauchy_stress(u: VectorField, params: FluidParams, d: Scheme) -> SymTensorField:
     """2 mu D(u) + lambda (div u) I."""
     return SymTensorField(u.grid, tuple(_viscous_stress(
         _calculus(u.grid, d).grads(u.components), params.bulk_viscosity, params)))
@@ -98,7 +98,7 @@ def _phase_stress(gc: Components, p: np.ndarray, r: np.ndarray, params: FluidPar
 
 
 def phase_stress(c: ScalarField, p: ScalarField, rho: ScalarField,
-                 params: FluidParams, d: Discretization) -> SymTensorField:
+                 params: FluidParams, d: Scheme) -> SymTensorField:
     """Non-hydrodynamic stress -p I - theta delta rho (grad c) (x) (grad c)."""
     if np.any(rho.values <= 0.0):
         raise DomainError("phase stress needs positive density")
@@ -146,7 +146,7 @@ def _korteweg(dn: _Density, gr: np.ndarray, ops: _Calculus, params: FluidParams,
     return k
 
 
-def korteweg_tensor(rho: ScalarField, params: FluidParams, d: Discretization) -> SymTensorField:
+def korteweg_tensor(rho: ScalarField, params: FluidParams, d: Scheme) -> SymTensorField:
     """Dunn-Serrin capillary stress built from density gradients.
 
     K = -rho^2 psi_rho I + rho div(kappa grad rho) I - kappa grad rho (x) grad rho
@@ -159,7 +159,7 @@ def korteweg_tensor(rho: ScalarField, params: FluidParams, d: Discretization) ->
 
 
 def augmented_cauchy_stress(u: VectorField, rho: ScalarField,
-                            params: FluidParams, d: Discretization) -> SymTensorField:
+                            params: FluidParams, d: Scheme) -> SymTensorField:
     """Cauchy stress with the density-dependent augmented bulk viscosity."""
     return SymTensorField(u.grid, tuple(_viscous_stress(
         _calculus(u.grid, d).grads(u.components),
@@ -167,7 +167,7 @@ def augmented_cauchy_stress(u: VectorField, rho: ScalarField,
 
 
 def nonlocal_cauchy_stress(u: VectorField, nonlocal_term: ScalarField,
-                           params: FluidParams, d: Discretization) -> SymTensorField:
+                           params: FluidParams, d: Scheme) -> SymTensorField:
     """Cauchy stress plus the non-local isotropic part.
 
     ``nonlocal_term`` must be a precomputed inverse-elliptic image of
@@ -179,7 +179,7 @@ def nonlocal_cauchy_stress(u: VectorField, nonlocal_term: ScalarField,
 
 
 def korteweg_identity_residual(rho: ScalarField, params: FluidParams,
-                               d: Discretization) -> float:
+                               d: Scheme) -> float:
     """Sup-norm defect of the tensor rewriting identity.
 
     Checks, discretely, that

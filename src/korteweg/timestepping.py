@@ -39,7 +39,7 @@ from .elliptic import Mobility
 from .errors import (ConfigError, DomainError, SolverError, StateError,
                      _require_finite_fields)
 from .fields import ScalarField, VectorField, _require_finite
-from .grids import Discretization, Grid
+from .grids import SPECTRAL, Grid, Scheme
 from .models import (MixtureState, ModelKind, _require_above_floor, _rhs, _stage_rows,
                      _stress_symbol)
 from .operators import _calculus, _Workspace
@@ -149,7 +149,7 @@ RhsEvaluator = Callable[[np.ndarray], np.ndarray]
 
 
 def make_rhs(params: FluidParams, kind: ModelKind, gamma: Mobility | None,
-             d: Discretization, grid: Grid) -> RhsEvaluator:
+             d: Scheme, grid: Grid) -> RhsEvaluator:
     """The model's right-hand side on ``grid``, as rows (rho, *m) -> their rates.
 
     What stays fixed across calls is resolved here, once: the grid's
@@ -232,7 +232,7 @@ def step_metrics(step: int, state: MixtureState, dt: float) -> dict:
 
 def integrate(state: MixtureState, control: StepControl, params: FluidParams,
               kind: ModelKind = ModelKind.NSK1, gamma: Mobility | None = None,
-              d: Discretization = Discretization(),
+              d: Scheme = SPECTRAL,
               observers: tuple[Observer, ...] = (),
               metrics: list | None = None) -> IntegrationResult:
     """Step the reduced system until t_end, invoking observers each step.

@@ -21,7 +21,7 @@ from .elliptic import (Mobility, apply_operator, invert_freespace_1d,
                        invert_neumann_1d, invert_periodic)
 from .errors import ConfigError
 from .fields import ScalarField, VectorField, _sup
-from .grids import FD2, SPECTRAL, Discretization, Grid
+from .grids import FD2, SPECTRAL, Grid, Scheme
 from .initial import (CorpusState, default_corpus, mode_angle, random_band_limited,
                       tanh_profile)
 from .manufactured import ManufacturedState, TrigPoly, exact_rhs
@@ -277,7 +277,7 @@ def check_korteweg_identity(params: FluidParams) -> list[CheckResult]:
 
 
 def residual_record(cs: CorpusState, n: int, params: FluidParams,
-                    kind: ModelKind, d: Discretization) -> dict:
+                    kind: ModelKind, d: Scheme) -> dict:
     """Structured residual record for one state/scheme/resolution.
 
     Includes the tensor rewriting-identity residual of the state's own
@@ -291,7 +291,7 @@ def residual_record(cs: CorpusState, n: int, params: FluidParams,
     else:
         rep = residual_nsch(state, params, cs.mobility_on(grid), d)
     rewrite = korteweg_identity_residual(state.rho, params, d)
-    return {"state_id": cs.name, "model": kind.value, "scheme": d.scheme.value,
+    return {"state_id": cs.name, "model": kind.value, "scheme": d.value,
             "n": n, "momentum_res": rep.momentum,
             "phase_res": rep.phase, "equivalence_gap": rep.momentum,
             "rewrite_identity_res": rewrite}
@@ -419,14 +419,14 @@ def check_shared_capillary_structure(params: FluidParams) -> list[CheckResult]:
 
 
 def _tensor_diff(rho: ScalarField, params_a: FluidParams, params_b: FluidParams,
-                 d: Discretization) -> float:
+                 d: Scheme) -> float:
     """sup |K_a - K_b|: the Korteweg tensors of one density under two params."""
     k_a, k_b = (korteweg_tensor(rho, p, d) for p in (params_a, params_b))
     return _sup(a - b for a, b in zip(k_a.components, k_b.components))
 
 
 def _rhs_diff(state: MixtureState, params_a: FluidParams, params_b: FluidParams,
-              gamma: Mobility, d: Discretization) -> float:
+              gamma: Mobility, d: Scheme) -> float:
     """sup |r_1 - r_2| over the rates of rhs_nsk1 under params_a and of rhs_nsk2
     under params_b at mobility gamma, from one state."""
     d1rho, d1m = rhs_nsk1(state, params_a, d)
@@ -488,7 +488,7 @@ def run_check_suite(params: FluidParams | None = None,
 # manufactured-solution convergence tables
 
 
-def convergence_table(params: FluidParams, kind: ModelKind, d: Discretization,
+def convergence_table(params: FluidParams, kind: ModelKind, d: Scheme,
                       resolutions) -> list[dict]:
     """Error of the discrete RHS against the exact oracle, per resolution (mobility 1).
 

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from korteweg import ConfigError, DoubleWell, FluidParams, Grid, Mobility, StepControl
+from korteweg.cli import main
 from korteweg.harness import config_from_dict
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -71,6 +72,21 @@ def test_unknown_entries_are_config_errors(name):
         if isinstance(section, dict):
             with pytest.raises(ConfigError, match=f"unknown config entry '{key}.bogus'"):
                 config_from_dict({**doc, key: {**section, "bogus": 1}})
+
+
+@pytest.mark.parametrize("name", [name for name in sorted(BUNDLED_HASHES)
+                                  if DOCS[name]["scheme"] == "spectral"])
+def test_dealiasing_is_refused_as_removed(name, tmp_path):
+    # the 2/3-rule option is gone: its entry reads only as false (every bundled
+    # config carries it, at its pinned hash), and true on a spectral config, which
+    # it once switched on, is a config error before any output but the record
+    path, out = tmp_path / "dealiased.json", tmp_path / "out"
+    path.write_text(json.dumps({**DOCS[name], "dealias": True}))
+    assert main(["run", str(path), "--quiet", "--out", str(out)]) == 2
+    assert [p.name for p in out.iterdir()] == ["failure.json"]
+    record = json.loads((out / "failure.json").read_text())
+    assert record["error"] == "ConfigError"
+    assert "dealiasing option was removed" in record["message"]
 
 
 def test_section_defaults_come_from_the_classes():

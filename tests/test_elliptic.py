@@ -6,16 +6,13 @@ import numpy as np
 import pytest
 
 import korteweg.elliptic
-from korteweg import (FD2, SPECTRAL, CompatibilityError, ConfigError, Discretization,
-                      DomainError, FluidParams, Grid, MixtureState, ScalarField, Scheme,
-                      VectorField, rhs_nsk2)
+from korteweg import (FD2, SPECTRAL, CompatibilityError, ConfigError, DomainError,
+                      FluidParams, Grid, MixtureState, ScalarField, VectorField, rhs_nsk2)
 from korteweg.elliptic import (Mobility, _fourier_solve, _matvec, _pcg_zero_mean, _solve,
                                apply_operator, invert_for_model, invert_freespace_1d,
                                invert_neumann_1d, invert_periodic)
 from korteweg.initial import random_band_limited
 from korteweg.operators import _calculus, mean
-
-DEALIASED = Discretization(Scheme.SPECTRAL, dealias=True)
 
 
 def test_mobility_validation():
@@ -139,7 +136,7 @@ def test_invert_periodic_compatibility_guard():
 
 
 @pytest.mark.parametrize("n", [63, 96])
-@pytest.mark.parametrize("d", [SPECTRAL, FD2, DEALIASED], ids=["spectral", "fd2", "dealiased"])
+@pytest.mark.parametrize("d", [SPECTRAL, FD2], ids=["spectral", "fd2"])
 def test_invert_periodic_variable_mobility_roundtrip_1d(n, d):
     grid = Grid.periodic(n)
     x = grid.coords()[0]
@@ -164,7 +161,7 @@ def _cg_reference(gamma, f, ops, monkeypatch):
 
 
 @pytest.mark.parametrize("n", [63, 64, 96, 1024])
-@pytest.mark.parametrize("d", [SPECTRAL, FD2, DEALIASED], ids=["spectral", "fd2", "dealiased"])
+@pytest.mark.parametrize("d", [SPECTRAL, FD2], ids=["spectral", "fd2"])
 def test_direct_1d_solve_matches_a_cg_reference(n, d, monkeypatch):
     # gamma D phi = g is a first antiderivative of -f; choosing its constant (and,
     # for even n, its Nyquist part) makes g / gamma integrable again
@@ -207,7 +204,7 @@ def test_direct_1d_weights_are_formed_once_per_mobility(n, d):
 
 
 @pytest.mark.parametrize("n", [63, 64])
-@pytest.mark.parametrize("d", [SPECTRAL, FD2, DEALIASED], ids=["spectral", "fd2", "dealiased"])
+@pytest.mark.parametrize("d", [SPECTRAL, FD2], ids=["spectral", "fd2"])
 def test_no_cg_on_a_1d_grid(n, d, caplog, monkeypatch):
     # every 1-D periodic inverse is direct: the strict and model inverses and a
     # variable-mobility NSK2 right-hand side make no CG call and log no CG record

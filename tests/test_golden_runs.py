@@ -39,26 +39,18 @@ VARIANTS = {
          1.99919332612211, (0.024546221655788812,))),
 }
 
-# the 2-D spectral right-hand side, plain and under the 2/3 rule: 96^2, 10 steps
+# the 2-D spectral right-hand side: 96^2, 10 steps
 _SQUARE_96 = {"grid": {"n": [96, 96], "length": [6.283185307179586, 6.283185307179586],
                        "boundary": "periodic"}}
 VARIANTS.update({
     "nsk1_interface_96x96": (
-        "nsk1_interface", {**_SQUARE_96, "dealias": False},
+        "nsk1_interface", _SQUARE_96,
         (0.02, 10, 0.0016350835405082136, 1.5414002677043124, 1.000450776054857,
          1.9992044379877458, (0.022009644442545023, 0.023081513006595354))),
-    "nsk1_interface_96x96_dealias": (
-        "nsk1_interface", {**_SQUARE_96, "dealias": True},
-        (0.02, 10, 0.0016350835405081823, 1.5414002677043124, 1.0004507760548653,
-         1.9992044379877458, (0.022009644442545023, 0.023081513006595354))),
     "nsk2_interface_96x96": (
-        "nsk2_interface", {**_SQUARE_96, "dealias": False},
+        "nsk2_interface", _SQUARE_96,
         (0.02, 10, 0.0016352158578614648, 1.5414017239946103, 1.0004344294391867,
          1.9992187024980999, (0.0211352737989008, 0.022144151750192017))),
-    "nsk2_interface_96x96_dealias": (
-        "nsk2_interface", {**_SQUARE_96, "dealias": True},
-        (0.02, 10, 0.0016352158578615723, 1.5414017239946103, 1.0004344294391714,
-         1.9992187024980992, (0.0211352737989008, 0.022144151750192017))),
 })
 
 

@@ -8,10 +8,10 @@ import korteweg.constitutive as law
 import korteweg.elliptic
 import korteweg.fields
 import korteweg.models
-from korteweg import (FD2, SPECTRAL, ConfigError, Discretization, FluidParams, Grid,
-                      MixtureState, Mobility, ModelKind, ScalarField, Scheme, StateError,
-                      SymTensorField, VectorField, augmented_cauchy_stress, div_tensor,
-                      invert_periodic, korteweg_tensor, nonlocal_cauchy_stress)
+from korteweg import (FD2, SPECTRAL, ConfigError, FluidParams, Grid, MixtureState,
+                      Mobility, ModelKind, ScalarField, StateError, SymTensorField,
+                      VectorField, augmented_cauchy_stress, div_tensor, invert_periodic,
+                      korteweg_tensor, nonlocal_cauchy_stress)
 from korteweg.elliptic import invert_for_model
 from korteweg.fields import _sup
 from korteweg.initial import random_band_limited
@@ -20,7 +20,7 @@ from korteweg.models import (_eliminated_stress, _reduced_stress, _stage_rows, _
                              momentum_equivalence_gap, reconstruct_fields,
                              reconstruct_pressure_nsac, reconstruct_pressure_nsch, residual_nsac,
                              residual_nsch, rhs_nsk1, rhs_nsk2)
-from korteweg.operators import _calculus, _Calculus, _total, dealias_array, div, mean
+from korteweg.operators import _calculus, _Calculus, _total, div, mean
 from korteweg.tensors import _div_of
 from korteweg.timestepping import make_rhs
 
@@ -357,25 +357,21 @@ def transform_counter(monkeypatch):
     return counts
 
 
-@pytest.mark.parametrize("grid, dealias, transforms, calls", [
-    (Grid.periodic(64), False, (10, 9), (6, 6)),
-    (Grid.periodic((32, 32)), False, (17, 16), (6, 6)),
-    (Grid.periodic(64), True, (11, 10), (6, 6)),
-    (Grid.periodic((32, 32)), True, (20, 19), (6, 6)),
-], ids=["1d", "2d", "1d-dealias", "2d-dealias"])
-def test_rhs_transform_counts(grid, dealias, transforms, calls, params, monkeypatch):
+@pytest.mark.parametrize("grid, transforms, calls", [
+    (Grid.periodic(64), (10, 9), (6, 6)),
+    (Grid.periodic((32, 32)), (17, 16), (6, 6)),
+], ids=["1d", "2d"])
+def test_rhs_transform_counts(grid, transforms, calls, params, monkeypatch):
     # rho, m and u are transformed once each, every divergence is summed in
     # Fourier space before one inverse, and every transform is real; grad u
     # never returns to the grid, as the viscous (and, for a constant mobility,
     # the non-local) stress is a Fourier multiplier on u^, and div u returns
-    # only for NSK1.  The 2/3 rule masks those spectra and adds one transform per
-    # m (x) u component.  Each dependency level stacks its rows into one forward
+    # only for NSK1.  Each dependency level stacks its rows into one forward
     # and one inverse call, in 1-D and in 2-D, and a stacked call counts one
     # transform per row.  No transform goes through numpy.fft's wrappers.
     counts = transform_counter(monkeypatch)
     state = wavy_state(grid)
-    d = Discretization(Scheme.SPECTRAL, dealias=dealias)
-    gamma = Mobility(1.0)
+    d, gamma = SPECTRAL, Mobility(1.0)
     assert counts(rhs_nsk1, state, params, d) == (transforms[0], calls[0], 0)
     assert counts(rhs_nsk2, state, params, gamma, d) == (transforms[1], calls[1], 0)
     assert counts(invert_periodic, gamma, div(state.velocity(), d), d) == (2, 2, 0)
@@ -412,24 +408,16 @@ def _outer(a, b):
 
 def per_array_rates(mass, stress, advective, grid, d, addend=None):
     """(-div mass, div(stress - advective) + addend) with one transform call per array
-    and every divergence row written out (or FD2 derivatives per component); the 2/3
-    rule masks the spectra of mass and advective when dealiased, and ``addend``
-    (spectral) is one spectrum per momentum row."""
+    and every divergence row written out (or FD2 derivatives per component);
+    ``addend`` (spectral) is one spectrum per momentum row."""
     ops, dim = _calculus(grid, d), grid.dim
     if not ops.spectral:
         flux = [s - a for s, a in zip(stress, advective)]
         return (-_total(ops._fd2_deriv(c, j) for j, c in enumerate(mass)),
                 [_total(ops._fd2_deriv(flux[i + j], j) for j in range(dim)) for i in range(dim)])
 
-    def spectrum(a, masked=False):
-        h = ops.forward(a)
-        if masked:
-            np.copyto(h, 0.0, where=ops.drop)
-        return h
-
-    mass_hat = [spectrum(c, d.dealias) for c in mass]
-    flux_hat = [spectrum(s) - spectrum(a, True) if d.dealias else spectrum(s - a)
-                for s, a in zip(stress, advective)]
+    mass_hat = [ops.forward(c) for c in mass]
+    flux_hat = [ops.forward(s - a) for s, a in zip(stress, advective)]
     rows = [_total(ik * h for ik, h in zip(ops.ik, flux_hat[i:])) for i in range(dim)]
     if addend is not None:
         rows = [h + a for h, a in zip(rows, addend)]
@@ -462,15 +450,10 @@ def per_array_rhs(state, params, kind, gamma, d):
     return per_array_rates(m, stress, _outer(m, u), grid, d, addend)
 
 
-SPECTRAL_DEALIAS = Discretization(Scheme.SPECTRAL, dealias=True)
-
-
 @pytest.mark.parametrize("grid, d", [
-    *((Grid.periodic(n), d) for n in (64, 63, 256) for d in (SPECTRAL, SPECTRAL_DEALIAS)),
-    (Grid.periodic((32, 24)), SPECTRAL), (Grid.periodic((32, 24)), SPECTRAL_DEALIAS),
-    (Grid.bounded_neumann_1d(64, 1.0), FD2),
-], ids=["64-plain", "64-dealias", "63-plain", "63-dealias", "256-plain", "256-dealias",
-        "32x24-plain", "32x24-dealias", "bounded64-fd2"])
+    *((Grid.periodic(n), SPECTRAL) for n in (64, 63, 256)),
+    (Grid.periodic((32, 24)), SPECTRAL), (Grid.bounded_neumann_1d(64, 1.0), FD2),
+], ids=["64-spectral", "63-spectral", "256-spectral", "32x24-spectral", "bounded64-fd2"])
 def test_stacked_kernels_equal_per_array_kernels(grid, d, params):
     # the multi-array kernels and the right-hand side give the per-array kernels'
     # bits on every grid: the stacked calls transform each row exactly as a call of
@@ -506,8 +489,6 @@ def composed_rhs(state, params, kind, gamma, d):
     u = state.velocity()
     m = state.m.components
     mom = [m[i] * u.components[j] for i in range(grid.dim) for j in range(i, grid.dim)]
-    if d.dealias:
-        m, mom = [dealias_array(c, grid) for c in m], [dealias_array(c, grid) for c in mom]
     if kind is ModelKind.NSK1:
         s = augmented_cauchy_stress(u, state.rho, params, d)
     else:
@@ -520,17 +501,15 @@ def composed_rhs(state, params, kind, gamma, d):
 
 
 def composition_cases():
-    """(grid, model, d), with ids grid-model-discretization: the two spectral
-    discretizations on four periodic grids, FD2 on three periodic grids and the
-    bounded Neumann grid."""
+    """(grid, model, d), with ids grid-model-scheme: the spectral scheme on four
+    periodic grids, FD2 on three periodic grids and the bounded Neumann grid."""
     grids = {"64": Grid.periodic(64), "63": Grid.periodic(63), "48x36": Grid.periodic((48, 36)),
              "33x35": Grid.periodic((33, 35)), "bounded64": Grid.bounded_neumann_1d(64)}
     spectral = ("64", "63", "48x36", "33x35")
-    discretizations = (("plain", SPECTRAL, spectral),
-                       ("dealias", Discretization(Scheme.SPECTRAL, dealias=True), spectral),
-                       ("fd2", FD2, ("64", "63", "48x36", "bounded64")))
+    schemes = (("spectral", SPECTRAL, spectral),
+               ("fd2", FD2, ("64", "63", "48x36", "bounded64")))
     return [pytest.param(grids[g], model, d, id=f"{g}-{model}-{name}")
-            for name, d, names in discretizations for g in names
+            for name, d, names in schemes for g in names
             for model in ("nsk1", "nsk2-const", "nsk2-cos")]
 
 
@@ -551,14 +530,12 @@ def test_rhs_matches_public_operator_composition(grid, model, d, params):
     assert max(np.max(np.abs(a - b)) for a, b in zip(dm, ref_m)) <= 1e-11 * scale
 
 
-@pytest.mark.parametrize("dealias", [False, True], ids=["plain", "dealias"])
-def test_momentum_rate_is_the_linear_symbol_at_constant_density(dealias):
+def test_momentum_rate_is_the_linear_symbol_at_constant_density():
     # a small momentum mode on a constant density: every Korteweg and advective term
     # vanishes at its wavenumber, so the rate is the velocity symbol a(k) m^(k),
     # the augmented viscosity (NSK1) or the non-local damping plus viscosity (NSK2)
     params, rho0, gamma0 = FluidParams(bulk_viscosity=0.004), 1.5, 0.5
     grid = Grid.periodic(64)
-    d = Discretization(Scheme.SPECTRAL, dealias=dealias)
     x = grid.coords()[0]
     mu, lam = params.shear_viscosity, params.bulk_viscosity
     lam_star = float(law.augmented_bulk_viscosity(rho0, params))
@@ -571,7 +548,7 @@ def test_momentum_rate_is_the_linear_symbol_at_constant_density(dealias):
         for k in range(1, 32):
             m = 1e-7 * np.cos(k * x + 0.3 * k)
             state = MixtureState(ScalarField.constant(grid, rho0), VectorField(grid, (m,)))
-            _, dm = model_rates(state, params, kind, gamma, d)
+            _, dm = model_rates(state, params, kind, gamma, SPECTRAL)
             want = a(k) * np.fft.rfft(m)[k]
             assert abs(np.fft.rfft(dm[0])[k] - want) <= 1e-6 * abs(want), (kind, k)
 
@@ -681,21 +658,6 @@ def test_residual_nsch_neumann_variable_mobility(params):
         rep = residual_nsch(cs.on_grid(grid), params, cs.mobility_on(grid), FD2)
         res.append(rep.phase)
     assert 3.3 < res[0] / res[1] < 4.7
-
-
-def test_dealias_flag_filters_advective_fluxes(params):
-    from korteweg.grids import Discretization, Scheme
-
-    grid = Grid.periodic(64)
-    x = grid.coords()[0]
-    state = MixtureState.from_primitive(
-        ScalarField(grid, 1.5 + 0.05 * np.sin(x)),
-        VectorField(grid, (0.05 * np.sin(x),)))
-    plain = rhs_nsk1(state, params, SPECTRAL)
-    filtered = rhs_nsk1(state, params, Discretization(Scheme.SPECTRAL, dealias=True))
-    # narrow-band state: the 2/3-rule filter only touches negligible tails
-    assert np.max(np.abs(plain[0].values - filtered[0].values)) < 1e-10
-    assert np.max(np.abs(plain[1].components[0] - filtered[1].components[0])) < 1e-10
 
 
 def test_momentum_equivalence_gap_values(params, grid64):

@@ -16,6 +16,12 @@ or ``spatial`` and no other class or static method.  ``initial.mode_angle`` is
 the one division by a grid length (the phase 2 pi k x / L, or pi k x / L
 between walls), and ``initial.tanh_profile`` the one plateau-plus-tanh
 interface mid + half tanh(s c) / tanh(s).
+
+The conservation flux has one layout, [m; stress - m (x) u], since the 2/3-rule
+dealiasing option is gone: no module but ``harness``, which reads and writes
+the config entry only as false, names ``dealias``, in an identifier or a
+string.  A discretization is a ``grids.Scheme`` member: no module defines a
+``Discretization``.
 """
 
 import ast
@@ -28,6 +34,7 @@ SQUARE_OWNERS = {"operators._Calculus.k2"}
 FACE_OWNERS = {"elliptic._faces", "verification.check_elliptic"}
 ANGLE_OWNERS = {"initial.mode_angle"}
 TANH_OWNERS = {"initial.tanh_profile"}
+DEALIAS_OWNERS = {"harness.<module>", "harness.RunConfig.to_dict", "harness.config_from_dict"}
 
 
 def _owners(tree: ast.Module, module: str):
@@ -113,6 +120,32 @@ def mobility_constructors(source: str, module: str) -> set[str]:
                         for dec in item.decorator_list))}
 
 
+def _text(node: ast.AST):
+    """The identifier a node names (a name, attribute, argument, keyword, import or
+    definition), or its value if it is a string constant; None otherwise."""
+    for attr in ("id", "attr", "arg", "name", "asname"):
+        if isinstance(getattr(node, attr, None), str):
+            return getattr(node, attr)
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    return None
+
+
+def names_dealias(node: ast.AST) -> bool:
+    """An identifier or a string that contains "dealias", in any case."""
+    text = _text(node)
+    return text is not None and "dealias" in text.lower()
+
+
+def definitions(source: str, module: str, name: str) -> set[str]:
+    """``module.name`` if the source defines ``name`` anywhere: a class, a function
+    or an assignment to it."""
+    return {f"{module}.{name}" for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef)) and node.name == name
+            or isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+            and node.id == name}
+
+
 def forms(source: str, module: str, match) -> set[str]:
     return {owner for owner, node in _owners(ast.parse(source), module) if match(node)}
 
@@ -148,6 +181,15 @@ def test_no_module_defines_a_neighbour_copy_helper():
                for owner, node in _owners(ast.parse(path.read_text()), path.stem)
                if isinstance(node, ast.FunctionDef) and node.name == "_neighbours"}
     assert defined == set()
+
+
+def test_only_the_harness_names_dealias():
+    assert package_forms(names_dealias) == DEALIAS_OWNERS
+
+
+def test_no_module_defines_a_discretization_wrapper():
+    assert set().union(*(definitions(path.read_text(), path.stem, "Discretization")
+                         for path in PACKAGE.glob("*.py"))) == set()
 
 
 @pytest.mark.parametrize("source, owners", [
@@ -215,3 +257,29 @@ def test_tanh_profile_finder(source, owners):
 ], ids=["classmethod", "named", "staticmethod", "plain-methods", "other-class"])
 def test_mobility_constructor_finder(source, owners):
     assert mobility_constructors(source, "m") == owners
+
+
+@pytest.mark.parametrize("source, owners", [
+    ("def f(d):\n    return d.dealias", {"m.f"}),
+    ("def dealias_array(v):\n    return v", {"m.dealias_array"}),
+    ("def f(grid, dealias=False):\n    return grid", {"m.f"}),
+    ("x = Calculus(grid, dealias=True)", {"m.<module>"}),
+    ("from m import dealias_array", {"m.<module>"}),
+    ("class C:\n    def f(self, doc):\n        return doc['dealias']", {"m.C.f"}),
+    ('"""The 2/3-rule Dealiasing filter."""', {"m.<module>"}),
+    ("def f(alias):\n    return alias", set()),
+], ids=["attribute", "definition", "argument", "keyword", "import", "string", "docstring",
+        "other-name"])
+def test_dealias_name_finder(source, owners):
+    assert forms(source, "m", names_dealias) == owners
+
+
+@pytest.mark.parametrize("source, owners", [
+    ("class Discretization:\n    pass", {"m.Discretization"}),
+    ("Discretization = Scheme", {"m.Discretization"}),
+    ("def f():\n    Discretization = 1\n    return Discretization", {"m.Discretization"}),
+    ("def f(d: Discretization):\n    return d", set()),
+    ("class Scheme:\n    SPECTRAL = 'spectral'", set()),
+], ids=["class", "alias", "local", "annotation", "other-class"])
+def test_definition_finder(source, owners):
+    assert definitions(source, "m", "Discretization") == owners

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 from conftest import traced_peak
 
-from korteweg import (FD2, SPECTRAL, BoundaryKind, ConfigError, Discretization,
-                      DomainError, Grid, ScalarField, Scheme, SymTensorField,
-                      VectorField, div, div_tensor, grad, laplacian, mean)
+from korteweg import (FD2, SPECTRAL, BoundaryKind, ConfigError, DomainError, Grid,
+                      ScalarField, SymTensorField, VectorField, div, div_tensor, grad,
+                      laplacian, mean)
 from korteweg.fields import _sup, read_scalar_csv, write_scalar_csv
 from korteweg.initial import random_band_limited
 from korteweg.elliptic import _matvec
-from korteweg.operators import _calculus, _Workspace, dealias_array
+from korteweg.operators import _calculus, _Workspace
 
 
 def test_grid_validation():
@@ -328,15 +328,6 @@ def test_fd2_deriv_is_the_take_reference_and_allocates_only_its_output(grid, row
         ops._fd2_deriv(values, 0, out=np.empty((*values.shape, 2))[..., 0])
 
 
-def test_dealias_filter_keeps_low_modes():
-    grid = Grid.periodic(48)
-    x = grid.coords()[0]
-    low = np.cos(3.0 * x)
-    high = np.cos(20.0 * x)  # beyond N/3 = 16
-    filtered = dealias_array(low + high, grid)
-    assert np.max(np.abs(filtered - low)) < 1e-12
-
-
 def test_scalar_csv_roundtrip(tmp_path, grid64):
     x = grid64.coords()[0]
     f = ScalarField(grid64, np.sin(x))
@@ -383,17 +374,15 @@ def test_scalar_csv_rows_are_savetxt_bytes(tmp_path, grid):
 
 
 @pytest.mark.parametrize("shape", [(64,), (63,), (12, 9)], ids=["64", "63", "12x9"])
-def test_dealias_mask_is_cached_and_read_only(shape):
-    # the grid's calculus holds one read-only mask, found again by an equal grid
-    dealiased = Discretization(Scheme.SPECTRAL, dealias=True)
-    mask = _calculus(Grid.periodic(shape), dealiased).keep
-    assert _calculus(Grid.periodic(shape), dealiased).keep is mask
-    assert not mask.flags.writeable
-    # the last axis keeps the modes 0 .. n/3 of its half spectrum
-    n = shape[-1]
-    assert mask.shape[-1] == n // 2 + 1
-    first_row = mask.reshape(-1, n // 2 + 1)[0]
-    assert list(np.flatnonzero(~first_row)) == list(range(n // 3 + 1, n // 2 + 1))
+def test_calculus_arrays_are_cached_and_read_only(shape):
+    # the grid's calculus holds i k per axis, read-only and found again by an equal
+    # grid; the last axis is halved, and every even axis's Nyquist mode is zero
+    ik = _calculus(Grid.periodic(shape), SPECTRAL).ik
+    assert _calculus(Grid.periodic(shape), SPECTRAL).ik is ik
+    for axis, (k, n) in enumerate(zip(ik, shape)):
+        assert not k.flags.writeable
+        assert k.size == (n // 2 + 1 if axis == len(shape) - 1 else n)
+        assert (k.ravel()[n // 2] == 0.0) == (n % 2 == 0)
     # likewise the FD2 ghost indices: per axis each node's previous and next node,
     # wrapped on a periodic axis and reflected at the walls of a bounded one
     bounded = [Grid.bounded_neumann_1d(*shape)] if len(shape) == 1 else []
@@ -405,11 +394,6 @@ def test_dealias_mask_is_cached_and_read_only(shape):
             i = np.arange(n)
             edge = (n - 1, 0) if grid.is_periodic else (0, n - 1)
             assert list(prev) == [edge[0], *i[:-1]] and list(nxt) == [*i[1:], edge[1]]
-
-
-def test_discretization_enum_roundtrip():
-    assert Discretization(Scheme.FD2).scheme is Scheme.FD2
-    assert SPECTRAL.scheme is Scheme.SPECTRAL
 
 
 def _unwritten(fn, *inputs):

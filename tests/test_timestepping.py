@@ -11,10 +11,10 @@ import korteweg.constitutive
 import korteweg.fields
 import korteweg.models
 import korteweg.timestepping
-from korteweg import (FD2, SPECTRAL, ConfigError, Discretization, FluidParams, Grid,
-                      MixtureState, Mobility, ModelKind, ScalarField, Scheme, StateError,
-                      StepControl, VectorField, estimate_dt, integrate, reconstruct_fields,
-                      rhs_nsk1, rhs_nsk2, ssprk3_step)
+from korteweg import (FD2, SPECTRAL, ConfigError, FluidParams, Grid, MixtureState,
+                      Mobility, ModelKind, ScalarField, StateError, StepControl,
+                      VectorField, estimate_dt, integrate, reconstruct_fields, rhs_nsk1,
+                      rhs_nsk2, ssprk3_step)
 from korteweg.constitutive import Convention, DoubleWell
 from korteweg.errors import KortewegError
 from korteweg.harness import load_config
@@ -239,18 +239,13 @@ def moving_state(grid):
         VectorField(grid, tuple(0.05 * np.cos(x) for x in xs)))
 
 
-SPECTRAL_DEALIAS = Discretization(Scheme.SPECTRAL, dealias=True)
 CONSTANT = Mobility(1.0)
-# (grid, discretization, model, mobility) per case of the array time loop
+# (grid, scheme, model, mobility) per case of the array time loop
 RUNS = {
     "1d-nsk1": (Grid.periodic(64), SPECTRAL, ModelKind.NSK1, None),
     "1d-nsk2": (Grid.periodic(64), SPECTRAL, ModelKind.NSK2, CONSTANT),
-    "1d-dealias-nsk1": (Grid.periodic(64), SPECTRAL_DEALIAS, ModelKind.NSK1, None),
-    "1d-dealias-nsk2": (Grid.periodic(64), SPECTRAL_DEALIAS, ModelKind.NSK2, CONSTANT),
     "1d-odd-nsk1": (Grid.periodic(63), SPECTRAL, ModelKind.NSK1, None),
     "1d-odd-nsk2": (Grid.periodic(63), SPECTRAL, ModelKind.NSK2, CONSTANT),
-    "1d-odd-dealias-nsk1": (Grid.periodic(63), SPECTRAL_DEALIAS, ModelKind.NSK1, None),
-    "1d-odd-dealias-nsk2": (Grid.periodic(63), SPECTRAL_DEALIAS, ModelKind.NSK2, CONSTANT),
     "2d-nsk1": (Grid.periodic((32, 24)), SPECTRAL, ModelKind.NSK1, None),
     "2d-nsk2": (Grid.periodic((32, 24)), SPECTRAL, ModelKind.NSK2, CONSTANT),
     "periodic-cosine-nsk2": (Grid.periodic(64), SPECTRAL, ModelKind.NSK2,
@@ -363,8 +358,7 @@ def per_component_steps(state, steps, params, kind, gamma, d):
     return state
 
 
-GUARD_RUNS = {**{case: RUNS[case] for case in (
-    "1d-nsk1", "1d-nsk2", "1d-dealias-nsk1", "1d-dealias-nsk2", "bounded-cosine-nsk2")},
+GUARD_RUNS = {**{case: RUNS[case] for case in ("1d-nsk1", "1d-nsk2", "bounded-cosine-nsk2")},
     "2d-32-nsk1": (Grid.periodic((32, 32)), SPECTRAL, ModelKind.NSK1, None),
     "2d-32-nsk2": (Grid.periodic((32, 32)), SPECTRAL, ModelKind.NSK2, CONSTANT)}
 

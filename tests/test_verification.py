@@ -5,8 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from korteweg import SPECTRAL, Convention, FluidParams, ModelKind
-from korteweg.grids import Discretization, Scheme
+from korteweg import FD2, SPECTRAL, Convention, FluidParams, ModelKind
 from korteweg.verification import (CheckReport, check_constitutive,
                                    check_shared_capillary_structure,
                                    convergence_table, fit_order)
@@ -37,12 +36,10 @@ def test_shared_capillary_checks(params):
 
 
 def test_convergence_table_orders(params):
-    rows = convergence_table(params, ModelKind.NSK1,
-                             Discretization(Scheme.FD2), (32, 64, 128))
+    rows = convergence_table(params, ModelKind.NSK1, FD2, (32, 64, 128))
     assert len(rows) == 3
     assert 1.7 <= rows[0]["momentum_rate_error_order"] <= 2.3
-    rows2 = convergence_table(params, ModelKind.NSK2,
-                              Discretization(Scheme.FD2), (32, 64, 128))
+    rows2 = convergence_table(params, ModelKind.NSK2, FD2, (32, 64, 128))
     assert 1.7 <= rows2[0]["momentum_rate_error_order"] <= 2.3
 
 
@@ -78,7 +75,7 @@ CONVERGENCE_ORDERS = {ModelKind.NSK1: (1.9917830918840127, 1.979592144894647),
 def test_convergence_table_rows_are_pinned(kind):
     params = FluidParams(tau1=1.0, tau2=0.5, temperature=1.0, delta=0.01,
                          shear_viscosity=0.01, bulk_viscosity=0.0, mobility=1.0)
-    rows = convergence_table(params, kind, Discretization(Scheme.FD2), (32, 64, 128))
+    rows = convergence_table(params, kind, FD2, (32, 64, 128))
     orders = CONVERGENCE_ORDERS[kind]
     for row, (n, e_rho, e_m) in zip(rows, CONVERGENCE_ROWS[kind], strict=True):
         assert row["n"] == n

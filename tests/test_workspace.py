@@ -10,14 +10,13 @@ import numpy as np
 import pytest
 from conftest import traced_peak
 
-from korteweg import (SPECTRAL, Discretization, DoubleWell, Grid, MixtureState, Mobility,
-                      ModelKind, ScalarField, Scheme, VectorField, rhs_nsk1, rhs_nsk2)
+from korteweg import (SPECTRAL, DoubleWell, Grid, MixtureState, Mobility, ModelKind,
+                      ScalarField, VectorField, rhs_nsk1, rhs_nsk2)
 from korteweg.initial import random_band_limited
 from korteweg.models import _rhs, _stage_rows, _stress_symbol
 from korteweg.operators import _calculus, _Workspace
 from korteweg.timestepping import make_rhs
 
-DEALIAS = Discretization(Scheme.SPECTRAL, dealias=True)
 GRID = Grid.periodic((32, 24))
 MODELS = {
     "nsk1": (ModelKind.NSK1, None),
@@ -40,16 +39,15 @@ def public_rates(state, params, kind, gamma, d):
 
 
 @pytest.mark.parametrize("model", MODELS)
-@pytest.mark.parametrize("d", [SPECTRAL, DEALIAS], ids=["plain", "dealias"])
-def test_bound_rates_are_the_public_rates_byte_for_byte(model, d, params):
+def test_bound_rates_are_the_public_rates_byte_for_byte(model, params):
     # the public wrappers run the same kernels on fresh arrays; the later calls
     # of the bound evaluator run on buffers that the earlier ones gave back
     kind, gamma = MODELS[model]
-    rhs = make_rhs(params, kind, gamma, d, GRID)
+    rhs = make_rhs(params, kind, gamma, SPECTRAL, GRID)
     for seed in (1, 2, 3):
         state = random_state(GRID, seed)
         got = rhs(_stage_rows(state))
-        ref = public_rates(state, params, kind, gamma, d)
+        ref = public_rates(state, params, kind, gamma, SPECTRAL)
         assert [a.tobytes() for a in got] == [b.tobytes() for b in ref]
 
 
@@ -83,15 +81,14 @@ def test_a_bound_evaluation_allocates_only_its_rates(model, params):
 
 @pytest.mark.parametrize("shape", [64, 63, (32, 24), (33, 35)], ids=str)
 @pytest.mark.parametrize("model", MODELS)
-@pytest.mark.parametrize("d", [SPECTRAL, DEALIAS], ids=["plain", "dealias"])
-def test_a_warm_workspace_makes_no_new_buffer(shape, model, d, params):
+def test_a_warm_workspace_makes_no_new_buffer(shape, model, params):
     # every buffer an evaluation takes goes back to the workspace, so after a
     # warm-up the later evaluations take only buffers of the first one
     grid = Grid.periodic(shape)
     kind, gamma = MODELS[model]
     if gamma is not None and not gamma.is_constant:
         gamma = Mobility(2.0 + np.cos(grid.coords()[0]))
-    ops = _calculus(grid, d)
+    ops = _calculus(grid, SPECTRAL)
     ws, symbol = _Workspace(ops), _stress_symbol(ops, params, kind, gamma)
     _rhs(_stage_rows(random_state(grid, 6)), ops, params, kind, gamma, symbol, ws)
     warm = sorted(id(b) for pool in (ws.real_free, ws.half_free) for free in pool.values()
