@@ -135,7 +135,7 @@ def test_invert_periodic_compatibility_guard():
     assert np.max(np.abs(phi.values)) < 1e-12
 
 
-@pytest.mark.parametrize("n", [63, 96])
+@pytest.mark.parametrize("n", [63, 64, 96])
 @pytest.mark.parametrize("d", [SPECTRAL, FD2], ids=["spectral", "fd2"])
 def test_invert_periodic_variable_mobility_roundtrip_1d(n, d):
     grid = Grid.periodic(n)
@@ -160,7 +160,7 @@ def _cg_reference(gamma, f, ops, monkeypatch):
                           lambda r: _fourier_solve(r, ops, gmean), "reference")
 
 
-@pytest.mark.parametrize("n", [63, 64, 96, 1024])
+@pytest.mark.parametrize("n", [63, 64, 65, 96, 255, 1024])
 @pytest.mark.parametrize("d", [SPECTRAL, FD2], ids=["spectral", "fd2"])
 def test_direct_1d_solve_matches_a_cg_reference(n, d, monkeypatch):
     # gamma D phi = g is a first antiderivative of -f; choosing its constant (and,
@@ -203,7 +203,7 @@ def test_direct_1d_weights_are_formed_once_per_mobility(n, d):
     assert np.array_equal(first, ops.inverse(ops.forward(wg) * ops.antideriv))
 
 
-@pytest.mark.parametrize("n", [63, 64])
+@pytest.mark.parametrize("n", [63, 64, 96])
 @pytest.mark.parametrize("d", [SPECTRAL, FD2], ids=["spectral", "fd2"])
 def test_no_cg_on_a_1d_grid(n, d, caplog, monkeypatch):
     # every 1-D periodic inverse is direct: the strict and model inverses and a

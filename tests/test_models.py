@@ -360,13 +360,16 @@ def transform_counter(monkeypatch):
 @pytest.mark.parametrize("grid, transforms, calls", [
     (Grid.periodic(64), (10, 9), (6, 6)),
     (Grid.periodic((32, 32)), (17, 16), (6, 6)),
-], ids=["1d", "2d"])
+    (Grid.periodic(63), (10, 9), (6, 6)),
+    (Grid.periodic((33, 35)), (17, 16), (6, 6)),
+], ids=["1d", "2d", "1d-odd", "2d-odd"])
 def test_rhs_transform_counts(grid, transforms, calls, params, monkeypatch):
     # rho, m and u are transformed once each, every divergence is summed in
     # Fourier space before one inverse, and every transform is real; grad u
     # never returns to the grid, as the viscous (and, for a constant mobility,
     # the non-local) stress is a Fourier multiplier on u^, and div u returns
-    # only for NSK1.  Each dependency level stacks its rows into one forward
+    # only for NSK1.  An odd grid, which has no Nyquist row, counts the same.
+    # Each dependency level stacks its rows into one forward
     # and one inverse call, in 1-D and in 2-D, and a stacked call counts one
     # transform per row.  No transform goes through numpy.fft's wrappers.
     counts = transform_counter(monkeypatch)
@@ -452,12 +455,15 @@ def per_array_rhs(state, params, kind, gamma, d):
 
 @pytest.mark.parametrize("grid, d", [
     *((Grid.periodic(n), SPECTRAL) for n in (64, 63, 256)),
-    (Grid.periodic((32, 24)), SPECTRAL), (Grid.bounded_neumann_1d(64, 1.0), FD2),
-], ids=["64-spectral", "63-spectral", "256-spectral", "32x24-spectral", "bounded64-fd2"])
+    (Grid.periodic((32, 24)), SPECTRAL), (Grid.periodic((33, 35)), SPECTRAL),
+    *((Grid.periodic(n), FD2) for n in (64, 63, (32, 24))),
+    (Grid.bounded_neumann_1d(64, 1.0), FD2),
+], ids=["64-spectral", "63-spectral", "256-spectral", "32x24-spectral", "33x35-spectral",
+        "64-fd2", "63-fd2", "32x24-fd2", "bounded64-fd2"])
 def test_stacked_kernels_equal_per_array_kernels(grid, d, params):
     # the multi-array kernels and the right-hand side give the per-array kernels'
-    # bits on every grid: the stacked calls transform each row exactly as a call of
-    # its own does, in 1-D and in 2-D
+    # bits on every grid and under both schemes: the stacked calls transform each
+    # row exactly as a call of its own does, in 1-D and in 2-D
     ops = _calculus(grid, d)
     dim, rows = grid.dim, grid.dim * (grid.dim + 1) // 2
     rng = np.random.default_rng(grid.n[0])
@@ -501,13 +507,13 @@ def composed_rhs(state, params, kind, gamma, d):
 
 
 def composition_cases():
-    """(grid, model, d), with ids grid-model-scheme: the spectral scheme on four
-    periodic grids, FD2 on three periodic grids and the bounded Neumann grid."""
+    """(grid, model, d), with ids grid-model-scheme: the spectral scheme and FD2 on
+    four periodic grids each, and FD2 on the bounded Neumann grid."""
     grids = {"64": Grid.periodic(64), "63": Grid.periodic(63), "48x36": Grid.periodic((48, 36)),
              "33x35": Grid.periodic((33, 35)), "bounded64": Grid.bounded_neumann_1d(64)}
     spectral = ("64", "63", "48x36", "33x35")
     schemes = (("spectral", SPECTRAL, spectral),
-               ("fd2", FD2, ("64", "63", "48x36", "bounded64")))
+               ("fd2", FD2, ("64", "63", "48x36", "33x35", "bounded64")))
     return [pytest.param(grids[g], model, d, id=f"{g}-{model}-{name}")
             for name, d, names in schemes for g in names
             for model in ("nsk1", "nsk2-const", "nsk2-cos")]
@@ -530,12 +536,13 @@ def test_rhs_matches_public_operator_composition(grid, model, d, params):
     assert max(np.max(np.abs(a - b)) for a, b in zip(dm, ref_m)) <= 1e-11 * scale
 
 
-def test_momentum_rate_is_the_linear_symbol_at_constant_density():
+@pytest.mark.parametrize("n", [64, 63])
+def test_momentum_rate_is_the_linear_symbol_at_constant_density(n):
     # a small momentum mode on a constant density: every Korteweg and advective term
     # vanishes at its wavenumber, so the rate is the velocity symbol a(k) m^(k),
     # the augmented viscosity (NSK1) or the non-local damping plus viscosity (NSK2)
     params, rho0, gamma0 = FluidParams(bulk_viscosity=0.004), 1.5, 0.5
-    grid = Grid.periodic(64)
+    grid = Grid.periodic(n)
     x = grid.coords()[0]
     mu, lam = params.shear_viscosity, params.bulk_viscosity
     lam_star = float(law.augmented_bulk_viscosity(rho0, params))

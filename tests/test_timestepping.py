@@ -246,6 +246,8 @@ RUNS = {
     "1d-nsk2": (Grid.periodic(64), SPECTRAL, ModelKind.NSK2, CONSTANT),
     "1d-odd-nsk1": (Grid.periodic(63), SPECTRAL, ModelKind.NSK1, None),
     "1d-odd-nsk2": (Grid.periodic(63), SPECTRAL, ModelKind.NSK2, CONSTANT),
+    "1d-fd2-nsk1": (Grid.periodic(64), FD2, ModelKind.NSK1, None),
+    "1d-fd2-nsk2": (Grid.periodic(64), FD2, ModelKind.NSK2, CONSTANT),
     "2d-nsk1": (Grid.periodic((32, 24)), SPECTRAL, ModelKind.NSK1, None),
     "2d-nsk2": (Grid.periodic((32, 24)), SPECTRAL, ModelKind.NSK2, CONSTANT),
     "periodic-cosine-nsk2": (Grid.periodic(64), SPECTRAL, ModelKind.NSK2,
@@ -358,7 +360,8 @@ def per_component_steps(state, steps, params, kind, gamma, d):
     return state
 
 
-GUARD_RUNS = {**{case: RUNS[case] for case in ("1d-nsk1", "1d-nsk2", "bounded-cosine-nsk2")},
+GUARD_RUNS = {**{case: RUNS[case] for case in ("1d-nsk1", "1d-nsk2", "1d-fd2-nsk1",
+                                               "1d-fd2-nsk2", "bounded-cosine-nsk2")},
     "2d-32-nsk1": (Grid.periodic((32, 32)), SPECTRAL, ModelKind.NSK1, None),
     "2d-32-nsk2": (Grid.periodic((32, 32)), SPECTRAL, ModelKind.NSK2, CONSTANT)}
 

@@ -1,6 +1,7 @@
-"""The spectral right-hand side that make_rhs binds with a workspace.
+"""The right-hand side that make_rhs binds, with a workspace on a spectral grid.
 
-Its buffers must change no bit of the rates, never be returned, never hold an
+It gives the bits of the public right-hand sides under both schemes.  Its
+buffers must change no bit of the rates, never be returned, never hold an
 input row, and leave an evaluation allocating only what it returns.
 """
 
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 from conftest import traced_peak
 
-from korteweg import (SPECTRAL, DoubleWell, Grid, MixtureState, Mobility, ModelKind,
+from korteweg import (FD2, SPECTRAL, DoubleWell, Grid, MixtureState, Mobility, ModelKind,
                       ScalarField, VectorField, rhs_nsk1, rhs_nsk2)
 from korteweg.initial import random_band_limited
 from korteweg.models import _rhs, _stage_rows, _stress_symbol
@@ -38,16 +39,34 @@ def public_rates(state, params, kind, gamma, d):
     return (drho.values, *dm.components)
 
 
-@pytest.mark.parametrize("model", MODELS)
-def test_bound_rates_are_the_public_rates_byte_for_byte(model, params):
-    # the public wrappers run the same kernels on fresh arrays; the later calls
-    # of the bound evaluator run on buffers that the earlier ones gave back
+def model_on(grid, model):
+    """The model's (kind, mobility), its cosine mobility made on ``grid``."""
     kind, gamma = MODELS[model]
-    rhs = make_rhs(params, kind, gamma, SPECTRAL, GRID)
+    if gamma is not None and not gamma.is_constant:
+        gamma = Mobility(2.0 + np.cos(grid.coords()[0]))
+    return kind, gamma
+
+
+BOUND_CASES = {
+    "32x24": (GRID, SPECTRAL), "63": (Grid.periodic(63), SPECTRAL),
+    "33x35": (Grid.periodic((33, 35)), SPECTRAL), "32x24-fd2": (GRID, FD2),
+    "bounded64-fd2": (Grid.bounded_neumann_1d(64, 1.0), FD2),
+}
+
+
+@pytest.mark.parametrize("case", BOUND_CASES)
+@pytest.mark.parametrize("model", MODELS)
+def test_bound_rates_are_the_public_rates_byte_for_byte(model, case, params):
+    # the public wrappers run the same kernels on fresh arrays; the later calls
+    # of the bound evaluator run on buffers that the earlier ones gave back (a
+    # spectral grid's workspace) or on fresh arrays (FD2)
+    grid, d = BOUND_CASES[case]
+    kind, gamma = model_on(grid, model)
+    rhs = make_rhs(params, kind, gamma, d, grid)
     for seed in (1, 2, 3):
-        state = random_state(GRID, seed)
+        state = random_state(grid, seed)
         got = rhs(_stage_rows(state))
-        ref = public_rates(state, params, kind, gamma, SPECTRAL)
+        ref = public_rates(state, params, kind, gamma, d)
         assert [a.tobytes() for a in got] == [b.tobytes() for b in ref]
 
 
@@ -79,15 +98,13 @@ def test_a_bound_evaluation_allocates_only_its_rates(model, params):
     assert traced_peak(lambda: rhs(rows)) <= 3 * real + 32 * 1024
 
 
-@pytest.mark.parametrize("shape", [64, 63, (32, 24), (33, 35)], ids=str)
+@pytest.mark.parametrize("shape", [64, 63, 256, (32, 24), (33, 35), (48, 36)], ids=str)
 @pytest.mark.parametrize("model", MODELS)
 def test_a_warm_workspace_makes_no_new_buffer(shape, model, params):
     # every buffer an evaluation takes goes back to the workspace, so after a
     # warm-up the later evaluations take only buffers of the first one
     grid = Grid.periodic(shape)
-    kind, gamma = MODELS[model]
-    if gamma is not None and not gamma.is_constant:
-        gamma = Mobility(2.0 + np.cos(grid.coords()[0]))
+    kind, gamma = model_on(grid, model)
     ops = _calculus(grid, SPECTRAL)
     ws, symbol = _Workspace(ops), _stress_symbol(ops, params, kind, gamma)
     _rhs(_stage_rows(random_state(grid, 6)), ops, params, kind, gamma, symbol, ws)
