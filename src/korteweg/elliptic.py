@@ -46,6 +46,7 @@ both walls.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -151,16 +152,22 @@ def _matvec(gamma_vals: np.ndarray, ops: _Calculus):
     return neumann
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """sum a b by numpy's own pairwise sum, whose bits do not depend on the BLAS
+    thread count, unlike ``np.vdot`` and ``np.linalg.norm`` on large arrays."""
+    return float(np.add.reduce(a * b, axis=None))
+
+
 def _pcg_zero_mean(matvec, b: np.ndarray, precond, context: str) -> np.ndarray:
     """Preconditioned CG on the mean-zero subspace.
 
     The operators used here map mean-zero vectors to mean-zero vectors
     exactly (divergence form), so a single initial projection suffices.
     Data on the operator's other null modes must already be dropped, or CG
-    runs to its budget.
+    runs to its budget.  Inner products and norms are ``_dot``s.
     """
     b = b - b.mean()
-    bnorm = float(np.linalg.norm(b))
+    bnorm = math.sqrt(_dot(b, b))
     if not np.isfinite(bnorm):   # else CG iterates to its budget
         raise DomainError(f"{context}: non-finite right-hand side")
     if bnorm == 0.0:
@@ -169,20 +176,20 @@ def _pcg_zero_mean(matvec, b: np.ndarray, precond, context: str) -> np.ndarray:
     r = b.copy()
     z = precond(r)
     p = z.copy()
-    rz = float(np.vdot(r, z))
+    rz = _dot(r, z)
     for it in range(1, 10 * b.size + 1):
         ap = matvec(p)
-        alpha = rz / float(np.vdot(p, ap))
+        alpha = rz / _dot(p, ap)
         x += alpha * p
         r -= alpha * ap
-        rnorm = float(np.linalg.norm(r))
+        rnorm = math.sqrt(_dot(r, r))
         if rnorm <= SOLVE_RTOL * bnorm:
             log.debug("%s: cg converged in %d iterations, residual %.3e",
                       context, it, rnorm / bnorm)
             x -= x.mean()
             return x
         z = precond(r)
-        rz_new = float(np.vdot(r, z))
+        rz_new = _dot(r, z)
         p = z + (rz_new / rz) * p
         rz = rz_new
     raise SolverError(f"{context}: cg failed to converge in {it} iterations "

@@ -113,8 +113,13 @@ def write_scalar_csv(field: ScalarField, path, config_hash: str | None = None,
     """
     if template is None:
         template = _csv_template(field.grid, config_hash)
+    _write_csv(field.values, path, template)
+
+
+def _write_csv(values: np.ndarray, path, template: str) -> None:
+    """A grid array's CSV: one % format of its values into its grid's ``template``."""
     with open(path, "w") as fh:
-        fh.write(template % tuple(field.values.ravel().tolist()))
+        fh.write(template % tuple(values.ravel().tolist()))
 
 
 def read_scalar_csv(path) -> tuple[dict, np.ndarray]:

@@ -27,7 +27,7 @@ from pathlib import Path
 from .constitutive import DoubleWell, FluidParams
 from .elliptic import Mobility
 from .errors import ConfigError, StateError
-from .fields import ScalarField, _csv_template, write_scalar_csv
+from .fields import _csv_template, _write_csv
 from .grids import BoundaryKind, Grid, Scheme
 from .initial import InitialCondition, MobilitySpec
 from .models import MixtureState, ModelKind, _require_mobility
@@ -214,19 +214,18 @@ def load_config(path, out_dir: str | None = None, seed: int | None = None) -> Ru
 
 
 def write_state_snapshot(state: MixtureState, out_dir: Path, step: int,
-                         config_hash: str | None = None, stem: str | None = None,
-                         template: str | None = None) -> list[str]:
+                         stem: str | None = None, template: str | None = None) -> list[str]:
     """One CSV per row, ``<stem>_rho.csv``, ``<stem>_m0.csv``, ..., the stem
     ``snap_<step>`` unless given; returns the file names.  ``template`` is the
-    state grid's ``_csv_template(grid, config_hash)``, formed here unless given."""
+    state grid's ``_csv_template``, formed here without a config line unless given;
+    each row of the validated state is formatted straight into it."""
     out_dir.mkdir(parents=True, exist_ok=True)
     stem = stem or f"snap_{step:06d}"
     names = [f"{stem}_{row}.csv" for row in ("rho", *(f"m{i}" for i in range(state.grid.dim)))]
-    fields = (state.rho, *(ScalarField(state.grid, c) for c in state.m.components))
     if template is None:
-        template = _csv_template(state.grid, config_hash)
-    for name, field in zip(names, fields):
-        write_scalar_csv(field, out_dir / name, template=template)
+        template = _csv_template(state.grid)
+    for name, values in zip(names, (state.rho.values, *state.m.components)):
+        _write_csv(values, out_dir / name, template)
     return names
 
 

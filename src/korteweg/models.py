@@ -25,9 +25,10 @@ side is the divergence of the flux [m; Sigma - m (x) u].  Its one assembly,
 the array kernel ``_rhs``, serves the time loop; ``rhs_nsk1``/``rhs_nsk2``
 wrap it.  It takes the rows (rho, *m), the grid's bound calculus
 (:class:`korteweg.operators._Calculus`), the stress symbol and a workspace
-(:class:`korteweg.operators._Workspace` on a spectral grid, else the
-calculus's ``fresh`` one), which :func:`korteweg.timestepping.make_rhs`
-resolves once per run, and returns fresh rates in the same stage layout,
+(:class:`korteweg.operators._Workspace`, whose buffers each evaluation
+replays in call order; the calculus's ``fresh`` allocator for the public
+wrappers), which :func:`korteweg.timestepping.make_rhs` resolves once per
+run, and returns fresh rates in the same stage layout,
 one (1 + dim, *shape) array on every grid (``_stage_rows``).  The
 certification kernels (``_pressure``, ``_diffusive_div``, ``_reconstruct``,
 ``_phase_rate``, ``_full_model``, ``_residual``) take that calculus too, as
@@ -279,16 +280,15 @@ def _reduced_stress(dn: _Density, gr: np.ndarray, gu: tuple[Components, ...] | N
                     ws=None, wprime=None) -> np.ndarray:
     """Korteweg plus E I, and 2 mu D(u) + lambda (div u) I from grad u ``gu`` unless
     it is None (the stress symbol carries it), as the rows of one stack, a buffer
-    of ``ws``.  ``gr`` is grad rho, ``wprime`` W'(c) if the caller holds it; ``dn``
-    is a validated state's density, so the laws run unchecked on it."""
+    of ``ws``, as is the viscous term's scratch.  ``gr`` is grad rho, ``wprime``
+    W'(c) if the caller holds it; ``dn`` is a validated state's density, so the
+    laws run unchecked on it, and its 1/rho is overwritten (:func:`_korteweg`)."""
     ws = ws or ops.fresh
     stress = _korteweg(dn, gr, ops, params, E, ws, wprime)
     if gu is not None:   # K + (2 mu D + lambda div u I), one component at a time
-        tmp = ws.real()
         for row, v in zip(stress, _viscous_stress(gu, params.bulk_viscosity, params,
-                                                   repeat(tmp))):
+                                                   repeat(ws.real()))):
             row += v
-        ws.give(tmp)
     return stress
 
 
@@ -301,7 +301,8 @@ def _rhs(q, ops: _Calculus, params: FluidParams, kind: ModelKind, gamma: Mobilit
     The rows come as the stage array, or any sequence of the row arrays, and
     the fresh rates return as one (1 + dim, *shape) array.  The rows are not
     written.  rho must be finite and above the density floor.  Every other
-    array is a buffer of ``ws``, given back once dead.
+    array is a buffer of ``ws``, each taken once per evaluation, in the same
+    order every time; the caller rewinds a replaying workspace before the call.
     """
     ws, r, m = ws or ops.fresh, q[0], q[1:]
     ru = ws.real(len(q))   # (rho, *u)
@@ -317,13 +318,11 @@ def _rhs(q, ops: _Calculus, params: FluidParams, kind: ModelKind, gamma: Mobilit
         divu = None if symbol.nonlocal_term else level1[ops.dim]
     # div u is None where the symbol carries the non-local term: no solve
     dn, E = _eliminated_stress(r, divu, ops, params, kind, gamma, ws)
-    stress = _reduced_stress(dn, gr, gu, ops, params, E, ws)   # takes back dn and E
-    ws.give(level1)
+    stress = _reduced_stress(dn, gr, gu, ops, params, E, ws)
     del gu, gr, divu, dn, E, level1   # level 3 needs none of them
     flux = ops.conservation_flux(m, u, stress, ws)
-    ws.give(ru, stress)
     del ru, u, stress   # nor these, once the flux is assembled
-    return ops.conservation_rates(flux, addend, ws)   # takes back flux and addend
+    return ops.conservation_rates(flux, addend, ws)
 
 
 def _stage_rows(state: MixtureState) -> np.ndarray:

@@ -59,11 +59,14 @@ the FFT work, dominates an evaluation.
 
 Every array a kernel makes but the rates goes into a workspace through
 ``out=``, transforms included; a 2-D inverse makes its axis-0 pass in the
-dead spectrum its caller names.  A right-hand side on a spectral grid binds
-one ``_Workspace`` per run, whose real and half-spectrum stacks, keyed by
-row count, the levels share: an evaluation makes no new one after the
-first.  Each calculus's ``fresh`` workspace (``_Fresh``), the default,
-keeps nothing, so FD2 and every public function run the same kernels.
+dead spectrum its caller names.  A right-hand side binds one ``_Workspace``
+per run, on every grid and under both schemes, which replays its buffers:
+the first evaluation records each real or half-spectrum stack it asks for,
+in call order, and each later one rewinds and gets the same stacks back in
+the same order, so it makes no new one.  No buffer is taken twice in an
+evaluation, so no kernel hands one back.  Each calculus's ``fresh``
+allocator (``_Fresh``), the default, keeps nothing, so every public
+function and the certification paths run the same kernels on new arrays.
 """
 
 from __future__ import annotations
@@ -92,62 +95,52 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-class _Workspace:
-    """Real and complex half-spectrum buffers that one bound right-hand side reuses
-    across its evaluations, as the ``out=`` of its numpy calls.
+class _Fresh:
+    """The keep-nothing allocator: ``real(k)``/``half(k)`` make a new stack of k
+    grid-shaped (or half-spectrum-shaped) rows, one array without k, for a kernel's
+    ``out=``.  The public functions and the certification paths run on it;
+    ``_Calculus.fresh`` holds one."""
 
-    ``real(k)``/``half(k)`` hand out a free stack of k grid-shaped (or
-    half-spectrum-shaped) rows, one array without k, made when none is free;
-    ``give`` takes buffers back once their values are dead.  So the dependency
-    levels of an evaluation share the buffers, and after the first evaluation no
-    call makes a new one.  A kernel gives back only what it took itself or what
-    it was handed to consume, and only whole buffers, never a row of one.
+    def __init__(self, ops: "_Calculus"):
+        self.shape, self.half_shape = ops.shape, ops.half_shape
+
+    def real(self, rows: int | None = None) -> np.ndarray:
+        return self._take(self.shape if rows is None else (rows, *self.shape), float)
+
+    def half(self, rows: int | None = None) -> np.ndarray:
+        return self._take(self.half_shape if rows is None else (rows, *self.half_shape),
+                          complex)
+
+    def _take(self, shape: tuple, dtype) -> np.ndarray:
+        return np.empty(shape, dtype)
+
+
+class _Workspace(_Fresh):
+    """The buffers that one bound right-hand side replays across its evaluations.
+
+    The first evaluation records every buffer it asks for, in call order; each
+    later one ``rewind``s once at its start and gets the same buffers back in the
+    same order.  A request whose shape or dtype differs from the recorded one gets
+    a new buffer in that slot.  An evaluation never takes a buffer twice, so no
+    kernel hands one back, and after the first no call makes a new one.
     """
 
     def __init__(self, ops: "_Calculus"):
-        self.shape, self.half_shape = ops.shape, ops.half_shape
-        self.real_free, self.half_free = {}, {}   # row count (None: one array) -> buffers
-        self._home = {}   # id of each buffer made -> the free list it goes back to
+        super().__init__(ops)
+        self.buffers, self._next = [], 0
 
-    def real(self, rows: int | None = None) -> np.ndarray:
-        try:
-            return self.real_free[rows].pop()
-        except (KeyError, IndexError):
-            return self._new(self.real_free, rows, self.shape, float)
+    def rewind(self) -> None:
+        self._next = 0
 
-    def half(self, rows: int | None = None) -> np.ndarray:
-        try:
-            return self.half_free[rows].pop()
-        except (KeyError, IndexError):
-            return self._new(self.half_free, rows, self.half_shape, complex)
-
-    def _new(self, free: dict, rows: int | None, shape: tuple, dtype) -> np.ndarray:
-        a = np.empty(shape if rows is None else (rows, *shape), dtype)
-        self._home[id(a)] = free.setdefault(rows, [])
+    def _take(self, shape: tuple, dtype) -> np.ndarray:
+        i = self._next
+        self._next += 1
+        if i < len(self.buffers) and self.buffers[i].shape == shape \
+                and self.buffers[i].dtype == dtype:
+            return self.buffers[i]
+        a = np.empty(shape, dtype)
+        self.buffers[i:i + 1] = [a]
         return a
-
-    def give(self, *arrays) -> None:
-        """Take back buffers whose values are dead; None entries are skipped."""
-        for a in arrays:
-            if a is not None:
-                self._home[id(a)].append(a)
-
-
-class _Fresh:
-    """No workspace: a stack is a fresh array, one array None (numpy allocates the
-    ``out=`` it fills), and ``give`` keeps nothing; ``_Calculus.fresh`` holds one."""
-
-    def __init__(self, ops: "_Calculus"):
-        self.shape, self.half_shape = ops.shape, ops.half_shape
-
-    def real(self, rows: int | None = None) -> np.ndarray | None:
-        return None if rows is None else np.empty((rows, *self.shape))
-
-    def half(self, rows: int | None = None) -> np.ndarray | None:
-        return None if rows is None else np.empty((rows, *self.half_shape), dtype=complex)
-
-    def give(self, *arrays) -> None:
-        pass
 
 
 def _total(terms):
@@ -351,13 +344,10 @@ class _Calculus:
         for j in range(1, self.dim):
             read = hats[src + j:src + j + rows]
             spare = src + j >= max(src, dst) + rows
-            later.append((np.multiply(self.ik[j], read, out=read if spare else ws.half(rows)),
-                          spare))
+            later.append(np.multiply(self.ik[j], read, out=read if spare else ws.half(rows)))
         divs = np.multiply(self.ik[0], hats[src:src + rows], out=hats[dst:dst + rows])
-        for t, spare in later:
+        for t in later:
             divs += t
-            if not spare:
-                ws.give(t)
         return divs
 
     def _fd2_divs(self, t: np.ndarray, runs, out: np.ndarray) -> np.ndarray:
@@ -379,23 +369,16 @@ class _Calculus:
         is transformed once, into a half-spectrum stack of ``ws``, and each row
         summed in Fourier space: one forward and one inverse transform call.
         """
-        t, rows = np.asarray(t), rows or self.dim
+        t, rows, ws = np.asarray(t), rows or self.dim, ws or self.fresh
         if not self.spectral:
-            out = np.empty((rows, *self.shape)) if out is None else out
-            return self._fd2_divs(t, ((0, 0, rows),), out)
-        ws = ws or self.fresh
+            return self._fd2_divs(t, ((0, 0, rows),), ws.real(rows) if out is None else out)
         hats = self.forward(t, ws.half(len(t)))
         divs = self._div_spectra(hats, 0, 0, rows, ws)
-        out = self.inverse(divs, out, work=divs)
-        ws.give(hats)
-        return out
+        return self.inverse(divs, ws.real(rows) if out is None else out, work=divs)
 
-    def div(self, v, ws=None) -> np.ndarray:
-        """Divergence of a vector given by its components, into a buffer of ``ws``."""
-        ws = ws or self.fresh
-        out = ws.real()
-        divs = self.div_tensor(v, 1, ws, None if out is None else out[None])
-        return divs[0] if out is None else out
+    def div(self, v, ws=None, out=None) -> np.ndarray:
+        """Divergence of a vector given by its components, into ``out`` if given."""
+        return self.div_tensor(v, 1, ws, None if out is None else out[None])[0]
 
     def velocity_level(self, ru: np.ndarray, shear, bulk, div_u: bool, ws):
         """Level 1 of a spectral right-hand side from the rows ``ru`` = (rho, *u):
@@ -424,7 +407,6 @@ class _Calculus:
         if bulk is not None:
             for k, h in zip(ik, u_hat):
                 h += np.multiply(k, bulk, out=spec[0])   # spec is dead
-        ws.give(spec)
         return rows, hats
 
     def conservation_flux(self, m, u, stress, ws=None) -> np.ndarray:
@@ -432,7 +414,7 @@ class _Calculus:
         the rows of one real stack of ``ws``.
 
         ``m`` and ``u`` are vectors, ``stress`` a stored symmetric tensor, none of
-        them written, and none read again: a caller drops them before the rates.
+        them written.
         """
         dim = self.dim
         ws = ws or self.fresh
@@ -447,11 +429,10 @@ class _Calculus:
     def conservation_rates(self, flux, addend=None, ws=None) -> np.ndarray:
         """The rates (-div m, *div(stress - m (x) u)) of the conservation law for
         (rho, m) from its flux stack (:meth:`conservation_flux`), as one fresh
-        (1 + dim, *shape) array; ``ws`` takes the flux back.
+        (1 + dim, *shape) array, never a buffer of ``ws``.
 
         ``addend`` (spectral) is a half-spectrum stack whose rows 1.. are added to
-        the momentum rows, and ``ws`` takes it back too.  Spectrally one forward
-        and one inverse transform call.
+        the momentum rows.  Spectrally one forward and one inverse transform call.
         """
         dim = self.dim
         ws = ws or self.fresh
@@ -465,8 +446,6 @@ class _Calculus:
             if addend is not None:
                 divs[1:] += addend[1:]
             rates = self.inverse(divs, work=divs)
-            ws.give(hats, addend)
-        ws.give(flux)
         mass_rate = rates[0]
         np.negative(mass_rate, out=mass_rate)
         return rates

@@ -113,23 +113,20 @@ def _korteweg(dn: _Density, gr: np.ndarray, ops: _Calculus, params: FluidParams,
     K = [(theta/delta_tau) W'(c) + 2 kappa |g|^2 + rho div(kappa g)] I - kappa g (x) g.
 
     Its components are the rows of one stack, which holds kappa g in its last rows
-    first; it and the temporaries but W'(c) are buffers of ``ws``.  W'(c) is
-    ``wprime`` when the caller holds it.  The caller hands over dn's 1/rho and c and
-    ``extra``: ``ws`` takes each back as soon as it is dead."""
+    first; it and kappa are buffers of ``ws``.  W'(c) is ``wprime`` when the caller
+    holds it.  The diagonal term is formed over dn's 1/rho, dead once kappa is, so
+    a caller reads no 1/rho after the call."""
     dim, ws = len(gr), ws or ops.fresh
     k = ws.real(dim * (dim + 1) // 2)
     kap = _capillarity(dn, params, ws.real())
-    ws.give(dn.v)
     kg = np.multiply(kap, gr, out=k[-dim:])
-    ws.give(kap)
-    del kap   # a fresh workspace keeps nothing: the name held it
-    diag = ops.div(kg, ws)
+    del kap   # a fresh allocator keeps nothing: the name held it
+    diag = ops.div(kg, ws, out=dn.v)
     diag *= dn.rho
     diag += (params.temperature / params.delta_tau) * (
         params.well.derivative(dn.c) if wprime is None else wprime)
     if extra is not None:
         diag += extra
-    ws.give(dn.c, extra)
     if dim == 1:   # 2 kappa g^2 - kappa g^2, with kg = k
         kg *= gr
         k += diag
@@ -142,7 +139,6 @@ def _korteweg(dn: _Density, gr: np.ndarray, ops: _Calculus, params: FluidParams,
         yy += diag
         np.negative(xy, out=xy)
         xx += diag
-    ws.give(diag)
     return k
 
 

@@ -5,10 +5,11 @@ shapes; the inverse symbol of -div(grad .) on first use) and, on a spectral
 grid, the stress symbol's real half-spectrum arrays
 (:func:`korteweg.models._stress_symbol`) are resolved there, and the
 constitutive coefficients are attributes of ``FluidParams``, formed once
-per parameter set.  On a spectral grid it also binds a workspace
-(:class:`korteweg.operators._Workspace`), the buffers into which every
-evaluation writes its temporaries, transforms included, so that an
-evaluation allocates only its rates.  The stages run on the rows (rho, *m)
+per parameter set.  It also binds a workspace
+(:class:`korteweg.operators._Workspace`) on every grid, the buffers into
+which every evaluation writes its temporaries, transforms included, replayed
+in call order from the first evaluation on, so that a spectral evaluation
+allocates only its rates.  The stages run on the rows (rho, *m)
 as one (1 + dim, *shape) array on every grid, so a stage is one Shu-Osher
 combination, one finite scan and one floor check, and the spectral kernels
 transform its rows with one stacked call.  A stage is formed in place in
@@ -111,7 +112,7 @@ def dt_candidates(state: MixtureState, params: FluidParams,
         if visc_denom > 1e-300 else np.inf
 
     ds = params.delta_star
-    cap = control.cfl_parabolic * h_min**2 * rho_min**2 / np.sqrt(ds) \
+    cap = control.cfl_parabolic * h_min**2 * rho_min**2 / math.sqrt(ds) \
         if ds > 1e-300 else np.inf
     return {"advective": adv, "viscous": visc, "capillary": cap}
 
@@ -155,14 +156,19 @@ def make_rhs(params: FluidParams, kind: ModelKind, gamma: Mobility | None,
     What stays fixed across calls is resolved here, once: the grid's
     calculus (i k, shapes; it holds the inverse symbol of -div(grad .) from
     its first use on), the stress symbol of a spectral grid as real arrays,
-    through ``params`` the constitutive coefficients and, on a spectral grid,
-    the workspace whose buffers every call reuses, so the evaluator runs one
-    call at a time.  FD2 evaluations allocate their arrays (``ops.fresh``).
+    through ``params`` the constitutive coefficients and the workspace whose
+    buffers every call replays, rewound at the call's start, so the evaluator
+    runs one call at a time.  The same workspace type serves every grid and scheme.
     """
     ops = _calculus(grid, d)
     symbol = _stress_symbol(ops, params, kind, gamma)
-    ws = _Workspace(ops) if ops.spectral else ops.fresh
-    return lambda q: _rhs(q, ops, params, kind, gamma, symbol, ws)
+    ws = _Workspace(ops)
+
+    def rhs(q: np.ndarray) -> np.ndarray:
+        ws.rewind()
+        return _rhs(q, ops, params, kind, gamma, symbol, ws)
+
+    return rhs
 
 
 def ssprk3_step(state: MixtureState, dt: float, rhs: RhsEvaluator) -> MixtureState:

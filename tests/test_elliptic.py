@@ -1,6 +1,10 @@
 """Mobility-weighted elliptic operator: forward apply and three inverses."""
 
 import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -483,3 +487,28 @@ def test_freespace_agrees_with_periodic_inverse_on_support():
     d240 = disagreement(240.0)
     assert d120 < 10.0 / 120.0   # support/box with an O(1) dipole moment
     assert d240 < 0.6 * d120     # shrinks roughly linearly with the box
+
+
+def test_2d_variable_mobility_rates_do_not_depend_on_the_blas_thread_count():
+    # CG takes its inner products and norms as numpy's own sums: BLAS's dot splits
+    # a large array across its threads, which moved the bits of a 128^2 evaluation
+    code = ("import hashlib, numpy as np\n"
+            "from korteweg import FD2, SPECTRAL, FluidParams, Grid, Mobility, ModelKind\n"
+            "from korteweg.timestepping import make_rhs\n"
+            "grid = Grid.periodic((128, 128))\n"
+            "x, y = grid.coords()\n"
+            "rows = np.array((1.4 + 0.1 * np.sin(x) * np.cos(y), 0.1 * np.cos(x + y),\n"
+            "                 0.1 * np.sin(x - 2 * y)))\n"
+            "for d in (SPECTRAL, FD2):\n"
+            "    rhs = make_rhs(FluidParams(), ModelKind.NSK2, Mobility(2.0 + np.cos(x)), d, grid)\n"
+            "    print(hashlib.sha256(rhs(rows).tobytes()).hexdigest())\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    digests = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads,
+               "OMP_NUM_THREADS": threads}
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        digests.append(proc.stdout)
+    assert digests[0] == digests[1]

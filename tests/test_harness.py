@@ -10,12 +10,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import korteweg
 import korteweg.elliptic
 import korteweg.harness
 import korteweg.timestepping
 from korteweg import ConfigError, DomainError, SolverError, StateError, StepControl, integrate
 from korteweg.cli import main
-from korteweg.fields import read_scalar_csv
+from korteweg.fields import read_scalar_csv, write_scalar_csv
 from korteweg.grids import Grid
 from korteweg.harness import config_from_dict, load_config, run_simulation
 
@@ -380,6 +381,26 @@ def test_every_snapshot_is_savetxt_bytes_from_one_coordinate_read(tmp_path, monk
             np.savetxt(buf, np.column_stack([c.ravel() for c in (*coords, values)]),
                        fmt="%.17g", delimiter=",")
             assert (out / name).read_bytes() == head.encode() + buf.getvalue()
+
+
+def test_a_snapshot_formats_the_state_rows_without_building_fields(tmp_path, monkeypatch):
+    # each row of the validated state goes straight into the grid's template: no
+    # field copy and finite scan per row, and the bytes of write_scalar_csv
+    grid = Grid.periodic((24, 20))
+    x, y = grid.coords()
+    state = korteweg.MixtureState.from_primitive(
+        korteweg.ScalarField(grid, 1.5 + 0.1 * np.sin(x)),
+        korteweg.VectorField(grid, (0.1 * np.cos(y), 0.1 * np.sin(x + y))))
+    built = []
+    for cls in (korteweg.ScalarField, korteweg.VectorField):
+        monkeypatch.setattr(cls, "__post_init__", lambda self: built.append(self))
+    names = korteweg.harness.write_state_snapshot(state, tmp_path / "out", 7)
+    monkeypatch.undo()
+    assert names == ["snap_000007_rho.csv", "snap_000007_m0.csv", "snap_000007_m1.csv"]
+    assert built == []
+    for name, values in zip(names, (state.rho.values, *state.m.components)):
+        write_scalar_csv(korteweg.ScalarField(grid, values), tmp_path / name)
+        assert (tmp_path / "out" / name).read_bytes() == (tmp_path / name).read_bytes()
 
 
 def test_neumann_fd2_run_completes(tmp_path):

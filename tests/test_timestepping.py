@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import traced_peak
+from conftest import sine_state, traced_peak
 
 import korteweg.constitutive
 import korteweg.fields
@@ -422,6 +422,19 @@ def test_viscous_candidate_reads_the_density_extremes(lam, mu, n):
     full_array = control.cfl_parabolic * min(grid.h) ** 2 * float(r.min()) \
         / (params._two_mu + float(np.abs(lam_star).max()))
     assert dt_candidates(state, params, control)["viscous"] == full_array
+
+
+@pytest.mark.parametrize("params, binding", [
+    (FluidParams(), "viscous"), (FluidParams(tau1=2.0, tau2=0.2), "capillary")],
+    ids=["viscous", "capillary"])
+def test_every_step_candidate_and_the_bound_are_python_floats(params, binding):
+    # the capillary candidate divides by math.sqrt, not np.sqrt, so the bound is a
+    # Python float whichever candidate binds
+    state = sine_state(Grid.periodic(256))
+    cand = dt_candidates(state, params)
+    assert min(cand, key=cand.get) == binding
+    assert all(type(v) is float for v in cand.values())
+    assert type(estimate_dt(state, params)) is float
 
 
 def random_rows(grid, rng):

@@ -1,8 +1,10 @@
-"""The right-hand side that make_rhs binds, with a workspace on a spectral grid.
+"""The right-hand side that make_rhs binds, with a workspace on every grid.
 
 It gives the bits of the public right-hand sides under both schemes.  Its
 buffers must change no bit of the rates, never be returned, never hold an
-input row, and leave an evaluation allocating only what it returns.
+input row, and leave an evaluation allocating only what it returns (a spectral
+grid) or its rates and a few temporaries (FD2).  Every evaluation takes the
+first one's buffers again, in the same order.
 """
 
 from dataclasses import replace
@@ -12,9 +14,9 @@ import pytest
 from conftest import traced_peak
 
 from korteweg import (FD2, SPECTRAL, DoubleWell, Grid, MixtureState, Mobility, ModelKind,
-                      ScalarField, VectorField, rhs_nsk1, rhs_nsk2)
+                      ScalarField, VectorField, rhs_nsk1, rhs_nsk2, timestepping)
 from korteweg.initial import random_band_limited
-from korteweg.models import _rhs, _stage_rows, _stress_symbol
+from korteweg.models import _stage_rows
 from korteweg.operators import _calculus, _Workspace
 from korteweg.timestepping import make_rhs
 
@@ -58,8 +60,7 @@ BOUND_CASES = {
 @pytest.mark.parametrize("model", MODELS)
 def test_bound_rates_are_the_public_rates_byte_for_byte(model, case, params):
     # the public wrappers run the same kernels on fresh arrays; the later calls
-    # of the bound evaluator run on buffers that the earlier ones gave back (a
-    # spectral grid's workspace) or on fresh arrays (FD2)
+    # of the bound evaluator run on the buffers that the first one recorded
     grid, d = BOUND_CASES[case]
     kind, gamma = model_on(grid, model)
     rhs = make_rhs(params, kind, gamma, d, grid)
@@ -98,27 +99,77 @@ def test_a_bound_evaluation_allocates_only_its_rates(model, params):
     assert traced_peak(lambda: rhs(rows)) <= 3 * real + 32 * 1024
 
 
-@pytest.mark.parametrize("shape", [64, 63, 256, (32, 24), (33, 35), (48, 36)], ids=str)
+@pytest.mark.parametrize("model", ["nsk1", "nsk2-const"])
+def test_a_bound_fd2_evaluation_allocates_its_rates_and_few_temporaries(model, params):
+    # under FD2 the workspace holds every array of the levels but those of grad u,
+    # grad rho and div u and the derivative temporaries of the divergences: a warm
+    # 128^2 evaluation peaks at 10 grid arrays, 11 with NSK2's solve, against 20
+    # when every temporary was allocated
+    grid = Grid.periodic((128, 128))
+    kind, gamma = MODELS[model]
+    rhs = make_rhs(params, kind, gamma, FD2, grid)
+    rows = _stage_rows(random_state(grid, 5))
+    rhs(rows)
+    arrays = {"nsk1": 10, "nsk2-const": 11}[model]
+    assert traced_peak(lambda: rhs(rows)) <= arrays * 128 * 128 * 8 + 32 * 1024
+
+
+class Recording(_Workspace):
+    """A workspace that lists the buffers an evaluation takes, in call order."""
+
+    def __init__(self, ops):
+        super().__init__(ops)
+        self.taken = []
+
+    def _take(self, shape, dtype):
+        self.taken.append(super()._take(shape, dtype))
+        return self.taken[-1]
+
+
+WARM_CASES = {
+    **{str(shape): (Grid.periodic(shape), SPECTRAL)
+       for shape in (64, 63, 256, (32, 24), (33, 35), (48, 36))},
+    "32x24-fd2": (GRID, FD2), "64-fd2": (Grid.periodic(64), FD2),
+    "bounded64-fd2": (Grid.bounded_neumann_1d(64, 1.0), FD2),
+}
+
+
+@pytest.mark.parametrize("case", WARM_CASES)
 @pytest.mark.parametrize("model", MODELS)
-def test_a_warm_workspace_makes_no_new_buffer(shape, model, params):
-    # every buffer an evaluation takes goes back to the workspace, so after a
-    # warm-up the later evaluations take only buffers of the first one
-    grid = Grid.periodic(shape)
+def test_a_warm_workspace_makes_no_new_buffer(case, model, params, monkeypatch):
+    # the first evaluation records one buffer per request; every later one takes
+    # exactly those again, in the same order, and makes none
+    made = []
+    monkeypatch.setattr(timestepping, "_Workspace",
+                        lambda ops: made.append(Recording(ops)) or made[-1])
+    grid, d = WARM_CASES[case]
     kind, gamma = model_on(grid, model)
-    ops = _calculus(grid, SPECTRAL)
-    ws, symbol = _Workspace(ops), _stress_symbol(ops, params, kind, gamma)
-    _rhs(_stage_rows(random_state(grid, 6)), ops, params, kind, gamma, symbol, ws)
-    warm = sorted(id(b) for pool in (ws.real_free, ws.half_free) for free in pool.values()
-                  for b in free)
-    taken = []
-    for name in ("real", "half"):
-        take = getattr(ws, name)
-        setattr(ws, name, lambda rows=None, take=take: taken.append(take(rows)) or taken[-1])
+    rhs = make_rhs(params, kind, gamma, d, grid)
+    [ws] = made
+    rhs(_stage_rows(random_state(grid, 6)))
+    first = [id(b) for b in ws.taken]
+    assert first == [id(b) for b in ws.buffers] and len(set(first)) == len(first)
     for seed in (7, 8):
-        _rhs(_stage_rows(random_state(grid, seed)), ops, params, kind, gamma, symbol, ws)
-        assert sorted(id(b) for pool in (ws.real_free, ws.half_free)
-                      for free in pool.values() for b in free) == warm
-        assert {id(b) for b in taken} <= set(warm)
+        ws.taken.clear()
+        rhs(_stage_rows(random_state(grid, seed)))
+        assert [id(b) for b in ws.taken] == [id(b) for b in ws.buffers] == first
+
+
+def test_a_changed_request_gets_a_new_buffer():
+    # a replayed request of another shape or dtype gets a new buffer in its slot,
+    # which the next replay takes; the slots around it keep theirs
+    ops = _calculus(GRID, SPECTRAL)
+    ws = _Workspace(ops)
+    first = [ws.real(3), ws.half(2), ws.real()]
+    ws.rewind()
+    second = [ws.real(3), ws.real(2), ws.half()]
+    assert second[0] is first[0]
+    assert second[1] is not first[1] and second[2] is not first[2]
+    assert [(b.shape, b.dtype) for b in second] == [
+        ((3, *ops.shape), float), ((2, *ops.shape), float), (ops.half_shape, complex)]
+    ws.rewind()
+    again = [ws.real(3), ws.real(2), ws.half()]
+    assert [id(b) for b in again] == [id(b) for b in second] == [id(b) for b in ws.buffers]
 
 
 STORED = {}   # grid shape -> the W'(c) of StoredWell, made before any evaluation
